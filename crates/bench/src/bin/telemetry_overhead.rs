@@ -2,8 +2,9 @@
 //! 1 ms-interval time-series sampling, against a bare 1 000-host event
 //! churn.
 //!
-//! Four cells share the exact same deterministic churn loop (the
-//! `sim_throughput` workload shape on the timing wheel):
+//! Four cells share the exact same deterministic churn loop — per-host
+//! periodic timers with jitter, a 10% burst of short-delay messages, a 5%
+//! trickle of later-cancelled timeouts and 1% far-future timers:
 //!
 //! * `base` — no trace calls, no sampling: the reference rate.
 //! * `trace_null` — one detail-level trace record offered per dispatch
@@ -26,7 +27,7 @@ use std::time::Instant;
 use vbench::{emit_full, Extras, Table};
 use vsim::{
     DetRng, Probe, SamplingSpec, SeriesReport, SeriesStore, SimContext, SimDuration, SimTime,
-    Subsystem, ToJson, TraceEvent, TraceLevel, TraceSinkSpec,
+    Subsystem, ToJson, Trace, TraceEvent, TraceLevel, TraceSinkSpec,
 };
 
 /// Per-host timer period: 100 events per simulated second per host.
@@ -75,8 +76,7 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
         Variant::Trace(sink) => (TraceLevel::Detail, *sink),
         _ => (TraceLevel::Warn, TraceSinkSpec::Off),
     };
-    let mut ctx: SimContext<u64> =
-        SimContext::with_sink(vsim::QueueBackend::TimingWheel, level, sink);
+    let mut ctx: SimContext<u64> = SimContext::new(Trace::with_sink(level, sink));
     let trace_each = matches!(variant, Variant::Trace(_));
     let mut store = match variant {
         Variant::Sampling => {

@@ -28,7 +28,7 @@
 //! An experiment entry may additionally pin wall-clock speed:
 //!
 //! ```json
-//! { "experiment": "sim_throughput",
+//! { "experiment": "telemetry_overhead",
 //!   "throughput": { "value": 5.0e6, "min_ratio": 0.3 } }
 //! ```
 //!
@@ -398,7 +398,7 @@ mod tests {
             r#"{
                 "experiments": [
                     {
-                        "experiment": "sim_throughput",
+                        "experiment": "telemetry_overhead",
                         "throughput": { "value": 1000000.0, "min_ratio": 0.3 }
                     }
                 ]
@@ -410,7 +410,7 @@ mod tests {
     fn throughput_artifact(events_per_sec: f64) -> Json {
         Json::parse(&format!(
             r#"{{
-                "experiment": "sim_throughput",
+                "experiment": "telemetry_overhead",
                 "table": [],
                 "run": {{ "events_per_sec": {events_per_sec} }}
             }}"#
@@ -432,7 +432,7 @@ mod tests {
 
     #[test]
     fn throughput_check_requires_a_run_section() {
-        let artifact = Json::parse(r#"{ "experiment": "sim_throughput", "table": [] }"#)
+        let artifact = Json::parse(r#"{ "experiment": "telemetry_overhead", "table": [] }"#)
             .expect("artifact parses");
         let checks = run_gate(&throughput_baseline(), |_| Ok(artifact.clone())).expect("gate runs");
         assert!(!checks[0].pass);

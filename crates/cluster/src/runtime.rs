@@ -31,10 +31,9 @@ use vsim::calib::{CONTEXT_SWITCH, CPU_QUANTUM, SMALL_PACKET_CPU};
 use vsim::metrics::GaugeSnapshot;
 use vsim::{
     CounterId, DetRng, FaultKind, FaultPlan, FaultPoint, FaultTrigger, HostClock, Metrics,
-    MetricsReport, MigrationPhase, Party, Probe, ProfileReport, ProtocolStep, QueueBackend,
-    SamplingSpec, SeriesId, SeriesReport, SeriesStore, SimContext, SimDuration, SimTime, SlotId,
-    SpanContext, SpanIdGen, SpanTree, Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec,
-    PARTY,
+    MetricsReport, MigrationPhase, Party, Probe, ProfileReport, ProtocolStep, SamplingSpec,
+    SeriesId, SeriesReport, SeriesStore, SimContext, SimDuration, SimTime, SlotId, SpanContext,
+    SpanIdGen, SpanTree, Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
 };
 use vworkload::{
     OwnerState, ProgAction, ProgEvent, ProgramProfile, UserModel, UserModelParams, WorkloadProgram,
@@ -272,9 +271,6 @@ pub struct ClusterConfig {
     /// Where trace records are retained (unbounded, fixed ring, or off);
     /// applies to the cluster trace and every component trace.
     pub trace_sink: TraceSinkSpec,
-    /// Pending-event queue backend (heap or timing wheel). Both deliver
-    /// bit-identical runs; the wheel is faster at high occupancy.
-    pub queue: QueueBackend,
     /// Deterministic fault schedule executed by the runtime.
     pub faults: FaultPlan,
     /// Run the invariant auditor at this interval (`None` = only when a
@@ -300,7 +296,6 @@ impl Default for ClusterConfig {
             evict_on_owner_return: false,
             trace: TraceLevel::Warn,
             trace_sink: TraceSinkSpec::Unbounded,
-            queue: QueueBackend::Heap,
             faults: FaultPlan::none(),
             audit_every: None,
             lease: LeaseConfig::default(),
@@ -385,6 +380,8 @@ pub struct Cluster {
     /// Owner-reclaim measurements: (owner returned at, all guests gone at).
     pub reclaim_times: Vec<SimDuration>,
     reclaim_pending: BTreeMap<HostAddr, SimTime>,
+    /// Periodic ticks (`AuditTick`, `SampleTick`) currently on the queue.
+    periodic_ticks: usize,
 }
 
 /// Handles to the cluster's default-enrolled time series.
@@ -575,7 +572,7 @@ impl Cluster {
         let ctr_faults = metrics.counter(Subsystem::Cluster, "faults_injected");
         let ctr_audit_violations = metrics.counter(Subsystem::Cluster, "audit_violations");
         let mut ctx: SimContext<Event> =
-            SimContext::new(cfg.queue, Trace::with_sink(cfg.trace, cfg.trace_sink));
+            SimContext::new(Trace::with_sink(cfg.trace, cfg.trace_sink));
         let slots = EventSlots::intern(ctx.profiler_mut());
         // Default telemetry enrollments. The engine's queue gauges are
         // probed straight out of its registry (re-interning is idempotent,
@@ -634,6 +631,7 @@ impl Cluster {
             pending_behaviors: BTreeMap::new(),
             reclaim_times: Vec::new(),
             reclaim_pending: BTreeMap::new(),
+            periodic_ticks: 0,
         };
         // Components are born with quiet traces; give them the cluster's
         // verbosity (and sink choice) so their records survive until
@@ -665,9 +663,11 @@ impl Cluster {
         }
         if let Some(every) = cluster.cfg.audit_every {
             cluster.ctx.schedule_after(every, Event::AuditTick);
+            cluster.periodic_ticks += 1;
         }
         if let Some(spec) = cluster.cfg.sampling {
             cluster.ctx.schedule_after(spec.every, Event::SampleTick);
+            cluster.periodic_ticks += 1;
         }
         cluster
     }
@@ -1029,24 +1029,28 @@ impl Cluster {
             Event::HealPartition { a, b } => self.net.heal(&a, &b),
             Event::AuditTick => {
                 self.audit(false);
-                // Re-arm only while other work remains, so periodic audits
-                // stop at quiescence instead of keeping the queue alive.
-                if self.ctx.pending() > 0 {
-                    if let Some(every) = self.cfg.audit_every {
-                        self.ctx.schedule_after(every, Event::AuditTick);
-                    }
+                if let Some(every) = self.cfg.audit_every {
+                    self.rearm_periodic(every, Event::AuditTick);
                 }
             }
             Event::SampleTick => {
                 self.take_sample();
-                // Same re-arm rule as AuditTick: sampling follows the
-                // simulation, it must never keep the queue alive.
-                if self.ctx.pending() > 0 {
-                    if let Some(spec) = self.cfg.sampling {
-                        self.ctx.schedule_after(spec.every, Event::SampleTick);
-                    }
+                if let Some(spec) = self.cfg.sampling {
+                    self.rearm_periodic(spec.every, Event::SampleTick);
                 }
             }
+        }
+    }
+
+    /// Re-arms a periodic tick that just fired, but only while something
+    /// other than the periodic ticks is pending: audits and sampling
+    /// follow the simulation, so they stop at quiescence instead of
+    /// keeping the queue (and each other) alive.
+    fn rearm_periodic(&mut self, every: SimDuration, tick: Event) {
+        self.periodic_ticks -= 1;
+        if self.ctx.pending() > self.periodic_ticks {
+            self.ctx.schedule_after(every, tick);
+            self.periodic_ticks += 1;
         }
     }
 

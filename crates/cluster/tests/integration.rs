@@ -5,7 +5,7 @@ use vcluster::{Cluster, ClusterConfig, Command};
 use vcore::{ExecTarget, MigrationConfig, StopPolicy, Strategy};
 use vkernel::Priority;
 use vnet::LossModel;
-use vsim::{SimDuration, SimTime, TraceEvent, TraceLevel};
+use vsim::{SamplingSpec, SimDuration, SimTime, TraceEvent, TraceLevel};
 use vworkload::profiles;
 use vworkload::{Phase, ProgramProfile};
 
@@ -415,6 +415,34 @@ fn cluster_survives_running_past_all_events() {
     let mut c = Cluster::new(quiet_config(2));
     c.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     assert!(c.now() <= SimTime::ZERO + SimDuration::from_secs(5));
+}
+
+/// Periodic audits and sampling each re-arm only while other work is
+/// pending, so with both switched on they must not keep each other alive:
+/// the cluster still quiesces once its one short program is done.
+#[test]
+fn audit_and_sample_ticks_stop_at_quiescence() {
+    let mut c = Cluster::new(ClusterConfig {
+        audit_every: Some(SimDuration::from_secs(1)),
+        sampling: Some(SamplingSpec::default()),
+        ..quiet_config(2)
+    });
+    c.exec(
+        1,
+        small_compute_profile("job", 2),
+        ExecTarget::Local,
+        Priority::LOCAL,
+    );
+    for _ in 0..10 {
+        if c.pending() == 0 {
+            break;
+        }
+        c.run_for(SimDuration::from_secs(30));
+    }
+    assert_eq!(c.pending(), 0, "periodic ticks kept the queue alive");
+    assert!(c.exec_reports[0].success);
+    assert!(!c.audit_reports.is_empty(), "no periodic audit ran");
+    assert!(c.series().sweeps() > 0, "no sample was taken");
 }
 
 #[test]

@@ -12,19 +12,17 @@
 use crate::engine::{Engine, EventId};
 use crate::metrics::Metrics;
 use crate::profile::{HostClock, Profiler};
-use crate::queue::{DynQueue, EventQueue, QueueBackend};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec};
+use crate::trace::{Subsystem, Trace, TraceEvent, TraceLevel};
 
 /// An [`Engine`] and its [`Trace`] behind one surface.
 ///
 /// # Examples
 ///
 /// ```
-/// use vsim::{QueueBackend, SimContext, SimDuration, Subsystem, Trace, TraceEvent, TraceLevel};
+/// use vsim::{SimContext, SimDuration, Subsystem, Trace, TraceEvent, TraceLevel};
 ///
-/// let mut ctx: SimContext<&str> =
-///     SimContext::new(QueueBackend::TimingWheel, Trace::new(TraceLevel::Info));
+/// let mut ctx: SimContext<&str> = SimContext::new(Trace::new(TraceLevel::Info));
 /// ctx.schedule_after(SimDuration::from_millis(1), "tick");
 /// while let Some((_, ev)) = ctx.step() {
 ///     assert_eq!(ev, "tick");
@@ -33,45 +31,17 @@ use crate::trace::{Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec};
 /// assert_eq!(ctx.trace().records().len(), 1);
 /// assert_eq!(ctx.trace().records()[0].at, ctx.now());
 /// ```
-pub struct SimContext<E, Q: EventQueue<E> = DynQueue<E>> {
-    engine: Engine<E, Q>,
+pub struct SimContext<E> {
+    engine: Engine<E>,
     trace: Trace,
     profiler: Profiler,
 }
 
 impl<E> SimContext<E> {
-    /// A context on the given queue backend with the given trace.
-    pub fn new(backend: QueueBackend, trace: Trace) -> Self {
+    /// A context with an empty engine and the given trace.
+    pub fn new(trace: Trace) -> Self {
         SimContext {
-            engine: Engine::with_backend(backend),
-            trace,
-            profiler: Profiler::null(),
-        }
-    }
-
-    /// A context with a level-filtered unbounded trace on the default
-    /// backend.
-    pub fn with_trace_level(level: TraceLevel) -> Self {
-        Self::new(QueueBackend::default(), Trace::new(level))
-    }
-
-    /// A context with an explicit trace sink (ring, unbounded, or off).
-    pub fn with_sink(backend: QueueBackend, level: TraceLevel, sink: TraceSinkSpec) -> Self {
-        Self::new(backend, Trace::with_sink(level, sink))
-    }
-}
-
-impl<E> Default for SimContext<E> {
-    fn default() -> Self {
-        Self::new(QueueBackend::default(), Trace::default())
-    }
-}
-
-impl<E, Q: EventQueue<E>> SimContext<E, Q> {
-    /// Wraps an existing engine and trace.
-    pub fn from_parts(engine: Engine<E, Q>, trace: Trace) -> Self {
-        SimContext {
-            engine,
+            engine: Engine::new(),
             trace,
             profiler: Profiler::null(),
         }
@@ -139,12 +109,12 @@ impl<E, Q: EventQueue<E>> SimContext<E, Q> {
     }
 
     /// The underlying engine.
-    pub fn engine(&self) -> &Engine<E, Q> {
+    pub fn engine(&self) -> &Engine<E> {
         &self.engine
     }
 
     /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine<E, Q> {
+    pub fn engine_mut(&mut self) -> &mut Engine<E> {
         &mut self.engine
     }
 
@@ -220,8 +190,7 @@ mod tests {
 
     #[test]
     fn trace_helpers_stamp_the_clock() {
-        let mut ctx: SimContext<u32> =
-            SimContext::new(QueueBackend::Heap, Trace::new(TraceLevel::Detail));
+        let mut ctx: SimContext<u32> = SimContext::new(Trace::new(TraceLevel::Detail));
         ctx.schedule_after(SimDuration::from_micros(7), 1);
         while ctx.step().is_some() {
             ctx.info(Subsystem::Cluster, TraceEvent::Note { text: "fired" });
@@ -233,7 +202,7 @@ mod tests {
 
     #[test]
     fn forwards_queue_operations() {
-        let mut ctx: SimContext<u32> = SimContext::default();
+        let mut ctx: SimContext<u32> = SimContext::new(Trace::default());
         let id = ctx.schedule_after(SimDuration::from_micros(5), 9);
         assert_eq!(ctx.pending(), 1);
         ctx.cancel(id);

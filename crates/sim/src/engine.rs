@@ -7,15 +7,13 @@
 //!
 //! Determinism: events that fire at the same instant are delivered in the
 //! order they were scheduled (FIFO tie-break on a monotone sequence number),
-//! so a run is a pure function of the initial state and the RNG seed. The
-//! pending-event store itself is pluggable (see [`EventQueue`]): every
-//! backend pops the exact same `(at, seq)` order, so the choice of queue is
-//! purely a speed trade-off and never shows up in a trace.
+//! so a run is a pure function of the initial state and the RNG seed.
+//! Pending events live in one binary heap ordered by `(at, seq)`.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::metrics::{CounterId, GaugeId, Metrics};
-use crate::queue::{DynQueue, EventQueue, QueueBackend};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Subsystem;
 
@@ -23,11 +21,39 @@ use crate::trace::Subsystem;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
+/// One pending event: its firing time, its schedule sequence number (the
+/// FIFO tie-break, and the [`EventId`]), and the payload.
+struct Entry<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest (and, within an
+        // instant, the first-pushed) entry surfaces first.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
 /// A deterministic discrete-event queue with a simulated clock.
-///
-/// The second type parameter selects the pending-event store; it defaults
-/// to [`DynQueue`] so `Engine<E>` keeps working everywhere while the
-/// backend stays a runtime choice ([`Engine::with_backend`]).
 ///
 /// # Examples
 ///
@@ -62,8 +88,8 @@ pub struct EventId(u64);
 /// assert_eq!(fired, vec![0, 1, 2, 3]);
 /// assert_eq!(n, 4);
 /// ```
-pub struct Engine<E, Q: EventQueue<E> = DynQueue<E>> {
-    queue: Q,
+pub struct Engine<E> {
+    queue: BinaryHeap<Entry<E>>,
     cancelled: BTreeSet<EventId>,
     now: SimTime,
     next_seq: u64,
@@ -74,7 +100,6 @@ pub struct Engine<E, Q: EventQueue<E> = DynQueue<E>> {
     ctr_cancelled: CounterId,
     g_queue_depth: GaugeId,
     g_tombstones: GaugeId,
-    _marker: std::marker::PhantomData<fn() -> E>,
 }
 
 impl<E> Default for Engine<E> {
@@ -84,23 +109,8 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Creates an empty engine with the clock at [`SimTime::ZERO`], on the
-    /// default heap backend.
+    /// Creates an empty engine with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// Creates an empty engine on the given queue backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        Self::with_queue(DynQueue::new(backend))
-    }
-}
-
-impl<E, Q: EventQueue<E>> Engine<E, Q> {
-    /// Creates an empty engine around a caller-built queue (for statically
-    /// monomorphised backends; most callers want [`Engine::new`] or
-    /// [`Engine::with_backend`]).
-    pub fn with_queue(queue: Q) -> Self {
         let mut metrics = Metrics::new();
         let ctr_scheduled = metrics.counter(Subsystem::Engine, "events_scheduled");
         let ctr_delivered = metrics.counter(Subsystem::Engine, "events_delivered");
@@ -108,7 +118,7 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
         let g_queue_depth = metrics.gauge(Subsystem::Engine, "queue_depth");
         let g_tombstones = metrics.gauge(Subsystem::Engine, "tombstones");
         Engine {
-            queue,
+            queue: BinaryHeap::new(),
             cancelled: BTreeSet::new(),
             now: SimTime::ZERO,
             next_seq: 0,
@@ -119,7 +129,6 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
             ctr_cancelled,
             g_queue_depth,
             g_tombstones,
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -180,7 +189,7 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(at, seq, event);
+        self.queue.push(Entry { at, seq, event });
         self.metrics.inc(self.ctr_scheduled);
         self.sync_queue_gauges();
         EventId(seq)
@@ -217,9 +226,7 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
 
     /// Drops every tombstone whose event is no longer in the queue.
     fn compact_tombstones(&mut self) {
-        let mut live = Vec::with_capacity(self.queue.len());
-        self.queue.live_seqs(&mut live);
-        let live: BTreeSet<u64> = live.into_iter().collect();
+        let live: BTreeSet<u64> = self.queue.iter().map(|e| e.seq).collect();
         self.cancelled.retain(|id| live.contains(&id.0));
     }
 
@@ -237,16 +244,15 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
     /// scenario needs the clock moved past the last event.
     pub fn step_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         loop {
-            let (due, _) = self.queue.peek()?;
-            if due > limit {
+            if self.queue.peek()?.at > limit {
                 return None;
             }
-            let (at, seq, event) = self.queue.pop()?;
+            let Entry { at, seq, event } = self.queue.pop()?;
             if self.cancelled.remove(&EventId(seq)) {
                 // The clock still advances over a cancelled event's
-                // instant: the backend has committed to that time (the
-                // wheel rebases on pop), so scheduling before it is no
-                // longer possible and `now` must not trail it.
+                // instant. The heap does not need it, but a caller that
+                // reads `now()` after `step_due` returns `None` sees it,
+                // and every pinned artifact was produced under this rule.
                 debug_assert!(at >= self.now, "event queue went backwards");
                 self.now = at;
                 self.sync_queue_gauges();
@@ -293,11 +299,12 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
     /// the past — both indicate scenario logic errors.
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_to moving backwards");
-        if let Some((at, seq)) = self.queue.peek() {
-            if !self.cancelled.contains(&EventId(seq)) {
+        if let Some(e) = self.queue.peek() {
+            if !self.cancelled.contains(&EventId(e.seq)) {
                 assert!(
-                    at >= t,
-                    "advance_to({t}) would skip a pending event at {at}"
+                    e.at >= t,
+                    "advance_to({t}) would skip a pending event at {}",
+                    e.at
                 );
             }
         }
@@ -309,61 +316,48 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
 mod tests {
     use super::*;
 
-    /// Every engine-semantics test runs on both backends: the queue choice
-    /// must be invisible.
-    fn engines() -> Vec<Engine<u32>> {
-        vec![
-            Engine::with_backend(QueueBackend::Heap),
-            Engine::with_backend(QueueBackend::TimingWheel),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut e in engines() {
-            e.schedule_after(SimDuration::from_micros(30), 3);
-            e.schedule_after(SimDuration::from_micros(10), 1);
-            e.schedule_after(SimDuration::from_micros(20), 2);
-            let order: Vec<u32> = std::iter::from_fn(|| e.step().map(|(_, v)| v)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-            assert_eq!(e.now(), SimTime::from_micros(30));
-        }
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule_after(SimDuration::from_micros(30), 3);
+        e.schedule_after(SimDuration::from_micros(10), 1);
+        e.schedule_after(SimDuration::from_micros(20), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| e.step().map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(e.now(), SimTime::from_micros(30));
     }
 
     #[test]
     fn same_instant_is_fifo() {
-        for mut e in engines() {
-            let t = SimTime::from_micros(5);
-            for v in 0..100 {
-                e.schedule_at(t, v);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| e.step().map(|(_, v)| v)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut e: Engine<u32> = Engine::new();
+        let t = SimTime::from_micros(5);
+        for v in 0..100 {
+            e.schedule_at(t, v);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| e.step().map(|(_, v)| v)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn cancellation_skips_events() {
-        for mut e in engines() {
-            let a = e.schedule_after(SimDuration::from_micros(1), 1);
-            e.schedule_after(SimDuration::from_micros(2), 2);
-            e.cancel(a);
-            assert_eq!(e.pending(), 1);
-            assert_eq!(e.step().map(|(_, v)| v), Some(2));
-            assert_eq!(e.step(), None);
-            assert_eq!(e.events_delivered(), 1);
-        }
+        let mut e: Engine<u32> = Engine::new();
+        let a = e.schedule_after(SimDuration::from_micros(1), 1);
+        e.schedule_after(SimDuration::from_micros(2), 2);
+        e.cancel(a);
+        assert_eq!(e.pending(), 1);
+        assert_eq!(e.step().map(|(_, v)| v), Some(2));
+        assert_eq!(e.step(), None);
+        assert_eq!(e.events_delivered(), 1);
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        for mut e in engines() {
-            let a = e.schedule_now(1);
-            assert_eq!(e.step().map(|(_, v)| v), Some(1));
-            e.cancel(a);
-            e.schedule_now(2);
-            assert_eq!(e.step().map(|(_, v)| v), Some(2));
-        }
+        let mut e: Engine<u32> = Engine::new();
+        let a = e.schedule_now(1);
+        assert_eq!(e.step().map(|(_, v)| v), Some(1));
+        e.cancel(a);
+        e.schedule_now(2);
+        assert_eq!(e.step().map(|(_, v)| v), Some(2));
     }
 
     #[test]
@@ -371,40 +365,38 @@ mod tests {
         // Regression: cancelling ids after they fired used to leave
         // permanent tombstones, eventually making `pending()` underflow
         // (queue.len() - cancelled.len() in unsigned arithmetic).
-        for mut e in engines() {
-            let a = e.schedule_now(1);
-            let b = e.schedule_now(2);
-            assert!(e.step().is_some());
-            assert!(e.step().is_some());
-            // Both events have fired; cancelling them now is the race.
-            e.cancel(a);
-            e.cancel(b);
-            // Old code: pending() panicked on 0usize - 2. New code: the
-            // stale tombstones are compacted away against the empty queue.
-            assert_eq!(e.pending(), 0);
-            let c = e.schedule_after(SimDuration::from_micros(5), 3);
-            assert_eq!(e.pending(), 1);
-            // And a live cancel still works exactly.
-            e.cancel(c);
-            assert_eq!(e.pending(), 0);
-            assert_eq!(e.step(), None);
-        }
+        let mut e: Engine<u32> = Engine::new();
+        let a = e.schedule_now(1);
+        let b = e.schedule_now(2);
+        assert!(e.step().is_some());
+        assert!(e.step().is_some());
+        // Both events have fired; cancelling them now is the race.
+        e.cancel(a);
+        e.cancel(b);
+        // Old code: pending() panicked on 0usize - 2. New code: the
+        // stale tombstones are compacted away against the empty queue.
+        assert_eq!(e.pending(), 0);
+        let c = e.schedule_after(SimDuration::from_micros(5), 3);
+        assert_eq!(e.pending(), 1);
+        // And a live cancel still works exactly.
+        e.cancel(c);
+        assert_eq!(e.pending(), 0);
+        assert_eq!(e.step(), None);
     }
 
     #[test]
     fn step_due_respects_limit() {
-        for mut e in engines() {
-            e.schedule_after(SimDuration::from_micros(10), 1);
-            e.schedule_after(SimDuration::from_micros(20), 2);
-            assert_eq!(
-                e.step_due(SimTime::from_micros(15)).map(|(_, v)| v),
-                Some(1)
-            );
-            assert_eq!(e.step_due(SimTime::from_micros(15)), None);
-            // The clock stays at the last delivered event.
-            assert_eq!(e.now(), SimTime::from_micros(10));
-            assert_eq!(e.step().map(|(_, v)| v), Some(2));
-        }
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule_after(SimDuration::from_micros(10), 1);
+        e.schedule_after(SimDuration::from_micros(20), 2);
+        assert_eq!(
+            e.step_due(SimTime::from_micros(15)).map(|(_, v)| v),
+            Some(1)
+        );
+        assert_eq!(e.step_due(SimTime::from_micros(15)), None);
+        // The clock stays at the last delivered event.
+        assert_eq!(e.now(), SimTime::from_micros(10));
+        assert_eq!(e.step().map(|(_, v)| v), Some(2));
     }
 
     #[test]
@@ -442,74 +434,59 @@ mod tests {
 
     #[test]
     fn run_until_drives_chained_events() {
-        for mut e in engines() {
-            e.schedule_now(0);
-            let mut fired = Vec::new();
-            let n = e.run(|eng, _now, ev| {
-                fired.push(ev);
-                // Chain follow-up events to exercise re-entrancy.
-                if ev < 3 {
-                    eng.schedule_after(SimDuration::from_micros(1), ev + 1);
-                }
-            });
-            assert_eq!(fired, vec![0, 1, 2, 3]);
-            assert_eq!(n, 4);
-            assert_eq!(e.now(), SimTime::from_micros(3));
-        }
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule_now(0);
+        let mut fired = Vec::new();
+        let n = e.run(|eng, _now, ev| {
+            fired.push(ev);
+            // Chain follow-up events to exercise re-entrancy.
+            if ev < 3 {
+                eng.schedule_after(SimDuration::from_micros(1), ev + 1);
+            }
+        });
+        assert_eq!(fired, vec![0, 1, 2, 3]);
+        assert_eq!(n, 4);
+        assert_eq!(e.now(), SimTime::from_micros(3));
     }
 
     #[test]
     fn run_until_stops_at_limit() {
-        for mut e in engines() {
-            e.schedule_now(0);
-            let mut fired = Vec::new();
-            e.run_until(SimTime::from_micros(1), |eng, _now, ev| {
-                fired.push(ev);
-                if ev < 3 {
-                    eng.schedule_after(SimDuration::from_micros(1), ev + 1);
-                }
-            });
-            assert_eq!(fired, vec![0, 1]);
-            assert_eq!(e.pending(), 1);
-        }
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule_now(0);
+        let mut fired = Vec::new();
+        e.run_until(SimTime::from_micros(1), |eng, _now, ev| {
+            fired.push(ev);
+            if ev < 3 {
+                eng.schedule_after(SimDuration::from_micros(1), ev + 1);
+            }
+        });
+        assert_eq!(fired, vec![0, 1]);
+        assert_eq!(e.pending(), 1);
     }
 
     #[test]
     fn queue_gauges_track_depth_and_tombstones() {
-        for mut e in engines() {
-            let depth = |e: &Engine<u32>| {
-                e.metrics()
-                    .snapshot("engine")
-                    .gauge(Subsystem::Engine, "queue_depth")
-            };
-            let tombs = |e: &Engine<u32>| {
-                e.metrics()
-                    .snapshot("engine")
-                    .gauge(Subsystem::Engine, "tombstones")
-            };
-            let a = e.schedule_after(SimDuration::from_micros(1), 1);
-            e.schedule_after(SimDuration::from_micros(2), 2);
-            assert_eq!(depth(&e), Some(2.0));
-            assert_eq!(tombs(&e), Some(0.0));
-            e.cancel(a);
-            assert_eq!(depth(&e), Some(1.0));
-            assert_eq!(tombs(&e), Some(1.0));
-            // Delivering event 2 walks over the tombstone for event 1.
-            assert_eq!(e.step().map(|(_, v)| v), Some(2));
-            assert_eq!(depth(&e), Some(0.0));
-            assert_eq!(tombs(&e), Some(0.0));
-        }
-    }
-
-    #[test]
-    fn backends_agree_on_far_future_schedules() {
-        // Past the wheel horizon (~19 simulated hours) and back.
-        for mut e in engines() {
-            e.schedule_after(SimDuration::from_secs(100_000), 9);
-            e.schedule_after(SimDuration::from_micros(1), 1);
-            let order: Vec<(u64, u32)> =
-                std::iter::from_fn(|| e.step().map(|(t, v)| (t.as_micros(), v))).collect();
-            assert_eq!(order, vec![(1, 1), (100_000_000_000, 9)]);
-        }
+        let mut e: Engine<u32> = Engine::new();
+        let depth = |e: &Engine<u32>| {
+            e.metrics()
+                .snapshot("engine")
+                .gauge(Subsystem::Engine, "queue_depth")
+        };
+        let tombs = |e: &Engine<u32>| {
+            e.metrics()
+                .snapshot("engine")
+                .gauge(Subsystem::Engine, "tombstones")
+        };
+        let a = e.schedule_after(SimDuration::from_micros(1), 1);
+        e.schedule_after(SimDuration::from_micros(2), 2);
+        assert_eq!(depth(&e), Some(2.0));
+        assert_eq!(tombs(&e), Some(0.0));
+        e.cancel(a);
+        assert_eq!(depth(&e), Some(1.0));
+        assert_eq!(tombs(&e), Some(1.0));
+        // Delivering event 2 walks over the tombstone for event 1.
+        assert_eq!(e.step().map(|(_, v)| v), Some(2));
+        assert_eq!(depth(&e), Some(0.0));
+        assert_eq!(tombs(&e), Some(0.0));
     }
 }

@@ -20,7 +20,6 @@ mod faults;
 pub mod json;
 pub mod metrics;
 mod profile;
-mod queue;
 mod rng;
 pub mod span;
 mod stats;
@@ -37,7 +36,6 @@ pub use faults::{
 pub use json::{Json, ToJson};
 pub use metrics::{CounterId, GaugeId, HistogramId, Metrics, MetricsReport, ScopeMetrics};
 pub use profile::{HostClock, NullClock, ProfileReport, Profiler, SlotId, SlotReport};
-pub use queue::{DynQueue, EventQueue, HeapQueue, QueueBackend, TimingWheel};
 pub use rng::DetRng;
 pub use span::{SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation};
 pub use stats::{Histogram, OnlineStats, Samples};

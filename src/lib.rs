@@ -54,10 +54,10 @@ pub mod prelude {
     pub use vnet::{HostAddr, LossModel};
     pub use vservices::LeaseConfig;
     pub use vsim::{
-        fault_points, DetRng, Engine, EventId, EventQueue, FaultKind, FaultPlan, FaultPoint,
-        FaultTrigger, Metrics, MetricsReport, MigrationPhase, Party, ProtocolStep, QueueBackend,
-        SamplingSpec, SimContext, SimDuration, SimTime, SpanContext, SpanId, SpanIdGen, SpanNode,
-        SpanTree, SpanViolation, Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
+        fault_points, DetRng, Engine, EventId, FaultKind, FaultPlan, FaultPoint, FaultTrigger,
+        Metrics, MetricsReport, MigrationPhase, Party, ProtocolStep, SamplingSpec, SimContext,
+        SimDuration, SimTime, SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation,
+        Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
     };
     pub use vworkload::{profiles, Phase, ProgramProfile, UserModelParams};
 }

@@ -36,23 +36,17 @@ struct Outcome {
 /// so retransmission randomness is in play, then merge every component
 /// trace into one stream.
 fn run_once(seed: u64) -> Outcome {
-    run_once_on(seed, QueueBackend::Heap)
+    run_once_with(seed, FaultPlan::none())
 }
 
-/// [`run_once`], but on an explicit event-queue backend.
-fn run_once_on(seed: u64, queue: QueueBackend) -> Outcome {
-    run_once_with(seed, queue, FaultPlan::none())
-}
-
-/// [`run_once_on`], with a fault plan driving crashes, partitions, and
+/// [`run_once`], with a fault plan driving crashes, partitions, and
 /// corruption windows through the run.
-fn run_once_with(seed: u64, queue: QueueBackend, faults: FaultPlan) -> Outcome {
+fn run_once_with(seed: u64, faults: FaultPlan) -> Outcome {
     let mut c = Cluster::new(ClusterConfig {
         workstations: 4,
         seed,
         loss: LossModel::Bernoulli(0.02),
         trace: TraceLevel::Detail,
-        queue,
         faults,
         sampling: Some(SamplingSpec::default()),
         ..ClusterConfig::default()
@@ -128,52 +122,56 @@ fn same_seed_runs_produce_identical_traces() {
 
         // Replay equality, the actual regression check.
         assert_eq!(
-            a.events_delivered, b.events_delivered,
-            "seed {seed}: event counts diverged"
-        );
-        assert_eq!(
             (a.images_loaded, a.bytes_read),
             (b.images_loaded, b.bytes_read),
             "seed {seed}: file-server stats diverged"
         );
-        assert_eq!(
-            a.records.len(),
-            b.records.len(),
-            "seed {seed}: trace lengths diverged"
-        );
-        for (i, (ra, rb)) in a.records.iter().zip(&b.records).enumerate() {
-            assert_eq!(ra, rb, "seed {seed}: trace diverged at record {i}");
-        }
+        assert_same_trace(&a, &b, &format!("seed {seed}"));
     }
 }
 
-/// Same seed, same backend: the sampled time-series must serialize
-/// byte-identically — the telemetry layer inherits the replay guarantee.
-/// The sweeps are driven off the event queue (`SampleTick`), so any
-/// nondeterminism in sampling cadence or probe reads diverges here.
+/// Asserts that two runs delivered the same number of events and merged
+/// record-identical traces.
+fn assert_same_trace(a: &Outcome, b: &Outcome, label: &str) {
+    assert_eq!(
+        a.events_delivered, b.events_delivered,
+        "{label}: event counts diverged"
+    );
+    assert_eq!(
+        a.records.len(),
+        b.records.len(),
+        "{label}: trace lengths diverged"
+    );
+    for (i, (ra, rb)) in a.records.iter().zip(&b.records).enumerate() {
+        assert_eq!(ra, rb, "{label}: trace diverged at record {i}");
+    }
+}
+
+/// Same seed: the sampled time-series must serialize byte-identically —
+/// the telemetry layer inherits the replay guarantee. The sweeps are
+/// driven off the event queue (`SampleTick`), so any nondeterminism in
+/// sampling cadence or probe reads diverges here.
 #[test]
 fn same_seed_runs_produce_identical_series() {
-    for queue in [QueueBackend::Heap, QueueBackend::TimingWheel] {
-        let a = run_once_on(1985, queue);
-        let b = run_once_on(1985, queue);
-        // Non-vacuity: sampling actually ran, on the default 1 ms
-        // cadence, and captured the default cluster enrollments.
+    let a = run_once(1985);
+    let b = run_once(1985);
+    // Non-vacuity: sampling actually ran, on the default 1 ms cadence,
+    // and captured the default cluster enrollments.
+    assert!(
+        a.sweeps > 1_000,
+        "sampling barely ran ({} sweeps)",
+        a.sweeps
+    );
+    for series in ["queue_depth", "ready_programs", "active_leases"] {
         assert!(
-            a.sweeps > 1_000,
-            "sampling barely ran ({} sweeps)",
-            a.sweeps
-        );
-        for series in ["queue_depth", "ready_programs", "active_leases"] {
-            assert!(
-                a.series_json.contains(series),
-                "default enrollment `{series}` missing from report"
-            );
-        }
-        assert_eq!(
-            a.series_json, b.series_json,
-            "{queue:?}: same-seed series artifacts diverged"
+            a.series_json.contains(series),
+            "default enrollment `{series}` missing from report"
         );
     }
+    assert_eq!(
+        a.series_json, b.series_json,
+        "same-seed series artifacts diverged"
+    );
 }
 
 /// Different seeds must *not* replay identically — otherwise the equality
@@ -188,65 +186,23 @@ fn different_seeds_diverge() {
     );
 }
 
-/// The timing-wheel backend must be a bit-identical drop-in for the heap:
-/// one full replay pair, same seed, one run per backend, compared
-/// record-for-record. This is the whole-cluster analogue of the queue
-/// differential property test in `properties.rs`.
+/// Same-seed replay must also hold with fault plans enabled: reboots,
+/// partition heals, corruption-window closes, and fault-point firings all
+/// ride the event queue, so anything that mis-orders them diverges here
+/// even if the fault-free replay above stays identical.
 #[test]
-fn queue_backends_replay_identically() {
-    let heap = run_once_on(1985, QueueBackend::Heap);
-    let wheel = run_once_on(1985, QueueBackend::TimingWheel);
-    assert_eq!(
-        heap.events_delivered, wheel.events_delivered,
-        "backends diverged in event counts"
-    );
-    assert_eq!(
-        (heap.images_loaded, heap.bytes_read, heap.mcast_members),
-        (wheel.images_loaded, wheel.bytes_read, wheel.mcast_members),
-        "backends diverged in cluster outcomes"
-    );
-    assert_eq!(
-        heap.series_json, wheel.series_json,
-        "backends diverged in sampled series"
-    );
-    assert_eq!(
-        heap.records.len(),
-        wheel.records.len(),
-        "backends diverged in trace lengths"
-    );
-    for (i, (rh, rw)) in heap.records.iter().zip(&wheel.records).enumerate() {
-        assert_eq!(rh, rw, "backends diverged at trace record {i}");
-    }
-}
-
-/// The backend equivalence must also hold with fault plans enabled:
-/// reboots, partition heals, corruption-window closes, and fault-point
-/// firings all ride the event queue, so a backend that mis-orders them
-/// diverges here even if the fault-free replay above stays identical.
-#[test]
-fn queue_backends_replay_identically_under_fault_plans() {
+fn same_seed_fault_plan_runs_produce_identical_traces() {
     for plan in ["crash_storm", "lease_chaos"] {
         let named = || {
             FaultPlan::by_name(plan, 1985, 5, SimDuration::from_secs(30)).expect("known plan name")
         };
-        let heap = run_once_with(1985, QueueBackend::Heap, named());
-        let wheel = run_once_with(1985, QueueBackend::TimingWheel, named());
-        assert!(heap.faults_injected >= 1, "plan {plan}: injected nothing");
+        let a = run_once_with(1985, named());
+        let b = run_once_with(1985, named());
+        assert!(a.faults_injected >= 1, "plan {plan}: injected nothing");
         assert_eq!(
-            heap.faults_injected, wheel.faults_injected,
-            "plan {plan}: backends diverged in fault execution"
+            a.faults_injected, b.faults_injected,
+            "plan {plan}: fault execution diverged"
         );
-        assert_eq!(
-            heap.events_delivered, wheel.events_delivered,
-            "plan {plan}: backends diverged in event counts"
-        );
-        assert_eq!(
-            heap.records.len(),
-            wheel.records.len(),
-            "plan {plan}: backends diverged in trace lengths"
-        );
-        for (i, (rh, rw)) in heap.records.iter().zip(&wheel.records).enumerate() {
-            assert_eq!(rh, rw, "plan {plan}: backends diverged at trace record {i}");
-        }
+        assert_same_trace(&a, &b, &format!("plan {plan}"));
     }
 }
