@@ -2,11 +2,11 @@
 //!
 //! `vsim`'s [`Profiler`](vsim::Profiler) defaults to the deterministic
 //! [`NullClock`](vsim::NullClock) so library code never reads host time
-//! (the `det-time` lint enforces this). Wall-clock attribution therefore
-//! lives here, at the edge: bench binaries inject a [`WallClock`] via
-//! `Cluster::set_host_clock` and the same dispatch counters gain real
-//! nanosecond attribution. This file carries the repo's only scoped
-//! `det-time` exemption (`lint.toml [determinism] allow`).
+//! (the workspace `clippy.toml` bans `Instant` there). Wall-clock
+//! attribution therefore lives here, at the edge: bench binaries inject a
+//! [`WallClock`] via `Cluster::set_host_clock` and the same dispatch
+//! counters gain real nanosecond attribution. vbench's own `clippy.toml`
+//! leaves `Instant` allowed.
 
 use std::time::Instant;
 

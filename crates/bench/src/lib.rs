@@ -48,6 +48,10 @@ impl Table {
     }
 
     /// Appends a row (stringifying each cell).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` does not have one entry per header column.
     pub fn row<D: Display>(&mut self, cells: &[D]) {
         assert_eq!(cells.len(), self.header.len(), "column count mismatch");
         self.rows
@@ -262,6 +266,11 @@ pub fn launch(
 /// Measures unique dirty KB generated by program `lh` over `n` windows of
 /// length `window`, by clearing and re-reading the MMU dirty bits — the
 /// measurement behind Table 4-1.
+///
+/// # Panics
+///
+/// Panics if program `lh` exits or loses its `team` space while it is
+/// measured.
 pub fn measure_dirty_windows(
     c: &mut Cluster,
     lh: LogicalHostId,

@@ -7,6 +7,12 @@
 //! owns the single event loop; everything else stays a sans-IO state
 //! machine.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 mod audit;
 mod runtime;
 mod script;

@@ -691,11 +691,23 @@ impl Cluster {
     }
 
     /// The dedicated file-server machine's server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if station 0 has no file server; [`Cluster::new`] always
+    /// installs one.
+    #[allow(clippy::expect_used)]
     pub fn file_server(&self) -> &FileServer {
         self.stations[0].fs.as_ref().expect("station 0 has the FS")
     }
 
     /// Mutable file-server access (for registering images/files).
+    ///
+    /// # Panics
+    ///
+    /// Panics if station 0 has no file server; [`Cluster::new`] always
+    /// installs one.
+    #[allow(clippy::expect_used)]
     pub fn file_server_mut(&mut self) -> &mut FileServer {
         self.stations[0].fs.as_mut().expect("station 0 has the FS")
     }
@@ -787,6 +799,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `ws` already has a file server.
+    #[allow(clippy::expect_used)]
     pub fn add_local_file_server(&mut self, ws: usize) -> ProcessId {
         assert!(self.stations[ws].fs.is_none(), "ws already has a server");
         let system_lh = self.stations[ws].system_lh();
@@ -1317,6 +1330,7 @@ impl Cluster {
 
     // --- Routing. ---
 
+    #[allow(clippy::expect_used)]
     fn route_delivery(&mut self, i: usize, msg: MsgIn<ServiceMsg>) {
         let now = self.ctx.now();
         let w = &mut self.stations[i];
@@ -1343,6 +1357,7 @@ impl Cluster {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn route_send_done(
         &mut self,
         i: usize,
@@ -1380,6 +1395,7 @@ impl Cluster {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn route_copy_done(
         &mut self,
         i: usize,
@@ -1406,6 +1422,7 @@ impl Cluster {
 
     // --- Service / migration events. ---
 
+    #[allow(clippy::expect_used)]
     fn on_svc_event(&mut self, i: usize, e: SvcEvent) {
         let now = self.ctx.now();
         match e {
@@ -1785,6 +1802,7 @@ impl Cluster {
         self.perform_action(i, lh, action);
     }
 
+    #[allow(clippy::expect_used)]
     fn perform_action(&mut self, i: usize, lh: LogicalHostId, action: ProgAction) {
         let now = self.ctx.now();
         match action {
@@ -1887,6 +1905,7 @@ impl Cluster {
         self.cpu_dispatch(i);
     }
 
+    #[allow(clippy::expect_used)]
     fn cpu_dispatch(&mut self, i: usize) {
         let now = self.ctx.now();
         let w = &mut self.stations[i];
@@ -1934,6 +1953,7 @@ impl Cluster {
         );
     }
 
+    #[allow(clippy::expect_used)]
     fn on_quantum_end(&mut self, host: HostAddr, lh: LogicalHostId, slice: SimDuration) {
         let i = self.index_of(host);
         if self.stations[i].down {
@@ -2032,6 +2052,7 @@ impl Cluster {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn evict_guests(&mut self, i: usize) {
         let now = self.ctx.now();
         let guests: Vec<LogicalHostId> = self.stations[i]

@@ -158,6 +158,7 @@ impl<'a> ExecStep<'a> {
         self.commit(Priority::LOCAL)
     }
 
+    #[allow(clippy::expect_used)]
     fn commit(self, priority: Priority) -> ScenarioBuilder<'a> {
         let profile = self.profile.expect("exec step needs .profile(...)");
         let (ws, target) = (self.ws, self.target);

@@ -13,6 +13,8 @@
 //! All engines are sans-IO state machines; `vcluster` wires them to
 //! kernels, services and the simulated Ethernet.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod migration;
 mod remote_exec;
 mod report;

@@ -450,6 +450,7 @@ impl Migrator {
     }
 
     /// Opens a sub-phase of the freeze window, closing the previous one.
+    #[allow(clippy::expect_used)]
     fn open_freeze_child(&mut self, now: SimTime, job: &mut Job, name: &'static str) {
         if let Some(s) = job.freeze_child.take() {
             s.close(&mut self.trace, TraceLevel::Info, now, Subsystem::Migration);
@@ -545,6 +546,7 @@ impl Migrator {
         out
     }
 
+    #[allow(clippy::expect_used)]
     fn select_host(
         &mut self,
         now: SimTime,
@@ -575,6 +577,13 @@ impl Migrator {
     }
 
     /// Routes a completion of one of the engine's Sends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's protocol state is inconsistent, e.g. a phase
+    /// span that was just opened is missing. These are invariant guards,
+    /// not error handling.
+    #[allow(clippy::expect_used)]
     pub fn handle_send_done(
         &mut self,
         now: SimTime,
@@ -684,6 +693,13 @@ impl Migrator {
     }
 
     /// Routes a completion of one of the engine's bulk copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's protocol state is inconsistent, e.g. a final
+    /// copy that completes with no recorded freeze start. These are
+    /// invariant guards, not error handling.
+    #[allow(clippy::expect_used)]
     pub fn handle_copy_done(
         &mut self,
         now: SimTime,
@@ -765,6 +781,7 @@ impl Migrator {
 
     // --- Copy phases. ---
 
+    #[allow(clippy::expect_used)]
     fn begin_copying(
         &mut self,
         now: SimTime,
@@ -836,6 +853,7 @@ impl Migrator {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn start_round(
         &mut self,
         now: SimTime,
@@ -902,6 +920,7 @@ impl Migrator {
         out
     }
 
+    #[allow(clippy::expect_used)]
     fn end_of_round(
         &mut self,
         now: SimTime,
@@ -937,6 +956,7 @@ impl Migrator {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn freeze_and_final(
         &mut self,
         now: SimTime,
@@ -1019,6 +1039,7 @@ impl Migrator {
         out
     }
 
+    #[allow(clippy::expect_used)]
     fn install_state(
         &mut self,
         now: SimTime,
@@ -1078,6 +1099,7 @@ impl Migrator {
 
     // --- Completion paths. ---
 
+    #[allow(clippy::expect_used)]
     fn finish_success(
         &mut self,
         now: SimTime,

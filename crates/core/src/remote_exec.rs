@@ -155,6 +155,13 @@ impl RemoteExecutor {
     }
 
     /// Routes a completion of one of the executor's Sends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's protocol state is inconsistent, e.g. a job in
+    /// `Creating` with no chosen host. These are invariant guards, not
+    /// error handling.
+    #[allow(clippy::expect_used)]
     pub fn handle_send_done(
         &mut self,
         now: SimTime,

@@ -628,6 +628,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
 
     /// Like [`Kernel::send`], also returning the allocated transaction
     /// number so callers can correlate the eventual completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from`'s logical host is not resident or does not hold
+    /// the process `from`.
+    #[allow(clippy::expect_used)]
     pub fn send_with_seq(
         &mut self,
         now: SimTime,
@@ -808,6 +814,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// reported as a [`KernelOutput::CopyDone`] with the pull's id.
     ///
     /// Requires a cached binding for `from_lh`; `to_lh` must be resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pages` is non-empty and `to_lh` is not resident.
     #[allow(clippy::too_many_arguments)]
     pub fn pull_pages(
         &mut self,
@@ -882,6 +892,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// # Panics
     ///
     /// Panics if `lh` is not resident.
+    #[allow(clippy::expect_used)]
     pub fn freeze(&mut self, lh: LogicalHostId) {
         self.lhs
             .get_mut(&lh)
@@ -891,6 +902,11 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
 
     /// Unfreezes a logical host in place (migration aborted): deferred
     /// requests are delivered locally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lh` is not resident.
+    #[allow(clippy::expect_used)]
     pub fn unfreeze_in_place(&mut self, now: SimTime, lh: LogicalHostId) -> Vec<KernelOutput<X>> {
         let mut out = Vec::new();
         let deferred = {
@@ -944,6 +960,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// # Panics
     ///
     /// Panics if `lh` is not resident.
+    #[allow(clippy::expect_used)]
     pub fn extract_migration_record(&self, lh: LogicalHostId) -> MigrationRecord<X> {
         let l = self.lhs.get(&lh).expect("extract: not resident");
         let desc = l.descriptor();
@@ -999,6 +1016,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// # Panics
     ///
     /// Panics if `temp` is not resident or the original id already is.
+    #[allow(clippy::expect_used)]
     pub fn install_migration_record(
         &mut self,
         now: SimTime,
@@ -1176,6 +1194,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Send and a retention timer per retained reply, and fails bulk
     /// transfers that were in flight (their pacing state is gone;
     /// initiators recover by retrying at a higher level).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transfer listed from the kernel's own tables vanishes
+    /// before it is failed (an invariant guard).
+    #[allow(clippy::expect_used)]
     pub fn reboot_recover(&mut self, now: SimTime) -> Vec<KernelOutput<X>> {
         self.now = now;
         let mut out = Vec::new();
@@ -1272,6 +1296,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     // --- Event handlers. ---
 
     /// Processes a frame delivered by the network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pull found in the pull table vanishes before it is
+    /// completed (an invariant guard).
+    #[allow(clippy::expect_used)]
     pub fn handle_frame(&mut self, now: SimTime, frame: Frame<Packet<X>>) -> Vec<KernelOutput<X>> {
         self.now = now;
         let mut out = Vec::new();
@@ -1430,6 +1460,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     }
 
     /// Processes a timer callback.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pull found in the pull table vanishes before it is
+    /// paced or completed (an invariant guard).
+    #[allow(clippy::expect_used)]
     pub fn handle_timer(&mut self, now: SimTime, key: TimerKey) -> Vec<KernelOutput<X>> {
         self.now = now;
         let mut out = Vec::new();
@@ -1526,6 +1562,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     // --- Internals. ---
 
     #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::expect_used)]
     fn route_send(
         &mut self,
         _now: SimTime,
@@ -1656,6 +1693,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Delivers (or defers) a request whose routing logical host is
     /// resident here.
     #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::expect_used)]
     fn deliver_local(
         &mut self,
         seq: SendSeq,
@@ -2027,6 +2065,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         capped.mul_f64(0.9 + 0.2 * u)
     }
 
+    #[allow(clippy::expect_used)]
     fn on_retransmit_timer(
         &mut self,
         pid: ProcessId,
@@ -2143,6 +2182,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn on_xfer_ack_timeout(&mut self, xfer: XferId, unit: u32, out: &mut Vec<KernelOutput<X>>) {
         let retry = {
             let Some(x) = self.xfers.get_mut(&xfer) else {
@@ -2174,6 +2214,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn advance_xfer(&mut self, xfer: XferId, out: &mut Vec<KernelOutput<X>>) {
         let more = {
             let x = self.xfers.get_mut(&xfer).expect("advancing unknown xfer");
@@ -2191,6 +2232,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn send_current_unit(&mut self, xfer: XferId, out: &mut Vec<KernelOutput<X>>) {
         let (frame, pace, ack_to) = {
             let x = self.xfers.get(&xfer).expect("sending on unknown xfer");
@@ -2228,6 +2270,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         });
     }
 
+    #[allow(clippy::expect_used)]
     fn retransmit_current_unit(&mut self, xfer: XferId, out: &mut Vec<KernelOutput<X>>) {
         let (frame, unit) = {
             let x = self.xfers.get(&xfer).expect("retransmitting unknown xfer");

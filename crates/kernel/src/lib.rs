@@ -11,6 +11,8 @@
 //! The kernel is a sans-IO state machine ([`Kernel`]); a production event
 //! loop lives in `vcluster` and a small test rig in [`testkit`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod binding;
 mod ids;
 mod kernel;

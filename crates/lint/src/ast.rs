@@ -1,98 +1,30 @@
-//! AST-lite: an item/block-level parse over the [`crate::lexer`] token
-//! stream.
+//! AST-lite: an item-level parse over the [`crate::lexer`] token stream.
 //!
-//! This is not a grammar-complete Rust parser — it recovers exactly the
+//! This is not a grammar-complete Rust parser. It recovers exactly the
 //! structure the rule passes need, by single forward scans with bracket
 //! depth tracking:
 //!
-//! * **test scopes** — token ranges covered by `#[cfg(test)]` /
+//! * **test scopes**: token ranges covered by `#[cfg(test)]` /
 //!   `#[test]` attributes and the item they decorate (attribute lists
 //!   that span lines, stacked attributes, and inline placement all
-//!   work, unlike the old line-based scanner);
-//! * **enums** — name plus variant names and lines, for the
-//!   exhaustive-dispatch audit;
-//! * **fns** — name and body token range, so a pass can ask "does
-//!   `dispatch` mention `Event::Frame`?" or run a local taint fixpoint;
-//! * **match expressions** — arm pattern ranges, guards, and catch-all
-//!   detection for the wildcard-arm rule.
+//!   work);
+//! * **fns**: name and body token range, so the schema pass can read the
+//!   string literals inside `FaultPlan::names`.
 //!
-//! Every file is parsed once into a [`ParsedFile`] that all passes
-//! share (the CI-budget requirement from ISSUE 10).
+//! Every file is parsed once into a [`ParsedFile`] that all passes share.
 
 use crate::lexer::{self, Tok, TokKind};
-use crate::scan::CleanLine;
-
-/// One enum variant.
-#[derive(Debug, Clone)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// 1-based source line of the variant name.
-    pub line: usize,
-}
-
-/// An `enum` item.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: usize,
-    /// Variants in declaration order.
-    pub variants: Vec<Variant>,
-    /// Whether the enum sits in test scope.
-    pub in_test: bool,
-}
 
 /// A `fn` item (free or method; nested fns are recorded too).
 #[derive(Debug, Clone)]
 pub struct FnDef {
     /// Function name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Token index range of the body, braces included (`lo..hi`).
     /// Empty (`lo == hi`) for bodyless trait declarations.
     pub body: (usize, usize),
     /// Whether the fn sits in test scope.
     pub in_test: bool,
-}
-
-/// One arm of a `match` expression.
-#[derive(Debug, Clone)]
-pub struct MatchArm {
-    /// Token range of the pattern, guard excluded.
-    pub pat: (usize, usize),
-    /// Whether the arm carries an `if` guard.
-    pub has_guard: bool,
-    /// 1-based line of the pattern's first token.
-    pub line: usize,
-}
-
-/// A `match` expression.
-#[derive(Debug, Clone)]
-pub struct MatchExpr {
-    /// 1-based line of the `match` keyword.
-    pub line: usize,
-    /// The arms, in order.
-    pub arms: Vec<MatchArm>,
-    /// Whether the match sits in test scope.
-    pub in_test: bool,
-}
-
-impl MatchExpr {
-    /// The unguarded catch-all arm (`_` or a plain binding), if any.
-    pub fn catch_all<'a>(&'a self, toks: &[Tok]) -> Option<&'a MatchArm> {
-        self.arms.iter().find(|a| {
-            if a.has_guard || a.pat.1 - a.pat.0 != 1 {
-                return false;
-            }
-            let t = &toks[a.pat.0];
-            t.is_punct("_")
-                || (t.kind == TokKind::Ident
-                    && t.text.chars().next().is_some_and(|c| c.is_lowercase() || c == '_'))
-        })
-    }
 }
 
 /// One fully parsed source file.
@@ -102,14 +34,8 @@ pub struct ParsedFile {
     pub toks: Vec<Tok>,
     /// Per-token test-scope flag, parallel to `toks`.
     pub tok_in_test: Vec<bool>,
-    /// Blanked per-line view for the line-oriented rules.
-    pub lines: Vec<CleanLine>,
-    /// All `enum` items.
-    pub enums: Vec<EnumDef>,
     /// All `fn` items.
     pub fns: Vec<FnDef>,
-    /// All `match` expressions.
-    pub matches: Vec<MatchExpr>,
 }
 
 impl ParsedFile {
@@ -121,61 +47,26 @@ impl ParsedFile {
 
 /// Parses a whole source file.
 pub fn parse(src: &str) -> ParsedFile {
-    let lexed = lexer::lex(src);
-    let toks = lexed.toks;
+    let toks = lexer::lex(src);
     let tok_in_test = mark_test_scopes(&toks);
-
-    let mut line_test = vec![false; src.lines().count() + 2];
-    for (t, &flag) in toks.iter().zip(&tok_in_test) {
-        if flag && t.line < line_test.len() {
-            line_test[t.line] = true;
-        }
-    }
-    // A test item covers every line between its first and last token,
-    // including blank/comment-only lines in between.
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    let mut open: Option<usize> = None;
-    for (t, &flag) in toks.iter().zip(&tok_in_test) {
-        match (flag, open) {
-            (true, None) => open = Some(t.line),
-            (true, Some(_)) => {}
-            (false, Some(s)) => {
-                spans.push((s, t.line.saturating_sub(1)));
-                open = None;
-            }
-            (false, None) => {}
-        }
-    }
-    if let (Some(s), Some(last)) = (open, toks.last()) {
-        spans.push((s, last.line));
-    }
-    for (s, e) in spans {
-        let hi = e.min(line_test.len().saturating_sub(1));
-        for l in line_test.iter_mut().take(hi + 1).skip(s) {
-            *l = true;
-        }
-    }
-
-    let lines: Vec<CleanLine> = lexed
-        .blanked
-        .lines()
-        .enumerate()
-        .map(|(i, text)| CleanLine {
-            number: i + 1,
-            text: text.to_string(),
-            in_test: line_test.get(i + 1).copied().unwrap_or(false),
-        })
-        .collect();
-
     let mut pf = ParsedFile {
         toks,
         tok_in_test,
-        lines,
-        enums: Vec::new(),
         fns: Vec::new(),
-        matches: Vec::new(),
     };
-    collect_items(&mut pf);
+    let mut i = 0usize;
+    while i < pf.toks.len() {
+        if pf.toks[i].is_ident("fn") {
+            if let Some((def, next)) = parse_fn(&pf, i) {
+                pf.fns.push(def);
+                // Continue *inside* the body so nested fns are found;
+                // only skip the signature.
+                i = next;
+                continue;
+            }
+        }
+        i += 1;
+    }
     pf
 }
 
@@ -190,21 +81,15 @@ fn mark_test_scopes(toks: &[Tok]) -> Vec<bool> {
             continue;
         }
         let attr_start = i;
-        let (content_lo, after) = match bracket_extent(toks, i + 1) {
-            Some(r) => r,
-            None => break,
-        };
-        if !attr_is_test(&toks[content_lo..after - 1]) {
+        let after = block_end(toks, i + 1);
+        if !attr_is_test(&toks[i + 2..after.saturating_sub(1)]) {
             i = after;
             continue;
         }
         // Skip any further stacked attributes.
         let mut j = after;
         while j + 1 < toks.len() && toks[j].is_punct("#") && toks[j + 1].is_punct("[") {
-            match bracket_extent(toks, j + 1) {
-                Some((_, a)) => j = a,
-                None => break,
-            }
+            j = block_end(toks, j + 1);
         }
         // The decorated item: to the matching `}` of its first top-level
         // block, or to a `;` (e.g. `#[cfg(test)] mod tests;`).
@@ -240,7 +125,7 @@ fn mark_test_scopes(toks: &[Tok]) -> Vec<bool> {
 }
 
 /// Decides whether attribute content marks test scope: `test`,
-/// `cfg(test)`, `cfg(all(test, …))` — but not `cfg(not(test))`.
+/// `cfg(test)`, `cfg(all(test, …))`, but not `cfg(not(test))`.
 fn attr_is_test(content: &[Tok]) -> bool {
     let Some(first) = content.first() else {
         return false;
@@ -256,40 +141,12 @@ fn attr_is_test(content: &[Tok]) -> bool {
     false
 }
 
-/// Given `toks[open]` an opening bracket, returns
-/// `(content_start, index_after_close)`.
-fn bracket_extent(toks: &[Tok], open: usize) -> Option<(usize, usize)> {
-    let close = match toks[open].text.as_str() {
-        "(" => ")",
-        "[" => "]",
-        "{" => "}",
-        _ => return None,
-    };
-    let opens = toks[open].text.clone();
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            if t.text == opens {
-                depth += 1;
-            } else if t.text == close {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open + 1, k + 1));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Matching-close index for *any* bracket nesting starting at `open`
-/// (an index whose token is `{`, `(` or `[`), treating the three kinds
-/// as one depth so `fn f() { g(&[1, {2}]) }` nests correctly.
+/// Index just past the bracket that closes `toks[open]` (a `{`, `(` or
+/// `[`), treating the three kinds as one depth so
+/// `fn f() { g(&[1, {2}]) }` nests correctly.
 pub fn block_end(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0i64;
-    let mut k = open;
-    while k < toks.len() {
-        let t = &toks[k];
+    for (k, t) in toks.iter().enumerate().skip(open) {
         if t.kind == TokKind::Punct {
             match t.text.as_str() {
                 "{" | "(" | "[" => depth += 1,
@@ -302,118 +159,8 @@ pub fn block_end(toks: &[Tok], open: usize) -> usize {
                 _ => {}
             }
         }
-        k += 1;
     }
     toks.len()
-}
-
-fn collect_items(pf: &mut ParsedFile) {
-    let mut enums = Vec::new();
-    let mut fns = Vec::new();
-    let mut matches = Vec::new();
-    let mut i = 0usize;
-    while i < pf.toks.len() {
-        if pf.toks[i].kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        match pf.toks[i].text.as_str() {
-            "enum" => {
-                if let Some((def, next)) = parse_enum(pf, i) {
-                    enums.push(def);
-                    i = next;
-                    continue;
-                }
-            }
-            "fn" => {
-                if let Some((def, next)) = parse_fn(pf, i) {
-                    fns.push(def);
-                    // Continue *inside* the body so nested matches and
-                    // fns are found; only skip the signature.
-                    i = next;
-                    continue;
-                }
-            }
-            "match" => {
-                if let Some(m) = parse_match(pf, i) {
-                    matches.push(m);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    pf.enums = enums;
-    pf.fns = fns;
-    pf.matches = matches;
-}
-
-/// Parses `enum Name { V1, V2(…), V3 { … } }` starting at the `enum`
-/// keyword; returns the def and the index just past the closing brace.
-fn parse_enum(pf: &ParsedFile, kw: usize) -> Option<(EnumDef, usize)> {
-    let toks = &pf.toks;
-    let name = toks.get(kw + 1)?;
-    if name.kind != TokKind::Ident {
-        return None;
-    }
-    // Find the body brace (skipping generics; `<` never hides a `{`).
-    let mut open = kw + 2;
-    while open < toks.len() && !toks[open].is_punct("{") {
-        if toks[open].is_punct(";") {
-            return None;
-        }
-        open += 1;
-    }
-    if open >= toks.len() {
-        return None;
-    }
-    let end = block_end(toks, open);
-    let mut variants = Vec::new();
-    let mut k = open + 1;
-    while k < end - 1 {
-        let t = &toks[k];
-        // Skip variant attributes.
-        if t.is_punct("#") && k + 1 < end && toks[k + 1].is_punct("[") {
-            if let Some((_, after)) = bracket_extent(toks, k + 1) {
-                k = after;
-                continue;
-            }
-        }
-        if t.kind == TokKind::Ident {
-            variants.push(Variant {
-                name: t.text.clone(),
-                line: t.line,
-            });
-            // Skip payload / discriminant to the `,` at variant depth.
-            let mut j = k + 1;
-            while j < end - 1 {
-                let u = &toks[j];
-                if u.kind == TokKind::Punct {
-                    match u.text.as_str() {
-                        "{" | "(" | "[" => {
-                            j = block_end(toks, j);
-                            continue;
-                        }
-                        "," => break,
-                        _ => {}
-                    }
-                }
-                j += 1;
-            }
-            k = j + 1;
-            continue;
-        }
-        k += 1;
-    }
-    Some((
-        EnumDef {
-            name: name.text.clone(),
-            line: toks[kw].line,
-            variants,
-            in_test: pf.in_test(kw),
-        },
-        end,
-    ))
 }
 
 /// Parses a `fn` item starting at the keyword; returns the def and the
@@ -427,159 +174,43 @@ fn parse_fn(pf: &ParsedFile, kw: usize) -> Option<(FnDef, usize)> {
     // Scan past signature/generics/where-clause to `{` or `;` at
     // bracket depth 0 (parens and brackets of the parameter list nest).
     let mut depth = 0i64;
-    let mut k = kw + 2;
-    while k < toks.len() {
-        let t = &toks[k];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => {
-                    let end = block_end(toks, k);
-                    return Some((
-                        FnDef {
-                            name: name.text.clone(),
-                            line: toks[kw].line,
-                            body: (k, end),
-                            in_test: pf.in_test(kw),
-                        },
-                        k + 1,
-                    ));
-                }
-                ";" if depth == 0 => {
-                    return Some((
-                        FnDef {
-                            name: name.text.clone(),
-                            line: toks[kw].line,
-                            body: (k, k),
-                            in_test: pf.in_test(kw),
-                        },
-                        k + 1,
-                    ));
-                }
-                _ => {}
-            }
-        }
-        k += 1;
-    }
-    None
-}
-
-/// Parses a `match` expression starting at the keyword.
-fn parse_match(pf: &ParsedFile, kw: usize) -> Option<MatchExpr> {
-    let toks = &pf.toks;
-    // Scrutinee runs to the first `{` at depth 0 (struct literals are
-    // not allowed in match scrutinees without parens, so it is the body).
-    let mut depth = 0i64;
-    let mut open = kw + 1;
-    while open < toks.len() {
-        let t = &toks[open];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => break,
-                ";" if depth == 0 => return None,
-                _ => {}
-            }
-        }
-        open += 1;
-    }
-    if open >= toks.len() || open == kw + 1 {
-        return None;
-    }
-    let end = block_end(toks, open);
-    let mut arms = Vec::new();
-    let mut k = open + 1;
-    while k < end.saturating_sub(1) {
-        // Pattern: tokens to `=>` at arm depth; an `if` at that depth
-        // starts the guard.
-        let pat_lo = k;
-        let mut pat_hi = k;
-        let mut has_guard = false;
-        let mut d = 0i64;
-        let mut j = k;
-        let mut found = false;
-        while j < end - 1 {
-            let t = &toks[j];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "{" | "(" | "[" => d += 1,
-                    "}" | ")" | "]" => d -= 1,
-                    "=>" if d == 0 => {
-                        found = true;
-                        break;
-                    }
-                    _ => {}
-                }
-            } else if t.is_ident("if") && d == 0 && !has_guard {
-                has_guard = true;
-                pat_hi = j;
-            }
-            j += 1;
-        }
-        if !found {
-            break;
-        }
-        if !has_guard {
-            pat_hi = j;
-        }
-        if pat_hi > pat_lo {
-            arms.push(MatchArm {
-                pat: (pat_lo, pat_hi),
-                has_guard,
-                line: toks[pat_lo].line,
-            });
-        }
-        // Arm body: a block (plus optional `,`) or tokens to `,` at
-        // arm depth.
-        k = j + 1;
-        if k < end - 1 && toks[k].is_punct("{") {
-            k = block_end(&pf.toks, k);
-            if k < end - 1 && pf.toks[k].is_punct(",") {
-                k += 1;
-            }
+    for (k, t) in toks.iter().enumerate().skip(kw + 2) {
+        if t.kind != TokKind::Punct {
             continue;
         }
-        let mut d = 0i64;
-        while k < end - 1 {
-            let t = &pf.toks[k];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "{" | "(" | "[" => {
-                        k = block_end(&pf.toks, k);
-                        continue;
-                    }
-                    "}" | ")" | "]" => d -= 1,
-                    "," if d == 0 => {
-                        k += 1;
-                        break;
-                    }
-                    _ => {}
-                }
+        let body = match t.text.as_str() {
+            "(" | "[" => {
+                depth += 1;
+                continue;
             }
-            k += 1;
-        }
+            ")" | "]" => {
+                depth -= 1;
+                continue;
+            }
+            "{" if depth == 0 => (k, block_end(toks, k)),
+            ";" if depth == 0 => (k, k),
+            _ => continue,
+        };
+        let def = FnDef {
+            name: name.text.clone(),
+            body,
+            in_test: pf.in_test(kw),
+        };
+        return Some((def, k + 1));
     }
-    Some(MatchExpr {
-        line: pf.toks[kw].line,
-        arms,
-        in_test: pf.in_test(kw),
-    })
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn finds_enum_variants_with_payloads() {
-        let pf = parse(
-            "pub enum Ev { A, B(u32), C { x: u8, y: u8 }, #[allow(dead_code)] D = 4, }",
-        );
-        assert_eq!(pf.enums.len(), 1);
-        let names: Vec<&str> = pf.enums[0].variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, ["A", "B", "C", "D"]);
+    fn test_fns(src: &str) -> Vec<(String, bool)> {
+        parse(src)
+            .fns
+            .into_iter()
+            .map(|f| (f.name, f.in_test))
+            .collect()
     }
 
     #[test]
@@ -589,66 +220,47 @@ mod tests {
         assert_eq!(names, ["outer", "inner"]);
         let outer = &pf.fns[0];
         assert!(outer.body.1 > outer.body.0);
+        assert_eq!(pf.toks[outer.body.1 - 1].text, "}");
     }
 
     #[test]
-    fn match_arms_guards_and_catch_all() {
-        let pf = parse(
-            "fn f(e: Ev) -> u32 { match e { Ev::A => 1, Ev::B(x) if x > 2 => x, other => 0, } }",
+    fn bodyless_trait_fns_have_empty_bodies() {
+        let pf = parse("trait T { fn f(&self); }");
+        assert_eq!(pf.fns[0].body.0, pf.fns[0].body.1);
+    }
+
+    #[test]
+    fn cfg_test_marks_scope() {
+        let fns =
+            test_fns("fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn lib2() {}\n");
+        assert_eq!(
+            fns,
+            [
+                ("lib".to_string(), false),
+                ("t".to_string(), true),
+                ("lib2".to_string(), false)
+            ]
         );
-        assert_eq!(pf.matches.len(), 1);
-        let m = &pf.matches[0];
-        assert_eq!(m.arms.len(), 3);
-        assert!(m.arms[1].has_guard);
-        let ca = m.catch_all(&pf.toks).expect("catch-all");
-        assert_eq!(pf.toks[ca.pat.0].text, "other");
-    }
-
-    #[test]
-    fn no_catch_all_when_exhaustive() {
-        let pf = parse("fn f(e: Ev) -> u32 { match e { Ev::A => 1, Ev::B => 2 } }");
-        assert!(pf.matches[0].catch_all(&pf.toks).is_none());
-    }
-
-    #[test]
-    fn struct_pattern_arms_parse() {
-        let pf = parse(
-            "fn f(e: Ev) { match e { Ev::C { x, .. } => go(x), Ev::A | Ev::B(_) => {} _ => {} } }",
-        );
-        let m = &pf.matches[0];
-        assert_eq!(m.arms.len(), 3);
-        assert!(m.catch_all(&pf.toks).is_some());
-    }
-
-    #[test]
-    fn cfg_test_marks_tokens_and_lines() {
-        let pf = parse("fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn lib2() {}\n");
-        let flags: Vec<bool> = pf.lines.iter().map(|l| l.in_test).collect();
-        assert_eq!(flags, vec![false, true, true, true, true, false]);
-        assert!(pf.fns.iter().any(|f| f.name == "t" && f.in_test));
-        assert!(pf.fns.iter().any(|f| f.name == "lib2" && !f.in_test));
     }
 
     #[test]
     fn multiline_and_stacked_attributes_mark_test_scope() {
-        // The old line scanner missed both of these shapes.
-        let pf = parse("#[cfg(\n    test\n)]\nmod tests {\n    fn t() {}\n}\n");
-        assert!(pf.fns.iter().all(|f| f.in_test));
-        let pf = parse("#[test]\n#[allow(dead_code)]\nfn t() { x(); }\nfn lib() {}\n");
-        assert!(pf.fns.iter().any(|f| f.name == "t" && f.in_test));
-        assert!(pf.fns.iter().any(|f| f.name == "lib" && !f.in_test));
+        let fns = test_fns("#[cfg(\n    test\n)]\nmod tests {\n    fn t() {}\n}\n");
+        assert!(fns.iter().all(|(_, t)| *t));
+        let fns = test_fns("#[test]\n#[allow(dead_code)]\nfn t() { x(); }\nfn lib() {}\n");
+        assert_eq!(fns, [("t".to_string(), true), ("lib".to_string(), false)]);
     }
 
     #[test]
     fn cfg_not_test_is_library_code() {
-        let pf = parse("#[cfg(not(test))]\nfn lib() {}\n");
-        assert!(pf.fns.iter().all(|f| !f.in_test));
+        assert!(test_fns("#[cfg(not(test))]\nfn lib() {}\n")
+            .iter()
+            .all(|(_, t)| !*t));
     }
 
     #[test]
-    fn inline_test_attr_marks_single_line() {
-        let pf = parse("#[cfg(test)] mod tests { fn t() {} }\nfn lib() {}\n");
-        assert!(pf.lines[0].in_test);
-        assert!(!pf.lines[1].in_test);
+    fn inline_test_attr_marks_only_its_item() {
+        let fns = test_fns("#[cfg(test)] mod tests { fn t() {} }\nfn lib() {}\n");
+        assert_eq!(fns, [("t".to_string(), true), ("lib".to_string(), false)]);
     }
 }

@@ -7,40 +7,11 @@
 //! schema: which sections exist, which value types they take, and the
 //! validation that makes a bad config a loud CI failure instead of a
 //! silently skipped rule.
-//!
-//! v2 generalizes the old `[panics]` / `[casts]` allowance tables into
-//! rule-generic `[allow.<rule-id>]` ratchets, and adds the
-//! configuration for the flow passes: `[[dispatch]]` (exhaustive
-//! dispatch surfaces per audited enum), `[schema]` (where the emitted
-//! metric/series names are cross-checked), and `[taint]` (extra
-//! determinism-taint sources/sinks).
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::toml::{TomlDoc, TomlTable, TomlValue};
-
-/// Rule ids that accept a `[allow.<rule-id>]` ratchet table.
-pub const RATCHET_RULES: &[&str] = &[
-    "panic-budget",
-    "lossy-cast",
-    "dispatch-wildcard",
-    "det-taint",
-];
-
-/// One `[[dispatch]]` entry: an enum whose dispatch surfaces must stay
-/// exhaustive.
-#[derive(Debug, Clone, Default)]
-pub struct DispatchSpec {
-    /// The audited enum's name (`Event`, `TraceEvent`, …).
-    pub enum_name: String,
-    /// Workspace-relative file defining the enum.
-    pub defined_in: String,
-    /// Dispatch surfaces as `(file, fn-name)`, from `"file#fn"` strings.
-    pub surfaces: Vec<(String, String)>,
-    /// `lint.toml` line of the entry, for diagnostics.
-    pub line: usize,
-}
 
 /// The `[schema]` section: where emitted names are collected from and
 /// which consumers they are cross-checked against.
@@ -57,57 +28,24 @@ pub struct SchemaCfg {
     pub fault_matrix: Option<String>,
 }
 
-/// The `[taint]` section: extra source/sink patterns for the
-/// determinism-taint pass (dotted call paths, see [`crate::taint`]).
-#[derive(Debug, Clone, Default)]
-pub struct TaintCfg {
-    /// Extra taint sources (e.g. `"Instant::now"`, `".now_ns"`).
-    pub sources: Vec<String>,
-    /// Extra taint sinks (e.g. `".schedule"`).
-    pub sinks: Vec<String>,
-}
-
 /// The full `lint.toml` configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Crates whose `src/` trees are subject to the determinism and
-    /// panic-budget rules (everything simulation-facing).
+    /// Crates whose metric and series registrations form the documented
+    /// telemetry schema (everything simulation-facing).
     pub library_crates: Vec<String>,
-    /// Crates whose `src/` trees are subject to the lossy-cast rule
-    /// (the ones doing `SimTime` / byte-count arithmetic).
-    pub cast_crates: Vec<String>,
     /// Intended dependency DAG: crate name → exhaustive list of crates it
     /// may depend on. Every discovered crate must have an entry.
     pub layering: BTreeMap<String, Vec<String>>,
-    /// Workspace-relative file paths exempt from the determinism rules
-    /// (e.g. the bench harness timing real wall-clock runs).
-    pub determinism_allow: Vec<String>,
-    /// Rule-generic per-file ratchets: rule id → file → allowance.
-    /// Files absent from a rule's map have an allowance of zero, and an
-    /// allowance above the actual count is itself an error.
-    pub allow: BTreeMap<String, BTreeMap<String, usize>>,
     /// Bench binaries (file stems under `crates/bench/src/bin/`) exempt
     /// from the `bench-emit` rule — gates and meta-tools that do not
     /// produce experiment artifacts.
     pub bench_emit_exempt: Vec<String>,
-    /// `[[dispatch]]` entries for the exhaustive-dispatch audit.
-    pub dispatch: Vec<DispatchSpec>,
     /// `[schema]` configuration for the schema-drift audit.
     pub schema: SchemaCfg,
-    /// `[taint]` extras for the determinism-taint pass.
-    pub taint: TaintCfg,
 }
 
 impl Config {
-    /// Per-file allowance for a ratchet rule (0 when absent).
-    pub fn allowance(&self, rule: &str, file: &str) -> usize {
-        self.allow
-            .get(rule)
-            .and_then(|m| m.get(file))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Loads and validates `root/lint.toml`.
     ///
     /// # Errors
@@ -131,19 +69,19 @@ impl Config {
         let mut cfg = Config::default();
         for table in &doc.tables {
             let name = table.name();
-            if table.array && name != "dispatch" {
+            if table.array {
                 return Err(format!(
-                    "lint.toml:{}: [[{name}]] array tables are only used for [[dispatch]]",
+                    "lint.toml:{}: [[{name}]] — lint.toml has no array tables",
                     table.line
                 ));
             }
             match name.as_str() {
                 "workspace" => {
                     for (k, v, line) in &table.entries {
-                        let list = string_list(v, line, "workspace", k)?;
                         match k.as_str() {
-                            "library_crates" => cfg.library_crates = list,
-                            "cast_crates" => cfg.cast_crates = list,
+                            "library_crates" => {
+                                cfg.library_crates = string_list(v, line, "workspace", k)?;
+                            }
                             _ => {
                                 return Err(format!(
                                     "lint.toml:{line}: unknown [workspace] key `{k}`"
@@ -158,20 +96,6 @@ impl Config {
                             .insert(k.clone(), string_list(v, line, "layering", k)?);
                     }
                 }
-                "determinism" => {
-                    for (k, v, line) in &table.entries {
-                        match k.as_str() {
-                            "allow" => {
-                                cfg.determinism_allow = string_list(v, line, "determinism", k)?;
-                            }
-                            _ => {
-                                return Err(format!(
-                                    "lint.toml:{line}: unknown [determinism] key `{k}`"
-                                ))
-                            }
-                        }
-                    }
-                }
                 "bench" => {
                     for (k, v, line) in &table.entries {
                         match k.as_str() {
@@ -184,66 +108,7 @@ impl Config {
                         }
                     }
                 }
-                "panics" | "casts" => {
-                    return Err(format!(
-                        "lint.toml:{}: [{name}] was replaced by the rule-generic ratchets — \
-                         move the entries to [allow.{}]",
-                        table.line,
-                        if name == "panics" {
-                            "panic-budget"
-                        } else {
-                            "lossy-cast"
-                        },
-                    ));
-                }
-                "dispatch" => {
-                    if !table.array {
-                        return Err(format!(
-                            "lint.toml:{}: use [[dispatch]] (array of tables), one per enum",
-                            table.line
-                        ));
-                    }
-                    cfg.dispatch.push(parse_dispatch(table)?);
-                }
-                "schema" => {
-                    parse_schema(table, &mut cfg.schema)?;
-                }
-                "taint" => {
-                    for (k, v, line) in &table.entries {
-                        match k.as_str() {
-                            "sources" => cfg.taint.sources = string_list(v, line, "taint", k)?,
-                            "sinks" => cfg.taint.sinks = string_list(v, line, "taint", k)?,
-                            _ => {
-                                return Err(format!("lint.toml:{line}: unknown [taint] key `{k}`"))
-                            }
-                        }
-                    }
-                }
-                other if other.starts_with("allow.") => {
-                    let rule = &other["allow.".len()..];
-                    if !RATCHET_RULES.contains(&rule) {
-                        return Err(format!(
-                            "lint.toml:{}: [allow.{rule}] — `{rule}` is not a ratchetable rule \
-                             (known: {})",
-                            table.line,
-                            RATCHET_RULES.join(", "),
-                        ));
-                    }
-                    let map = cfg.allow.entry(rule.to_string()).or_default();
-                    for (k, v, line) in &table.entries {
-                        let Some(n) = v.as_int() else {
-                            return Err(format!(
-                                "lint.toml:{line}: [allow.{rule}] `{k}` must be an integer"
-                            ));
-                        };
-                        if n < 0 {
-                            return Err(format!(
-                                "lint.toml:{line}: [allow.{rule}] `{k}` must be non-negative"
-                            ));
-                        }
-                        map.insert(k.clone(), usize::try_from(n).unwrap_or(usize::MAX));
-                    }
-                }
+                "schema" => parse_schema(table, &mut cfg.schema)?,
                 _ => {
                     return Err(format!(
                         "lint.toml:{}: unknown section [{name}]",
@@ -256,54 +121,6 @@ impl Config {
     }
 }
 
-/// Splits a `"path/file.rs#fn_name"` reference.
-fn parse_site(s: &str, line: usize, what: &str) -> Result<(String, String), String> {
-    match s.split_once('#') {
-        Some((f, func)) if !f.is_empty() && !func.is_empty() => {
-            Ok((f.to_string(), func.to_string()))
-        }
-        _ => Err(format!(
-            "lint.toml:{line}: {what} `{s}` must look like `path/to/file.rs#fn_name`"
-        )),
-    }
-}
-
-fn parse_dispatch(table: &TomlTable) -> Result<DispatchSpec, String> {
-    let mut spec = DispatchSpec {
-        line: table.line,
-        ..DispatchSpec::default()
-    };
-    for (k, v, line) in &table.entries {
-        match k.as_str() {
-            "enum" => {
-                spec.enum_name = require_str(v, line, "dispatch", k)?;
-            }
-            "defined_in" => {
-                spec.defined_in = require_str(v, line, "dispatch", k)?;
-            }
-            "surfaces" => {
-                for s in string_list(v, line, "dispatch", k)? {
-                    spec.surfaces.push(parse_site(&s, *line, "surface")?);
-                }
-            }
-            _ => return Err(format!("lint.toml:{line}: unknown [[dispatch]] key `{k}`")),
-        }
-    }
-    if spec.enum_name.is_empty() || spec.defined_in.is_empty() {
-        return Err(format!(
-            "lint.toml:{}: [[dispatch]] needs `enum` and `defined_in`",
-            table.line
-        ));
-    }
-    if spec.surfaces.is_empty() {
-        return Err(format!(
-            "lint.toml:{}: [[dispatch]] for `{}` lists no surfaces",
-            table.line, spec.enum_name
-        ));
-    }
-    Ok(spec)
-}
-
 fn parse_schema(table: &TomlTable, out: &mut SchemaCfg) -> Result<(), String> {
     for (k, v, line) in &table.entries {
         match k.as_str() {
@@ -311,7 +128,16 @@ fn parse_schema(table: &TomlTable, out: &mut SchemaCfg) -> Result<(), String> {
             "sweeps" => out.sweeps = Some(require_str(v, line, "schema", k)?),
             "plan_names" => {
                 let s = require_str(v, line, "schema", k)?;
-                out.plan_names = Some(parse_site(&s, *line, "plan_names")?);
+                let site = s
+                    .split_once('#')
+                    .filter(|(f, func)| !f.is_empty() && !func.is_empty())
+                    .ok_or_else(|| {
+                        format!(
+                            "lint.toml:{line}: plan_names `{s}` must look like \
+                             `path/to/file.rs#fn_name`"
+                        )
+                    })?;
+                out.plan_names = Some((site.0.to_string(), site.1.to_string()));
             }
             "fault_matrix" => out.fault_matrix = Some(require_str(v, line, "schema", k)?),
             _ => return Err(format!("lint.toml:{line}: unknown [schema] key `{k}`")),
@@ -348,9 +174,8 @@ mod tests {
             r#"
 # comment
 [workspace]
-library_crates = ["vsim", "vnet"] # trailing comment
-cast_crates = [
-    "vsim",
+library_crates = [
+    "vsim", # trailing comment
     "vnet",
 ]
 
@@ -358,102 +183,55 @@ cast_crates = [
 vsim = []
 vnet = ["vsim"]
 
-[determinism]
-allow = ["crates/bench/src/lib.rs"]
-
 [bench]
 emit_exempt = ["bench_regress"]
-
-[allow.panic-budget]
-"crates/sim/src/engine.rs" = 2
-
-[allow.lossy-cast]
-"crates/sim/src/metrics.rs" = 6
-
-[allow.dispatch-wildcard]
-"crates/bench/src/bin/abl.rs" = 1
-
-[[dispatch]]
-enum = "Event"
-defined_in = "crates/sim/src/engine.rs"
-surfaces = ["crates/sim/src/engine.rs#dispatch"]
 
 [schema]
 docs = ["EXPERIMENTS.md"]
 sweeps = "sweeps"
 plan_names = "crates/sim/src/faults.rs#names"
 fault_matrix = "tests/fault_matrix.rs"
-
-[taint]
-sources = ["Instant::now"]
-sinks = [".schedule"]
 "#,
         )
         .unwrap();
         assert_eq!(cfg.library_crates, vec!["vsim", "vnet"]);
-        assert_eq!(cfg.cast_crates, vec!["vsim", "vnet"]);
         assert_eq!(cfg.layering["vnet"], vec!["vsim"]);
-        assert_eq!(cfg.determinism_allow, vec!["crates/bench/src/lib.rs"]);
         assert_eq!(cfg.bench_emit_exempt, vec!["bench_regress"]);
-        assert_eq!(cfg.allowance("panic-budget", "crates/sim/src/engine.rs"), 2);
-        assert_eq!(cfg.allowance("lossy-cast", "crates/sim/src/metrics.rs"), 6);
-        assert_eq!(
-            cfg.allowance("dispatch-wildcard", "crates/bench/src/bin/abl.rs"),
-            1
-        );
-        assert_eq!(cfg.allowance("det-taint", "anything.rs"), 0);
-        assert_eq!(cfg.dispatch.len(), 1);
-        assert_eq!(cfg.dispatch[0].enum_name, "Event");
-        assert_eq!(
-            cfg.dispatch[0].surfaces,
-            vec![(
-                "crates/sim/src/engine.rs".to_string(),
-                "dispatch".to_string()
-            )]
-        );
         assert_eq!(cfg.schema.docs, vec!["EXPERIMENTS.md"]);
         assert_eq!(cfg.schema.sweeps.as_deref(), Some("sweeps"));
         assert_eq!(
             cfg.schema.plan_names,
-            Some((
-                "crates/sim/src/faults.rs".to_string(),
-                "names".to_string()
-            ))
+            Some(("crates/sim/src/faults.rs".to_string(), "names".to_string()))
         );
-        assert_eq!(cfg.taint.sources, vec!["Instant::now"]);
-        assert_eq!(cfg.taint.sinks, vec![".schedule"]);
+        assert_eq!(
+            cfg.schema.fault_matrix.as_deref(),
+            Some("tests/fault_matrix.rs")
+        );
     }
 
     #[test]
-    fn rejects_unknown_section() {
+    fn rejects_unknown_and_retired_sections() {
         assert!(Config::parse("[mystery]\nx = 1\n").is_err());
-    }
-
-    #[test]
-    fn legacy_panics_casts_sections_error_with_migration_hint() {
-        let err = Config::parse("[panics]\n\"a.rs\" = 1\n").expect_err("legacy");
-        assert!(err.contains("allow.panic-budget"), "{err}");
-        let err = Config::parse("[casts]\n\"a.rs\" = 1\n").expect_err("legacy");
-        assert!(err.contains("allow.lossy-cast"), "{err}");
-    }
-
-    #[test]
-    fn rejects_unknown_ratchet_rule() {
-        let err = Config::parse("[allow.det-hash]\n\"a.rs\" = 1\n").expect_err("not ratchetable");
-        assert!(err.contains("not a ratchetable rule"), "{err}");
+        // The determinism, dispatch and ratchet rules moved to clippy.
+        for src in [
+            "[determinism]\nallow = []\n",
+            "[taint]\nsources = []\n",
+            "[allow.panic-budget]\n\"a.rs\" = 1\n",
+            "[[dispatch]]\nenum = \"E\"\n",
+        ] {
+            assert!(Config::parse(src).is_err(), "{src}");
+        }
     }
 
     #[test]
     fn rejects_unknown_keys_with_line_numbers() {
-        for (src, line) in [
-            ("[workspace]\nnope = []\n", 2),
-            ("[determinism]\nnope = []\n", 2),
-            ("[bench]\nnope = []\n", 2),
-            ("[schema]\nnope = \"x\"\n", 2),
-            ("[taint]\nnope = []\n", 2),
+        for src in [
+            "[workspace]\ncast_crates = []\n",
+            "[bench]\nnope = []\n",
+            "[schema]\nnope = \"x\"\n",
         ] {
             let err = Config::parse(src).expect_err(src);
-            assert!(err.contains(&format!("lint.toml:{line}")), "{err}");
+            assert!(err.contains("lint.toml:2"), "{err}");
         }
     }
 
@@ -462,44 +240,18 @@ sinks = [".schedule"]
         assert!(Config::parse("[workspace]\nlibrary_crates = 3\n").is_err());
         assert!(Config::parse("[layering]\nvsim = \"vnet\"\n").is_err());
         assert!(Config::parse("[layering]\nvsim = [1]\n").is_err());
-        assert!(Config::parse("[allow.panic-budget]\n\"a.rs\" = \"two\"\n").is_err());
         assert!(Config::parse("[bench]\nemit_exempt = [true]\n").is_err());
+        assert!(Config::parse("[schema]\nsweeps = 3\n").is_err());
     }
 
     #[test]
-    fn rejects_negative_allowance() {
-        assert!(Config::parse("[allow.panic-budget]\n\"a.rs\" = -1\n").is_err());
-    }
-
-    #[test]
-    fn dispatch_entries_validate_shape() {
-        // Not an array table.
-        assert!(Config::parse("[dispatch]\nenum = \"E\"\n").is_err());
-        // Missing surfaces.
-        assert!(
-            Config::parse("[[dispatch]]\nenum = \"E\"\ndefined_in = \"a.rs\"\nsurfaces = []\n")
-                .is_err()
-        );
-        // Bad surface syntax.
-        let err = Config::parse(
-            "[[dispatch]]\nenum = \"E\"\ndefined_in = \"a.rs\"\nsurfaces = [\"a.rs\"]\n",
-        )
-        .expect_err("bad surface");
+    fn plan_names_must_name_a_fn() {
+        let err = Config::parse("[schema]\nplan_names = \"a.rs\"\n").expect_err("no fn");
         assert!(err.contains("file.rs#fn_name"), "{err}");
-        // Missing enum.
-        assert!(
-            Config::parse("[[dispatch]]\ndefined_in = \"a.rs\"\nsurfaces = [\"a.rs#f\"]\n")
-                .is_err()
-        );
     }
 
     #[test]
     fn rejects_key_outside_section() {
         assert!(Config::parse("x = 1\n").is_err());
-    }
-
-    #[test]
-    fn rejects_stray_array_tables() {
-        assert!(Config::parse("[[workspace]]\nlibrary_crates = []\n").is_err());
     }
 }

@@ -1,20 +1,16 @@
-//! A hand-rolled Rust tokenizer — the foundation of the v2 auditor.
+//! A hand-rolled Rust tokenizer: the foundation of the schema audit.
 //!
-//! One pass over the source produces two views the rule passes share:
+//! One pass over the source produces a token stream ([`Tok`]) with line
+//! numbers, which the AST-lite ([`crate::ast`]) and the rule passes
+//! ([`crate::rules`], [`crate::schema`]) consume. Comments are skipped and
+//! string literals keep their contents, so a metric name in a doc comment
+//! never counts as a registration.
 //!
-//! * a token stream ([`Tok`]) with line numbers, which the AST-lite
-//!   ([`crate::ast`]) and the flow passes ([`crate::taint`],
-//!   [`crate::dispatch`], [`crate::schema`]) consume; and
-//! * a *blanked* copy of the source (comments and literal contents
-//!   replaced by spaces, line structure preserved) that keeps the
-//!   original line-oriented rules working unchanged.
-//!
-//! The lexer understands everything the old line scanner mis-handled:
-//! nested block comments, raw strings of any hash depth (`r##"…"##`),
-//! byte and raw-byte strings, raw identifiers (`r#match`), char
-//! literals vs lifetimes, and numeric literals with suffixes. It is
-//! deliberately not a full Rust lexer — no float-exponent pedantry, no
-//! shebang handling — but it is exact on everything this workspace's
+//! The lexer handles nested block comments, raw strings of any hash
+//! depth (`r##"…"##`), byte and raw-byte strings, raw identifiers
+//! (`r#match`), char literals vs lifetimes, and numeric literals with
+//! suffixes. It is deliberately not a full Rust lexer (no float-exponent
+//! pedantry, no shebang handling), but it is exact on everything the
 //! rules match against.
 
 /// Token classification.
@@ -58,59 +54,35 @@ impl Tok {
     }
 }
 
-/// The lexer's combined output.
-#[derive(Debug, Clone, Default)]
-pub struct Lexed {
-    /// The token stream, comments skipped.
-    pub toks: Vec<Tok>,
-    /// The source with comments and literal contents blanked to spaces
-    /// (string quotes kept), newlines preserved.
-    pub blanked: String,
-}
-
 /// Compound punctuation, longest first so maximal munch wins.
 const PUNCTS: &[&str] = &[
     "..=", "<<=", ">>=", "::", "->", "=>", "..", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=",
     "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>",
 ];
 
-/// Tokenizes `src`, producing the stream and the blanked text.
-pub fn lex(src: &str) -> Lexed {
+/// Tokenizes `src`; comments are skipped.
+pub fn lex(src: &str) -> Vec<Tok> {
     let b: Vec<char> = src.chars().collect();
     let n = b.len();
-    let mut out = Lexed {
-        toks: Vec::new(),
-        blanked: String::with_capacity(src.len()),
-    };
+    let mut out = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
-
-    // Copies a char to the blanked output verbatim.
-    fn keep(l: &mut Lexed, c: char) {
-        l.blanked.push(c);
-    }
-    // Blanks a char in the output, preserving newlines.
-    fn blank(l: &mut Lexed, c: char) {
-        l.blanked.push(if c == '\n' { '\n' } else { ' ' });
-    }
+    let push = |out: &mut Vec<Tok>, kind, text, line| out.push(Tok { kind, text, line });
 
     while i < n {
         let c = b[i];
         if c == '\n' {
             line += 1;
-            keep(&mut out, c);
             i += 1;
             continue;
         }
         if c.is_whitespace() {
-            keep(&mut out, c);
             i += 1;
             continue;
         }
         // Line comments (incl. doc comments).
         if c == '/' && i + 1 < n && b[i + 1] == '/' {
             while i < n && b[i] != '\n' {
-                blank(&mut out, b[i]);
                 i += 1;
             }
             continue;
@@ -121,13 +93,9 @@ pub fn lex(src: &str) -> Lexed {
             while i < n {
                 if b[i] == '/' && i + 1 < n && b[i + 1] == '*' {
                     depth += 1;
-                    blank(&mut out, b[i]);
-                    blank(&mut out, b[i + 1]);
                     i += 2;
                 } else if b[i] == '*' && i + 1 < n && b[i + 1] == '/' {
                     depth -= 1;
-                    blank(&mut out, b[i]);
-                    blank(&mut out, b[i + 1]);
                     i += 2;
                     if depth == 0 {
                         break;
@@ -136,7 +104,6 @@ pub fn lex(src: &str) -> Lexed {
                     if b[i] == '\n' {
                         line += 1;
                     }
-                    blank(&mut out, b[i]);
                     i += 1;
                 }
             }
@@ -146,9 +113,8 @@ pub fn lex(src: &str) -> Lexed {
         // r#"…"#, b"…", br#"…"#.
         if c == 'r' || c == 'b' {
             let mut j = i;
-            let mut is_byte = false;
-            if b[j] == 'b' {
-                is_byte = true;
+            let is_byte = b[j] == 'b';
+            if is_byte {
                 j += 1;
             }
             let has_r = j < n && b[j] == 'r';
@@ -165,51 +131,29 @@ pub fn lex(src: &str) -> Lexed {
             let raw_str = has_r && k < n && b[k] == '"';
             let byte_str = is_byte && !has_r && hashes == 0 && j < n && b[j] == '"';
             if raw_ident {
-                // r#match — lex the ident, keep `r#` visible in blanked.
-                keep(&mut out, b[i]);
-                keep(&mut out, b[i + 1]);
                 i += 2;
-                lex_ident(&b, &mut i, n, &mut out, line);
+                lex_ident(&b, &mut i, &mut out, line);
                 continue;
             }
             if raw_str || byte_str {
                 let start_line = line;
-                let open = if raw_str { k } else { j };
-                for &ch in &b[i..=open] {
-                    blank(&mut out, ch);
-                }
-                i = open + 1;
+                i = (if raw_str { k } else { j }) + 1;
                 let mut text = String::new();
-                loop {
-                    if i >= n {
-                        break;
-                    }
+                while i < n {
                     if b[i] == '"' {
-                        if raw_str {
-                            let mut h = 0usize;
-                            let mut e = i + 1;
-                            while e < n && h < hashes && b[e] == '#' {
-                                h += 1;
-                                e += 1;
-                            }
-                            if h == hashes {
-                                for &ch in &b[i..e] {
-                                    blank(&mut out, ch);
-                                }
-                                i = e;
-                                break;
-                            }
-                        } else {
-                            blank(&mut out, b[i]);
+                        if !raw_str {
                             i += 1;
+                            break;
+                        }
+                        let closing = b[i + 1..].iter().take_while(|&&h| h == '#').count();
+                        if closing >= hashes {
+                            i += 1 + hashes;
                             break;
                         }
                     }
                     if !raw_str && b[i] == '\\' && i + 1 < n {
                         text.push(b[i]);
                         text.push(b[i + 1]);
-                        blank(&mut out, b[i]);
-                        blank(&mut out, b[i + 1]);
                         i += 2;
                         continue;
                     }
@@ -217,35 +161,26 @@ pub fn lex(src: &str) -> Lexed {
                         line += 1;
                     }
                     text.push(b[i]);
-                    blank(&mut out, b[i]);
                     i += 1;
                 }
-                out.toks.push(Tok {
-                    kind: TokKind::Str,
-                    text,
-                    line: start_line,
-                });
+                push(&mut out, TokKind::Str, text, start_line);
                 continue;
             }
             // Plain identifier starting with r/b.
-            lex_ident(&b, &mut i, n, &mut out, line);
+            lex_ident(&b, &mut i, &mut out, line);
             continue;
         }
         // Ordinary string literal.
         if c == '"' {
             let start_line = line;
-            keep(&mut out, '"');
             i += 1;
             let mut text = String::new();
             while i < n {
                 if b[i] == '\\' && i + 1 < n {
                     text.push(b[i]);
                     text.push(b[i + 1]);
-                    blank(&mut out, b[i]);
-                    blank(&mut out, b[i + 1]);
                     i += 2;
                 } else if b[i] == '"' {
-                    keep(&mut out, '"');
                     i += 1;
                     break;
                 } else {
@@ -253,66 +188,39 @@ pub fn lex(src: &str) -> Lexed {
                         line += 1;
                     }
                     text.push(b[i]);
-                    blank(&mut out, b[i]);
                     i += 1;
                 }
             }
-            out.toks.push(Tok {
-                kind: TokKind::Str,
-                text,
-                line: start_line,
-            });
+            push(&mut out, TokKind::Str, text, start_line);
             continue;
         }
         // Char literal vs lifetime.
         if c == '\'' {
             if i + 1 < n && b[i + 1] == '\\' {
                 // Escaped char literal '\n', '\u{..}'.
-                keep(&mut out, '\'');
                 i += 1;
-                let mut text = String::new();
+                let start = i;
                 while i < n && b[i] != '\'' {
-                    text.push(b[i]);
-                    blank(&mut out, b[i]);
                     i += 1;
                 }
-                if i < n {
-                    keep(&mut out, '\'');
-                    i += 1;
-                }
-                out.toks.push(Tok {
-                    kind: TokKind::Char,
-                    text,
-                    line,
-                });
+                let text = b[start..i].iter().collect();
+                i = (i + 1).min(n);
+                push(&mut out, TokKind::Char, text, line);
                 continue;
             }
             if i + 2 < n && b[i + 2] == '\'' && b[i + 1] != '\'' {
                 // Plain char literal 'x'.
-                keep(&mut out, '\'');
-                blank(&mut out, b[i + 1]);
-                keep(&mut out, '\'');
-                out.toks.push(Tok {
-                    kind: TokKind::Char,
-                    text: b[i + 1].to_string(),
-                    line,
-                });
+                push(&mut out, TokKind::Char, b[i + 1].to_string(), line);
                 i += 3;
                 continue;
             }
             // Lifetime 'a.
-            keep(&mut out, '\'');
             i += 1;
             let start = i;
             while i < n && is_ident_char(b[i]) {
-                keep(&mut out, b[i]);
                 i += 1;
             }
-            out.toks.push(Tok {
-                kind: TokKind::Life,
-                text: b[start..i].iter().collect(),
-                line,
-            });
+            push(&mut out, TokKind::Life, b[start..i].iter().collect(), line);
             continue;
         }
         // Numeric literal (suffixes and `.` between digits included).
@@ -330,49 +238,21 @@ pub fn lex(src: &str) -> Lexed {
                     break;
                 }
             }
-            let text: String = b[start..i].iter().collect();
-            for ch in text.chars() {
-                keep(&mut out, ch);
-            }
-            out.toks.push(Tok {
-                kind: TokKind::Num,
-                text,
-                line,
-            });
+            push(&mut out, TokKind::Num, b[start..i].iter().collect(), line);
             continue;
         }
         // Identifier / keyword.
         if is_ident_start(c) {
-            lex_ident(&b, &mut i, n, &mut out, line);
+            lex_ident(&b, &mut i, &mut out, line);
             continue;
         }
         // Punctuation, compound first.
-        let mut matched = false;
-        for p in PUNCTS {
-            let pl = p.chars().count();
-            if i + pl <= n && b[i..i + pl].iter().collect::<String>() == **p {
-                for &ch in &b[i..i + pl] {
-                    keep(&mut out, ch);
-                }
-                out.toks.push(Tok {
-                    kind: TokKind::Punct,
-                    text: (*p).to_string(),
-                    line,
-                });
-                i += pl;
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            keep(&mut out, c);
-            out.toks.push(Tok {
-                kind: TokKind::Punct,
-                text: c.to_string(),
-                line,
-            });
-            i += 1;
-        }
+        let text = PUNCTS
+            .iter()
+            .find(|p| b[i..].iter().take(p.len()).copied().eq(p.chars()))
+            .map_or_else(|| c.to_string(), |p| (*p).to_string());
+        i += text.chars().count();
+        push(&mut out, TokKind::Punct, text, line);
     }
     out
 }
@@ -385,13 +265,12 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-fn lex_ident(b: &[char], i: &mut usize, n: usize, out: &mut Lexed, line: usize) {
+fn lex_ident(b: &[char], i: &mut usize, out: &mut Vec<Tok>, line: usize) {
     let start = *i;
-    while *i < n && is_ident_char(b[*i]) {
-        out.blanked.push(b[*i]);
+    while *i < b.len() && is_ident_char(b[*i]) {
         *i += 1;
     }
-    out.toks.push(Tok {
+    out.push(Tok {
         kind: TokKind::Ident,
         text: b[start..*i].iter().collect(),
         line,
@@ -403,11 +282,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src)
-            .toks
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -439,10 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn nested_block_comments_vanish() {
-        let l = lex("a /* x /* y */ z */ b");
-        assert_eq!(l.toks.len(), 2);
-        assert!(!l.blanked.contains('y'));
+    fn comments_vanish() {
+        let toks = lex("a /* x /* y */ z */ b // c\n/// d\n");
+        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(texts, ["a", "b"]);
     }
 
     #[test]
@@ -454,18 +329,16 @@ mod tests {
 
     #[test]
     fn line_numbers_survive_multiline_tokens() {
-        let l = lex("let a = r#\"two\nlines\"#;\nlet b = 1;");
-        let b_tok = l.toks.iter().find(|t| t.text == "b").unwrap();
+        let toks = lex("let a = r#\"two\nlines\"#;\nlet b = 1;");
+        let b_tok = toks.iter().find(|t| t.text == "b").unwrap();
         assert_eq!(b_tok.line, 3);
     }
 
     #[test]
-    fn blanked_preserves_code_and_line_structure() {
-        let src = "x.unwrap(); // comment\nlet s = \"dot.dot\";\n";
-        let l = lex(src);
-        assert_eq!(l.blanked.lines().count(), src.lines().count());
-        assert!(l.blanked.contains(".unwrap()"));
-        assert!(!l.blanked.contains("comment"));
-        assert!(!l.blanked.contains("dot.dot"));
+    fn string_escapes_do_not_end_the_literal() {
+        let toks = kinds(r#"f("a \" b", 'x', '\n')"#);
+        assert!(toks.contains(&(TokKind::Str, "a \\\" b".to_string())));
+        assert!(toks.contains(&(TokKind::Char, "x".to_string())));
+        assert!(toks.contains(&(TokKind::Char, "\\n".to_string())));
     }
 }

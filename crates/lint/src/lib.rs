@@ -1,36 +1,24 @@
-//! `vlint` — the workspace determinism, layering, dispatch, and schema
-//! auditor.
+//! `vlint` — the workspace checks that rustc and clippy cannot make.
 //!
 //! The headline claims of this reproduction (sub-second freeze times,
-//! identical-trace replay, the 32-seed chaos soak) all rest on the
+//! identical-trace replay, the 32-seed chaos soak) rest on the
 //! simulation being bit-for-bit deterministic and on the telemetry
-//! surface staying coherent across its many copies. Neither property
-//! announces its violation at compile time: unordered `HashMap`
-//! iteration once picked different migration guests per run, and a
-//! wildcard match arm happily swallows an `Event` variant added years
-//! later. `vlint` catches those classes of bug *before* the code runs —
-//! with a hand-rolled tokenizer ([`lexer`]), an item/block-level
-//! AST-lite ([`ast`]), and zero external crates, in the spirit of
-//! `vsim::json`.
+//! surface staying coherent across its many copies. The toolchain
+//! guards the first: `clippy.toml` bans hash-ordered collections, host
+//! time, threads and the environment in simulation crates, the library
+//! crate roots deny `unwrap`/`expect`/`panic!` outside sanctioned
+//! `#[allow]`s, and `vsim`/`vnet`/`vcluster` deny lossy casts and
+//! wildcard arms (DESIGN.md §6). `vlint` keeps only what those tools
+//! cannot express, with a hand-rolled tokenizer ([`lexer`]), an
+//! item-level AST-lite ([`ast`]), and zero external crates, in the
+//! spirit of `vsim::json`.
 //!
 //! Rule families, configured by `lint.toml` at the workspace root:
 //!
-//! * **determinism** (`det-hash`, `det-time`, `det-thread`, `det-rand`)
-//!   — deny hash-ordered collections, wall-clock time, OS threads, and
-//!   ambient randomness in library code.
-//! * **determinism taint** (`det-taint`) — a file-local data-flow pass
-//!   ([`taint`]): values derived from `Instant::now()`, `env::var`, or
-//!   a host clock must not flow — through lets, struct fields, or
-//!   helper returns — into `Engine::schedule*`, event payloads, or
-//!   timeseries samples.
-//! * **layering** (`layering-dep`, `layering-use`) — enforce the
-//!   intended dependency DAG over `Cargo.toml` and `use` statements.
-//! * **exhaustive dispatch** (`dispatch-missing`, `dispatch-wildcard`,
-//!   `dispatch-enum-missing`, `dispatch-surface-missing`) — every
-//!   variant of the enums registered under `[[dispatch]]` (`Event`,
-//!   `TraceEvent`, `FaultKind`, …) must be named by every configured
-//!   dispatch surface, and matches over them must not hide behind
-//!   unguarded wildcard arms ([`dispatch`]).
+//! * **layering** (`layering-dep`) — every crate's `Cargo.toml`
+//!   dependencies must follow the intended DAG in `[layering]`.
+//! * **bench emit** (`bench-emit`) — every experiment binary must route
+//!   results through `vbench::emit`.
 //! * **schema drift** (`schema-undocumented`, `schema-stale-doc`,
 //!   `schema-snake-case`, `schema-kind-conflict`, `schema-series-ref`,
 //!   `schema-plan-unknown`, `schema-fault-matrix`) — the metric and
@@ -38,15 +26,6 @@
 //!   documented schema table, sweep plan axes, series references, and
 //!   the fault-matrix test are all cross-checked against them
 //!   ([`schema`]).
-//! * **panic budget** (`panic-budget`) — count `unwrap()` / `expect(` /
-//!   `panic!` in non-test library paths against `[allow.panic-budget]`.
-//! * **lossy casts** (`lossy-cast`) — flag narrowing `as` casts in the
-//!   crates doing `SimTime`/byte-count arithmetic.
-//! * **bench emit** (`bench-emit`) — every experiment binary must route
-//!   results through `vbench::emit`.
-//! * **ratchets** (`ratchet-stale`) — the per-file allowances under
-//!   `[allow.<rule-id>]` may only shrink; an allowance above the actual
-//!   count is itself an error.
 //!
 //! The binary (`cargo run -p vlint`) exits non-zero on any violation and
 //! `--json` writes a `results/vlint.json` artifact (schema version 2)
@@ -54,13 +33,10 @@
 
 pub mod ast;
 pub mod config;
-pub mod dispatch;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod scan;
 pub mod schema;
-pub mod taint;
 pub mod toml;
 
 use std::path::Path;

@@ -32,10 +32,10 @@ fn main() -> ExitCode {
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "vlint — workspace determinism, layering, dispatch & schema auditor\n\n\
+                    "vlint — workspace layering, bench-artifact & schema auditor\n\n\
                      USAGE: vlint [--root PATH] [--json] [--json-path FILE] [--quiet]\n\n\
                      Exit codes: 0 clean, 1 violations, 2 config/usage error.\n\
-                     Rules and allowlists live in lint.toml at the workspace root."
+                     Rules live in lint.toml at the workspace root."
                 );
                 return ExitCode::SUCCESS;
             }

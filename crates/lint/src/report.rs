@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule identifier, e.g. `det-hash`.
+    /// Stable rule identifier, e.g. `layering-dep`.
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -144,11 +144,11 @@ mod tests {
     fn sample() -> Report {
         Report {
             violations: vec![Violation {
-                rule: "det-hash",
-                file: "crates/net/src/ethernet.rs".to_string(),
-                line: 100,
-                message: "HashMap in library code".to_string(),
-                hint: "use BTreeMap",
+                rule: "layering-dep",
+                file: "crates/net/Cargo.toml".to_string(),
+                line: 10,
+                message: "crate `vnet` must not depend on `vkernel`".to_string(),
+                hint: "keep the DAG intentional",
             }],
             files_scanned: 3,
             crates_audited: 2,
@@ -158,8 +158,8 @@ mod tests {
     #[test]
     fn text_has_file_line_rule_and_hint() {
         let text = sample().render_text();
-        assert!(text.contains("crates/net/src/ethernet.rs:100: [det-hash]"));
-        assert!(text.contains("hint: use BTreeMap"));
+        assert!(text.contains("crates/net/Cargo.toml:10: [layering-dep]"));
+        assert!(text.contains("hint: keep the DAG intentional"));
         assert!(text.contains("vlint: 1 violation"));
     }
 
@@ -168,9 +168,9 @@ mod tests {
         let json = sample().to_json();
         assert!(json.contains("\"schema\": 2"));
         assert!(json.contains("\"clean\": false"));
-        assert!(json.contains("\"rule\": \"det-hash\""));
-        assert!(json.contains("\"det-hash\": 1"));
-        assert!(json.contains("\"line\": 100"));
+        assert!(json.contains("\"rule\": \"layering-dep\""));
+        assert!(json.contains("\"layering-dep\": 1"));
+        assert!(json.contains("\"line\": 10"));
     }
 
     #[test]

@@ -1,25 +1,17 @@
-//! The rule families: determinism, layering, panic budget, lossy casts,
-//! bench artifacts, determinism taint, exhaustive dispatch, and schema
-//! drift.
+//! The rule families the toolchain cannot express: the layering DAG over
+//! the manifests, bench artifacts, and schema drift.
 //!
 //! Each source file is read and parsed **once** into a
-//! [`crate::ast::ParsedFile`] (tokens + items + cleaned lines); every
-//! pass — the v1 line rules and the v2 flow passes — runs off that
-//! shared parse. Scope is configured by `lint.toml`:
+//! [`crate::ast::ParsedFile`] (tokens + test scopes + fns); the
+//! bench-emit rule and the schema audit share that parse. Scope is
+//! configured by `lint.toml`:
 //!
-//! * determinism + panic budget + determinism taint run over
-//!   `library_crates` `src/` trees (test scopes excluded — tests may
-//!   hash, unwrap, and read clocks freely);
-//! * the lossy-cast rule runs over `cast_crates` (the ones doing
-//!   `SimTime`/byte arithmetic);
-//! * layering runs over every crate in the `[layering]` DAG;
-//! * the dispatch and schema audits run over the whole scanned set,
-//!   with library-only emission collection for schema.
-//!
-//! Ratchetable rules (`panic-budget`, `lossy-cast`, `dispatch-wildcard`,
-//! `det-taint`) share one mechanism: per-file allowances under
-//! `[allow.<rule-id>]`, and a `ratchet-stale` violation whenever an
-//! allowance exceeds reality — budgets may only shrink.
+//! * `layering-dep` checks every crate's `[dependencies]` against the
+//!   `[layering]` DAG. rustc refuses a path into a crate the manifest
+//!   does not declare, so the manifests are the whole dependency story;
+//! * `bench-emit` runs over the bench binaries in `crates/bench/src/bin/`;
+//! * the schema audit collects registrations from `library_crates` and
+//!   cross-checks series references in every scanned file.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -27,8 +19,7 @@ use std::path::{Path, PathBuf};
 use crate::ast::ParsedFile;
 use crate::config::Config;
 use crate::report::{Report, Violation};
-use crate::scan::{self, word_positions, CleanLine};
-use crate::{dispatch, schema, taint};
+use crate::schema;
 
 /// A discovered workspace member.
 #[derive(Debug, Clone)]
@@ -158,28 +149,6 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Identifier form of a package name (`v-system` → `v_system`).
-fn ident(name: &str) -> String {
-    name.replace('-', "_")
-}
-
-/// True when `line` references crate `krate` as a path root (`krate::…`)
-/// or plainly re-exports it (`pub use krate;`).
-fn references_crate(line: &str, krate: &str) -> bool {
-    let trimmed = line.trim_start();
-    let is_use = trimmed.starts_with("use ") || trimmed.starts_with("pub use ");
-    for p in word_positions(line, krate) {
-        let rest = line[p + krate.len()..].trim_start();
-        if rest.starts_with("::") || (is_use && rest.starts_with(';')) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Per-rule observed site counts, for the stale-allowance check.
-type RatchetSeen = BTreeMap<&'static str, BTreeMap<String, usize>>;
-
 /// Runs every rule family over the discovered crates.
 ///
 /// # Errors
@@ -188,12 +157,7 @@ type RatchetSeen = BTreeMap<&'static str, BTreeMap<String, usize>>;
 /// on disk has no `[layering]` entry (the DAG must stay exhaustive).
 pub fn check_workspace(root: &Path, cfg: &Config, crates: &[CrateInfo]) -> Result<Report, String> {
     let mut report = Report::default();
-    // All DAG names, in identifier form, for the use-statement scan.
-    let known: Vec<(String, String)> = cfg.layering.keys().map(|k| (k.clone(), ident(k))).collect();
-    let mut seen: RatchetSeen = BTreeMap::new();
-    // The parse cache: every file is lexed and item-parsed exactly once;
-    // line rules, the taint pass, and the dispatch/schema audits all run
-    // off this shared view.
+    // The parse cache: every file is lexed and item-parsed exactly once.
     let mut files: BTreeMap<String, ParsedFile> = BTreeMap::new();
     let mut lib_files: BTreeSet<String> = BTreeSet::new();
 
@@ -225,92 +189,26 @@ pub fn check_workspace(root: &Path, cfg: &Config, crates: &[CrateInfo]) -> Resul
             }
         }
 
-        let is_library = cfg.library_crates.contains(&krate.name);
-        let is_cast_crate = cfg.cast_crates.contains(&krate.name);
-        let self_ident = ident(&krate.name);
-
         for file in rust_files(&krate.dir.join("src")) {
             report.files_scanned += 1;
             let rel = rel_path(root, &file);
             let src = std::fs::read_to_string(&file)
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
             let pf = crate::ast::parse(&src);
-            let lines = &pf.lines;
-
-            // ---- layering-use: path references to crates outside the DAG.
-            for line in lines {
-                for (dep_name, dep_ident) in &known {
-                    if *dep_ident == self_ident {
-                        continue;
-                    }
-                    if references_crate(&line.text, dep_ident)
-                        && !allowed.iter().any(|a| a == dep_name)
-                    {
-                        report.violations.push(Violation {
-                            rule: "layering-use",
-                            file: rel.clone(),
-                            line: line.number,
-                            message: format!(
-                                "crate `{}` references `{dep_ident}::…` but may only use [{}]",
-                                krate.name,
-                                allowed.join(", "),
-                            ),
-                            hint: "this import crosses the layering DAG; route the dependency \
-                                   through a lower layer or fix the design",
-                        });
-                    }
-                }
-            }
 
             // ---- bench-emit: experiment binaries must leave an artifact.
             if krate.name == "vbench" && rel.starts_with("crates/bench/src/bin/") {
-                check_bench_emit(lines, &rel, cfg, &mut report);
+                check_bench_emit(&pf, &rel, cfg, &mut report);
             }
-
-            let det_exempt = cfg.determinism_allow.contains(&rel);
-            if is_library && !det_exempt {
-                check_determinism(lines, &rel, &mut report);
-                // ---- det-taint: host time flowing into the engine.
-                let sites = taint::analyze(&pf, &cfg.taint.sources, &cfg.taint.sinks);
-                let n = report_taint(&sites, &rel, cfg, &mut report);
-                seen.entry("det-taint").or_default().insert(rel.clone(), n);
-            }
-            if is_library {
-                let n = count_panic_sites(lines, &rel, cfg, &mut report);
-                seen.entry("panic-budget")
-                    .or_default()
-                    .insert(rel.clone(), n);
+            if cfg.library_crates.contains(&krate.name) {
                 lib_files.insert(rel.clone());
             }
-            if is_cast_crate {
-                let n = count_cast_sites(lines, &rel, cfg, &mut report);
-                seen.entry("lossy-cast").or_default().insert(rel.clone(), n);
-            }
-
             files.insert(rel, pf);
-        }
-    }
-
-    // ---- dispatch audit: exhaustive variant coverage + wildcard arms.
-    let mut wildcard_sites: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    dispatch::check(&files, cfg, &mut report, &mut wildcard_sites);
-    if !cfg.dispatch.is_empty() {
-        for rel in files.keys() {
-            let sites = wildcard_sites.get(rel).cloned().unwrap_or_default();
-            let n = report_wildcards(&sites, rel, cfg, &mut report);
-            seen.entry("dispatch-wildcard")
-                .or_default()
-                .insert(rel.clone(), n);
         }
     }
 
     // ---- schema audit: emitted names vs. docs, sweeps, and tests.
     schema::check(&files, &lib_files, root, cfg, &mut report);
-
-    // ---- stale allowances: the budgets may only shrink, so an allowance
-    // above the actual count (or naming a vanished file) is itself an
-    // error — it would let regressions creep back in unnoticed.
-    stale_allowances(cfg, &seen, &mut report);
 
     report
         .violations
@@ -329,7 +227,7 @@ fn rel_path(root: &Path, file: &Path) -> String {
 /// through `vbench::emit` / `emit_full`, so each run leaves the
 /// machine-readable artifact the `vrun` cache and the doc generator
 /// consume. Gates and meta-tools opt out via `[bench] emit_exempt`.
-fn check_bench_emit(lines: &[CleanLine], rel: &str, cfg: &Config, report: &mut Report) {
+fn check_bench_emit(pf: &ParsedFile, rel: &str, cfg: &Config, report: &mut Report) {
     let stem = rel
         .rsplit('/')
         .next()
@@ -338,14 +236,10 @@ fn check_bench_emit(lines: &[CleanLine], rel: &str, cfg: &Config, report: &mut R
     if cfg.bench_emit_exempt.iter().any(|e| e == stem) {
         return;
     }
-    let calls_emit = lines.iter().any(|line| {
-        if line.in_test {
-            return false;
-        }
-        ["emit", "emit_full"].iter().any(|name| {
-            word_positions(&line.text, name)
-                .any(|p| line.text[p + name.len()..].trim_start().starts_with('('))
-        })
+    let calls_emit = pf.toks.windows(2).enumerate().any(|(i, w)| {
+        !pf.in_test(i)
+            && (w[0].is_ident("emit") || w[0].is_ident("emit_full"))
+            && w[1].is_punct("(")
     });
     if !calls_emit {
         report.violations.push(Violation {
@@ -360,233 +254,5 @@ fn check_bench_emit(lines: &[CleanLine], rel: &str, cfg: &Config, report: &mut R
                    generator can consume them; a gate or meta-tool belongs in [bench] \
                    emit_exempt in lint.toml",
         });
-    }
-}
-
-/// The `det-*` family: hash ordering, wall-clock time, threads, ambient
-/// randomness.
-fn check_determinism(lines: &[CleanLine], rel: &str, report: &mut Report) {
-    for line in lines {
-        if line.in_test {
-            continue;
-        }
-        let t = &line.text;
-        for word in ["HashMap", "HashSet", "RandomState"] {
-            if scan::has_word(t, word) {
-                report.violations.push(Violation {
-                    rule: "det-hash",
-                    file: rel.to_string(),
-                    line: line.number,
-                    message: format!(
-                        "`{word}` in library code — hash iteration order is nondeterministic",
-                    ),
-                    hint: "use BTreeMap/BTreeSet: unordered iteration breaks identical-trace \
-                           replay (a HashMap once picked different migration guests per run)",
-                });
-            }
-        }
-        for word in ["Instant", "SystemTime"] {
-            if scan::has_word(t, word) {
-                report.violations.push(Violation {
-                    rule: "det-time",
-                    file: rel.to_string(),
-                    line: line.number,
-                    message: format!(
-                        "`{word}` in library code — wall-clock time is nondeterministic"
-                    ),
-                    hint: "simulation code must read time from vsim::SimTime via the event \
-                           engine, never from the host clock",
-                });
-            }
-        }
-        if t.contains("thread::spawn") || t.contains("std::thread") {
-            report.violations.push(Violation {
-                rule: "det-thread",
-                file: rel.to_string(),
-                line: line.number,
-                message: "OS thread use in library code — scheduling order is nondeterministic"
-                    .to_string(),
-                hint: "the simulation is single-threaded by design; express concurrency as \
-                       events on the vsim engine",
-            });
-        }
-        let has_rand_path =
-            word_positions(t, "rand").any(|p| t[p + "rand".len()..].trim_start().starts_with("::"));
-        if has_rand_path || scan::has_word(t, "thread_rng") || scan::has_word(t, "getrandom") {
-            report.violations.push(Violation {
-                rule: "det-rand",
-                file: rel.to_string(),
-                line: line.number,
-                message: "ambient randomness in library code".to_string(),
-                hint: "draw randomness only from the seeded vsim::rng generators so runs \
-                       replay bit-for-bit",
-            });
-        }
-    }
-}
-
-/// Counts `unwrap()`/`expect(`/`panic!` sites and reports overruns.
-fn count_panic_sites(lines: &[CleanLine], rel: &str, cfg: &Config, report: &mut Report) -> usize {
-    let mut sites: Vec<(usize, &'static str)> = Vec::new();
-    for line in lines {
-        if line.in_test {
-            continue;
-        }
-        let t = &line.text;
-        for _ in 0..t.matches(".unwrap()").count() {
-            sites.push((line.number, ".unwrap()"));
-        }
-        for _ in 0..t.matches(".expect(").count() {
-            sites.push((line.number, ".expect(…)"));
-        }
-        for p in word_positions(t, "panic") {
-            if t[p + "panic".len()..].starts_with('!') {
-                sites.push((line.number, "panic!"));
-            }
-        }
-    }
-    let allowed = cfg.allowance("panic-budget", rel);
-    let total = sites.len();
-    for (line, token) in sites.iter().skip(allowed) {
-        report.violations.push(Violation {
-            rule: "panic-budget",
-            file: rel.to_string(),
-            line: *line,
-            message: format!(
-                "`{token}` — {total} panic site(s) in non-test code exceed the file's allowance of {allowed}",
-            ),
-            hint: "return Result/Option or handle the case; the checked-in [allow.panic-budget] \
-                   ratchet in lint.toml may only shrink",
-        });
-    }
-    total
-}
-
-/// Counts narrowing `as` casts (`as u8/u16/u32/i8/i16/i32`) and reports
-/// overruns against the `[allow.lossy-cast]` allowances.
-fn count_cast_sites(lines: &[CleanLine], rel: &str, cfg: &Config, report: &mut Report) -> usize {
-    const NARROW: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-    let mut sites: Vec<usize> = Vec::new();
-    for line in lines {
-        if line.in_test {
-            continue;
-        }
-        let t = &line.text;
-        for p in word_positions(t, "as") {
-            let rest = t[p + 2..].trim_start();
-            for target in NARROW {
-                if let Some(after) = rest.strip_prefix(target) {
-                    let end_ok = !after
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_alphanumeric() || c == '_');
-                    if end_ok {
-                        sites.push(line.number);
-                    }
-                }
-            }
-        }
-    }
-    let allowed = cfg.allowance("lossy-cast", rel);
-    let total = sites.len();
-    for line in sites.iter().skip(allowed) {
-        report.violations.push(Violation {
-            rule: "lossy-cast",
-            file: rel.to_string(),
-            line: *line,
-            message: format!(
-                "narrowing `as` cast — {total} site(s) exceed the file's allowance of {allowed}",
-            ),
-            hint: "use u64 arithmetic or TryFrom: silently truncating SimTime or byte counts \
-                   corrupts simulated time; if provably safe, bump [allow.lossy-cast] in \
-                   lint.toml with a comment",
-        });
-    }
-    total
-}
-
-/// Reports `det-taint` sites past the file's allowance; returns the count.
-fn report_taint(
-    sites: &[taint::TaintSite],
-    rel: &str,
-    cfg: &Config,
-    report: &mut Report,
-) -> usize {
-    let allowed = cfg.allowance("det-taint", rel);
-    let total = sites.len();
-    for site in sites.iter().skip(allowed) {
-        report.violations.push(Violation {
-            rule: "det-taint",
-            file: rel.to_string(),
-            line: site.line,
-            message: format!(
-                "host-derived value `{}` flows into `{}(…)` — {total} tainted sink(s) exceed \
-                 the file's allowance of {allowed}",
-                site.evidence, site.sink,
-            ),
-            hint: "values built from the host clock or environment must never reach the event \
-                   engine, payloads, or samples; derive them from SimTime, or record a \
-                   deliberate exception in [allow.det-taint]",
-        });
-    }
-    total
-}
-
-/// Reports `dispatch-wildcard` sites past the file's allowance.
-fn report_wildcards(sites: &[usize], rel: &str, cfg: &Config, report: &mut Report) -> usize {
-    let allowed = cfg.allowance("dispatch-wildcard", rel);
-    let total = sites.len();
-    for line in sites.iter().skip(allowed) {
-        report.violations.push(Violation {
-            rule: "dispatch-wildcard",
-            file: rel.to_string(),
-            line: *line,
-            message: format!(
-                "unguarded catch-all arm over a watched enum — {total} site(s) exceed the \
-                 file's allowance of {allowed}",
-            ),
-            hint: "spell out the remaining variants so new ones fail loudly; a deliberate \
-                   residual wildcard belongs in [allow.dispatch-wildcard] with a comment",
-        });
-    }
-    total
-}
-
-/// Flags allowances that exceed reality (or name files that were never
-/// scanned by their rule): every budget is a ratchet and may only move
-/// down.
-fn stale_allowances(cfg: &Config, seen: &RatchetSeen, report: &mut Report) {
-    for (rule, allow) in &cfg.allow {
-        let counts = seen.get(rule.as_str());
-        for (file, &allowance) in allow {
-            match counts.and_then(|m| m.get(file)) {
-                Some(&actual) if actual < allowance => {
-                    report.violations.push(Violation {
-                        rule: "ratchet-stale",
-                        file: file.clone(),
-                        line: 0,
-                        message: format!(
-                            "[allow.{rule}] allowance {allowance} exceeds the actual count \
-                             {actual} — ratchet it down",
-                        ),
-                        hint: "tighten the entry in lint.toml to match reality so the budget \
-                               cannot silently regrow",
-                    });
-                }
-                None => {
-                    report.violations.push(Violation {
-                        rule: "ratchet-stale",
-                        file: file.clone(),
-                        line: 0,
-                        message: format!(
-                            "[allow.{rule}] names a file the rule never scanned (moved, \
-                             deleted, or out of the rule's scope)",
-                        ),
-                        hint: "remove or update the stale entry in lint.toml",
-                    });
-                }
-                Some(_) => {}
-            }
-        }
     }
 }

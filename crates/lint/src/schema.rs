@@ -271,7 +271,11 @@ fn snapshot_emission(
 /// Snake-case and kind-uniqueness checks over the emitted inventory.
 fn check_names(emissions: &[Emission], report: &mut Report) {
     for em in emissions {
-        let ok = em.name.chars().next().is_some_and(|c| c.is_ascii_lowercase())
+        let ok = em
+            .name
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_lowercase())
             && em
                 .name
                 .chars()
@@ -355,13 +359,12 @@ pub fn parse_doc_table(text: &str, origin: &str) -> Result<Vec<DocRow>, Violatio
         if !inside || !t.starts_with('|') {
             continue;
         }
-        let cells: Vec<&str> = t
-            .trim_matches('|')
-            .split('|')
-            .map(str::trim)
-            .collect();
+        let cells: Vec<&str> = t.trim_matches('|').split('|').map(str::trim).collect();
         if cells.len() != 4 {
-            return Err(stale(line, format!("expected 4 columns, got {}", cells.len())));
+            return Err(stale(
+                line,
+                format!("expected 4 columns, got {}", cells.len()),
+            ));
         }
         if cells[0] == "subsystem" || cells[0].chars().all(|c| c == '-' || c == ':') {
             continue;
@@ -507,13 +510,15 @@ fn plan_name_set(
         hint: "fix the [schema] plan_names site in lint.toml",
     };
     let Some(pf) = files.get(pfile) else {
-        report.violations.push(gone(format!("plan_names file `{pfile}` was not scanned")));
+        report
+            .violations
+            .push(gone(format!("plan_names file `{pfile}` was not scanned")));
         return None;
     };
     let Some(f) = pf.fns.iter().find(|f| f.name == pfn && !f.in_test) else {
-        report
-            .violations
-            .push(gone(format!("plan_names fn `{pfn}` not found in `{pfile}`")));
+        report.violations.push(gone(format!(
+            "plan_names fn `{pfn}` not found in `{pfile}`"
+        )));
         return None;
     };
     Some(
@@ -545,7 +550,9 @@ fn check_sweeps(root: &Path, dir: &str, plans: &BTreeSet<String>, report: &mut R
     for path in paths {
         let rel = format!(
             "{dir}/{}",
-            path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default()
+            path.file_name()
+                .map(|n| n.to_string_lossy())
+                .unwrap_or_default()
         );
         let doc = match crate::toml::TomlDoc::load(&path) {
             Ok(d) => d,
@@ -601,14 +608,18 @@ fn check_fault_matrix(root: &Path, rel: &str, report: &mut Report) {
     };
     match std::fs::read_to_string(root.join(rel)) {
         Ok(text) => {
-            let lexed = crate::lexer::lex(&text);
-            if !lexed.toks.iter().any(|t| t.is_ident("fault_points")) {
-                report
-                    .violations
-                    .push(missing("file no longer references fault_points()".to_string()));
+            if !crate::lexer::lex(&text)
+                .iter()
+                .any(|t| t.is_ident("fault_points"))
+            {
+                report.violations.push(missing(
+                    "file no longer references fault_points()".to_string(),
+                ));
             }
         }
-        Err(e) => report.violations.push(missing(format!("cannot read file: {e}"))),
+        Err(e) => report
+            .violations
+            .push(missing(format!("cannot read file: {e}"))),
     }
 }
 
@@ -730,7 +741,10 @@ mod tests {
                 .count(),
             1
         );
-        assert_eq!(rules.iter().filter(|r| **r == "schema-stale-doc").count(), 1);
+        assert_eq!(
+            rules.iter().filter(|r| **r == "schema-stale-doc").count(),
+            1
+        );
         let stale = report
             .violations
             .iter()
@@ -741,9 +755,8 @@ mod tests {
 
     #[test]
     fn stale_doc_row_is_flagged_at_its_line() {
-        let ems = emissions_of(
-            "fn f(m: &mut Metrics) { m.counter(Subsystem::Net, \"frames_sent\"); }\n",
-        );
+        let ems =
+            emissions_of("fn f(m: &mut Metrics) { m.counter(Subsystem::Net, \"frames_sent\"); }\n");
         let rows = parse_doc_table(DOC, "EXPERIMENTS.md").expect("parses");
         let mut report = Report::default();
         check_docs(&ems, &rows, "EXPERIMENTS.md", &mut report);
@@ -774,10 +787,7 @@ mod tests {
         files.insert("faults.rs".to_string(), ast::parse(src));
         let mut report = Report::default();
         let plans = plan_name_set(&files, "faults.rs", "names", &mut report).unwrap();
-        assert_eq!(
-            plans,
-            ["none".to_string(), "random".to_string()].into()
-        );
+        assert_eq!(plans, ["none".to_string(), "random".to_string()].into());
         assert!(report.violations.is_empty());
         assert!(plan_name_set(&files, "faults.rs", "gone", &mut report).is_none());
         assert_eq!(report.violations[0].rule, "schema-plan-unknown");

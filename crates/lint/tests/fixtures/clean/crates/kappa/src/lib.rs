@@ -1,4 +1,9 @@
-//! Clean fixture: ordered collections, no panics, no narrowing casts.
+//! Clean fixture: ordered collections, no panics, no narrowing casts,
+//! exhaustive dispatch. Every rule the workspace hands to clippy is on.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::cast_possible_truncation)]
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+
 use std::collections::BTreeMap;
 
 /// Mentions of HashMap, Instant::now(), and x.unwrap() in comments or
@@ -7,16 +12,23 @@ pub fn sum(values: &BTreeMap<String, u64>) -> u64 {
     values.values().sum()
 }
 
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
+/// A watched enum.
+pub enum Phase {
+    /// Pre-copying.
+    Precopy,
+    /// Frozen for the final copy.
+    Frozen,
+}
 
-    #[test]
-    fn tests_may_do_anything() {
-        let t = std::time::Instant::now();
-        let mut m = HashMap::new();
-        m.insert("k", t);
-        assert_eq!(m.len() as u32, 1);
-        Some(()).unwrap();
+/// An exhaustive dispatch surface.
+pub fn label(p: &Phase) -> &'static str {
+    match p {
+        Phase::Precopy => "precopy",
+        Phase::Frozen => "frozen",
     }
+}
+
+/// Widening is lossless.
+pub fn widen(x: u16) -> u64 {
+    u64::from(x)
 }

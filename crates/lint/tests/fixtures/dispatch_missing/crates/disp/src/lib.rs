@@ -1,13 +1,20 @@
-//! Dispatch fixture: `Color` has three variants but `label` only names
-//! two, hiding the gap behind a catch-all arm rustc accepts. The audit
-//! must report the missing `Blue` and the unguarded wildcard.
+//! Dispatch fixture: catch-all arms rustc accepts hide the variants a
+//! dispatcher forgot. `label` leaves two variants to `_`, `is_warm` one.
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
+/// A watched enum.
 pub enum Color {
+    /// Red.
     Red,
+    /// Green.
     Green,
+    /// Blue.
     Blue,
+    /// Violet.
+    Violet,
 }
 
+/// A dispatch surface that never names `Blue` or `Violet`.
 pub fn label(c: &Color) -> &'static str {
     match c {
         Color::Red => "red",
@@ -16,18 +23,11 @@ pub fn label(c: &Color) -> &'static str {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn test_matches_are_exempt() {
-        // A wildcard over the watched enum inside cfg(test) is fine.
-        let c = Color::Blue;
-        let _ = match c {
-            Color::Red => 0,
-            _ => 1,
-        };
-        assert_eq!(label(&Color::Red), "red");
+/// A dispatch surface that never names `Violet`.
+pub fn is_warm(c: &Color) -> bool {
+    match c {
+        Color::Red => true,
+        Color::Green | Color::Blue => false,
+        _ => false,
     }
 }

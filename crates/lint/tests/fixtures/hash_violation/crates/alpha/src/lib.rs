@@ -1,20 +1,12 @@
 //! Known-bad fixture: hash-ordered collections in library code.
 use std::collections::HashMap;
 
+/// A registry iterated in a different order on every run. Mentions of
+/// HashSet in a comment or in a string must not trip the rule.
 pub struct Registry {
-    by_name: HashMap<String, u32>,
+    /// The hash-ordered field.
+    pub by_name: HashMap<String, u32>,
 }
 
-// A mention in a comment (HashSet) and in a string must NOT trip the rule:
+/// "HashSet here is fine".
 pub const NOTE: &str = "HashSet here is fine";
-
-#[cfg(test)]
-mod tests {
-    // Test code may hash freely.
-    use std::collections::HashSet;
-
-    #[test]
-    fn hashing_in_tests_is_fine() {
-        let _ = HashSet::<u32>::new();
-    }
-}

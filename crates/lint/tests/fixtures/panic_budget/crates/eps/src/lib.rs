@@ -1,12 +1,17 @@
-//! Known-bad fixture: three panic sites against an allowance of one.
+//! Known-bad fixture: three panic sites, plus one sanctioned guard.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+/// Unwraps.
 pub fn first(x: Option<u32>) -> u32 {
     x.unwrap()
 }
 
+/// Expects.
 pub fn second(x: Option<u32>) -> u32 {
     x.expect("second")
 }
 
+/// Panics.
 pub fn third(x: Option<u32>) -> u32 {
     match x {
         Some(v) => v,
@@ -14,11 +19,8 @@ pub fn third(x: Option<u32>) -> u32 {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn unwrap_in_tests_is_free() {
-        assert_eq!(super::first(Some(3)), 3);
-        Some(1).unwrap();
-    }
+/// An invariant guard: the allowance sits on the narrowest item.
+#[allow(clippy::expect_used)]
+pub fn guarded(x: Option<u32>) -> u32 {
+    x.expect("callers pass Some")
 }

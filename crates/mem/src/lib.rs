@@ -8,6 +8,8 @@
 //! model fitted to the paper's measurements ([`WwsParams`],
 //! [`WwsSampler`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod bitset;
 mod space;
 mod wws;

@@ -136,6 +136,11 @@ pub struct AddressSpace {
 impl AddressSpace {
     /// Builds a space from a layout. Segment order is code, initialized
     /// data, heap, stack; zero-sized segments are omitted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment spans more than `u32::MAX` pages.
+    #[allow(clippy::expect_used)]
     pub fn new(id: SpaceId, layout: SpaceLayout) -> Self {
         let mut segments = Vec::new();
         let mut next_page: u32 = 0;
@@ -193,6 +198,7 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if `page` is out of range.
+    #[allow(clippy::expect_used)]
     pub fn segment_of(&self, page: u32) -> &Segment {
         self.segments
             .iter()

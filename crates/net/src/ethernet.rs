@@ -166,6 +166,12 @@ impl<P: Clone> Ethernet<P> {
     }
 
     /// Attaches a new station and returns its address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment already has 65 536 stations, the whole
+    /// [`HostAddr`] space.
+    #[allow(clippy::expect_used)]
     pub fn attach(&mut self) -> HostAddr {
         let addr =
             HostAddr(u16::try_from(self.stations.len()).expect("too many stations on one segment"));
@@ -185,6 +191,8 @@ impl<P: Clone> Ethernet<P> {
     }
 
     /// All attached station addresses.
+    // `attach` refuses a station past `u16::MAX`, so every index fits.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn stations(&self) -> impl Iterator<Item = HostAddr> + '_ {
         (0..self.stations.len()).map(|i| HostAddr(i as u16))
     }
@@ -438,12 +446,14 @@ impl<P: Clone> Ethernet<P> {
         self.busy_until
     }
 
+    #[allow(clippy::expect_used)]
     fn station(&self, host: HostAddr) -> &Station {
         self.stations
             .get(host.0 as usize)
             .expect("unknown station address")
     }
 
+    #[allow(clippy::expect_used)]
     fn station_mut(&mut self, host: HostAddr) -> &mut Station {
         self.stations
             .get_mut(host.0 as usize)

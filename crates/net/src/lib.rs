@@ -6,6 +6,9 @@
 //! multicast (used for binding-cache queries and the program-manager
 //! group), and station up/down state for crash experiments.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::cast_possible_truncation)]
+
 mod addr;
 mod ethernet;
 mod frame;

@@ -10,6 +10,8 @@
 //! [`ExecEnv`] models the environment block a creator installs in a new
 //! program, and [`ServiceMsg`] is the message protocol they all speak.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod display;
 mod env;
 mod file_server;

@@ -155,10 +155,6 @@ const fn fp(step: ProtocolStep, party: Party) -> FaultPoint {
 /// target party (the target already owns the program by then), and
 /// `ReExec` only involves the origin.
 pub fn fault_points() -> &'static [FaultPoint] {
-    // Full `Enum::Variant` paths on purpose: the vlint dispatch audit
-    // checks this registry names every `ProtocolStep` variant, so adding
-    // a step without deciding its fault points fails the lint. Glob
-    // imports would hide the variants from that token-level check.
     const REGISTRY: &[FaultPoint] = &[
         fp(ProtocolStep::SelectHost, Party::Source),
         fp(ProtocolStep::SelectHost, Party::Origin),
@@ -325,6 +321,8 @@ impl FaultPlan {
     ///
     /// Panics if `stations < 3` (fault targets need at least two
     /// workstations) or `horizon` is shorter than 2 s.
+    // Every `range_u64` bound here is at most `stations` (a u16) or 3.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn random(rng: &mut DetRng, stations: u16, horizon: SimDuration) -> Self {
         assert!(stations >= 3, "need at least two workstations");
         assert!(
@@ -412,6 +410,11 @@ impl FaultPlan {
     /// except where a plan's purpose is to exercise permanent loss; every
     /// plan obeys [`FaultPlan::random`]'s station-count and horizon
     /// preconditions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stations < 3` or `horizon` is shorter than 2 s, like
+    /// [`FaultPlan::random`].
     pub fn by_name(name: &str, seed: u64, stations: u16, horizon: SimDuration) -> Option<Self> {
         assert!(stations >= 3, "need at least two workstations");
         assert!(
@@ -546,9 +549,43 @@ mod tests {
                         assert!(heal_after.is_some(), "random partitions must heal");
                     }
                     FaultKind::ServiceRestart { ws } => assert!(*ws >= 1),
-                    _ => {}
+                    FaultKind::LatencySpike { .. } | FaultKind::Corrupt { .. } => {}
                 }
             }
+        }
+    }
+
+    /// Every `ProtocolStep`, walked through an exhaustive successor
+    /// match: a new variant fails to compile here until it is chained in.
+    fn all_steps() -> Vec<ProtocolStep> {
+        let mut steps = Vec::new();
+        let mut next = Some(ProtocolStep::SelectHost);
+        while let Some(step) = next {
+            steps.push(step);
+            next = match step {
+                ProtocolStep::SelectHost => Some(ProtocolStep::InitTarget),
+                ProtocolStep::InitTarget => Some(ProtocolStep::PrecopyRound),
+                ProtocolStep::PrecopyRound => Some(ProtocolStep::Freeze),
+                ProtocolStep::Freeze => Some(ProtocolStep::ResidualCopy),
+                ProtocolStep::ResidualCopy => Some(ProtocolStep::Commit),
+                ProtocolStep::Commit => Some(ProtocolStep::Unfreeze),
+                ProtocolStep::Unfreeze => Some(ProtocolStep::ReleaseSource),
+                ProtocolStep::ReleaseSource => Some(ProtocolStep::LeaseRenew),
+                ProtocolStep::LeaseRenew => Some(ProtocolStep::LeaseExpiry),
+                ProtocolStep::LeaseExpiry => Some(ProtocolStep::ReExec),
+                ProtocolStep::ReExec => None,
+            };
+        }
+        steps
+    }
+
+    #[test]
+    fn every_protocol_step_has_a_fault_point() {
+        for step in all_steps() {
+            assert!(
+                fault_points().iter().any(|p| p.step == step),
+                "{step} has no fault point in fault_points()"
+            );
         }
     }
 

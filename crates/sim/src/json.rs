@@ -76,26 +76,20 @@ impl Json {
 
     /// Looks up `key` on an object (`None` on other variants).
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        let Json::Obj(pairs) = self else { return None };
+        pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// The elements of an array (`None` on other variants).
     pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
+        let Json::Arr(items) = self else { return None };
+        Some(items)
     }
 
     /// The string value (`None` on other variants).
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
+        let Json::Str(s) = self else { return None };
+        Some(s)
     }
 
     /// Any numeric variant as `f64` (`None` on non-numbers).
@@ -104,7 +98,7 @@ impl Json {
             Json::Int(i) => Some(*i as f64),
             Json::UInt(u) => Some(*u as f64),
             Json::Num(x) => Some(*x),
-            _ => None,
+            Json::Null | Json::Bool(_) | Json::Str(_) | Json::Arr(_) | Json::Obj(_) => None,
         }
     }
 
@@ -363,6 +357,7 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    #[allow(clippy::expect_used)]
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');

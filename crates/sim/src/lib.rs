@@ -13,6 +13,13 @@
 //! Everything above this crate is a sans-IO state machine: components react
 //! to events and schedule new ones; only the cluster runtime owns the loop.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::cast_possible_truncation)]
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 pub mod calib;
 mod context;
 mod engine;

@@ -84,6 +84,8 @@ impl Metrics {
     ///
     /// Registration is idempotent: the same `(subsystem, name)` pair always
     /// returns the same handle, so components can intern freely at startup.
+    // Ids index a registry of a few dozen names, far below `u32::MAX`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn counter(&mut self, subsystem: Subsystem, name: &'static str) -> CounterId {
         if let Some(i) = self
             .counters
@@ -101,6 +103,8 @@ impl Metrics {
     }
 
     /// Registers (or re-resolves) a gauge.
+    // Ids index a registry of a few dozen names, far below `u32::MAX`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn gauge(&mut self, subsystem: Subsystem, name: &'static str) -> GaugeId {
         if let Some(i) = self
             .gauges
@@ -119,6 +123,8 @@ impl Metrics {
 
     /// Registers (or re-resolves) a histogram; `unit` labels the sample
     /// unit in reports (`"ms"`, `"kb"`, `"frames"`, …).
+    // Ids index a registry of a few dozen names, far below `u32::MAX`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn histogram(
         &mut self,
         subsystem: Subsystem,

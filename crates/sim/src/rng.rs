@@ -96,6 +96,8 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    // `bounded(n)` is below `n`, which came from a usize.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index into empty collection");
         self.bounded(n as u64) as usize
@@ -122,6 +124,10 @@ impl DetRng {
     ///
     /// Used for memoryless inter-arrival times (user actions, request
     /// arrivals).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean` is not positive.
     pub fn exp_f64(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "exponential mean must be positive");
         // u is strictly positive so ln(u) is finite.
@@ -130,6 +136,10 @@ impl DetRng {
     }
 
     /// A uniform float in `[lo, hi)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo < hi`.
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         lo + (hi - lo) * self.unit()
@@ -145,6 +155,8 @@ impl DetRng {
     }
 
     /// Shuffles `slice` in place (Fisher–Yates).
+    // `bounded(i + 1)` is at most `i`, a slice index.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.bounded(i as u64 + 1) as usize;
@@ -235,7 +247,7 @@ mod tests {
         let mut r = DetRng::seed(29);
         let mut seen = [false; 4];
         for _ in 0..1000 {
-            seen[r.range_u64(0, 4) as usize] = true;
+            seen[usize::try_from(r.range_u64(0, 4)).unwrap()] = true;
         }
         assert!(seen.iter().all(|&s| s), "small range not covered: {seen:?}");
     }

@@ -136,6 +136,10 @@ pub struct SpanIdGen {
 
 impl SpanIdGen {
     /// Creates a generator for `actor` (must be non-zero and below 2^24).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `actor` is 0 or not below 2^24.
     pub fn new(actor: u64) -> Self {
         assert!(actor != 0, "actor 0 would alias SpanContext::NONE");
         assert!(actor < (1 << 24), "actor out of range");

@@ -171,6 +171,8 @@ impl Samples {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]` or not finite.
+    // `rank` is at most `len` because `p <= 100`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn percentile(&self, p: f64) -> Option<f64> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
         if self.values.is_empty() {

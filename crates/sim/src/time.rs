@@ -46,6 +46,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`; the simulation clock never
     /// runs backwards, so this indicates a logic error.
+    #[allow(clippy::expect_used)]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -89,6 +90,8 @@ impl SimDuration {
 
     /// Creates a duration from a float second count, rounding to the nearest
     /// microsecond and clamping negatives to zero.
+    // `s` is positive here, and `as` saturates at `u64::MAX` instead of wrapping.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn from_secs_f64(s: f64) -> Self {
         if s <= 0.0 {
             SimDuration(0)
@@ -142,6 +145,7 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[allow(clippy::expect_used)]
     fn add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(d.0).expect("SimTime overflow"))
     }
@@ -155,6 +159,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[allow(clippy::expect_used)]
     fn sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(d.0).expect("SimTime underflow"))
     }
@@ -169,6 +174,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[allow(clippy::expect_used)]
     fn add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(other.0).expect("SimDuration overflow"))
     }
@@ -182,6 +188,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[allow(clippy::expect_used)]
     fn sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(other.0).expect("SimDuration underflow"))
     }
@@ -195,6 +202,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[allow(clippy::expect_used)]
     fn mul(self, n: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(n).expect("SimDuration overflow"))
     }

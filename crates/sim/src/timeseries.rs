@@ -192,6 +192,8 @@ impl SeriesStore {
         self.intern(subsystem, name, unit, None)
     }
 
+    // Series ids index the enrolled series, far below `u32::MAX`.
+    #[allow(clippy::cast_possible_truncation)]
     fn intern(
         &mut self,
         subsystem: Subsystem,

@@ -795,7 +795,7 @@ impl Trace {
     pub fn records_dropped(&self) -> u64 {
         match &self.store {
             Store::Ring(r) => r.dropped(),
-            _ => 0,
+            Store::Vec(_) | Store::Null(_) => 0,
         }
     }
 
@@ -1033,9 +1033,11 @@ mod tests {
         t.sort_by_time();
         let lhs: Vec<u32> = t
             .events()
-            .map(|e| match e {
-                TraceEvent::Freeze { lh } => *lh,
-                _ => unreachable!(),
+            .map(|e| {
+                let TraceEvent::Freeze { lh } = e else {
+                    unreachable!()
+                };
+                *lh
             })
             .collect();
         assert_eq!(lhs, vec![6, 7, 8, 9]);
@@ -1056,9 +1058,11 @@ mod tests {
         assert!(src.records().is_empty());
         let lhs: Vec<u32> = dst
             .events()
-            .map(|e| match e {
-                TraceEvent::Freeze { lh } => *lh,
-                _ => unreachable!(),
+            .map(|e| {
+                let TraceEvent::Freeze { lh } = e else {
+                    unreachable!()
+                };
+                *lh
             })
             .collect();
         assert_eq!(lhs, vec![2, 3, 4]);

@@ -7,6 +7,8 @@
 //! and display phases. [`UserModel`] reproduces the owner activity the
 //! paper reports (>80% idle at peak).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod profiles;
 mod program;
 mod user;

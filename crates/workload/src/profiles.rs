@@ -223,6 +223,11 @@ pub fn simulation_profile(cpu: SimDuration) -> ProgramProfile {
 /// as separate subprograms, each placed on an idle host by the `@*`
 /// machinery and awaited (§4.1 footnote, §2 "truly distributed
 /// programs").
+///
+/// # Panics
+///
+/// Panics if Table 4-1 lacks the `cc68` row or one of its pass rows.
+#[allow(clippy::expect_used)]
 pub fn cc68_pipeline() -> ProgramProfile {
     let control = row("cc68").expect("cc68 row");
     let passes = [

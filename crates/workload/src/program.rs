@@ -293,6 +293,7 @@ impl WorkloadProgram {
     ///
     /// Panics on protocol violations (an event that cannot occur in the
     /// current step), which indicate runtime bugs.
+    #[allow(clippy::panic)]
     pub fn next(&mut self, now: SimTime, event: ProgEvent, rng: &mut DetRng) -> ProgAction {
         let step = std::mem::replace(&mut self.step, Step::Finished);
         match (step, event) {
@@ -336,6 +337,7 @@ impl WorkloadProgram {
         &self.profile.phases[idx]
     }
 
+    #[allow(clippy::expect_used)]
     fn enter_phase(&mut self, _now: SimTime, rng: &mut DetRng) -> ProgAction {
         let Step::InPhase { idx, sub } = &mut self.step else {
             unreachable!("enter_phase outside a phase");
@@ -411,6 +413,7 @@ impl WorkloadProgram {
         }
     }
 
+    #[allow(clippy::expect_used, clippy::panic)]
     fn step_phase(
         &mut self,
         idx: usize,
@@ -605,6 +608,7 @@ impl WorkloadProgram {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn transfer_step(&self, idx: usize, handle: FileHandle, left: u64) -> ProgAction {
         match self.current_phase(idx) {
             Phase::FileRead { chunk, .. } => ProgAction::Send {
@@ -629,6 +633,7 @@ impl WorkloadProgram {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn finish_or_continue_transfer(
         &mut self,
         idx: usize,

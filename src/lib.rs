@@ -35,6 +35,8 @@
 //! assert!(cluster.exec_reports[0].success);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub use vcluster;
 pub use vcore;
 pub use vkernel;

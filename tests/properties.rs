@@ -124,7 +124,7 @@ fn engine_queue_invariants_hold_under_churn() {
     }
 }
 
-/// BitSet agrees with a reference HashSet model under arbitrary
+/// BitSet agrees with a reference BTreeSet model under arbitrary
 /// set/clear sequences.
 #[test]
 fn bitset_matches_model() {
@@ -132,7 +132,7 @@ fn bitset_matches_model() {
     for _case in 0..50 {
         let n_ops = rng.index(300) + 1;
         let mut b = BitSet::new(256);
-        let mut model = std::collections::HashSet::new();
+        let mut model = std::collections::BTreeSet::new();
         for _ in 0..n_ops {
             let i = rng.index(256);
             if rng.chance(0.5) {

@@ -2,7 +2,7 @@
 //! identical trace streams, *including* through the file-server and
 //! multicast (program-manager group) paths.
 //!
-//! This is the behavioural twin of the `det-hash` rule in `vlint`:
+//! This is the behavioural twin of the `clippy.toml` ban on hash maps:
 //! hash-ordered iteration anywhere in the library crates shows up here as
 //! a diverged trace long before it shows up as a wrong answer. The
 //! workload is chosen to force both audited paths: `ExecTarget::AnyIdle`

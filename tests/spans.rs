@@ -124,7 +124,7 @@ fn span_ids_are_globally_unique_across_components() {
     let mut c = span_cluster(47, TraceLevel::Detail);
     run_one_migration(&mut c);
     let tree = c.span_tree();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for n in tree.nodes() {
         assert!(seen.insert(n.id.raw()), "duplicate span id {}", n.id);
     }
