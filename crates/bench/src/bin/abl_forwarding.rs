@@ -108,7 +108,7 @@ fn scenario(forwarding: bool) -> (Row, vsim::MetricsReport) {
 
     let mut metrics = vsim::MetricsReport::new();
     for i in 0..3 {
-        metrics.push(rig.kernel(i).metrics().snapshot(&format!("k{i}")));
+        metrics.push(rig.kernel(i).metrics(&format!("k{i}")));
     }
     let row = Row {
         mode: if forwarding {

@@ -112,8 +112,8 @@ fn main() {
         ]);
         rate_points.push((kb * 1024, secs));
         let mut m = vsim::MetricsReport::new();
-        m.push(rig.kernel(0).metrics().snapshot("src"));
-        m.push(rig.kernel(1).metrics().snapshot("dst"));
+        m.push(rig.kernel(0).metrics("src"));
+        m.push(rig.kernel(1).metrics("dst"));
         metrics.absorb(m.prefixed(&format!("{kb}kb")));
     }
     t2.print();

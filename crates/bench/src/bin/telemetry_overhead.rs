@@ -11,7 +11,7 @@
 //!   into [`TraceSinkSpec::Off`]: proves the null sink is ~free.
 //! * `trace_ring` — the same records into a fixed ring: tracing "on".
 //! * `sampling_1ms` — `base` plus a [`SeriesStore`] sweeping the engine's
-//!   queue-depth and tombstone gauges every simulated millisecond.
+//!   queue depth and tombstone count every simulated millisecond.
 //!
 //! Each cell runs `reps` times in one process and keeps its best wall
 //! rate, so the overhead ratios in the `run` section compare like with
@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use vbench::{emit_full, Extras, Table};
 use vsim::{
-    DetRng, Probe, SamplingSpec, SeriesReport, SeriesStore, SimContext, SimDuration, SimTime,
+    DetRng, SamplingSpec, SeriesId, SeriesReport, SeriesStore, SimContext, SimDuration, SimTime,
     Subsystem, ToJson, Trace, TraceEvent, TraceLevel, TraceSinkSpec,
 };
 
@@ -78,28 +78,16 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
     };
     let mut ctx: SimContext<u64> = SimContext::new(Trace::with_sink(level, sink));
     let trace_each = matches!(variant, Variant::Trace(_));
-    let mut store = match variant {
+    let mut store: Option<(SeriesStore, SeriesId, SeriesId)> = match variant {
         Variant::Sampling => {
-            let depth = ctx.metrics_mut().gauge(Subsystem::Engine, "queue_depth");
-            let tombs = ctx.metrics_mut().gauge(Subsystem::Engine, "tombstones");
             let mut s = SeriesStore::new(SamplingSpec {
                 every: SimDuration::from_millis(1),
                 capacity: 1024,
             });
-            s.enroll(
-                Subsystem::Engine,
-                "queue_depth",
-                "events",
-                Probe::Gauge(depth),
-            );
-            s.enroll(
-                Subsystem::Engine,
-                "tombstones",
-                "events",
-                Probe::Gauge(tombs),
-            );
+            let depth = s.manual(Subsystem::Engine, "queue_depth", "events");
+            let tombs = s.manual(Subsystem::Engine, "tombstones", "events");
             ctx.schedule_after(SimDuration::from_millis(1), SAMPLE);
-            Some(s)
+            Some((s, depth, tombs))
         }
         _ => None,
     };
@@ -112,8 +100,15 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
     let wall = Instant::now();
     while let Some((now, ev)) = ctx.step_due(limit) {
         if ev == SAMPLE {
-            if let Some(s) = &mut store {
-                s.sample(now, ctx.metrics());
+            if let Some((s, depth, tombs)) = &mut store {
+                let engine = ctx.engine();
+                s.sweep(
+                    now,
+                    &[
+                        (*depth, engine.pending() as f64),
+                        (*tombs, engine.tombstones() as f64),
+                    ],
+                );
             }
             if ctx.pending() > 0 {
                 ctx.schedule_after(SimDuration::from_millis(1), SAMPLE);
@@ -154,9 +149,9 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
     CellOut {
         events: ctx.events_delivered(),
         wall_secs: wall.elapsed().as_secs_f64(),
-        sweeps: store.as_ref().map_or(0, SeriesStore::sweeps),
-        series: store.map(|s| s.report()),
-        scope: ctx.metrics().snapshot(name),
+        sweeps: store.as_ref().map_or(0, |(s, ..)| s.sweeps()),
+        series: store.map(|(s, ..)| s.report()),
+        scope: ctx.engine().metrics(name),
     }
 }
 

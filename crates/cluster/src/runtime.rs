@@ -28,12 +28,11 @@ use vservices::{
     ServiceMsg, SvcEvent, SvcOutputs, SvcToken,
 };
 use vsim::calib::{CONTEXT_SWITCH, CPU_QUANTUM, SMALL_PACKET_CPU};
-use vsim::metrics::GaugeSnapshot;
 use vsim::{
-    CounterId, DetRng, FaultKind, FaultPlan, FaultPoint, FaultTrigger, HostClock, Metrics,
-    MetricsReport, MigrationPhase, Party, Probe, ProfileReport, ProtocolStep, SamplingSpec,
-    SeriesId, SeriesReport, SeriesStore, SimContext, SimDuration, SimTime, SlotId, SpanContext,
-    SpanIdGen, SpanTree, Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
+    DetRng, FaultKind, FaultPlan, FaultPoint, FaultTrigger, HostClock, MetricsReport,
+    MigrationPhase, Party, ProfileReport, ProtocolStep, SamplingSpec, ScopeMetrics, SeriesId,
+    SeriesReport, SeriesStore, SimContext, SimDuration, SimTime, SlotId, SpanContext, SpanIdGen,
+    SpanTree, Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
 };
 use vworkload::{
     OwnerState, ProgAction, ProgEvent, ProgramProfile, UserModel, UserModelParams, WorkloadProgram,
@@ -171,8 +170,8 @@ pub enum Event {
     /// A periodic invariant-audit checkpoint (see
     /// [`ClusterConfig::audit_every`]).
     AuditTick,
-    /// A periodic telemetry sweep (see [`ClusterConfig::sampling`]): the
-    /// enrolled time series read their probes at this instant.
+    /// A periodic telemetry sweep (see [`ClusterConfig::sampling`]): every
+    /// time series records its value at this instant.
     SampleTick,
 }
 
@@ -278,7 +277,7 @@ pub struct ClusterConfig {
     pub audit_every: Option<SimDuration>,
     /// Lease-based liveness tuning, applied to every program manager.
     pub lease: LeaseConfig,
-    /// Sample enrolled time series at this sim-time cadence (`None` =
+    /// Sample the time series at this sim-time cadence (`None` =
     /// telemetry off; the store still exists but holds no points).
     pub sampling: Option<SamplingSpec>,
 }
@@ -307,6 +306,10 @@ impl Default for ClusterConfig {
 /// Cluster-level counters.
 #[derive(Debug, Default, Clone)]
 pub struct ClusterStats {
+    /// CPU quanta run by programs at local (owner) priority.
+    pub quanta_local: u64,
+    /// CPU quanta run by guest programs.
+    pub quanta_guest: u64,
     /// Requests delivered to processes nobody implements.
     pub unroutable_deliveries: u64,
     /// Guest evictions triggered by owners returning.
@@ -327,6 +330,38 @@ pub struct ClusterStats {
     pub re_execs: u64,
 }
 
+impl ClusterStats {
+    /// The scheduler, routing, fault and audit counters under the scope
+    /// label `scope`.
+    pub fn metrics(&self, scope: &str) -> ScopeMetrics {
+        ScopeMetrics::new(scope)
+            .with_counter(Subsystem::Cluster, "quanta_local", self.quanta_local)
+            .with_counter(Subsystem::Cluster, "quanta_guest", self.quanta_guest)
+            .with_counter(
+                Subsystem::Cluster,
+                "unroutable_deliveries",
+                self.unroutable_deliveries,
+            )
+            .with_counter(Subsystem::Cluster, "owner_evictions", self.owner_evictions)
+            .with_counter(
+                Subsystem::Cluster,
+                "programs_finished",
+                self.programs_finished,
+            )
+            .with_counter(
+                Subsystem::Cluster,
+                "corrupt_frames_dropped",
+                self.corrupt_frames_dropped,
+            )
+            .with_counter(Subsystem::Cluster, "faults_injected", self.faults_injected)
+            .with_counter(
+                Subsystem::Cluster,
+                "audit_violations",
+                self.audit_violations,
+            )
+    }
+}
+
 /// The whole simulated cluster.
 pub struct Cluster {
     /// The simulation context: event queue, clock, and trace log behind
@@ -345,19 +380,9 @@ pub struct Cluster {
     /// Invariant-audit reports collected so far (periodic checkpoints and
     /// explicit [`Cluster::audit`] calls).
     pub audit_reports: Vec<AuditReport>,
-    /// Cluster-level metrics (scheduler quanta, routing failures).
-    metrics: Metrics,
-    ctr_quanta_local: CounterId,
-    ctr_quanta_guest: CounterId,
-    ctr_unroutable: CounterId,
-    ctr_evictions: CounterId,
-    ctr_finished: CounterId,
-    ctr_corrupt_dropped: CounterId,
-    ctr_faults: CounterId,
-    ctr_audit_violations: CounterId,
     /// Span ids for cluster-level scheduling spans.
     spans: SpanIdGen,
-    /// Sim-time-sampled telemetry (enrolled gauges + cluster aggregates).
+    /// Sim-time-sampled telemetry (engine queue + cluster aggregates).
     series: SeriesStore,
     sids: SeriesIds,
     /// Pre-interned profiler slots, one per [`Event`] kind.
@@ -384,8 +409,10 @@ pub struct Cluster {
     periodic_ticks: usize,
 }
 
-/// Handles to the cluster's default-enrolled time series.
+/// Handles to the cluster's default time series.
 struct SeriesIds {
+    queue_depth: SeriesId,
+    tombstones: SeriesId,
     ready: SeriesId,
     frozen: SeriesId,
     migrations: SeriesId,
@@ -562,39 +589,15 @@ impl Cluster {
             station.kernel.learn_binding(PAGING_LH, fs_host);
         }
 
-        let mut metrics = Metrics::new();
-        let ctr_quanta_local = metrics.counter(Subsystem::Cluster, "quanta_local");
-        let ctr_quanta_guest = metrics.counter(Subsystem::Cluster, "quanta_guest");
-        let ctr_unroutable = metrics.counter(Subsystem::Cluster, "unroutable_deliveries");
-        let ctr_evictions = metrics.counter(Subsystem::Cluster, "owner_evictions");
-        let ctr_finished = metrics.counter(Subsystem::Cluster, "programs_finished");
-        let ctr_corrupt_dropped = metrics.counter(Subsystem::Cluster, "corrupt_frames_dropped");
-        let ctr_faults = metrics.counter(Subsystem::Cluster, "faults_injected");
-        let ctr_audit_violations = metrics.counter(Subsystem::Cluster, "audit_violations");
         let mut ctx: SimContext<Event> =
             SimContext::new(Trace::with_sink(cfg.trace, cfg.trace_sink));
         let slots = EventSlots::intern(ctx.profiler_mut());
-        // Default telemetry enrollments. The engine's queue gauges are
-        // probed straight out of its registry (re-interning is idempotent,
-        // so these are the same ids the engine itself updates); cluster
-        // aggregates have no single registry home and are recorded
-        // manually on each tick.
-        let g_depth = ctx.metrics_mut().gauge(Subsystem::Engine, "queue_depth");
-        let g_tombs = ctx.metrics_mut().gauge(Subsystem::Engine, "tombstones");
+        // Default telemetry series, all recorded on each tick by
+        // `take_sample`; the engine's queue comes first.
         let mut series = SeriesStore::new(cfg.sampling.unwrap_or_default());
-        series.enroll(
-            Subsystem::Engine,
-            "queue_depth",
-            "events",
-            Probe::Gauge(g_depth),
-        );
-        series.enroll(
-            Subsystem::Engine,
-            "tombstones",
-            "events",
-            Probe::Gauge(g_tombs),
-        );
         let sids = SeriesIds {
+            queue_depth: series.manual(Subsystem::Engine, "queue_depth", "events"),
+            tombstones: series.manual(Subsystem::Engine, "tombstones", "events"),
             ready: series.manual(Subsystem::Cluster, "ready_programs", "programs"),
             frozen: series.manual(Subsystem::Cluster, "frozen_programs", "programs"),
             migrations: series.manual(Subsystem::Migration, "inflight_migrations", "migrations"),
@@ -609,15 +612,6 @@ impl Cluster {
             migration_reports: Vec::new(),
             stats: ClusterStats::default(),
             audit_reports: Vec::new(),
-            metrics,
-            ctr_quanta_local,
-            ctr_quanta_guest,
-            ctr_unroutable,
-            ctr_evictions,
-            ctr_finished,
-            ctr_corrupt_dropped,
-            ctr_faults,
-            ctr_audit_violations,
             spans: SpanIdGen::new(1),
             series,
             sids,
@@ -910,44 +904,35 @@ impl Cluster {
         self.ctx.trace_mut()
     }
 
-    /// Snapshots every metrics registry in the cluster into one report:
-    /// the event engine, the wire, the cluster scheduler, and each
-    /// station's kernel + migration engine under the station's name.
+    /// Snapshots every component's metrics into one report: the event
+    /// engine, the wire, the cluster scheduler, and each station's kernel
+    /// + migration engine + CPU time under the station's name.
     pub fn metrics_report(&self) -> MetricsReport {
         let elapsed = self.ctx.now().since(SimTime::ZERO);
         let mut report = MetricsReport::new();
-        report.push(self.ctx.metrics().snapshot("engine"));
-        report.push(self.net.metrics().snapshot("net"));
-        report.push(self.metrics.snapshot("cluster"));
+        report.push(self.ctx.engine().metrics("engine"));
+        report.push(self.net.metrics("net"));
+        report.push(self.stats.metrics("cluster"));
+        let ms = |d: SimDuration| d.as_secs_f64() * 1e3;
         for w in &self.stations {
-            let mut sm = w.kernel.metrics().snapshot(&w.name);
-            let mig = w.migrator.metrics().snapshot(&w.name);
-            sm.counters.extend(mig.counters);
-            sm.gauges.extend(mig.gauges);
-            sm.histograms.extend(mig.histograms);
             let busy = w.cpu_local + w.cpu_guest;
-            let ms = |d: SimDuration| d.as_secs_f64() * 1e3;
-            sm.gauges.push(GaugeSnapshot {
-                subsystem: Subsystem::Cluster,
-                name: "cpu_local_ms",
-                value: ms(w.cpu_local),
-            });
-            sm.gauges.push(GaugeSnapshot {
-                subsystem: Subsystem::Cluster,
-                name: "cpu_guest_ms",
-                value: ms(w.cpu_guest),
-            });
-            sm.gauges.push(GaugeSnapshot {
-                subsystem: Subsystem::Cluster,
-                name: "cpu_idle_ms",
-                value: ms(elapsed.saturating_sub(busy)),
-            });
-            sm.gauges.push(GaugeSnapshot {
-                subsystem: Subsystem::Cluster,
-                name: "cpu_utilization",
-                value: w.cpu_utilization(elapsed),
-            });
-            report.push(sm);
+            report.push(
+                w.kernel
+                    .metrics(&w.name)
+                    .merge(w.migrator.metrics(&w.name))
+                    .with_gauge(Subsystem::Cluster, "cpu_local_ms", ms(w.cpu_local))
+                    .with_gauge(Subsystem::Cluster, "cpu_guest_ms", ms(w.cpu_guest))
+                    .with_gauge(
+                        Subsystem::Cluster,
+                        "cpu_idle_ms",
+                        ms(elapsed.saturating_sub(busy)),
+                    )
+                    .with_gauge(
+                        Subsystem::Cluster,
+                        "cpu_utilization",
+                        w.cpu_utilization(elapsed),
+                    ),
+            );
         }
         report
     }
@@ -992,7 +977,6 @@ impl Cluster {
                 // the kernel; the sender recovers by retransmission.
                 if !frame.checksum_valid() {
                     self.stats.corrupt_frames_dropped += 1;
-                    self.metrics.inc(self.ctr_corrupt_dropped);
                     self.ctx.warn(
                         Subsystem::Net,
                         TraceEvent::CorruptFrame {
@@ -1067,9 +1051,8 @@ impl Cluster {
         }
     }
 
-    /// One telemetry sweep: records the cluster aggregates into their
-    /// manual series, then reads every enrolled probe out of the engine
-    /// registry — all stamped with the same instant.
+    /// One telemetry sweep: the engine's queue depth and tombstones plus
+    /// the cluster aggregates, all stamped with the same instant.
     fn take_sample(&mut self) {
         let now = self.ctx.now();
         let mut ready = 0usize;
@@ -1092,23 +1075,29 @@ impl Cluster {
             leases += w.pm.granted_leases().len();
             retransmit += w.kernel.outstanding_sends().len();
         }
-        self.series.record(self.sids.ready, now, ready as f64);
-        self.series.record(self.sids.frozen, now, frozen as f64);
-        self.series
-            .record(self.sids.migrations, now, migrations as f64);
-        self.series.record(self.sids.leases, now, leases as f64);
-        self.series
-            .record(self.sids.retransmit, now, retransmit as f64);
-        self.series.sample(now, self.ctx.metrics());
+        let engine = self.ctx.engine();
+        let ids = &self.sids;
+        self.series.sweep(
+            now,
+            &[
+                (ids.queue_depth, engine.pending() as f64),
+                (ids.tombstones, engine.tombstones() as f64),
+                (ids.ready, ready as f64),
+                (ids.frozen, frozen as f64),
+                (ids.migrations, migrations as f64),
+                (ids.leases, leases as f64),
+                (ids.retransmit, retransmit as f64),
+            ],
+        );
     }
 
-    /// The telemetry store (enrolled engine gauges + cluster aggregates).
+    /// The telemetry store (engine queue + cluster aggregates).
     pub fn series(&self) -> &SeriesStore {
         &self.series
     }
 
-    /// Mutable telemetry access, e.g. to enroll scenario-specific series
-    /// before the run starts.
+    /// Mutable telemetry access, e.g. to register scenario-specific
+    /// series before the run starts.
     pub fn series_mut(&mut self) -> &mut SeriesStore {
         &mut self.series
     }
@@ -1136,7 +1125,6 @@ impl Cluster {
     fn apply_fault(&mut self, kind: FaultKind) {
         let now = self.ctx.now();
         self.stats.faults_injected += 1;
-        self.metrics.inc(self.ctr_faults);
         self.ctx.warn(
             Subsystem::Cluster,
             TraceEvent::FaultInjected { kind: kind.label() },
@@ -1211,10 +1199,9 @@ impl Cluster {
         }
     }
 
-    /// Records an audit violation in the trace, stats, and metrics.
+    /// Records an audit violation in the trace and stats.
     pub(crate) fn note_violation(&mut self, v: &AuditViolation) {
         self.stats.audit_violations += 1;
-        self.metrics.inc(self.ctr_audit_violations);
         self.ctx.warn(
             Subsystem::Cluster,
             TraceEvent::AuditViolation {
@@ -1346,7 +1333,6 @@ impl Cluster {
             self.apply_svc_outputs(i, SvcKind::Display, outs);
         } else {
             self.stats.unroutable_deliveries += 1;
-            self.metrics.inc(self.ctr_unroutable);
             self.ctx.warn(
                 Subsystem::Cluster,
                 TraceEvent::Unroutable {
@@ -1854,7 +1840,6 @@ impl Cluster {
             }
             ProgAction::Exit => {
                 self.stats.programs_finished += 1;
-                self.metrics.inc(self.ctr_finished);
                 // The finished program is destroyed via "the program
                 // manager of whatever workstation hosts lh" — the
                 // well-known local group of §2.1, which keeps working
@@ -1999,10 +1984,10 @@ impl Cluster {
                 let prt = w.programs.get_mut(&lh).expect("checked");
                 if prt.priority <= Priority::LOCAL {
                     w.cpu_local += slice;
-                    self.metrics.inc(self.ctr_quanta_local);
+                    self.stats.quanta_local += 1;
                 } else {
                     w.cpu_guest += slice;
-                    self.metrics.inc(self.ctr_quanta_guest);
+                    self.stats.quanta_guest += 1;
                 }
                 if let Some(space) = w
                     .kernel
@@ -2067,7 +2052,6 @@ impl Cluster {
                 continue;
             }
             self.stats.owner_evictions += 1;
-            self.metrics.inc(self.ctr_evictions);
             let cfg = self.cfg.migration.clone();
             let w = &mut self.stations[i];
             let meta =

@@ -5,7 +5,7 @@ use vcluster::{Cluster, ClusterConfig, Command};
 use vcore::{ExecTarget, MigrationConfig, StopPolicy, Strategy};
 use vkernel::Priority;
 use vnet::LossModel;
-use vsim::{SamplingSpec, SimDuration, SimTime, TraceEvent, TraceLevel};
+use vsim::{SamplingSpec, SimDuration, SimTime, Subsystem, TraceEvent, TraceLevel};
 use vworkload::profiles;
 use vworkload::{Phase, ProgramProfile};
 
@@ -169,6 +169,105 @@ fn migration_end_to_end_with_precopy() {
     // And the program still finishes.
     c.run_for(SimDuration::from_secs(200));
     assert_eq!(c.stats.programs_finished, 1);
+}
+
+#[test]
+fn metrics_report_lists_every_scope_and_name_in_order() {
+    let mut c = Cluster::new(ClusterConfig {
+        workstations: 2,
+        loss: LossModel::Bernoulli(0.01),
+        ..ClusterConfig::default()
+    });
+    let profile = profiles::simulation_profile(SimDuration::from_secs(60));
+    c.exec(1, profile, ExecTarget::Named("ws2".into()), Priority::GUEST);
+    c.run_for(SimDuration::from_secs(20));
+    let lh = c.exec_reports[0].lh.expect("program created");
+    c.migrateprog(2, lh, false);
+    c.run_for(SimDuration::from_secs(30));
+
+    let report = c.metrics_report();
+    let scopes: Vec<&str> = report.scopes.iter().map(|s| s.scope.as_str()).collect();
+    assert_eq!(
+        scopes,
+        ["engine", "net", "cluster", "fileserver", "ws1", "ws2"]
+    );
+    let station: (&[&str], &[&str], &[&str]) = (
+        &[
+            "sends",
+            "replies",
+            "deliveries",
+            "retransmissions",
+            "deferred_requests",
+            "reply_pendings_sent",
+            "binding_cache_hits",
+            "binding_cache_misses",
+            "orphaned_transactions",
+            "started",
+            "succeeded",
+            "failed",
+            "retried",
+        ],
+        &[
+            "cpu_local_ms",
+            "cpu_guest_ms",
+            "cpu_idle_ms",
+            "cpu_utilization",
+        ],
+        &[
+            "freeze_window_ms",
+            "precopy_round_ms",
+            "residual_kb",
+            "total_ms",
+        ],
+    );
+    let expected: [(&[&str], &[&str], &[&str]); 3] = [
+        (
+            &["events_scheduled", "events_delivered", "events_cancelled"],
+            &["queue_depth", "tombstones"],
+            &[],
+        ),
+        (
+            &[
+                "frames_sent",
+                "frames_delivered",
+                "frames_dropped_loss",
+                "frames_dropped_down",
+                "frames_dropped_partition",
+                "frames_corrupted",
+                "frames_sender_down",
+                "payload_bytes",
+                "wire_busy_us",
+            ],
+            &[],
+            &["frame_payload_bytes"],
+        ),
+        (
+            &[
+                "quanta_local",
+                "quanta_guest",
+                "unroutable_deliveries",
+                "owner_evictions",
+                "programs_finished",
+                "corrupt_frames_dropped",
+                "faults_injected",
+                "audit_violations",
+            ],
+            &[],
+            &[],
+        ),
+    ];
+    let expected = expected.iter().chain([&station; 3]);
+    for (scope, (counters, gauges, histograms)) in report.scopes.iter().zip(expected) {
+        let got: Vec<_> = scope.counters.iter().map(|m| m.name).collect();
+        assert_eq!(got, *counters, "{} counters", scope.scope);
+        let got: Vec<_> = scope.gauges.iter().map(|m| m.name).collect();
+        assert_eq!(got, *gauges, "{} gauges", scope.scope);
+        let got: Vec<_> = scope.histograms.iter().map(|m| m.name).collect();
+        assert_eq!(got, *histograms, "{} histograms", scope.scope);
+    }
+    assert!(report.counter_total(Subsystem::Kernel, "sends") > 0);
+    assert!(report.counter_total(Subsystem::Net, "frames_sent") > 0);
+    assert!(report.counter_total(Subsystem::Migration, "started") > 0);
 }
 
 #[test]

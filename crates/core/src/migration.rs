@@ -63,8 +63,8 @@ use vnet::HostAddr;
 use vservices::{ServiceMsg, SvcError};
 use vsim::calib::PAGE_BYTES;
 use vsim::{
-    CounterId, HistogramId, Metrics, MigrationPhase, ProtocolStep, SimDuration, SimTime, SpanId,
-    SpanIdGen, Subsystem, Trace, TraceEvent, TraceLevel,
+    MigrationPhase, ProtocolStep, Samples, ScopeMetrics, SimDuration, SimTime, SpanId, SpanIdGen,
+    Subsystem, Trace, TraceEvent, TraceLevel,
 };
 
 use crate::report::{IterStat, MigFailure, MigrationReport, Milestones};
@@ -310,6 +310,27 @@ struct Job {
     freeze_child: Option<SpanId>,
 }
 
+/// Outcome counters and per-phase samples of one migration engine.
+#[derive(Debug, Default)]
+struct MigratorStats {
+    /// Migrations started.
+    started: u64,
+    /// Migrations that unfroze on their target.
+    succeeded: u64,
+    /// Migrations that ended without moving the logical host.
+    failed: u64,
+    /// Restarts against a different target after a failed attempt.
+    retried: u64,
+    /// Freeze window of each successful migration, in ms.
+    freeze_window_ms: Samples,
+    /// Duration of each pre-copy round, in ms.
+    precopy_round_ms: Samples,
+    /// State left to copy once frozen, in KB.
+    residual_kb: Samples,
+    /// Start-to-unfreeze time of each successful migration, in ms.
+    total_ms: Samples,
+}
+
 /// The migration engine of one workstation.
 ///
 /// Sans-IO like everything else: the runtime routes `SendDone`/`CopyDone`
@@ -323,17 +344,9 @@ pub struct Migrator {
     by_xfer: BTreeMap<XferId, LogicalHostId>,
     temp_base: u32,
     next_temp: u32,
-    metrics: Metrics,
+    stats: MigratorStats,
     trace: Trace,
     spans: SpanIdGen,
-    ctr_started: CounterId,
-    ctr_succeeded: CounterId,
-    ctr_failed: CounterId,
-    ctr_retried: CounterId,
-    hist_freeze_ms: HistogramId,
-    hist_round_ms: HistogramId,
-    hist_residual_kb: HistogramId,
-    hist_total_ms: HistogramId,
 }
 
 impl Migrator {
@@ -341,15 +354,6 @@ impl Migrator {
     /// system logical host); `temp_base` starts its private range of
     /// temporary logical-host ids.
     pub fn new(pid: ProcessId, host: HostAddr, temp_base: u32) -> Self {
-        let mut metrics = Metrics::new();
-        let ctr_started = metrics.counter(Subsystem::Migration, "started");
-        let ctr_succeeded = metrics.counter(Subsystem::Migration, "succeeded");
-        let ctr_failed = metrics.counter(Subsystem::Migration, "failed");
-        let ctr_retried = metrics.counter(Subsystem::Migration, "retried");
-        let hist_freeze_ms = metrics.histogram(Subsystem::Migration, "freeze_window_ms", "ms");
-        let hist_round_ms = metrics.histogram(Subsystem::Migration, "precopy_round_ms", "ms");
-        let hist_residual_kb = metrics.histogram(Subsystem::Migration, "residual_kb", "KB");
-        let hist_total_ms = metrics.histogram(Subsystem::Migration, "total_ms", "ms");
         Migrator {
             pid,
             host,
@@ -358,17 +362,9 @@ impl Migrator {
             by_xfer: BTreeMap::new(),
             temp_base,
             next_temp: 0,
-            metrics,
+            stats: MigratorStats::default(),
             trace: Trace::quiet(),
             spans: SpanIdGen::new(0x200 + host.0 as u64),
-            ctr_started,
-            ctr_succeeded,
-            ctr_failed,
-            ctr_retried,
-            hist_freeze_ms,
-            hist_round_ms,
-            hist_residual_kb,
-            hist_total_ms,
         }
     }
 
@@ -377,10 +373,29 @@ impl Migrator {
         self.pid
     }
 
-    /// The engine's metrics registry (per-phase durations and outcome
-    /// counters).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The outcome counters and per-phase histograms under the scope
+    /// label `scope`.
+    pub fn metrics(&self, scope: &str) -> ScopeMetrics {
+        let s = &self.stats;
+        ScopeMetrics::new(scope)
+            .with_counter(Subsystem::Migration, "started", s.started)
+            .with_counter(Subsystem::Migration, "succeeded", s.succeeded)
+            .with_counter(Subsystem::Migration, "failed", s.failed)
+            .with_counter(Subsystem::Migration, "retried", s.retried)
+            .with_histogram(
+                Subsystem::Migration,
+                "freeze_window_ms",
+                "ms",
+                &s.freeze_window_ms,
+            )
+            .with_histogram(
+                Subsystem::Migration,
+                "precopy_round_ms",
+                "ms",
+                &s.precopy_round_ms,
+            )
+            .with_histogram(Subsystem::Migration, "residual_kb", "KB", &s.residual_kb)
+            .with_histogram(Subsystem::Migration, "total_ms", "ms", &s.total_ms)
     }
 
     /// The engine's trace (freeze/unfreeze and per-round copy events).
@@ -540,7 +555,7 @@ impl Migrator {
             freeze_child: None,
         };
         job.milestones.mark(now, "started");
-        self.metrics.inc(self.ctr_started);
+        self.stats.started += 1;
         let out = self.select_host(now, &mut job, k);
         self.jobs.insert(lh, job);
         out
@@ -739,8 +754,9 @@ impl Migrator {
                             duration: now.since(job.iter_started),
                         });
                         job.last_round_bytes = job.iter_bytes;
-                        self.metrics
-                            .observe_ms(self.hist_round_ms, now.since(job.iter_started));
+                        self.stats
+                            .precopy_round_ms
+                            .add(ms(now.since(job.iter_started)));
                         self.trace.emit(
                             TraceLevel::Detail,
                             now,
@@ -1019,8 +1035,7 @@ impl Migrator {
             out = out.kernel(kouts);
         }
         job.residual_bytes = residual;
-        self.metrics
-            .observe(self.hist_residual_kb, residual as f64 / 1024.0);
+        self.stats.residual_kb.add(residual as f64 / 1024.0);
         self.trace.emit(
             TraceLevel::Detail,
             now,
@@ -1111,10 +1126,9 @@ impl Migrator {
         self.close_root(now, &mut job);
         let freeze_time = now.since(job.freeze_started.expect("was frozen"));
         let (_, to_host) = job.target.expect("target chosen");
-        self.metrics.inc(self.ctr_succeeded);
-        self.metrics.observe_ms(self.hist_freeze_ms, freeze_time);
-        self.metrics
-            .observe_ms(self.hist_total_ms, now.since(job.started_at));
+        self.stats.succeeded += 1;
+        self.stats.freeze_window_ms.add(ms(freeze_time));
+        self.stats.total_ms.add(ms(now.since(job.started_at)));
         self.trace.emit(
             TraceLevel::Detail,
             now,
@@ -1182,7 +1196,7 @@ impl Migrator {
                 out = out.kernel(k.reply(now, r.from, r.to, r.seq, ServiceMsg::Ok, 0));
             }
             out.events.push(MigEvent::Destroyed { lh: job.lh });
-            self.metrics.inc(self.ctr_failed);
+            self.stats.failed += 1;
             let report = self.report_failure(&job, now, MigFailure::Destroyed);
             out.events.push(MigEvent::Done(Box::new(report)));
             out
@@ -1237,7 +1251,7 @@ impl Migrator {
             job.residual_bytes = 0;
             job.freeze_started = None;
             self.close_phase(now, &mut job);
-            self.metrics.inc(self.ctr_retried);
+            self.stats.retried += 1;
             self.trace.emit(
                 TraceLevel::Warn,
                 now,
@@ -1296,7 +1310,7 @@ impl Migrator {
                 0,
             ));
         }
-        self.metrics.inc(self.ctr_failed);
+        self.stats.failed += 1;
         let report = self.report_failure(&job, now, failure);
         out.events.push(MigEvent::Done(Box::new(report)));
         out
@@ -1333,6 +1347,11 @@ enum RoundKind {
     EverWritten,
     /// Copy pages dirtied during the previous round.
     Dirty,
+}
+
+/// A duration in milliseconds, the unit of the migrator's time samples.
+fn ms(d: SimDuration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 #[cfg(test)]

@@ -27,8 +27,8 @@ use vmem::SpaceId;
 use vnet::{Frame, HostAddr, McastGroup};
 use vsim::calib::{self, PAGE_BYTES};
 use vsim::{
-    CounterId, DetRng, Metrics, SimDuration, SimTime, SpanContext, SpanId, SpanIdGen, Subsystem,
-    Trace, TraceEvent, TraceLevel,
+    DetRng, ScopeMetrics, SimDuration, SimTime, SpanContext, SpanId, SpanIdGen, Subsystem, Trace,
+    TraceEvent, TraceLevel,
 };
 
 use crate::binding::BindingCache;
@@ -205,8 +205,14 @@ pub struct KernelStats {
     pub replies: u64,
     /// Request retransmissions sent.
     pub retransmissions: u64,
-    /// Reply-pending packets sent.
+    /// Reply-pending packets sent for requests deferred because their
+    /// target logical host is frozen (§3.1.3). Exported as the
+    /// `reply_pendings_sent` counter, whose value clusterbench's pinned
+    /// digests include.
     pub reply_pendings_sent: u64,
+    /// Reply-pending packets sent for retransmitted requests that are
+    /// already delivered and being served. Not exported.
+    pub reply_pendings_in_service: u64,
     /// Reply-pending packets received.
     pub reply_pendings_received: u64,
     /// Replies discarded because the addressee's logical host was frozen.
@@ -226,7 +232,12 @@ pub struct KernelStats {
     /// Local-group (kernel server / program manager) id resolutions
     /// (100 µs each, §4.1).
     pub group_lookups: u64,
-    /// Requests sent by broadcast for lack of a binding.
+    /// Packets routed by logical host and sent unicast because the
+    /// binding cache knew the physical host. Exported as
+    /// `binding_cache_hits`.
+    pub unicast_routes: u64,
+    /// Packets routed by logical host and sent by broadcast for lack of a
+    /// binding. Exported as `binding_cache_misses`.
     pub broadcast_requests: u64,
     /// NewBinding broadcasts sent on unfreeze.
     pub new_binding_broadcasts: u64,
@@ -377,7 +388,6 @@ pub struct Kernel<X> {
     forwarding: BTreeMap<LogicalHostId, HostAddr>,
     next_xfer: u64,
     stats: KernelStats,
-    metrics: Metrics,
     trace: Trace,
     /// Time of the last public entry point, so interior paths without a
     /// `now` parameter (retransmit timers, deferrals) can stamp trace
@@ -398,30 +408,11 @@ pub struct Kernel<X> {
     /// logical host answers a later Send — renewed contact proves the
     /// server came back rather than leaked.
     orphaned_by_lh: BTreeMap<u32, u64>,
-    ctr_sends: CounterId,
-    ctr_replies: CounterId,
-    ctr_deliveries: CounterId,
-    ctr_retransmissions: CounterId,
-    ctr_deferred: CounterId,
-    ctr_reply_pendings: CounterId,
-    ctr_binding_hits: CounterId,
-    ctr_binding_misses: CounterId,
-    ctr_orphaned: CounterId,
 }
 
 impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Boots a kernel on physical host `host`.
     pub fn new(host: HostAddr, cfg: KernelConfig) -> Self {
-        let mut metrics = Metrics::new();
-        let ctr_sends = metrics.counter(Subsystem::Kernel, "sends");
-        let ctr_replies = metrics.counter(Subsystem::Kernel, "replies");
-        let ctr_deliveries = metrics.counter(Subsystem::Kernel, "deliveries");
-        let ctr_retransmissions = metrics.counter(Subsystem::Kernel, "retransmissions");
-        let ctr_deferred = metrics.counter(Subsystem::Kernel, "deferred_requests");
-        let ctr_reply_pendings = metrics.counter(Subsystem::Kernel, "reply_pendings_sent");
-        let ctr_binding_hits = metrics.counter(Subsystem::Kernel, "binding_cache_hits");
-        let ctr_binding_misses = metrics.counter(Subsystem::Kernel, "binding_cache_misses");
-        let ctr_orphaned = metrics.counter(Subsystem::Kernel, "orphaned_transactions");
         Kernel {
             host,
             cfg,
@@ -439,22 +430,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             forwarding: BTreeMap::new(),
             next_xfer: 0,
             stats: KernelStats::default(),
-            metrics,
             trace: Trace::quiet(),
             now: SimTime::ZERO,
             spans: SpanIdGen::new(0x100 + host.0 as u64),
             span_parent: SpanContext::NONE,
             open_sends: BTreeMap::new(),
             orphaned_by_lh: BTreeMap::new(),
-            ctr_sends,
-            ctr_replies,
-            ctr_deliveries,
-            ctr_retransmissions,
-            ctr_deferred,
-            ctr_reply_pendings,
-            ctr_binding_hits,
-            ctr_binding_misses,
-            ctr_orphaned,
         }
     }
 
@@ -473,10 +454,32 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         &self.stats
     }
 
-    /// The kernel's metrics registry (mirrors the overhead-bearing
-    /// [`KernelStats`] fields as typed counters).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The overhead-bearing [`KernelStats`] counters under the scope
+    /// label `scope`.
+    pub fn metrics(&self, scope: &str) -> ScopeMetrics {
+        let s = &self.stats;
+        ScopeMetrics::new(scope)
+            .with_counter(Subsystem::Kernel, "sends", s.sends)
+            .with_counter(Subsystem::Kernel, "replies", s.replies)
+            .with_counter(Subsystem::Kernel, "deliveries", s.deliveries)
+            .with_counter(Subsystem::Kernel, "retransmissions", s.retransmissions)
+            .with_counter(Subsystem::Kernel, "deferred_requests", s.deferred_requests)
+            .with_counter(
+                Subsystem::Kernel,
+                "reply_pendings_sent",
+                s.reply_pendings_sent,
+            )
+            .with_counter(Subsystem::Kernel, "binding_cache_hits", s.unicast_routes)
+            .with_counter(
+                Subsystem::Kernel,
+                "binding_cache_misses",
+                s.broadcast_requests,
+            )
+            .with_counter(
+                Subsystem::Kernel,
+                "orphaned_transactions",
+                s.orphaned_transactions,
+            )
     }
 
     /// The kernel's trace (retransmissions and reply-pending deferrals).
@@ -644,7 +647,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     ) -> (SendSeq, Vec<KernelOutput<X>>) {
         self.now = now;
         self.stats.sends += 1;
-        self.metrics.inc(self.ctr_sends);
         self.stats.freeze_checks += 1;
         let seq = {
             let lh = self
@@ -701,7 +703,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     ) -> Vec<KernelOutput<X>> {
         self.now = now;
         self.stats.replies += 1;
-        self.metrics.inc(self.ctr_replies);
         self.stats.freeze_checks += 1;
         let mut out = Vec::new();
         let key = (requester, seq);
@@ -1647,7 +1648,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     .unwrap_or_default();
                 for m in members {
                     self.stats.deliveries += 1;
-                    self.metrics.inc(self.ctr_deliveries);
                     let serve = self.open_serve_span(span);
                     self.in_progress
                         .entry((from, seq))
@@ -1740,7 +1740,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             let already = l.deferred_iter().any(|d| d.from == from && d.seq == seq);
             if !already {
                 self.stats.deferred_requests += 1;
-                self.metrics.inc(self.ctr_deferred);
                 self.trace.emit(
                     TraceLevel::Detail,
                     self.now,
@@ -1763,7 +1762,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             // retransmission" (§3.1.3).
             if !local_sender && (retransmission || already) {
                 self.stats.reply_pendings_sent += 1;
-                self.metrics.inc(self.ctr_reply_pendings);
                 let pkt = Packet::ReplyPending {
                     seq,
                     from: target,
@@ -1791,7 +1789,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         }
 
         self.stats.deliveries += 1;
-        self.metrics.inc(self.ctr_deliveries);
         let serve = self.open_serve_span(span);
         self.in_progress
             .entry((from, seq))
@@ -1843,7 +1840,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 // Already delivered and being served: reply-pending.
                 if let Some(entries) = self.in_progress.get(&(from, seq)) {
                     if let Some(e) = entries.first() {
-                        self.stats.reply_pendings_sent += 1;
+                        self.stats.reply_pendings_in_service += 1;
                         let pkt = Packet::ReplyPending {
                             seq,
                             from: e.target,
@@ -1910,7 +1907,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     .unwrap_or_default();
                 for m in members {
                     self.stats.deliveries += 1;
-                    self.metrics.inc(self.ctr_deliveries);
                     let serve = self.open_serve_span(span);
                     self.in_progress
                         .entry((from, seq))
@@ -2094,7 +2090,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 // serving logical host vanished mid-request.
                 self.stats.orphaned_transactions += 1;
                 *self.orphaned_by_lh.entry(lh).or_insert(0) += 1;
-                self.metrics.inc(self.ctr_orphaned);
                 self.trace.emit(
                     TraceLevel::Warn,
                     self.now,
@@ -2118,7 +2113,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         }
 
         self.stats.retransmissions += 1;
-        self.metrics.inc(self.ctr_retransmissions);
         self.trace.emit(
             TraceLevel::Detail,
             self.now,
@@ -2314,13 +2308,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         };
         match self.cache.lookup(lh) {
             Some(h) => {
-                self.metrics.inc(self.ctr_binding_hits);
+                self.stats.unicast_routes += 1;
                 out.push(KernelOutput::Transmit(
                     Frame::unicast(self.host, h, bytes, pkt).with_span(span),
                 ))
             }
             None => {
-                self.metrics.inc(self.ctr_binding_misses);
                 self.stats.broadcast_requests += 1;
                 out.push(KernelOutput::Transmit(
                     Frame::broadcast(self.host, bytes, pkt).with_span(span),

@@ -10,7 +10,7 @@ use vkernel::{
 };
 use vmem::SpaceLayout;
 use vnet::{HostAddr, LossModel, McastGroup};
-use vsim::{SimDuration, SimTime, Trace, TraceEvent, TraceLevel};
+use vsim::{SimDuration, SimTime, Subsystem, Trace, TraceEvent, TraceLevel};
 
 type Body = u32;
 
@@ -213,12 +213,36 @@ fn busy_server_reply_pending_prevents_abort() {
     // failure: reply-pending packets kept it alive.
     assert!(rig.send_results().is_empty(), "send must still be pending");
     assert!(rig.kernel(0).stats().reply_pendings_received > 5);
-    assert!(rig.kernel(1).stats().reply_pendings_sent > 5);
+    assert!(rig.kernel(1).stats().reply_pendings_in_service > 5);
     // The hard cap eventually fires (200 * 0.5 s = 100 s).
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
     assert!(!results[0].2);
+}
+
+#[test]
+fn retransmission_of_a_request_in_service_draws_an_unexported_reply_pending() {
+    let mut rig: Rig<Body> = Rig::new(2);
+    let a = spawn(&mut rig, 0, 1);
+    let b = spawn(&mut rig, 1, 2);
+    rig.kernel_mut(0)
+        .learn_binding(LogicalHostId(2), HostAddr(1));
+    // b never replies, so every retransmission finds the request already
+    // delivered and being served.
+    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.run_for(SimDuration::from_secs(3));
+    assert!(rig.kernel(0).stats().retransmissions > 0);
+    let server = rig.kernel(1);
+    assert!(server.stats().reply_pendings_in_service > 0);
+    // The exported counter counts only frozen-target deferrals.
+    assert_eq!(server.stats().reply_pendings_sent, 0);
+    assert_eq!(
+        server
+            .metrics("ws2")
+            .counter(Subsystem::Kernel, "reply_pendings_sent"),
+        Some(0)
+    );
 }
 
 #[test]
@@ -244,6 +268,7 @@ fn freeze_defers_and_unfreeze_in_place_delivers() {
     );
     // Retransmissions to the frozen host drew reply-pending packets.
     assert!(rig.kernel(1).stats().reply_pendings_sent >= 1);
+    assert_eq!(rig.kernel(1).stats().reply_pendings_in_service, 0);
     assert_eq!(rig.kernel(1).stats().deliveries, 0);
 
     rig.drive(1, |k, t| k.unfreeze_in_place(t, LogicalHostId(2)));

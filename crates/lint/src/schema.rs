@@ -1,9 +1,10 @@
 //! Schema-drift audit over the telemetry naming surface.
 //!
 //! Every metric and time-series name in this workspace is a string
-//! literal at its registration site — `metrics.counter(Subsystem::Net,
-//! "frames_sent")`, `series.manual(Subsystem::Cluster,
-//! "ready_programs", "programs")` — and again in the documentation
+//! literal at its export site — `.with_counter(Subsystem::Net,
+//! "frames_sent", s.frames_sent)` in a component's snapshot function,
+//! `series.manual(Subsystem::Cluster, "ready_programs", "programs")` —
+//! and again in the documentation
 //! table in EXPERIMENTS.md, in sweep specs, and in artifact consumers.
 //! Nothing ties those copies together, so renames rot silently. This
 //! pass extracts the emitted inventory from the token stream and
@@ -18,9 +19,9 @@
 //! * `schema-snake-case` — an emitted name is not `snake_case`;
 //! * `schema-kind-conflict` — one `(subsystem, name)` is registered as
 //!   two different metric kinds (series are a separate namespace: a
-//!   gauge may also be enrolled as a series under the same name);
+//!   gauge may also be recorded as a series under the same name);
 //! * `schema-series-ref` — a `"subsystem/name"` literal in non-test
-//!   code names a series that is never enrolled;
+//!   code names a series that is never registered;
 //! * `schema-plan-unknown` — a sweep spec references a fault-plan name
 //!   that `FaultPlan::names()` does not export;
 //! * `schema-fault-matrix` — the configured fault-matrix test no longer
@@ -43,7 +44,7 @@ pub enum Kind {
     Gauge,
     /// Value distribution.
     Histogram,
-    /// Enrolled or manual time series.
+    /// Time series.
     Series,
 }
 
@@ -147,23 +148,16 @@ pub fn check(
     }
 }
 
-/// Method names that register a metric or series.
+/// Method names that export a metric (`ScopeMetrics::with_*`) or
+/// register a series.
 const EMIT_FNS: &[(&str, Kind)] = &[
-    ("counter", Kind::Counter),
-    ("gauge", Kind::Gauge),
-    ("histogram", Kind::Histogram),
-    ("enroll", Kind::Series),
+    ("with_counter", Kind::Counter),
+    ("with_gauge", Kind::Gauge),
+    ("with_histogram", Kind::Histogram),
     ("manual", Kind::Series),
 ];
 
-/// Snapshot struct literals that carry `(subsystem, name)` directly.
-const SNAPSHOT_TYPES: &[(&str, Kind)] = &[
-    ("CounterSnapshot", Kind::Counter),
-    ("GaugeSnapshot", Kind::Gauge),
-    ("HistogramSnapshot", Kind::Histogram),
-];
-
-/// Extracts every literal registration site from non-test library code.
+/// Extracts every literal export site from non-test library code.
 pub fn collect_emissions(
     files: &BTreeMap<String, ParsedFile>,
     lib_files: &BTreeSet<String>,
@@ -178,7 +172,8 @@ pub fn collect_emissions(
             if pf.in_test(i) || toks[i].kind != TokKind::Ident {
                 continue;
             }
-            // `.counter(Subsystem::X, "name"[, "unit"])` and friends.
+            // `.with_counter(Subsystem::X, "name", value)`,
+            // `.with_histogram(Subsystem::X, "name", "unit", samples)`, …
             if let Some(&(_, kind)) = EMIT_FNS.iter().find(|(n, _)| toks[i].is_ident(n)) {
                 if i > 0
                     && toks[i - 1].is_punct(".")
@@ -203,69 +198,10 @@ pub fn collect_emissions(
                         line: toks[i + 6].line,
                     });
                 }
-                continue;
-            }
-            // `GaugeSnapshot { subsystem: Subsystem::X, name: "…", … }`.
-            if let Some(&(_, kind)) = SNAPSHOT_TYPES.iter().find(|(n, _)| toks[i].is_ident(n)) {
-                // Skip struct definitions (`struct GaugeSnapshot {`),
-                // path tails, and return types (`-> GaugeSnapshot {`
-                // opens the fn body, not a literal).
-                let def_site = i > 0
-                    && (toks[i - 1].is_ident("struct")
-                        || toks[i - 1].is_punct("::")
-                        || toks[i - 1].is_punct("->")
-                        || toks[i - 1].is_punct(":"));
-                if i + 1 < toks.len() && toks[i + 1].is_punct("{") && !def_site {
-                    let end = crate::ast::block_end(toks, i + 1);
-                    if let Some(em) = snapshot_emission(pf, rel, i + 2, end, kind) {
-                        out.push(em);
-                    }
-                }
             }
         }
     }
     out
-}
-
-/// Reads `subsystem: Subsystem::X` and `name: "…"` fields out of a
-/// snapshot struct literal; both must be literal for the site to count.
-fn snapshot_emission(
-    pf: &ParsedFile,
-    rel: &str,
-    lo: usize,
-    hi: usize,
-    kind: Kind,
-) -> Option<Emission> {
-    let toks = &pf.toks;
-    let mut subsystem = None;
-    let mut name = None;
-    for j in lo..hi {
-        if toks[j].is_ident("subsystem")
-            && j + 4 < hi
-            && toks[j + 1].is_punct(":")
-            && toks[j + 2].is_ident("Subsystem")
-            && toks[j + 3].is_punct("::")
-            && toks[j + 4].kind == TokKind::Ident
-        {
-            subsystem = Some(toks[j + 4].text.to_lowercase());
-        }
-        if toks[j].is_ident("name")
-            && j + 2 < hi
-            && toks[j + 1].is_punct(":")
-            && toks[j + 2].kind == TokKind::Str
-        {
-            name = Some((toks[j + 2].text.clone(), toks[j + 2].line));
-        }
-    }
-    let (name, line) = name?;
-    Some(Emission {
-        subsystem: subsystem?,
-        kind,
-        name,
-        unit: None,
-        file: rel.to_string(),
-        line,
-    })
 }
 
 /// Snake-case and kind-uniqueness checks over the emitted inventory.
@@ -448,7 +384,7 @@ fn check_docs(emissions: &[Emission], rows: &[DocRow], origin: &str, report: &mu
     }
 }
 
-/// `"subsystem/name"` literals in non-test code must name an enrolled
+/// `"subsystem/name"` literals in non-test code must name a registered
 /// series. Only strings whose prefix is a known subsystem label are
 /// considered, so path-like strings never match.
 fn check_series_refs(
@@ -487,8 +423,8 @@ fn check_series_refs(
                     rule: "schema-series-ref",
                     file: rel.clone(),
                     line: tok.line,
-                    message: format!("`{}` does not name an enrolled series", tok.text),
-                    hint: "series references must match a live enroll()/manual() registration",
+                    message: format!("`{}` does not name a registered series", tok.text),
+                    hint: "series references must match a live manual() registration",
                 });
             }
         }
@@ -638,7 +574,7 @@ mod tests {
     #[test]
     fn collects_call_pattern_emissions() {
         let ems = emissions_of(
-            "fn f(m: &mut Metrics) {\n    let c = m.counter(Subsystem::Net, \"frames_sent\");\n    let h = m.histogram(Subsystem::Migration, \"freeze_ms\", \"ms\");\n    let s = m.manual(Subsystem::Cluster, \"ready\", \"programs\");\n}\n",
+            "fn f(m: ScopeMetrics, st: &mut Store) {\n    let m = m.with_counter(Subsystem::Net, \"frames_sent\", 3);\n    let m = m.with_histogram(Subsystem::Migration, \"freeze_ms\", \"ms\", &s);\n    let s = st.manual(Subsystem::Cluster, \"ready\", \"programs\");\n}\n",
         );
         assert_eq!(ems.len(), 3);
         assert_eq!(ems[0].subsystem, "net");
@@ -652,32 +588,24 @@ mod tests {
     }
 
     #[test]
-    fn collects_multiline_enroll() {
+    fn collects_multiline_method_chain() {
         let ems = emissions_of(
-            "fn f(s: &mut Store, g: GaugeHandle) {\n    s.enroll(\n        Subsystem::Engine,\n        \"queue_depth\",\n        \"events\",\n        Probe::Gauge(g),\n    );\n}\n",
+            "fn f(s: &Stats) -> ScopeMetrics {\n    ScopeMetrics::new(\"ws1\")\n        .with_gauge(Subsystem::Cluster, \"cpu_utilization\", s.util)\n        .with_histogram(\n            Subsystem::Engine,\n            \"queue_depth\",\n            \"events\",\n            &s.depth,\n        )\n}\n",
         );
-        assert_eq!(ems.len(), 1);
-        assert_eq!(ems[0].kind, Kind::Series);
-        assert_eq!(ems[0].name, "queue_depth");
-        assert_eq!(ems[0].line, 4);
-    }
-
-    #[test]
-    fn collects_snapshot_literals_but_not_struct_defs() {
-        let ems = emissions_of(
-            "pub struct GaugeSnapshot { pub subsystem: Subsystem, pub name: String }\nfn f(v: f64) -> GaugeSnapshot {\n    GaugeSnapshot { subsystem: Subsystem::Cluster, name: \"cpu_utilization\", value: v }\n}\n",
-        );
-        assert_eq!(ems.len(), 1);
+        assert_eq!(ems.len(), 2);
         assert_eq!(ems[0].kind, Kind::Gauge);
         assert_eq!(ems[0].subsystem, "cluster");
-        assert_eq!(ems[0].name, "cpu_utilization");
-        assert_eq!(ems[0].line, 3);
+        assert_eq!(ems[0].unit, None);
+        assert_eq!(ems[1].kind, Kind::Histogram);
+        assert_eq!(ems[1].name, "queue_depth");
+        assert_eq!(ems[1].unit.as_deref(), Some("events"));
+        assert_eq!(ems[1].line, 6);
     }
 
     #[test]
     fn dynamic_and_test_emissions_are_skipped() {
         let ems = emissions_of(
-            "fn f(m: &mut Metrics, sub: Subsystem, n: &str) { m.counter(sub, n); }\n#[cfg(test)]\nmod t {\n    fn g(m: &mut super::Metrics) { m.counter(Subsystem::Net, \"only_in_tests\"); }\n}\n",
+            "fn f(m: ScopeMetrics, sub: Subsystem, n: &str) { m.with_counter(sub, n, 1); }\n#[cfg(test)]\nmod t {\n    fn g(m: super::ScopeMetrics) { m.with_counter(Subsystem::Net, \"only_in_tests\", 1); }\n}\n",
         );
         assert!(ems.is_empty(), "{ems:?}");
     }
@@ -685,7 +613,7 @@ mod tests {
     #[test]
     fn snake_case_and_kind_conflicts_are_flagged() {
         let ems = emissions_of(
-            "fn f(m: &mut Metrics) {\n    m.counter(Subsystem::Net, \"framesSent\");\n    m.counter(Subsystem::Net, \"x\");\n    m.gauge(Subsystem::Net, \"x\");\n}\n",
+            "fn f(m: ScopeMetrics) {\n    m.with_counter(Subsystem::Net, \"framesSent\", 1)\n        .with_counter(Subsystem::Net, \"x\", 1)\n        .with_gauge(Subsystem::Net, \"x\", 1.0);\n}\n",
         );
         let mut report = Report::default();
         check_names(&ems, &mut report);
@@ -697,7 +625,7 @@ mod tests {
     #[test]
     fn gauge_plus_series_is_not_a_conflict() {
         let ems = emissions_of(
-            "fn f(m: &mut Metrics, s: &mut Store, g: GaugeHandle) {\n    m.gauge(Subsystem::Engine, \"queue_depth\");\n    s.enroll(Subsystem::Engine, \"queue_depth\", \"events\", Probe::Gauge(g));\n}\n",
+            "fn f(m: ScopeMetrics, s: &mut Store) {\n    m.with_gauge(Subsystem::Engine, \"queue_depth\", 0.0);\n    s.manual(Subsystem::Engine, \"queue_depth\", \"events\");\n}\n",
         );
         let mut report = Report::default();
         check_names(&ems, &mut report);
@@ -727,7 +655,7 @@ mod tests {
     #[test]
     fn doc_diff_finds_both_directions_and_unit_drift() {
         let ems = emissions_of(
-            "fn f(m: &mut Metrics) {\n    m.counter(Subsystem::Net, \"frames_sent\");\n    m.histogram(Subsystem::Migration, \"freeze_ms\", \"us\");\n    m.counter(Subsystem::Net, \"frames_dropped\");\n}\n",
+            "fn f(m: ScopeMetrics) {\n    m.with_counter(Subsystem::Net, \"frames_sent\", 1)\n        .with_histogram(Subsystem::Migration, \"freeze_ms\", \"us\", &s)\n        .with_counter(Subsystem::Net, \"frames_dropped\", 0);\n}\n",
         );
         let rows = parse_doc_table(DOC, "EXPERIMENTS.md").expect("parses");
         let mut report = Report::default();
@@ -755,8 +683,9 @@ mod tests {
 
     #[test]
     fn stale_doc_row_is_flagged_at_its_line() {
-        let ems =
-            emissions_of("fn f(m: &mut Metrics) { m.counter(Subsystem::Net, \"frames_sent\"); }\n");
+        let ems = emissions_of(
+            "fn f(m: ScopeMetrics) { m.with_counter(Subsystem::Net, \"frames_sent\", 1); }\n",
+        );
         let rows = parse_doc_table(DOC, "EXPERIMENTS.md").expect("parses");
         let mut report = Report::default();
         check_docs(&ems, &rows, "EXPERIMENTS.md", &mut report);
@@ -766,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn series_refs_must_name_enrolled_series() {
+    fn series_refs_must_name_registered_series() {
         let src = "fn f(m: &mut Store) {\n    m.manual(Subsystem::Cluster, \"ready\", \"programs\");\n    query(\"cluster/ready\");\n    query(\"cluster/gone\");\n    open(\"target/release\");\n}\n";
         let mut files = BTreeMap::new();
         files.insert("a.rs".to_string(), ast::parse(src));

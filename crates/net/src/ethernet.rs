@@ -19,8 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use vsim::calib::{frame_wire_time, WIRE_LATENCY};
 use vsim::{
-    CounterId, DetRng, HistogramId, Metrics, SimDuration, SimTime, Subsystem, Trace, TraceEvent,
-    TraceLevel,
+    DetRng, Samples, ScopeMetrics, SimDuration, SimTime, Subsystem, Trace, TraceEvent, TraceLevel,
 };
 
 use crate::addr::{HostAddr, McastGroup, NetDest};
@@ -109,35 +108,15 @@ pub struct Ethernet<P> {
     corrupt_prob: f64,
     corrupt_until: SimTime,
     stats: WireStats,
-    metrics: Metrics,
+    /// Payload size of every frame offered by a live sender.
+    frame_payload_bytes: Samples,
     trace: Trace,
-    ctr_sent: CounterId,
-    ctr_delivered: CounterId,
-    ctr_drop_loss: CounterId,
-    ctr_drop_down: CounterId,
-    ctr_drop_partition: CounterId,
-    ctr_corrupted: CounterId,
-    ctr_sender_down: CounterId,
-    ctr_payload_bytes: CounterId,
-    ctr_busy_us: CounterId,
-    hist_frame_bytes: HistogramId,
     _payload: std::marker::PhantomData<P>,
 }
 
 impl<P: Clone> Ethernet<P> {
     /// Creates an empty segment with the given loss model.
     pub fn new(loss: LossModel, rng: DetRng) -> Self {
-        let mut metrics = Metrics::new();
-        let ctr_sent = metrics.counter(Subsystem::Net, "frames_sent");
-        let ctr_delivered = metrics.counter(Subsystem::Net, "frames_delivered");
-        let ctr_drop_loss = metrics.counter(Subsystem::Net, "frames_dropped_loss");
-        let ctr_drop_down = metrics.counter(Subsystem::Net, "frames_dropped_down");
-        let ctr_drop_partition = metrics.counter(Subsystem::Net, "frames_dropped_partition");
-        let ctr_corrupted = metrics.counter(Subsystem::Net, "frames_corrupted");
-        let ctr_sender_down = metrics.counter(Subsystem::Net, "frames_sender_down");
-        let ctr_payload_bytes = metrics.counter(Subsystem::Net, "payload_bytes");
-        let ctr_busy_us = metrics.counter(Subsystem::Net, "wire_busy_us");
-        let hist_frame_bytes = metrics.histogram(Subsystem::Net, "frame_payload_bytes", "bytes");
         Ethernet {
             stations: Vec::new(),
             groups: BTreeMap::new(),
@@ -149,18 +128,8 @@ impl<P: Clone> Ethernet<P> {
             corrupt_prob: 0.0,
             corrupt_until: SimTime::ZERO,
             stats: WireStats::default(),
-            metrics,
+            frame_payload_bytes: Samples::new(),
             trace: Trace::quiet(),
-            ctr_sent,
-            ctr_delivered,
-            ctr_drop_loss,
-            ctr_drop_down,
-            ctr_drop_partition,
-            ctr_corrupted,
-            ctr_sender_down,
-            ctr_payload_bytes,
-            ctr_busy_us,
-            hist_frame_bytes,
             _payload: std::marker::PhantomData,
         }
     }
@@ -296,16 +265,11 @@ impl<P: Clone> Ethernet<P> {
     pub fn transmit(&mut self, now: SimTime, frame: Frame<P>) -> Vec<Delivery<P>> {
         if !self.station(frame.src).up {
             self.stats.sender_down += 1;
-            self.metrics.inc(self.ctr_sender_down);
             return Vec::new();
         }
         self.stats.frames_sent += 1;
         self.stats.payload_bytes += frame.payload_bytes;
-        self.metrics.inc(self.ctr_sent);
-        self.metrics
-            .add(self.ctr_payload_bytes, frame.payload_bytes);
-        self.metrics
-            .observe(self.hist_frame_bytes, frame.payload_bytes as f64);
+        self.frame_payload_bytes.add(frame.payload_bytes as f64);
         {
             let st = self.station_mut(frame.src);
             st.frames_tx += 1;
@@ -316,7 +280,6 @@ impl<P: Clone> Ethernet<P> {
         let wire = frame_wire_time(frame.payload_bytes);
         self.busy_until = start + wire;
         self.stats.busy += wire;
-        self.metrics.add(self.ctr_busy_us, wire.as_micros());
         let arrival = start + wire + WIRE_LATENCY;
 
         let receivers: Vec<HostAddr> = match frame.dest {
@@ -355,14 +318,12 @@ impl<P: Clone> Ethernet<P> {
     ) -> Option<Delivery<P>> {
         if !self.station(to).up {
             self.stats.drops_down += 1;
-            self.metrics.inc(self.ctr_drop_down);
             return None;
         }
         // Partition blocking is static configuration: checked before the
         // loss draw and without consuming randomness.
         if self.is_blocked(frame.src, to) {
             self.stats.drops_partition += 1;
-            self.metrics.inc(self.ctr_drop_partition);
             self.trace.emit(
                 TraceLevel::Detail,
                 now,
@@ -377,7 +338,6 @@ impl<P: Clone> Ethernet<P> {
         }
         if self.loss.drops(&mut self.rng) {
             self.stats.drops_loss += 1;
-            self.metrics.inc(self.ctr_drop_loss);
             self.trace.emit(
                 TraceLevel::Detail,
                 now,
@@ -396,7 +356,6 @@ impl<P: Clone> Ethernet<P> {
             if self.rng.chance(self.corrupt_prob) {
                 frame.corrupt(salt);
                 self.stats.corrupted += 1;
-                self.metrics.inc(self.ctr_corrupted);
             }
         }
         let at = match self.link_extra.get(&(frame.src, to)) {
@@ -404,7 +363,6 @@ impl<P: Clone> Ethernet<P> {
             _ => arrival,
         };
         self.stats.deliveries += 1;
-        self.metrics.inc(self.ctr_delivered);
         {
             let st = self.station_mut(to);
             st.frames_rx += 1;
@@ -418,9 +376,30 @@ impl<P: Clone> Ethernet<P> {
         &self.stats
     }
 
-    /// The segment's metrics registry (counters mirror [`WireStats`]).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The wire counters and the frame-size histogram under the scope
+    /// label `scope`.
+    pub fn metrics(&self, scope: &str) -> ScopeMetrics {
+        let s = &self.stats;
+        ScopeMetrics::new(scope)
+            .with_counter(Subsystem::Net, "frames_sent", s.frames_sent)
+            .with_counter(Subsystem::Net, "frames_delivered", s.deliveries)
+            .with_counter(Subsystem::Net, "frames_dropped_loss", s.drops_loss)
+            .with_counter(Subsystem::Net, "frames_dropped_down", s.drops_down)
+            .with_counter(
+                Subsystem::Net,
+                "frames_dropped_partition",
+                s.drops_partition,
+            )
+            .with_counter(Subsystem::Net, "frames_corrupted", s.corrupted)
+            .with_counter(Subsystem::Net, "frames_sender_down", s.sender_down)
+            .with_counter(Subsystem::Net, "payload_bytes", s.payload_bytes)
+            .with_counter(Subsystem::Net, "wire_busy_us", s.busy.as_micros())
+            .with_histogram(
+                Subsystem::Net,
+                "frame_payload_bytes",
+                "bytes",
+                &self.frame_payload_bytes,
+            )
     }
 
     /// The segment's trace (per-receiver drop events at detail level).

@@ -10,7 +10,6 @@
 //! can't emit a record at the wrong time.
 
 use crate::engine::{Engine, EventId};
-use crate::metrics::Metrics;
 use crate::profile::{HostClock, Profiler};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Subsystem, Trace, TraceEvent, TraceLevel};
@@ -116,16 +115,6 @@ impl<E> SimContext<E> {
     /// Mutable access to the underlying engine.
     pub fn engine_mut(&mut self) -> &mut Engine<E> {
         &mut self.engine
-    }
-
-    /// The engine's metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        self.engine.metrics()
-    }
-
-    /// Mutable access to the engine's metrics registry.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        self.engine.metrics_mut()
     }
 
     // --- Tracing, stamped with the current instant. ---

@@ -13,7 +13,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use crate::metrics::{CounterId, GaugeId, Metrics};
+use crate::metrics::ScopeMetrics;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Subsystem;
 
@@ -90,16 +90,16 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct Engine<E> {
     queue: BinaryHeap<Entry<E>>,
-    cancelled: BTreeSet<EventId>,
+    /// Ids of cancelled events still in the queue (lazy cancellation).
+    tombstones: BTreeSet<EventId>,
     now: SimTime,
+    /// Sequence number of the next scheduled event, which is also the
+    /// number of events scheduled so far.
     next_seq: u64,
+    /// Events delivered so far (popped, not cancelled).
     popped: u64,
-    metrics: Metrics,
-    ctr_scheduled: CounterId,
-    ctr_delivered: CounterId,
-    ctr_cancelled: CounterId,
-    g_queue_depth: GaugeId,
-    g_tombstones: GaugeId,
+    /// Events cancelled so far (first cancel of a known id).
+    cancelled: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -111,35 +111,14 @@ impl<E> Default for Engine<E> {
 impl<E> Engine<E> {
     /// Creates an empty engine with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        let mut metrics = Metrics::new();
-        let ctr_scheduled = metrics.counter(Subsystem::Engine, "events_scheduled");
-        let ctr_delivered = metrics.counter(Subsystem::Engine, "events_delivered");
-        let ctr_cancelled = metrics.counter(Subsystem::Engine, "events_cancelled");
-        let g_queue_depth = metrics.gauge(Subsystem::Engine, "queue_depth");
-        let g_tombstones = metrics.gauge(Subsystem::Engine, "tombstones");
         Engine {
             queue: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
+            tombstones: BTreeSet::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
-            metrics,
-            ctr_scheduled,
-            ctr_delivered,
-            ctr_cancelled,
-            g_queue_depth,
-            g_tombstones,
+            cancelled: 0,
         }
-    }
-
-    /// Mirrors the live queue depth and tombstone count into their gauges
-    /// so they are observable (and samplable) like any other metric.
-    #[inline]
-    fn sync_queue_gauges(&mut self) {
-        let depth = self.pending() as f64;
-        let tombstones = self.cancelled.len() as f64;
-        self.metrics.set_gauge(self.g_queue_depth, depth);
-        self.metrics.set_gauge(self.g_tombstones, tombstones);
     }
 
     /// The current simulated time.
@@ -147,17 +126,15 @@ impl<E> Engine<E> {
         self.now
     }
 
-    /// The engine's metrics registry, which it owns alongside the clock.
-    ///
-    /// The engine records its own queue counters here; the runtime that
-    /// drives the engine may register additional cluster-level metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable access to the engine's metrics registry.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+    /// The engine's counters and queue gauges under the scope label
+    /// `scope`. The gauges are read from the queue itself.
+    pub fn metrics(&self, scope: &str) -> ScopeMetrics {
+        ScopeMetrics::new(scope)
+            .with_counter(Subsystem::Engine, "events_scheduled", self.next_seq)
+            .with_counter(Subsystem::Engine, "events_delivered", self.popped)
+            .with_counter(Subsystem::Engine, "events_cancelled", self.cancelled)
+            .with_gauge(Subsystem::Engine, "queue_depth", self.pending() as f64)
+            .with_gauge(Subsystem::Engine, "tombstones", self.tombstones() as f64)
     }
 
     /// Number of events delivered so far (popped, not cancelled).
@@ -171,7 +148,12 @@ impl<E> Engine<E> {
     /// the stored count; a cancel that raced an already-fired event can
     /// make the estimate low by one until the next compaction.
     pub fn pending(&self) -> usize {
-        self.queue.len().saturating_sub(self.cancelled.len())
+        self.queue.len().saturating_sub(self.tombstones.len())
+    }
+
+    /// Cancelled events still sitting in the queue (lazy cancellation).
+    pub fn tombstones(&self) -> usize {
+        self.tombstones.len()
     }
 
     /// Schedules `event` to fire at the absolute instant `at`.
@@ -190,8 +172,6 @@ impl<E> Engine<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(Entry { at, seq, event });
-        self.metrics.inc(self.ctr_scheduled);
-        self.sync_queue_gauges();
         EventId(seq)
     }
 
@@ -215,19 +195,18 @@ impl<E> Engine<E> {
     /// races are compacted away whenever they outnumber the live queue,
     /// so the set can never grow without bound.
     pub fn cancel(&mut self, id: EventId) {
-        if id.0 < self.next_seq && self.cancelled.insert(id) {
-            self.metrics.inc(self.ctr_cancelled);
+        if id.0 < self.next_seq && self.tombstones.insert(id) {
+            self.cancelled += 1;
         }
-        if self.cancelled.len() > self.queue.len() {
+        if self.tombstones.len() > self.queue.len() {
             self.compact_tombstones();
         }
-        self.sync_queue_gauges();
     }
 
     /// Drops every tombstone whose event is no longer in the queue.
     fn compact_tombstones(&mut self) {
         let live: BTreeSet<u64> = self.queue.iter().map(|e| e.seq).collect();
-        self.cancelled.retain(|id| live.contains(&id.0));
+        self.tombstones.retain(|id| live.contains(&id.0));
     }
 
     /// Delivers the next event, advancing the clock to its firing time.
@@ -248,21 +227,18 @@ impl<E> Engine<E> {
                 return None;
             }
             let Entry { at, seq, event } = self.queue.pop()?;
-            if self.cancelled.remove(&EventId(seq)) {
+            if self.tombstones.remove(&EventId(seq)) {
                 // The clock still advances over a cancelled event's
                 // instant. The heap does not need it, but a caller that
                 // reads `now()` after `step_due` returns `None` sees it,
                 // and every pinned artifact was produced under this rule.
                 debug_assert!(at >= self.now, "event queue went backwards");
                 self.now = at;
-                self.sync_queue_gauges();
                 continue;
             }
             debug_assert!(at >= self.now, "event queue went backwards");
             self.now = at;
             self.popped += 1;
-            self.metrics.inc(self.ctr_delivered);
-            self.sync_queue_gauges();
             return Some((at, event));
         }
     }
@@ -300,7 +276,7 @@ impl<E> Engine<E> {
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_to moving backwards");
         if let Some(e) = self.queue.peek() {
-            if !self.cancelled.contains(&EventId(e.seq)) {
+            if !self.tombstones.contains(&EventId(e.seq)) {
                 assert!(
                     e.at >= t,
                     "advance_to({t}) would skip a pending event at {}",
@@ -467,16 +443,8 @@ mod tests {
     #[test]
     fn queue_gauges_track_depth_and_tombstones() {
         let mut e: Engine<u32> = Engine::new();
-        let depth = |e: &Engine<u32>| {
-            e.metrics()
-                .snapshot("engine")
-                .gauge(Subsystem::Engine, "queue_depth")
-        };
-        let tombs = |e: &Engine<u32>| {
-            e.metrics()
-                .snapshot("engine")
-                .gauge(Subsystem::Engine, "tombstones")
-        };
+        let depth = |e: &Engine<u32>| e.metrics("engine").gauge(Subsystem::Engine, "queue_depth");
+        let tombs = |e: &Engine<u32>| e.metrics("engine").gauge(Subsystem::Engine, "tombstones");
         let a = e.schedule_after(SimDuration::from_micros(1), 1);
         e.schedule_after(SimDuration::from_micros(2), 2);
         assert_eq!(depth(&e), Some(2.0));

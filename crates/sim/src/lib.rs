@@ -5,7 +5,7 @@
 //! ([`DetRng`]), measurement collection ([`OnlineStats`], [`Samples`],
 //! [`Histogram`]), a structured observability layer (typed [`Trace`]
 //! events, causal [`span`]s reconstructed into a [`SpanTree`], and the
-//! [`metrics`] registry), a dependency-free [`json`] serializer/parser
+//! [`metrics`] report types), a dependency-free [`json`] serializer/parser
 //! for machine-readable experiment artifacts, and the
 //! calibration constants derived from the paper's §4.1 measurements
 //! ([`calib`]).
@@ -41,13 +41,13 @@ pub use faults::{
     Party, ProtocolStep, PARTY,
 };
 pub use json::{Json, ToJson};
-pub use metrics::{CounterId, GaugeId, HistogramId, Metrics, MetricsReport, ScopeMetrics};
+pub use metrics::{MetricsReport, ScopeMetrics};
 pub use profile::{HostClock, NullClock, ProfileReport, Profiler, SlotId, SlotReport};
 pub use rng::DetRng;
 pub use span::{SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation};
 pub use stats::{Histogram, OnlineStats, Samples};
 pub use time::{SimDuration, SimTime};
-pub use timeseries::{Probe, SamplingSpec, SeriesId, SeriesReport, SeriesSnapshot, SeriesStore};
+pub use timeseries::{SamplingSpec, SeriesId, SeriesReport, SeriesSnapshot, SeriesStore};
 pub use trace::{
     NullSink, RingSink, SpanEvent, Subsystem, Trace, TraceEvent, TraceLevel, TraceRecord,
     TraceSink, TraceSinkSpec, VecSink,

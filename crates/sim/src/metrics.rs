@@ -1,230 +1,36 @@
-//! Structured metrics registry.
+//! Metrics report types.
 //!
-//! Every layer of the simulation records counters, gauges, and sample
-//! histograms into a [`Metrics`] registry instead of ad-hoc struct fields.
-//! Handles ([`CounterId`], [`GaugeId`], [`HistogramId`]) are interned once
-//! at registration; recording through a handle is a plain vector index —
-//! no hashing, no string formatting, and no allocation on the hot path.
+//! Counters, gauges and sample histograms live where they change: plain
+//! fields on the component that records them ([`crate::Engine`]'s event
+//! counts, the wire's and kernel's `*Stats` structs, the migrator's
+//! [`Samples`]). Each component exports them through one snapshot
+//! function that lists the exported names, in a fixed order, as a
+//! [`ScopeMetrics`]; nothing is stored twice.
 //!
-//! A [`MetricsReport`] is an immutable snapshot suitable for JSON output:
-//! the cluster runtime merges the per-component registries (engine, wire,
-//! per-station kernels, migrators) into one report with scope labels, and
-//! every bench binary writes that report beside its printed table.
+//! A [`MetricsReport`] is an immutable set of scopes suitable for JSON
+//! output: the cluster runtime merges the per-component snapshots
+//! (engine, wire, per-station kernels, migrators) into one report with
+//! scope labels, and every bench binary writes that report beside its
+//! printed table.
 //!
 //! # Examples
 //!
 //! ```
-//! use vsim::metrics::Metrics;
-//! use vsim::Subsystem;
+//! use vsim::{Samples, ScopeMetrics, Subsystem};
 //!
-//! let mut m = Metrics::new();
-//! let sends = m.counter(Subsystem::Kernel, "ipc_sends");
-//! let freeze = m.histogram(Subsystem::Migration, "freeze_ms", "ms");
-//! m.inc(sends);
-//! m.observe(freeze, 5.25);
-//! let snap = m.snapshot("ws1");
-//! assert_eq!(snap.counters[0].value, 1);
+//! let sends = 1;
+//! let mut freeze_ms = Samples::new();
+//! freeze_ms.add(5.25);
+//! let snap = ScopeMetrics::new("ws1")
+//!     .with_counter(Subsystem::Kernel, "ipc_sends", sends)
+//!     .with_histogram(Subsystem::Migration, "freeze_ms", "ms", &freeze_ms);
+//! assert_eq!(snap.counter(Subsystem::Kernel, "ipc_sends"), Some(1));
 //! assert_eq!(snap.histograms[0].count, 1);
 //! ```
 
 use crate::json::{Json, ToJson};
 use crate::stats::Samples;
-use crate::time::SimDuration;
 use crate::trace::Subsystem;
-
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CounterId(u32);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GaugeId(u32);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HistogramId(u32);
-
-#[derive(Debug, Clone)]
-struct Counter {
-    subsystem: Subsystem,
-    name: &'static str,
-    value: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Gauge {
-    subsystem: Subsystem,
-    name: &'static str,
-    value: f64,
-}
-
-#[derive(Debug, Clone)]
-struct HistogramEntry {
-    subsystem: Subsystem,
-    name: &'static str,
-    unit: &'static str,
-    samples: Samples,
-}
-
-/// A per-component metrics registry.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    counters: Vec<Counter>,
-    gauges: Vec<Gauge>,
-    histograms: Vec<HistogramEntry>,
-}
-
-impl Metrics {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Metrics::default()
-    }
-
-    /// Registers (or re-resolves) a counter named `name` under `subsystem`.
-    ///
-    /// Registration is idempotent: the same `(subsystem, name)` pair always
-    /// returns the same handle, so components can intern freely at startup.
-    // Ids index a registry of a few dozen names, far below `u32::MAX`.
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn counter(&mut self, subsystem: Subsystem, name: &'static str) -> CounterId {
-        if let Some(i) = self
-            .counters
-            .iter()
-            .position(|c| c.subsystem == subsystem && c.name == name)
-        {
-            return CounterId(i as u32);
-        }
-        self.counters.push(Counter {
-            subsystem,
-            name,
-            value: 0,
-        });
-        CounterId(self.counters.len() as u32 - 1)
-    }
-
-    /// Registers (or re-resolves) a gauge.
-    // Ids index a registry of a few dozen names, far below `u32::MAX`.
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn gauge(&mut self, subsystem: Subsystem, name: &'static str) -> GaugeId {
-        if let Some(i) = self
-            .gauges
-            .iter()
-            .position(|g| g.subsystem == subsystem && g.name == name)
-        {
-            return GaugeId(i as u32);
-        }
-        self.gauges.push(Gauge {
-            subsystem,
-            name,
-            value: 0.0,
-        });
-        GaugeId(self.gauges.len() as u32 - 1)
-    }
-
-    /// Registers (or re-resolves) a histogram; `unit` labels the sample
-    /// unit in reports (`"ms"`, `"kb"`, `"frames"`, …).
-    // Ids index a registry of a few dozen names, far below `u32::MAX`.
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn histogram(
-        &mut self,
-        subsystem: Subsystem,
-        name: &'static str,
-        unit: &'static str,
-    ) -> HistogramId {
-        if let Some(i) = self
-            .histograms
-            .iter()
-            .position(|h| h.subsystem == subsystem && h.name == name)
-        {
-            return HistogramId(i as u32);
-        }
-        self.histograms.push(HistogramEntry {
-            subsystem,
-            name,
-            unit,
-            samples: Samples::new(),
-        });
-        HistogramId(self.histograms.len() as u32 - 1)
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.counters[id.0 as usize].value += 1;
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0 as usize].value += n;
-    }
-
-    /// Current value of a counter.
-    #[inline]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize].value
-    }
-
-    /// Sets a gauge to `v`.
-    #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0 as usize].value = v;
-    }
-
-    /// Current value of a gauge.
-    #[inline]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize].value
-    }
-
-    /// Records one histogram sample.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, v: f64) {
-        self.histograms[id.0 as usize].samples.add(v);
-    }
-
-    /// Records a duration sample in milliseconds.
-    #[inline]
-    pub fn observe_ms(&mut self, id: HistogramId, d: SimDuration) {
-        self.observe(id, d.as_secs_f64() * 1e3);
-    }
-
-    /// Number of samples recorded into a histogram.
-    pub fn histogram_count(&self, id: HistogramId) -> usize {
-        self.histograms[id.0 as usize].samples.count()
-    }
-
-    /// Snapshots this registry under the scope label `scope`
-    /// (e.g. `"ws2"`, `"net"`).
-    pub fn snapshot(&self, scope: &str) -> ScopeMetrics {
-        ScopeMetrics {
-            scope: scope.to_string(),
-            counters: self
-                .counters
-                .iter()
-                .map(|c| CounterSnapshot {
-                    subsystem: c.subsystem,
-                    name: c.name,
-                    value: c.value,
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|g| GaugeSnapshot {
-                    subsystem: g.subsystem,
-                    name: g.name,
-                    value: g.value,
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|h| HistogramSummary::of(h.subsystem, h.name, h.unit, &h.samples))
-                .collect(),
-        }
-    }
-}
 
 /// A frozen counter value.
 #[derive(Debug, Clone)]
@@ -295,16 +101,69 @@ impl HistogramSummary {
 pub struct ScopeMetrics {
     /// Scope label (e.g. `"ws2"`, `"net"`, `"engine"`).
     pub scope: String,
-    /// Counters, in registration order.
+    /// Counters, in export order.
     pub counters: Vec<CounterSnapshot>,
-    /// Gauges, in registration order.
+    /// Gauges, in export order.
     pub gauges: Vec<GaugeSnapshot>,
-    /// Histogram summaries, in registration order.
+    /// Histogram summaries, in export order.
     pub histograms: Vec<HistogramSummary>,
 }
 
 impl ScopeMetrics {
-    /// Value of a counter by `subsystem/name`, if registered.
+    /// An empty scope labelled `scope` (e.g. `"ws2"`, `"net"`).
+    pub fn new(scope: &str) -> Self {
+        ScopeMetrics {
+            scope: scope.to_string(),
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: Vec::new(),
+        }
+    }
+
+    /// Appends a counter's value.
+    pub fn with_counter(mut self, subsystem: Subsystem, name: &'static str, value: u64) -> Self {
+        self.counters.push(CounterSnapshot {
+            subsystem,
+            name,
+            value,
+        });
+        self
+    }
+
+    /// Appends a gauge's value.
+    pub fn with_gauge(mut self, subsystem: Subsystem, name: &'static str, value: f64) -> Self {
+        self.gauges.push(GaugeSnapshot {
+            subsystem,
+            name,
+            value,
+        });
+        self
+    }
+
+    /// Appends the summary of a sample histogram; `unit` labels the
+    /// samples in reports (`"ms"`, `"KB"`, `"bytes"`, …).
+    pub fn with_histogram(
+        mut self,
+        subsystem: Subsystem,
+        name: &'static str,
+        unit: &'static str,
+        samples: &Samples,
+    ) -> Self {
+        self.histograms
+            .push(HistogramSummary::of(subsystem, name, unit, samples));
+        self
+    }
+
+    /// Appends another component's metrics to this scope (a station's
+    /// kernel and migrator share one scope).
+    pub fn merge(mut self, other: ScopeMetrics) -> Self {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
+        self
+    }
+
+    /// Value of a counter by `subsystem/name`, if exported.
     pub fn counter(&self, subsystem: Subsystem, name: &str) -> Option<u64> {
         self.counters
             .iter()
@@ -312,7 +171,7 @@ impl ScopeMetrics {
             .map(|c| c.value)
     }
 
-    /// Value of a gauge by `subsystem/name`, if registered.
+    /// Value of a gauge by `subsystem/name`, if exported.
     pub fn gauge(&self, subsystem: Subsystem, name: &str) -> Option<f64> {
         self.gauges
             .iter()
@@ -320,7 +179,7 @@ impl ScopeMetrics {
             .map(|g| g.value)
     }
 
-    /// A histogram summary by `subsystem/name`, if registered.
+    /// A histogram summary by `subsystem/name`, if exported.
     pub fn histogram(&self, subsystem: Subsystem, name: &str) -> Option<&HistogramSummary> {
         self.histograms
             .iter()
@@ -328,7 +187,7 @@ impl ScopeMetrics {
     }
 }
 
-/// A machine-readable snapshot of every registry in a run.
+/// A machine-readable snapshot of every component's metrics in a run.
 ///
 /// Serializes to JSON via [`ToJson`]; bench binaries write one of these
 /// next to each printed table.
@@ -436,36 +295,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interning_is_idempotent() {
-        let mut m = Metrics::new();
-        let a = m.counter(Subsystem::Net, "frames_sent");
-        let b = m.counter(Subsystem::Net, "frames_sent");
-        let c = m.counter(Subsystem::Kernel, "frames_sent");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        m.add(a, 3);
-        m.inc(b);
-        assert_eq!(m.counter_value(a), 4);
-        assert_eq!(m.counter_value(c), 0);
-    }
-
-    #[test]
-    fn gauges_hold_last_value() {
-        let mut m = Metrics::new();
-        let g = m.gauge(Subsystem::Cluster, "cpu_utilization");
-        m.set_gauge(g, 0.25);
-        m.set_gauge(g, 0.75);
-        assert_eq!(m.gauge_value(g), 0.75);
+    fn scope_keeps_export_order_and_answers_queries() {
+        let snap = ScopeMetrics::new("net")
+            .with_counter(Subsystem::Net, "frames_sent", 4)
+            .with_counter(Subsystem::Kernel, "frames_sent", 0)
+            .with_gauge(Subsystem::Cluster, "cpu_utilization", 0.75);
+        let names: Vec<_> = snap.counters.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["frames_sent", "frames_sent"]);
+        assert_eq!(snap.counter(Subsystem::Net, "frames_sent"), Some(4));
+        assert_eq!(snap.counter(Subsystem::Kernel, "frames_sent"), Some(0));
+        assert_eq!(
+            snap.gauge(Subsystem::Cluster, "cpu_utilization"),
+            Some(0.75)
+        );
+        assert_eq!(snap.counter(Subsystem::Net, "absent"), None);
     }
 
     #[test]
     fn histogram_summary_has_ordered_percentiles() {
-        let mut m = Metrics::new();
-        let h = m.histogram(Subsystem::Migration, "freeze_ms", "ms");
+        let mut s = Samples::new();
         for i in 1..=200 {
-            m.observe(h, i as f64);
+            s.add(i as f64);
         }
-        let snap = m.snapshot("test");
+        let snap =
+            ScopeMetrics::new("test").with_histogram(Subsystem::Migration, "freeze_ms", "ms", &s);
         let hs = snap.histogram(Subsystem::Migration, "freeze_ms").unwrap();
         assert_eq!(hs.count, 200);
         let (p50, p95, p99) = (hs.p50.unwrap(), hs.p95.unwrap(), hs.p99.unwrap());
@@ -475,16 +328,28 @@ mod tests {
     }
 
     #[test]
+    fn merge_appends_each_kind_in_order() {
+        let mut s = Samples::new();
+        s.add(1.0);
+        let merged = ScopeMetrics::new("ws1")
+            .with_counter(Subsystem::Kernel, "sends", 2)
+            .merge(
+                ScopeMetrics::new("ws1")
+                    .with_counter(Subsystem::Migration, "started", 1)
+                    .with_histogram(Subsystem::Migration, "total_ms", "ms", &s),
+            )
+            .with_gauge(Subsystem::Cluster, "cpu_local_ms", 3.0);
+        let names: Vec<_> = merged.counters.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["sends", "started"]);
+        assert_eq!(merged.histograms.len(), 1);
+        assert_eq!(merged.gauges[0].name, "cpu_local_ms");
+    }
+
+    #[test]
     fn report_merges_and_queries() {
-        let mut a = Metrics::new();
-        let c = a.counter(Subsystem::Kernel, "ipc_sends");
-        a.add(c, 5);
-        let mut b = Metrics::new();
-        let c2 = b.counter(Subsystem::Kernel, "ipc_sends");
-        b.add(c2, 7);
         let mut report = MetricsReport::new();
-        report.push(a.snapshot("ws1"));
-        report.push(b.snapshot("ws2"));
+        report.push(ScopeMetrics::new("ws1").with_counter(Subsystem::Kernel, "ipc_sends", 5));
+        report.push(ScopeMetrics::new("ws2").with_counter(Subsystem::Kernel, "ipc_sends", 7));
         assert_eq!(report.counter_total(Subsystem::Kernel, "ipc_sends"), 12);
         assert_eq!(
             report
@@ -499,13 +364,14 @@ mod tests {
 
     #[test]
     fn report_serializes_to_json() {
-        let mut m = Metrics::new();
-        let c = m.counter(Subsystem::Net, "frames_sent");
-        m.add(c, 9);
-        let h = m.histogram(Subsystem::Net, "wire_ms", "ms");
-        m.observe(h, 1.5);
+        let mut s = Samples::new();
+        s.add(1.5);
         let mut report = MetricsReport::new();
-        report.push(m.snapshot("net"));
+        report.push(
+            ScopeMetrics::new("net")
+                .with_counter(Subsystem::Net, "frames_sent", 9)
+                .with_histogram(Subsystem::Net, "wire_ms", "ms", &s),
+        );
         let s = report.to_json().pretty();
         assert!(s.contains("\"scope\": \"net\""), "{s}");
         assert!(s.contains("\"frames_sent\""), "{s}");

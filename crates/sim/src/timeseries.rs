@@ -1,10 +1,10 @@
 //! Deterministic sim-time-sampled time series.
 //!
 //! End-of-run [`crate::metrics`] snapshots say *what* happened; a
-//! [`SeriesStore`] says *when*. Any registry counter, gauge, or histogram
-//! can be enrolled as a [`Probe`] and swept at a fixed sim-time cadence,
-//! and values computed outside a registry (ready-queue lengths, lease
-//! counts) are recorded into manual series on the same tick. Sampling is
+//! [`SeriesStore`] says *when*. The owner registers each series once and,
+//! on every tick of a fixed sim-time cadence, reads the values from where
+//! they live (the engine's queue depth, ready-queue lengths, lease
+//! counts) and records them in one [`SeriesStore::sweep`]. Sampling is
 //! driven entirely by the simulated clock — the tick is an ordinary event
 //! on the engine queue — so two same-seed runs produce bit-identical
 //! series, byte for byte, through [`crate::json`].
@@ -19,35 +19,19 @@
 //! # Examples
 //!
 //! ```
-//! use vsim::{Metrics, Probe, SamplingSpec, SeriesStore, SimTime, Subsystem};
+//! use vsim::{SamplingSpec, SeriesStore, SimTime, Subsystem};
 //!
-//! let mut m = Metrics::new();
-//! let depth = m.gauge(Subsystem::Engine, "queue_depth");
 //! let mut store = SeriesStore::new(SamplingSpec::default());
-//! store.enroll(Subsystem::Engine, "queue_depth", "events", Probe::Gauge(depth));
-//! m.set_gauge(depth, 17.0);
-//! store.sample(SimTime::from_micros(1_000), &m);
+//! let depth = store.manual(Subsystem::Engine, "queue_depth", "events");
+//! store.sweep(SimTime::from_micros(1_000), &[(depth, 17.0)]);
 //! assert_eq!(store.report().series[0].points, vec![(1_000, 17.0)]);
+//! assert_eq!(store.sweeps(), 1);
 //! ```
 
 use crate::json::{Json, ToJson};
-use crate::metrics::{CounterId, GaugeId, HistogramId, Metrics};
 use crate::time::SimDuration;
 use crate::time::SimTime;
 use crate::trace::Subsystem;
-
-/// What an enrolled series reads out of a [`Metrics`] registry on each
-/// sweep. Handles are registry-local: a store's probes must all come from
-/// the registry passed to [`SeriesStore::sample`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// A counter's cumulative value.
-    Counter(CounterId),
-    /// A gauge's last-set value.
-    Gauge(GaugeId),
-    /// A histogram's cumulative sample count.
-    HistogramCount(HistogramId),
-}
 
 /// Sampling cadence and per-series retention for a [`SeriesStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +52,7 @@ impl Default for SamplingSpec {
     }
 }
 
-/// Handle to an enrolled series.
+/// Handle to a registered series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesId(u32);
 
@@ -77,12 +61,11 @@ struct Series {
     subsystem: Subsystem,
     name: &'static str,
     unit: &'static str,
-    probe: Option<Probe>,
     /// Retained `(t_micros, value)` points, oldest first.
     points: Vec<(u64, f64)>,
     /// Keep every `stride`-th offered sample (doubles on decimation).
     stride: u64,
-    /// Samples offered since enrollment.
+    /// Samples offered since registration.
     seen: u64,
     /// Most recent offered sample, retained or not.
     last: Option<(u64, f64)>,
@@ -128,7 +111,7 @@ impl Series {
     }
 }
 
-/// A set of enrolled series sampled on a common sim-time cadence.
+/// A set of registered series sampled on a common sim-time cadence.
 #[derive(Debug, Clone)]
 pub struct SeriesStore {
     spec: SamplingSpec,
@@ -159,47 +142,26 @@ impl SeriesStore {
         self.sweeps
     }
 
-    /// Number of enrolled series.
+    /// Number of registered series.
     pub fn len(&self) -> usize {
         self.series.len()
     }
 
-    /// True when nothing is enrolled.
+    /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
     }
 
-    /// Enrolls a registry metric for periodic sampling. Idempotent by
-    /// `(subsystem, name)`, like registration in [`Metrics`] itself.
-    pub fn enroll(
-        &mut self,
-        subsystem: Subsystem,
-        name: &'static str,
-        unit: &'static str,
-        probe: Probe,
-    ) -> SeriesId {
-        self.intern(subsystem, name, unit, Some(probe))
-    }
-
-    /// Enrolls a manually recorded series (values pushed by the owner via
-    /// [`SeriesStore::record`] instead of read from a registry).
+    /// Registers a series whose values the owner records via
+    /// [`SeriesStore::sweep`] or [`SeriesStore::record`]. Idempotent by
+    /// `(subsystem, name)`.
+    // Series ids index the registered series, far below `u32::MAX`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn manual(
         &mut self,
         subsystem: Subsystem,
         name: &'static str,
         unit: &'static str,
-    ) -> SeriesId {
-        self.intern(subsystem, name, unit, None)
-    }
-
-    // Series ids index the enrolled series, far below `u32::MAX`.
-    #[allow(clippy::cast_possible_truncation)]
-    fn intern(
-        &mut self,
-        subsystem: Subsystem,
-        name: &'static str,
-        unit: &'static str,
-        probe: Option<Probe>,
     ) -> SeriesId {
         if let Some(i) = self
             .series
@@ -212,7 +174,6 @@ impl SeriesStore {
             subsystem,
             name,
             unit,
-            probe,
             points: Vec::new(),
             stride: 1,
             seen: 0,
@@ -221,27 +182,18 @@ impl SeriesStore {
         SeriesId(self.series.len() as u32 - 1)
     }
 
-    /// Records one sample into a series (manual or enrolled) at `at`.
+    /// Records one sample into a series at `at`, outside any sweep.
     pub fn record(&mut self, id: SeriesId, at: SimTime, value: f64) {
         let capacity = self.spec.capacity;
         self.series[id.0 as usize].offer(capacity, at.as_micros(), value);
     }
 
-    /// One sweep: reads every probe-enrolled series out of `metrics` at
-    /// the instant `at`. Manual series are untouched — the owner records
-    /// them on the same tick.
-    pub fn sample(&mut self, at: SimTime, metrics: &Metrics) {
+    /// One sweep: records each `(series, value)` pair, all stamped with
+    /// the instant `at`, and counts the sweep.
+    pub fn sweep(&mut self, at: SimTime, values: &[(SeriesId, f64)]) {
         self.sweeps += 1;
-        let t = at.as_micros();
-        let capacity = self.spec.capacity;
-        for s in &mut self.series {
-            let Some(probe) = s.probe else { continue };
-            let value = match probe {
-                Probe::Counter(id) => metrics.counter_value(id) as f64,
-                Probe::Gauge(id) => metrics.gauge_value(id),
-                Probe::HistogramCount(id) => metrics.histogram_count(id) as f64,
-            };
-            s.offer(capacity, t, value);
+        for &(id, value) in values {
+            self.record(id, at, value);
         }
     }
 
@@ -294,7 +246,7 @@ pub struct SeriesReport {
     pub capacity: usize,
     /// Sweeps taken.
     pub sweeps: u64,
-    /// One snapshot per enrolled series, in enrollment order.
+    /// One snapshot per registered series, in registration order.
     pub series: Vec<SeriesSnapshot>,
 }
 
@@ -348,12 +300,10 @@ mod tests {
     }
 
     #[test]
-    fn enrollment_is_idempotent() {
+    fn registration_is_idempotent() {
         let mut st = store(8);
-        let mut m = Metrics::new();
-        let g = m.gauge(Subsystem::Engine, "queue_depth");
-        let a = st.enroll(Subsystem::Engine, "queue_depth", "events", Probe::Gauge(g));
-        let b = st.enroll(Subsystem::Engine, "queue_depth", "events", Probe::Gauge(g));
+        let a = st.manual(Subsystem::Engine, "queue_depth", "events");
+        let b = st.manual(Subsystem::Engine, "queue_depth", "events");
         let c = st.manual(Subsystem::Cluster, "ready", "programs");
         assert_eq!(a, b);
         assert_ne!(a, c);
@@ -361,28 +311,18 @@ mod tests {
     }
 
     #[test]
-    fn probes_read_counters_gauges_and_histograms() {
-        let mut m = Metrics::new();
-        let ctr = m.counter(Subsystem::Net, "frames");
-        let g = m.gauge(Subsystem::Engine, "depth");
-        let h = m.histogram(Subsystem::Migration, "freeze_ms", "ms");
+    fn sweep_stamps_every_value_and_counts_once() {
         let mut st = store(8);
-        st.enroll(Subsystem::Net, "frames", "frames", Probe::Counter(ctr));
-        st.enroll(Subsystem::Engine, "depth", "events", Probe::Gauge(g));
-        st.enroll(
-            Subsystem::Migration,
-            "freezes",
-            "samples",
-            Probe::HistogramCount(h),
-        );
-        m.add(ctr, 5);
-        m.set_gauge(g, 2.5);
-        m.observe(h, 1.0);
-        st.sample(SimTime::from_micros(10), &m);
+        let frames = st.manual(Subsystem::Net, "frames", "frames");
+        let depth = st.manual(Subsystem::Engine, "depth", "events");
+        st.sweep(SimTime::from_micros(10), &[(frames, 5.0), (depth, 2.5)]);
+        st.record(depth, SimTime::from_micros(11), 3.0);
         let r = st.report();
         assert_eq!(r.series("frames").unwrap().points, vec![(10, 5.0)]);
-        assert_eq!(r.series("depth").unwrap().points, vec![(10, 2.5)]);
-        assert_eq!(r.series("freezes").unwrap().points, vec![(10, 1.0)]);
+        assert_eq!(
+            r.series("depth").unwrap().points,
+            vec![(10, 2.5), (11, 3.0)]
+        );
         assert_eq!(r.sweeps, 1);
     }
 

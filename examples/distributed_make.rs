@@ -41,7 +41,10 @@ fn main() {
     let rp: u64 = cluster
         .stations
         .iter()
-        .map(|w| w.kernel.stats().reply_pendings_sent)
+        .map(|w| {
+            let s = w.kernel.stats();
+            s.reply_pendings_sent + s.reply_pendings_in_service
+        })
         .sum();
     println!("\nreply-pending packets sent while the control program waited: {rp}");
     println!(

@@ -57,9 +57,9 @@ pub mod prelude {
     pub use vservices::LeaseConfig;
     pub use vsim::{
         fault_points, DetRng, Engine, EventId, FaultKind, FaultPlan, FaultPoint, FaultTrigger,
-        Metrics, MetricsReport, MigrationPhase, Party, ProtocolStep, SamplingSpec, SimContext,
-        SimDuration, SimTime, SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation,
-        Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
+        MetricsReport, MigrationPhase, Party, ProtocolStep, SamplingSpec, SimContext, SimDuration,
+        SimTime, SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation, Subsystem,
+        Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
     };
     pub use vworkload::{profiles, Phase, ProgramProfile, UserModelParams};
 }

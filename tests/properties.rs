@@ -80,11 +80,7 @@ fn engine_queue_invariants_hold_under_churn() {
         let mut e: Engine<usize> = Engine::new();
         let mut ids: Vec<EventId> = Vec::new();
         let mut popped: Vec<(SimTime, usize)> = Vec::new();
-        let depth = |e: &Engine<usize>| {
-            e.metrics()
-                .snapshot("engine")
-                .gauge(Subsystem::Engine, "queue_depth")
-        };
+        let depth = |e: &Engine<usize>| e.metrics("engine").gauge(Subsystem::Engine, "queue_depth");
         for op in 0..400 {
             match rng.index(10) {
                 // Mostly schedules, spanning same-instant ties, µs to

@@ -150,13 +150,13 @@ fn assert_same_trace(a: &Outcome, b: &Outcome, label: &str) {
 /// Same seed: the sampled time-series must serialize byte-identically —
 /// the telemetry layer inherits the replay guarantee. The sweeps are
 /// driven off the event queue (`SampleTick`), so any nondeterminism in
-/// sampling cadence or probe reads diverges here.
+/// sampling cadence or in the values read diverges here.
 #[test]
 fn same_seed_runs_produce_identical_series() {
     let a = run_once(1985);
     let b = run_once(1985);
     // Non-vacuity: sampling actually ran, on the default 1 ms cadence,
-    // and captured the default cluster enrollments.
+    // and captured the default cluster series.
     assert!(
         a.sweeps > 1_000,
         "sampling barely ran ({} sweeps)",
@@ -165,7 +165,7 @@ fn same_seed_runs_produce_identical_series() {
     for series in ["queue_depth", "ready_programs", "active_leases"] {
         assert!(
             a.series_json.contains(series),
-            "default enrollment `{series}` missing from report"
+            "default series `{series}` missing from report"
         );
     }
     assert_eq!(
