@@ -44,12 +44,6 @@ fn scenario(forwarding: bool) -> (Row, vsim::MetricsReport) {
         ..KernelConfig::default()
     };
     let mut rig: Rig<u32> = Rig::with_loss(3, LossModel::None, cfg);
-    // The rig has no cluster runtime, so apply the shared bench trace
-    // knob to each kernel directly.
-    let level = vbench::trace_level(vsim::TraceLevel::Warn);
-    for i in 0..3 {
-        *rig.kernel_mut(i).trace_mut() = vsim::Trace::new(level);
-    }
     let spawn = |rig: &mut Rig<u32>, i: usize, lh: u32| -> ProcessId {
         let l = rig.kernel_mut(i).create_logical_host(LogicalHostId(lh));
         let team = l.create_space(SpaceLayout::tiny());

@@ -3,7 +3,7 @@
 //!
 //! Each run executes one program remotely (ws1 → ws2) and crashes the
 //! holding workstation at a known instant, with a named background fault
-//! plan layered on top. Three latencies are read off the merged trace,
+//! plan layered on top. Three latencies are read off the cluster trace,
 //! all in simulated time and therefore exactly reproducible:
 //!
 //! - **detect** — scripted crash → the origin's `LeaseExpired` record
@@ -95,12 +95,11 @@ fn run_one(plan_name: &str, seed: u64) -> ([Option<f64>; 3], bool, Cluster) {
         c.run_for(SimDuration::from_secs(30));
     }
     let clean = c.pending() == 0 && c.audit(true).is_clean();
-    c.merge_component_traces();
     let since = |at: SimTime, from: SimTime| (at - from).as_secs_f64() * 1e3;
     let mut detect = None;
     let mut reexec = None;
     let mut exterminate = None;
-    for r in c.trace().records() {
+    for r in c.trace().records().iter() {
         match r.event {
             TraceEvent::LeaseExpired {
                 party: "origin", ..

@@ -1,7 +1,7 @@
 //! Span-based profiling support for the bench binaries.
 //!
 //! The cluster components emit causal spans (see [`vsim::span`]) into
-//! their traces; this module turns a merged [`SpanTree`] into the two
+//! the cluster's one trace; this module turns its [`SpanTree`] into the two
 //! artifacts the experiments publish:
 //!
 //! * a Chrome/Perfetto `trace.json` file (one process per station, one

@@ -267,8 +267,8 @@ pub struct ClusterConfig {
     pub evict_on_owner_return: bool,
     /// Trace verbosity.
     pub trace: TraceLevel,
-    /// Where trace records are retained (unbounded, fixed ring, or off);
-    /// applies to the cluster trace and every component trace.
+    /// Where trace records are retained (unbounded, fixed ring, or off):
+    /// the one buffer the runtime, wire, kernels and migrators share.
     pub trace_sink: TraceSinkSpec,
     /// Deterministic fault schedule executed by the runtime.
     pub faults: FaultPlan,
@@ -478,14 +478,16 @@ impl Cluster {
     /// 1..=N are user workstations named `ws1`, `ws2`, ...
     pub fn new(cfg: ClusterConfig) -> Self {
         let mut rng = DetRng::seed(cfg.seed);
-        let mut net = Ethernet::new(cfg.loss.clone(), rng.fork());
+        let trace = Trace::with_sink(cfg.trace, cfg.trace_sink);
+        let mut net = Ethernet::new(cfg.loss.clone(), rng.fork(), trace.clone());
         let mut stations = Vec::new();
         let total = cfg.workstations + 1;
 
         // First pass: create kernels and system processes.
         for i in 0..total {
             let host = net.attach();
-            let mut kernel: Kernel<ServiceMsg> = Kernel::new(host, cfg.kernel.clone());
+            let mut kernel: Kernel<ServiceMsg> =
+                Kernel::new(host, cfg.kernel.clone(), trace.clone());
             let system_lh = LogicalHostId(1 + i as u32);
             let l = kernel.create_logical_host(system_lh);
             let team = l.create_space(SpaceLayout {
@@ -559,7 +561,12 @@ impl Cluster {
                 pm,
                 display: DisplayServer::new(display_pid),
                 fs,
-                migrator: Migrator::new(mig_pid, host, 1_000_000 + 10_000 * i as u32),
+                migrator: Migrator::new(
+                    mig_pid,
+                    host,
+                    1_000_000 + 10_000 * i as u32,
+                    trace.clone(),
+                ),
                 exec: RemoteExecutor::new(shell_pid, host, pm_pid),
                 shell: shell_pid,
                 user,
@@ -589,8 +596,7 @@ impl Cluster {
             station.kernel.learn_binding(PAGING_LH, fs_host);
         }
 
-        let mut ctx: SimContext<Event> =
-            SimContext::new(Trace::with_sink(cfg.trace, cfg.trace_sink));
+        let mut ctx: SimContext<Event> = SimContext::new(trace);
         let slots = EventSlots::intern(ctx.profiler_mut());
         // Default telemetry series, all recorded on each tick by
         // `take_sample`; the engine's queue comes first.
@@ -627,16 +633,6 @@ impl Cluster {
             reclaim_pending: BTreeMap::new(),
             periodic_ticks: 0,
         };
-        // Components are born with quiet traces; give them the cluster's
-        // verbosity (and sink choice) so their records survive until
-        // merged — or cost nothing when tracing is off.
-        let level = cluster.cfg.trace;
-        let sink = cluster.cfg.trace_sink;
-        *cluster.net.trace_mut() = Trace::with_sink(level, sink);
-        for w in &mut cluster.stations {
-            *w.kernel.trace_mut() = Trace::with_sink(level, sink);
-            *w.migrator.trace_mut() = Trace::with_sink(level, sink);
-        }
         cluster.seed_user_transitions();
         // Schedule the fault plan: timed faults go straight on the queue;
         // phase-triggered ones wait for their migration step.
@@ -894,14 +890,10 @@ impl Cluster {
         self.ctx.events_delivered()
     }
 
-    /// The cluster trace.
+    /// The cluster trace: the one timeline the runtime, wire, kernels and
+    /// migrators emit into, in time order.
     pub fn trace(&self) -> &Trace {
         self.ctx.trace()
-    }
-
-    /// Mutable access to the cluster trace.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        self.ctx.trace_mut()
     }
 
     /// Snapshots every component's metrics into one report: the event
@@ -937,24 +929,11 @@ impl Cluster {
         report
     }
 
-    /// Folds every component trace (wire drops, kernel retransmissions
-    /// and deferrals, migration phases) into the cluster trace,
-    /// time-sorted with the cluster's own records.
-    pub fn merge_component_traces(&mut self) {
-        for w in &mut self.stations {
-            self.ctx.trace_mut().drain_from(w.kernel.trace_mut());
-            self.ctx.trace_mut().drain_from(w.migrator.trace_mut());
-        }
-        self.ctx.trace_mut().drain_from(self.net.trace_mut());
-        self.ctx.trace_mut().sort_by_time();
-    }
-
-    /// Merges every component trace and builds the causal span tree for the
-    /// whole run. Call after the simulation has quiesced; spans still open at
-    /// that point (e.g. transactions lost to a destroyed host) show up via
+    /// The causal span tree of the whole run so far. Call after the
+    /// simulation has quiesced; spans still open at that point (e.g.
+    /// transactions lost to a destroyed host) show up via
     /// [`SpanTree::unclosed`].
-    pub fn span_tree(&mut self) -> SpanTree {
-        self.merge_component_traces();
+    pub fn span_tree(&self) -> SpanTree {
         SpanTree::build(self.ctx.trace())
     }
 
@@ -1191,7 +1170,7 @@ impl Cluster {
                 let outs = {
                     let w = &mut self.stations[ws];
                     let pm_pid = w.pm.pid();
-                    w.kernel.abort_server_transactions(pm_pid);
+                    w.kernel.abort_server_transactions(now, pm_pid);
                     w.pm.restart(&w.kernel)
                 };
                 self.apply_svc_outputs(ws, SvcKind::Pm, outs);
@@ -1959,25 +1938,19 @@ impl Cluster {
         if let Some(prt) = self.stations[i].programs.get_mut(&lh) {
             prt.scheduled = false;
             if !frozen {
-                // Record the slice as a retroactive "quantum" span: the run
-                // started a slice ago, so the open record is back-dated.
-                // `sort_by_time` puts it in order before anything reads it.
+                // The slice began a slice ago: record it whole as one
+                // "quantum" span stamped now, so the trace stays in time
+                // order.
                 let now = self.ctx.now();
-                let sid = self.spans.next();
-                sid.open(
+                self.spans.next().done(
                     self.ctx.trace_mut(),
                     TraceLevel::Detail,
                     SimTime::from_micros(now.as_micros().saturating_sub(slice.as_micros())),
+                    now,
                     Subsystem::Cluster,
                     SpanContext::NONE,
                     "quantum",
                     host.0,
-                );
-                sid.close(
-                    self.ctx.trace_mut(),
-                    TraceLevel::Detail,
-                    now,
-                    Subsystem::Cluster,
                 );
                 // Charge the slice: the behaviour dirties pages.
                 let w = &mut self.stations[i];

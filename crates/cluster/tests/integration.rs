@@ -5,7 +5,7 @@ use vcluster::{Cluster, ClusterConfig, Command};
 use vcore::{ExecTarget, MigrationConfig, StopPolicy, Strategy};
 use vkernel::Priority;
 use vnet::LossModel;
-use vsim::{SamplingSpec, SimDuration, SimTime, Subsystem, TraceEvent, TraceLevel};
+use vsim::{SamplingSpec, SimDuration, SimTime, Subsystem, TraceEvent, TraceLevel, TraceSinkSpec};
 use vworkload::profiles;
 use vworkload::{Phase, ProgramProfile};
 
@@ -751,9 +751,8 @@ fn migration_emits_typed_trace_timeline() {
     c.run_for(SimDuration::from_secs(30));
     assert!(c.migration_reports[0].success);
 
-    // Fold the per-component traces (kernels, migrators, wire) into the
-    // cluster timeline, then assert structurally — no message grepping.
-    c.merge_component_traces();
+    // Kernels, migrators and the wire share the cluster trace; assert on
+    // it structurally — no message grepping.
     let n = lh.0;
     assert_eq!(
         c.trace()
@@ -797,6 +796,34 @@ fn migration_emits_typed_trace_timeline() {
     let unfreeze_at = pos(&|e| matches!(e, TraceEvent::Unfreeze { lh } if *lh == n));
     let round_at = pos(&|e| matches!(e, TraceEvent::PrecopyRound { lh, .. } if *lh == n));
     assert!(round_at < freeze_at && freeze_at < unfreeze_at);
+}
+
+/// Runs one program from ws1 on ws2 and migrates it once, for 70 s.
+fn one_migration_run(trace_sink: TraceSinkSpec) -> Cluster {
+    let mut c = Cluster::new(ClusterConfig {
+        seed: 11,
+        trace: TraceLevel::Detail,
+        trace_sink,
+        ..quiet_config(3)
+    });
+    let profile = profiles::simulation_profile(SimDuration::from_secs(120));
+    c.exec(1, profile, ExecTarget::Named("ws2".into()), Priority::GUEST);
+    c.run_for(SimDuration::from_secs(20));
+    let lh = c.exec_reports[0].lh.expect("program created");
+    c.migrateprog(2, lh, false);
+    c.run_for(SimDuration::from_secs(50));
+    assert!(c.migration_reports[0].success);
+    c
+}
+
+#[test]
+fn ring_trace_keeps_the_latest_records_of_every_component() {
+    let full = one_migration_run(TraceSinkSpec::Unbounded);
+    let ring = one_migration_run(TraceSinkSpec::Ring(64));
+    let all = full.trace().records();
+    assert!(all.len() > 64, "the run must overflow the ring");
+    assert_eq!(&*ring.trace().records(), &all[all.len() - 64..]);
+    assert_eq!(ring.trace().records_dropped(), (all.len() - 64) as u64);
 }
 
 #[test]

@@ -352,8 +352,9 @@ pub struct Migrator {
 impl Migrator {
     /// Creates the engine. `pid` is its process (in the workstation's
     /// system logical host); `temp_base` starts its private range of
-    /// temporary logical-host ids.
-    pub fn new(pid: ProcessId, host: HostAddr, temp_base: u32) -> Self {
+    /// temporary logical-host ids. Phase spans and copy events go to
+    /// `trace`.
+    pub fn new(pid: ProcessId, host: HostAddr, temp_base: u32, trace: Trace) -> Self {
         Migrator {
             pid,
             host,
@@ -363,7 +364,7 @@ impl Migrator {
             temp_base,
             next_temp: 0,
             stats: MigratorStats::default(),
-            trace: Trace::quiet(),
+            trace,
             spans: SpanIdGen::new(0x200 + host.0 as u64),
         }
     }
@@ -396,17 +397,6 @@ impl Migrator {
             )
             .with_histogram(Subsystem::Migration, "residual_kb", "KB", &s.residual_kb)
             .with_histogram(Subsystem::Migration, "total_ms", "ms", &s.total_ms)
-    }
-
-    /// The engine's trace (freeze/unfreeze and per-round copy events).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable trace handle, e.g. to raise the retained level or drain
-    /// records into a cluster-wide trace.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// True while a migration of `lh` is in progress.

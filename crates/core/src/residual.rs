@@ -95,7 +95,8 @@ mod tests {
     fn open_file_on_departed_host_is_residual() {
         // Build a tiny world: a local file server on host0, a client
         // process that opens a file, then "migrates" to host1.
-        let mut k: Kernel<ServiceMsg> = Kernel::new(HostAddr(0), KernelConfig::default());
+        let mut k: Kernel<ServiceMsg> =
+            Kernel::new(HostAddr(0), KernelConfig::default(), vsim::Trace::quiet());
         let l = k.create_logical_host(LogicalHostId(1));
         let team = l.create_space(SpaceLayout::tiny());
         let fs_pid = l.create_process(team, Priority::SYSTEM, false);

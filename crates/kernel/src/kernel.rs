@@ -411,8 +411,8 @@ pub struct Kernel<X> {
 }
 
 impl<X: Clone + std::fmt::Debug> Kernel<X> {
-    /// Boots a kernel on physical host `host`.
-    pub fn new(host: HostAddr, cfg: KernelConfig) -> Self {
+    /// Boots a kernel on physical host `host`, emitting into `trace`.
+    pub fn new(host: HostAddr, cfg: KernelConfig, trace: Trace) -> Self {
         Kernel {
             host,
             cfg,
@@ -430,7 +430,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             forwarding: BTreeMap::new(),
             next_xfer: 0,
             stats: KernelStats::default(),
-            trace: Trace::quiet(),
+            trace,
             now: SimTime::ZERO,
             spans: SpanIdGen::new(0x100 + host.0 as u64),
             span_parent: SpanContext::NONE,
@@ -480,17 +480,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 "orphaned_transactions",
                 s.orphaned_transactions,
             )
-    }
-
-    /// The kernel's trace (retransmissions and reply-pending deferrals).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable trace handle, e.g. to raise the retained level or drain
-    /// records into a cluster-wide trace.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The binding cache (for inspection).
@@ -674,17 +663,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         );
         self.open_sends.insert((from, seq), sid);
         let mut out = Vec::new();
-        self.route_send(
-            now,
-            seq,
-            from,
-            to,
-            body,
-            data_bytes,
-            false,
-            sid.ctx(),
-            &mut out,
-        );
+        self.route_send(seq, from, to, body, data_bytes, false, sid.ctx(), &mut out);
         (seq, out)
     }
 
@@ -762,12 +741,13 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// migration protocol learns it from the target-selection reply).
     pub fn copy_pages(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         initiator: ProcessId,
         to_lh: LogicalHostId,
         to_space: SpaceId,
         pages: Vec<u32>,
     ) -> (XferId, Vec<KernelOutput<X>>) {
+        self.now = now;
         self.stats.freeze_checks += 1;
         let xfer = XferId(self.next_xfer);
         self.next_xfer += 1;
@@ -822,7 +802,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     #[allow(clippy::too_many_arguments)]
     pub fn pull_pages(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         initiator: ProcessId,
         from_lh: LogicalHostId,
         from_space: SpaceId,
@@ -830,6 +810,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         to_space: SpaceId,
         pages: Vec<u32>,
     ) -> (XferId, Vec<KernelOutput<X>>) {
+        self.now = now;
         self.stats.freeze_checks += 1;
         let pull = XferId(self.next_xfer);
         self.next_xfer += 1;
@@ -909,6 +890,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Panics if `lh` is not resident.
     #[allow(clippy::expect_used)]
     pub fn unfreeze_in_place(&mut self, now: SimTime, lh: LogicalHostId) -> Vec<KernelOutput<X>> {
+        self.now = now;
         let mut out = Vec::new();
         let deferred = {
             let l = self
@@ -920,7 +902,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         };
         for d in deferred {
             self.route_send(
-                now,
                 d.seq,
                 d.from,
                 d.dest,
@@ -938,6 +919,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// optionally broadcasts the new binding (§3.1.4 optimization) and
     /// delivers any requests deferred while the final copy completed.
     pub fn unfreeze_migrated(&mut self, now: SimTime, lh: LogicalHostId) -> Vec<KernelOutput<X>> {
+        self.now = now;
         let mut out = Vec::new();
         if self.cfg.broadcast_new_binding {
             self.stats.new_binding_broadcasts += 1;
@@ -1024,6 +1006,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         temp: LogicalHostId,
         record: &MigrationRecord<X>,
     ) -> Vec<KernelOutput<X>> {
+        self.now = now;
         let mut out = Vec::new();
         let mut l = self.lhs.remove(&temp).expect("install: temp not resident");
         assert!(
@@ -1091,6 +1074,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Sends are restarted (and now route remotely); remote senders
     /// recover by retransmission (§3.1.3).
     pub fn delete_logical_host(&mut self, now: SimTime, lh: LogicalHostId) -> Vec<KernelOutput<X>> {
+        self.now = now;
         let mut out = Vec::new();
         let Some(mut l) = self.lhs.remove(&lh) else {
             return out;
@@ -1115,7 +1099,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         for d in deferred {
             if d.local_sender && self.lhs.contains_key(&d.from.lh) {
                 self.route_send(
-                    now,
                     d.seq,
                     d.from,
                     d.dest,
@@ -1264,8 +1247,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// process that crash-restarted and will never reply to requests it
     /// had accepted). The requesters' retransmissions then re-deliver
     /// those requests to the restarted server instead of drawing
-    /// reply-pending packets forever. Returns how many were dropped.
-    pub fn abort_server_transactions(&mut self, server: ProcessId) -> usize {
+    /// reply-pending packets forever. Returns how many were dropped; their
+    /// serve spans close at `now`.
+    pub fn abort_server_transactions(&mut self, now: SimTime, server: ProcessId) -> usize {
+        self.now = now;
         let mut dropped = 0;
         let mut aborted_spans: Vec<SpanId> = Vec::new();
         self.in_progress.retain(|_, entries| {
@@ -1284,12 +1269,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         // Sorted so the trace is independent of hash-map iteration order.
         aborted_spans.sort();
         for s in aborted_spans {
-            s.close(
-                &mut self.trace,
-                TraceLevel::Detail,
-                self.now,
-                Subsystem::Kernel,
-            );
+            s.close(&mut self.trace, TraceLevel::Detail, now, Subsystem::Kernel);
         }
         dropped
     }
@@ -1566,7 +1546,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     #[allow(clippy::expect_used)]
     fn route_send(
         &mut self,
-        _now: SimTime,
         seq: SendSeq,
         from: ProcessId,
         to: Destination,

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use vnet::{Delivery, Ethernet, Frame, HostAddr, LossModel};
-use vsim::{DetRng, Engine, SimDuration, SimTime};
+use vsim::{DetRng, Engine, SimDuration, SimTime, Trace, TraceLevel};
 
 use crate::ids::ProcessId;
 use crate::kernel::{Kernel, KernelConfig, KernelOutput, MsgIn, ReplyIn, SendError, TimerKey};
@@ -67,6 +67,7 @@ pub struct Rig<X> {
     /// The wire.
     pub net: Ethernet<Packet<X>>,
     kernels: Vec<Kernel<X>>,
+    trace: Trace,
     /// Observed application events, with their times.
     pub log: Vec<(SimTime, AppEvent<X>)>,
     responders: BTreeMap<ProcessId, Responder<X>>,
@@ -78,18 +79,21 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
         Self::with_loss(n, LossModel::None, KernelConfig::default())
     }
 
-    /// Builds a rig with a loss model and kernel configuration.
+    /// Builds a rig with a loss model and kernel configuration. The wire
+    /// and every kernel emit into one [`TraceLevel::Detail`] trace.
     pub fn with_loss(n: usize, loss: LossModel, cfg: KernelConfig) -> Self {
-        let mut net = Ethernet::new(loss, DetRng::seed(0xF00D));
+        let trace = Trace::new(TraceLevel::Detail);
+        let mut net = Ethernet::new(loss, DetRng::seed(0xF00D), trace.clone());
         let mut kernels = Vec::with_capacity(n);
         for _ in 0..n {
             let host = net.attach();
-            kernels.push(Kernel::new(host, cfg.clone()));
+            kernels.push(Kernel::new(host, cfg.clone(), trace.clone()));
         }
         Rig {
             engine: Engine::new(),
             net,
             kernels,
+            trace,
             log: Vec::new(),
             responders: BTreeMap::new(),
         }
@@ -103,6 +107,11 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
     /// Mutable kernel access.
     pub fn kernel_mut(&mut self, i: usize) -> &mut Kernel<X> {
         &mut self.kernels[i]
+    }
+
+    /// The trace the wire and every kernel share.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 
     /// Number of kernels.

@@ -10,7 +10,7 @@ use vkernel::{
 };
 use vmem::SpaceLayout;
 use vnet::{HostAddr, LossModel, McastGroup};
-use vsim::{SimDuration, SimTime, Subsystem, Trace, TraceEvent, TraceLevel};
+use vsim::{SimDuration, SimTime, SpanTree, Subsystem, TraceEvent};
 
 type Body = u32;
 
@@ -92,7 +92,6 @@ fn lost_request_recovered_by_retransmission() {
     // Drop exactly the first delivery (the request); the retransmission
     // gets through and the exchange completes.
     let mut rig: Rig<Body> = Rig::with_loss(2, LossModel::FirstN(1), KernelConfig::default());
-    *rig.kernel_mut(0).trace_mut() = Trace::new(TraceLevel::Detail);
     let a = spawn(&mut rig, 0, 1);
     let b = spawn(&mut rig, 1, 2);
     rig.kernel_mut(0)
@@ -103,8 +102,7 @@ fn lost_request_recovered_by_retransmission() {
     assert_eq!(rig.send_results(), vec![(a, vkernel::SendSeq(0), true)]);
     // The retransmission is visible as a typed trace event, not a log line.
     assert!(
-        rig.kernel(0)
-            .trace()
+        rig.trace()
             .count_matching(|e| matches!(e, TraceEvent::Retransmit { lh: 2, .. }))
             >= 1
     );
@@ -246,9 +244,29 @@ fn retransmission_of_a_request_in_service_draws_an_unexported_reply_pending() {
 }
 
 #[test]
+fn aborted_serve_span_closes_at_abort_time() {
+    let mut rig: Rig<Body> = Rig::new(2);
+    let a = spawn(&mut rig, 0, 1);
+    let b = spawn(&mut rig, 1, 2);
+    rig.kernel_mut(0)
+        .learn_binding(LogicalHostId(2), HostAddr(1));
+    // b never replies, so its serve span stays open until aborted.
+    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.run_for(SimDuration::from_millis(100));
+    // Abort before the first retransmission reaches kernel 1 again.
+    let aborted = rig.engine.now() + SimDuration::from_millis(100);
+    rig.engine.advance_to(aborted);
+    assert_eq!(rig.kernel_mut(1).abort_server_transactions(aborted, b), 1);
+    let tree = SpanTree::build(rig.trace());
+    let serve: Vec<_> = tree.spans_named("serve").collect();
+    assert_eq!(serve.len(), 1);
+    assert!(serve[0].open < aborted);
+    assert_eq!(serve[0].close, Some(aborted));
+}
+
+#[test]
 fn freeze_defers_and_unfreeze_in_place_delivers() {
     let mut rig: Rig<Body> = Rig::new(2);
-    *rig.kernel_mut(1).trace_mut() = Trace::new(TraceLevel::Detail);
     let a = spawn(&mut rig, 0, 1);
     let b = spawn(&mut rig, 1, 2);
     rig.kernel_mut(0)
@@ -261,8 +279,7 @@ fn freeze_defers_and_unfreeze_in_place_delivers() {
     assert!(rig.send_results().is_empty(), "deferred while frozen");
     // The deferral shows up as a structured event on the frozen host.
     assert_eq!(
-        rig.kernel(1)
-            .trace()
+        rig.trace()
             .count_matching(|e| matches!(e, TraceEvent::ReplyDeferred { lh: 2 })),
         1
     );

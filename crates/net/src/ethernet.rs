@@ -85,9 +85,9 @@ struct Station {
 ///
 /// ```
 /// use vnet::{Ethernet, Frame, LossModel};
-/// use vsim::{DetRng, SimTime};
+/// use vsim::{DetRng, SimTime, Trace};
 ///
-/// let mut net: Ethernet<&str> = Ethernet::new(LossModel::None, DetRng::seed(1));
+/// let mut net: Ethernet<&str> = Ethernet::new(LossModel::None, DetRng::seed(1), Trace::quiet());
 /// let a = net.attach();
 /// let b = net.attach();
 /// let out = net.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, "hello"));
@@ -115,8 +115,9 @@ pub struct Ethernet<P> {
 }
 
 impl<P: Clone> Ethernet<P> {
-    /// Creates an empty segment with the given loss model.
-    pub fn new(loss: LossModel, rng: DetRng) -> Self {
+    /// Creates an empty segment with the given loss model, emitting its
+    /// drop events into `trace`.
+    pub fn new(loss: LossModel, rng: DetRng, trace: Trace) -> Self {
         Ethernet {
             stations: Vec::new(),
             groups: BTreeMap::new(),
@@ -129,7 +130,7 @@ impl<P: Clone> Ethernet<P> {
             corrupt_until: SimTime::ZERO,
             stats: WireStats::default(),
             frame_payload_bytes: Samples::new(),
-            trace: Trace::quiet(),
+            trace,
             _payload: std::marker::PhantomData,
         }
     }
@@ -402,17 +403,6 @@ impl<P: Clone> Ethernet<P> {
             )
     }
 
-    /// The segment's trace (per-receiver drop events at detail level).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable trace handle, e.g. to raise the retained level or drain
-    /// records into a cluster-wide trace.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
     /// Per-station counters: `(frames sent, frames received, payload
     /// bytes sent, payload bytes received)`.
     pub fn station_stats(&self, host: HostAddr) -> (u64, u64, u64, u64) {
@@ -445,7 +435,7 @@ mod tests {
     use super::*;
 
     fn net() -> Ethernet<u32> {
-        Ethernet::new(LossModel::None, DetRng::seed(42))
+        Ethernet::new(LossModel::None, DetRng::seed(42), Trace::quiet())
     }
 
     #[test]
@@ -562,7 +552,8 @@ mod tests {
 
     #[test]
     fn loss_model_drops_per_receiver() {
-        let mut n: Ethernet<u32> = Ethernet::new(LossModel::EveryNth(2), DetRng::seed(1));
+        let mut n: Ethernet<u32> =
+            Ethernet::new(LossModel::EveryNth(2), DetRng::seed(1), Trace::quiet());
         let a = n.attach();
         let _b = n.attach();
         let _c = n.attach();
@@ -578,7 +569,8 @@ mod tests {
         // broadcast gets its own loss draw, so `EveryNth(3)` across two
         // 3-receiver broadcasts drops exactly receivers #3 and #6 — one
         // drop per frame, at a *different* receiver position each time.
-        let mut n: Ethernet<u32> = Ethernet::new(LossModel::EveryNth(3), DetRng::seed(1));
+        let mut n: Ethernet<u32> =
+            Ethernet::new(LossModel::EveryNth(3), DetRng::seed(1), Trace::quiet());
         let a = n.attach();
         let b = n.attach();
         let c = n.attach();

@@ -5,7 +5,7 @@
 //! deterministic and failures reproduce exactly.
 
 use vnet::{Ethernet, Frame, HostAddr, LossModel, McastGroup, NetDest};
-use vsim::{DetRng, SimTime};
+use vsim::{DetRng, SimTime, Trace};
 
 /// Conservation: offered = delivered + dropped-by-loss +
 /// dropped-by-down, per receiver.
@@ -16,7 +16,11 @@ fn delivery_accounting_balances() {
         let n_hosts = rng.index(10) + 2;
         let loss_nth = rng.range_u64(0, 7);
         let n_sends = rng.index(59) + 1;
-        let mut net: Ethernet<u32> = Ethernet::new(LossModel::EveryNth(loss_nth), DetRng::seed(1));
+        let mut net: Ethernet<u32> = Ethernet::new(
+            LossModel::EveryNth(loss_nth),
+            DetRng::seed(1),
+            Trace::quiet(),
+        );
         let hosts: Vec<HostAddr> = (0..n_hosts).map(|_| net.attach()).collect();
         let mut expected_receivers = 0u64;
         for i in 0..n_sends {
@@ -45,7 +49,8 @@ fn broadcast_reaches_all_live_peers() {
     let mut rng = DetRng::seed(0xA2);
     for _case in 0..60 {
         let n_hosts = rng.index(14) + 2;
-        let mut net: Ethernet<u32> = Ethernet::new(LossModel::None, DetRng::seed(2));
+        let mut net: Ethernet<u32> =
+            Ethernet::new(LossModel::None, DetRng::seed(2), Trace::quiet());
         let hosts: Vec<HostAddr> = (0..n_hosts).map(|_| net.attach()).collect();
         let mut live_others = 0;
         for &h in hosts.iter().skip(1) {
@@ -72,7 +77,8 @@ fn back_to_back_frames_serialize() {
     let mut rng = DetRng::seed(0xA3);
     for _case in 0..40 {
         let n_frames = rng.index(39) + 1;
-        let mut net: Ethernet<u32> = Ethernet::new(LossModel::None, DetRng::seed(3));
+        let mut net: Ethernet<u32> =
+            Ethernet::new(LossModel::None, DetRng::seed(3), Trace::quiet());
         let a = net.attach();
         let b = net.attach();
         let mut last = None;
@@ -99,7 +105,8 @@ fn multicast_membership_is_exact() {
     let mut rng = DetRng::seed(0xA4);
     for _case in 0..60 {
         let n_ops = rng.index(40);
-        let mut net: Ethernet<u32> = Ethernet::new(LossModel::None, DetRng::seed(4));
+        let mut net: Ethernet<u32> =
+            Ethernet::new(LossModel::None, DetRng::seed(4), Trace::quiet());
         let hosts: Vec<HostAddr> = (0..8).map(|_| net.attach()).collect();
         let g = McastGroup(3);
         let mut model = std::collections::BTreeSet::new();

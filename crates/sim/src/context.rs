@@ -143,12 +143,14 @@ impl<E> SimContext<E> {
         self.trace.warn(now, subsystem, event);
     }
 
-    /// The context's trace.
+    /// The context's trace: a handle to the buffer shared with every
+    /// component that was handed a clone of it.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Mutable trace access (merging component traces, clearing).
+    /// Mutable trace access, for emitters that stamp a span themselves
+    /// (see [`crate::SpanId::done`]).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }

@@ -48,7 +48,4 @@ pub use span::{SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation
 pub use stats::{Histogram, OnlineStats, Samples};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{SamplingSpec, SeriesId, SeriesReport, SeriesSnapshot, SeriesStore};
-pub use trace::{
-    NullSink, RingSink, SpanEvent, Subsystem, Trace, TraceEvent, TraceLevel, TraceRecord,
-    TraceSink, TraceSinkSpec, VecSink,
-};
+pub use trace::{SpanEvent, Subsystem, Trace, TraceEvent, TraceLevel, TraceRecord, TraceSinkSpec};

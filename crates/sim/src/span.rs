@@ -7,19 +7,21 @@
 //! top of it: a span is a named interval opened and closed by two trace
 //! records ([`TraceEvent::SpanOpen`] / [`TraceEvent::SpanClose`]) linked to
 //! a parent by id, and [`SpanTree`] reconstructs the hierarchy post hoc
-//! from any merged trace.
+//! from a trace. An interval known only once it is over (a CPU quantum)
+//! is one [`TraceEvent::SpanDone`] record stamped at its close.
 //!
 //! Spans ride the existing trace machinery on purpose: they inherit its
 //! determinism, its level filter (per-packet IPC spans are `Detail`,
-//! migration phases are `Info`), and the cluster's timeline merge. A
+//! migration phases are `Info`), and its one shared buffer per cluster,
+//! so the spans of every station land in one timeline. A
 //! [`SpanContext`] is a single `u64` id, cheap enough to stamp on every
 //! network frame, so one remote Send/Receive/Reply round trip becomes one
 //! tree spanning several stations.
 //!
 //! Id allocation is deterministic: each emitting component owns a
 //! [`SpanIdGen`] seeded with a unique actor number, and ids are
-//! `actor << 40 | counter`, so replays produce identical trees and merged
-//! traces never collide.
+//! `actor << 40 | counter`, so replays produce identical trees and ids
+//! from different components never collide.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -71,6 +73,34 @@ impl SpanId {
     /// Emits the close record for this span.
     pub fn close(self, trace: &mut Trace, level: TraceLevel, at: SimTime, subsystem: Subsystem) {
         trace.emit(level, at, subsystem, TraceEvent::SpanClose { id: self.0 });
+    }
+
+    /// Emits this span whole at its close instant `at`, for an interval
+    /// that is only known once it is over (it opened at `opened`).
+    #[allow(clippy::too_many_arguments)]
+    pub fn done(
+        self,
+        trace: &mut Trace,
+        level: TraceLevel,
+        opened: SimTime,
+        at: SimTime,
+        subsystem: Subsystem,
+        parent: SpanContext,
+        name: &'static str,
+        host: u16,
+    ) {
+        trace.emit(
+            level,
+            at,
+            subsystem,
+            TraceEvent::SpanDone {
+                id: self.0,
+                parent: parent.0,
+                name,
+                host,
+                opened,
+            },
+        );
     }
 }
 
@@ -126,7 +156,7 @@ impl SpanContext {
 ///
 /// Each component that opens spans owns one generator with a cluster-unique
 /// `actor` number; ids are `actor << 40 | counter` so ids from different
-/// stations never collide in a merged trace and replays allocate
+/// stations never collide in a cluster's trace and replays allocate
 /// identically.
 #[derive(Debug, Clone)]
 pub struct SpanIdGen {
@@ -268,12 +298,13 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Reconstructs spans from every `SpanOpen`/`SpanClose` record in
-    /// `trace`. Structural defects are collected (see [`Self::validate`])
-    /// rather than panicking, so faulty traces can still be inspected.
+    /// Reconstructs spans from every `SpanOpen`/`SpanClose`/`SpanDone`
+    /// record in `trace`. Structural defects are collected (see
+    /// [`Self::validate`]) rather than panicking, so faulty traces can
+    /// still be inspected.
     pub fn build(trace: &Trace) -> SpanTree {
         let mut t = SpanTree::default();
-        for r in trace.records() {
+        for r in trace.records().iter() {
             // `as_span` is the exhaustive accessor: every `TraceEvent`
             // variant explicitly opts in or out of span structure there,
             // so this loop needs no wildcard arm over the enum.
@@ -283,23 +314,14 @@ impl SpanTree {
                     parent,
                     name,
                     host,
-                }) => {
-                    if t.by_id.contains_key(&id) {
-                        t.violations.push(SpanViolation::DuplicateOpen { id });
-                        continue;
-                    }
-                    let idx = t.nodes.len();
-                    t.by_id.insert(id, idx);
-                    t.nodes.push(SpanNode {
-                        id: SpanId(id),
-                        parent: SpanContext(parent),
-                        name,
-                        host,
-                        open: r.at,
-                        close: None,
-                        children: Vec::new(),
-                    });
-                }
+                }) => t.insert(id, parent, name, host, r.at, None),
+                Some(SpanEvent::Done {
+                    id,
+                    parent,
+                    name,
+                    host,
+                    opened,
+                }) => t.insert(id, parent, name, host, opened, Some(r.at)),
                 Some(SpanEvent::Close { id }) => match t.by_id.get(&id) {
                     Some(&idx) if t.nodes[idx].close.is_none() => {
                         t.nodes[idx].close = Some(r.at);
@@ -340,7 +362,35 @@ impl SpanTree {
         t
     }
 
-    /// All spans, in open order.
+    /// Adds a node for a span opened at `open` (and, for a span recorded
+    /// whole, closed at `close`).
+    fn insert(
+        &mut self,
+        id: u64,
+        parent: u64,
+        name: &'static str,
+        host: u16,
+        open: SimTime,
+        close: Option<SimTime>,
+    ) {
+        if self.by_id.contains_key(&id) {
+            self.violations.push(SpanViolation::DuplicateOpen { id });
+            return;
+        }
+        self.by_id.insert(id, self.nodes.len());
+        self.nodes.push(SpanNode {
+            id: SpanId(id),
+            parent: SpanContext(parent),
+            name,
+            host,
+            open,
+            close,
+            children: Vec::new(),
+        });
+    }
+
+    /// All spans, in record order: by open record, or by close record
+    /// for a span recorded whole.
     pub fn nodes(&self) -> &[SpanNode] {
         &self.nodes
     }
@@ -355,12 +405,12 @@ impl SpanTree {
         self.by_id.get(&id.raw()).map(|&i| &self.nodes[i])
     }
 
-    /// Spans with no (known) parent, in open order.
+    /// Spans with no (known) parent, in record order.
     pub fn roots(&self) -> impl Iterator<Item = &SpanNode> {
         self.roots.iter().map(move |&i| &self.nodes[i])
     }
 
-    /// Direct children of `id`, in open order.
+    /// Direct children of `id`, in record order.
     pub fn children(&self, id: SpanId) -> impl Iterator<Item = &SpanNode> {
         let kids = self
             .by_id
@@ -370,7 +420,7 @@ impl SpanTree {
         kids.iter().map(move |&i| &self.nodes[i])
     }
 
-    /// Spans named `name`, in open order.
+    /// Spans named `name`, in record order.
     pub fn spans_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanNode> {
         self.nodes.iter().filter(move |n| n.name == name)
     }
@@ -381,7 +431,7 @@ impl SpanTree {
     }
 
     /// Sums the durations of `id`'s direct children grouped by span name,
-    /// in first-open order — the per-phase decomposition of a root span.
+    /// in first-record order — the per-phase decomposition of a root span.
     pub fn breakdown(&self, id: SpanId) -> Vec<(&'static str, SimDuration)> {
         let mut order: Vec<&'static str> = Vec::new();
         let mut totals: BTreeMap<&'static str, SimDuration> = BTreeMap::new();
@@ -611,6 +661,29 @@ mod tests {
         assert!(tree.validate().is_empty());
         assert_eq!(tree.unclosed().count(), 1);
         assert_eq!(tree.duration_of(a), None);
+    }
+
+    #[test]
+    fn span_recorded_whole_spans_its_interval() {
+        let mut t = Trace::new(TraceLevel::Info);
+        let q = SpanIdGen::new(1).next();
+        q.done(
+            &mut t,
+            TraceLevel::Info,
+            SimTime::from_micros(20),
+            SimTime::from_micros(120),
+            Subsystem::Cluster,
+            SpanContext::NONE,
+            "quantum",
+            2,
+        );
+        assert_eq!(t.records()[0].at, SimTime::from_micros(120));
+        let tree = SpanTree::build(&t);
+        assert!(tree.validate().is_empty());
+        let node = tree.get(q).unwrap();
+        assert_eq!((node.name, node.host), ("quantum", 2));
+        assert_eq!(node.open, SimTime::from_micros(20));
+        assert_eq!(tree.duration_of(q).unwrap().as_micros(), 100);
     }
 
     #[test]

@@ -11,11 +11,19 @@
 //! [`Trace::count_matching`] instead of grepping message text, and emitting
 //! a filtered-out record allocates nothing.
 //!
+//! A [`Trace`] is a handle: its clones append to one shared buffer, so a
+//! cluster's wire, kernels, migrators and runtime write a single timeline
+//! in emission order. Every emitter stamps the current instant, so that
+//! order is also time order and nothing is merged or sorted afterwards.
+//!
 //! `vsim` sits below the kernel and network crates, so event fields carry
 //! raw identifiers: `lh` is the numeric logical-host id, `host` values are
 //! numeric physical-host addresses, `ws` is a station index.
 
+use std::cell::{Ref, RefCell};
+use std::collections::VecDeque;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::time::SimTime;
 
@@ -291,6 +299,21 @@ pub enum TraceEvent {
         /// Raw span id.
         id: u64,
     },
+    /// A causal span recorded whole when it ended: an interval known only
+    /// at its end (a CPU quantum). The record is stamped with the close
+    /// instant, so the trace stays in time order.
+    SpanDone {
+        /// Raw span id (non-zero).
+        id: u64,
+        /// Raw parent span id (0 = root).
+        parent: u64,
+        /// Static span name.
+        name: &'static str,
+        /// Physical-host address of the emitting component.
+        host: u16,
+        /// When the span opened.
+        opened: SimTime,
+    },
     /// Free-form milestone; the static text keeps emission allocation-free.
     Note {
         /// What happened.
@@ -318,6 +341,19 @@ pub enum SpanEvent {
         /// Raw span id.
         id: u64,
     },
+    /// A whole span, recorded at its close.
+    Done {
+        /// Raw span id (non-zero).
+        id: u64,
+        /// Raw parent span id (0 = root).
+        parent: u64,
+        /// Static span name.
+        name: &'static str,
+        /// Physical-host address of the emitting component.
+        host: u16,
+        /// When the span opened.
+        opened: SimTime,
+    },
 }
 
 impl TraceEvent {
@@ -341,6 +377,19 @@ impl TraceEvent {
                 host: *host,
             }),
             TraceEvent::SpanClose { id } => Some(SpanEvent::Close { id: *id }),
+            TraceEvent::SpanDone {
+                id,
+                parent,
+                name,
+                host,
+                opened,
+            } => Some(SpanEvent::Done {
+                id: *id,
+                parent: *parent,
+                name,
+                host: *host,
+                opened: *opened,
+            }),
             TraceEvent::ExecDone { .. }
             | TraceEvent::ProgramStarted { .. }
             | TraceEvent::Adopted { .. }
@@ -479,6 +528,19 @@ impl fmt::Display for TraceEvent {
                     }
                 }
                 TraceEvent::SpanClose { id } => write!(f, "span close #{id:x}"),
+                TraceEvent::SpanDone {
+                    id,
+                    parent,
+                    name,
+                    host,
+                    opened,
+                } => {
+                    write!(f, "span {name} #{id:x} since {opened}")?;
+                    if *parent != 0 {
+                        write!(f, " (in #{parent:x})")?;
+                    }
+                    write!(f, " @ host{host}")
+                }
                 TraceEvent::Note { text } => f.write_str(text),
             }
     }
@@ -489,11 +551,6 @@ impl fmt::Display for TraceEvent {
 pub struct TraceRecord {
     /// When it happened.
     pub at: SimTime,
-    /// Monotonic per-trace sequence number: the tie-break that keeps
-    /// same-instant records in a deterministic order across
-    /// [`Trace::sort_by_time`] (re-assigned when traces are folded with
-    /// [`Trace::drain_from`]).
-    pub seq: u64,
     /// Severity.
     pub level: TraceLevel,
     /// Originating layer.
@@ -514,173 +571,37 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-/// Where retained records go: the storage side of a [`Trace`], split out
-/// so the hot emit path can be swapped between an unbounded buffer, a
-/// fixed ring, and nothing at all.
-pub trait TraceSink {
-    /// Stores one record (the level filter has already passed).
-    fn record(&mut self, rec: TraceRecord);
-    /// Number of retained records.
-    fn len(&self) -> usize;
-    /// True when nothing is retained.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Drops all retained records.
-    fn clear(&mut self);
-    /// Removes and returns every retained record in emission order.
-    fn drain_ordered(&mut self) -> Vec<TraceRecord>;
-    /// The retained records in *storage* order — emission order for
-    /// unbounded sinks; for a wrapped ring the oldest retained record is
-    /// not necessarily first (records carry `seq`, so callers that need
-    /// order sort or use [`TraceSink::drain_ordered`]).
-    fn as_slice(&self) -> &[TraceRecord];
-}
-
-/// Unbounded sink: keeps everything, in emission order.
-#[derive(Debug, Clone, Default)]
-pub struct VecSink {
-    records: Vec<TraceRecord>,
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, rec: TraceRecord) {
-        self.records.push(rec);
-    }
-    fn len(&self) -> usize {
-        self.records.len()
-    }
-    fn clear(&mut self) {
-        self.records.clear();
-    }
-    fn drain_ordered(&mut self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.records)
-    }
-    fn as_slice(&self) -> &[TraceRecord] {
-        &self.records
-    }
-}
-
-/// Fixed-capacity ring sink: keeps the most recent `cap` records,
-/// overwriting the oldest. Emission stays allocation-free once the ring
-/// has filled — the flight-recorder mode for long high-rate runs where
-/// only the recent past matters.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    buf: Vec<TraceRecord>,
-    cap: usize,
-    /// Next write position; when `buf` is full this is also the index of
-    /// the oldest retained record.
-    next: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// An empty ring retaining at most `cap` records (min 1).
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        RingSink {
-            buf: Vec::with_capacity(cap),
-            cap,
-            next: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Records overwritten so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: TraceRecord) {
-        if self.buf.len() < self.cap {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.next] = rec;
-            self.next = (self.next + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.next = 0;
-    }
-    fn drain_ordered(&mut self) -> Vec<TraceRecord> {
-        let mut out = std::mem::take(&mut self.buf);
-        out.rotate_left(self.next);
-        self.next = 0;
-        out
-    }
-    fn as_slice(&self) -> &[TraceRecord] {
-        &self.buf
-    }
-}
-
-/// Discards everything. A null-sink trace reports `enabled() == false`
-/// for every level, so emit sites skip even building the event.
-#[derive(Debug, Clone, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _rec: TraceRecord) {}
-    fn len(&self) -> usize {
-        0
-    }
-    fn clear(&mut self) {}
-    fn drain_ordered(&mut self) -> Vec<TraceRecord> {
-        Vec::new()
-    }
-    fn as_slice(&self) -> &[TraceRecord] {
-        &[]
-    }
-}
-
-/// Sink configuration, for carrying the choice through config structs
-/// (e.g. `ClusterConfig`) without building the sink eagerly.
+/// Buffer configuration, for carrying the choice through config structs
+/// (e.g. `ClusterConfig`) without building the buffer eagerly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceSinkSpec {
-    /// Keep every record ([`VecSink`]) — the default, and what the replay
-    /// and chaos suites compare.
+    /// Keep every record — the default, and what the replay and chaos
+    /// suites compare.
     #[default]
     Unbounded,
-    /// Keep the most recent N records ([`RingSink`]).
+    /// Keep the most recent N records (min 1), evicting the oldest: the
+    /// flight-recorder mode for long high-rate runs.
     Ring(usize),
-    /// Keep nothing and disable emission entirely ([`NullSink`]).
+    /// Keep nothing and disable emission entirely.
     Off,
 }
 
-/// The concrete sink inside a [`Trace`]. An enum rather than a boxed
-/// trait object so traces stay `Clone` and emission stays a static call.
-#[derive(Debug, Clone)]
-enum Store {
-    Vec(VecSink),
-    Ring(RingSink),
-    Null(NullSink),
+/// The one buffer every handle to a trace appends to.
+#[derive(Debug)]
+struct Buffer {
+    records: VecDeque<TraceRecord>,
+    /// Ring capacity; `usize::MAX` keeps everything.
+    cap: usize,
+    dropped: u64,
 }
 
-impl Store {
-    fn sink(&self) -> &dyn TraceSink {
-        match self {
-            Store::Vec(s) => s,
-            Store::Ring(s) => s,
-            Store::Null(s) => s,
-        }
-    }
-    fn sink_mut(&mut self) -> &mut dyn TraceSink {
-        match self {
-            Store::Vec(s) => s,
-            Store::Ring(s) => s,
-            Store::Null(s) => s,
-        }
-    }
-}
-
-/// An in-memory trace buffer with a level filter.
+/// A handle to a shared, level-filtered trace buffer.
+///
+/// Cloning a `Trace` yields another handle to the *same* buffer: a cluster
+/// builds one trace and hands a clone to the wire, every kernel and every
+/// migrator, so records from all of them land in one timeline in emission
+/// order. The level filter and the on/off flag are copied into each
+/// handle, so a disabled emit is one compare and touches no shared state.
 ///
 /// # Examples
 ///
@@ -688,7 +609,8 @@ impl Store {
 /// use vsim::{SimTime, Subsystem, Trace, TraceEvent, TraceLevel};
 ///
 /// let mut trace = Trace::new(TraceLevel::Info);
-/// trace.info(SimTime::ZERO, Subsystem::Kernel, TraceEvent::Freeze { lh: 3 });
+/// let mut kernel = trace.clone();
+/// kernel.info(SimTime::ZERO, Subsystem::Kernel, TraceEvent::Freeze { lh: 3 });
 /// trace.detail(SimTime::ZERO, Subsystem::Net, TraceEvent::Note { text: "filtered" });
 /// assert_eq!(trace.records().len(), 1);
 /// assert_eq!(trace.count_matching(|e| matches!(e, TraceEvent::Freeze { lh: 3 })), 1);
@@ -696,8 +618,8 @@ impl Store {
 #[derive(Debug, Clone)]
 pub struct Trace {
     min_level: TraceLevel,
-    store: Store,
-    next_seq: u64,
+    on: bool,
+    buf: Rc<RefCell<Buffer>>,
 }
 
 impl Trace {
@@ -707,30 +629,21 @@ impl Trace {
         Trace::with_sink(min_level, TraceSinkSpec::Unbounded)
     }
 
-    /// Creates a trace with an explicit sink choice.
+    /// Creates a trace with an explicit buffer choice.
     pub fn with_sink(min_level: TraceLevel, spec: TraceSinkSpec) -> Self {
-        let store = match spec {
-            TraceSinkSpec::Unbounded => Store::Vec(VecSink::default()),
-            TraceSinkSpec::Ring(cap) => Store::Ring(RingSink::new(cap)),
-            TraceSinkSpec::Off => Store::Null(NullSink),
+        let cap = match spec {
+            TraceSinkSpec::Ring(cap) => cap.max(1),
+            TraceSinkSpec::Unbounded | TraceSinkSpec::Off => usize::MAX,
         };
         Trace {
             min_level,
-            store,
-            next_seq: 0,
+            on: spec != TraceSinkSpec::Off,
+            buf: Rc::new(RefCell::new(Buffer {
+                records: VecDeque::new(),
+                cap,
+                dropped: 0,
+            })),
         }
-    }
-
-    /// A trace that keeps the most recent `cap` records at `min_level`
-    /// and above.
-    pub fn ring(min_level: TraceLevel, cap: usize) -> Self {
-        Trace::with_sink(min_level, TraceSinkSpec::Ring(cap))
-    }
-
-    /// A trace that retains nothing and reports every level disabled —
-    /// the near-free choice for throughput runs.
-    pub fn off() -> Self {
-        Trace::with_sink(TraceLevel::Warn, TraceSinkSpec::Off)
     }
 
     /// A trace that discards everything below [`TraceLevel::Warn`].
@@ -743,10 +656,16 @@ impl Trace {
     /// filtered-out records stay allocation-free.
     #[inline]
     pub fn enabled(&self, level: TraceLevel) -> bool {
-        level >= self.min_level && !matches!(self.store, Store::Null(_))
+        self.on && level >= self.min_level
     }
 
-    /// Appends a record if it passes the level filter.
+    /// Appends a record if it passes the level filter. A full ring evicts
+    /// its oldest record first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Trace::records`] borrow of the shared buffer is
+    /// still alive.
     #[inline]
     pub fn emit(
         &mut self,
@@ -756,11 +675,13 @@ impl Trace {
         event: TraceEvent,
     ) {
         if self.enabled(level) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.store.sink_mut().record(TraceRecord {
+            let mut b = self.buf.borrow_mut();
+            if b.records.len() == b.cap {
+                b.records.pop_front();
+                b.dropped += 1;
+            }
+            b.records.push_back(TraceRecord {
                 at,
-                seq,
                 level,
                 subsystem,
                 event,
@@ -783,74 +704,29 @@ impl Trace {
         self.emit(TraceLevel::Warn, at, subsystem, event);
     }
 
-    /// All retained records. In emission order for the default unbounded
-    /// sink; a wrapped ring yields storage order (see
-    /// [`TraceSink::as_slice`] — sort by `(at, seq)` or call
-    /// [`Trace::sort_by_time`] first when order matters).
-    pub fn records(&self) -> &[TraceRecord] {
-        self.store.sink().as_slice()
-    }
-
-    /// Records overwritten by a ring sink so far (0 for other sinks).
-    pub fn records_dropped(&self) -> u64 {
-        match &self.store {
-            Store::Ring(r) => r.dropped(),
-            Store::Vec(_) | Store::Null(_) => 0,
+    /// All retained records, oldest first, in emission order. Drop the
+    /// returned borrow before emitting through any handle to this trace.
+    pub fn records(&self) -> Ref<'_, [TraceRecord]> {
+        if !self.buf.borrow().records.as_slices().1.is_empty() {
+            self.buf.borrow_mut().records.make_contiguous();
         }
+        Ref::map(self.buf.borrow(), |b| b.records.as_slices().0)
     }
 
-    /// Iterates the retained events.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.records().iter().map(|r| &r.event)
-    }
-
-    /// Records from `subsystem`.
-    pub fn for_subsystem(&self, subsystem: Subsystem) -> impl Iterator<Item = &TraceRecord> {
-        self.records()
-            .iter()
-            .filter(move |r| r.subsystem == subsystem)
+    /// Records evicted by a full ring so far (0 for other buffers).
+    pub fn records_dropped(&self) -> u64 {
+        self.buf.borrow().dropped
     }
 
     /// Count of retained events matching `pred` — the structured
     /// replacement for grepping formatted messages.
     pub fn count_matching(&self, pred: impl Fn(&TraceEvent) -> bool) -> usize {
-        self.records().iter().filter(|r| pred(&r.event)).count()
-    }
-
-    /// Moves all records out of `other` into this trace (used by the
-    /// cluster runtime to fold per-component traces into one timeline).
-    ///
-    /// Incoming records are re-stamped with fresh sequence numbers from
-    /// this trace's counter (preserving their relative order), so a fixed
-    /// fold order yields one deterministic tie-break sequence.
-    pub fn drain_from(&mut self, other: &mut Trace) {
-        for mut r in other.store.sink_mut().drain_ordered() {
-            r.seq = self.next_seq;
-            self.next_seq += 1;
-            self.store.sink_mut().record(r);
-        }
-    }
-
-    /// Sorts records by time, tie-breaking on the monotonic sequence
-    /// number so same-instant records land in a deterministic order. Call
-    /// after folding several traces together.
-    pub fn sort_by_time(&mut self) {
-        match &mut self.store {
-            Store::Vec(s) => s.records.sort_by_key(|r| (r.at, r.seq)),
-            Store::Ring(s) => {
-                // Make storage order = emission order, then sort in place.
-                let n = s.next;
-                s.buf.rotate_left(n);
-                s.next = 0;
-                s.buf.sort_by_key(|r| (r.at, r.seq));
-            }
-            Store::Null(_) => {}
-        }
-    }
-
-    /// Drops all retained records.
-    pub fn clear(&mut self) {
-        self.store.sink_mut().clear();
+        self.buf
+            .borrow()
+            .records
+            .iter()
+            .filter(|r| pred(&r.event))
+            .count()
     }
 }
 
@@ -930,7 +806,13 @@ mod tests {
                 bytes: 1024,
             },
         );
-        assert_eq!(t.for_subsystem(Subsystem::Kernel).count(), 2);
+        assert_eq!(
+            t.records()
+                .iter()
+                .filter(|r| r.subsystem == Subsystem::Kernel)
+                .count(),
+            2
+        );
         assert_eq!(
             t.count_matching(|e| matches!(
                 e,
@@ -962,133 +844,82 @@ mod tests {
         assert!(line.contains("round 2"), "{line}");
     }
 
-    #[test]
-    fn merge_and_sort_interleaves_timelines() {
-        let mut a = Trace::default();
-        let mut b = Trace::default();
-        a.info(
-            SimTime::from_micros(10),
-            Subsystem::Kernel,
-            TraceEvent::Freeze { lh: 1 },
-        );
-        b.info(
-            SimTime::from_micros(5),
-            Subsystem::Migration,
-            TraceEvent::Unfreeze { lh: 1 },
-        );
-        a.drain_from(&mut b);
-        a.sort_by_time();
-        assert!(b.records().is_empty());
-        assert_eq!(a.records()[0].at, SimTime::from_micros(5));
-        assert_eq!(a.records()[1].at, SimTime::from_micros(10));
+    fn freeze_lhs(t: &Trace) -> Vec<u32> {
+        t.records()
+            .iter()
+            .map(|r| {
+                let TraceEvent::Freeze { lh } = r.event else {
+                    unreachable!()
+                };
+                lh
+            })
+            .collect()
     }
 
     #[test]
-    fn sort_tie_breaks_on_sequence_number() {
-        // Two traces full of same-instant records: after folding in a
-        // fixed order, sorting must be a deterministic total order that
-        // preserves each source's emission order.
-        let mut merged = Trace::default();
-        let mut a = Trace::default();
-        let mut b = Trace::default();
-        let t = SimTime::from_micros(42);
+    fn two_handles_interleave_in_emission_order() {
+        let mut kernel = Trace::default();
+        let mut migrator = kernel.clone();
         for lh in 0..3 {
-            a.info(t, Subsystem::Kernel, TraceEvent::Freeze { lh });
-            b.info(t, Subsystem::Migration, TraceEvent::Unfreeze { lh });
+            kernel.info(
+                SimTime::from_micros(10 * u64::from(lh)),
+                Subsystem::Kernel,
+                TraceEvent::Freeze { lh: 2 * lh },
+            );
+            migrator.info(
+                SimTime::from_micros(10 * u64::from(lh)),
+                Subsystem::Migration,
+                TraceEvent::Freeze { lh: 2 * lh + 1 },
+            );
         }
-        merged.drain_from(&mut a);
-        merged.drain_from(&mut b);
-        merged.sort_by_time();
-        let seqs: Vec<u64> = merged.records().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5]);
-        // Kernel records (drained first) keep their order and precede the
-        // migration records even though every timestamp is equal.
-        assert!(matches!(
-            merged.records()[0].event,
-            TraceEvent::Freeze { lh: 0 }
-        ));
-        assert!(matches!(
-            merged.records()[2].event,
-            TraceEvent::Freeze { lh: 2 }
-        ));
-        assert!(matches!(
-            merged.records()[3].event,
-            TraceEvent::Unfreeze { lh: 0 }
-        ));
+        assert_eq!(freeze_lhs(&kernel), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(freeze_lhs(&migrator), freeze_lhs(&kernel));
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent_records() {
-        let mut t = Trace::ring(TraceLevel::Detail, 4);
+    fn ring_keeps_most_recent_records() {
+        let mut t = Trace::with_sink(TraceLevel::Detail, TraceSinkSpec::Ring(4));
         for lh in 0..10 {
             t.info(
-                SimTime::from_micros(lh as u64),
+                SimTime::from_micros(u64::from(lh)),
                 Subsystem::Kernel,
                 TraceEvent::Freeze { lh },
             );
         }
-        assert_eq!(t.records().len(), 4);
         assert_eq!(t.records_dropped(), 6);
-        // Ordered view holds exactly the last four emissions.
-        t.sort_by_time();
-        let lhs: Vec<u32> = t
-            .events()
-            .map(|e| {
-                let TraceEvent::Freeze { lh } = e else {
-                    unreachable!()
-                };
-                *lh
-            })
-            .collect();
-        assert_eq!(lhs, vec![6, 7, 8, 9]);
+        assert_eq!(freeze_lhs(&t), vec![6, 7, 8, 9]);
     }
 
     #[test]
-    fn ring_drains_in_emission_order() {
-        let mut src = Trace::ring(TraceLevel::Detail, 3);
-        for lh in 0..5 {
-            src.info(
-                SimTime::from_micros(lh as u64),
+    fn shared_ring_keeps_last_cap_records_overall() {
+        let mut a = Trace::with_sink(TraceLevel::Detail, TraceSinkSpec::Ring(3));
+        let mut b = a.clone();
+        let mut c = a.clone();
+        for lh in 0..8 {
+            let h = match lh % 3 {
+                0 => &mut a,
+                1 => &mut b,
+                _ => &mut c,
+            };
+            h.info(SimTime::ZERO, Subsystem::Kernel, TraceEvent::Freeze { lh });
+        }
+        assert_eq!(freeze_lhs(&b), vec![5, 6, 7]);
+        assert_eq!(c.records_dropped(), 5);
+    }
+
+    #[test]
+    fn off_handle_reports_every_level_disabled() {
+        let t = Trace::with_sink(TraceLevel::Detail, TraceSinkSpec::Off);
+        let mut handle = t.clone();
+        for level in [TraceLevel::Detail, TraceLevel::Info, TraceLevel::Warn] {
+            assert!(!handle.enabled(level));
+            handle.emit(
+                level,
+                SimTime::ZERO,
                 Subsystem::Kernel,
-                TraceEvent::Freeze { lh },
+                TraceEvent::Freeze { lh: 1 },
             );
         }
-        let mut dst = Trace::default();
-        dst.drain_from(&mut src);
-        assert!(src.records().is_empty());
-        let lhs: Vec<u32> = dst
-            .events()
-            .map(|e| {
-                let TraceEvent::Freeze { lh } = e else {
-                    unreachable!()
-                };
-                *lh
-            })
-            .collect();
-        assert_eq!(lhs, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn off_trace_disables_every_level() {
-        let mut t = Trace::off();
-        assert!(!t.enabled(TraceLevel::Warn));
-        t.warn(
-            SimTime::ZERO,
-            Subsystem::Kernel,
-            TraceEvent::Freeze { lh: 1 },
-        );
-        assert!(t.records().is_empty());
-    }
-
-    #[test]
-    fn clear_empties_buffer() {
-        let mut t = Trace::default();
-        t.info(
-            SimTime::ZERO,
-            Subsystem::Cluster,
-            TraceEvent::Note { text: "y" },
-        );
-        t.clear();
         assert!(t.records().is_empty());
     }
 }

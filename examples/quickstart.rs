@@ -64,7 +64,7 @@ fn main() {
     );
 
     println!("\n--- trace ---");
-    for rec in cluster.trace().records() {
+    for rec in cluster.trace().records().iter() {
         println!("{rec}");
     }
 }

@@ -96,6 +96,12 @@ fn soak_32_seeds_zero_violations() {
         let tree = c.span_tree();
         let violations = tree.validate();
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+        // The one cluster trace is in time order as emitted: nothing is
+        // merged or sorted after the run.
+        assert!(
+            c.trace().records().windows(2).all(|w| w[0].at <= w[1].at),
+            "seed {seed}: trace went backwards in sim time"
+        );
         // Sampled series must stay monotone in sim time under faults:
         // crashes and partitions may flatten the values, and decimation
         // may thin the points, but time never reorders or repeats.
@@ -116,7 +122,7 @@ fn soak_32_seeds_zero_violations() {
     }
 }
 
-/// The same seed and plan must replay exactly: identical merged traces and
+/// The same seed and plan must replay exactly: identical traces and
 /// identical event counts.
 #[test]
 fn chaos_runs_are_deterministic() {
@@ -126,12 +132,8 @@ fn chaos_runs_are_deterministic() {
         let mut c = chaos_cluster(3, plan);
         seed_workload(&mut c);
         run_to_quiescence(&mut c, 3);
-        c.merge_component_traces();
-        (
-            c.events_delivered(),
-            c.stats.faults_injected,
-            c.trace().records().to_vec(),
-        )
+        let records = c.trace().records().to_vec();
+        (c.events_delivered(), c.stats.faults_injected, records)
     };
     let (events_a, faults_a, trace_a) = run();
     let (events_b, faults_b, trace_b) = run();

@@ -33,8 +33,8 @@ struct Outcome {
 
 /// One full cluster run at the given seed: three `@*` remote execs whose
 /// programs read a shared file, run to quiescence under light packet loss
-/// so retransmission randomness is in play, then merge every component
-/// trace into one stream.
+/// so retransmission randomness is in play, collecting the one trace every
+/// component emits into.
 fn run_once(seed: u64) -> Outcome {
     run_once_with(seed, FaultPlan::none())
 }
@@ -77,9 +77,9 @@ fn run_once_with(seed: u64, faults: FaultPlan) -> Outcome {
         c.run_for(SimDuration::from_secs(30));
     }
     assert_eq!(c.pending(), 0, "seed {seed} failed to quiesce");
-    c.merge_component_traces();
+    let records = c.trace().records().to_vec();
     Outcome {
-        records: c.trace().records().to_vec(),
+        records,
         events_delivered: c.events_delivered(),
         images_loaded: c.file_server().stats().images_loaded,
         bytes_read: c.file_server().stats().bytes_read,
@@ -126,11 +126,17 @@ fn same_seed_runs_produce_identical_traces() {
             (b.images_loaded, b.bytes_read),
             "seed {seed}: file-server stats diverged"
         );
+        // Every component stamps the current instant into the one shared
+        // trace, so emission order is time order.
+        assert!(
+            a.records.windows(2).all(|w| w[0].at <= w[1].at),
+            "seed {seed}: trace went backwards in sim time"
+        );
         assert_same_trace(&a, &b, &format!("seed {seed}"));
     }
 }
 
-/// Asserts that two runs delivered the same number of events and merged
+/// Asserts that two runs delivered the same number of events and
 /// record-identical traces.
 fn assert_same_trace(a: &Outcome, b: &Outcome, label: &str) {
     assert_eq!(

@@ -4,7 +4,7 @@
 //! instrumentation keeps its books: every close matches an open, children
 //! nest inside their parents, and the migrator's phase spans tile the
 //! root migration span exactly (each phase closes the instant the next
-//! opens). These tests drive real cluster runs and hold the merged span
+//! opens). These tests drive real cluster runs and hold the cluster span
 //! tree to those rules.
 
 use v_system::prelude::*;
@@ -103,7 +103,7 @@ fn remote_ipc_spans_link_across_stations() {
             .parent
             .span_id()
             .expect("serve spans always have an ipc parent");
-        let ipc = tree.get(parent).expect("parent present in merged tree");
+        let ipc = tree.get(parent).expect("parent present in the tree");
         assert_eq!(ipc.name, "ipc");
         if ipc.host != serve.host {
             cross_station_links += 1;
@@ -116,7 +116,7 @@ fn remote_ipc_spans_link_across_stations() {
     );
 }
 
-/// Span ids are globally unique across components: every id in the merged
+/// Span ids are globally unique across components: every id in the cluster
 /// tree appears exactly once even though kernels, migrators, and the
 /// cluster scheduler allocate independently.
 #[test]
