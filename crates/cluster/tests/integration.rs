@@ -268,6 +268,46 @@ fn metrics_report_lists_every_scope_and_name_in_order() {
     assert!(report.counter_total(Subsystem::Kernel, "sends") > 0);
     assert!(report.counter_total(Subsystem::Net, "frames_sent") > 0);
     assert!(report.counter_total(Subsystem::Migration, "started") > 0);
+
+    // Names are artifact keys: snake_case, and one metric kind per
+    // `(subsystem, name)`. Series are a separate namespace, so a gauge
+    // may also be sampled as a series of the same name.
+    let snake = |name: &str| {
+        name.starts_with(|c: char| c.is_ascii_lowercase())
+            && !name.ends_with('_')
+            && !name.contains("__")
+            && name
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    let mut kinds = std::collections::BTreeMap::new();
+    for scope in &report.scopes {
+        let counters = scope
+            .counters
+            .iter()
+            .map(|m| (m.subsystem, m.name, "counter"));
+        let gauges = scope.gauges.iter().map(|m| (m.subsystem, m.name, "gauge"));
+        let histograms = scope
+            .histograms
+            .iter()
+            .map(|m| (m.subsystem, m.name, "histogram"));
+        for (subsystem, name, kind) in counters.chain(gauges).chain(histograms) {
+            assert!(snake(name), "{subsystem}/{name} is not snake_case");
+            let first = *kinds.entry((subsystem, name)).or_insert(kind);
+            assert_eq!(
+                first, kind,
+                "{subsystem}/{name} is both a {first} and a {kind}"
+            );
+        }
+    }
+    for s in &c.series_report().series {
+        assert!(
+            snake(s.name),
+            "series {}/{} is not snake_case",
+            s.subsystem,
+            s.name
+        );
+    }
 }
 
 #[test]

@@ -18,7 +18,10 @@
 //! column subset and order (default: every key, artifact order). The
 //! `table` section is deterministic (wall-clock data lives in the
 //! separate `run` section), so regeneration is byte-stable: CI can
-//! assert `vrun docs --check` cleanly.
+//! assert `vrun docs --check` cleanly. A line that starts like a marker
+//! but does not parse, and an end marker with no opening marker, are
+//! errors naming their line: a block the generator skipped would
+//! silently drop out of the `--check` gate.
 
 use std::path::Path;
 use vsim::Json;
@@ -43,7 +46,14 @@ pub fn regenerate(text: &str, results_dir: &Path) -> Result<(String, Vec<BlockRe
     let had_trailing_newline = text.ends_with('\n');
 
     while let Some((i, line)) = lines.next() {
-        let Some(marker) = parse_marker(line) else {
+        let Some(marker) = parse_marker(line).map_err(|e| format!("line {}: {e}", i + 1))? else {
+            if line.trim().starts_with(MARKER_PREFIX) {
+                return Err(format!(
+                    "line {}: `{}` outside a `vrun:table` block",
+                    i + 1,
+                    line.trim()
+                ));
+            }
             out.push_str(line);
             out.push('\n');
             continue;
@@ -51,17 +61,26 @@ pub fn regenerate(text: &str, results_dir: &Path) -> Result<(String, Vec<BlockRe
         // Collect the old block content up to the end marker.
         let mut old = String::new();
         let mut closed = false;
-        for (_, inner) in lines.by_ref() {
-            if inner.trim() == "<!-- vrun:end -->" {
+        for (j, inner) in lines.by_ref() {
+            if inner.trim() == END {
                 closed = true;
                 break;
+            }
+            if inner.trim().starts_with(MARKER_PREFIX) {
+                return Err(format!(
+                    "line {}: `{}` inside the `vrun:table {}` block opened on line {}",
+                    j + 1,
+                    inner.trim(),
+                    marker.experiment,
+                    i + 1
+                ));
             }
             old.push_str(inner);
             old.push('\n');
         }
         if !closed {
             return Err(format!(
-                "line {}: `vrun:table {}` has no `<!-- vrun:end -->`",
+                "line {}: `vrun:table {}` has no `{END}`",
                 i + 1,
                 marker.experiment
             ));
@@ -91,7 +110,8 @@ pub fn regenerate(text: &str, results_dir: &Path) -> Result<(String, Vec<BlockRe
         out.push_str(line);
         out.push('\n');
         out.push_str(&new);
-        out.push_str("<!-- vrun:end -->\n");
+        out.push_str(END);
+        out.push('\n');
     }
 
     if !had_trailing_newline {
@@ -99,6 +119,12 @@ pub fn regenerate(text: &str, results_dir: &Path) -> Result<(String, Vec<BlockRe
     }
     Ok((out, reports))
 }
+
+/// Every marker line starts with this; any other line that does is an
+/// error, so a typo cannot take a block out of the `--check` gate.
+const MARKER_PREFIX: &str = "<!-- vrun:";
+const TABLE_PREFIX: &str = "<!-- vrun:table";
+const END: &str = "<!-- vrun:end -->";
 
 /// Options parsed from one `<!-- vrun:table ... -->` marker.
 #[derive(Debug)]
@@ -108,17 +134,28 @@ struct Marker {
     cols: Option<Vec<String>>,
 }
 
-/// Parses a marker line; `None` if the line is not a table marker.
-fn parse_marker(line: &str) -> Option<Marker> {
-    let body = line
-        .trim()
-        .strip_prefix("<!-- vrun:table ")?
-        .strip_suffix("-->")?
-        .trim();
+/// Parses a marker line: `Ok(None)` if the line is not a table marker,
+/// an error if it starts like one but does not parse.
+fn parse_marker(line: &str) -> Result<Option<Marker>, String> {
+    let line = line.trim();
+    let Some(body) = line.strip_prefix(TABLE_PREFIX) else {
+        return Ok(None);
+    };
+    let bad = |why: &str| Err(format!("malformed marker `{line}`: {why}"));
+    let Some(body) = body.strip_suffix("-->") else {
+        return bad("it does not end with `-->`");
+    };
+    if !body.starts_with(char::is_whitespace) {
+        return bad("expected `<!-- vrun:table <experiment> [prec=N] [cols=a,b] -->`");
+    }
+    let body = body.trim();
     let (experiment, mut rest) = match body.split_once(char::is_whitespace) {
         Some((e, r)) => (e.to_string(), r.trim()),
         None => (body.to_string(), ""),
     };
+    if experiment.is_empty() || experiment.contains('=') {
+        return bad("the experiment name comes first");
+    }
     let mut marker = Marker {
         experiment,
         prec: 3,
@@ -129,15 +166,28 @@ fn parse_marker(line: &str) -> Option<Marker> {
             Some((n, t)) => (n, t.trim()),
             None => (r, ""),
         };
-        marker.prec = num.parse().ok()?;
+        let Ok(prec) = num.parse() else {
+            return bad(&format!("`prec={num}` is not a number of decimal places"));
+        };
+        marker.prec = prec;
         rest = tail;
     }
     if let Some(r) = rest.strip_prefix("cols=") {
         // `cols=` consumes the rest of the marker, so column names may
         // contain spaces; entries are comma-separated.
-        marker.cols = Some(r.split(',').map(|c| c.trim().to_string()).collect());
+        let cols: Vec<String> = r.split(',').map(|c| c.trim().to_string()).collect();
+        if let Some(c) = cols.iter().find(|c| c.is_empty() || c.contains('=')) {
+            return bad(&format!(
+                "bad column `{c}` (options go in the order prec=, cols=)"
+            ));
+        }
+        marker.cols = Some(cols);
+    } else if !rest.is_empty() {
+        return bad(&format!(
+            "unknown option `{rest}` (options go in the order prec=, cols=)"
+        ));
     }
-    Some(marker)
+    Ok(Some(marker))
 }
 
 /// Renders an artifact `table` section as a markdown table.
@@ -302,6 +352,45 @@ mod tests {
         let err = regenerate(missing, &dir).unwrap_err();
         assert!(err.contains("ghost.json"), "{err}");
         assert!(err.contains("run the sweep first"), "{err}");
+    }
+
+    #[test]
+    fn malformed_markers_are_errors_naming_their_line() {
+        let dir = temp_results("malformed", &[("e", ROWS)]);
+        for (marker, needle) in [
+            ("<!-- vrun:table e prec=1x -->", "`prec=1x`"),
+            ("<!-- vrun:table e width=3 -->", "unknown option `width=3`"),
+            (
+                "<!-- vrun:table e cols=ms prec=1 -->",
+                "bad column `ms prec=1`",
+            ),
+            ("<!-- vrun:table e cols=ms,,name -->", "bad column ``"),
+            ("<!-- vrun:table e", "does not end with `-->`"),
+            (
+                "<!-- vrun:tablee -->",
+                "expected `<!-- vrun:table <experiment>",
+            ),
+            (
+                "<!-- vrun:table prec=1 -->",
+                "the experiment name comes first",
+            ),
+        ] {
+            let doc = format!("intro\n{marker}\n| TAMPERED |\n<!-- vrun:end -->\n");
+            let err = regenerate(&doc, &dir).expect_err(marker);
+            assert!(
+                err.starts_with("line 2: malformed marker"),
+                "{marker}: {err}"
+            );
+            assert!(err.contains(needle), "{marker}: {err}");
+        }
+        let stray_end = "<!-- vrun:table e -->\n<!-- vrun:end -->\n\n<!-- vrun:end -->\n";
+        let err = regenerate(stray_end, &dir).unwrap_err();
+        assert!(err.starts_with("line 4:"), "{err}");
+        assert!(err.contains("outside a `vrun:table` block"), "{err}");
+        let bad_end = "<!-- vrun:table e -->\n<!-- vrun:end-->\n<!-- vrun:end -->\n";
+        let err = regenerate(bad_end, &dir).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        assert!(err.contains("opened on line 1"), "{err}");
     }
 
     #[test]

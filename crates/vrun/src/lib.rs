@@ -12,8 +12,8 @@
 //!
 //! Module map — one stage per module:
 //!
-//! * [`spec`] — parse + validate sweep specs (shared [`vlint::toml`]
-//!   reader);
+//! * [`toml`] — the dependency-free TOML-subset reader;
+//! * [`spec`] — parse + validate sweep specs;
 //! * [`plan`] — expand the matrix into [`plan::Cell`]s with canonical
 //!   config JSON;
 //! * [`hash`] — FNV-1a cell identity;
@@ -29,6 +29,7 @@ pub mod exec;
 pub mod hash;
 pub mod plan;
 pub mod spec;
+pub mod toml;
 
 use std::path::{Path, PathBuf};
 

@@ -4,11 +4,11 @@
 //! vrun run  <spec.toml> [--force] [--pool N] [--bin-dir DIR] [--results DIR] [--quiet]
 //! vrun plan <spec.toml> [--bin-dir DIR] [--results DIR]
 //! vrun docs [--check] [--doc PATH] [--results DIR]
-//! vrun lint <vlint.json>
 //! ```
 //!
-//! Exit codes: 0 success; 1 a cell failed / docs drifted (`--check`) /
-//! the lint artifact records violations; 2 usage or spec error.
+//! Each subcommand accepts only the flags listed for it. Exit codes:
+//! 0 success; 1 a cell failed / docs drifted (`--check`); 2 usage or
+//! spec error (including a flag the subcommand does not take).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,55 +23,68 @@ fn main() -> ExitCode {
         Some((&"run", rest)) => cmd_run(rest),
         Some((&"plan", rest)) => cmd_plan(rest),
         Some((&"docs", rest)) => cmd_docs(rest),
-        Some((&"lint", rest)) => cmd_lint(rest),
         _ => {
             eprintln!(
                 "usage: vrun run <spec.toml> [--force] [--pool N] [--bin-dir DIR] [--results DIR] [--quiet]\n\
                  \x20      vrun plan <spec.toml> [--bin-dir DIR] [--results DIR]\n\
-                 \x20      vrun docs [--check] [--doc PATH] [--results DIR]\n\
-                 \x20      vrun lint <vlint.json>"
+                 \x20      vrun docs [--check] [--doc PATH] [--results DIR]"
             );
             ExitCode::from(2)
         }
     }
 }
 
-/// Shared flag parsing; returns positional args.
-fn parse_flags(
-    rest: &[&str],
-    opts: &mut RunOptions,
-    force: &mut bool,
-    check: &mut bool,
-    doc: &mut PathBuf,
-    quiet: &mut bool,
-) -> Result<Vec<String>, String> {
-    let mut positional = Vec::new();
+/// One subcommand's command line: the flags it accepts and its
+/// positional arguments.
+#[derive(Debug, Default)]
+struct Args {
+    positional: Vec<String>,
+    /// `--force`, `--pool`, `--bin-dir`, `--results` and `--quiet`.
+    opts: RunOptions,
+    check: bool,
+    doc: Option<PathBuf>,
+}
+
+/// Parses `rest`, accepting only the flags in `accepted`: a flag the
+/// subcommand would not read is a usage error, not silently ignored.
+fn parse_args(rest: &[&str], accepted: &[&str]) -> Result<Args, String> {
+    let mut args = Args::default();
+    args.opts.verbose = true;
     let mut it = rest.iter();
     while let Some(&a) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
+        if !a.starts_with("--") {
+            args.positional.push(a.to_string());
+            continue;
+        }
+        if !accepted.contains(&a) {
+            return Err(format!(
+                "unknown flag {a} (accepted: {})",
+                accepted.join(" ")
+            ));
+        }
+        let mut value = || -> Result<String, String> {
             it.next()
                 .map(|s| (*s).to_string())
-                .ok_or(format!("{name} needs a value"))
+                .ok_or(format!("{a} needs a value"))
         };
         match a {
-            "--force" => *force = true,
-            "--check" => *check = true,
-            "--quiet" => *quiet = true,
+            "--force" => args.opts.force = true,
+            "--check" => args.check = true,
+            "--quiet" => args.opts.verbose = false,
             "--pool" => {
-                opts.pool = Some(
-                    value("--pool")?
+                args.opts.pool = Some(
+                    value()?
                         .parse()
                         .map_err(|_| "--pool needs a number".to_string())?,
                 );
             }
-            "--bin-dir" => opts.bin_dir = PathBuf::from(value("--bin-dir")?),
-            "--results" => opts.results_dir = PathBuf::from(value("--results")?),
-            "--doc" => *doc = PathBuf::from(value("--doc")?),
-            _ if a.starts_with("--") => return Err(format!("unknown flag {a}")),
-            _ => positional.push(a.to_string()),
+            "--bin-dir" => args.opts.bin_dir = PathBuf::from(value()?),
+            "--results" => args.opts.results_dir = PathBuf::from(value()?),
+            "--doc" => args.doc = Some(PathBuf::from(value()?)),
+            _ => return Err(format!("unknown flag {a}")),
         }
     }
-    Ok(positional)
+    Ok(args)
 }
 
 fn usage_err(e: &str) -> ExitCode {
@@ -87,25 +100,18 @@ fn load_spec(positional: &[String]) -> Result<Sweep, String> {
 }
 
 fn cmd_run(rest: &[&str]) -> ExitCode {
-    let mut opts = RunOptions {
-        verbose: true,
-        ..RunOptions::default()
-    };
-    let (mut force, mut check, mut quiet) = (false, false, false);
-    let mut doc = PathBuf::new();
-    let positional = match parse_flags(
-        rest, &mut opts, &mut force, &mut check, &mut doc, &mut quiet,
+    let args = match parse_args(
+        rest,
+        &["--force", "--pool", "--bin-dir", "--results", "--quiet"],
     ) {
-        Ok(p) => p,
+        Ok(a) => a,
         Err(e) => return usage_err(&e),
     };
-    opts.force = force;
-    opts.verbose = !quiet;
-    let sweep = match load_spec(&positional) {
+    let sweep = match load_spec(&args.positional) {
         Ok(s) => s,
         Err(e) => return usage_err(&e),
     };
-    match vrun::run_sweep(&sweep, &opts) {
+    match vrun::run_sweep(&sweep, &args.opts) {
         Ok(summary) => {
             say(&format!("sweep `{}`: {}", sweep.name, summary.line()));
             for (cell, outcome) in &summary.cells {
@@ -124,19 +130,15 @@ fn cmd_run(rest: &[&str]) -> ExitCode {
 }
 
 fn cmd_plan(rest: &[&str]) -> ExitCode {
-    let mut opts = RunOptions::default();
-    let (mut force, mut check, mut quiet) = (false, false, false);
-    let mut doc = PathBuf::new();
-    let positional = match parse_flags(
-        rest, &mut opts, &mut force, &mut check, &mut doc, &mut quiet,
-    ) {
-        Ok(p) => p,
+    let args = match parse_args(rest, &["--bin-dir", "--results"]) {
+        Ok(a) => a,
         Err(e) => return usage_err(&e),
     };
-    let sweep = match load_spec(&positional) {
+    let sweep = match load_spec(&args.positional) {
         Ok(s) => s,
         Err(e) => return usage_err(&e),
     };
+    let opts = &args.opts;
     let cache = vrun::cache::Cache::new(&opts.results_dir);
     say(&format!(
         "sweep `{}`: pool {}, default timeout {}s",
@@ -166,74 +168,25 @@ fn cmd_plan(rest: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `vrun lint <vlint.json>` — validate the vlint artifact CI uploads:
-/// it must parse, carry the schema version this vrun understands, and
-/// record a clean workspace. This is the consumer-side half of the
-/// `--json` contract; a schema bump without updating vrun fails here,
-/// not silently downstream.
-fn cmd_lint(rest: &[&str]) -> ExitCode {
-    let [path] = rest else {
-        return usage_err("lint takes exactly one artifact path");
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return usage_err(&format!("cannot read {path}: {e}")),
-    };
-    let json = match vsim::Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => return usage_err(&format!("{path}: invalid JSON: {e}")),
-    };
-    if json.get("tool").and_then(|t| t.as_str()) != Some("vlint") {
-        return usage_err(&format!("{path}: not a vlint artifact (missing tool tag)"));
-    }
-    const EXPECTED_SCHEMA: f64 = 2.0;
-    match json.get("schema").and_then(|s| s.as_f64()) {
-        Some(v) if v == EXPECTED_SCHEMA => {}
-        Some(v) => {
-            return usage_err(&format!(
-                "{path}: artifact schema {v} but this vrun expects {EXPECTED_SCHEMA}"
-            ))
-        }
-        None => return usage_err(&format!("{path}: artifact predates the schema field")),
-    }
-    let clean = matches!(json.get("clean"), Some(vsim::Json::Bool(true)));
-    let violations = json
-        .get("violations")
-        .and_then(|v| v.as_arr())
-        .map(<[vsim::Json]>::len)
-        .unwrap_or(0);
-    if clean && violations == 0 {
-        say(&format!("{path}: clean vlint artifact (schema 2)"));
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("vrun: {path}: vlint recorded {violations} violation(s)");
-        ExitCode::from(1)
-    }
-}
-
 fn cmd_docs(rest: &[&str]) -> ExitCode {
-    let mut opts = RunOptions::default();
-    let (mut force, mut check, mut quiet) = (false, false, false);
-    let mut doc = PathBuf::from("EXPERIMENTS.md");
-    let positional = match parse_flags(
-        rest, &mut opts, &mut force, &mut check, &mut doc, &mut quiet,
-    ) {
-        Ok(p) => p,
+    let args = match parse_args(rest, &["--check", "--doc", "--results"]) {
+        Ok(a) => a,
         Err(e) => return usage_err(&e),
     };
-    if !positional.is_empty() {
+    if !args.positional.is_empty() {
         return usage_err("docs takes no positional arguments");
     }
+    let doc = args.doc.unwrap_or_else(|| PathBuf::from("EXPERIMENTS.md"));
     let text = match std::fs::read_to_string(&doc) {
         Ok(t) => t,
         Err(e) => return usage_err(&format!("cannot read {}: {e}", doc.display())),
     };
-    let (new, reports) = match docgen::regenerate(&text, &opts.results_dir) {
+    let (new, reports) = match docgen::regenerate(&text, &args.opts.results_dir) {
         Ok(r) => r,
         Err(e) => return usage_err(&e),
     };
     let drifted: Vec<_> = reports.iter().filter(|r| r.changed).collect();
-    if check {
+    if args.check {
         if drifted.is_empty() {
             say(&format!(
                 "{}: {} table(s) up to date",

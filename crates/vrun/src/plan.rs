@@ -7,7 +7,7 @@
 //! formatting), so it can be hashed byte-for-byte — see [`crate::hash`].
 
 use crate::spec::{Experiment, Sweep};
-use vlint::toml::TomlValue;
+use crate::toml::TomlValue;
 
 /// One unit of work: a bench binary run under one parameter assignment.
 #[derive(Debug, Clone)]

@@ -3,7 +3,7 @@
 //! A spec names a set of experiments (bench binaries), each with an
 //! optional seed list and an optional parameter grid; `vrun` expands
 //! the cross product into cells (see [`crate::plan`]). The grammar is
-//! the shared TOML subset from [`vlint::toml`]:
+//! the shared TOML subset from [`crate::toml`]:
 //!
 //! ```toml
 //! [sweep]
@@ -22,10 +22,9 @@
 //! ```
 //!
 //! Every key is checked; unknown keys, wrong value types, and duplicate
-//! experiment names are `file:line` errors, same contract as `lint.toml`
-//! parsing.
+//! experiment names are `file:line` errors, like the TOML reader's own.
 
-use vlint::toml::{TomlDoc, TomlTable, TomlValue};
+use crate::toml::{TomlDoc, TomlTable, TomlValue};
 
 /// Default per-cell timeout when neither the sweep nor the experiment
 /// sets one.

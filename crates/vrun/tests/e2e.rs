@@ -200,3 +200,57 @@ fn timeouts_kill_the_cell() {
     let s = run_sweep(&sweep(spec), &rig.opts()).unwrap();
     assert_eq!(s.cells[0].1, CellOutcome::TimedOut, "{}", s.line());
 }
+
+#[test]
+fn subcommands_reject_flags_they_do_not_read() {
+    let rig = Rig::new("flags");
+    rig.fake_bin("exp_fake");
+    let root = rig.root.to_str().expect("utf-8 temp dir");
+    let spec = format!("{root}/s.toml");
+    std::fs::write(
+        &spec,
+        "[sweep]\nname = \"t\"\n[[experiment]]\nbin = \"exp_fake\"\n",
+    )
+    .expect("write spec");
+    let doc = format!("{root}/doc.md");
+    std::fs::write(&doc, "no managed tables\n").expect("write doc");
+    let (bin, results) = (format!("{root}/bin"), format!("{root}/results"));
+    let vrun = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_vrun"))
+            .args(args)
+            .output()
+            .expect("spawn vrun")
+    };
+
+    // Each subcommand succeeds with the flags it reads...
+    let run = ["run", &spec, "--bin-dir", &bin, "--results", &results];
+    let plan = ["plan", &spec, "--bin-dir", &bin, "--results", &results];
+    let docs = ["docs", "--check", "--doc", &doc, "--results", &results];
+    for base in [&run[..], &plan[..], &docs[..]] {
+        let out = vrun(base);
+        assert_eq!(out.status.code(), Some(0), "{base:?}: {out:?}");
+    }
+    // ...and exits 2, naming the flag, on any flag it would ignore.
+    for (base, extra) in [
+        (&run[..], &["--check"][..]),
+        (&run[..], &["--doc", "x.md"]),
+        (&plan[..], &["--force"]),
+        (&plan[..], &["--check"]),
+        (&plan[..], &["--doc", "x.md"]),
+        (&plan[..], &["--pool", "3"]),
+        (&plan[..], &["--quiet"]),
+        (&docs[..], &["--pool", "3"]),
+        (&docs[..], &["--force"]),
+        (&docs[..], &["--quiet"]),
+        (&docs[..], &["--bin-dir", "bin"]),
+    ] {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        let out = vrun(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {}", extra[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+}
