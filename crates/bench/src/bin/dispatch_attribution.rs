@@ -2,7 +2,7 @@
 //! per-event-kind dispatch attribution from the engine self-profiler.
 //!
 //! Drives a small but busy cluster (local + remote programs, a live
-//! migration, 1 ms telemetry sampling) and reports each event kind's
+//! migration, telemetry on) and reports each event kind's
 //! dispatch count and share of all dispatches. The *counts* are a pure
 //! function of the seed, so the table is deterministic and renderable by
 //! `vrun docs`; wall-clock attribution (from the injected [`WallClock`])

@@ -80,10 +80,7 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
     let trace_each = matches!(variant, Variant::Trace(_));
     let mut store: Option<(SeriesStore, SeriesId, SeriesId)> = match variant {
         Variant::Sampling => {
-            let mut s = SeriesStore::new(SamplingSpec {
-                every: SimDuration::from_millis(1),
-                capacity: 1024,
-            });
+            let mut s = SeriesStore::new(SamplingSpec { capacity: 1024 });
             let depth = s.manual(Subsystem::Engine, "queue_depth", "events");
             let tombs = s.manual(Subsystem::Engine, "tombstones", "events");
             ctx.schedule_after(SimDuration::from_millis(1), SAMPLE);

@@ -316,7 +316,7 @@ pub fn emit(name: &str, rows: &impl ToJson, metrics: &MetricsReport) {
 }
 
 /// Optional artifact sections beyond the table and metrics: causal span
-/// percentiles, sampled time series, dispatch-profiler attribution, and
+/// percentiles, time series, dispatch-profiler attribution, and
 /// extra `run`-section fields (nondeterministic wall-clock derivatives a
 /// gate may want, e.g. an overhead ratio).
 #[derive(Default)]
@@ -395,30 +395,6 @@ pub fn emit_full(name: &str, rows: &impl ToJson, metrics: &MetricsReport, extras
     } else {
         println!("[metrics: {}]", path.display());
     }
-}
-
-/// Times `f` over `iters` iterations after `warmup` unmeasured runs and
-/// prints mean/min wall time per iteration — the dependency-free harness
-/// behind the `benches/` binaries.
-pub fn bench_case<T>(name: &str, warmup: usize, iters: usize, mut f: impl FnMut() -> T) {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut best = f64::INFINITY;
-    let mut total = 0.0;
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(f());
-        let dt = t0.elapsed().as_secs_f64();
-        best = best.min(dt);
-        total += dt;
-    }
-    let mean = total / iters as f64;
-    println!(
-        "{name:<40} mean {:>10.3}us  min {:>10.3}us  ({iters} iters)",
-        mean * 1e6,
-        best * 1e6
-    );
 }
 
 #[cfg(test)]

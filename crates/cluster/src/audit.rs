@@ -307,7 +307,7 @@ impl Cluster {
                         violations.push(AuditViolation::FrozenWithoutMigration { ws: i, lh });
                     }
                 }
-                let undrained = w.kernel.outstanding_sends().len() + w.kernel.active_transfers();
+                let undrained = w.kernel.outstanding_count() + w.kernel.active_transfers();
                 if undrained > 0 {
                     violations.push(AuditViolation::UndrainedTransactions {
                         ws: i,

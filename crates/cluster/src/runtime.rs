@@ -170,9 +170,6 @@ pub enum Event {
     /// A periodic invariant-audit checkpoint (see
     /// [`ClusterConfig::audit_every`]).
     AuditTick,
-    /// A periodic telemetry sweep (see [`ClusterConfig::sampling`]): every
-    /// time series records its value at this instant.
-    SampleTick,
 }
 
 /// A running program: kernel state lives in the kernel; this is the
@@ -231,6 +228,11 @@ pub struct Workstation {
 }
 
 impl Workstation {
+    /// Programs holding or queued for the CPU.
+    pub fn ready_programs(&self) -> usize {
+        self.cpu_ready.len() + usize::from(self.cpu_current.is_some())
+    }
+
     /// The workstation's system logical host.
     pub fn system_lh(&self) -> LogicalHostId {
         LogicalHostId(1 + self.host.0 as u32)
@@ -277,8 +279,8 @@ pub struct ClusterConfig {
     pub audit_every: Option<SimDuration>,
     /// Lease-based liveness tuning, applied to every program manager.
     pub lease: LeaseConfig,
-    /// Sample the time series at this sim-time cadence (`None` =
-    /// telemetry off; the store still exists but holds no points).
+    /// Record the time series, each value on change (`None` = telemetry
+    /// off; the store still exists but holds no points).
     pub sampling: Option<SamplingSpec>,
 }
 
@@ -382,7 +384,7 @@ pub struct Cluster {
     pub audit_reports: Vec<AuditReport>,
     /// Span ids for cluster-level scheduling spans.
     spans: SpanIdGen,
-    /// Sim-time-sampled telemetry (engine queue + cluster aggregates).
+    /// Change-point telemetry (engine queue + cluster aggregates).
     series: SeriesStore,
     sids: SeriesIds,
     /// Pre-interned profiler slots, one per [`Event`] kind.
@@ -405,8 +407,6 @@ pub struct Cluster {
     /// Owner-reclaim measurements: (owner returned at, all guests gone at).
     pub reclaim_times: Vec<SimDuration>,
     reclaim_pending: BTreeMap<HostAddr, SimTime>,
-    /// Periodic ticks (`AuditTick`, `SampleTick`) currently on the queue.
-    periodic_ticks: usize,
 }
 
 /// Handles to the cluster's default time series.
@@ -434,7 +434,6 @@ struct EventSlots {
     apply_fault: SlotId,
     heal_partition: SlotId,
     audit_tick: SlotId,
-    sample_tick: SlotId,
 }
 
 impl EventSlots {
@@ -451,7 +450,6 @@ impl EventSlots {
             apply_fault: p.slot(Subsystem::Cluster, "ApplyFault"),
             heal_partition: p.slot(Subsystem::Net, "HealPartition"),
             audit_tick: p.slot(Subsystem::Cluster, "AuditTick"),
-            sample_tick: p.slot(Subsystem::Engine, "SampleTick"),
         }
     }
 
@@ -468,7 +466,6 @@ impl EventSlots {
             Event::ApplyFault { .. } => self.apply_fault,
             Event::HealPartition { .. } => self.heal_partition,
             Event::AuditTick => self.audit_tick,
-            Event::SampleTick => self.sample_tick,
         }
     }
 }
@@ -598,8 +595,8 @@ impl Cluster {
 
         let mut ctx: SimContext<Event> = SimContext::new(trace);
         let slots = EventSlots::intern(ctx.profiler_mut());
-        // Default telemetry series, all recorded on each tick by
-        // `take_sample`; the engine's queue comes first.
+        // Default telemetry series, all updated after each dispatch by
+        // `update_series`; the engine's queue comes first.
         let mut series = SeriesStore::new(cfg.sampling.unwrap_or_default());
         let sids = SeriesIds {
             queue_depth: series.manual(Subsystem::Engine, "queue_depth", "events"),
@@ -631,7 +628,6 @@ impl Cluster {
             pending_behaviors: BTreeMap::new(),
             reclaim_times: Vec::new(),
             reclaim_pending: BTreeMap::new(),
-            periodic_ticks: 0,
         };
         cluster.seed_user_transitions();
         // Schedule the fault plan: timed faults go straight on the queue;
@@ -653,11 +649,6 @@ impl Cluster {
         }
         if let Some(every) = cluster.cfg.audit_every {
             cluster.ctx.schedule_after(every, Event::AuditTick);
-            cluster.periodic_ticks += 1;
-        }
-        if let Some(spec) = cluster.cfg.sampling {
-            cluster.ctx.schedule_after(spec.every, Event::SampleTick);
-            cluster.periodic_ticks += 1;
         }
         cluster
     }
@@ -853,12 +844,17 @@ impl Cluster {
     /// the default null clock that costs two free reads and a counter
     /// bump, so the loop stays deterministic and cheap. Bench bins inject
     /// a real clock via [`Cluster::set_host_clock`] to turn the counts
-    /// into wall-clock attribution.
+    /// into wall-clock attribution. With [`ClusterConfig::sampling`] on,
+    /// each dispatch ends by updating the time series.
     pub fn run_until(&mut self, limit: SimTime) {
+        let sampling = self.cfg.sampling.is_some();
         while let Some((_, ev)) = self.ctx.step_due(limit) {
             let slot = self.slots.for_event(&ev);
             let t0 = self.ctx.profiler_mut().begin();
             self.dispatch(ev);
+            if sampling {
+                self.update_series();
+            }
             self.ctx.profiler_mut().end(slot, t0);
         }
     }
@@ -1005,59 +1001,33 @@ impl Cluster {
             Event::HealPartition { a, b } => self.net.heal(&a, &b),
             Event::AuditTick => {
                 self.audit(false);
+                // Audits follow the simulation: they stop at quiescence
+                // instead of keeping the queue alive.
                 if let Some(every) = self.cfg.audit_every {
-                    self.rearm_periodic(every, Event::AuditTick);
-                }
-            }
-            Event::SampleTick => {
-                self.take_sample();
-                if let Some(spec) = self.cfg.sampling {
-                    self.rearm_periodic(spec.every, Event::SampleTick);
+                    if self.ctx.pending() > 0 {
+                        self.ctx.schedule_after(every, Event::AuditTick);
+                    }
                 }
             }
         }
     }
 
-    /// Re-arms a periodic tick that just fired, but only while something
-    /// other than the periodic ticks is pending: audits and sampling
-    /// follow the simulation, so they stop at quiescence instead of
-    /// keeping the queue (and each other) alive.
-    fn rearm_periodic(&mut self, every: SimDuration, tick: Event) {
-        self.periodic_ticks -= 1;
-        if self.ctx.pending() > self.periodic_ticks {
-            self.ctx.schedule_after(every, tick);
-            self.periodic_ticks += 1;
-        }
-    }
-
-    /// One telemetry sweep: the engine's queue depth and tombstones plus
-    /// the cluster aggregates, all stamped with the same instant.
-    fn take_sample(&mut self) {
-        let now = self.ctx.now();
-        let mut ready = 0usize;
-        let mut frozen = 0usize;
-        let mut migrations = 0usize;
-        let mut leases = 0usize;
-        let mut retransmit = 0usize;
-        for w in &self.stations {
-            if w.down {
-                continue;
-            }
-            ready += w.cpu_ready.len() + usize::from(w.cpu_current.is_some());
-            frozen += w
-                .kernel
-                .resident_lhs()
-                .into_iter()
-                .filter(|&lh| w.kernel.logical_host(lh).is_some_and(|l| l.is_frozen()))
-                .count();
-            migrations += w.migrator.active_jobs().len();
-            leases += w.pm.granted_leases().len();
-            retransmit += w.kernel.outstanding_sends().len();
+    /// Reads the seven series from counts the components hold — the
+    /// engine's queue depth and tombstones plus the cluster aggregates —
+    /// and hands them to the store, which keeps only the changes.
+    fn update_series(&mut self) {
+        let (mut ready, mut frozen, mut migrations, mut leases, mut retransmit) = (0, 0, 0, 0, 0);
+        for w in self.stations.iter().filter(|w| !w.down) {
+            ready += w.ready_programs();
+            frozen += w.kernel.frozen_count();
+            migrations += w.migrator.job_count();
+            leases += w.pm.lease_count();
+            retransmit += w.kernel.outstanding_count();
         }
         let engine = self.ctx.engine();
         let ids = &self.sids;
-        self.series.sweep(
-            now,
+        self.series.update(
+            self.ctx.now(),
             &[
                 (ids.queue_depth, engine.pending() as f64),
                 (ids.tombstones, engine.tombstones() as f64),
@@ -1081,7 +1051,7 @@ impl Cluster {
         &mut self.series
     }
 
-    /// Snapshots every sampled series (the `series` artifact section).
+    /// Snapshots every series (the `series` artifact section).
     pub fn series_report(&self) -> SeriesReport {
         self.series.report()
     }

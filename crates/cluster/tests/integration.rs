@@ -271,7 +271,7 @@ fn metrics_report_lists_every_scope_and_name_in_order() {
 
     // Names are artifact keys: snake_case, and one metric kind per
     // `(subsystem, name)`. Series are a separate namespace, so a gauge
-    // may also be sampled as a series of the same name.
+    // may also be recorded as a series of the same name.
     let snake = |name: &str| {
         name.starts_with(|c: char| c.is_ascii_lowercase())
             && !name.ends_with('_')
@@ -556,11 +556,11 @@ fn cluster_survives_running_past_all_events() {
     assert!(c.now() <= SimTime::ZERO + SimDuration::from_secs(5));
 }
 
-/// Periodic audits and sampling each re-arm only while other work is
-/// pending, so with both switched on they must not keep each other alive:
-/// the cluster still quiesces once its one short program is done.
+/// Periodic audits re-arm only while other work is pending, and telemetry
+/// schedules nothing, so with both switched on the cluster still quiesces
+/// once its one short program is done.
 #[test]
-fn audit_and_sample_ticks_stop_at_quiescence() {
+fn audit_ticks_stop_at_quiescence() {
     let mut c = Cluster::new(ClusterConfig {
         audit_every: Some(SimDuration::from_secs(1)),
         sampling: Some(SamplingSpec::default()),
@@ -578,10 +578,17 @@ fn audit_and_sample_ticks_stop_at_quiescence() {
         }
         c.run_for(SimDuration::from_secs(30));
     }
-    assert_eq!(c.pending(), 0, "periodic ticks kept the queue alive");
+    assert_eq!(c.pending(), 0, "audit ticks kept the queue alive");
     assert!(c.exec_reports[0].success);
     assert!(!c.audit_reports.is_empty(), "no periodic audit ran");
-    assert!(c.series().sweeps() > 0, "no sample was taken");
+    let series = c.series_report();
+    assert!(
+        series.series.iter().all(|s| !s.points.is_empty()),
+        "a series recorded nothing"
+    );
+    // The queue drained, so its depth series ends at zero.
+    let depth = series.series("queue_depth").expect("default series");
+    assert_eq!(depth.points.last().map(|p| p.1), Some(0.0));
 }
 
 #[test]

@@ -404,6 +404,11 @@ impl Migrator {
         self.jobs.contains_key(&lh)
     }
 
+    /// Number of active migrations.
+    pub fn job_count(&self) -> usize {
+        self.jobs.len()
+    }
+
     /// Active migrations as (logical host, current temporary id), sorted —
     /// the cluster auditor uses this to tell legal transients (a
     /// duplicate copy mid-install, a resident temp) from leaks.

@@ -544,6 +544,11 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         self.lhs.keys().copied().collect()
     }
 
+    /// Number of resident logical hosts that are frozen.
+    pub fn frozen_count(&self) -> usize {
+        self.lhs.values().filter(|l| l.is_frozen()).count()
+    }
+
     /// Creates an empty logical host here.
     ///
     /// # Panics
@@ -1153,6 +1158,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             .collect();
         v.sort_by_key(|&(from, seq, _)| (from.lh.0, from.index, seq.0));
         v
+    }
+
+    /// Number of outstanding client Sends (the length of
+    /// [`Kernel::outstanding_sends`], without building it).
+    pub fn outstanding_count(&self) -> usize {
+        self.outstanding.len()
     }
 
     /// Orphaned transactions not yet resolved by renewed contact with

@@ -13,8 +13,9 @@
 //!
 //! where `H` is the hot-set size (KB), `w` the hot write rate (KB/s of
 //! stores landing uniformly in the hot set) and `r` the cold sweep rate
-//! (KB/s of first-touch writes). [`WwsParams::fit`] recovers `(H, w, r)`
-//! from the paper's three points per program; [`WwsSampler`] then issues
+//! (KB/s of first-touch writes). [`WwsParams::fit_quantized`] recovers
+//! `(H, w, r)` from the paper's three points per program, in whole pages;
+//! [`WwsSampler`] then issues
 //! *concrete page writes* against an [`AddressSpace`] so that experiments
 //! measure dirty pages from the page tables, not from the formula.
 
@@ -43,88 +44,6 @@ impl WwsParams {
             self.hot_kb * (1.0 - (-self.hot_write_kb_per_sec * t / self.hot_kb).exp())
         };
         hot + self.cold_kb_per_sec * t
-    }
-
-    /// Fits `(H, w, r)` to observed `(t_secs, dirty_kb)` points by a
-    /// coarse-to-fine grid search minimizing summed squared *relative*
-    /// error (relative, so sub-page programs like `make` fit as well as
-    /// TeX).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two points are given or any observation is
-    /// non-positive.
-    pub fn fit(points: &[(f64, f64)]) -> WwsParams {
-        assert!(points.len() >= 2, "need at least two points to fit");
-        assert!(
-            points.iter().all(|&(t, y)| t > 0.0 && y > 0.0),
-            "points must be positive"
-        );
-        let y_max = points.iter().map(|&(_, y)| y).fold(0.0, f64::max);
-
-        let loss_of = |h: f64, w: f64| -> (f64, f64) {
-            // With (H, w) fixed the model is linear in r; solve the
-            // least-squares r in closed form, clamped to be non-negative.
-            let (mut num, mut den) = (0.0, 0.0);
-            for &(t, y) in points {
-                let g = if h <= f64::EPSILON {
-                    0.0
-                } else {
-                    h * (1.0 - (-w * t / h).exp())
-                };
-                num += t * (y - g);
-                den += t * t;
-            }
-            let r = (num / den).max(0.0);
-            let p = WwsParams {
-                hot_kb: h,
-                hot_write_kb_per_sec: w,
-                cold_kb_per_sec: r,
-            };
-            let loss: f64 = points
-                .iter()
-                .map(|&(t, y)| {
-                    let e = (p.expected_dirty_kb(t) - y) / y;
-                    e * e
-                })
-                .sum();
-            (loss, r)
-        };
-
-        // Coarse log grids bracketing anything Table 4-1 could produce,
-        // then three zoom rounds around the best cell.
-        let mut best = (f64::INFINITY, 0.01, 0.01, 0.0);
-        let mut h_range = (0.01f64, 4.0 * y_max + 1.0);
-        let mut w_range = (0.01f64, 400.0 * y_max + 1.0);
-        for round in 0..4 {
-            let steps = if round == 0 { 48 } else { 24 };
-            let (h_lo, h_hi) = h_range;
-            let (w_lo, w_hi) = w_range;
-            for i in 0..=steps {
-                let h = h_lo * (h_hi / h_lo).powf(i as f64 / steps as f64);
-                for j in 0..=steps {
-                    let w = w_lo * (w_hi / w_lo).powf(j as f64 / steps as f64);
-                    let (loss, r) = loss_of(h, w);
-                    if loss < best.0 {
-                        best = (loss, h, w, r);
-                    }
-                }
-            }
-            let zoom = 2.0f64.powi(-(round + 1));
-            h_range = (
-                (best.1 * (h_lo / h_hi).powf(zoom * 0.2)).max(1e-3),
-                best.1 * (h_hi / h_lo).powf(zoom * 0.2),
-            );
-            w_range = (
-                (best.2 * (w_lo / w_hi).powf(zoom * 0.2)).max(1e-3),
-                best.2 * (w_hi / w_lo).powf(zoom * 0.2),
-            );
-        }
-        WwsParams {
-            hot_kb: best.1,
-            hot_write_kb_per_sec: best.2,
-            cold_kb_per_sec: best.3,
-        }
     }
 
     /// Fits parameters under **page quantization**: the sampler dirties
@@ -205,18 +124,6 @@ impl WwsParams {
             page_kb * h * (1.0 - (-lam * t / h).exp())
         };
         hot + self.cold_kb_per_sec * t
-    }
-
-    /// Root-mean-square relative error of this fit against `points`.
-    pub fn rms_rel_error(&self, points: &[(f64, f64)]) -> f64 {
-        let sum: f64 = points
-            .iter()
-            .map(|&(t, y)| {
-                let e = (self.expected_dirty_kb(t) - y) / y;
-                e * e
-            })
-            .sum();
-        (sum / points.len() as f64).sqrt()
     }
 }
 
@@ -321,22 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_recovers_synthetic_parameters() {
-        let truth = WwsParams {
-            hot_kb: 60.0,
-            hot_write_kb_per_sec: 250.0,
-            cold_kb_per_sec: 12.0,
-        };
-        let points: Vec<(f64, f64)> = T.iter().map(|&t| (t, truth.expected_dirty_kb(t))).collect();
-        let fit = WwsParams::fit(&points);
-        assert!(
-            fit.rms_rel_error(&points) < 0.02,
-            "rms {}",
-            fit.rms_rel_error(&points)
-        );
-    }
-
-    #[test]
     fn quantized_fit_handles_sub_page_rates() {
         // The paper's `make` row: 0.8 / 1.8 / 4.2 KB — below one 2 KB page
         // at the shortest window. The continuous fit overshoots ~2x when
@@ -360,37 +251,6 @@ mod tests {
             let pred = q.expected_dirty_kb_quantized(t, 2.0);
             assert!((pred - y).abs() / y < 0.05, "at {t}: {pred} vs {y}");
         }
-    }
-
-    #[test]
-    fn fit_handles_table_4_1_extremes() {
-        // The paper's most concave row (preprocessor) and flattest (make).
-        for y in [[25.0, 40.2, 59.6], [0.8, 1.8, 4.2]] {
-            let points: Vec<(f64, f64)> = T.iter().copied().zip(y).collect();
-            let fit = WwsParams::fit(&points);
-            assert!(
-                fit.rms_rel_error(&points) < 0.05,
-                "fit {fit:?} rms {} for {y:?}",
-                fit.rms_rel_error(&points)
-            );
-        }
-    }
-
-    #[test]
-    fn fit_smooths_non_monotone_linking_loader() {
-        // 25.0 / 39.2 / 37.8 — the non-monotone row. The fit cannot be
-        // exact; it should still land within ~15% RMS.
-        let points: Vec<(f64, f64)> = T.iter().copied().zip([25.0, 39.2, 37.8]).collect();
-        let fit = WwsParams::fit(&points);
-        assert!(fit.rms_rel_error(&points) < 0.15);
-        // And the model must stay monotone.
-        assert!(fit.expected_dirty_kb(3.0) >= fit.expected_dirty_kb(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn fit_rejects_non_positive_points() {
-        WwsParams::fit(&[(0.2, 0.0), (1.0, 1.0)]);
     }
 
     fn big_space() -> AddressSpace {

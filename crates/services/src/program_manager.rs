@@ -423,6 +423,11 @@ impl ProgramManager {
         self.leases.iter().map(|(&lh, l)| (lh, l.origin)).collect()
     }
 
+    /// Number of leases this manager granted.
+    pub fn lease_count(&self) -> usize {
+        self.grants.len()
+    }
+
     /// Leases this manager granted: (program, last-known remote host).
     pub fn granted_leases(&self) -> Vec<(LogicalHostId, HostAddr)> {
         self.grants.iter().map(|(&lh, g)| (lh, g.remote)).collect()

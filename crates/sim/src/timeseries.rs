@@ -1,13 +1,19 @@
-//! Deterministic sim-time-sampled time series.
+//! Deterministic sim-time time series, recorded on change.
 //!
 //! End-of-run [`crate::metrics`] snapshots say *what* happened; a
-//! [`SeriesStore`] says *when*. The owner registers each series once and,
-//! on every tick of a fixed sim-time cadence, reads the values from where
-//! they live (the engine's queue depth, ready-queue lengths, lease
-//! counts) and records them in one [`SeriesStore::sweep`]. Sampling is
-//! driven entirely by the simulated clock — the tick is an ordinary event
-//! on the engine queue — so two same-seed runs produce bit-identical
-//! series, byte for byte, through [`crate::json`].
+//! [`SeriesStore`] says *when*. The owner registers each series once and
+//! reports the current values with [`SeriesStore::update`] whenever its
+//! state may have moved (the cluster does so after every dispatch). A
+//! series is a step function: it records a point only when its value
+//! changes, and at most one point per simulated instant, holding the
+//! value after that instant's last update. Nothing is scheduled on the
+//! event queue and no value is polled on a cadence, so telemetry costs in
+//! proportion to activity and never changes what the simulation does.
+//! Values are read from simulated state only, so two same-seed runs
+//! produce bit-identical series, byte for byte, through [`crate::json`].
+//!
+//! A caller that does own a fixed cadence can instead record every value
+//! of a sweep with [`SeriesStore::sweep`].
 //!
 //! Memory is bounded: each series keeps at most `capacity` points in a
 //! ring that *decimates on overflow* — when full, every other retained
@@ -23,21 +29,24 @@
 //!
 //! let mut store = SeriesStore::new(SamplingSpec::default());
 //! let depth = store.manual(Subsystem::Engine, "queue_depth", "events");
-//! store.sweep(SimTime::from_micros(1_000), &[(depth, 17.0)]);
-//! assert_eq!(store.report().series[0].points, vec![(1_000, 17.0)]);
-//! assert_eq!(store.sweeps(), 1);
+//! let at = SimTime::from_micros;
+//! store.update(at(1_000), &[(depth, 17.0)]);
+//! store.update(at(1_000), &[(depth, 18.0)]); // same instant: last wins
+//! store.update(at(2_000), &[(depth, 18.0)]); // unchanged: no point
+//! store.update(at(3_000), &[(depth, 4.0)]);
+//! assert_eq!(
+//!     store.report().series[0].points,
+//!     vec![(1_000, 18.0), (3_000, 4.0)]
+//! );
 //! ```
 
 use crate::json::{Json, ToJson};
-use crate::time::SimDuration;
 use crate::time::SimTime;
 use crate::trace::Subsystem;
 
-/// Sampling cadence and per-series retention for a [`SeriesStore`].
+/// Per-series retention for a [`SeriesStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingSpec {
-    /// Sim-time interval between sweeps (the owner schedules the tick).
-    pub every: SimDuration,
     /// Maximum retained points per series before decimation halves the
     /// resolution (values below 2 are treated as 2).
     pub capacity: usize,
@@ -45,10 +54,7 @@ pub struct SamplingSpec {
 
 impl Default for SamplingSpec {
     fn default() -> Self {
-        SamplingSpec {
-            every: SimDuration::from_millis(1),
-            capacity: 1024,
-        }
+        SamplingSpec { capacity: 1024 }
     }
 }
 
@@ -69,6 +75,9 @@ struct Series {
     seen: u64,
     /// Most recent offered sample, retained or not.
     last: Option<(u64, f64)>,
+    /// The latest [`SeriesStore::update`], not yet offered: its instant
+    /// may still see more updates.
+    pending: Option<(u64, f64)>,
 }
 
 impl Series {
@@ -98,8 +107,25 @@ impl Series {
         self.points.push((at, value));
     }
 
+    /// A value as of `at`. A new instant first settles the previous one.
+    fn update(&mut self, capacity: usize, at: u64, value: f64) {
+        if self.pending.is_some_and(|(t, _)| t != at) {
+            self.settle(capacity);
+        }
+        self.pending = Some((at, value));
+    }
+
+    /// Offers the pending value if it differs from the value in force.
+    fn settle(&mut self, capacity: usize) {
+        if let Some((at, value)) = self.pending.take() {
+            if self.last.map(|(_, v)| v.to_bits()) != Some(value.to_bits()) {
+                self.offer(capacity, at, value);
+            }
+        }
+    }
+
     /// Retained points plus the most recent sample when decimation (or
-    /// striding) dropped it — the series always ends at the last sweep.
+    /// striding) dropped it — the series always ends at the last value.
     fn points_with_endpoint(&self) -> Vec<(u64, f64)> {
         let mut out = self.points.clone();
         if let Some(last) = self.last {
@@ -111,7 +137,7 @@ impl Series {
     }
 }
 
-/// A set of registered series sampled on a common sim-time cadence.
+/// A set of registered series, each a step function of sim time.
 #[derive(Debug, Clone)]
 pub struct SeriesStore {
     spec: SamplingSpec,
@@ -120,11 +146,10 @@ pub struct SeriesStore {
 }
 
 impl SeriesStore {
-    /// Creates an empty store with the given cadence and retention.
+    /// Creates an empty store with the given retention.
     pub fn new(spec: SamplingSpec) -> Self {
         SeriesStore {
             spec: SamplingSpec {
-                every: spec.every,
                 capacity: spec.capacity.max(2),
             },
             series: Vec::new(),
@@ -132,28 +157,13 @@ impl SeriesStore {
         }
     }
 
-    /// The store's sampling spec (capacity already clamped to ≥ 2).
-    pub fn spec(&self) -> SamplingSpec {
-        self.spec
-    }
-
-    /// Number of sweeps taken so far.
+    /// Number of sweeps and updates taken so far.
     pub fn sweeps(&self) -> u64 {
         self.sweeps
     }
 
-    /// Number of registered series.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
-    /// Registers a series whose values the owner records via
-    /// [`SeriesStore::sweep`] or [`SeriesStore::record`]. Idempotent by
+    /// Registers a series whose values the owner reports via
+    /// [`SeriesStore::update`] or [`SeriesStore::sweep`]. Idempotent by
     /// `(subsystem, name)`.
     // Series ids index the registered series, far below `u32::MAX`.
     #[allow(clippy::cast_possible_truncation)]
@@ -178,41 +188,54 @@ impl SeriesStore {
             stride: 1,
             seen: 0,
             last: None,
+            pending: None,
         });
         SeriesId(self.series.len() as u32 - 1)
     }
 
-    /// Records one sample into a series at `at`, outside any sweep.
-    pub fn record(&mut self, id: SeriesId, at: SimTime, value: f64) {
-        let capacity = self.spec.capacity;
-        self.series[id.0 as usize].offer(capacity, at.as_micros(), value);
-    }
-
-    /// One sweep: records each `(series, value)` pair, all stamped with
-    /// the instant `at`, and counts the sweep.
+    /// One sweep: records each `(series, value)` pair, changed or not,
+    /// all stamped with the instant `at`, and counts the sweep.
     pub fn sweep(&mut self, at: SimTime, values: &[(SeriesId, f64)]) {
         self.sweeps += 1;
+        let (capacity, at) = (self.spec.capacity, at.as_micros());
         for &(id, value) in values {
-            self.record(id, at, value);
+            self.series[id.0 as usize].offer(capacity, at, value);
         }
     }
 
-    /// Snapshots every series for artifact emission.
+    /// One update: each `(series, value)` pair is the series' value as of
+    /// `at`. A series records a point only when its value changes, and at
+    /// most one per instant: a later update at the same `at` replaces an
+    /// earlier one, and the instant is settled when a later one arrives
+    /// (or at [`SeriesStore::report`]). Counts as one sweep.
+    pub fn update(&mut self, at: SimTime, values: &[(SeriesId, f64)]) {
+        self.sweeps += 1;
+        let (capacity, at) = (self.spec.capacity, at.as_micros());
+        for &(id, value) in values {
+            self.series[id.0 as usize].update(capacity, at, value);
+        }
+    }
+
+    /// Snapshots every series for artifact emission, the latest instant's
+    /// pending updates included.
     pub fn report(&self) -> SeriesReport {
         SeriesReport {
-            interval_us: self.spec.every.as_micros(),
             capacity: self.spec.capacity,
             sweeps: self.sweeps,
             series: self
                 .series
                 .iter()
-                .map(|s| SeriesSnapshot {
-                    subsystem: s.subsystem,
-                    name: s.name,
-                    unit: s.unit,
-                    stride: s.stride,
-                    seen: s.seen,
-                    points: s.points_with_endpoint(),
+                .map(|s| {
+                    let mut s = s.clone();
+                    s.settle(self.spec.capacity);
+                    SeriesSnapshot {
+                        subsystem: s.subsystem,
+                        name: s.name,
+                        unit: s.unit,
+                        stride: s.stride,
+                        seen: s.seen,
+                        points: s.points_with_endpoint(),
+                    }
                 })
                 .collect(),
         }
@@ -230,21 +253,19 @@ pub struct SeriesSnapshot {
     pub unit: &'static str,
     /// Final keep-stride (1 = never decimated; doubles per decimation).
     pub stride: u64,
-    /// Samples offered over the run (retained ≤ capacity + 1 of these).
+    /// Points offered over the run (retained ≤ capacity + 1 of these).
     pub seen: u64,
     /// Retained `(t_micros, value)` points, oldest first, ending at the
-    /// most recent sample.
+    /// most recent one. Each value holds until the next point's instant.
     pub points: Vec<(u64, f64)>,
 }
 
 /// A frozen [`SeriesStore`]: the `series` section of bench artifacts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesReport {
-    /// Sampling interval in microseconds of sim time.
-    pub interval_us: u64,
     /// Per-series retention limit.
     pub capacity: usize,
-    /// Sweeps taken.
+    /// Sweeps and updates taken.
     pub sweeps: u64,
     /// One snapshot per registered series, in registration order.
     pub series: Vec<SeriesSnapshot>,
@@ -280,7 +301,6 @@ impl ToJson for SeriesSnapshot {
 impl ToJson for SeriesReport {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("interval_us", self.interval_us.to_json()),
             ("capacity", self.capacity.to_json()),
             ("sweeps", self.sweeps.to_json()),
             ("series", self.series.to_json()),
@@ -293,10 +313,7 @@ mod tests {
     use super::*;
 
     fn store(capacity: usize) -> SeriesStore {
-        SeriesStore::new(SamplingSpec {
-            every: SimDuration::from_millis(1),
-            capacity,
-        })
+        SeriesStore::new(SamplingSpec { capacity })
     }
 
     #[test]
@@ -307,7 +324,7 @@ mod tests {
         let c = st.manual(Subsystem::Cluster, "ready", "programs");
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(st.len(), 2);
+        assert_eq!(st.report().series.len(), 2);
     }
 
     #[test]
@@ -316,14 +333,33 @@ mod tests {
         let frames = st.manual(Subsystem::Net, "frames", "frames");
         let depth = st.manual(Subsystem::Engine, "depth", "events");
         st.sweep(SimTime::from_micros(10), &[(frames, 5.0), (depth, 2.5)]);
-        st.record(depth, SimTime::from_micros(11), 3.0);
+        st.sweep(SimTime::from_micros(11), &[(depth, 3.0)]);
         let r = st.report();
         assert_eq!(r.series("frames").unwrap().points, vec![(10, 5.0)]);
         assert_eq!(
             r.series("depth").unwrap().points,
             vec![(10, 2.5), (11, 3.0)]
         );
-        assert_eq!(r.sweeps, 1);
+        assert_eq!(r.sweeps, 2);
+    }
+
+    #[test]
+    fn update_records_changes_only_one_per_instant() {
+        let mut st = store(8);
+        let id = st.manual(Subsystem::Engine, "depth", "events");
+        let at = SimTime::from_micros;
+        for (t, v) in [(5, 1.0), (5, 2.0), (7, 2.0), (9, 3.0), (9, 2.0), (12, 4.0)] {
+            st.update(at(t), &[(id, v)]);
+        }
+        // 9 ends where 7 left it (2 → 3 → 2): no point. The pending 12
+        // is settled by the report without being consumed.
+        let r = st.report();
+        assert_eq!(r.series("depth").unwrap().points, vec![(5, 2.0), (12, 4.0)]);
+        assert_eq!(r.series("depth").unwrap().seen, 2);
+        assert_eq!(r.sweeps, 6);
+        assert_eq!(st.report(), r);
+        st.update(at(12), &[(id, 2.0)]);
+        assert_eq!(st.report().series("depth").unwrap().points, vec![(5, 2.0)]);
     }
 
     #[test]
@@ -331,11 +367,11 @@ mod tests {
         let mut st = store(4);
         let id = st.manual(Subsystem::Cluster, "x", "u");
         for i in 0..4u64 {
-            st.record(id, SimTime::from_micros(i), i as f64);
+            st.sweep(SimTime::from_micros(i), &[(id, i as f64)]);
         }
         // Full at 4 points, stride 1. The 5th sample decimates to
         // offers {0, 2} then retains offer 4.
-        st.record(id, SimTime::from_micros(4), 4.0);
+        st.sweep(SimTime::from_micros(4), &[(id, 4.0)]);
         let snap = st.report();
         let s = snap.series("x").unwrap();
         assert_eq!(s.stride, 2);
@@ -347,7 +383,7 @@ mod tests {
         let mut st = store(16);
         let id = st.manual(Subsystem::Cluster, "x", "u");
         for i in 0..100_000u64 {
-            st.record(id, SimTime::from_micros(i), i as f64);
+            st.sweep(SimTime::from_micros(i), &[(id, i as f64)]);
         }
         let s = st.report();
         let s = s.series("x").unwrap();
@@ -373,7 +409,7 @@ mod tests {
             for i in 0..n {
                 t += 1 + rng.range_u64(0, 1_000);
                 let v = rng.range_f64(-1e6, 1e6);
-                st.record(id, SimTime::from_micros(t), v);
+                st.sweep(SimTime::from_micros(t), &[(id, v)]);
                 if i == 0 {
                     first = Some((t, v));
                 }
@@ -397,7 +433,7 @@ mod tests {
             let mut st = store(8);
             let id = st.manual(Subsystem::Cluster, "x", "u");
             for i in 0..50u64 {
-                st.record(id, SimTime::from_micros(i * 7), (i * 3) as f64 * 0.5);
+                st.sweep(SimTime::from_micros(i * 7), &[(id, (i * 3) as f64 * 0.5)]);
             }
             st.report().to_json().pretty()
         };
@@ -407,6 +443,6 @@ mod tests {
     #[test]
     fn capacity_below_two_is_clamped() {
         let st = store(0);
-        assert_eq!(st.spec().capacity, 2);
+        assert_eq!(st.report().capacity, 2);
     }
 }

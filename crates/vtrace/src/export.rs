@@ -2,7 +2,7 @@
 //!
 //! The span side already exists (`vbench::perfetto_json` writes "X"
 //! complete events, one process per station). This module adds the
-//! counter side: each sampled series becomes a "C" counter event stream
+//! counter side: each series becomes a "C" counter event stream
 //! under a dedicated `telemetry` process (pid [`TELEMETRY_PID`]), and an
 //! existing span trace can be merged in so queue depth, ready counts,
 //! and lease counts render directly above the spans that caused them.
@@ -66,7 +66,7 @@ mod tests {
 
     fn artifact() -> Json {
         Json::parse(
-            r#"{"series": {"interval_us": 1000, "capacity": 8, "sweeps": 3, "series": [
+            r#"{"series": {"capacity": 8, "sweeps": 3, "series": [
                  {"subsystem": "engine", "name": "queue_depth", "unit": "events",
                   "stride": 1, "seen": 3,
                   "points": [[0, 1.0], [1000, 2.0], [2000, 3.0]]}
@@ -113,6 +113,27 @@ mod tests {
         // span + metadata + 2 clipped points.
         assert_eq!(events.len(), 4);
         assert_eq!(events[0].get("name").and_then(Json::as_str), Some("freeze"));
+    }
+
+    #[test]
+    fn window_start_carries_the_value_in_force() {
+        // Opening at 1500 µs, between the points at 1000 and 2000: the
+        // counter track starts at 1500 with the value set at 1000.
+        let win = Window {
+            from_us: Some(1500),
+            to_us: None,
+        };
+        let out = counter_trace(&artifact(), None, win).unwrap();
+        let events = out.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let counters: Vec<(u64, f64)> = events[1..]
+            .iter()
+            .map(|e| {
+                let ts = e.get("ts").and_then(crate::num_u64).unwrap();
+                let v = e.get("args").and_then(|a| a.get("events"));
+                (ts, v.and_then(Json::as_f64).unwrap())
+            })
+            .collect();
+        assert_eq!(counters, vec![(1500, 2.0), (2000, 3.0)]);
     }
 
     #[test]

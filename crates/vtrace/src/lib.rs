@@ -3,7 +3,7 @@
 //!
 //! Every bench artifact is a single JSON document (see
 //! `vbench::emit_full`) whose optional `series` section carries the
-//! sim-time-sampled [`SeriesReport`](vsim::SeriesReport), whose optional
+//! change-point [`SeriesReport`](vsim::SeriesReport), whose optional
 //! `profile` section carries the engine self-profiler's
 //! [`ProfileReport`](vsim::ProfileReport), and whose optional `spans`
 //! section carries per-span duration summaries. The companion

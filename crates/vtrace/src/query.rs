@@ -4,7 +4,7 @@
 //! plain data — the CLI layer renders it. Ordering is always made total
 //! (count/time desc, then name) so output is byte-stable run to run.
 
-use vsim::{Json, Samples, ToJson};
+use vsim::{Json, ToJson};
 
 use crate::{num_u64, Window};
 
@@ -88,27 +88,33 @@ pub struct AggRow {
     pub series: String,
     /// Window start, simulated microseconds.
     pub start_us: u64,
-    /// Points that fell in the window.
+    /// Points (value changes) that fell in the window.
     pub count: usize,
-    /// Mean first-difference per simulated second (0 for a lone point).
+    /// Net change per simulated second between the window's first and
+    /// last points (0 for a lone point).
     pub rate_per_sec: f64,
-    /// Value percentiles over the window (nearest-rank).
+    /// Median value, weighted by how long each value held (nearest-rank).
     pub p50: f64,
-    /// 95th percentile value.
+    /// 95th percentile value, time-weighted.
     pub p95: f64,
-    /// 99th percentile value.
+    /// 99th percentile value, time-weighted.
     pub p99: f64,
 }
 
 /// Windowed statistics over the artifact's `series` section. With
 /// `window_us = None` each series is one window; otherwise points are
-/// bucketed into `[k*window_us, (k+1)*window_us)` buckets. `name`
-/// selects a single series (matching `name` or `subsystem/name`);
-/// `win` clips the points considered.
+/// bucketed into `[k*window_us, (k+1)*window_us)` buckets, and a row is
+/// emitted for each bucket holding at least one point. `name` selects a
+/// single series (matching `name` or `subsystem/name`); `win` clips the
+/// points considered.
 ///
-/// The rate is `(vN - v0) / (tN - t0)` per simulated second — for the
-/// cumulative counters the store samples, that is the average event
-/// rate across the window.
+/// A series is a step function of sim time: each point's value holds
+/// until the next point. The percentiles therefore weight each value by
+/// how long it held inside the bucket, including the value carried in
+/// from before the bucket's first point. The record ends at the latest
+/// point of any series (or at `win`'s end, if earlier), so a value that
+/// only arrives as the record ends carries no weight; a bucket with no
+/// duration at all falls back to one vote per point.
 ///
 /// # Errors
 ///
@@ -125,6 +131,12 @@ pub fn aggregate(
         .and_then(|s| s.get("series"))
         .and_then(Json::as_arr)
         .ok_or("artifact has no series section")?;
+    let record_end = list
+        .iter()
+        .filter_map(|s| clipped_points(s, Window::default()).last().map(|p| p.0))
+        .max()
+        .unwrap_or(0);
+    let end = win.to_us.map_or(record_end, |to| to.min(record_end));
     let mut rows = Vec::new();
     let mut matched = false;
     for s in list {
@@ -139,7 +151,7 @@ pub fn aggregate(
         let points = clipped_points(s, win);
         // Bucket boundaries are absolute multiples of the window width,
         // not offsets from the first point, so rows line up across
-        // series sampled at the same instants.
+        // series.
         let bucket_of = |t: u64| window_us.map_or(0, |w| t / w.max(1));
         let mut i = 0;
         while i < points.len() {
@@ -148,11 +160,21 @@ pub fn aggregate(
             while j < points.len() && bucket_of(points[j].0) == b {
                 j += 1;
             }
-            rows.push(agg_row(
-                &label,
-                window_us.map_or(points[i].0, |w| b * w),
-                &points[i..j],
-            ));
+            let (lo, hi) = match window_us {
+                Some(w) => (b * w, ((b + 1) * w).min(end)),
+                None => (points[i].0, end),
+            };
+            // (value, µs held inside [lo, hi)), the carried-in value first.
+            let mut held: Vec<(f64, u64)> = (i.saturating_sub(1)..j)
+                .map(|k| {
+                    let next = points.get(k + 1).map_or(hi, |p| p.0.min(hi));
+                    (points[k].1, next.saturating_sub(points[k].0.max(lo)))
+                })
+                .collect();
+            if held.iter().all(|&(_, us)| us == 0) {
+                held = points[i..j].iter().map(|&(_, v)| (v, 1)).collect();
+            }
+            rows.push(agg_row(&label, lo, &points[i..j], &mut held));
             i = j;
         }
     }
@@ -165,11 +187,7 @@ pub fn aggregate(
     Ok(rows)
 }
 
-fn agg_row(label: &str, start_us: u64, pts: &[(u64, f64)]) -> AggRow {
-    let mut samples = Samples::new();
-    for (_, v) in pts {
-        samples.add(*v);
-    }
+fn agg_row(label: &str, start_us: u64, pts: &[(u64, f64)], held: &mut [(f64, u64)]) -> AggRow {
     let (first, last) = (pts[0], pts[pts.len() - 1]);
     let span_us = last.0.saturating_sub(first.0);
     let rate = if span_us == 0 {
@@ -177,15 +195,30 @@ fn agg_row(label: &str, start_us: u64, pts: &[(u64, f64)]) -> AggRow {
     } else {
         (last.1 - first.1) / (span_us as f64 / 1e6)
     };
+    held.sort_by(|a, b| a.0.total_cmp(&b.0));
     AggRow {
         series: label.to_string(),
         start_us,
         count: pts.len(),
         rate_per_sec: rate,
-        p50: samples.percentile(50.0).unwrap_or(0.0),
-        p95: samples.percentile(95.0).unwrap_or(0.0),
-        p99: samples.percentile(99.0).unwrap_or(0.0),
+        p50: weighted_percentile(held, 50.0),
+        p95: weighted_percentile(held, 95.0),
+        p99: weighted_percentile(held, 99.0),
     }
+}
+
+/// Nearest-rank percentile of `(value, weight)` pairs sorted by value:
+/// the smallest value whose cumulative weight reaches `p`% of the total.
+fn weighted_percentile(sorted: &[(f64, u64)], p: f64) -> f64 {
+    let total: u64 = sorted.iter().map(|&(_, w)| w).sum();
+    let mut cum = 0u64;
+    for &(v, w) in sorted {
+        cum += w;
+        if cum as f64 * 100.0 >= p * total as f64 {
+            return v;
+        }
+    }
+    sorted.last().map_or(0.0, |&(v, _)| v)
 }
 
 /// `subsystem/name` for one series object.
@@ -197,21 +230,32 @@ pub(crate) fn series_label(s: &Json) -> String {
     )
 }
 
-/// The `[t_us, value]` points of one series, clipped to `win`.
+/// The `[t_us, value]` points of one series, clipped to `win`. A series
+/// is a step function, so when the window opens between two points the
+/// value in force is carried to the window's start as a point there.
 pub(crate) fn clipped_points(s: &Json, win: Window) -> Vec<(u64, f64)> {
-    s.get("points")
-        .and_then(Json::as_arr)
-        .map(|pts| {
-            pts.iter()
-                .filter_map(|p| {
-                    let pair = p.as_arr()?;
-                    let t = num_u64(pair.first()?)?;
-                    let v = pair.get(1)?.as_f64()?;
-                    win.contains(t).then_some((t, v))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+    let pts = s.get("points").and_then(Json::as_arr).unwrap_or(&[]);
+    let mut carried = None;
+    let mut out = Vec::new();
+    for p in pts {
+        let Some((t, v)) = p.as_arr().and_then(|pair| {
+            let t = num_u64(pair.first()?)?;
+            Some((t, pair.get(1)?.as_f64()?))
+        }) else {
+            continue;
+        };
+        if win.from_us.is_some_and(|from| t < from) {
+            carried = Some(v);
+        } else if win.contains(t) {
+            out.push((t, v));
+        }
+    }
+    if let (Some(from), Some(v)) = (win.from_us, carried) {
+        if win.contains(from) && out.first().is_none_or(|p| p.0 != from) {
+            out.insert(0, (from, v));
+        }
+    }
+    out
 }
 
 /// Criteria for [`filter`]; unset fields match everything.
@@ -409,7 +453,7 @@ mod tests {
             r#"{
               "experiment": "t",
               "series": {
-                "interval_us": 1000, "capacity": 8, "sweeps": 4,
+                "capacity": 8, "sweeps": 4,
                 "series": [
                   {"subsystem": "engine", "name": "queue_depth", "unit": "events",
                    "stride": 1, "seen": 4,
@@ -519,7 +563,74 @@ mod tests {
         // 90 units over 3000 µs = 30000 per second.
         assert!((r.rate_per_sec - 30_000.0).abs() < 1e-6);
         assert!((r.p50 - 10.0).abs() < 1e-9);
-        assert!((r.p99 - 90.0).abs() < 1e-9);
+        // 0, 10 and 20 each hold 1000 µs; 90 arrives as the record ends
+        // and holds for no time.
+        assert!((r.p99 - 20.0).abs() < 1e-9);
+    }
+
+    /// A change-point series: 0 for 100 µs, a 10 µs blip to 10, 0 again
+    /// for 890 µs, then 5 for the last 1000 µs of the record.
+    fn change_points() -> Json {
+        Json::parse(
+            r#"{"series": {"capacity": 8, "sweeps": 9, "series": [
+                 {"subsystem": "cluster", "name": "ready_programs", "unit": "programs",
+                  "stride": 1, "seen": 4,
+                  "points": [[0, 0.0], [100, 10.0], [110, 0.0], [1000, 5.0]]},
+                 {"subsystem": "engine", "name": "queue_depth", "unit": "events",
+                  "stride": 1, "seen": 2, "points": [[0, 3.0], [2000, 0.0]]}
+               ]}}"#,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn aggregate_weights_percentiles_by_time_held() {
+        let rows = aggregate(
+            &change_points(),
+            Some("ready_programs"),
+            None,
+            Window::default(),
+        )
+        .unwrap();
+        let r = &rows[0];
+        assert_eq!(r.count, 4);
+        // Held: 0 for 990 µs, 5 for 1000 µs, 10 for 10 µs. One vote per
+        // point would give p50 = 0 and p99 = 10.
+        assert_eq!((r.p50, r.p95, r.p99), (5.0, 5.0, 5.0));
+    }
+
+    #[test]
+    fn aggregate_carries_the_value_in_force_into_a_window() {
+        // The window opens between (110, 0) and (1000, 5): 0 holds from
+        // 500 to 1000, 5 from 1000 to 2000.
+        let win = Window {
+            from_us: Some(500),
+            to_us: None,
+        };
+        let rows = aggregate(&change_points(), Some("ready_programs"), None, win).unwrap();
+        assert_eq!(rows[0].start_us, 500);
+        assert_eq!(rows[0].count, 2);
+        assert_eq!((rows[0].p50, rows[0].p99), (5.0, 5.0));
+        // [0, 1000) is 0 but for the 1% blip to 10 (one vote per point
+        // would make p99 = 10). Buckets carry the value in force from the
+        // previous bucket: [1000, 2000) is all 5.
+        let rows = aggregate(
+            &change_points(),
+            Some("ready_programs"),
+            Some(1000),
+            Window::default(),
+        )
+        .unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0].p50, rows[0].p99), (0.0, 0.0));
+        assert_eq!((rows[1].start_us, rows[1].p50), (1000, 5.0));
+        // A window opening after the last point still sees its value.
+        let late = Window {
+            from_us: Some(1500),
+            to_us: Some(1800),
+        };
+        let rows = aggregate(&change_points(), Some("ready_programs"), None, late).unwrap();
+        assert_eq!((rows[0].count, rows[0].p50), (1, 5.0));
     }
 
     #[test]

@@ -23,12 +23,10 @@ fn chaos_cluster(seed: u64, faults: FaultPlan) -> Cluster {
             retry_limit: 3,
             ..MigrationConfig::default()
         },
-        // Coarse sampling (the runs span many simulated minutes) so the
-        // soak also exercises the telemetry path under faults.
-        sampling: Some(SamplingSpec {
-            every: SimDuration::from_millis(100),
-            capacity: 512,
-        }),
+        // Telemetry on, so the soak also exercises the series under
+        // faults; the runs span many simulated minutes, so retention is
+        // capped at 512 points per series.
+        sampling: Some(SamplingSpec { capacity: 512 }),
         ..ClusterConfig::default()
     })
 }
@@ -102,11 +100,12 @@ fn soak_32_seeds_zero_violations() {
             c.trace().records().windows(2).all(|w| w[0].at <= w[1].at),
             "seed {seed}: trace went backwards in sim time"
         );
-        // Sampled series must stay monotone in sim time under faults:
-        // crashes and partitions may flatten the values, and decimation
-        // may thin the points, but time never reorders or repeats.
+        // Change-point series must stay monotone in sim time under
+        // faults: crashes and partitions may flatten the values, and
+        // decimation may thin the points, but time never reorders or
+        // repeats.
         let telemetry = c.series_report();
-        assert!(telemetry.sweeps > 0, "seed {seed}: sampling never swept");
+        assert!(telemetry.sweeps > 0, "seed {seed}: telemetry never updated");
         for s in &telemetry.series {
             assert!(
                 !s.points.is_empty(),
