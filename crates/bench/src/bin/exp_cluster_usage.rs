@@ -8,13 +8,20 @@
 //! Simulates a 25-machine cluster (the paper's size) with the peak-hours
 //! owner model for several simulated hours, issuing `@ *` requests at
 //! random moments, and reports idle fractions and the honor rate.
+//!
+//! The run also explains itself (P3): telemetry is on, so the artifact's
+//! `series` section carries the cluster's time series for `vtrace
+//! aggregate`/`export`, and an injected [`WallClock`] fills the `profile`
+//! section with per-event-kind dispatch counts and wall time for `vtrace
+//! top`. The `QuantumEnd` dispatch count is seed-deterministic and goes
+//! into the table as `quantum_end_dispatches`.
 
-use vbench::{emit, Table};
+use vbench::{emit_full, Extras, Table, WallClock};
 use vcluster::{Cluster, ClusterConfig, Command};
 use vcore::ExecTarget;
 use vkernel::Priority;
 use vnet::LossModel;
-use vsim::{DetRng, SimDuration, SimTime, TraceLevel};
+use vsim::{DetRng, SamplingSpec, SimDuration, SimTime, TraceLevel};
 use vworkload::{profiles, UserModelParams};
 
 struct Results {
@@ -25,6 +32,7 @@ struct Results {
     exec_requests: u64,
     exec_honored: u64,
     honor_rate: f64,
+    quantum_end_dispatches: u64,
 }
 vsim::impl_to_json!(Results {
     workstations,
@@ -33,7 +41,8 @@ vsim::impl_to_json!(Results {
     min_idle_fraction,
     exec_requests,
     exec_honored,
-    honor_rate
+    honor_rate,
+    quantum_end_dispatches
 });
 
 fn main() {
@@ -45,9 +54,11 @@ fn main() {
         loss: LossModel::Bernoulli(1e-4),
         users: Some(UserModelParams::peak_hours()),
         trace: vbench::trace_level(TraceLevel::Warn),
+        sampling: Some(SamplingSpec::default()),
         ..ClusterConfig::default()
     };
     let mut c = Cluster::new(cfg);
+    c.set_host_clock(Box::new(WallClock::new()));
 
     // Random compile jobs via @* throughout the run.
     let mut rng = DetRng::seed(vbench::config_u64("rng_seed", 4242));
@@ -137,7 +148,9 @@ fn main() {
     ]);
     table.print();
 
-    emit(
+    let profile = c.profile_report();
+    let series = c.series_report();
+    emit_full(
         "exp_cluster_usage",
         &Results {
             workstations,
@@ -147,7 +160,13 @@ fn main() {
             exec_requests: issued,
             exec_honored: honored,
             honor_rate: honored as f64 / issued as f64,
+            quantum_end_dispatches: profile.slot("QuantumEnd").map_or(0, |s| s.dispatches),
         },
         &c.metrics_report(),
+        Extras {
+            series: Some(&series),
+            profile: Some(&profile),
+            ..Extras::default()
+        },
     );
 }

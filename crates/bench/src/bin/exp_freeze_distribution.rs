@@ -73,9 +73,7 @@ fn main() {
         assert!(r.success, "run {i}: {r:?}");
         samples.add_duration(r.freeze_time);
         hist.add(r.freeze_time);
-        if i == runs - 1 {
-            metrics = c.metrics_report();
-        }
+        metrics.absorb(c.metrics_report().prefixed(&format!("run{i}")));
     }
 
     let ms = |v: f64| v * 1e3;

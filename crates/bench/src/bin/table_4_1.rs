@@ -53,7 +53,7 @@ fn main() {
             c.run_for(SimDuration::from_secs(2)); // Reach hot-set steady state.
             let s = measure_dirty_windows(&mut c, lh, team, SimDuration::from_secs_f64(w), n);
             measured[wi] = s.mean();
-            metrics = c.metrics_report();
+            metrics.absorb(c.metrics_report().prefixed(&format!("{}/{w}s", r.name)));
         }
         table.row(&[
             r.name.to_string(),

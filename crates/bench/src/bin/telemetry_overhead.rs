@@ -10,14 +10,16 @@
 //! * `trace_null` — one detail-level trace record offered per dispatch
 //!   into [`TraceSinkSpec::Off`]: proves the null sink is ~free.
 //! * `trace_ring` — the same records into a fixed ring: tracing "on".
-//! * `sampling_1ms` — `base` plus a [`SeriesStore`] sweeping the engine's
-//!   queue depth and tombstone count every simulated millisecond.
+//! * `sampling_1ms` — `base` plus a [`SeriesStore`] updated with the
+//!   engine's queue depth and tombstone count every simulated
+//!   millisecond, through [`SeriesStore::update`] as the cluster does
+//!   (a point is kept only when a value changes).
 //!
 //! Each cell runs `reps` times in one process and keeps its best wall
 //! rate, so the overhead ratios in the `run` section compare like with
 //! like and cancel machine speed. `bench_regress` gates
 //! `run.sampling_overhead_ratio` at ≤ 10% — the promise that telemetry
-//! never becomes the bottleneck it is meant to find. The sampled series
+//! never becomes the bottleneck it is meant to find. The recorded series
 //! of every rep must serialize byte-identically (asserted here): the
 //! time-series determinism claim at bench scale.
 
@@ -39,7 +41,7 @@ const HOSTS: usize = 1_000;
 
 /// One-shot event marker (messages, timeouts): deliver and die.
 const ONE_SHOT: u64 = 1 << 63;
-/// The telemetry sweep event in the sampling cell.
+/// The telemetry update event in the sampling cell.
 const SAMPLE: u64 = u64::MAX;
 
 struct Row {
@@ -99,7 +101,7 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
         if ev == SAMPLE {
             if let Some((s, depth, tombs)) = &mut store {
                 let engine = ctx.engine();
-                s.sweep(
+                s.update(
                     now,
                     &[
                         (*depth, engine.pending() as f64),

@@ -15,12 +15,10 @@
 
 mod audit;
 mod runtime;
-mod script;
 
 pub use audit::{AuditReport, AuditViolation};
 pub use runtime::{
     Cluster, ClusterConfig, ClusterStats, Command, Event, ProgramRuntime, SvcKind, Workstation,
     PAGING_LH,
 };
-pub use script::{ExecStep, MigrateStep, ScenarioBuilder};
 pub use vsim::{FaultEvent, FaultKind, FaultPlan, FaultTrigger, MigrationPhase};

@@ -24,8 +24,8 @@ use vkernel::{
 use vmem::{SpaceId, SpaceLayout};
 use vnet::{Delivery, Ethernet, Frame, HostAddr, LossModel, McastGroup};
 use vservices::{
-    AcceptPolicy, DisplayServer, ExecEnv, FileServer, LeaseConfig, ProgramInfo, ProgramSpec,
-    ServiceMsg, SvcEvent, SvcOutputs, SvcToken,
+    AcceptPolicy, DisplayServer, ExecEnv, FileServer, LeaseConfig, ProgramSpec, ServiceMsg,
+    SvcEvent, SvcOutputs, SvcToken,
 };
 use vsim::calib::{CONTEXT_SWITCH, CPU_QUANTUM, SMALL_PACKET_CPU};
 use vsim::{
@@ -1043,12 +1043,6 @@ impl Cluster {
     /// The telemetry store (engine queue + cluster aggregates).
     pub fn series(&self) -> &SeriesStore {
         &self.series
-    }
-
-    /// Mutable telemetry access, e.g. to register scenario-specific
-    /// series before the run starts.
-    pub fn series_mut(&mut self) -> &mut SeriesStore {
-        &mut self.series
     }
 
     /// Snapshots every series (the `series` artifact section).
@@ -2105,11 +2099,6 @@ impl Cluster {
                 }
             }
         }
-    }
-
-    /// Convenience: register a program already known to a PM (tests).
-    pub fn register_program_info(&mut self, ws: usize, lh: LogicalHostId, info: ProgramInfo) {
-        self.stations[ws].pm.register_program(lh, info);
     }
 
     /// Point-triggered faults still waiting for their protocol-step

@@ -556,6 +556,18 @@ fn cluster_survives_running_past_all_events() {
     assert!(c.now() <= SimTime::ZERO + SimDuration::from_secs(5));
 }
 
+#[test]
+fn scheduled_crash_and_reboot_take_a_station_down_and_back() {
+    let mut c = Cluster::new(quiet_config(3));
+    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+    c.at(t(1_000), Command::Crash { ws: 2 });
+    c.at(t(1_500), Command::Reboot { ws: 2 });
+    c.run_until(t(1_200));
+    assert!(c.stations[2].down);
+    c.run_until(t(2_000));
+    assert!(!c.stations[2].down);
+}
+
 /// Periodic audits re-arm only while other work is pending, and telemetry
 /// schedules nothing, so with both switched on the cluster still quiesces
 /// once its one short program is done.

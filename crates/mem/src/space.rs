@@ -251,11 +251,6 @@ impl AddressSpace {
         self.dirty_pages() as u64 * PAGE_BYTES
     }
 
-    /// True if `page` is dirty.
-    pub fn is_dirty(&self, page: u32) -> bool {
-        self.dirty.get(page as usize)
-    }
-
     /// Returns the dirty page list and clears all dirty bits — the
     /// "copy modified pages and reset dirty bits" step of pre-copy.
     pub fn take_dirty(&mut self) -> Vec<u32> {

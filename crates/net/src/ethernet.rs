@@ -176,11 +176,6 @@ impl<P: Clone> Ethernet<P> {
         self.station_mut(host).up = up;
     }
 
-    /// True if the station is up.
-    pub fn is_up(&self, host: HostAddr) -> bool {
-        self.station(host).up
-    }
-
     /// Adds a station to a multicast group (idempotent).
     pub fn join(&mut self, group: McastGroup, host: HostAddr) {
         let _ = self.station(host); // Validate.

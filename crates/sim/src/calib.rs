@@ -147,12 +147,6 @@ pub fn frame_wire_time(payload: u64) -> SimDuration {
     SimDuration::from_micros(on_wire * 8 * 1_000_000 / ETHERNET_BITS_PER_SEC)
 }
 
-/// Derived: end-to-end cost of moving one bulk-data packet (sender CPU +
-/// wire + receiver CPU), ignoring queueing.
-pub fn bulk_packet_time() -> SimDuration {
-    PACKET_CPU_SEND + frame_wire_time(DATA_PAYLOAD_BYTES) + WIRE_LATENCY + PACKET_CPU_RECV
-}
-
 /// Derived: time to copy `bytes` of address space host-to-host.
 ///
 /// The measured effective rate in the paper — 3 s per megabyte on a 10 Mbit

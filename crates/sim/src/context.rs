@@ -112,11 +112,6 @@ impl<E> SimContext<E> {
         &self.engine
     }
 
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine<E> {
-        &mut self.engine
-    }
-
     // --- Tracing, stamped with the current instant. ---
 
     /// True when records at `level` would be retained.

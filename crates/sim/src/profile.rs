@@ -106,11 +106,6 @@ impl Profiler {
         self.clock = clock;
     }
 
-    /// The active clock's label.
-    pub fn clock_label(&self) -> &'static str {
-        self.clock.label()
-    }
-
     /// Interns an attribution slot. Idempotent by `(subsystem, kind)`;
     /// call once per event kind at setup, not on the hot path.
     // Slot ids index one entry per event kind, far below `u32::MAX`.

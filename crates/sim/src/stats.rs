@@ -81,11 +81,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample, or `None` if empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

@@ -12,9 +12,6 @@
 //! Values are read from simulated state only, so two same-seed runs
 //! produce bit-identical series, byte for byte, through [`crate::json`].
 //!
-//! A caller that does own a fixed cadence can instead record every value
-//! of a sweep with [`SeriesStore::sweep`].
-//!
 //! Memory is bounded: each series keeps at most `capacity` points in a
 //! ring that *decimates on overflow* — when full, every other retained
 //! point is dropped and the keep-stride doubles, halving resolution
@@ -157,14 +154,13 @@ impl SeriesStore {
         }
     }
 
-    /// Number of sweeps and updates taken so far.
+    /// Number of updates taken so far.
     pub fn sweeps(&self) -> u64 {
         self.sweeps
     }
 
     /// Registers a series whose values the owner reports via
-    /// [`SeriesStore::update`] or [`SeriesStore::sweep`]. Idempotent by
-    /// `(subsystem, name)`.
+    /// [`SeriesStore::update`]. Idempotent by `(subsystem, name)`.
     // Series ids index the registered series, far below `u32::MAX`.
     #[allow(clippy::cast_possible_truncation)]
     pub fn manual(
@@ -191,16 +187,6 @@ impl SeriesStore {
             pending: None,
         });
         SeriesId(self.series.len() as u32 - 1)
-    }
-
-    /// One sweep: records each `(series, value)` pair, changed or not,
-    /// all stamped with the instant `at`, and counts the sweep.
-    pub fn sweep(&mut self, at: SimTime, values: &[(SeriesId, f64)]) {
-        self.sweeps += 1;
-        let (capacity, at) = (self.spec.capacity, at.as_micros());
-        for &(id, value) in values {
-            self.series[id.0 as usize].offer(capacity, at, value);
-        }
     }
 
     /// One update: each `(series, value)` pair is the series' value as of
@@ -265,7 +251,7 @@ pub struct SeriesSnapshot {
 pub struct SeriesReport {
     /// Per-series retention limit.
     pub capacity: usize,
-    /// Sweeps and updates taken.
+    /// Updates taken.
     pub sweeps: u64,
     /// One snapshot per registered series, in registration order.
     pub series: Vec<SeriesSnapshot>,
@@ -328,34 +314,23 @@ mod tests {
     }
 
     #[test]
-    fn sweep_stamps_every_value_and_counts_once() {
-        let mut st = store(8);
-        let frames = st.manual(Subsystem::Net, "frames", "frames");
-        let depth = st.manual(Subsystem::Engine, "depth", "events");
-        st.sweep(SimTime::from_micros(10), &[(frames, 5.0), (depth, 2.5)]);
-        st.sweep(SimTime::from_micros(11), &[(depth, 3.0)]);
-        let r = st.report();
-        assert_eq!(r.series("frames").unwrap().points, vec![(10, 5.0)]);
-        assert_eq!(
-            r.series("depth").unwrap().points,
-            vec![(10, 2.5), (11, 3.0)]
-        );
-        assert_eq!(r.sweeps, 2);
-    }
-
-    #[test]
     fn update_records_changes_only_one_per_instant() {
         let mut st = store(8);
         let id = st.manual(Subsystem::Engine, "depth", "events");
+        let frames = st.manual(Subsystem::Net, "frames", "frames");
         let at = SimTime::from_micros;
         for (t, v) in [(5, 1.0), (5, 2.0), (7, 2.0), (9, 3.0), (9, 2.0), (12, 4.0)] {
-            st.update(at(t), &[(id, v)]);
+            st.update(at(t), &[(id, v), (frames, 5.0)]);
         }
         // 9 ends where 7 left it (2 → 3 → 2): no point. The pending 12
         // is settled by the report without being consumed.
         let r = st.report();
         assert_eq!(r.series("depth").unwrap().points, vec![(5, 2.0), (12, 4.0)]);
         assert_eq!(r.series("depth").unwrap().seen, 2);
+        // A value that never changes keeps its first point only, yet
+        // every call still counts.
+        assert_eq!(r.series("frames").unwrap().points, vec![(5, 5.0)]);
+        assert_eq!(r.series("frames").unwrap().seen, 1);
         assert_eq!(r.sweeps, 6);
         assert_eq!(st.report(), r);
         st.update(at(12), &[(id, 2.0)]);
@@ -367,11 +342,11 @@ mod tests {
         let mut st = store(4);
         let id = st.manual(Subsystem::Cluster, "x", "u");
         for i in 0..4u64 {
-            st.sweep(SimTime::from_micros(i), &[(id, i as f64)]);
+            st.update(SimTime::from_micros(i), &[(id, i as f64)]);
         }
-        // Full at 4 points, stride 1. The 5th sample decimates to
-        // offers {0, 2} then retains offer 4.
-        st.sweep(SimTime::from_micros(4), &[(id, 4.0)]);
+        // Full at 4 points, stride 1. The 5th change, settled by the
+        // report, decimates to offers {0, 2} then retains offer 4.
+        st.update(SimTime::from_micros(4), &[(id, 4.0)]);
         let snap = st.report();
         let s = snap.series("x").unwrap();
         assert_eq!(s.stride, 2);
@@ -383,7 +358,7 @@ mod tests {
         let mut st = store(16);
         let id = st.manual(Subsystem::Cluster, "x", "u");
         for i in 0..100_000u64 {
-            st.sweep(SimTime::from_micros(i), &[(id, i as f64)]);
+            st.update(SimTime::from_micros(i), &[(id, i as f64)]);
         }
         let s = st.report();
         let s = s.series("x").unwrap();
@@ -409,7 +384,7 @@ mod tests {
             for i in 0..n {
                 t += 1 + rng.range_u64(0, 1_000);
                 let v = rng.range_f64(-1e6, 1e6);
-                st.sweep(SimTime::from_micros(t), &[(id, v)]);
+                st.update(SimTime::from_micros(t), &[(id, v)]);
                 if i == 0 {
                     first = Some((t, v));
                 }
@@ -433,7 +408,7 @@ mod tests {
             let mut st = store(8);
             let id = st.manual(Subsystem::Cluster, "x", "u");
             for i in 0..50u64 {
-                st.sweep(SimTime::from_micros(i * 7), &[(id, (i * 3) as f64 * 0.5)]);
+                st.update(SimTime::from_micros(i * 7), &[(id, (i * 3) as f64 * 0.5)]);
             }
             st.report().to_json().pretty()
         };

@@ -40,7 +40,13 @@ fn main() {
         "\n*** the owner of {} sits down ***",
         cluster.stations[owner_ws].name
     );
-    cluster.script().after_ms(1).owner_active(owner_ws, true);
+    cluster.at(
+        cluster.now() + SimDuration::from_millis(1),
+        Command::SetOwnerActive {
+            ws: owner_ws,
+            active: true,
+        },
+    );
     cluster.run_for(SimDuration::from_secs(30));
 
     let report = cluster

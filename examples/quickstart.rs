@@ -20,12 +20,15 @@ fn main() {
     let row = profiles::row("parser").expect("known program");
     let job = profiles::steady_profile(row);
     println!("ws1$ {} @ *", job.name);
-    cluster
-        .script()
-        .exec(1)
-        .profile(job)
-        .target(ExecTarget::AnyIdle)
-        .guest();
+    cluster.at(
+        cluster.now(),
+        Command::Exec {
+            ws: 1,
+            profile: job,
+            target: ExecTarget::AnyIdle,
+            priority: Priority::GUEST,
+        },
+    );
     cluster.run_for(SimDuration::from_secs(60));
 
     let r = cluster.exec_reports[0].clone();

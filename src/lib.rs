@@ -48,9 +48,7 @@ pub use vworkload;
 
 /// The names most scenarios need.
 pub mod prelude {
-    pub use vcluster::{
-        AuditReport, AuditViolation, Cluster, ClusterConfig, Command, ScenarioBuilder,
-    };
+    pub use vcluster::{AuditReport, AuditViolation, Cluster, ClusterConfig, Command};
     pub use vcore::{ExecTarget, MigrationConfig, MigrationReport, StopPolicy, Strategy};
     pub use vkernel::{LogicalHostId, Priority, ProcessId};
     pub use vnet::{HostAddr, LossModel};
