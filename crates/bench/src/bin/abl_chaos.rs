@@ -45,7 +45,7 @@ fn main() {
     let seed_base = vbench::config_u64("seed", 0xC0FFEE);
     // Info keeps the migration phase spans; faults leave some spans open
     // (lost transactions), which is visible data here, not an error.
-    let level = vbench::trace_level(TraceLevel::Info);
+    let level = TraceLevel::Info;
     let mut rows = Vec::new();
     let mut metrics = vsim::MetricsReport::new();
     let mut summary = SpanSummary::new();

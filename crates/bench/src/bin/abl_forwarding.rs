@@ -35,13 +35,11 @@ vsim::impl_to_json!(Row {
 /// Runs the scenario; `forwarding` selects Demos/MP mode.
 fn scenario(forwarding: bool) -> (Row, vsim::MetricsReport) {
     let cfg = KernelConfig {
-        use_forwarding_addresses: forwarding,
         // In Demos/MP mode the V recovery paths are off: no new-binding
         // broadcast, and no invalidate-and-broadcast fallback (the rebind
         // threshold is pushed beyond the give-up limit).
         broadcast_new_binding: !forwarding,
         retransmits_before_rebind: if forwarding { u32::MAX } else { 3 },
-        ..KernelConfig::default()
     };
     let mut rig: Rig<u32> = Rig::with_loss(3, LossModel::None, cfg);
     let spawn = |rig: &mut Rig<u32>, i: usize, lh: u32| -> ProcessId {

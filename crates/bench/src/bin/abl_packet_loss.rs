@@ -53,7 +53,7 @@ fn main() {
             } else {
                 LossModel::Bernoulli(loss)
             },
-            trace: vbench::trace_level(TraceLevel::Warn),
+            trace: TraceLevel::Warn,
             ..ClusterConfig::default()
         };
         let mut c = Cluster::new(cfg);

@@ -73,7 +73,7 @@ fn run_one(plan_name: &str, seed: u64) -> ([Option<f64>; 3], bool, Cluster) {
     let mut c = Cluster::new(ClusterConfig {
         workstations: 4,
         seed,
-        trace: vbench::trace_level(TraceLevel::Info),
+        trace: TraceLevel::Info,
         faults,
         migration: MigrationConfig {
             retry_limit: 3,

@@ -37,7 +37,7 @@ fn main() {
         workstations: 8,
         seed: vbench::config_u64("seed", 2024),
         loss: LossModel::None,
-        trace: vbench::trace_level(TraceLevel::Warn),
+        trace: TraceLevel::Warn,
         ..ClusterConfig::default()
     });
     let mut rng = DetRng::seed(vbench::config_u64("rng_seed", 5));

@@ -37,7 +37,7 @@ fn migrate(policy: StopPolicy, name: &str, seed: u64) -> (MigrationReport, vsim:
         workstations: 3,
         seed,
         loss: LossModel::None,
-        trace: vbench::trace_level(TraceLevel::Warn),
+        trace: TraceLevel::Warn,
         migration: MigrationConfig {
             strategy: Strategy::PreCopy(policy),
             ..MigrationConfig::default()

@@ -53,7 +53,7 @@ fn main() {
         seed: vbench::config_u64("seed", 1985),
         loss: LossModel::Bernoulli(1e-4),
         users: Some(UserModelParams::peak_hours()),
-        trace: vbench::trace_level(TraceLevel::Warn),
+        trace: TraceLevel::Warn,
         sampling: Some(SamplingSpec::default()),
         ..ClusterConfig::default()
     };

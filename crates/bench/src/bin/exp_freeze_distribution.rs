@@ -47,7 +47,7 @@ fn main() {
             workstations: 3,
             seed: base + i,
             loss: LossModel::Bernoulli(1e-3),
-            trace: vbench::trace_level(TraceLevel::Warn),
+            trace: TraceLevel::Warn,
             ..ClusterConfig::default()
         };
         let mut c = Cluster::new(cfg);

@@ -104,10 +104,10 @@ fn ms(d: SimDuration) -> f64 {
 }
 
 fn main() {
-    // Phase spans are recorded at Info; `--trace-level detail` adds the
+    // Phase spans are recorded at Info; `TraceLevel::Detail` would add the
     // per-transaction ipc/serve spans underneath them.
     let base = vbench::config_u64("seed", 2000);
-    let level = vbench::trace_level(TraceLevel::Info);
+    let level = TraceLevel::Info;
     let mut t = Table::new(
         "E4: migration freeze time per program (pre-copy vs freeze-and-copy)",
         &[

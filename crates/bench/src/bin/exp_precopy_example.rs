@@ -37,7 +37,7 @@ fn main() {
     let mut cfg = quiet_cluster(3, vbench::config_u64("seed", 42))
         .config()
         .clone();
-    cfg.trace = vbench::trace_level(TraceLevel::Info);
+    cfg.trace = TraceLevel::Info;
     cfg.migration = MigrationConfig {
         strategy: Strategy::PreCopy(StopPolicy {
             max_iterations: 3,

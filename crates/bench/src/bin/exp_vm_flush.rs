@@ -12,7 +12,7 @@
 //! fetch), and time to evacuate the source.
 
 use vbench::{emit, launch, Table};
-use vcluster::{Cluster, ClusterConfig, PAGING_LH};
+use vcluster::{Cluster, ClusterConfig};
 use vcore::{ExecTarget, MigrationConfig, MigrationReport, StopPolicy, Strategy};
 use vkernel::Priority;
 use vnet::LossModel;
@@ -41,7 +41,7 @@ fn migrate(strategy: Strategy, seed: u64) -> (MigrationReport, u64, vsim::Metric
         workstations: 3,
         seed,
         loss: LossModel::None,
-        trace: vbench::trace_level(TraceLevel::Warn),
+        trace: TraceLevel::Warn,
         migration: MigrationConfig {
             strategy,
             ..MigrationConfig::default()
@@ -79,8 +79,6 @@ fn main() {
     let (pre, pre_fetched, pre_metrics) = migrate(Strategy::PreCopy(StopPolicy::default()), seed);
     let (vm, vm_fetched, vm_metrics) = migrate(
         Strategy::VmFlush {
-            paging_lh: PAGING_LH,
-            paging_space: vmem::SpaceId(0),
             stop: StopPolicy::default(),
         },
         seed,

@@ -26,9 +26,7 @@ use vsim::{
 use vworkload::ProgramProfile;
 
 pub use hostclock::WallClock;
-pub use spans::{
-    export_trace, migration_phases, perfetto_json, trace_level, MigrationPhases, SpanSummary,
-};
+pub use spans::{export_trace, migration_phases, perfetto_json, MigrationPhases, SpanSummary};
 
 /// A plain-text table, printed in the style of the paper's tables.
 pub struct Table {
@@ -134,8 +132,7 @@ static ARGS: OnceLock<BenchArgs> = OnceLock::new();
 
 /// Parses (once) and returns the shared bench arguments. Call it at the
 /// top of `main` so the wall-clock epoch covers the whole run; unknown
-/// arguments are ignored (e.g. `--trace-level`, handled by
-/// [`trace_level`]).
+/// arguments are ignored.
 ///
 /// # Panics
 ///
@@ -220,15 +217,14 @@ pub fn config_str(key: &str) -> Option<String> {
         .map(str::to_string)
 }
 
-/// A lossless default cluster for timing experiments. Trace verbosity
-/// follows the shared bench knob (`--trace-level` / `VSIM_TRACE_LEVEL`,
-/// see [`trace_level`]), defaulting to the quiet [`TraceLevel::Warn`].
+/// A lossless default cluster for timing experiments, traced at the
+/// quiet [`TraceLevel::Warn`].
 pub fn quiet_cluster(workstations: usize, seed: u64) -> Cluster {
     Cluster::new(ClusterConfig {
         workstations,
         seed,
         loss: LossModel::None,
-        trace: trace_level(TraceLevel::Warn),
+        trace: TraceLevel::Warn,
         ..ClusterConfig::default()
     })
 }

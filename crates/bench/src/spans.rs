@@ -9,46 +9,13 @@
 //! * a [`SpanSummary`] of per-name duration percentiles folded into the
 //!   experiment's JSON artifact by [`crate::emit_full`].
 //!
-//! It also hosts the shared `--trace-level` / `VSIM_TRACE_LEVEL` knob and
-//! the migration phase-breakdown query behind `exp_freeze_time`.
+//! It also hosts the migration phase-breakdown query behind
+//! `exp_freeze_time`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use vsim::{Json, Samples, SimDuration, SpanId, SpanTree, ToJson, TraceLevel};
-
-/// Resolves the trace verbosity for a bench binary: `--trace-level
-/// <detail|info|warn>` (or `--trace-level=...`) on the command line wins,
-/// then the `VSIM_TRACE_LEVEL` environment variable, then `default`.
-///
-/// Unknown values fall back to `default` with a warning on stderr so a
-/// typo degrades to a normal run instead of aborting a long sweep.
-pub fn trace_level(default: TraceLevel) -> TraceLevel {
-    let mut choice = std::env::var("VSIM_TRACE_LEVEL").ok();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix("--trace-level=") {
-            choice = Some(v.to_string());
-        } else if a == "--trace-level" {
-            choice = args.next();
-        }
-    }
-    parse_trace_level(choice.as_deref(), default)
-}
-
-/// The parsing behind [`trace_level`], separated for testing.
-pub fn parse_trace_level(choice: Option<&str>, default: TraceLevel) -> TraceLevel {
-    match choice.map(str::to_ascii_lowercase).as_deref() {
-        Some("detail") => TraceLevel::Detail,
-        Some("info") => TraceLevel::Info,
-        Some("warn") => TraceLevel::Warn,
-        Some(other) => {
-            eprintln!("vbench: unknown trace level {other:?} (expected detail|info|warn)");
-            default
-        }
-        None => default,
-    }
-}
+use vsim::{Json, Samples, SimDuration, SpanId, SpanTree, ToJson};
 
 /// The component that allocated a span, recovered from the actor field of
 /// its id (see the `SpanIdGen` actor conventions: 1 = cluster scheduler,
@@ -294,7 +261,7 @@ pub fn migration_phases(tree: &SpanTree) -> Vec<MigrationPhases> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsim::{SimTime, SpanContext, SpanIdGen, Subsystem, Trace};
+    use vsim::{SimTime, SpanContext, SpanIdGen, Subsystem, Trace, TraceLevel};
 
     fn sample_tree() -> SpanTree {
         let mut trace = Trace::new(TraceLevel::Detail);
@@ -323,23 +290,6 @@ mod tests {
         child.close(&mut trace, TraceLevel::Info, t(150), Subsystem::Migration);
         root.close(&mut trace, TraceLevel::Info, t(150), Subsystem::Migration);
         SpanTree::build(&trace)
-    }
-
-    #[test]
-    fn trace_level_parsing() {
-        assert_eq!(
-            parse_trace_level(Some("detail"), TraceLevel::Warn),
-            TraceLevel::Detail
-        );
-        assert_eq!(
-            parse_trace_level(Some("INFO"), TraceLevel::Warn),
-            TraceLevel::Info
-        );
-        assert_eq!(
-            parse_trace_level(Some("bogus"), TraceLevel::Info),
-            TraceLevel::Info
-        );
-        assert_eq!(parse_trace_level(None, TraceLevel::Warn), TraceLevel::Warn);
     }
 
     #[test]

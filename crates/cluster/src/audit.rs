@@ -17,12 +17,13 @@
 
 use std::collections::BTreeSet;
 
+use vcore::PAGING_LH;
 use vkernel::LogicalHostId;
 use vnet::HostAddr;
 use vservices::TEMP_LH_FLOOR;
 use vsim::SimTime;
 
-use crate::runtime::{Cluster, PAGING_LH};
+use crate::runtime::Cluster;
 
 /// One invariant violation found by the cluster auditor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -317,21 +318,19 @@ impl Cluster {
                 // Lease liveness: at quiescence no program may outlive an
                 // expired lease, and every remote-origin program must hold
                 // one (the machinery that would exterminate it otherwise).
-                if w.pm.lease_config().enabled {
-                    for lh in w.pm.expired_leases(now) {
-                        if w.kernel.is_resident(lh) {
-                            violations.push(AuditViolation::LeaseExpiredButAlive { ws: i, lh });
-                        }
+                for lh in w.pm.expired_leases(now) {
+                    if w.kernel.is_resident(lh) {
+                        violations.push(AuditViolation::LeaseExpiredButAlive { ws: i, lh });
                     }
-                    let held: BTreeSet<LogicalHostId> =
-                        w.pm.held_leases().into_iter().map(|(lh, _)| lh).collect();
-                    for (&lh, info) in w.pm.programs() {
-                        if info.origin.is_some_and(|o| o != w.host)
-                            && !held.contains(&lh)
-                            && w.kernel.is_resident(lh)
-                        {
-                            violations.push(AuditViolation::OrphanPastGrace { ws: i, lh });
-                        }
+                }
+                let held: BTreeSet<LogicalHostId> =
+                    w.pm.held_leases().into_iter().map(|(lh, _)| lh).collect();
+                for (&lh, info) in w.pm.programs() {
+                    if info.origin.is_some_and(|o| o != w.host)
+                        && !held.contains(&lh)
+                        && w.kernel.is_resident(lh)
+                    {
+                        violations.push(AuditViolation::OrphanPastGrace { ws: i, lh });
                     }
                 }
             }

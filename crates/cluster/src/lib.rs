@@ -19,6 +19,5 @@ mod runtime;
 pub use audit::{AuditReport, AuditViolation};
 pub use runtime::{
     Cluster, ClusterConfig, ClusterStats, Command, Event, ProgramRuntime, SvcKind, Workstation,
-    PAGING_LH,
 };
 pub use vsim::{FaultEvent, FaultKind, FaultPlan, FaultTrigger, MigrationPhase};

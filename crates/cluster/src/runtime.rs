@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use vcore::{
     ExecEvent, ExecOutputs, ExecTarget, MigEvent, MigOutputs, MigrationConfig, MigrationReport,
-    Migrator, ProgramMeta, RemoteExecutor, ReplyTo,
+    Migrator, ProgramMeta, RemoteExecutor, ReplyTo, PAGING_LH, PAGING_SPACE,
 };
 use vkernel::{
     Destination, GroupId, Kernel, KernelConfig, KernelOutput, LogicalHostId, MsgIn, Packet,
@@ -24,8 +24,8 @@ use vkernel::{
 use vmem::{SpaceId, SpaceLayout};
 use vnet::{Delivery, Ethernet, Frame, HostAddr, LossModel, McastGroup};
 use vservices::{
-    AcceptPolicy, DisplayServer, ExecEnv, FileServer, LeaseConfig, ProgramSpec, ServiceMsg,
-    SvcEvent, SvcOutputs, SvcToken,
+    DisplayServer, ExecEnv, FileServer, ProgramSpec, ServiceMsg, SvcEvent, SvcOutputs, SvcToken,
+    MAX_GUEST_PROGRAMS,
 };
 use vsim::calib::{CONTEXT_SWITCH, CPU_QUANTUM, SMALL_PACKET_CPU};
 use vsim::{
@@ -42,10 +42,6 @@ use crate::audit::{AuditReport, AuditViolation};
 
 /// Multicast group carrying the program-manager process group.
 const PM_MCAST: McastGroup = McastGroup(1);
-
-/// Paging-store logical host (on the file-server machine), used by the
-/// §3.2 VM-flush migration variant.
-pub const PAGING_LH: LogicalHostId = LogicalHostId(900_000);
 
 /// Which service a timer belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,10 +252,6 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Wire loss model.
     pub loss: LossModel,
-    /// Kernel tunables.
-    pub kernel: KernelConfig,
-    /// `@*` acceptance policy.
-    pub accept: AcceptPolicy,
     /// Migration engine configuration.
     pub migration: MigrationConfig,
     /// Owner activity model (None = owners never present).
@@ -277,8 +269,6 @@ pub struct ClusterConfig {
     /// Run the invariant auditor at this interval (`None` = only when a
     /// caller invokes [`Cluster::audit`] explicitly).
     pub audit_every: Option<SimDuration>,
-    /// Lease-based liveness tuning, applied to every program manager.
-    pub lease: LeaseConfig,
     /// Record the time series, each value on change (`None` = telemetry
     /// off; the store still exists but holds no points).
     pub sampling: Option<SamplingSpec>,
@@ -290,8 +280,6 @@ impl Default for ClusterConfig {
             workstations: 4,
             seed: 1985,
             loss: LossModel::Bernoulli(vsim::calib::DEFAULT_LOSS_PROBABILITY),
-            kernel: KernelConfig::default(),
-            accept: AcceptPolicy::default(),
             migration: MigrationConfig::default(),
             users: None,
             evict_on_owner_return: false,
@@ -299,7 +287,6 @@ impl Default for ClusterConfig {
             trace_sink: TraceSinkSpec::Unbounded,
             faults: FaultPlan::none(),
             audit_every: None,
-            lease: LeaseConfig::default(),
             sampling: None,
         }
     }
@@ -484,7 +471,7 @@ impl Cluster {
         for i in 0..total {
             let host = net.attach();
             let mut kernel: Kernel<ServiceMsg> =
-                Kernel::new(host, cfg.kernel.clone(), trace.clone());
+                Kernel::new(host, KernelConfig::default(), trace.clone());
             let system_lh = LogicalHostId(1 + i as u32);
             let l = kernel.create_logical_host(system_lh);
             let team = l.create_space(SpaceLayout {
@@ -508,31 +495,22 @@ impl Cluster {
             } else {
                 format!("ws{i}")
             };
-            let accept = if is_fs_machine {
-                AcceptPolicy {
-                    max_guest_programs: 0,
-                    ..cfg.accept.clone()
-                }
-            } else {
-                cfg.accept.clone()
-            };
             // The global file server lives on station 0; every PM points
             // at it. Its pid is deterministic: system lh 1, index 16+4.
             let global_fs_pid = ProcessId::new(LogicalHostId(1), vkernel::FIRST_USER_INDEX + 4);
-            let mut pm = vservices::ProgramManager::new(
+            let pm = vservices::ProgramManager::new(
                 pm_pid,
                 host,
                 name.clone(),
                 global_fs_pid,
                 10_000 * (i as u32 + 1),
-                accept,
+                if is_fs_machine { 0 } else { MAX_GUEST_PROGRAMS },
             );
-            pm.set_lease_config(cfg.lease.clone());
             let fs = if is_fs_machine {
                 // The paging store for VM-flush migration.
                 let pl = kernel.create_logical_host(PAGING_LH);
                 pl.create_space_with_id(
-                    SpaceId(0),
+                    PAGING_SPACE,
                     SpaceLayout {
                         code_bytes: 0,
                         init_data_bytes: 0,

@@ -493,8 +493,6 @@ fn vm_flush_migration_works_and_double_copies_dirty_pages() {
     let mut cfg = quiet_config(3);
     cfg.migration = MigrationConfig {
         strategy: Strategy::VmFlush {
-            paging_lh: vcluster::PAGING_LH,
-            paging_space: vmem::SpaceId(0),
             stop: StopPolicy::default(),
         },
         ..MigrationConfig::default()

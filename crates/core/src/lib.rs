@@ -22,8 +22,9 @@ pub mod residual;
 
 pub use migration::{
     MigEvent, MigOutputs, MigrationConfig, Migrator, ProgramMeta, ReplyTo, StopPolicy, Strategy,
+    PAGING_LH, PAGING_SPACE,
 };
 pub use remote_exec::{ExecEvent, ExecOutputs, RemoteExecutor};
 pub use report::{
-    ExecReport, ExecTarget, IterStat, MigFailure, MigrationReport, Milestones, ResidualDependency,
+    ExecReport, ExecTarget, IterStat, MigFailure, MigrationReport, ResidualDependency,
 };

@@ -67,7 +67,7 @@ use vsim::{
     Subsystem, Trace, TraceEvent, TraceLevel,
 };
 
-use crate::report::{IterStat, MigFailure, MigrationReport, Milestones};
+use crate::report::{IterStat, MigFailure, MigrationReport};
 
 /// When to stop pre-copying and freeze (§3.1.2: "until the number of
 /// modified pages is relatively small or until no significant reduction
@@ -121,6 +121,14 @@ impl StopPolicy {
     }
 }
 
+/// The logical host of the file server's paging store, which VM-flush
+/// migration flushes to (§3.2). The cluster creates it on the
+/// file-server machine.
+pub const PAGING_LH: LogicalHostId = LogicalHostId(900_000);
+
+/// The paging store's one address space.
+pub const PAGING_SPACE: SpaceId = SpaceId(0);
+
 /// Migration strategy.
 #[derive(Debug, Clone)]
 pub enum Strategy {
@@ -128,13 +136,9 @@ pub enum Strategy {
     PreCopy(StopPolicy),
     /// Freeze for the whole copy (the baseline the paper improves on).
     FreezeAndCopy,
-    /// §3.2: flush modified pages to the file server's paging store; the
-    /// new host demand-faults them back.
+    /// §3.2: flush modified pages to the file server's paging store
+    /// ([`PAGING_LH`]); the new host demand-faults them back.
     VmFlush {
-        /// Paging store logical host (on the file-server machine).
-        paging_lh: LogicalHostId,
-        /// Paging store space.
-        paging_space: SpaceId,
         /// Flush-round stop policy.
         stop: StopPolicy,
     },
@@ -160,9 +164,6 @@ pub struct MigrationConfig {
     /// ("In our current implementation, we simply give up if the first
     /// attempt at migration fails" — so the paper's value is 0).
     pub retry_limit: u32,
-    /// Leave a Demos/MP-style forwarding address on the old host
-    /// (ablation A2; requires the kernel's forwarding mode).
-    pub leave_forwarding_address: bool,
 }
 
 impl Default for MigrationConfig {
@@ -170,7 +171,6 @@ impl Default for MigrationConfig {
         MigrationConfig {
             strategy: Strategy::PreCopy(StopPolicy::default()),
             retry_limit: 0,
-            leave_forwarding_address: false,
         }
     }
 }
@@ -298,7 +298,6 @@ struct Job {
     /// Unique bytes the VM-flush target will demand-fetch (plan size).
     fetch_bytes: u64,
     attempts: u32,
-    milestones: Milestones,
     /// The migration's root span, open from start to the terminal event.
     root_span: SpanId,
     /// The current top-level phase span (selection, initialization,
@@ -544,12 +543,10 @@ impl Migrator {
             network_bytes: 0,
             fetch_bytes: 0,
             attempts: 0,
-            milestones: Milestones::default(),
             root_span: root,
             phase_span: None,
             freeze_child: None,
         };
-        job.milestones.mark(now, "started");
         self.stats.started += 1;
         let out = self.select_host(now, &mut job, k);
         self.jobs.insert(lh, job);
@@ -620,7 +617,6 @@ impl Migrator {
                     ..
                 }) => {
                     job.target = Some((pm, host));
-                    job.milestones.mark(now, "host-selected");
                     job.state = JobState::Initializing;
                     self.close_phase(now, &mut job);
                     self.open_phase(now, &mut job, "initialization");
@@ -650,7 +646,6 @@ impl Migrator {
                     ..
                 }) => {
                     k.learn_binding(job.temp, host);
-                    job.milestones.mark(now, "target-initialized");
                     self.close_phase(now, &mut job);
                     out = self.begin_copying(now, job, k, out);
                 }
@@ -660,7 +655,6 @@ impl Migrator {
             },
             JobState::InstallingState => match result {
                 Ok(ReplyIn { body, .. }) if body.is_ok() => {
-                    job.milestones.mark(now, "state-installed");
                     job.state = JobState::Unfreezing;
                     self.open_freeze_child(now, &mut job, "rebind");
                     // Commit point: the target holds an installed copy.
@@ -814,7 +808,6 @@ impl Migrator {
             Strategy::FreezeAndCopy => {
                 k.freeze(job.lh);
                 job.freeze_started = Some(now);
-                job.milestones.mark(now, "frozen");
                 self.open_phase(now, &mut job, "freeze");
                 self.open_freeze_child(now, &mut job, "residual_copy");
                 self.trace.emit(
@@ -880,11 +873,7 @@ impl Migrator {
         job.iter_started = now;
         job.iter_bytes = 0;
         let (dest_lh, dest_space) = match &job.cfg.strategy {
-            Strategy::VmFlush {
-                paging_lh,
-                paging_space,
-                ..
-            } => (*paging_lh, Some(*paging_space)),
+            Strategy::VmFlush { .. } => (PAGING_LH, Some(PAGING_SPACE)),
             _ => (job.temp, None),
         };
         let spaces: Vec<SpaceId> = k
@@ -980,7 +969,6 @@ impl Migrator {
         }
         k.freeze(job.lh);
         job.freeze_started = Some(now);
-        job.milestones.mark(now, "frozen");
         self.open_phase(now, &mut job, "freeze");
         self.open_freeze_child(now, &mut job, "residual_copy");
         self.trace.emit(
@@ -999,11 +987,7 @@ impl Migrator {
         Self::point(&mut out, &job, ProtocolStep::Freeze);
 
         let (dest_lh, dest_space) = match &job.cfg.strategy {
-            Strategy::VmFlush {
-                paging_lh,
-                paging_space,
-                ..
-            } => (*paging_lh, Some(*paging_space)),
+            Strategy::VmFlush { .. } => (PAGING_LH, Some(PAGING_SPACE)),
             _ => (job.temp, None),
         };
         let spaces: Vec<SpaceId> = k
@@ -1060,7 +1044,6 @@ impl Migrator {
         if k.logical_host(job.lh).is_none() {
             return self.abandon_destroyed(now, job, k, out);
         }
-        job.milestones.mark(now, "final-copy-done");
         job.state = JobState::InstallingState;
         self.open_freeze_child(now, &mut job, "commit");
         let record = k.extract_migration_record(job.lh);
@@ -1069,19 +1052,15 @@ impl Migrator {
         // exactly the pages ever written (clean pages reload from the
         // program image).
         let fetch = match &job.cfg.strategy {
-            Strategy::VmFlush {
-                paging_lh,
-                paging_space,
-                ..
-            } => {
+            Strategy::VmFlush { .. } => {
                 let l = k.logical_host(job.lh).expect("resident");
                 let pages: Vec<(SpaceId, Vec<u32>)> = l
                     .spaces()
                     .map(|s| (s.id(), s.ever_written_pages()))
                     .collect();
                 let plan = vservices::FetchPlan {
-                    from_lh: *paging_lh,
-                    from_space: *paging_space,
+                    from_lh: PAGING_LH,
+                    from_space: PAGING_SPACE,
                     pages,
                 };
                 job.fetch_bytes = plan.total_bytes();
@@ -1117,7 +1096,6 @@ impl Migrator {
         k: &mut Kernel<ServiceMsg>,
         mut out: MigOutputs,
     ) -> MigOutputs {
-        job.milestones.mark(now, "unfrozen-on-target");
         self.close_root(now, &mut job);
         let freeze_time = now.since(job.freeze_started.expect("was frozen"));
         let (_, to_host) = job.target.expect("target chosen");
@@ -1132,15 +1110,9 @@ impl Migrator {
         );
 
         // Step 5: delete the old copy; references rebind via the binding
-        // cache (or a forwarding address in Demos/MP mode).
+        // cache.
         Self::point(&mut out, &job, ProtocolStep::ReleaseSource);
-        let kouts = if job.cfg.leave_forwarding_address {
-            k.delete_logical_host_with_forwarding(now, job.lh, to_host)
-        } else {
-            k.delete_logical_host(now, job.lh)
-        };
-        out = out.kernel(kouts);
-        job.milestones.mark(now, "old-copy-deleted");
+        out = out.kernel(k.delete_logical_host(now, job.lh));
 
         if let Some(r) = job.reply_to {
             out = out.kernel(k.reply(now, r.from, r.to, r.seq, ServiceMsg::Ok, 0));
@@ -1398,8 +1370,6 @@ mod tests {
         assert_eq!(Strategy::FreezeAndCopy.name(), "freeze-and-copy");
         assert_eq!(
             Strategy::VmFlush {
-                paging_lh: LogicalHostId(1),
-                paging_space: SpaceId(0),
                 stop: StopPolicy::default()
             }
             .name(),
@@ -1411,7 +1381,6 @@ mod tests {
     fn default_config_matches_paper() {
         let c = MigrationConfig::default();
         assert_eq!(c.retry_limit, 0, "paper gives up after the first attempt");
-        assert!(!c.leave_forwarding_address, "V leaves no residual state");
         assert!(matches!(c.strategy, Strategy::PreCopy(_)));
     }
 }

@@ -4,7 +4,7 @@
 
 use vkernel::{LogicalHostId, ProcessId};
 use vnet::HostAddr;
-use vsim::{SimDuration, SimTime};
+use vsim::SimDuration;
 
 /// How a program's execution host was chosen (`@ machine`, `@ *`, local).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,32 +129,6 @@ pub struct ResidualDependency {
     pub resource: String,
 }
 
-/// Timestamped milestone trail for one migration, for narration/debugging.
-#[derive(Debug, Clone, Default)]
-pub struct Milestones {
-    entries: Vec<(SimTime, &'static str)>,
-}
-
-impl Milestones {
-    /// Records a milestone.
-    pub fn mark(&mut self, at: SimTime, what: &'static str) {
-        self.entries.push((at, what));
-    }
-
-    /// The trail so far.
-    pub fn entries(&self) -> &[(SimTime, &'static str)] {
-        &self.entries
-    }
-
-    /// Time of a named milestone, if recorded.
-    pub fn time_of(&self, what: &str) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .find(|(_, w)| *w == what)
-            .map(|(t, _)| *t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,15 +161,5 @@ mod tests {
             failure: None,
         };
         assert_eq!(r.precopied_bytes(), 2_100_000);
-    }
-
-    #[test]
-    fn milestones_lookup() {
-        let mut m = Milestones::default();
-        m.mark(SimTime::from_micros(10), "frozen");
-        m.mark(SimTime::from_micros(50), "unfrozen");
-        assert_eq!(m.time_of("frozen"), Some(SimTime::from_micros(10)));
-        assert_eq!(m.time_of("missing"), None);
-        assert_eq!(m.entries().len(), 2);
     }
 }

@@ -134,56 +134,30 @@ pub enum KernelOutput<X> {
     LeaveMcast(McastGroup),
 }
 
-/// Tunables; defaults come from the paper-calibrated constants.
+/// Retransmissions before an orphaned transaction gives up even while
+/// reply-pending packets keep arriving.
+const HARD_RETRANSMIT_CAP: u32 = 200;
+
+/// Workstation-local memory copy cost per KB (68010 block move).
+const LOCAL_MEMCPY_PER_KB: SimDuration = SimDuration::from_micros(500);
+
+/// The recovery paths ablation A2 turns off; every timing is a
+/// [`vsim::calib`] constant.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
-    /// Base interval between retransmissions (the first retry fires after
-    /// exactly this long).
-    pub retransmit_interval: SimDuration,
-    /// Multiplier applied to the interval after every further retry
-    /// (capped exponential backoff). `1.0` restores the fixed-interval
-    /// behaviour.
-    pub retransmit_backoff: f64,
-    /// Upper bound on the backed-off retransmission interval.
-    pub retransmit_max_interval: SimDuration,
     /// Retransmissions before invalidating the binding cache entry and
     /// falling back to broadcast.
     pub retransmits_before_rebind: u32,
-    /// Retransmissions before giving up (absent reply-pending).
-    pub max_retransmits: u32,
-    /// Hard cap even when reply-pending packets keep arriving; prevents an
-    /// orphaned transaction from retransmitting forever.
-    pub hard_retransmit_cap: u32,
-    /// How long a replier retains a reply for retransmission.
-    pub reply_retention: SimDuration,
     /// Broadcast a NewBinding packet when a migrated logical host is
     /// unfrozen (the §3.1.4 optimization). Disable for ablation A2.
     pub broadcast_new_binding: bool,
-    /// Bulk-transfer unit size.
-    pub xfer_unit_bytes: u64,
-    /// Workstation-local memory copy cost per KB (68010 block move).
-    pub local_memcpy_per_kb: SimDuration,
-    /// Demos/MP-style forwarding addresses (ablation A2): the old host
-    /// keeps a per-logical-host forwarding entry after migration and
-    /// relays misdirected requests, sending the requester an address
-    /// update. V's own design needs no such residual state (§5).
-    pub use_forwarding_addresses: bool,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
-            retransmit_interval: calib::RETRANSMIT_INTERVAL,
-            retransmit_backoff: calib::RETRANSMIT_BACKOFF,
-            retransmit_max_interval: calib::RETRANSMIT_MAX_INTERVAL,
             retransmits_before_rebind: calib::RETRANSMITS_BEFORE_REBIND,
-            max_retransmits: calib::MAX_RETRANSMITS,
-            hard_retransmit_cap: 200,
-            reply_retention: calib::REPLY_RETENTION,
             broadcast_new_binding: true,
-            xfer_unit_bytes: XFER_UNIT_BYTES,
-            local_memcpy_per_kb: SimDuration::from_micros(500),
-            use_forwarding_addresses: false,
         }
     }
 }
@@ -442,11 +416,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// This kernel's physical host address.
     pub fn host(&self) -> HostAddr {
         self.host
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &KernelConfig {
-        &self.cfg
     }
 
     /// Accumulated statistics.
@@ -713,12 +682,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 from,
                 body: body.clone(),
                 data_bytes,
-                deadline: now + self.cfg.reply_retention,
+                deadline: now + calib::REPLY_RETENTION,
             },
         );
         out.push(KernelOutput::SetTimer {
             key: TimerKey::ReplyRetention(requester, seq),
-            after: self.cfg.reply_retention,
+            after: calib::REPLY_RETENTION,
         });
 
         if entry.local_requester && self.lhs.contains_key(&requester.lh) {
@@ -774,7 +743,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             self.local_xfers.insert(xfer, (initiator, bytes));
             out.push(KernelOutput::SetTimer {
                 key: TimerKey::LocalCopyDone(xfer),
-                after: self.cfg.local_memcpy_per_kb * kb,
+                after: LOCAL_MEMCPY_PER_KB * kb,
             });
             return (xfer, out);
         }
@@ -788,7 +757,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             return (xfer, out);
         };
 
-        let units = split_units(&pages, self.cfg.xfer_unit_bytes);
+        let units = split_units(&pages, XFER_UNIT_BYTES);
         let x = OutXfer::new(xfer, initiator, to_lh, to_space, dst_host, units);
         self.xfers.insert(xfer, x);
         self.send_current_unit(xfer, &mut out);
@@ -866,7 +835,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         )));
         out.push(KernelOutput::SetTimer {
             key: TimerKey::PullStart(pull),
-            after: self.cfg.retransmit_interval,
+            after: calib::RETRANSMIT_INTERVAL,
         });
         (pull, out)
     }
@@ -1043,7 +1012,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             }
             out.push(KernelOutput::SetTimer {
                 key: TimerKey::Retransmit(o.from, o.seq),
-                after: self.cfg.retransmit_interval,
+                after: calib::RETRANSMIT_INTERVAL,
             });
         }
         for &(req, seq, target, span) in &record.in_progress {
@@ -1063,12 +1032,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     from: *from,
                     body: body.clone(),
                     data_bytes: *data_bytes,
-                    deadline: now + self.cfg.reply_retention,
+                    deadline: now + calib::REPLY_RETENTION,
                 },
             );
             out.push(KernelOutput::SetTimer {
                 key: TimerKey::ReplyRetention(*req, *seq),
-                after: self.cfg.reply_retention,
+                after: calib::REPLY_RETENTION,
             });
         }
         out
@@ -1118,9 +1087,11 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         out
     }
 
-    /// Demos/MP-mode deletion: like [`Kernel::delete_logical_host`] but
-    /// leaves a forwarding address behind — the residual dependency the
-    /// paper's design avoids (§5).
+    /// Demos/MP-mode deletion (ablation A2): like
+    /// [`Kernel::delete_logical_host`] but leaves a forwarding address
+    /// behind, through which this host relays misdirected requests to
+    /// `new_host` and sends the requester an address update — the
+    /// residual dependency the paper's design avoids (§5).
     pub fn delete_logical_host_with_forwarding(
         &mut self,
         now: SimTime,
@@ -1128,9 +1099,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         new_host: HostAddr,
     ) -> Vec<KernelOutput<X>> {
         let out = self.delete_logical_host(now, lh);
-        if self.cfg.use_forwarding_addresses {
-            self.forwarding.insert(lh, new_host);
-        }
+        self.forwarding.insert(lh, new_host);
         out
     }
 
@@ -1204,7 +1173,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         for (pid, seq) in sends {
             out.push(KernelOutput::SetTimer {
                 key: TimerKey::Retransmit(pid, seq),
-                after: self.cfg.retransmit_interval,
+                after: calib::RETRANSMIT_INTERVAL,
             });
         }
 
@@ -1213,7 +1182,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         for (pid, seq) in retained {
             out.push(KernelOutput::SetTimer {
                 key: TimerKey::ReplyRetention(pid, seq),
-                after: self.cfg.reply_retention,
+                after: calib::REPLY_RETENTION,
             });
         }
 
@@ -1425,7 +1394,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     self.cache.learn(to_lh, src);
                     let xfer = XferId(self.next_xfer);
                     self.next_xfer += 1;
-                    let units = split_units(&pages, self.cfg.xfer_unit_bytes);
+                    let units = split_units(&pages, XFER_UNIT_BYTES);
                     let server = ProcessId::new(from_lh, 0);
                     let mut x = OutXfer::new(xfer, server, to_lh, to_space, src, units);
                     x.pull_tag = Some(pull);
@@ -1508,7 +1477,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     };
                     if p.highest_unit.is_some() {
                         None // Data is flowing; the sender's acks drive it.
-                    } else if p.retries >= self.cfg.max_retransmits {
+                    } else if p.retries >= calib::MAX_RETRANSMITS {
                         Some(false)
                     } else {
                         p.retries += 1;
@@ -1533,7 +1502,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                         )));
                         out.push(KernelOutput::SetTimer {
                             key: TimerKey::PullStart(pull),
-                            after: self.cfg.retransmit_interval,
+                            after: calib::RETRANSMIT_INTERVAL,
                         });
                     }
                     Some(false) => {
@@ -1609,7 +1578,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 self.transmit_routed(lh, pkt, out);
                 out.push(KernelOutput::SetTimer {
                     key: TimerKey::Retransmit(from, seq),
-                    after: self.cfg.retransmit_interval,
+                    after: calib::RETRANSMIT_INTERVAL,
                 });
             }
             None => {
@@ -1674,7 +1643,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 ));
                 out.push(KernelOutput::SetTimer {
                     key: TimerKey::Retransmit(from, seq),
-                    after: self.cfg.retransmit_interval,
+                    after: calib::RETRANSMIT_INTERVAL,
                 });
             }
         }
@@ -1816,7 +1785,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 // Duplicate suppression: retained reply? (lost-reply
                 // recovery, §3.1.3.)
                 if let Some(r) = self.reply_cache.get_mut(&(from, seq)) {
-                    r.deadline = r.deadline.max(_now + self.cfg.reply_retention);
+                    r.deadline = r.deadline.max(_now + calib::REPLY_RETENTION);
                     let pkt = Packet::Reply {
                         seq,
                         from: r.from,
@@ -2036,12 +2005,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// (host, sender, transaction, try), so synchronized senders
     /// de-correlate identically on every replay of a seed.
     fn retransmit_delay(&self, pid: ProcessId, seq: SendSeq, tries: u32) -> SimDuration {
-        let base = self.cfg.retransmit_interval;
-        if tries == 0 || self.cfg.retransmit_backoff <= 1.0 {
+        let base = calib::RETRANSMIT_INTERVAL;
+        if tries == 0 {
             return base;
         }
-        let backed = base.mul_f64(self.cfg.retransmit_backoff.powi(tries as i32));
-        let capped = backed.min(self.cfg.retransmit_max_interval).max(base);
+        let backed = base.mul_f64(calib::RETRANSMIT_BACKOFF.powi(tries as i32));
+        let capped = backed.min(calib::RETRANSMIT_MAX_INTERVAL).max(base);
         let key = (self.host.0 as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(((pid.lh.0 as u64) << 32) | pid.index as u64)
@@ -2066,10 +2035,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         let tries = o.total_retransmits;
 
         let (give_up, orphaned) = if o.pending_seen {
-            let g = o.total_retransmits > self.cfg.hard_retransmit_cap;
+            let g = o.total_retransmits > HARD_RETRANSMIT_CAP;
             (g, g)
         } else {
-            (o.total_retransmits > self.cfg.max_retransmits, false)
+            (o.total_retransmits > calib::MAX_RETRANSMITS, false)
         };
         if give_up {
             let lh = o.to.routing_lh().map_or(pid.lh.0, |l| l.0);
@@ -2176,7 +2145,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 return; // Stale, or already acked (pace pending).
             }
             x.retries += 1;
-            if x.retries > self.cfg.max_retransmits {
+            if x.retries > calib::MAX_RETRANSMITS {
                 None
             } else {
                 Some(())
@@ -2238,7 +2207,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             (
                 Frame::unicast(self.host, x.dst_host, bytes, pkt),
                 pace,
-                pace + self.cfg.retransmit_interval,
+                pace + calib::RETRANSMIT_INTERVAL,
             )
         };
         let x = self.xfers.get(&xfer).expect("checked");
@@ -2279,7 +2248,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         out.push(KernelOutput::Transmit(frame));
         out.push(KernelOutput::SetTimer {
             key: TimerKey::XferAckTimeout(xfer, unit),
-            after: self.cfg.retransmit_interval,
+            after: calib::RETRANSMIT_INTERVAL,
         });
     }
 

@@ -10,7 +10,7 @@ use vkernel::{
 };
 use vmem::SpaceLayout;
 use vnet::{HostAddr, LossModel, McastGroup};
-use vsim::{SimDuration, SimTime, SpanTree, Subsystem, TraceEvent};
+use vsim::{calib, SimDuration, SimTime, SpanTree, Subsystem, TraceEvent};
 
 type Body = u32;
 
@@ -192,8 +192,10 @@ fn unresponsive_target_times_out() {
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
     assert!(!results[0].2, "send to a ghost must fail");
-    let max = rig.kernel(0).config().max_retransmits;
-    assert_eq!(rig.kernel(0).stats().retransmissions as u32, max);
+    assert_eq!(
+        rig.kernel(0).stats().retransmissions as u32,
+        calib::MAX_RETRANSMITS
+    );
 }
 
 #[test]
@@ -207,7 +209,7 @@ fn busy_server_reply_pending_prevents_abort() {
     rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
     let horizon = SimTime::ZERO + SimDuration::from_secs(30);
     rig.run_until(horizon);
-    // Well past max_retransmits * interval (10 * 0.5 s = 5 s), yet no
+    // Well past MAX_RETRANSMITS * interval (10 * 0.5 s = 5 s), yet no
     // failure: reply-pending packets kept it alive.
     assert!(rig.send_results().is_empty(), "send must still be pending");
     assert!(rig.kernel(0).stats().reply_pendings_received > 5);
@@ -653,6 +655,54 @@ fn stale_binding_recovers_by_broadcast() {
     assert_eq!(rig.kernel(2).binding_cache().stats().invalidations, 1);
 }
 
+/// Leaving a forwarding address is decided by the call alone, under the
+/// default configuration: `delete_logical_host_with_forwarding` keeps one
+/// entry on the old host and relays a stale request through it, while
+/// `delete_logical_host` keeps none.
+#[test]
+fn forwarding_entry_is_left_by_the_call_not_the_config() {
+    for forwarding in [true, false] {
+        let mut rig: Rig<Body> = Rig::with_loss(3, LossModel::None, KernelConfig::default());
+        let victim = spawn(&mut rig, 0, 10);
+        let client = spawn(&mut rig, 2, 1);
+        rig.respond(victim, |m| Some(m.body));
+
+        let temp = LogicalHostId(900);
+        rig.kernel_mut(0).freeze(LogicalHostId(10));
+        let record = rig.kernel(0).extract_migration_record(LogicalHostId(10));
+        {
+            let l = rig.kernel_mut(1).create_logical_host(temp);
+            for &(sid, layout) in &record.desc.spaces {
+                l.create_space_with_id(sid, layout);
+            }
+        }
+        rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
+        if forwarding {
+            rig.drive(0, |k, t| {
+                k.delete_logical_host_with_forwarding(t, LogicalHostId(10), HostAddr(1))
+            });
+        } else {
+            rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
+        }
+        rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+        run_all(&mut rig);
+        assert_eq!(rig.kernel(0).forwarding_entries(), usize::from(forwarding));
+
+        // An old reference: the client's cache points at the old host.
+        rig.kernel_mut(2)
+            .learn_binding(LogicalHostId(10), HostAddr(0));
+        rig.drive(2, |k, t| k.send(t, client, victim.into(), 5, 0));
+        run_all(&mut rig);
+        let results = rig.send_results();
+        assert_eq!(results.len(), 1);
+        assert!(results[0].2, "the stale request is answered either way");
+        assert_eq!(
+            rig.kernel(0).stats().forwarded_requests,
+            u64::from(forwarding)
+        );
+    }
+}
+
 /// An outstanding Send survives migration: the blocked process's
 /// transaction is reinstalled on the new kernel and completes there.
 #[test]
@@ -801,8 +851,7 @@ fn retained_replies_expire() {
 
     // Replay the original request long after the retention period: the
     // reply cache no longer answers, so the application sees it afresh.
-    let retention = rig.kernel(1).config().reply_retention;
-    rig.run_for(retention + SimDuration::from_secs(2));
+    rig.run_for(calib::REPLY_RETENTION + SimDuration::from_secs(2));
     let forged = vkernel::Packet::Request {
         seq: vkernel::SendSeq(0),
         from: a,

@@ -273,11 +273,6 @@ impl AddressSpace {
     pub fn ever_written_pages(&self) -> Vec<u32> {
         self.ever_written.iter().map(|p| p as u32).collect()
     }
-
-    /// Count of pages ever written.
-    pub fn ever_written_count(&self) -> u32 {
-        self.ever_written.count() as u32
-    }
 }
 
 #[cfg(test)]
@@ -386,7 +381,6 @@ mod tests {
         s.write_page(pages[1]);
         s.clear_dirty();
         assert_eq!(s.dirty_pages(), 0);
-        assert_eq!(s.ever_written_count(), 2);
         assert_eq!(s.ever_written_pages(), vec![pages[0], pages[1]]);
     }
 

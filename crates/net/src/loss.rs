@@ -21,19 +21,6 @@ pub enum LossModel {
     /// Drop exactly the first `n` deliveries, then none; for tests that
     /// need a specific packet lost.
     FirstN(u64),
-    /// Gilbert–Elliott two-state burst model: in the good state frames drop
-    /// with `p_good`, in the bad state with `p_bad`; transitions happen per
-    /// frame with `p_enter_bad` / `p_leave_bad`.
-    Burst {
-        /// Loss probability in the good state.
-        p_good: f64,
-        /// Loss probability in the bad state.
-        p_bad: f64,
-        /// Per-frame probability of entering the bad state.
-        p_enter_bad: f64,
-        /// Per-frame probability of leaving the bad state.
-        p_leave_bad: f64,
-    },
 }
 
 /// Stateful evaluator for a [`LossModel`].
@@ -41,17 +28,12 @@ pub enum LossModel {
 pub struct LossState {
     model: LossModel,
     counter: u64,
-    in_bad_state: bool,
 }
 
 impl LossState {
     /// Creates an evaluator for `model`.
     pub fn new(model: LossModel) -> Self {
-        LossState {
-            model,
-            counter: 0,
-            in_bad_state: false,
-        }
+        LossState { model, counter: 0 }
     }
 
     /// The model being evaluated.
@@ -67,21 +49,6 @@ impl LossState {
             LossModel::Bernoulli(p) => rng.chance(p),
             LossModel::EveryNth(n) => n > 0 && self.counter.is_multiple_of(n),
             LossModel::FirstN(n) => self.counter <= n,
-            LossModel::Burst {
-                p_good,
-                p_bad,
-                p_enter_bad,
-                p_leave_bad,
-            } => {
-                if self.in_bad_state {
-                    if rng.chance(p_leave_bad) {
-                        self.in_bad_state = false;
-                    }
-                } else if rng.chance(p_enter_bad) {
-                    self.in_bad_state = true;
-                }
-                rng.chance(if self.in_bad_state { p_bad } else { p_good })
-            }
         }
     }
 }
@@ -130,26 +97,5 @@ mod tests {
         let drops = (0..50_000).filter(|_| s.drops(&mut rng)).count();
         let rate = drops as f64 / 50_000.0;
         assert!((rate - 0.1).abs() < 0.01, "rate {rate}");
-    }
-
-    #[test]
-    fn burst_model_clusters_losses() {
-        let mut s = LossState::new(LossModel::Burst {
-            p_good: 0.0,
-            p_bad: 1.0,
-            p_enter_bad: 0.01,
-            p_leave_bad: 0.2,
-        });
-        let mut rng = DetRng::seed(7);
-        let outcomes: Vec<bool> = (0..100_000).map(|_| s.drops(&mut rng)).collect();
-        let total = outcomes.iter().filter(|&&d| d).count();
-        // Steady-state bad fraction = 0.01 / (0.01 + 0.2) ~ 4.8%.
-        let rate = total as f64 / outcomes.len() as f64;
-        assert!((rate - 0.048).abs() < 0.01, "rate {rate}");
-        // Losses must cluster: P(drop | previous drop) >> P(drop).
-        let pairs = outcomes.windows(2).filter(|w| w[0]).count();
-        let both = outcomes.windows(2).filter(|w| w[0] && w[1]).count();
-        let cond = both as f64 / pairs as f64;
-        assert!(cond > 3.0 * rate, "conditional {cond} vs marginal {rate}");
     }
 }

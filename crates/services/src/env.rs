@@ -60,11 +60,6 @@ impl ExecEnv {
     pub fn display(&self) -> Option<ProcessId> {
         self.resolve(NAME_DISPLAY)
     }
-
-    /// Sets an environment variable.
-    pub fn set_var(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.vars.insert(key.into(), value.into());
-    }
 }
 
 #[cfg(test)]
@@ -83,13 +78,6 @@ mod tests {
         assert_eq!(env.file_server(), Some(pid(2, 16)));
         assert_eq!(env.stdio, Some(pid(1, 20)));
         assert_eq!(env.resolve("nonexistent"), None);
-    }
-
-    #[test]
-    fn vars_round_trip() {
-        let mut env = ExecEnv::default();
-        env.set_var("TERM", "sun");
-        assert_eq!(env.vars.get("TERM").map(String::as_str), Some("sun"));
-        assert_eq!(env.file_server(), None);
+        assert_eq!(ExecEnv::default().file_server(), None);
     }
 }

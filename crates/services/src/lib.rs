@@ -24,6 +24,6 @@ pub use env::{ExecEnv, NAME_DISPLAY, NAME_FILE_SERVER};
 pub use file_server::{FileServer, FsStats, OpenFile};
 pub use msg::{FetchPlan, FileHandle, ProgramSpec, ServiceMsg, SvcError};
 pub use program_manager::{
-    AcceptPolicy, LeaseConfig, PmStats, ProgramInfo, ProgramManager, TEMP_LH_FLOOR,
+    PmStats, ProgramInfo, ProgramManager, MAX_GUEST_PROGRAMS, TEMP_LH_FLOOR,
 };
 pub use service::{SvcEvent, SvcOutputs, SvcToken};

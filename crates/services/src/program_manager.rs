@@ -50,38 +50,24 @@ const SYSTEM_LH_CEILING: u32 = 10_000;
 /// idempotently instead of spawning a second copy.
 const INSTALL_MEMORY: usize = 32;
 
-/// Lease/heartbeat tuning for the liveness protocol.
-///
-/// Remote programs stay explicitly dependent on their origin host: the
-/// origin grants a time-bounded lease, the hosting (remote) program
-/// manager renews it with heartbeats every `heartbeat`, and each grant
-/// lasts `duration`. When renewals fail for `duration + grace` the holder
-/// exterminates the orphan; when heartbeats stop for `duration + grace`
-/// the origin probes for the program and rebinds — or re-executes it if
-/// the probe goes unanswered.
-#[derive(Debug, Clone)]
-pub struct LeaseConfig {
-    /// Master switch: `false` disables grants, heartbeats and
-    /// extermination entirely.
-    pub enabled: bool,
-    /// How long each granted lease lasts.
-    pub duration: SimDuration,
-    /// Heartbeat/check cadence on both sides.
-    pub heartbeat: SimDuration,
-    /// Slack past expiry before either side acts.
-    pub grace: SimDuration,
-}
+// Lease/heartbeat timing for the liveness protocol.
+//
+// Remote programs stay explicitly dependent on their origin host: the
+// origin grants a time-bounded lease, the hosting (remote) program
+// manager renews it with heartbeats every `LEASE_HEARTBEAT`, and each
+// grant lasts `LEASE_DURATION`. When renewals fail for `LEASE_DURATION +
+// LEASE_GRACE` the holder exterminates the orphan; when heartbeats stop
+// for that long the origin probes for the program and rebinds — or
+// re-executes it if the probe goes unanswered.
 
-impl Default for LeaseConfig {
-    fn default() -> Self {
-        LeaseConfig {
-            enabled: true,
-            duration: SimDuration::from_secs(10),
-            heartbeat: SimDuration::from_secs(3),
-            grace: SimDuration::from_secs(5),
-        }
-    }
-}
+/// How long each granted lease lasts.
+const LEASE_DURATION: SimDuration = SimDuration::from_secs(10);
+
+/// Heartbeat/check cadence on both sides.
+const LEASE_HEARTBEAT: SimDuration = SimDuration::from_secs(3);
+
+/// Slack past expiry before either side acts.
+const LEASE_GRACE: SimDuration = SimDuration::from_secs(5);
 
 /// Holder-side lease state for one remote-origin program.
 #[derive(Debug, Clone)]
@@ -108,28 +94,12 @@ struct Grant {
     probing: bool,
 }
 
-/// Policy for answering `@*` queries.
-#[derive(Debug, Clone)]
-pub struct AcceptPolicy {
-    /// Maximum guest programs this workstation will host.
-    pub max_guest_programs: usize,
-    /// Answer `@*` even while the owner is active (the paper's priority
-    /// scheduling makes this acceptable; disable for a conservative
-    /// policy).
-    pub respond_when_owner_active: bool,
-    /// Minimum free memory to advertise availability.
-    pub min_free_bytes: u64,
-}
+/// Maximum guest programs a workstation hosts (the file-server machine
+/// hosts none).
+pub const MAX_GUEST_PROGRAMS: usize = 3;
 
-impl Default for AcceptPolicy {
-    fn default() -> Self {
-        AcceptPolicy {
-            max_guest_programs: 3,
-            respond_when_owner_active: true,
-            min_free_bytes: 512 * 1024,
-        }
-    }
-}
+/// Minimum free memory to advertise availability to `@*` queries.
+const MIN_FREE_BYTES: u64 = 512 * 1024;
 
 /// Program bookkeeping.
 #[derive(Debug, Clone)]
@@ -263,7 +233,8 @@ pub struct ProgramManager {
     host: HostAddr,
     host_name: String,
     file_server: ProcessId,
-    policy: AcceptPolicy,
+    /// Maximum guest programs this workstation will host.
+    max_guest_programs: usize,
     owner_active: bool,
     programs: BTreeMap<LogicalHostId, ProgramInfo>,
     waiters: BTreeMap<LogicalHostId, Vec<(ProcessId, SendSeq)>>,
@@ -282,8 +253,6 @@ pub struct ProgramManager {
     /// this deliberately leaks half-built logical hosts — used to prove
     /// the cluster auditor detects the leak.
     migration_watchdog: bool,
-    /// Lease protocol tuning (shared by the holder and origin roles).
-    lease_cfg: LeaseConfig,
     /// Exterminate orphans when their lease runs out. Disabling this
     /// deliberately leaks orphans — used to prove the cluster auditor
     /// detects lease-expired-but-alive programs.
@@ -309,21 +278,23 @@ impl ProgramManager {
     /// Creates the program manager for a workstation.
     ///
     /// `lh_base` is the start of this manager's private logical-host-id
-    /// range (the cluster builder spaces them so ids never collide).
+    /// range (the cluster builder spaces them so ids never collide). It
+    /// answers `@*` queries while it hosts fewer than
+    /// `max_guest_programs` guests.
     pub fn new(
         pid: ProcessId,
         host: HostAddr,
         host_name: impl Into<String>,
         file_server: ProcessId,
         lh_base: u32,
-        policy: AcceptPolicy,
+        max_guest_programs: usize,
     ) -> Self {
         ProgramManager {
             pid,
             host,
             host_name: host_name.into(),
             file_server,
-            policy,
+            max_guest_programs,
             owner_active: false,
             programs: BTreeMap::new(),
             waiters: BTreeMap::new(),
@@ -334,7 +305,6 @@ impl ProgramManager {
             awaiting_unfreeze: std::collections::BTreeSet::new(),
             suspended: std::collections::BTreeSet::new(),
             migration_watchdog: true,
-            lease_cfg: LeaseConfig::default(),
             lease_enforcement: true,
             leases: BTreeMap::new(),
             grants: BTreeMap::new(),
@@ -390,17 +360,6 @@ impl ProgramManager {
         self.migration_watchdog = on;
     }
 
-    /// The lease protocol tuning in effect.
-    pub fn lease_config(&self) -> &LeaseConfig {
-        &self.lease_cfg
-    }
-
-    /// Replaces the lease protocol tuning (the cluster builder applies
-    /// the cluster-wide config here).
-    pub fn set_lease_config(&mut self, cfg: LeaseConfig) {
-        self.lease_cfg = cfg;
-    }
-
     /// Enables or disables orphan extermination on lease expiry. Only
     /// disable to demonstrate the resulting leak (the cluster auditor
     /// flags lease-expired-but-alive programs).
@@ -408,12 +367,12 @@ impl ProgramManager {
         self.lease_enforcement = on;
     }
 
-    /// Held leases whose grant ran out more than `grace` ago — programs
+    /// Held leases whose grant ran out more than `LEASE_GRACE` ago — programs
     /// the enforcement machinery should already have exterminated.
     pub fn expired_leases(&self, now: SimTime) -> Vec<LogicalHostId> {
         self.leases
             .iter()
-            .filter(|(_, l)| now >= l.expires_at + self.lease_cfg.grace)
+            .filter(|(_, l)| now >= l.expires_at + LEASE_GRACE)
             .map(|(&lh, _)| lh)
             .collect()
     }
@@ -504,7 +463,7 @@ impl ProgramManager {
                 Pending::MigExpire { .. } | Pending::UnfreezeExpire { .. } => {
                     MIGRATION_INIT_TIMEOUT
                 }
-                Pending::LeaseTick | Pending::GrantTick => self.lease_cfg.heartbeat,
+                Pending::LeaseTick | Pending::GrantTick => LEASE_HEARTBEAT,
                 Pending::AwaitStat { .. }
                 | Pending::AwaitLoad { .. }
                 | Pending::AwaitRenewal { .. }
@@ -547,9 +506,7 @@ impl ProgramManager {
     }
 
     fn would_accept(&self, k: &Kernel<ServiceMsg>) -> bool {
-        (self.policy.respond_when_owner_active || !self.owner_active)
-            && self.guest_count() < self.policy.max_guest_programs
-            && self.free_bytes(k) >= self.policy.min_free_bytes
+        self.guest_count() < self.max_guest_programs && self.free_bytes(k) >= MIN_FREE_BYTES
     }
 
     /// The program-manager group of a station's system logical host —
@@ -570,10 +527,10 @@ impl ProgramManager {
     /// is armed yet.
     fn arm_lease_tick(&mut self) -> SvcOutputs {
         let mut out = SvcOutputs::new();
-        if self.lease_cfg.enabled && !self.lease_tick_armed && !self.leases.is_empty() {
+        if !self.lease_tick_armed && !self.leases.is_empty() {
             self.lease_tick_armed = true;
             let t = self.token(Pending::LeaseTick);
-            out = out.timer(t, self.lease_cfg.heartbeat);
+            out = out.timer(t, LEASE_HEARTBEAT);
         }
         out
     }
@@ -582,25 +539,25 @@ impl ProgramManager {
     /// is armed yet.
     fn arm_grant_tick(&mut self) -> SvcOutputs {
         let mut out = SvcOutputs::new();
-        if self.lease_cfg.enabled && !self.grant_tick_armed && !self.grants.is_empty() {
+        if !self.grant_tick_armed && !self.grants.is_empty() {
             self.grant_tick_armed = true;
             let t = self.token(Pending::GrantTick);
-            out = out.timer(t, self.lease_cfg.heartbeat);
+            out = out.timer(t, LEASE_HEARTBEAT);
         }
         out
     }
 
     /// Holder side: starts holding a lease for a remote-origin program
-    /// (no-op when leases are disabled or the program is home).
+    /// (no-op when the program is home).
     fn hold_lease(&mut self, now: SimTime, lh: LogicalHostId, origin: HostAddr) -> SvcOutputs {
-        if !self.lease_cfg.enabled || origin == self.host {
+        if origin == self.host {
             return SvcOutputs::new();
         }
         self.leases.insert(
             lh,
             Lease {
                 origin,
-                expires_at: now + self.lease_cfg.duration,
+                expires_at: now + LEASE_DURATION,
                 held_since: now,
                 renewing: false,
             },
@@ -613,7 +570,7 @@ impl ProgramManager {
     /// cluster runtime when a remote execution completes or a home
     /// program is migrated away.
     pub fn grant_lease(&mut self, now: SimTime, lh: LogicalHostId, remote: HostAddr) -> SvcOutputs {
-        if !self.lease_cfg.enabled || remote == self.host {
+        if remote == self.host {
             return SvcOutputs::new();
         }
         self.stats.leases_granted += 1;
@@ -641,7 +598,7 @@ impl ProgramManager {
         k: &mut Kernel<ServiceMsg>,
     ) -> SvcOutputs {
         let mut out = SvcOutputs::new();
-        if !self.lease_cfg.enabled || origin == self.host {
+        if origin == self.host {
             self.grants.remove(&lh);
             return out;
         }
@@ -1000,7 +957,7 @@ impl ProgramManager {
             }
             ServiceMsg::RenewLease { lh } => {
                 let holder = Self::requester_host(requester);
-                let known = self.lease_cfg.enabled && self.grants.contains_key(&lh);
+                let known = self.grants.contains_key(&lh);
                 match (known, holder) {
                     (true, Some(h)) => {
                         if let Some(g) = self.grants.get_mut(&lh) {
@@ -1011,7 +968,7 @@ impl ProgramManager {
                             g.probing = false;
                         }
                         self.stats.renewals_granted += 1;
-                        let until = now + self.lease_cfg.duration;
+                        let until = now + LEASE_DURATION;
                         out = out.event(SvcEvent::LeasePoint {
                             lh,
                             step: ProtocolStep::LeaseRenew,
@@ -1165,7 +1122,7 @@ impl ProgramManager {
                 let young = self
                     .leases
                     .get(&lh)
-                    .map(|l| now.since(l.held_since) <= self.lease_cfg.duration)
+                    .map(|l| now.since(l.held_since) <= LEASE_DURATION)
                     .unwrap_or(true);
                 match result {
                     Ok(ReplyIn {
@@ -1407,7 +1364,7 @@ impl ProgramManager {
                 continue;
             };
             let (origin, renewing) = (lease.origin, lease.renewing);
-            if now >= lease.expires_at + self.lease_cfg.grace {
+            if now >= lease.expires_at + LEASE_GRACE {
                 out = out.event(SvcEvent::LeasePoint {
                     lh,
                     step: ProtocolStep::LeaseExpiry,
@@ -1459,7 +1416,7 @@ impl ProgramManager {
                 continue;
             };
             let silence = now.since(g.renewed_at);
-            if !g.probing && silence > self.lease_cfg.duration + self.lease_cfg.grace {
+            if !g.probing && silence > LEASE_DURATION + LEASE_GRACE {
                 self.stats.remote_silences += 1;
                 out = out.event(SvcEvent::LeasePoint {
                     lh,
@@ -1529,11 +1486,5 @@ impl ProgramManager {
         // grant rebinds on the new host's first heartbeat).
         self.leases.remove(&lh);
         (self.programs.remove(&lh), out)
-    }
-
-    /// Registers a program that exists for reasons outside the normal
-    /// create path (tests, scenario setup).
-    pub fn register_program(&mut self, lh: LogicalHostId, info: ProgramInfo) {
-        self.programs.insert(lh, info);
     }
 }

@@ -5,8 +5,8 @@ use vkernel::testkit::{AppEvent, Rig};
 use vkernel::{GroupId, LogicalHostId, MsgIn, Priority, ProcessId, SendSeq, PROGRAM_MANAGER_INDEX};
 use vmem::SpaceLayout;
 use vservices::{
-    AcceptPolicy, DisplayServer, ExecEnv, FileServer, ProgramManager, ProgramSpec, ServiceMsg,
-    SvcEvent, SvcOutputs, SvcToken,
+    DisplayServer, ExecEnv, FileServer, ProgramManager, ProgramSpec, ServiceMsg, SvcEvent,
+    SvcOutputs, SvcToken, MAX_GUEST_PROGRAMS,
 };
 use vsim::SimTime;
 
@@ -63,7 +63,7 @@ impl Stand {
             "stand",
             fs_pid,
             10_000,
-            AcceptPolicy::default(),
+            MAX_GUEST_PROGRAMS,
         );
         Stand {
             rig,

@@ -200,16 +200,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Total dispatches across all slots.
-    pub fn total_dispatches(&self) -> u64 {
-        self.slots.iter().map(|s| s.dispatches).sum()
-    }
-
-    /// Total wall nanoseconds across all slots.
-    pub fn total_wall_ns(&self) -> u64 {
-        self.slots.iter().map(|s| s.wall_ns).sum()
-    }
-
     /// Finds a slot by event-kind label.
     pub fn slot(&self, kind: &str) -> Option<&SlotReport> {
         self.slots.iter().find(|s| s.kind == kind)
@@ -294,7 +284,6 @@ mod tests {
         assert_eq!(r.clock, "step");
         assert_eq!(r.slot("Command").unwrap().dispatches, 2);
         assert_eq!(r.slot("Command").unwrap().wall_ns, 20);
-        assert_eq!(r.total_wall_ns(), 20);
     }
 
     #[test]
@@ -311,7 +300,6 @@ mod tests {
         let r = p.report();
         assert_eq!(r.slots[0].kind, "Hot");
         assert_eq!(r.slots[1].kind, "Cold");
-        assert_eq!(r.total_dispatches(), 11);
     }
 
     #[test]

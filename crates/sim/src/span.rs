@@ -446,29 +446,6 @@ impl SpanTree {
         order.into_iter().map(|n| (n, totals[n])).collect()
     }
 
-    /// The chain of spans from `id` down to a leaf, descending at each
-    /// step into the child that closes last (the child still open, or with
-    /// the latest close time) — the path that bounds the parent's latency.
-    pub fn critical_path(&self, id: SpanId) -> Vec<SpanId> {
-        let mut path = Vec::new();
-        let mut cur = match self.by_id.get(&id.raw()) {
-            Some(&i) => i,
-            None => return path,
-        };
-        loop {
-            path.push(self.nodes[cur].id);
-            let next = self.nodes[cur]
-                .children
-                .iter()
-                .copied()
-                .max_by_key(|&c| (self.nodes[c].close.unwrap_or(SimTime::MAX), c));
-            match next {
-                Some(c) => cur = c,
-                None => return path,
-            }
-        }
-    }
-
     /// Spans with no close record.
     pub fn unclosed(&self) -> impl Iterator<Item = &SpanNode> {
         self.nodes.iter().filter(|n| n.close.is_none())
@@ -589,24 +566,6 @@ mod tests {
         );
         let total: SimDuration = phases.iter().map(|&(_, d)| d).sum();
         assert_eq!(total, tree.duration_of(root).unwrap());
-    }
-
-    #[test]
-    fn critical_path_follows_latest_close() {
-        let mut t = Trace::new(TraceLevel::Info);
-        let mut g = SpanIdGen::new(1);
-        let root = g.next();
-        let (fast, slow, leaf) = (g.next(), g.next(), g.next());
-        open(&mut t, root, SpanContext::NONE, "migration", 0);
-        open(&mut t, fast, root.ctx(), "selection", 0);
-        close(&mut t, fast, 10);
-        open(&mut t, slow, root.ctx(), "freeze", 10);
-        open(&mut t, leaf, slow.ctx(), "residual_copy", 12);
-        close(&mut t, leaf, 70);
-        close(&mut t, slow, 80);
-        close(&mut t, root, 80);
-        let tree = SpanTree::build(&t);
-        assert_eq!(tree.critical_path(root), vec![root, slow, leaf]);
     }
 
     #[test]

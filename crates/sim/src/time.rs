@@ -132,15 +132,6 @@ impl SimDuration {
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
-
-    /// Integer-division of one duration by another (how many `other` fit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is zero.
-    pub fn div_duration(self, other: SimDuration) -> u64 {
-        self.0 / other.0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -315,12 +306,5 @@ mod tests {
             .map(|&s| SimDuration::from_secs(s))
             .sum();
         assert_eq!(total, SimDuration::from_secs(6));
-    }
-
-    #[test]
-    fn div_duration_counts_units() {
-        let window = SimDuration::from_secs(3);
-        let quantum = SimDuration::from_millis(10);
-        assert_eq!(window.div_duration(quantum), 300);
     }
 }

@@ -52,7 +52,6 @@ pub mod prelude {
     pub use vcore::{ExecTarget, MigrationConfig, MigrationReport, StopPolicy, Strategy};
     pub use vkernel::{LogicalHostId, Priority, ProcessId};
     pub use vnet::{HostAddr, LossModel};
-    pub use vservices::LeaseConfig;
     pub use vsim::{
         fault_points, DetRng, Engine, EventId, FaultKind, FaultPlan, FaultPoint, FaultTrigger,
         MetricsReport, MigrationPhase, Party, ProtocolStep, SamplingSpec, SimContext, SimDuration,
