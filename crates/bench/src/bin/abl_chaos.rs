@@ -16,6 +16,9 @@ use vkernel::Priority;
 use vsim::{DetRng, FaultPlan, SimDuration, SimTime, TraceLevel};
 use vworkload::profiles;
 
+/// How many independent fault plans to soak (one cluster run each).
+const FAULT_PLANS: u64 = 32;
+
 struct Row {
     seed: u64,
     fault_events: usize,
@@ -40,8 +43,6 @@ vsim::impl_to_json!(Row {
 });
 
 fn main() {
-    // How many independent fault plans to soak (one cluster run each).
-    let seeds = vbench::config_u64("fault_plans", 32);
     let seed_base = vbench::config_u64("seed", 0xC0FFEE);
     // Info keeps the migration phase spans; faults leave some spans open
     // (lost transactions), which is visible data here, not an error.
@@ -63,7 +64,7 @@ fn main() {
         ],
     );
     let mut clean = 0u64;
-    for seed in 0..seeds {
+    for seed in 0..FAULT_PLANS {
         let mut rng = DetRng::seed(seed_base ^ seed);
         let plan = FaultPlan::random(&mut rng, 5, SimDuration::from_secs(30));
         let fault_events = plan.events.len();
@@ -121,7 +122,7 @@ fn main() {
         metrics.absorb(c.metrics_report().prefixed(&format!("seed{seed}")));
         let tree = c.span_tree();
         summary.absorb_tree(&tree);
-        if seed + 1 == seeds {
+        if seed + 1 == FAULT_PLANS {
             vbench::export_trace("abl_chaos", &tree);
         }
         t.row(&[
@@ -148,7 +149,7 @@ fn main() {
     }
     t.print();
     println!(
-        "\nShape check: {clean}/{seeds} seeds finish with a clean audit —\n\
+        "\nShape check: {clean}/{FAULT_PLANS} seeds finish with a clean audit —\n\
          crashes reboot into broadcast re-query (no forwarding state),\n\
          half-built migrations are reclaimed by the target watchdogs, and\n\
          partitions heal into plain retransmission catch-up. The damage is\n\

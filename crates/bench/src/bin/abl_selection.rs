@@ -19,6 +19,9 @@ use vnet::LossModel;
 use vsim::{DetRng, SimDuration, TraceLevel};
 use vworkload::profiles;
 
+/// Seed of the job-arrival stream (the cluster has its own `seed`).
+const RNG_SEED: u64 = 5;
+
 struct Results {
     requests: usize,
     picked_least_loaded: usize,
@@ -40,7 +43,7 @@ fn main() {
         trace: TraceLevel::Warn,
         ..ClusterConfig::default()
     });
-    let mut rng = DetRng::seed(vbench::config_u64("rng_seed", 5));
+    let mut rng = DetRng::seed(RNG_SEED);
 
     let mut picked_best = 0usize;
     let mut excess = Vec::new();

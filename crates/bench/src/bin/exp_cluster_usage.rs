@@ -24,6 +24,10 @@ use vnet::LossModel;
 use vsim::{DetRng, SamplingSpec, SimDuration, SimTime, TraceLevel};
 use vworkload::{profiles, UserModelParams};
 
+/// Seed of the compile-job arrival stream (the cluster has its own
+/// `seed`).
+const RNG_SEED: u64 = 4242;
+
 struct Results {
     workstations: usize,
     sim_hours: f64,
@@ -61,7 +65,7 @@ fn main() {
     c.set_host_clock(Box::new(WallClock::new()));
 
     // Random compile jobs via @* throughout the run.
-    let mut rng = DetRng::seed(vbench::config_u64("rng_seed", 4242));
+    let mut rng = DetRng::seed(RNG_SEED);
     let hours = vbench::config_f64("hours", 3.0);
     let total = SimDuration::from_secs_f64(hours * 3600.0);
     let mut t = SimTime::ZERO;

@@ -13,8 +13,11 @@ use vnet::LossModel;
 use vsim::{Histogram, Samples, SimDuration, TraceLevel};
 use vworkload::profiles;
 
+/// Randomly timed migrations, one fresh cluster each.
+const RUNS: u64 = 40;
+
 struct Results {
-    runs: usize,
+    runs: u64,
     mean_ms: f64,
     p50_ms: f64,
     p95_ms: f64,
@@ -40,9 +43,8 @@ fn main() {
         SimDuration::from_millis(300),
     ]);
     let base = vbench::config_u64("seed", 9000);
-    let runs = vbench::config_u64("runs", 40);
     let mut metrics = vsim::MetricsReport::new();
-    for i in 0..runs {
+    for i in 0..RUNS {
         let cfg = ClusterConfig {
             workstations: 3,
             seed: base + i,
@@ -102,14 +104,14 @@ fn main() {
     }
     h.print();
     println!(
-        "\nEvery one of {runs} randomly-timed migrations froze the parser\n\
+        "\nEvery one of {RUNS} randomly-timed migrations froze the parser\n\
          for well under a second (the naive copy would freeze it ~2 s)."
     );
 
     emit(
         "exp_freeze_distribution",
         &Results {
-            runs: runs as usize,
+            runs: RUNS,
             mean_ms: ms(samples.mean()),
             p50_ms: ms(samples.median().expect("non-empty")),
             p95_ms: ms(samples.percentile(95.0).expect("non-empty")),

@@ -12,8 +12,11 @@ use vbench::{emit, ms, pct, quiet_cluster, Table};
 use vcore::ExecTarget;
 use vkernel::Priority;
 use vmem::{SpaceLayout, WwsParams};
-use vsim::{OnlineStats, SimDuration};
+use vsim::{Samples, SimDuration};
 use vworkload::ProgramProfile;
+
+/// Host-selection trials, one fresh cluster each.
+const TRIALS: u64 = 20;
 
 struct Results {
     selection_ms_paper: f64,
@@ -55,10 +58,9 @@ fn image_profile(kb: u64, secs: u64) -> ProgramProfile {
 fn main() {
     // --- Selection time: first response to "@ *" over many trials. ---
     let base = vbench::config_u64("seed", 100);
-    let trials = vbench::config_u64("trials", 20);
-    let mut selection = OnlineStats::new();
+    let mut selection = Samples::new();
     let mut metrics = vsim::MetricsReport::new();
-    for seed in 0..trials {
+    for seed in 0..TRIALS {
         let mut c = quiet_cluster(6, base + seed);
         c.exec(
             1,
@@ -70,7 +72,7 @@ fn main() {
         let r = &c.exec_reports[0];
         assert!(r.success, "{r:?}");
         selection.add(r.selection_time.as_secs_f64() * 1e3);
-        if seed + 1 == trials {
+        if seed + 1 == TRIALS {
             metrics.absorb(c.metrics_report().prefixed("selection"));
         }
     }

@@ -15,7 +15,7 @@
 //!   millisecond, through [`SeriesStore::update`] as the cluster does
 //!   (a point is kept only when a value changes).
 //!
-//! Each cell runs `reps` times in one process and keeps its best wall
+//! Each cell runs [`REPS`] times in one process and keeps its best wall
 //! rate, so the overhead ratios in the `run` section compare like with
 //! like and cancel machine speed. `bench_regress` gates
 //! `run.sampling_overhead_ratio` at ≤ 10% — the promise that telemetry
@@ -38,6 +38,8 @@ const TICK_US: u64 = 10_000;
 const EVENTS_PER_CELL: u64 = 2_000_000;
 /// Hosts in the churn (the acceptance criterion's 1k-host point).
 const HOSTS: usize = 1_000;
+/// Runs of each cell; the best wall rate is kept.
+const REPS: usize = 3;
 
 /// One-shot event marker (messages, timeouts): deliver and die.
 const ONE_SHOT: u64 = 1 << 63;
@@ -157,9 +159,7 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
 fn main() {
     vbench::args();
     let seed = vbench::config_u64("seed", 1985);
-    let budget = vbench::config_u64("events_per_cell", EVENTS_PER_CELL);
-    let reps = vbench::config_usize("reps", 3).max(1);
-    let sim_us = budget * TICK_US / HOSTS as u64;
+    let sim_us = EVENTS_PER_CELL * TICK_US / HOSTS as u64;
 
     let cells: [(&str, Variant); 4] = [
         ("base", Variant::Base),
@@ -176,11 +176,11 @@ fn main() {
         "P2: telemetry overhead — deterministic per-cell event totals",
         &["cell", "hosts", "events", "sim s", "sweeps"],
     );
-    println!("cell            events    best wall s   best ev/wall-s  (of {reps} reps)");
+    println!("cell            events    best wall s   best ev/wall-s  (of {REPS} reps)");
     for (name, variant) in &cells {
         let mut best: Option<CellOut> = None;
         let mut first_series: Option<String> = None;
-        for _ in 0..reps {
+        for _ in 0..REPS {
             let out = run_cell(name, variant, sim_us, seed);
             // Same seed, same cell: the sampled series must serialize
             // byte-identically across reps — wall clock may vary, the
@@ -199,7 +199,7 @@ fn main() {
                 best = Some(out);
             }
         }
-        let out = best.expect("reps >= 1");
+        let out = best.expect("REPS >= 1");
         let rate = out.events as f64 / out.wall_secs;
         best_rate.insert((*name).to_string(), rate);
         println!(

@@ -20,4 +20,4 @@ pub use audit::{AuditReport, AuditViolation};
 pub use runtime::{
     Cluster, ClusterConfig, ClusterStats, Command, Event, ProgramRuntime, SvcKind, Workstation,
 };
-pub use vsim::{FaultEvent, FaultKind, FaultPlan, FaultTrigger, MigrationPhase};
+pub use vsim::{FaultEvent, FaultKind, FaultPlan, FaultTrigger};

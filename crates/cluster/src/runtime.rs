@@ -29,10 +29,10 @@ use vservices::{
 };
 use vsim::calib::{CONTEXT_SWITCH, CPU_QUANTUM, SMALL_PACKET_CPU};
 use vsim::{
-    DetRng, FaultKind, FaultPlan, FaultPoint, FaultTrigger, HostClock, MetricsReport,
-    MigrationPhase, Party, ProfileReport, ProtocolStep, SamplingSpec, ScopeMetrics, SeriesId,
-    SeriesReport, SeriesStore, SimContext, SimDuration, SimTime, SlotId, SpanContext, SpanIdGen,
-    SpanTree, Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
+    DetRng, FaultKind, FaultPlan, FaultPoint, FaultTrigger, HostClock, MetricsReport, Party,
+    ProfileReport, ProtocolStep, SamplingSpec, ScopeMetrics, SeriesId, SeriesReport, SeriesStore,
+    SimContext, SimDuration, SimTime, SlotId, SpanContext, SpanIdGen, SpanTree, Subsystem, Trace,
+    TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
 };
 use vworkload::{
     OwnerState, ProgAction, ProgEvent, ProgramProfile, UserModel, UserModelParams, WorkloadProgram,
@@ -378,11 +378,10 @@ pub struct Cluster {
     slots: EventSlots,
     rng: DetRng,
     cfg: ClusterConfig,
-    /// Phase-triggered faults still waiting for their migration step.
-    phase_faults: Vec<(Option<u32>, MigrationPhase, FaultKind)>,
     /// Fault-point-triggered faults still waiting for their protocol-step
-    /// crossing (one-shot, like `phase_faults`).
-    point_faults: Vec<(Option<u32>, FaultPoint, FaultKind)>,
+    /// crossing (one-shot), with their pre-copy round filter, in plan
+    /// order.
+    point_faults: Vec<(FaultPoint, Option<u32>, FaultKind)>,
     /// Exec profile and priority by image, kept so a leased program
     /// presumed dead can be executed again from its origin.
     profiles_by_image: BTreeMap<String, (ProgramProfile, Priority)>,
@@ -599,7 +598,6 @@ impl Cluster {
             slots,
             rng,
             cfg,
-            phase_faults: Vec::new(),
             point_faults: Vec::new(),
             profiles_by_image: BTreeMap::new(),
             reexec_images: BTreeMap::new(),
@@ -609,7 +607,7 @@ impl Cluster {
         };
         cluster.seed_user_transitions();
         // Schedule the fault plan: timed faults go straight on the queue;
-        // phase-triggered ones wait for their migration step.
+        // point-triggered ones wait for their protocol-step crossing.
         for ev in cluster.cfg.faults.clone().events {
             match ev.trigger {
                 FaultTrigger::At(t) => {
@@ -617,11 +615,8 @@ impl Cluster {
                         .ctx
                         .schedule_at(t, Event::ApplyFault { kind: ev.kind });
                 }
-                FaultTrigger::OnMigrationPhase { lh, phase } => {
-                    cluster.phase_faults.push((lh, phase, ev.kind));
-                }
-                FaultTrigger::AtFaultPoint { lh, point } => {
-                    cluster.point_faults.push((lh, point, ev.kind));
+                FaultTrigger::AtFaultPoint { point, round } => {
+                    cluster.point_faults.push((point, round, ev.kind));
                 }
             }
         }
@@ -1482,7 +1477,7 @@ impl Cluster {
                         },
                     );
                 }
-                self.fire_points(lh, step, &[(party, Some(self.stations[i].host.0))]);
+                self.fire_points(step, None, &[(party, Some(self.stations[i].host.0))]);
             }
         }
     }
@@ -1506,8 +1501,8 @@ impl Cluster {
             );
         }
         self.fire_points(
-            lh,
             ProtocolStep::ReExec,
+            None,
             &[(Party::Origin, Some(self.stations[i].host.0))],
         );
         let Some((profile, priority)) = self.profiles_by_image.get(&image).cloned() else {
@@ -1516,14 +1511,17 @@ impl Cluster {
         self.exec(i, profile, ExecTarget::AnyIdle, priority);
     }
 
-    /// Fires one-shot point faults pinned to `(step, party)` crossings.
-    /// `parties` lists which protocol parties this crossing represents and
-    /// (when known) the station each party runs on, so `PARTY`-relative
-    /// fault kinds can be resolved to a concrete station.
+    /// Fires one-shot point faults pinned to `(step, party)` crossings, in
+    /// plan order. `round` is the pre-copy round a `PrecopyRound` crossing
+    /// completed (`None` for every other step); a fault with a round
+    /// filter fires only on that round. `parties` lists which protocol
+    /// parties this crossing represents and (when known) the station each
+    /// party runs on, so `PARTY`-relative fault kinds can be resolved to a
+    /// concrete station.
     fn fire_points(
         &mut self,
-        lh: LogicalHostId,
         step: ProtocolStep,
+        round: Option<u32>,
         parties: &[(Party, Option<u16>)],
     ) {
         if self.point_faults.is_empty() {
@@ -1531,8 +1529,8 @@ impl Cluster {
         }
         let n = self.stations.len() as u16;
         let mut fired = Vec::new();
-        self.point_faults.retain(|(want_lh, point, kind)| {
-            if point.step != step || want_lh.is_some_and(|l| l != lh.0) {
+        self.point_faults.retain(|(point, want_round, kind)| {
+            if point.step != step || want_round.is_some_and(|r| Some(r) != round) {
                 return true;
             }
             let Some((_, ws)) = parties.iter().find(|(p, _)| *p == point.party) else {
@@ -1625,30 +1623,20 @@ impl Cluster {
             MigEvent::UnfrozeInPlace { lh } => {
                 self.resume_scheduling(i, lh);
             }
-            MigEvent::Phase { lh, phase } => {
-                // Fire any fault pinned to this protocol step (one-shot,
-                // first matching migration wins).
-                let mut fired = Vec::new();
-                self.phase_faults.retain(|(want_lh, want_phase, kind)| {
-                    let hit = *want_phase == phase && want_lh.is_none_or(|l| l == lh.0);
-                    if hit {
-                        fired.push(kind.clone());
-                    }
-                    !hit
-                });
-                for kind in fired {
-                    self.apply_fault(kind);
-                }
-            }
-            MigEvent::Point { lh, step, target } => {
+            MigEvent::Point {
+                lh,
+                step,
+                round,
+                target,
+            } => {
                 let origin = self.stations[i]
                     .pm
                     .program(lh)
                     .and_then(|p| p.origin)
                     .map(|h| h.0);
                 self.fire_points(
-                    lh,
                     step,
+                    round,
                     &[
                         (Party::Source, Some(self.stations[i].host.0)),
                         (Party::Target, target.map(|h| h.0)),

@@ -63,8 +63,8 @@ use vnet::HostAddr;
 use vservices::{ServiceMsg, SvcError};
 use vsim::calib::PAGE_BYTES;
 use vsim::{
-    MigrationPhase, ProtocolStep, Samples, ScopeMetrics, SimDuration, SimTime, SpanId, SpanIdGen,
-    Subsystem, Trace, TraceEvent, TraceLevel,
+    ProtocolStep, Samples, ScopeMetrics, SimDuration, SimTime, SpanId, SpanIdGen, Subsystem, Trace,
+    TraceEvent, TraceLevel,
 };
 
 use crate::report::{IterStat, MigFailure, MigrationReport};
@@ -199,23 +199,18 @@ pub enum MigEvent {
         /// The unfrozen logical host.
         lh: LogicalHostId,
     },
-    /// The migration crossed a named protocol step (fault-injection
-    /// triggers hang off these).
-    Phase {
-        /// The migrating logical host.
-        lh: LogicalHostId,
-        /// The step just crossed.
-        phase: MigrationPhase,
-    },
     /// The migration crossed a registered fault point
-    /// ([`vsim::fault_points`]) — finer-grained than [`MigEvent::Phase`].
-    /// The runtime resolves the parties involved (source = the emitting
-    /// station, target = `target`, origin = the program's lease origin).
+    /// ([`vsim::fault_points`]). The runtime resolves the parties
+    /// involved (source = the emitting station, target = `target`, origin
+    /// = the program's lease origin).
     Point {
         /// The migrating logical host.
         lh: LogicalHostId,
         /// The protocol step just crossed.
         step: ProtocolStep,
+        /// The pre-copy round just completed (1-based), on
+        /// [`ProtocolStep::PrecopyRound`] crossings only.
+        round: Option<u32>,
         /// The target host, once one is chosen.
         target: Option<HostAddr>,
     },
@@ -424,6 +419,7 @@ impl Migrator {
         out.events.push(MigEvent::Point {
             lh: job.lh,
             step,
+            round: (step == ProtocolStep::PrecopyRound).then_some(job.iteration),
             target: job.target.map(|(_, h)| h),
         });
     }
@@ -658,13 +654,9 @@ impl Migrator {
                     job.state = JobState::Unfreezing;
                     self.open_freeze_child(now, &mut job, "rebind");
                     // Commit point: the target holds an installed copy.
-                    // The phase event precedes the UnfreezeMigrated
+                    // The point event precedes the UnfreezeMigrated
                     // transmit in the output stream, so a fault here can
                     // kill the source before step 5 leaves it.
-                    out.events.push(MigEvent::Phase {
-                        lh: job.lh,
-                        phase: MigrationPhase::AfterCommit,
-                    });
                     Self::point(&mut out, &job, ProtocolStep::Unfreeze);
                     let (pm, _) = job.target.expect("target chosen");
                     let unfreeze = ServiceMsg::UnfreezeMigrated { lh: job.lh };
@@ -806,20 +798,9 @@ impl Migrator {
                 self.start_round(now, job, k, RoundKind::FullSpaces, out)
             }
             Strategy::FreezeAndCopy => {
-                k.freeze(job.lh);
-                job.freeze_started = Some(now);
-                self.open_phase(now, &mut job, "freeze");
-                self.open_freeze_child(now, &mut job, "residual_copy");
-                self.trace.emit(
-                    TraceLevel::Detail,
-                    now,
-                    Subsystem::Migration,
-                    TraceEvent::Freeze { lh: job.lh.0 },
-                );
-                job.state = JobState::FrozenFinalCopy;
                 job.iteration = 1;
                 let mut out = out;
-                Self::point(&mut out, &job, ProtocolStep::Freeze);
+                self.enter_freeze(now, &mut job, k, &mut out);
                 let mut total = 0;
                 let spaces: Vec<SpaceId> = k
                     .logical_host(job.lh)
@@ -932,10 +913,6 @@ impl Migrator {
             return self.abandon_destroyed(now, job, k, out);
         }
         self.close_phase(now, &mut job);
-        out.events.push(MigEvent::Phase {
-            lh: job.lh,
-            phase: MigrationPhase::AfterPrecopyRound(job.iteration),
-        });
         Self::point(&mut out, &job, ProtocolStep::PrecopyRound);
         let stop = match &job.cfg.strategy {
             Strategy::PreCopy(p) => p.clone(),
@@ -956,6 +933,29 @@ impl Migrator {
         }
     }
 
+    /// Freezes the logical host for the final copy and opens the freeze
+    /// window's spans: the one `Freeze` crossing of every strategy.
+    fn enter_freeze(
+        &mut self,
+        now: SimTime,
+        job: &mut Job,
+        k: &mut Kernel<ServiceMsg>,
+        out: &mut MigOutputs,
+    ) {
+        k.freeze(job.lh);
+        job.freeze_started = Some(now);
+        self.open_phase(now, job, "freeze");
+        self.open_freeze_child(now, job, "residual_copy");
+        self.trace.emit(
+            TraceLevel::Detail,
+            now,
+            Subsystem::Migration,
+            TraceEvent::Freeze { lh: job.lh.0 },
+        );
+        job.state = JobState::FrozenFinalCopy;
+        Self::point(out, job, ProtocolStep::Freeze);
+    }
+
     #[allow(clippy::expect_used)]
     fn freeze_and_final(
         &mut self,
@@ -967,24 +967,9 @@ impl Migrator {
         if k.logical_host(job.lh).is_none() {
             return self.abandon_destroyed(now, job, k, out);
         }
-        k.freeze(job.lh);
-        job.freeze_started = Some(now);
-        self.open_phase(now, &mut job, "freeze");
-        self.open_freeze_child(now, &mut job, "residual_copy");
-        self.trace.emit(
-            TraceLevel::Detail,
-            now,
-            Subsystem::Migration,
-            TraceEvent::Freeze { lh: job.lh.0 },
-        );
-        job.state = JobState::FrozenFinalCopy;
+        self.enter_freeze(now, &mut job, k, &mut out);
         job.iter_started = now;
         job.iter_bytes = 0;
-        out.events.push(MigEvent::Phase {
-            lh: job.lh,
-            phase: MigrationPhase::WhileFrozen,
-        });
-        Self::point(&mut out, &job, ProtocolStep::Freeze);
 
         let (dest_lh, dest_space) = match &job.cfg.strategy {
             Strategy::VmFlush { .. } => (PAGING_LH, Some(PAGING_SPACE)),

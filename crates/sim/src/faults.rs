@@ -3,9 +3,10 @@
 //! A [`FaultPlan`] is a list of scheduled, seed-reproducible fault events:
 //! station crashes with optional reboot, asymmetric network partitions with
 //! heal, per-link latency spikes, payload corruption windows, and service
-//! crash-restarts. Events fire either at an absolute simulated time or when a
-//! migration reaches a named protocol step ("after pre-copy round 2", "while
-//! frozen", "after commit"), so failure timing can be pinned to exactly the
+//! crash-restarts. Events fire either at an absolute simulated time or when
+//! the protocol crosses a registered [`FaultPoint`] (a protocol step and the
+//! party it hits: "source after pre-copy round 2", "source at freeze",
+//! "source at unfreeze"), so failure timing can be pinned to exactly the
 //! windows the paper's recovery arguments (§3.1.3, §3.3, §5) depend on.
 //!
 //! The plan itself is pure data; the cluster runtime executes it. Because a
@@ -14,28 +15,6 @@
 
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
-
-/// A named step of the migration protocol that a fault can be pinned to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationPhase {
-    /// The given pre-copy round (1-based) has just completed.
-    AfterPrecopyRound(u32),
-    /// The logical host has just been frozen for the final copy.
-    WhileFrozen,
-    /// The state record was installed at the target (commit point) but the
-    /// unfreeze request has not yet been sent.
-    AfterCommit,
-}
-
-impl core::fmt::Display for MigrationPhase {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            MigrationPhase::AfterPrecopyRound(n) => write!(f, "after-precopy-round-{n}"),
-            MigrationPhase::WhileFrozen => write!(f, "while-frozen"),
-            MigrationPhase::AfterCommit => write!(f, "after-commit"),
-        }
-    }
-}
 
 /// The protocol party a fault point names — the station the fault hits
 /// when an [`FaultTrigger::AtFaultPoint`] trigger fires.
@@ -144,7 +123,7 @@ impl core::fmt::Display for FaultPoint {
     }
 }
 
-/// Shorthand constructor used by the registry table.
+/// Shorthand constructor for a [`FaultPoint`].
 const fn fp(step: ProtocolStep, party: Party) -> FaultPoint {
     FaultPoint { step, party }
 }
@@ -194,23 +173,17 @@ pub const PARTY: u16 = u16::MAX;
 pub enum FaultTrigger {
     /// At an absolute simulated instant.
     At(SimTime),
-    /// When a migration reaches `phase`. Fires once, for the first matching
-    /// migration.
-    OnMigrationPhase {
-        /// Restrict to this logical host id (`None` = any migration).
-        lh: Option<u32>,
-        /// The protocol step to fire at.
-        phase: MigrationPhase,
-    },
     /// When the protocol crosses a registered [`FaultPoint`]. Fires once,
     /// for the first matching crossing; station fields in the paired
     /// `FaultKind` equal to [`PARTY`] are resolved to the point's party
     /// station at fire time.
     AtFaultPoint {
-        /// Restrict to this logical host id (`None` = any program).
-        lh: Option<u32>,
         /// The registered point to fire at.
         point: FaultPoint,
+        /// Restrict to this pre-copy round (1-based; `None` = any
+        /// crossing). Only [`ProtocolStep::PrecopyRound`] crossings carry
+        /// a round, so `Some` never matches another step.
+        round: Option<u32>,
     },
 }
 
@@ -337,12 +310,15 @@ impl FaultPlan {
                     rng.range_u64(1_000_000, horizon.as_micros().max(1_000_001)),
                 ))
             } else {
-                let phase = match rng.index(3) {
-                    0 => MigrationPhase::AfterPrecopyRound(rng.range_u64(1, 3) as u32),
-                    1 => MigrationPhase::WhileFrozen,
-                    _ => MigrationPhase::AfterCommit,
+                let (step, round) = match rng.index(3) {
+                    0 => (ProtocolStep::PrecopyRound, Some(rng.range_u64(1, 3) as u32)),
+                    1 => (ProtocolStep::Freeze, None),
+                    _ => (ProtocolStep::Unfreeze, None),
                 };
-                FaultTrigger::OnMigrationPhase { lh: None, phase }
+                FaultTrigger::AtFaultPoint {
+                    point: fp(step, Party::Source),
+                    round,
+                }
             };
             let kind = match rng.index(5) {
                 0 => FaultKind::Crash {

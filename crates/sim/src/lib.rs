@@ -2,13 +2,12 @@
 //!
 //! Foundation of the V-system reproduction: a microsecond-resolution
 //! simulated clock and event queue ([`Engine`]), seeded randomness
-//! ([`DetRng`]), measurement collection ([`OnlineStats`], [`Samples`],
-//! [`Histogram`]), a structured observability layer (typed [`Trace`]
-//! events, causal [`span`]s reconstructed into a [`SpanTree`], and the
-//! [`metrics`] report types), a dependency-free [`json`] serializer/parser
-//! for machine-readable experiment artifacts, and the
-//! calibration constants derived from the paper's §4.1 measurements
-//! ([`calib`]).
+//! ([`DetRng`]), measurement collection ([`Samples`], [`Histogram`]), a
+//! structured observability layer (typed [`Trace`] events, causal
+//! [`span`]s reconstructed into a [`SpanTree`], and the [`metrics`] report
+//! types), a dependency-free [`json`] serializer/parser for
+//! machine-readable experiment artifacts, and the calibration constants
+//! derived from the paper's §4.1 measurements ([`calib`]).
 //!
 //! Everything above this crate is a sans-IO state machine: components react
 //! to events and schedule new ones; only the cluster runtime owns the loop.
@@ -37,15 +36,15 @@ mod trace;
 pub use context::SimContext;
 pub use engine::{Engine, EventId};
 pub use faults::{
-    fault_points, FaultEvent, FaultKind, FaultPlan, FaultPoint, FaultTrigger, MigrationPhase,
-    Party, ProtocolStep, PARTY,
+    fault_points, FaultEvent, FaultKind, FaultPlan, FaultPoint, FaultTrigger, Party, ProtocolStep,
+    PARTY,
 };
 pub use json::{Json, ToJson};
 pub use metrics::{MetricsReport, ScopeMetrics};
 pub use profile::{HostClock, NullClock, ProfileReport, Profiler, SlotId, SlotReport};
 pub use rng::DetRng;
 pub use span::{SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation};
-pub use stats::{Histogram, OnlineStats, Samples};
+pub use stats::{Histogram, Samples};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{SamplingSpec, SeriesId, SeriesReport, SeriesSnapshot, SeriesStore};
 pub use trace::{SpanEvent, Subsystem, Trace, TraceEvent, TraceLevel, TraceRecord, TraceSinkSpec};

@@ -147,9 +147,12 @@ fn chaos_runs_are_deterministic() {
 fn auditor_catches_disabled_watchdog_leak() {
     let plan = || {
         FaultPlan::none().with(
-            FaultTrigger::OnMigrationPhase {
-                lh: None,
-                phase: MigrationPhase::WhileFrozen,
+            FaultTrigger::AtFaultPoint {
+                point: FaultPoint {
+                    step: ProtocolStep::Freeze,
+                    party: Party::Source,
+                },
+                round: None,
             },
             FaultKind::Crash {
                 ws: 1,
@@ -205,9 +208,12 @@ fn auditor_catches_disabled_watchdog_leak() {
 #[test]
 fn partition_mid_precopy_reclaims_and_retries_elsewhere() {
     let plan = FaultPlan::none().with(
-        FaultTrigger::OnMigrationPhase {
-            lh: None,
-            phase: MigrationPhase::AfterPrecopyRound(1),
+        FaultTrigger::AtFaultPoint {
+            point: FaultPoint {
+                step: ProtocolStep::PrecopyRound,
+                party: Party::Source,
+            },
+            round: Some(1),
         },
         FaultKind::Partition {
             a: vec![1],
@@ -251,15 +257,104 @@ fn partition_mid_precopy_reclaims_and_retries_elsewhere() {
     assert!(report.is_clean(), "{report}");
 }
 
+/// A round filter pins a pre-copy fault to one round: a partition armed
+/// for round 2 (listed first, so it would win round 1 if the filter were
+/// ignored) fires one round after a round-1 marker, exactly the length of
+/// round 2 later; a migration that freezes after one round never crosses
+/// round 2 and leaves the fault armed.
+#[test]
+fn round_filter_fires_after_that_round_only() {
+    let round = |n: u32| FaultTrigger::AtFaultPoint {
+        point: FaultPoint {
+            step: ProtocolStep::PrecopyRound,
+            party: Party::Source,
+        },
+        round: Some(n),
+    };
+    let plan = FaultPlan::none()
+        .with(
+            round(2),
+            FaultKind::Partition {
+                a: vec![1],
+                b: vec![2],
+                symmetric: true,
+                heal_after: Some(SimDuration::from_secs(120)),
+            },
+        )
+        // A marker that corrupts nothing: its hit stamps the end of
+        // round 1.
+        .with(
+            round(1),
+            FaultKind::Corrupt {
+                probability: 0.0,
+                duration: SimDuration::from_millis(1),
+            },
+        );
+    let run = |strategy: Strategy| {
+        let mut c = Cluster::new(ClusterConfig {
+            workstations: 3,
+            seed: 5,
+            loss: LossModel::None,
+            faults: plan.clone(),
+            migration: MigrationConfig {
+                strategy,
+                ..MigrationConfig::default()
+            },
+            ..ClusterConfig::default()
+        });
+        c.exec(
+            1,
+            profiles::simulation_profile(SimDuration::from_secs(600)),
+            ExecTarget::Local,
+            Priority::GUEST,
+        );
+        c.run_for(SimDuration::from_secs(5));
+        let lh = c.exec_reports[0].lh.expect("program created");
+        c.migrateprog(1, lh, false);
+        c.run_for(SimDuration::from_secs(240));
+        c
+    };
+
+    let c = run(Strategy::PreCopy(StopPolicy::default()));
+    assert_eq!(c.pending_point_faults(), 0);
+    let records = c.trace().records();
+    let hits: Vec<SimTime> = records
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::FaultPointHit { .. }))
+        .map(|r| r.at)
+        .collect();
+    let kinds: Vec<&str> = records
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::FaultInjected { kind } => Some(kind),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kinds, ["corrupt", "partition"]);
+    let report = &c.migration_reports[0];
+    assert!(report.iterations.len() >= 2, "{report:?}");
+    assert_eq!(hits.len(), 2);
+    assert_eq!(hits[1], hits[0] + report.iterations[1].duration);
+    assert!(hits[1] > hits[0]);
+
+    let c = run(Strategy::PreCopy(StopPolicy::fixed(1)));
+    assert_eq!(c.migration_reports[0].iterations.len(), 1);
+    assert_eq!(c.stats.faults_injected, 1);
+    assert_eq!(c.pending_point_faults(), 1);
+}
+
 /// The old host crashes at the commit point (state installed, unfreeze
 /// unsent), reboots with no forwarding state, and a third party holding a
 /// stale binding still reaches the program by broadcast re-query (§3.3).
 #[test]
 fn crash_after_commit_rebinds_by_broadcast_not_forwarding() {
     let plan = FaultPlan::none().with(
-        FaultTrigger::OnMigrationPhase {
-            lh: None,
-            phase: MigrationPhase::AfterCommit,
+        FaultTrigger::AtFaultPoint {
+            point: FaultPoint {
+                step: ProtocolStep::Unfreeze,
+                party: Party::Source,
+            },
+            round: None,
         },
         FaultKind::Crash {
             ws: 1,

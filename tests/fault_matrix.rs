@@ -35,7 +35,10 @@ fn run_cell(point: FaultPoint, kind: FaultKind, seed: u64) {
             },
         );
     }
-    plan = plan.with(FaultTrigger::AtFaultPoint { lh: None, point }, kind.clone());
+    plan = plan.with(
+        FaultTrigger::AtFaultPoint { point, round: None },
+        kind.clone(),
+    );
     let mut c = Cluster::new(ClusterConfig {
         workstations: 4,
         seed,
