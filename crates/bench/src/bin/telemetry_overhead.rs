@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use vbench::{emit_full, Extras, Table};
 use vsim::{
-    DetRng, SamplingSpec, SeriesId, SeriesReport, SeriesStore, SimContext, SimDuration, SimTime,
+    DetRng, Engine, SamplingSpec, SeriesId, SeriesReport, SeriesStore, SimDuration, SimTime,
     Subsystem, ToJson, Trace, TraceEvent, TraceLevel, TraceSinkSpec,
 };
 
@@ -80,14 +80,15 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
         Variant::Trace(sink) => (TraceLevel::Detail, *sink),
         _ => (TraceLevel::Warn, TraceSinkSpec::Off),
     };
-    let mut ctx: SimContext<u64> = SimContext::new(Trace::with_sink(level, sink));
+    let mut engine: Engine<u64> = Engine::new();
+    let mut trace = Trace::with_sink(level, sink);
     let trace_each = matches!(variant, Variant::Trace(_));
     let mut store: Option<(SeriesStore, SeriesId, SeriesId)> = match variant {
         Variant::Sampling => {
             let mut s = SeriesStore::new(SamplingSpec { capacity: 1024 });
             let depth = s.manual(Subsystem::Engine, "queue_depth", "events");
             let tombs = s.manual(Subsystem::Engine, "tombstones", "events");
-            ctx.schedule_after(SimDuration::from_millis(1), SAMPLE);
+            engine.schedule_after(SimDuration::from_millis(1), SAMPLE);
             Some((s, depth, tombs))
         }
         _ => None,
@@ -95,14 +96,13 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
     let mut rng = DetRng::seed(seed);
     let mut cancellable = Vec::new();
     for h in 0..HOSTS as u64 {
-        ctx.schedule_at(SimTime::from_micros(rng.range_u64(0, TICK_US)), h);
+        engine.schedule_at(SimTime::from_micros(rng.range_u64(0, TICK_US)), h);
     }
     let limit = SimTime::from_micros(sim_us);
     let wall = Instant::now();
-    while let Some((now, ev)) = ctx.step_due(limit) {
+    while let Some((now, ev)) = engine.step_due(limit) {
         if ev == SAMPLE {
             if let Some((s, depth, tombs)) = &mut store {
-                let engine = ctx.engine();
                 s.update(
                     now,
                     &[
@@ -111,48 +111,52 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
                     ],
                 );
             }
-            if ctx.pending() > 0 {
-                ctx.schedule_after(SimDuration::from_millis(1), SAMPLE);
+            if engine.pending() > 0 {
+                engine.schedule_after(SimDuration::from_millis(1), SAMPLE);
             }
             continue;
         }
         if trace_each {
-            ctx.detail(Subsystem::Engine, TraceEvent::Note { text: "dispatch" });
+            trace.detail(
+                now,
+                Subsystem::Engine,
+                TraceEvent::Note { text: "dispatch" },
+            );
         }
         if ev & ONE_SHOT != 0 {
             continue;
         }
         let host = ev;
         let next = TICK_US + rng.range_u64(0, TICK_US / 5) - TICK_US / 10;
-        ctx.schedule_after(SimDuration::from_micros(next), host);
+        engine.schedule_after(SimDuration::from_micros(next), host);
         match rng.index(100) {
             0..=9 => {
-                ctx.schedule_after(
+                engine.schedule_after(
                     SimDuration::from_micros(rng.range_u64(1, 5_000)),
                     host | ONE_SHOT,
                 );
             }
             10..=14 => {
-                let id = ctx.schedule_after(SimDuration::from_micros(50_000), host | ONE_SHOT);
+                let id = engine.schedule_after(SimDuration::from_micros(50_000), host | ONE_SHOT);
                 cancellable.push(id);
             }
             15 => {
-                ctx.schedule_after(SimDuration::from_secs(24 * 3600), host | ONE_SHOT);
+                engine.schedule_after(SimDuration::from_secs(24 * 3600), host | ONE_SHOT);
             }
             _ => {}
         }
         if cancellable.len() >= 32 {
             for id in cancellable.drain(..) {
-                ctx.cancel(id);
+                engine.cancel(id);
             }
         }
     }
     CellOut {
-        events: ctx.events_delivered(),
+        events: engine.events_delivered(),
         wall_secs: wall.elapsed().as_secs_f64(),
         sweeps: store.as_ref().map_or(0, |(s, ..)| s.sweeps()),
         series: store.map(|(s, ..)| s.report()),
-        scope: ctx.engine().metrics(name),
+        scope: engine.metrics(name),
     }
 }
 

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use vsim::{Json, Samples, SimDuration, SpanId, SpanTree, ToJson};
+use vsim::{chrome, Json, Samples, SimDuration, SpanId, SpanTree, ToJson};
 
 /// The component that allocated a span, recovered from the actor field of
 /// its id (see the `SpanIdGen` actor conventions: 1 = cluster scheduler,
@@ -58,28 +58,14 @@ pub fn perfetto_json(tree: &SpanTree) -> Json {
     let mut named_pids = std::collections::BTreeSet::new();
     for (&(host, actor), &name) in &tracks {
         if named_pids.insert(host) {
-            events.push(Json::obj([
-                ("name", "process_name".to_json()),
-                ("ph", "M".to_json()),
-                ("pid", u64::from(host).to_json()),
-                (
-                    "args",
-                    Json::obj([("name", format!("station {host}").to_json())]),
-                ),
-            ]));
+            events.push(chrome::process_name(
+                u64::from(host),
+                &format!("station {host}"),
+            ));
         }
-        events.push(Json::obj([
-            ("name", "thread_name".to_json()),
-            ("ph", "M".to_json()),
-            ("pid", u64::from(host).to_json()),
-            ("tid", actor.to_json()),
-            ("args", Json::obj([("name", name.to_json())])),
-        ]));
+        events.push(chrome::thread_name(u64::from(host), actor, name));
     }
-    Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", "ms".to_json()),
-    ])
+    chrome::document(events)
 }
 
 /// Writes the Perfetto rendering of `tree` to

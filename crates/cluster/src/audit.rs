@@ -222,7 +222,7 @@ impl Cluster {
     /// only hold once the event queue has emptied. Violations are traced,
     /// counted, and appended to [`Cluster::audit_reports`].
     pub fn audit(&mut self, final_check: bool) -> AuditReport {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let mut violations = Vec::new();
 
         // Migrations in flight on up stations: their source logical hosts

@@ -29,10 +29,10 @@ use vservices::{
 };
 use vsim::calib::{CONTEXT_SWITCH, CPU_QUANTUM, SMALL_PACKET_CPU};
 use vsim::{
-    DetRng, FaultKind, FaultPlan, FaultPoint, FaultTrigger, HostClock, MetricsReport, Party,
-    ProfileReport, ProtocolStep, SamplingSpec, ScopeMetrics, SeriesId, SeriesReport, SeriesStore,
-    SimContext, SimDuration, SimTime, SlotId, SpanContext, SpanIdGen, SpanTree, Subsystem, Trace,
-    TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
+    DetRng, Engine, FaultKind, FaultPlan, FaultPoint, FaultTrigger, HostClock, MetricsReport,
+    Party, ProfileReport, Profiler, ProtocolStep, SamplingSpec, ScopeMetrics, SeriesId,
+    SeriesReport, SeriesStore, SimDuration, SimTime, SlotId, SpanContext, SpanIdGen, SpanTree,
+    Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
 };
 use vworkload::{
     OwnerState, ProgAction, ProgEvent, ProgramProfile, UserModel, UserModelParams, WorkloadProgram,
@@ -353,9 +353,12 @@ impl ClusterStats {
 
 /// The whole simulated cluster.
 pub struct Cluster {
-    /// The simulation context: event queue, clock, and trace log behind
-    /// one surface (see [`SimContext`]).
-    pub ctx: SimContext<Event>,
+    /// The event queue and simulated clock.
+    pub engine: Engine<Event>,
+    /// The one trace the runtime, wire, kernels and migrators emit into.
+    trace: Trace,
+    /// Charges every dispatch to its event kind's slot.
+    profiler: Profiler,
     /// The wire.
     pub net: Ethernet<Packet<ServiceMsg>>,
     /// Machines; index 0 is the file-server machine.
@@ -423,7 +426,7 @@ struct EventSlots {
 }
 
 impl EventSlots {
-    fn intern(p: &mut vsim::Profiler) -> Self {
+    fn intern(p: &mut Profiler) -> Self {
         EventSlots {
             frame: p.slot(Subsystem::Net, "Frame"),
             transmit: p.slot(Subsystem::Net, "Transmit"),
@@ -570,8 +573,8 @@ impl Cluster {
             station.kernel.learn_binding(PAGING_LH, fs_host);
         }
 
-        let mut ctx: SimContext<Event> = SimContext::new(trace);
-        let slots = EventSlots::intern(ctx.profiler_mut());
+        let mut profiler = Profiler::null();
+        let slots = EventSlots::intern(&mut profiler);
         // Default telemetry series, all updated after each dispatch by
         // `update_series`; the engine's queue comes first.
         let mut series = SeriesStore::new(cfg.sampling.unwrap_or_default());
@@ -585,7 +588,9 @@ impl Cluster {
             retransmit: series.manual(Subsystem::Kernel, "retransmit_backlog", "sends"),
         };
         let mut cluster = Cluster {
-            ctx,
+            engine: Engine::new(),
+            trace,
+            profiler,
             net,
             stations,
             exec_reports: Vec::new(),
@@ -612,7 +617,7 @@ impl Cluster {
             match ev.trigger {
                 FaultTrigger::At(t) => {
                     cluster
-                        .ctx
+                        .engine
                         .schedule_at(t, Event::ApplyFault { kind: ev.kind });
                 }
                 FaultTrigger::AtFaultPoint { point, round } => {
@@ -621,7 +626,7 @@ impl Cluster {
             }
         }
         if let Some(every) = cluster.cfg.audit_every {
-            cluster.ctx.schedule_after(every, Event::AuditTick);
+            cluster.engine.schedule_after(every, Event::AuditTick);
         }
         cluster
     }
@@ -633,7 +638,7 @@ impl Cluster {
                 let active = u.is_active();
                 let held = u.holding_time(&mut self.rng);
                 self.stations[i].pm.set_owner_active(active);
-                self.ctx
+                self.engine
                     .schedule_after(held, Event::UserTransition { host, held });
             }
         }
@@ -695,7 +700,7 @@ impl Cluster {
 
     /// Schedules a scripted command.
     pub fn at(&mut self, t: SimTime, cmd: Command) {
-        self.ctx.schedule_at(t, Event::Command(cmd));
+        self.engine.schedule_at(t, Event::Command(cmd));
     }
 
     /// Immediately starts executing `profile` from workstation `ws`'s
@@ -725,7 +730,7 @@ impl Cluster {
         priority: Priority,
         env: ExecEnv,
     ) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         self.add_image(&profile);
         self.profiles_by_image
             .insert(profile.name.clone(), (profile.clone(), priority));
@@ -776,7 +781,7 @@ impl Cluster {
     /// Starts `migrateprog` for `lh` on workstation `ws` via the real IPC
     /// path (shell → PM → migration engine).
     pub fn migrateprog(&mut self, ws: usize, lh: LogicalHostId, destroy_if_stuck: bool) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let shell = self.stations[ws].shell;
         let body = ServiceMsg::MigrateProgram {
             lh,
@@ -804,7 +809,7 @@ impl Cluster {
     }
 
     fn pm_op(&mut self, ws: usize, lh: LogicalHostId, body: ServiceMsg) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let shell = self.stations[ws].shell;
         let dest = Destination::Group(GroupId::program_manager_of(lh));
         let outs = self.stations[ws].kernel.send(now, shell, dest, body, 0);
@@ -821,57 +826,57 @@ impl Cluster {
     /// each dispatch ends by updating the time series.
     pub fn run_until(&mut self, limit: SimTime) {
         let sampling = self.cfg.sampling.is_some();
-        while let Some((_, ev)) = self.ctx.step_due(limit) {
+        while let Some((_, ev)) = self.engine.step_due(limit) {
             let slot = self.slots.for_event(&ev);
-            let t0 = self.ctx.profiler_mut().begin();
+            let t0 = self.profiler.begin();
             self.dispatch(ev);
             if sampling {
                 self.update_series();
             }
-            self.ctx.profiler_mut().end(slot, t0);
+            self.profiler.end(slot, t0);
         }
     }
 
     /// Runs for `d` more simulated time, leaving the clock at exactly
     /// `now + d` (events beyond the window stay queued).
     pub fn run_for(&mut self, d: SimDuration) {
-        let limit = self.ctx.now() + d;
+        let limit = self.engine.now() + d;
         self.run_until(limit);
         // Everything at or before `limit` has been delivered; move the
         // clock to the window edge so callers measure fixed windows.
-        if self.ctx.now() < limit {
-            self.ctx.advance_to(limit);
+        if self.engine.now() < limit {
+            self.engine.advance_to(limit);
         }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.ctx.now()
+        self.engine.now()
     }
 
     /// Events still pending on the queue (0 = the cluster has quiesced).
     pub fn pending(&self) -> usize {
-        self.ctx.pending()
+        self.engine.pending()
     }
 
     /// Events delivered by the engine so far.
     pub fn events_delivered(&self) -> u64 {
-        self.ctx.events_delivered()
+        self.engine.events_delivered()
     }
 
     /// The cluster trace: the one timeline the runtime, wire, kernels and
     /// migrators emit into, in time order.
     pub fn trace(&self) -> &Trace {
-        self.ctx.trace()
+        &self.trace
     }
 
     /// Snapshots every component's metrics into one report: the event
     /// engine, the wire, the cluster scheduler, and each station's kernel
     /// + migration engine + CPU time under the station's name.
     pub fn metrics_report(&self) -> MetricsReport {
-        let elapsed = self.ctx.now().since(SimTime::ZERO);
+        let elapsed = self.engine.now().since(SimTime::ZERO);
         let mut report = MetricsReport::new();
-        report.push(self.ctx.engine().metrics("engine"));
+        report.push(self.engine.metrics("engine"));
         report.push(self.net.metrics("net"));
         report.push(self.stats.metrics("cluster"));
         let ms = |d: SimDuration| d.as_secs_f64() * 1e3;
@@ -903,7 +908,7 @@ impl Cluster {
     /// transactions lost to a destroyed host) show up via
     /// [`SpanTree::unclosed`].
     pub fn span_tree(&self) -> SpanTree {
-        SpanTree::build(self.ctx.trace())
+        SpanTree::build(&self.trace)
     }
 
     // --- Event dispatch. ---
@@ -911,7 +916,7 @@ impl Cluster {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Transmit { frame } => {
-                let now = self.ctx.now();
+                let now = self.engine.now();
                 let deliveries = self.net.transmit(now, frame);
                 self.schedule_deliveries(deliveries);
             }
@@ -920,12 +925,13 @@ impl Cluster {
                 if self.stations[i].down {
                     return;
                 }
-                let now = self.ctx.now();
+                let now = self.engine.now();
                 // Hardware check sequence: a corrupted frame never reaches
                 // the kernel; the sender recovers by retransmission.
                 if !frame.checksum_valid() {
                     self.stats.corrupt_frames_dropped += 1;
-                    self.ctx.warn(
+                    self.trace.warn(
+                        self.engine.now(),
                         Subsystem::Net,
                         TraceEvent::CorruptFrame {
                             from: frame.src.0,
@@ -943,7 +949,7 @@ impl Cluster {
                 if self.stations[i].down {
                     return;
                 }
-                let now = self.ctx.now();
+                let now = self.engine.now();
                 let outs = self.stations[i].kernel.handle_timer(now, key);
                 self.apply_kernel_outputs(i, outs);
             }
@@ -952,7 +958,7 @@ impl Cluster {
                 if self.stations[i].down {
                     return;
                 }
-                let now = self.ctx.now();
+                let now = self.engine.now();
                 let outs = {
                     let w = &mut self.stations[i];
                     match which {
@@ -977,8 +983,8 @@ impl Cluster {
                 // Audits follow the simulation: they stop at quiescence
                 // instead of keeping the queue alive.
                 if let Some(every) = self.cfg.audit_every {
-                    if self.ctx.pending() > 0 {
-                        self.ctx.schedule_after(every, Event::AuditTick);
+                    if self.engine.pending() > 0 {
+                        self.engine.schedule_after(every, Event::AuditTick);
                     }
                 }
             }
@@ -997,13 +1003,12 @@ impl Cluster {
             leases += w.pm.lease_count();
             retransmit += w.kernel.outstanding_count();
         }
-        let engine = self.ctx.engine();
         let ids = &self.sids;
         self.series.update(
-            self.ctx.now(),
+            self.engine.now(),
             &[
-                (ids.queue_depth, engine.pending() as f64),
-                (ids.tombstones, engine.tombstones() as f64),
+                (ids.queue_depth, self.engine.pending() as f64),
+                (ids.tombstones, self.engine.tombstones() as f64),
                 (ids.ready, ready as f64),
                 (ids.frozen, frozen as f64),
                 (ids.migrations, migrations as f64),
@@ -1025,23 +1030,24 @@ impl Cluster {
 
     /// Snapshots the dispatch profiler (the `profile` artifact section).
     pub fn profile_report(&self) -> ProfileReport {
-        self.ctx.profiler().report()
+        self.profiler.report()
     }
 
     /// Injects a real host clock so dispatch profiling attributes wall
     /// time. Bench binaries only — library and test code stays on the
     /// deterministic null clock.
     pub fn set_host_clock(&mut self, clock: Box<dyn HostClock>) {
-        self.ctx.set_host_clock(clock);
+        self.profiler.set_clock(clock);
     }
 
     // --- Fault injection. ---
 
     /// Executes one fault-plan event against the live cluster.
     fn apply_fault(&mut self, kind: FaultKind) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         self.stats.faults_injected += 1;
-        self.ctx.warn(
+        self.trace.warn(
+            self.engine.now(),
             Subsystem::Cluster,
             TraceEvent::FaultInjected { kind: kind.label() },
         );
@@ -1053,7 +1059,7 @@ impl Cluster {
                 }
                 self.on_command(Command::Crash { ws });
                 if let Some(d) = reboot_after {
-                    self.ctx
+                    self.engine
                         .schedule_after(d, Event::Command(Command::Reboot { ws }));
                 }
             }
@@ -1073,7 +1079,7 @@ impl Cluster {
                 let (ha, hb) = (hosts(&a), hosts(&b));
                 self.net.partition(&ha, &hb, symmetric);
                 if let Some(d) = heal_after {
-                    self.ctx
+                    self.engine
                         .schedule_after(d, Event::HealPartition { a: ha, b: hb });
                 }
             }
@@ -1118,7 +1124,8 @@ impl Cluster {
     /// Records an audit violation in the trace and stats.
     pub(crate) fn note_violation(&mut self, v: &AuditViolation) {
         self.stats.audit_violations += 1;
-        self.ctx.warn(
+        self.trace.warn(
+            self.engine.now(),
             Subsystem::Cluster,
             TraceEvent::AuditViolation {
                 kind: v.kind(),
@@ -1135,7 +1142,8 @@ impl Cluster {
             } else {
                 at + SMALL_PACKET_CPU
             };
-            self.ctx.schedule_at(at, Event::Frame { host: to, frame });
+            self.engine
+                .schedule_at(at, Event::Frame { host: to, frame });
         }
     }
 
@@ -1145,17 +1153,17 @@ impl Cluster {
             match o {
                 KernelOutput::Transmit(frame) => {
                     if is_bulk(&frame.payload) {
-                        let now = self.ctx.now();
+                        let now = self.engine.now();
                         let deliveries = self.net.transmit(now, frame);
                         self.schedule_deliveries(deliveries);
                     } else {
                         // Send-side CPU.
-                        self.ctx
+                        self.engine
                             .schedule_after(SMALL_PACKET_CPU, Event::Transmit { frame });
                     }
                 }
                 KernelOutput::SetTimer { key, after } => {
-                    self.ctx
+                    self.engine
                         .schedule_after(after, Event::KernelTimer { host, key });
                 }
                 KernelOutput::Deliver(msg) => self.route_delivery(i, msg),
@@ -1176,7 +1184,7 @@ impl Cluster {
     fn apply_svc_outputs(&mut self, i: usize, which: SvcKind, outs: SvcOutputs) {
         let host = self.stations[i].host;
         for (token, after) in outs.timers {
-            self.ctx
+            self.engine
                 .schedule_after(after, Event::SvcTimer { host, which, token });
         }
         for e in outs.events {
@@ -1196,8 +1204,9 @@ impl Cluster {
         for e in outs.events {
             match e {
                 ExecEvent::Done(report) => {
-                    if self.ctx.trace_enabled(TraceLevel::Info) {
-                        self.ctx.info(
+                    if self.trace.enabled(TraceLevel::Info) {
+                        self.trace.info(
+                            self.engine.now(),
                             Subsystem::Exec,
                             TraceEvent::ExecDone {
                                 image: report.image.clone(),
@@ -1219,7 +1228,7 @@ impl Cluster {
                         // re-execute the program if the remote goes silent.
                         if h != self.stations[i].host {
                             self.reexec_images.insert(lh, report.image.clone());
-                            let now = self.ctx.now();
+                            let now = self.engine.now();
                             let louts = self.stations[i].pm.grant_lease(now, lh, h);
                             self.apply_svc_outputs(i, SvcKind::Pm, louts);
                         }
@@ -1235,7 +1244,7 @@ impl Cluster {
 
     #[allow(clippy::expect_used)]
     fn route_delivery(&mut self, i: usize, msg: MsgIn<ServiceMsg>) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let w = &mut self.stations[i];
         if msg.to == w.pm.pid() {
             let outs = w.pm.handle_request(now, msg, &mut w.kernel);
@@ -1249,7 +1258,8 @@ impl Cluster {
             self.apply_svc_outputs(i, SvcKind::Display, outs);
         } else {
             self.stats.unroutable_deliveries += 1;
-            self.ctx.warn(
+            self.trace.warn(
+                self.engine.now(),
                 Subsystem::Cluster,
                 TraceEvent::Unroutable {
                     lh: msg.to.lh.0,
@@ -1267,7 +1277,7 @@ impl Cluster {
         seq: SendSeq,
         result: Result<vkernel::ReplyIn<ServiceMsg>, vkernel::SendError>,
     ) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let w = &mut self.stations[i];
         if pid == w.pm.pid() {
             let outs = w.pm.handle_send_done(now, seq, result, &mut w.kernel);
@@ -1305,7 +1315,7 @@ impl Cluster {
         initiator: ProcessId,
         result: Result<u64, vkernel::SendError>,
     ) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let w = &mut self.stations[i];
         if Some(initiator) == w.fs.as_ref().map(|f| f.pid()) {
             let fs = w.fs.as_mut().expect("checked");
@@ -1326,7 +1336,7 @@ impl Cluster {
 
     #[allow(clippy::expect_used)]
     fn on_svc_event(&mut self, i: usize, e: SvcEvent) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         match e {
             SvcEvent::ProgramStarted {
                 root, lh, image, ..
@@ -1336,8 +1346,9 @@ impl Cluster {
                     .get_mut(&image)
                     .and_then(|q| q.pop_front());
                 let Some(behavior) = behavior else {
-                    if self.ctx.trace_enabled(TraceLevel::Warn) {
-                        self.ctx.warn(
+                    if self.trace.enabled(TraceLevel::Warn) {
+                        self.trace.warn(
+                            self.engine.now(),
                             Subsystem::Cluster,
                             TraceEvent::BehaviorMissing {
                                 image: image.clone(),
@@ -1357,8 +1368,9 @@ impl Cluster {
                     .program(lh)
                     .map(|p| p.priority)
                     .unwrap_or(Priority::GUEST);
-                if self.ctx.trace_enabled(TraceLevel::Info) {
-                    self.ctx.info(
+                if self.trace.enabled(TraceLevel::Info) {
+                    self.trace.info(
+                        self.engine.now(),
                         Subsystem::Cluster,
                         TraceEvent::ProgramStarted {
                             image: image.clone(),
@@ -1392,8 +1404,11 @@ impl Cluster {
                 self.resume_scheduling(i, lh);
             }
             SvcEvent::LogicalHostAdopted { lh } => {
-                self.ctx
-                    .info(Subsystem::Migration, TraceEvent::Adopted { lh: lh.0 });
+                self.trace.info(
+                    self.engine.now(),
+                    Subsystem::Migration,
+                    TraceEvent::Adopted { lh: lh.0 },
+                );
                 // The behaviour object arrives with the MigEvent::Evicted
                 // from the source; nothing to do here.
             }
@@ -1448,8 +1463,9 @@ impl Cluster {
             }
             SvcEvent::OrphanExterminated { lh } => {
                 self.stats.orphans_exterminated += 1;
-                if self.ctx.trace_enabled(TraceLevel::Warn) {
-                    self.ctx.warn(
+                if self.trace.enabled(TraceLevel::Warn) {
+                    self.trace.warn(
+                        self.engine.now(),
                         Subsystem::Services,
                         TraceEvent::OrphanExterminated { lh: lh.0 },
                     );
@@ -1457,8 +1473,9 @@ impl Cluster {
             }
             SvcEvent::LeaseRebound { lh, to } => {
                 self.stats.leases_rebound += 1;
-                if self.ctx.trace_enabled(TraceLevel::Info) {
-                    self.ctx.info(
+                if self.trace.enabled(TraceLevel::Info) {
+                    self.trace.info(
+                        self.engine.now(),
                         Subsystem::Services,
                         TraceEvent::LeaseRebound { lh: lh.0, to: to.0 },
                     );
@@ -1468,8 +1485,9 @@ impl Cluster {
                 self.re_exec(i, lh);
             }
             SvcEvent::LeasePoint { lh, step, party } => {
-                if step == ProtocolStep::LeaseExpiry && self.ctx.trace_enabled(TraceLevel::Warn) {
-                    self.ctx.warn(
+                if step == ProtocolStep::LeaseExpiry && self.trace.enabled(TraceLevel::Warn) {
+                    self.trace.warn(
+                        self.engine.now(),
                         Subsystem::Services,
                         TraceEvent::LeaseExpired {
                             lh: lh.0,
@@ -1491,8 +1509,9 @@ impl Cluster {
             return;
         };
         self.stats.re_execs += 1;
-        if self.ctx.trace_enabled(TraceLevel::Warn) {
-            self.ctx.warn(
+        if self.trace.enabled(TraceLevel::Warn) {
+            self.trace.warn(
+                self.engine.now(),
                 Subsystem::Services,
                 TraceEvent::ReExecuted {
                     lh: lh.0,
@@ -1545,8 +1564,9 @@ impl Cluster {
             false
         });
         for (point, kind) in fired {
-            if self.ctx.trace_enabled(TraceLevel::Warn) {
-                self.ctx.warn(
+            if self.trace.enabled(TraceLevel::Warn) {
+                self.trace.warn(
+                    self.engine.now(),
                     Subsystem::Cluster,
                     TraceEvent::FaultPointHit {
                         step: point.step.label(),
@@ -1559,7 +1579,7 @@ impl Cluster {
     }
 
     fn on_mig_event(&mut self, i: usize, e: MigEvent) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         match e {
             MigEvent::Evicted { lh, to_host } => {
                 let j = self.index_of(to_host);
@@ -1585,7 +1605,8 @@ impl Cluster {
                     self.stations[i].cpu_current = None;
                 }
                 if let Some(prt) = self.stations[i].programs.remove(&lh) {
-                    self.ctx.info(
+                    self.trace.info(
+                        self.engine.now(),
                         Subsystem::Migration,
                         TraceEvent::Rebind {
                             lh: lh.0,
@@ -1604,8 +1625,9 @@ impl Cluster {
                 self.cpu_dispatch(i);
             }
             MigEvent::Done(report) => {
-                if self.ctx.trace_enabled(TraceLevel::Info) {
-                    self.ctx.info(
+                if self.trace.enabled(TraceLevel::Info) {
+                    self.trace.info(
+                        self.engine.now(),
                         Subsystem::Migration,
                         TraceEvent::MigrationDone {
                             image: report.image.clone(),
@@ -1686,7 +1708,7 @@ impl Cluster {
     // --- Program execution. ---
 
     fn step_program(&mut self, i: usize, lh: LogicalHostId, ev: ProgEvent) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let action = {
             let w = &mut self.stations[i];
             let Some(prt) = w.programs.get_mut(&lh) else {
@@ -1699,7 +1721,7 @@ impl Cluster {
 
     #[allow(clippy::expect_used)]
     fn perform_action(&mut self, i: usize, lh: LogicalHostId, action: ProgAction) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         match action {
             ProgAction::Compute(d) => {
                 let prt = self.stations[i]
@@ -1710,7 +1732,7 @@ impl Cluster {
                 self.cpu_make_ready(i, lh);
             }
             ProgAction::Sleep(d) => {
-                self.ctx.schedule_after(d, Event::SleepDone { lh });
+                self.engine.schedule_after(d, Event::SleepDone { lh });
             }
             ProgAction::Send {
                 to,
@@ -1776,7 +1798,7 @@ impl Cluster {
                 .map(|l| l.is_frozen())
                 .unwrap_or(false);
             if frozen || self.stations[i].down {
-                self.ctx
+                self.engine
                     .schedule_after(SimDuration::from_millis(10), Event::SleepDone { lh });
                 return;
             }
@@ -1801,7 +1823,7 @@ impl Cluster {
 
     #[allow(clippy::expect_used)]
     fn cpu_dispatch(&mut self, i: usize) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let w = &mut self.stations[i];
         if w.cpu_current.is_some() || w.cpu_ready.is_empty() {
             return;
@@ -1841,7 +1863,7 @@ impl Cluster {
         w.cpu_current = Some(lh);
         let host = w.host;
         let _ = now;
-        self.ctx.schedule_after(
+        self.engine.schedule_after(
             slice + CONTEXT_SWITCH,
             Event::QuantumEnd { host, lh, slice },
         );
@@ -1871,9 +1893,9 @@ impl Cluster {
                 // The slice began a slice ago: record it whole as one
                 // "quantum" span stamped now, so the trace stays in time
                 // order.
-                let now = self.ctx.now();
+                let now = self.engine.now();
                 self.spans.next().done(
-                    self.ctx.trace_mut(),
+                    &mut self.trace,
                     TraceLevel::Detail,
                     SimTime::from_micros(now.as_micros().saturating_sub(slice.as_micros())),
                     now,
@@ -1918,7 +1940,7 @@ impl Cluster {
 
     fn on_user_transition(&mut self, host: HostAddr, held: SimDuration) {
         let i = self.index_of(host);
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let Some(user) = self.stations[i].user.as_mut() else {
             return;
         };
@@ -1926,7 +1948,7 @@ impl Cluster {
         let next_held = user.holding_time(&mut self.rng);
         let active = new_state == OwnerState::Active;
         self.stations[i].pm.set_owner_active(active);
-        self.ctx.schedule_after(
+        self.engine.schedule_after(
             next_held,
             Event::UserTransition {
                 host,
@@ -1942,7 +1964,7 @@ impl Cluster {
 
     #[allow(clippy::expect_used)]
     fn evict_guests(&mut self, i: usize) {
-        let now = self.ctx.now();
+        let now = self.engine.now();
         let guests: Vec<LogicalHostId> = self.stations[i]
             .pm
             .programs()
@@ -1984,7 +2006,7 @@ impl Cluster {
             .filter(|p| p.remote_origin)
             .count();
         if guests_left == 0 {
-            let now = self.ctx.now();
+            let now = self.engine.now();
             self.reclaim_pending.remove(&host);
             self.reclaim_times.push(now.since(since));
         }
@@ -2033,7 +2055,7 @@ impl Cluster {
                 // while the station was down; re-arm the kernel's
                 // retransmission/retention timers, fail its in-flight bulk
                 // transfers, and re-arm the program manager's watchdogs.
-                let now = self.ctx.now();
+                let now = self.engine.now();
                 let kouts = self.stations[ws].kernel.reboot_recover(now);
                 self.apply_kernel_outputs(ws, kouts);
                 let souts = self.stations[ws].pm.reboot_recover();
@@ -2058,7 +2080,7 @@ impl Cluster {
                 self.stations[ws].pm.set_owner_active(active);
                 if active && self.cfg.evict_on_owner_return {
                     let host = self.stations[ws].host;
-                    let now = self.ctx.now();
+                    let now = self.engine.now();
                     self.reclaim_pending.insert(host, now);
                     self.evict_guests(ws);
                     self.note_reclaim_progress(ws);

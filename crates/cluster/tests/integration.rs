@@ -601,6 +601,68 @@ fn audit_ticks_stop_at_quiescence() {
     assert_eq!(depth.points.last().map(|p| p.1), Some(0.0));
 }
 
+/// Every delivered event is charged to exactly one profiler slot, under
+/// faults, audits and sampling alike: the dispatch profile is a complete
+/// account of the run (clusterbench's `vsim.queue_s` relies on it).
+#[test]
+fn dispatch_profile_charges_every_delivered_event() {
+    use vsim::{DetRng, FaultKind, FaultPlan, FaultTrigger};
+    let partition = FaultKind::Partition {
+        a: vec![1],
+        b: vec![2],
+        symmetric: true,
+        heal_after: Some(SimDuration::from_secs(2)),
+    };
+    let faults = FaultPlan::random(&mut DetRng::seed(11), 5, SimDuration::from_secs(20))
+        .with(FaultTrigger::At(SimTime::from_micros(2_000_000)), partition);
+    let mut c = Cluster::new(ClusterConfig {
+        workstations: 4,
+        seed: 11,
+        faults,
+        audit_every: Some(SimDuration::from_secs(1)),
+        sampling: Some(SamplingSpec::default()),
+        ..ClusterConfig::default()
+    });
+    for ws in 1..=3 {
+        c.exec(
+            ws,
+            small_compute_profile("job", 5),
+            ExecTarget::AnyIdle,
+            Priority::GUEST,
+        );
+    }
+    c.at(
+        SimTime::ZERO + SimDuration::from_secs(3),
+        Command::Migrate {
+            ws: 1,
+            lh: None,
+            destroy_if_stuck: false,
+        },
+    );
+    for _ in 0..40 {
+        if c.pending() == 0 {
+            break;
+        }
+        c.run_for(SimDuration::from_secs(30));
+    }
+    assert_eq!(c.pending(), 0, "the cluster failed to quiesce");
+    assert!(c.stats.faults_injected > 0, "the plan injected nothing");
+    let profile = c.profile_report();
+    let charged: u64 = profile.slots.iter().map(|s| s.dispatches).sum();
+    assert_eq!(charged, c.events_delivered());
+    for kind in [
+        "ApplyFault",
+        "HealPartition",
+        "AuditTick",
+        "Command",
+        "Frame",
+        "QuantumEnd",
+    ] {
+        let slot = profile.slot(kind).expect("interned slot");
+        assert!(slot.dispatches > 0, "no {kind} dispatch was charged");
+    }
+}
+
 #[test]
 fn cc68_pipeline_decomposes_onto_other_hosts() {
     // §2 / §4.1 footnote: cc68 runs five passes as subprograms, each

@@ -74,19 +74,19 @@ impl<E> Ord for Entry<E> {
 /// Driving a state machine that schedules follow-up events:
 ///
 /// ```
-/// use vsim::{Engine, SimDuration, SimTime};
+/// use vsim::{Engine, SimDuration};
 ///
 /// let mut engine: Engine<u32> = Engine::new();
 /// engine.schedule_now(0);
 /// let mut fired = Vec::new();
-/// let n = engine.run_until(SimTime::MAX, |eng, _now, ev| {
+/// while let Some((_, ev)) = engine.step() {
 ///     fired.push(ev);
 ///     if ev < 3 {
-///         eng.schedule_after(SimDuration::from_micros(1), ev + 1);
+///         engine.schedule_after(SimDuration::from_micros(1), ev + 1);
 ///     }
-/// });
+/// }
 /// assert_eq!(fired, vec![0, 1, 2, 3]);
-/// assert_eq!(n, 4);
+/// assert_eq!(engine.events_delivered(), 4);
 /// ```
 pub struct Engine<E> {
     queue: BinaryHeap<Entry<E>>,
@@ -243,30 +243,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Runs `handler` on every event up to `limit`: the standard drive
-    /// loop, owned by the engine so callers don't hand-roll
-    /// `while let Some(..)` over [`Engine::step_due`]. The handler
-    /// receives the engine to schedule follow-up events; the clock already
-    /// stands at each event's firing time.
-    ///
-    /// Returns the number of events delivered by this call.
-    pub fn run_until(
-        &mut self,
-        limit: SimTime,
-        mut handler: impl FnMut(&mut Self, SimTime, E),
-    ) -> u64 {
-        let start = self.popped;
-        while let Some((t, e)) = self.step_due(limit) {
-            handler(self, t, e);
-        }
-        self.popped - start
-    }
-
-    /// Runs `handler` until the queue drains completely.
-    pub fn run(&mut self, handler: impl FnMut(&mut Self, SimTime, E)) -> u64 {
-        self.run_until(SimTime::MAX, handler)
-    }
-
     /// Moves the clock forward to `t` without delivering events.
     ///
     /// # Panics
@@ -275,14 +251,19 @@ impl<E> Engine<E> {
     /// the past — both indicate scenario logic errors.
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_to moving backwards");
-        if let Some(e) = self.queue.peek() {
-            if !self.tombstones.contains(&EventId(e.seq)) {
-                assert!(
-                    e.at >= t,
-                    "advance_to({t}) would skip a pending event at {}",
-                    e.at
-                );
+        // Cancelled entries before `t` are dropped here, as `step_due`
+        // would drop them; the first live one must not precede `t`.
+        while let Some(e) = self.queue.peek() {
+            if e.at >= t {
+                break;
             }
+            let cancelled = self.tombstones.remove(&EventId(e.seq));
+            assert!(
+                cancelled,
+                "advance_to({t}) would skip a pending event at {}",
+                e.at
+            );
+            self.queue.pop();
         }
         self.now = t;
     }
@@ -398,6 +379,13 @@ mod tests {
         let mut e: Engine<u32> = Engine::new();
         e.advance_to(SimTime::from_micros(100));
         assert_eq!(e.now(), SimTime::from_micros(100));
+        // A cancelled event before the target is dropped, not skipped.
+        let a = e.schedule_after(SimDuration::from_micros(5), 1);
+        e.schedule_after(SimDuration::from_micros(20), 2);
+        e.cancel(a);
+        e.advance_to(SimTime::from_micros(110));
+        assert_eq!(e.tombstones(), 0);
+        assert_eq!(e.step(), Some((SimTime::from_micros(120), 2)));
     }
 
     #[test]
@@ -409,35 +397,15 @@ mod tests {
     }
 
     #[test]
-    fn run_until_drives_chained_events() {
+    #[should_panic(expected = "would skip")]
+    fn advance_to_sees_past_a_cancelled_head() {
+        // A cancelled entry at the head of the queue must not hide the
+        // live event behind it, or the clock later runs backwards.
         let mut e: Engine<u32> = Engine::new();
-        e.schedule_now(0);
-        let mut fired = Vec::new();
-        let n = e.run(|eng, _now, ev| {
-            fired.push(ev);
-            // Chain follow-up events to exercise re-entrancy.
-            if ev < 3 {
-                eng.schedule_after(SimDuration::from_micros(1), ev + 1);
-            }
-        });
-        assert_eq!(fired, vec![0, 1, 2, 3]);
-        assert_eq!(n, 4);
-        assert_eq!(e.now(), SimTime::from_micros(3));
-    }
-
-    #[test]
-    fn run_until_stops_at_limit() {
-        let mut e: Engine<u32> = Engine::new();
-        e.schedule_now(0);
-        let mut fired = Vec::new();
-        e.run_until(SimTime::from_micros(1), |eng, _now, ev| {
-            fired.push(ev);
-            if ev < 3 {
-                eng.schedule_after(SimDuration::from_micros(1), ev + 1);
-            }
-        });
-        assert_eq!(fired, vec![0, 1]);
-        assert_eq!(e.pending(), 1);
+        let a = e.schedule_after(SimDuration::from_micros(5), 1);
+        e.schedule_after(SimDuration::from_micros(7), 2);
+        e.cancel(a);
+        e.advance_to(SimTime::from_micros(10));
     }
 
     #[test]

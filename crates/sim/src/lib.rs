@@ -6,7 +6,8 @@
 //! structured observability layer (typed [`Trace`] events, causal
 //! [`span`]s reconstructed into a [`SpanTree`], and the [`metrics`] report
 //! types), a dependency-free [`json`] serializer/parser for
-//! machine-readable experiment artifacts, and the calibration constants
+//! machine-readable experiment artifacts and the [`chrome`] trace
+//! document builder, and the calibration constants
 //! derived from the paper's §4.1 measurements ([`calib`]).
 //!
 //! Everything above this crate is a sans-IO state machine: components react
@@ -20,7 +21,7 @@
 )]
 
 pub mod calib;
-mod context;
+pub mod chrome;
 mod engine;
 mod faults;
 pub mod json;
@@ -33,7 +34,6 @@ mod time;
 pub mod timeseries;
 mod trace;
 
-pub use context::SimContext;
 pub use engine::{Engine, EventId};
 pub use faults::{
     fault_points, FaultEvent, FaultKind, FaultPlan, FaultPoint, FaultTrigger, Party, ProtocolStep,
@@ -47,4 +47,4 @@ pub use span::{SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation
 pub use stats::{Histogram, Samples};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{SamplingSpec, SeriesId, SeriesReport, SeriesSnapshot, SeriesStore};
-pub use trace::{SpanEvent, Subsystem, Trace, TraceEvent, TraceLevel, TraceRecord, TraceSinkSpec};
+pub use trace::{Subsystem, Trace, TraceEvent, TraceLevel, TraceRecord, TraceSinkSpec};

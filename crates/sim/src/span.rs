@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{SpanEvent, Subsystem, Trace, TraceEvent, TraceLevel};
+use crate::trace::{Subsystem, Trace, TraceEvent, TraceLevel};
 
 /// Identifier of one span. Never zero; zero is reserved for "no span"
 /// (see [`SpanContext::NONE`]).
@@ -305,32 +305,58 @@ impl SpanTree {
     pub fn build(trace: &Trace) -> SpanTree {
         let mut t = SpanTree::default();
         for r in trace.records().iter() {
-            // `as_span` is the exhaustive accessor: every `TraceEvent`
-            // variant explicitly opts in or out of span structure there,
-            // so this loop needs no wildcard arm over the enum.
-            match r.event.as_span() {
-                Some(SpanEvent::Open {
+            // No wildcard arm: a new `TraceEvent` variant must state
+            // here whether it carries span structure.
+            match &r.event {
+                TraceEvent::SpanOpen {
                     id,
                     parent,
                     name,
                     host,
-                }) => t.insert(id, parent, name, host, r.at, None),
-                Some(SpanEvent::Done {
+                } => t.insert(*id, *parent, name, *host, r.at, None),
+                TraceEvent::SpanDone {
                     id,
                     parent,
                     name,
                     host,
                     opened,
-                }) => t.insert(id, parent, name, host, opened, Some(r.at)),
-                Some(SpanEvent::Close { id }) => match t.by_id.get(&id) {
+                } => t.insert(*id, *parent, name, *host, *opened, Some(r.at)),
+                TraceEvent::SpanClose { id } => match t.by_id.get(id) {
                     Some(&idx) if t.nodes[idx].close.is_none() => {
                         t.nodes[idx].close = Some(r.at);
                     }
                     // A second close for an already-closed id is as
                     // unmatched as a close with no open at all.
-                    _ => t.violations.push(SpanViolation::CloseWithoutOpen { id }),
+                    _ => t
+                        .violations
+                        .push(SpanViolation::CloseWithoutOpen { id: *id }),
                 },
-                None => {}
+                TraceEvent::ExecDone { .. }
+                | TraceEvent::ProgramStarted { .. }
+                | TraceEvent::Adopted { .. }
+                | TraceEvent::Rebind { .. }
+                | TraceEvent::MigrationDone { .. }
+                | TraceEvent::Freeze { .. }
+                | TraceEvent::Unfreeze { .. }
+                | TraceEvent::PrecopyRound { .. }
+                | TraceEvent::ResidualCopy { .. }
+                | TraceEvent::FrameDropped { .. }
+                | TraceEvent::Retransmit { .. }
+                | TraceEvent::ReplyDeferred { .. }
+                | TraceEvent::Unroutable { .. }
+                | TraceEvent::BehaviorMissing { .. }
+                | TraceEvent::CorruptFrame { .. }
+                | TraceEvent::FaultInjected { .. }
+                | TraceEvent::OrphanedTransaction { .. }
+                | TraceEvent::AuditViolation { .. }
+                | TraceEvent::MigrationRetry { .. }
+                | TraceEvent::LeaseExpired { .. }
+                | TraceEvent::OrphanExterminated { .. }
+                | TraceEvent::LeaseRebound { .. }
+                | TraceEvent::ReExecuted { .. }
+                | TraceEvent::FaultPointHit { .. }
+                | TraceEvent::OrphansResolved { .. }
+                | TraceEvent::Note { .. } => {}
             }
         }
         for idx in 0..t.nodes.len() {

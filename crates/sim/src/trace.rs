@@ -321,105 +321,6 @@ pub enum TraceEvent {
     },
 }
 
-/// The span-structural view of a trace event (see
-/// [`TraceEvent::as_span`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanEvent {
-    /// A causal span opened.
-    Open {
-        /// Raw span id (non-zero).
-        id: u64,
-        /// Raw parent span id (0 = root).
-        parent: u64,
-        /// Static span name.
-        name: &'static str,
-        /// Physical-host address of the opening component.
-        host: u16,
-    },
-    /// A causal span closed.
-    Close {
-        /// Raw span id.
-        id: u64,
-    },
-    /// A whole span, recorded at its close.
-    Done {
-        /// Raw span id (non-zero).
-        id: u64,
-        /// Raw parent span id (0 = root).
-        parent: u64,
-        /// Static span name.
-        name: &'static str,
-        /// Physical-host address of the emitting component.
-        host: u16,
-        /// When the span opened.
-        opened: SimTime,
-    },
-}
-
-impl TraceEvent {
-    /// The span structure carried by this event, if any.
-    ///
-    /// Deliberately exhaustive — no wildcard arm — so adding a
-    /// `TraceEvent` variant forces an explicit decision about whether it
-    /// participates in causal spans. `SpanTree::build` consumes this
-    /// instead of matching the enum with a catch-all.
-    pub fn as_span(&self) -> Option<SpanEvent> {
-        match self {
-            TraceEvent::SpanOpen {
-                id,
-                parent,
-                name,
-                host,
-            } => Some(SpanEvent::Open {
-                id: *id,
-                parent: *parent,
-                name,
-                host: *host,
-            }),
-            TraceEvent::SpanClose { id } => Some(SpanEvent::Close { id: *id }),
-            TraceEvent::SpanDone {
-                id,
-                parent,
-                name,
-                host,
-                opened,
-            } => Some(SpanEvent::Done {
-                id: *id,
-                parent: *parent,
-                name,
-                host: *host,
-                opened: *opened,
-            }),
-            TraceEvent::ExecDone { .. }
-            | TraceEvent::ProgramStarted { .. }
-            | TraceEvent::Adopted { .. }
-            | TraceEvent::Rebind { .. }
-            | TraceEvent::MigrationDone { .. }
-            | TraceEvent::Freeze { .. }
-            | TraceEvent::Unfreeze { .. }
-            | TraceEvent::PrecopyRound { .. }
-            | TraceEvent::ResidualCopy { .. }
-            | TraceEvent::FrameDropped { .. }
-            | TraceEvent::Retransmit { .. }
-            | TraceEvent::ReplyDeferred { .. }
-            | TraceEvent::Unroutable { .. }
-            | TraceEvent::BehaviorMissing { .. }
-            | TraceEvent::CorruptFrame { .. }
-            | TraceEvent::FaultInjected { .. }
-            | TraceEvent::OrphanedTransaction { .. }
-            | TraceEvent::AuditViolation { .. }
-            | TraceEvent::MigrationRetry { .. }
-            | TraceEvent::LeaseExpired { .. }
-            | TraceEvent::OrphanExterminated { .. }
-            | TraceEvent::LeaseRebound { .. }
-            | TraceEvent::ReExecuted { .. }
-            | TraceEvent::FaultPointHit { .. }
-            | TraceEvent::OrphansResolved { .. }
-            | TraceEvent::Note { .. } => None,
-        }
-    }
-}
-
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

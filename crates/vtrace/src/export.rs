@@ -1,13 +1,13 @@
 //! Perfetto export: series → Chrome Trace Event counter tracks.
 //!
-//! The span side already exists (`vbench::perfetto_json` writes "X"
-//! complete events, one process per station). This module adds the
-//! counter side: each series becomes a "C" counter event stream
-//! under a dedicated `telemetry` process (pid [`TELEMETRY_PID`]), and an
-//! existing span trace can be merged in so queue depth, ready counts,
-//! and lease counts render directly above the spans that caused them.
+//! Each series becomes a stream of "C" counter events under a dedicated
+//! `telemetry` process (pid [`TELEMETRY_PID`]). A span trace written by
+//! `vbench::spans::perfetto_json` ("X" events, one process per station)
+//! can be merged in, so queue depth, ready counts and lease counts render
+//! directly above the spans that caused them. Both writers build their
+//! documents with [`vsim::chrome`].
 
-use vsim::{Json, ToJson};
+use vsim::{chrome, Json, ToJson};
 
 use crate::query::{clipped_points, series_label};
 use crate::Window;
@@ -35,12 +35,7 @@ pub fn counter_trace(artifact: &Json, spans: Option<&Json>, win: Window) -> Resu
         .and_then(Json::as_arr)
         .map(<[Json]>::to_vec)
         .unwrap_or_default();
-    events.push(Json::obj([
-        ("name", "process_name".to_json()),
-        ("ph", "M".to_json()),
-        ("pid", TELEMETRY_PID.to_json()),
-        ("args", Json::obj([("name", "telemetry".to_json())])),
-    ]));
+    events.push(chrome::process_name(TELEMETRY_PID, "telemetry"));
     for s in list {
         let label = series_label(s);
         let unit = s.get("unit").and_then(Json::as_str).unwrap_or("value");
@@ -54,10 +49,7 @@ pub fn counter_trace(artifact: &Json, spans: Option<&Json>, win: Window) -> Resu
             ]));
         }
     }
-    Ok(Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", "ms".to_json()),
-    ]))
+    Ok(chrome::document(events))
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 //! plain data — the CLI layer renders it. Ordering is always made total
 //! (count/time desc, then name) so output is byte-stable run to run.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use vsim::{Json, ToJson};
 
 use crate::{num_u64, Window};
@@ -304,22 +306,17 @@ pub fn filter(doc: &Json, spec: &FilterSpec) -> Json {
 
 fn filter_trace(doc: &Json, spec: &FilterSpec) -> Json {
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap_or(&[]);
-    let keep_event = |e: &Json| -> bool {
-        if let Some(h) = spec.host {
-            if e.get("pid").and_then(num_u64) != Some(h) {
-                return false;
-            }
-        }
-        if e.get("ph").and_then(Json::as_str) == Some("M") {
+    let win = spec.window;
+    let has_ph = |e: &Json, ph: &str| e.get("ph").and_then(Json::as_str) == Some(ph);
+    let selected = |e: &Json| -> bool {
+        let name = e.get("name").and_then(Json::as_str);
+        spec.host
+            .is_none_or(|h| e.get("pid").and_then(num_u64) == Some(h))
             // Metadata has no extent; it survives on pid alone.
-            return true;
-        }
-        if let Some(name) = &spec.span {
-            if e.get("name").and_then(Json::as_str) != Some(name.as_str()) {
-                return false;
-            }
-        }
-        if spec.window.is_open() {
+            && (has_ph(e, "M") || spec.span.as_deref().is_none_or(|s| name == Some(s)))
+    };
+    let overlaps = |e: &Json| -> bool {
+        if win.is_open() || has_ph(e, "M") {
             return true;
         }
         let Some(ts) = e.get("ts").and_then(num_u64) else {
@@ -327,8 +324,45 @@ fn filter_trace(doc: &Json, spec: &FilterSpec) -> Json {
         };
         let end = ts + e.get("dur").and_then(num_u64).unwrap_or(0);
         // Keep events that overlap the window at all.
-        spec.window.from_us.is_none_or(|f| end >= f) && spec.window.to_us.is_none_or(|to| ts < to)
+        win.from_us.is_none_or(|f| end >= f) && win.to_us.is_none_or(|to| ts < to)
     };
+    // A counter is a step function: as in `clipped_points`, the last
+    // value of each (pid, name) track before the window opens is carried
+    // to the window's start, unless the track has a point there.
+    let mut carried: BTreeMap<(u64, &str), usize> = BTreeMap::new();
+    if let Some(from) = win.from_us.filter(|&f| win.contains(f)) {
+        let mut at_from = BTreeSet::new();
+        for (i, e) in events.iter().enumerate() {
+            if !has_ph(e, "C") || !selected(e) {
+                continue;
+            }
+            let (Some(pid), Some(name), Some(ts)) = (
+                e.get("pid").and_then(num_u64),
+                e.get("name").and_then(Json::as_str),
+                e.get("ts").and_then(num_u64),
+            ) else {
+                continue;
+            };
+            if ts < from {
+                carried.insert((pid, name), i);
+            } else if ts == from {
+                at_from.insert((pid, name));
+            }
+        }
+        carried.retain(|track, _| !at_from.contains(track));
+    }
+    let carried: BTreeSet<usize> = carried.into_values().collect();
+    let mut kept: Vec<Json> = events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| {
+            if carried.contains(&i) {
+                Some(with_ts(e, win.from_us.unwrap_or(0)))
+            } else {
+                (selected(e) && overlaps(e)).then(|| e.clone())
+            }
+        })
+        .collect();
     let Json::Obj(pairs) = doc else {
         return doc.clone();
     };
@@ -337,10 +371,26 @@ fn filter_trace(doc: &Json, spec: &FilterSpec) -> Json {
             .iter()
             .map(|(k, v)| {
                 let v = if k == "traceEvents" {
-                    Json::arr(events.iter().filter(|e| keep_event(e)).cloned())
+                    Json::Arr(std::mem::take(&mut kept))
                 } else {
                     v.clone()
                 };
+                (k.clone(), v)
+            })
+            .collect(),
+    )
+}
+
+/// `e` with its `ts` field set to `ts`.
+fn with_ts(e: &Json, ts: u64) -> Json {
+    let Json::Obj(pairs) = e else {
+        return e.clone();
+    };
+    Json::Obj(
+        pairs
+            .iter()
+            .map(|(k, v)| {
+                let v = if k == "ts" { ts.to_json() } else { v.clone() };
                 (k.clone(), v)
             })
             .collect(),
@@ -729,5 +779,42 @@ mod tests {
         assert!(!events
             .iter()
             .any(|e| e.get("name").and_then(Json::as_str) == Some("copy")));
+    }
+
+    #[test]
+    fn filter_carries_the_counter_value_in_force_at_the_window_start() {
+        let artifact = Json::parse(
+            r#"{"series": {"series": [
+                 {"subsystem": "engine", "name": "queue_depth", "unit": "events",
+                  "points": [[0, 5.0], [10000, 7.0]]}
+               ]}}"#,
+        )
+        .unwrap();
+        let win = Window {
+            from_us: Some(5000),
+            to_us: None,
+        };
+        let full = crate::export::counter_trace(&artifact, None, Window::default()).unwrap();
+        let spec = FilterSpec {
+            window: win,
+            ..FilterSpec::default()
+        };
+        let filtered = filter(&full, &spec);
+        let counters: Vec<(u64, f64)> = filtered
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
+            .map(|e| {
+                let ts = e.get("ts").and_then(num_u64).unwrap();
+                let v = e.get("args").and_then(|a| a.get("events"));
+                (ts, v.and_then(Json::as_f64).unwrap())
+            })
+            .collect();
+        assert_eq!(counters, vec![(5000, 5.0), (10000, 7.0)]);
+        // Filtering the full export agrees with exporting the window.
+        let windowed = crate::export::counter_trace(&artifact, None, win).unwrap();
+        assert_eq!(filtered.pretty(), windowed.pretty());
     }
 }

@@ -54,9 +54,9 @@ pub mod prelude {
     pub use vnet::{HostAddr, LossModel};
     pub use vsim::{
         fault_points, DetRng, Engine, EventId, FaultKind, FaultPlan, FaultPoint, FaultTrigger,
-        MetricsReport, Party, ProtocolStep, SamplingSpec, SimContext, SimDuration, SimTime,
-        SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation, Subsystem, Trace,
-        TraceEvent, TraceLevel, TraceSinkSpec, PARTY,
+        MetricsReport, Party, ProtocolStep, SamplingSpec, SimDuration, SimTime, SpanContext,
+        SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation, Subsystem, Trace, TraceEvent,
+        TraceLevel, TraceSinkSpec, PARTY,
     };
     pub use vworkload::{profiles, Phase, ProgramProfile, UserModelParams};
 }

@@ -51,7 +51,7 @@ fn faulted_cluster(sampling: Option<SamplingSpec>) -> Cluster {
 fn gauges(c: &Cluster) -> [f64; 7] {
     let mut g = [0usize; 7];
     g[0] = c.pending();
-    g[1] = c.ctx.engine().tombstones();
+    g[1] = c.engine.tombstones();
     for w in c.stations.iter().filter(|w| !w.down) {
         g[2] += w.programs.values().filter(|p| p.scheduled).count();
         g[3] += w
