@@ -183,38 +183,61 @@ fn bad_usage(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// Types the `--config` value of `key`: `Ok(None)` when the key is
+/// absent, `Ok(Some(_))` when `conv` accepts its value, and an error
+/// naming the key and the expected type (`want`) otherwise — a mistyped
+/// key must not silently run with the default.
+fn config_value<T>(
+    config: Option<&Json>,
+    key: &str,
+    want: &str,
+    conv: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match config.and_then(|c| c.get(key)) {
+        None => Ok(None),
+        Some(v) => conv(v).map(Some).ok_or_else(|| {
+            format!(
+                "--config key \"{key}\" must be {want}, got {}",
+                v.pretty().trim_end()
+            )
+        }),
+    }
+}
+
+/// [`config_value`] over the parsed `--config`, exiting with code 2 on a
+/// mistyped value.
+fn config_or_exit<T>(key: &str, want: &str, conv: impl Fn(&Json) -> Option<T>) -> Option<T> {
+    config_value(args().config.as_ref(), key, want, conv).unwrap_or_else(|e| bad_usage(&e))
+}
+
+fn as_u64(v: &Json) -> Option<u64> {
+    match v {
+        Json::UInt(u) => Some(*u),
+        _ => None,
+    }
+}
+
 /// A `u64` cell parameter from `--config` (e.g. `"seed"`), or `default`.
 pub fn config_u64(key: &str, default: u64) -> u64 {
-    match args().config.as_ref().and_then(|c| c.get(key)) {
-        Some(Json::UInt(u)) => *u,
-        Some(v) => v.as_f64().map_or(default, |x| x.max(0.0) as u64),
-        None => default,
-    }
+    config_or_exit(key, "a non-negative integer", as_u64).unwrap_or(default)
 }
 
 /// A `usize` cell parameter from `--config`, or `default`.
 pub fn config_usize(key: &str, default: usize) -> usize {
-    usize::try_from(config_u64(key, default as u64)).unwrap_or(default)
+    config_or_exit(key, "a non-negative integer", |v| {
+        as_u64(v).and_then(|u| usize::try_from(u).ok())
+    })
+    .unwrap_or(default)
 }
 
 /// An `f64` cell parameter from `--config`, or `default`.
 pub fn config_f64(key: &str, default: f64) -> f64 {
-    args()
-        .config
-        .as_ref()
-        .and_then(|c| c.get(key))
-        .and_then(Json::as_f64)
-        .unwrap_or(default)
+    config_or_exit(key, "a number", Json::as_f64).unwrap_or(default)
 }
 
 /// A string cell parameter from `--config`, when present.
 pub fn config_str(key: &str) -> Option<String> {
-    args()
-        .config
-        .as_ref()
-        .and_then(|c| c.get(key))
-        .and_then(Json::as_str)
-        .map(str::to_string)
+    config_or_exit(key, "a string", |v| v.as_str().map(str::to_string))
 }
 
 /// A lossless default cluster for timing experiments, traced at the
@@ -415,6 +438,36 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(&["only-one"]);
+    }
+
+    #[test]
+    fn config_values_are_typed() {
+        let cfg = Json::parse(
+            r#"{"seed": 42, "neg": -3, "frac": 2.5, "word": "x", "hours": 1.5, "whole": 3}"#,
+        )
+        .expect("valid JSON");
+        let u = |key: &str| config_value(Some(&cfg), key, "a non-negative integer", as_u64);
+        assert_eq!(u("seed"), Ok(Some(42)));
+        assert_eq!(u("absent"), Ok(None));
+        assert_eq!(config_value(None, "seed", "an integer", as_u64), Ok(None));
+        for bad in ["neg", "frac", "word"] {
+            let e = u(bad).expect_err(bad);
+            assert!(e.contains(&format!("\"{bad}\"")), "{e}");
+        }
+        let f = |key: &str| config_value(Some(&cfg), key, "a number", Json::as_f64);
+        assert_eq!(f("hours"), Ok(Some(1.5)));
+        assert_eq!(f("whole"), Ok(Some(3.0)));
+        assert!(f("word").is_err());
+        let s = |key: &str| {
+            config_value(Some(&cfg), key, "a string", |v| {
+                v.as_str().map(str::to_string)
+            })
+        };
+        assert_eq!(s("word"), Ok(Some("x".to_string())));
+        assert_eq!(
+            s("seed"),
+            Err("--config key \"seed\" must be a string, got 42".to_string())
+        );
     }
 
     #[test]

@@ -182,8 +182,6 @@ impl core::fmt::Display for AuditViolation {
 pub struct AuditReport {
     /// When the audit ran.
     pub at: SimTime,
-    /// True for an end-of-run audit (quiescence checks included).
-    pub final_check: bool,
     /// Everything found, in detection order.
     pub violations: Vec<AuditViolation>,
 }
@@ -353,7 +351,6 @@ impl Cluster {
         }
         let report = AuditReport {
             at: now,
-            final_check,
             violations,
         };
         self.audit_reports.push(report.clone());

@@ -313,8 +313,6 @@ pub struct ClusterStats {
     pub audit_violations: u64,
     /// Orphan programs exterminated by lease expiry or revocation.
     pub orphans_exterminated: u64,
-    /// Leases rebound to a new host by the origin's liveness probe.
-    pub leases_rebound: u64,
     /// Programs re-executed from their origin after being presumed dead.
     pub re_execs: u64,
 }
@@ -736,9 +734,7 @@ impl Cluster {
             .insert(profile.name.clone(), (profile.clone(), priority));
         let spec = ProgramSpec {
             image: profile.name.clone(),
-            args: Vec::new(),
             priority,
-            env: env.clone(),
         };
         self.pending_behaviors
             .entry(profile.name.clone())
@@ -1338,9 +1334,7 @@ impl Cluster {
     fn on_svc_event(&mut self, i: usize, e: SvcEvent) {
         let now = self.engine.now();
         match e {
-            SvcEvent::ProgramStarted {
-                root, lh, image, ..
-            } => {
+            SvcEvent::ProgramStarted { root, lh, image } => {
                 let behavior = self
                     .pending_behaviors
                     .get_mut(&image)
@@ -1472,7 +1466,6 @@ impl Cluster {
                 }
             }
             SvcEvent::LeaseRebound { lh, to } => {
-                self.stats.leases_rebound += 1;
                 if self.trace.enabled(TraceLevel::Info) {
                     self.trace.info(
                         self.engine.now(),
@@ -1823,7 +1816,6 @@ impl Cluster {
 
     #[allow(clippy::expect_used)]
     fn cpu_dispatch(&mut self, i: usize) {
-        let now = self.engine.now();
         let w = &mut self.stations[i];
         if w.cpu_current.is_some() || w.cpu_ready.is_empty() {
             return;
@@ -1862,7 +1854,6 @@ impl Cluster {
         let slice = prt.remaining_cpu.min(CPU_QUANTUM);
         w.cpu_current = Some(lh);
         let host = w.host;
-        let _ = now;
         self.engine.schedule_after(
             slice + CONTEXT_SWITCH,
             Event::QuantumEnd { host, lh, slice },
@@ -1940,7 +1931,6 @@ impl Cluster {
 
     fn on_user_transition(&mut self, host: HostAddr, held: SimDuration) {
         let i = self.index_of(host);
-        let now = self.engine.now();
         let Some(user) = self.stations[i].user.as_mut() else {
             return;
         };
@@ -1956,10 +1946,17 @@ impl Cluster {
             },
         );
         if active && self.cfg.evict_on_owner_return {
-            self.reclaim_pending.insert(host, now);
-            self.evict_guests(i);
-            self.note_reclaim_progress(i);
+            self.reclaim_for_owner(i);
         }
+    }
+
+    /// The owner of station `i` came back: evict its guests and start
+    /// timing the reclaim.
+    fn reclaim_for_owner(&mut self, i: usize) {
+        let host = self.stations[i].host;
+        self.reclaim_pending.insert(host, self.engine.now());
+        self.evict_guests(i);
+        self.note_reclaim_progress(i);
     }
 
     #[allow(clippy::expect_used)]
@@ -2079,11 +2076,7 @@ impl Cluster {
             Command::SetOwnerActive { ws, active } => {
                 self.stations[ws].pm.set_owner_active(active);
                 if active && self.cfg.evict_on_owner_return {
-                    let host = self.stations[ws].host;
-                    let now = self.engine.now();
-                    self.reclaim_pending.insert(host, now);
-                    self.evict_guests(ws);
-                    self.note_reclaim_progress(ws);
+                    self.reclaim_for_owner(ws);
                 }
             }
         }

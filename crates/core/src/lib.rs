@@ -5,9 +5,9 @@
 //!   decentralized first-responder host selection, remote program
 //!   creation, and start-up, with the §4.1 timing breakdown.
 //! * [`Migrator`] — `migrateprog` (§3): the five-step pre-copy migration,
-//!   plus the freeze-and-copy strawman, the §3.2 virtual-memory flush
-//!   variant, and a Demos/MP-style forwarding-address mode for the §5
-//!   comparison.
+//!   plus the freeze-and-copy strawman and the §3.2 virtual-memory flush
+//!   variant. (The §5 Demos/MP forwarding-address comparison is the
+//!   kernel's `delete_logical_host_with_forwarding`.)
 //! * [`residual`] — the §3.3 residual-dependency auditor.
 //!
 //! All engines are sans-IO state machines; `vcluster` wires them to

@@ -49,7 +49,6 @@ enum JobState {
 
 struct Job {
     spec: ProgramSpec,
-    target: ExecTarget,
     state: JobState,
     started_at: SimTime,
     selected_at: Option<SimTime>,
@@ -106,7 +105,6 @@ impl RemoteExecutor {
         self.next_job += 1;
         let mut job = Job {
             spec,
-            target: target.clone(),
             state: JobState::Selecting,
             started_at: now,
             selected_at: None,
@@ -250,7 +248,6 @@ impl RemoteExecutor {
             .unwrap_or(SimDuration::ZERO);
         ExecReport {
             image: job.spec.image.clone(),
-            target: job.target.clone(),
             chosen_host: job.chosen.as_ref().map(|(_, h, _)| *h),
             chosen_name: job.chosen.as_ref().map(|(_, _, n)| n.clone()),
             root: job.root,

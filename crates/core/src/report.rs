@@ -22,8 +22,6 @@ pub enum ExecTarget {
 pub struct ExecReport {
     /// Image executed.
     pub image: String,
-    /// Selection mode.
-    pub target: ExecTarget,
     /// Chosen physical host, if any.
     pub chosen_host: Option<HostAddr>,
     /// Chosen host's name.

@@ -113,7 +113,6 @@ mod tests {
                 name: "tmp/scratch".into(),
                 create: false,
             },
-            data_bytes: 0,
         };
         let _ = fs.handle_request(SimTime::ZERO, msg, &mut k);
         assert_eq!(fs.open_files().count(), 1);

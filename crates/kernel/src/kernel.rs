@@ -62,19 +62,13 @@ pub struct MsgIn<X> {
     pub seq: SendSeq,
     /// Message body.
     pub body: X,
-    /// Appended data bytes.
-    pub data_bytes: u64,
 }
 
 /// The reply completing a Send.
 #[derive(Debug, Clone)]
 pub struct ReplyIn<X> {
-    /// Replying process.
-    pub from: ProcessId,
     /// Reply body.
     pub body: X,
-    /// Appended data bytes.
-    pub data_bytes: u64,
 }
 
 /// Timer keys a kernel may request. Stale timers are ignored on firing, so
@@ -171,8 +165,6 @@ pub struct KernelStats {
     pub local_sends: u64,
     /// Sends that went remote.
     pub remote_sends: u64,
-    /// Sends addressed to global groups.
-    pub group_sends: u64,
     /// Request messages delivered to local processes.
     pub deliveries: u64,
     /// Reply operations issued by local processes.
@@ -193,8 +185,6 @@ pub struct KernelStats {
     pub replies_discarded_frozen: u64,
     /// Requests deferred because the target logical host was frozen.
     pub deferred_requests: u64,
-    /// Requests for processes that do not exist here (dropped).
-    pub dead_letters: u64,
     /// Unicast packets for logical hosts not resident here (stale
     /// bindings; dropped).
     pub not_here: u64,
@@ -213,18 +203,10 @@ pub struct KernelStats {
     /// Packets routed by logical host and sent by broadcast for lack of a
     /// binding. Exported as `binding_cache_misses`.
     pub broadcast_requests: u64,
-    /// NewBinding broadcasts sent on unfreeze.
-    pub new_binding_broadcasts: u64,
     /// Bulk units transmitted (first attempts).
     pub bulk_units_sent: u64,
     /// Bulk unit retransmissions.
     pub bulk_units_retransmitted: u64,
-    /// Bulk payload bytes transmitted (including retransmissions).
-    pub bulk_bytes_sent: u64,
-    /// Bulk units received and applied.
-    pub bulk_units_received: u64,
-    /// Sends that failed with an error.
-    pub send_failures: u64,
     /// Requests relayed via a forwarding address (Demos/MP mode only).
     pub forwarded_requests: u64,
     /// CopyFrom pulls served for other kernels.
@@ -694,7 +676,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             // A group send may also have gone out by multicast; the first
             // reply (this one) wins and later remote replies are late.
             self.outstanding.remove(&(requester, seq));
-            self.complete_local_send(requester, seq, from, body, data_bytes, &mut out);
+            self.complete_local_send(requester, seq, body, &mut out);
         } else {
             let pkt = Packet::Reply {
                 seq,
@@ -758,7 +740,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         };
 
         let units = split_units(&pages, XFER_UNIT_BYTES);
-        let x = OutXfer::new(xfer, initiator, to_lh, to_space, dst_host, units);
+        let x = OutXfer::new(initiator, to_lh, to_space, dst_host, units);
         self.xfers.insert(xfer, x);
         self.send_current_unit(xfer, &mut out);
         (xfer, out)
@@ -896,7 +878,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         self.now = now;
         let mut out = Vec::new();
         if self.cfg.broadcast_new_binding {
-            self.stats.new_binding_broadcasts += 1;
             let pkt = Packet::NewBinding {
                 lh,
                 host: self.host,
@@ -1303,8 +1284,8 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 from,
                 to,
                 body,
-                data_bytes,
-            } => self.on_reply(seq, from, to, body, data_bytes, &mut out),
+                ..
+            } => self.on_reply(seq, from, to, body, &mut out),
             Packet::ReplyPending { seq, to, .. } => {
                 if let Some(o) = self.outstanding.get_mut(&(to, seq)) {
                     o.pending_seen = true;
@@ -1321,7 +1302,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 pull,
                 ..
             } => {
-                self.stats.bulk_units_received += 1;
                 let ok = self
                     .lhs
                     .get_mut(&to_lh)
@@ -1396,7 +1376,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     self.next_xfer += 1;
                     let units = split_units(&pages, XFER_UNIT_BYTES);
                     let server = ProcessId::new(from_lh, 0);
-                    let mut x = OutXfer::new(xfer, server, to_lh, to_space, src, units);
+                    let mut x = OutXfer::new(server, to_lh, to_space, src, units);
                     x.pull_tag = Some(pull);
                     self.xfers.insert(xfer, x);
                     self.send_current_unit(xfer, &mut out);
@@ -1585,7 +1565,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 let Destination::Group(gid) = to else {
                     unreachable!("routing_lh() is None only for global groups");
                 };
-                self.stats.group_sends += 1;
                 self.outstanding.insert(
                     (from, seq),
                     Outstanding {
@@ -1621,7 +1600,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                         from,
                         seq,
                         body: body.clone(),
-                        data_bytes,
                     }));
                 }
                 let mcast = *self
@@ -1676,7 +1654,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 match self.well_known.get(&g.0.index) {
                     Some(&p) => p,
                     None => {
-                        self.stats.dead_letters += 1;
                         if local_sender {
                             self.fail_local_send(from, seq, SendError::Refused, out);
                         }
@@ -1710,7 +1687,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     seq,
                     from,
                     dest,
-                    to: target,
                     body,
                     data_bytes,
                     local_sender,
@@ -1740,7 +1716,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             .map(|p| p.is_alive())
             .unwrap_or(false);
         if !alive {
-            self.stats.dead_letters += 1;
             if local_sender {
                 self.fail_local_send(from, seq, SendError::Refused, out);
             }
@@ -1762,7 +1737,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             from,
             seq,
             body,
-            data_bytes,
         }));
     }
 
@@ -1880,7 +1854,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                         from,
                         seq,
                         body: body.clone(),
-                        data_bytes,
                     }));
                 }
             }
@@ -1893,7 +1866,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         from: ProcessId,
         to: ProcessId,
         body: X,
-        data_bytes: u64,
         out: &mut Vec<KernelOutput<X>>,
     ) {
         if !self.outstanding.contains_key(&(to, seq)) {
@@ -1924,16 +1896,14 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 },
             );
         }
-        self.complete_local_send(to, seq, from, body, data_bytes, out);
+        self.complete_local_send(to, seq, body, out);
     }
 
     fn complete_local_send(
         &mut self,
         pid: ProcessId,
         seq: SendSeq,
-        from: ProcessId,
         body: X,
-        data_bytes: u64,
         out: &mut Vec<KernelOutput<X>>,
     ) {
         // Duplicate completions are already excluded upstream (the
@@ -1961,11 +1931,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         out.push(KernelOutput::SendDone {
             pid,
             seq,
-            result: Ok(ReplyIn {
-                from,
-                body,
-                data_bytes,
-            }),
+            result: Ok(ReplyIn { body }),
         });
     }
 
@@ -1976,7 +1942,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         err: SendError,
         out: &mut Vec<KernelOutput<X>>,
     ) {
-        self.stats.send_failures += 1;
         if let Some(l) = self.lhs.get_mut(&pid.lh) {
             if let Some(p) = l.process_mut(pid.index) {
                 if matches!(p.state, ProcessState::AwaitingReply { seq: s } if s == seq) {
@@ -2191,7 +2156,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             let x = self.xfers.get(&xfer).expect("sending on unknown xfer");
             let unit = x.unit();
             self.stats.bulk_units_sent += 1;
-            self.stats.bulk_bytes_sent += unit.bytes;
             let pkt: Packet<X> = Packet::BulkData {
                 xfer,
                 unit: x.current_unit(),
@@ -2228,7 +2192,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         let (frame, unit) = {
             let x = self.xfers.get(&xfer).expect("retransmitting unknown xfer");
             let unit = x.unit();
-            self.stats.bulk_bytes_sent += unit.bytes;
             let pkt: Packet<X> = Packet::BulkData {
                 xfer,
                 unit: x.current_unit(),

@@ -24,8 +24,6 @@ pub struct DeferredRequest<X> {
     /// The destination as originally addressed (needed to restart a local
     /// sender's Send after the logical host is deleted, §3.1.3).
     pub dest: crate::ids::Destination,
-    /// Resolved target process.
-    pub to: ProcessId,
     /// Message body.
     pub body: X,
     /// Appended data bytes.
@@ -377,7 +375,6 @@ mod tests {
             seq: SendSeq(1),
             from: ProcessId::new(LogicalHostId(1), 16),
             dest: crate::ids::Destination::Process(ProcessId::new(LogicalHostId(5), 16)),
-            to: ProcessId::new(LogicalHostId(5), 16),
             body: 42,
             data_bytes: 0,
             local_sender: false,

@@ -55,8 +55,6 @@ pub struct UnitProgress {
 /// An outbound transfer.
 #[derive(Debug)]
 pub struct OutXfer {
-    /// Transfer id.
-    pub id: XferId,
     /// Process to notify on completion.
     pub initiator: ProcessId,
     /// Destination logical host.
@@ -83,7 +81,6 @@ impl OutXfer {
     /// Panics if `units` is empty (zero-byte copies complete without a
     /// transfer).
     pub fn new(
-        id: XferId,
         initiator: ProcessId,
         to_lh: LogicalHostId,
         to_space: SpaceId,
@@ -92,7 +89,6 @@ impl OutXfer {
     ) -> Self {
         assert!(!units.is_empty(), "empty transfer");
         OutXfer {
-            id,
             initiator,
             to_lh,
             to_space,
@@ -208,7 +204,6 @@ mod tests {
     fn xfer(units: usize) -> OutXfer {
         let pages: Vec<u32> = (0..(units as u32 * 16)).collect();
         OutXfer::new(
-            XferId(1),
             ProcessId::new(LogicalHostId(1), 16),
             LogicalHostId(2),
             SpaceId(0),

@@ -2,11 +2,13 @@
 //!
 //! §2.1: the requester "initializes the new program space with program
 //! arguments, default I/O, and various 'environment variables', including
-//! a name cache for commonly used global names". Because the environment
-//! lives *in the program's address space* (or points at global servers),
-//! it migrates with the program — the paper's §6 principle for avoiding
-//! residual dependencies. The name cache binds symbolic names to process
-//! ids, which stay valid across migration.
+//! a name cache for commonly used global names". The model keeps the two
+//! parts a program's behaviour uses: default I/O and the name cache. It
+//! does not include program arguments or environment variables. Because
+//! the environment lives *in the program's address space* (or points at
+//! global servers), it migrates with the program — the paper's §6
+//! principle for avoiding residual dependencies. The name cache binds
+//! symbolic names to process ids, which stay valid across migration.
 
 use std::collections::BTreeMap;
 
@@ -21,8 +23,6 @@ pub const NAME_DISPLAY: &str = "display";
 /// An execution environment block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecEnv {
-    /// Environment variables.
-    pub vars: BTreeMap<String, String>,
     /// Name cache: symbolic name → server process. Process ids are
     /// location-independent, so these bindings survive migration.
     pub name_cache: BTreeMap<String, ProcessId>,
@@ -40,7 +40,6 @@ impl ExecEnv {
         name_cache.insert(NAME_FILE_SERVER.to_string(), file_server);
         name_cache.insert(NAME_DISPLAY.to_string(), display);
         ExecEnv {
-            vars: BTreeMap::new(),
             name_cache,
             stdio: Some(display),
         }

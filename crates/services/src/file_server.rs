@@ -38,10 +38,6 @@ pub struct FsStats {
     pub image_bytes: u64,
     /// Open operations.
     pub opens: u64,
-    /// Read operations.
-    pub reads: u64,
-    /// Write operations.
-    pub writes: u64,
     /// Bytes read.
     pub bytes_read: u64,
     /// Bytes written.
@@ -247,7 +243,6 @@ impl FileServer {
                     let size = self.files.get(&f.name).copied().unwrap_or(0);
                     let n = bytes.min(size.saturating_sub(f.pos));
                     f.pos += n;
-                    self.stats.reads += 1;
                     self.stats.bytes_read += n;
                     let t = self.token(Pending::Read {
                         requester,
@@ -273,7 +268,6 @@ impl FileServer {
                     f.pos += bytes;
                     let size = self.files.entry(f.name.clone()).or_insert(0);
                     *size = (*size).max(f.pos);
-                    self.stats.writes += 1;
                     self.stats.bytes_written += bytes;
                     let t = self.token(Pending::Write { requester, seq });
                     out = out.timer(t, Self::storage_delay(bytes.max(1)));

@@ -13,8 +13,6 @@ use vmem::{SpaceId, SpaceLayout};
 use vnet::HostAddr;
 use vsim::SimTime;
 
-use crate::env::ExecEnv;
-
 /// A file handle issued by a file server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileHandle(pub u64);
@@ -44,12 +42,8 @@ impl FetchPlan {
 pub struct ProgramSpec {
     /// Image file name on the file server.
     pub image: String,
-    /// Command-line arguments.
-    pub args: Vec<String>,
     /// Scheduling priority ([`Priority::LOCAL`] or [`Priority::GUEST`]).
     pub priority: Priority,
-    /// The execution environment to install.
-    pub env: ExecEnv,
 }
 
 /// Why a service refused an operation.
@@ -139,25 +133,6 @@ pub enum ServiceMsg {
         /// The program's logical host.
         lh: LogicalHostId,
     },
-    /// List the programs this manager runs (the §2 "suite of programs
-    /// ... for querying and managing program execution").
-    ListPrograms,
-    /// Reply to [`ServiceMsg::ListPrograms`].
-    ProgramList {
-        /// (logical host, image, remote-origin, suspended) per program.
-        programs: Vec<(LogicalHostId, String, bool, bool)>,
-    },
-    /// Report resource usage (for the suite of query programs).
-    QueryLoad,
-    /// Load report.
-    LoadReport {
-        /// Programs resident.
-        programs: u32,
-        /// Free memory in bytes.
-        free_bytes: u64,
-        /// True if the owner is actively using the workstation.
-        owner_active: bool,
-    },
 
     // --- Program manager: migration coordination (§3.1). ---
     /// Step 2 of migration: initialize the new host with descriptors for
@@ -195,11 +170,6 @@ pub enum ServiceMsg {
     UnfreezeMigrated {
         /// The migrated logical host (original id).
         lh: LogicalHostId,
-    },
-    /// Abort: destroy the temporary logical host.
-    AbortMigration {
-        /// The temporary logical host to discard.
-        temp: LogicalHostId,
     },
     /// Ask the program manager to migrate one of its programs away
     /// (`migrateprog`). `destroy_if_stuck` is the `-n` flag.
@@ -347,7 +317,7 @@ mod tests {
     #[test]
     fn ok_and_err_helpers() {
         assert!(ServiceMsg::Ok.is_ok());
-        assert!(!ServiceMsg::QueryLoad.is_ok());
+        assert!(!ServiceMsg::WriteDone.is_ok());
         assert_eq!(
             ServiceMsg::Err(SvcError::NotFound).as_err(),
             Some(SvcError::NotFound)
@@ -359,15 +329,12 @@ mod tests {
     fn messages_are_cloneable_for_retransmission() {
         let m = ServiceMsg::CreateProgram(Box::new(ProgramSpec {
             image: "cc68".into(),
-            args: vec!["-O".into()],
             priority: Priority::GUEST,
-            env: ExecEnv::default(),
         }));
         let m2 = m.clone();
         match (m, m2) {
             (ServiceMsg::CreateProgram(a), ServiceMsg::CreateProgram(b)) => {
                 assert_eq!(a.image, b.image);
-                assert_eq!(a.args, b.args);
             }
             _ => panic!("clone changed variant"),
         }

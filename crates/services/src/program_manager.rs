@@ -130,39 +130,13 @@ pub struct PmStats {
     pub programs_created: u64,
     /// Programs destroyed.
     pub programs_destroyed: u64,
-    /// Migrations accepted (InitMigration).
-    pub migrations_accepted: u64,
-    /// Migration installs completed.
-    pub migrations_installed: u64,
-    /// Migration aborts processed.
-    pub migrations_aborted: u64,
     /// Temporary logical hosts reclaimed after the source went silent.
     pub migrations_expired: u64,
     /// Bytes demand-fetched from the paging store after VM-flush
     /// migrations.
     pub fetched_bytes: u64,
-    /// Demand fetches that failed.
-    pub fetch_failures: u64,
     /// Leases granted to remote hosts (origin side).
     pub leases_granted: u64,
-    /// Renewals acknowledged for granted leases (origin side).
-    pub renewals_granted: u64,
-    /// Successful heartbeat renewals of held leases (holder side).
-    pub leases_renewed: u64,
-    /// Deliberate releases processed for granted leases (origin side).
-    pub leases_released: u64,
-    /// Granted leases rebound after a liveness probe found the program on
-    /// a (possibly new) host (origin side).
-    pub leases_rebound: u64,
-    /// Remote-host silences declared after heartbeats stopped past grace
-    /// (origin side).
-    pub remote_silences: u64,
-    /// Orphans exterminated after lease expiry or revocation (holder
-    /// side).
-    pub orphans_exterminated: u64,
-    /// Duplicate migration steps acknowledged idempotently instead of
-    /// re-executed (InitMigration / InstallState / UnfreezeMigrated).
-    pub idempotent_acks: u64,
 }
 
 #[derive(Debug)]
@@ -629,7 +603,6 @@ impl ProgramManager {
         self.suspended.remove(&lh);
         self.pending_fetch.remove(&lh);
         if self.programs.remove(&lh).is_some() {
-            self.stats.orphans_exterminated += 1;
             self.stats.programs_destroyed += 1;
             out = out.kernel(k.delete_logical_host(now, lh));
             out = out.event(SvcEvent::OrphanExterminated { lh });
@@ -728,7 +701,6 @@ impl ProgramManager {
                         root,
                         lh: root.lh,
                         image: info.map(|i| i.image.clone()).unwrap_or_default(),
-                        args: Vec::new(),
                     });
                     out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
                 } else {
@@ -797,34 +769,12 @@ impl ProgramManager {
                     out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
                 }
             }
-            ServiceMsg::ListPrograms => {
-                let mut programs: Vec<(LogicalHostId, String, bool, bool)> = self
-                    .programs
-                    .iter()
-                    .map(|(&lh, info)| {
-                        let frozen = k.logical_host(lh).map(|l| l.is_frozen()).unwrap_or(false);
-                        (lh, info.image.clone(), info.remote_origin, frozen)
-                    })
-                    .collect();
-                programs.sort_by_key(|p| p.0);
-                let reply = ServiceMsg::ProgramList { programs };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, reply, 0));
-            }
-            ServiceMsg::QueryLoad => {
-                let report = ServiceMsg::LoadReport {
-                    programs: self.programs.len() as u32,
-                    free_bytes: self.free_bytes(k),
-                    owner_active: self.owner_active,
-                };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, report, 0));
-            }
             ServiceMsg::InitMigration { temp, spaces } => {
                 if k.is_resident(temp) {
                     // Duplicate of an init this manager already accepted
                     // (the accept reply was lost): ack idempotently —
                     // declining would make the source abort a healthy
                     // transfer and could strand two half-built copies.
-                    self.stats.idempotent_acks += 1;
                     let accepted = ServiceMsg::MigrationAccepted { host: self.host };
                     out = out.kernel(k.reply(now, self.pid, requester, seq, accepted, 0));
                 } else if !self.would_accept(k) {
@@ -837,7 +787,6 @@ impl ProgramManager {
                         0,
                     ));
                 } else {
-                    self.stats.migrations_accepted += 1;
                     let l = k.create_logical_host(temp);
                     for (sid, layout) in spaces {
                         l.create_space_with_id(sid, layout);
@@ -867,7 +816,6 @@ impl ProgramManager {
                     // Duplicate commit (the Ok reply was lost): the rename
                     // already happened; re-running it would fail and make
                     // the source retry into a second live copy.
-                    self.stats.idempotent_acks += 1;
                     out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
                 } else if !k.is_resident(temp) {
                     out = out.kernel(k.reply(
@@ -898,7 +846,6 @@ impl ProgramManager {
                 if k.is_resident(lh) && !frozen && !self.awaiting_unfreeze.contains(&lh) {
                     // Duplicate unfreeze (the Ok reply was lost): the copy
                     // already runs — ack without re-running side effects.
-                    self.stats.idempotent_acks += 1;
                     out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
                 } else if k.is_resident(lh) {
                     self.awaiting_unfreeze.remove(&lh);
@@ -937,11 +884,6 @@ impl ProgramManager {
                     ));
                 }
             }
-            ServiceMsg::AbortMigration { temp } => {
-                self.stats.migrations_aborted += 1;
-                out = out.kernel(k.delete_logical_host(now, temp));
-                out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
-            }
             ServiceMsg::MigrateProgram {
                 lh,
                 destroy_if_stuck,
@@ -967,7 +909,6 @@ impl ProgramManager {
                             g.renewed_at = now;
                             g.probing = false;
                         }
-                        self.stats.renewals_granted += 1;
                         let until = now + LEASE_DURATION;
                         out = out.event(SvcEvent::LeasePoint {
                             lh,
@@ -999,9 +940,7 @@ impl ProgramManager {
                 }
             }
             ServiceMsg::ReleaseLease { lh } => {
-                if self.grants.remove(&lh).is_some() {
-                    self.stats.leases_released += 1;
-                }
+                self.grants.remove(&lh);
                 out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
             }
             ServiceMsg::QueryProgram { lh } => {
@@ -1133,7 +1072,6 @@ impl ProgramManager {
                             l.expires_at = until;
                             l.renewing = false;
                         }
-                        self.stats.leases_renewed += 1;
                     }
                     Ok(_) if !young => {
                         // The origin answered but holds no grant: the
@@ -1162,7 +1100,6 @@ impl ProgramManager {
                         g.renewed_at = now;
                         g.probing = false;
                     }
-                    self.stats.leases_rebound += 1;
                     out = out.event(SvcEvent::LeaseRebound { lh, to: host });
                 }
                 _ => {
@@ -1245,7 +1182,6 @@ impl ProgramManager {
                 fetch,
                 origin,
             } => {
-                self.stats.migrations_installed += 1;
                 let lh = record.desc.id;
                 let root = record
                     .desc
@@ -1417,7 +1353,6 @@ impl ProgramManager {
             };
             let silence = now.since(g.renewed_at);
             if !g.probing && silence > LEASE_DURATION + LEASE_GRACE {
-                self.stats.remote_silences += 1;
                 out = out.event(SvcEvent::LeasePoint {
                     lh,
                     step: ProtocolStep::LeaseExpiry,
@@ -1450,11 +1385,8 @@ impl ProgramManager {
         result: Result<u64, vkernel::SendError>,
         _k: &mut Kernel<ServiceMsg>,
     ) -> SvcOutputs {
-        if self.fetches_in_flight.remove(&xfer).is_some() {
-            match result {
-                Ok(bytes) => self.stats.fetched_bytes += bytes,
-                Err(_) => self.stats.fetch_failures += 1,
-            }
+        if let (Some(_), Ok(bytes)) = (self.fetches_in_flight.remove(&xfer), result) {
+            self.stats.fetched_bytes += bytes;
         }
         SvcOutputs::new()
     }

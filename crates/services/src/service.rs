@@ -72,8 +72,6 @@ pub enum SvcEvent {
         lh: LogicalHostId,
         /// Image name.
         image: String,
-        /// Arguments.
-        args: Vec<String>,
     },
     /// A program (logical host) was destroyed.
     ProgramDestroyed {

@@ -2,11 +2,13 @@
 //! the kernel test rig, without the full cluster runtime.
 
 use vkernel::testkit::{AppEvent, Rig};
-use vkernel::{GroupId, LogicalHostId, MsgIn, Priority, ProcessId, SendSeq, PROGRAM_MANAGER_INDEX};
+use vkernel::{
+    GroupId, LogicalHostId, MsgIn, Priority, ProcessId, SendError, SendSeq, PROGRAM_MANAGER_INDEX,
+};
 use vmem::SpaceLayout;
 use vservices::{
-    DisplayServer, ExecEnv, FileServer, ProgramManager, ProgramSpec, ServiceMsg, SvcEvent,
-    SvcOutputs, SvcToken, MAX_GUEST_PROGRAMS,
+    DisplayServer, FileServer, ProgramManager, ProgramSpec, ServiceMsg, SvcError, SvcEvent,
+    SvcOutputs, SvcToken, MAX_GUEST_PROGRAMS, TEMP_LH_FLOOR,
 };
 use vsim::SimTime;
 
@@ -22,8 +24,9 @@ struct Stand {
     client: ProcessId,
     timers: Vec<(Who, SvcToken, SimTime)>,
     events: Vec<SvcEvent>,
-    /// Send completions observed for non-service processes.
-    completions: Vec<(ProcessId, bool)>,
+    /// Send completions observed for non-service processes, with the
+    /// reply body each one received.
+    completions: Vec<(ProcessId, Result<ServiceMsg, SendError>)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,7 +110,7 @@ impl Stand {
                             };
                             self.absorb(Who::Pm, outs);
                         } else {
-                            self.completions.push((pid, result.is_ok()));
+                            self.completions.push((pid, result.map(|r| r.body)));
                         }
                     } else if let AppEvent::CopyDone { xfer, result, .. } = e {
                         let now = self.rig.engine.now();
@@ -179,13 +182,19 @@ impl Stand {
         self.rig.drive(0, move |_k, _t| outs.kernel);
     }
 
-    /// The last reply body the client received.
-    fn last_reply(&mut self) -> Option<ServiceMsg> {
-        // Replies appear as SendDone for the client in the rig log, which
-        // pump() drains — so capture via a fresh scan is impossible;
-        // instead run a probe: issue QueryLoad and compare counts. For
-        // simplicity the tests below assert on server state instead.
-        None
+    /// Sends `body` from the test client to `to`, pumps to quiescence and
+    /// returns the reply the client received, as a `Debug` string (reply
+    /// bodies have no `PartialEq`).
+    fn call(&mut self, to: ProcessId, body: ServiceMsg) -> String {
+        let before = self.completions.len();
+        self.send(to, body);
+        let client = self.client;
+        let replies: Vec<_> = self.completions[before..]
+            .iter()
+            .filter(|(p, _)| *p == client)
+            .collect();
+        assert_eq!(replies.len(), 1, "one reply per call");
+        format!("{:?}", replies[0].1)
     }
 }
 
@@ -194,9 +203,7 @@ fn create_start_destroy_lifecycle() {
     let mut s = Stand::new();
     let spec = ProgramSpec {
         image: "job".into(),
-        args: vec!["-x".into()],
         priority: Priority::GUEST,
-        env: ExecEnv::default(),
     };
     s.send(s.pm.pid(), ServiceMsg::CreateProgram(Box::new(spec)));
     assert_eq!(s.pm.programs().len(), 1, "program registered");
@@ -226,9 +233,7 @@ fn create_unknown_image_fails_cleanly() {
     let mut s = Stand::new();
     let spec = ProgramSpec {
         image: "no-such-image".into(),
-        args: Vec::new(),
         priority: Priority::GUEST,
-        env: ExecEnv::default(),
     };
     s.send(s.pm.pid(), ServiceMsg::CreateProgram(Box::new(spec)));
     assert_eq!(s.pm.programs().len(), 0);
@@ -274,13 +279,11 @@ fn query_host_respects_policy() {
 }
 
 #[test]
-fn list_programs_reports_suspension() {
+fn suspend_and_resume_freeze_in_place() {
     let mut s = Stand::new();
     let spec = ProgramSpec {
         image: "job".into(),
-        args: Vec::new(),
         priority: Priority::GUEST,
-        env: ExecEnv::default(),
     };
     s.send(s.pm.pid(), ServiceMsg::CreateProgram(Box::new(spec)));
     let (&lh, _) = s.pm.programs().iter().next().expect("program");
@@ -363,7 +366,6 @@ fn file_server_rejects_foreign_handles() {
         from: intruder,
         seq: SendSeq(999),
         body: ServiceMsg::Read { handle, bytes: 10 },
-        data_bytes: 0,
     };
     let outs = {
         let k = s.rig.kernel_mut(0);
@@ -389,20 +391,20 @@ fn display_counts_per_client() {
 #[test]
 fn bad_request_to_wrong_server_is_rejected() {
     let mut s = Stand::new();
-    // A file op sent to the display server.
-    s.send(
-        s.display.pid(),
-        ServiceMsg::Open {
-            name: "x".into(),
-            create: true,
-        },
+    let bad = format!(
+        "{:?}",
+        Ok::<_, SendError>(ServiceMsg::Err(SvcError::BadRequest))
     );
+    // A file op sent to the display server.
+    let open = ServiceMsg::Open {
+        name: "x".into(),
+        create: true,
+    };
+    assert_eq!(s.call(s.display.pid(), open), bad);
     // And a display op to the PM.
-    s.send(s.pm.pid(), ServiceMsg::WriteChars { count: 1 });
-    // Neither crashed; both replied Err (observable as zero state change).
+    assert_eq!(s.call(s.pm.pid(), ServiceMsg::WriteChars { count: 1 }), bad);
     assert_eq!(s.display.stats().writes, 0);
     assert_eq!(s.pm.programs().len(), 0);
-    let _ = s.last_reply();
 }
 
 #[test]
@@ -410,9 +412,7 @@ fn wait_program_blocks_until_destroy() {
     let mut s = Stand::new();
     let spec = ProgramSpec {
         image: "job".into(),
-        args: Vec::new(),
         priority: Priority::GUEST,
-        env: ExecEnv::default(),
     };
     s.send(s.pm.pid(), ServiceMsg::CreateProgram(Box::new(spec)));
     let (&lh, _) = s.pm.programs().iter().next().expect("program");
@@ -438,7 +438,7 @@ fn wait_program_blocks_until_destroy() {
     s.send(s.pm.pid(), ServiceMsg::DestroyProgram { lh });
     let waits_done: Vec<_> = s.completions.iter().filter(|(p, _)| *p == waiter).collect();
     assert_eq!(waits_done.len(), 1, "wait completed on destroy");
-    assert!(waits_done[0].1, "completed successfully");
+    assert!(waits_done[0].1.is_ok(), "completed successfully");
 }
 
 /// Destination helper: the stand's PM via its well-known local group.
@@ -451,9 +451,7 @@ fn suspended_programs_defer_process_messages_but_pm_stays_reachable() {
     let mut s = Stand::new();
     let spec = ProgramSpec {
         image: "job".into(),
-        args: Vec::new(),
         priority: Priority::GUEST,
-        env: ExecEnv::default(),
     };
     s.send(s.pm.pid(), ServiceMsg::CreateProgram(Box::new(spec)));
     let (&lh, info) = s.pm.programs().iter().next().expect("program");
@@ -463,7 +461,7 @@ fn suspended_programs_defer_process_messages_but_pm_stays_reachable() {
     // A message to the suspended *process* defers...
     let client = s.client;
     s.rig.drive(0, move |k, t| {
-        k.send(t, client, root.into(), ServiceMsg::QueryLoad, 0)
+        k.send(t, client, root.into(), ServiceMsg::WriteDone, 0)
     });
     s.pump();
     assert_eq!(
@@ -477,6 +475,80 @@ fn suspended_programs_defer_process_messages_but_pm_stays_reachable() {
     // ...while the PM of that logical host remains reachable (that is how
     // the resume arrives).
     s.send(s.pm.pid(), ServiceMsg::ResumeProgram { lh });
+    assert!(!s
+        .rig
+        .kernel(0)
+        .logical_host(lh)
+        .expect("resident")
+        .is_frozen());
+}
+
+/// Every duplicated migration step is acknowledged exactly like the
+/// original and leaves one copy: a retransmitted `InitMigration`,
+/// `InstallState` or `UnfreezeMigrated` (its first reply was lost) must
+/// not decline, fail or build a second copy.
+#[test]
+fn duplicate_migration_steps_ack_idempotently() {
+    let mut s = Stand::new();
+    // The stand pumps every timer to quiescence, so the 60 s watchdogs
+    // would reclaim each half-built copy before its duplicate arrived.
+    s.pm.set_migration_watchdog(false);
+    let pm = s.pm.pid();
+    // The incoming program's kernel state, taken from a logical host that
+    // is then deleted, as the source does after the commit.
+    let lh = LogicalHostId(20_000);
+    let layout = SpaceLayout::tiny();
+    let (space, record) = {
+        let k = s.rig.kernel_mut(0);
+        let l = k.create_logical_host(lh);
+        let space = l.create_space(layout);
+        l.create_process(space, Priority::GUEST, false);
+        (space, k.extract_migration_record(lh))
+    };
+    s.rig.drive(0, move |k, t| k.delete_logical_host(t, lh));
+    s.pump();
+
+    let temp = LogicalHostId(TEMP_LH_FLOOR);
+    let resident_copies = |s: &Stand| {
+        [temp, lh]
+            .iter()
+            .filter(|&&l| s.rig.kernel(0).is_resident(l))
+            .count()
+    };
+    let init = ServiceMsg::InitMigration {
+        temp,
+        spaces: vec![(space, layout)],
+    };
+    let first = s.call(pm, init.clone());
+    assert!(first.contains("MigrationAccepted"), "{first}");
+    assert_eq!(s.call(pm, init), first, "duplicate init re-acked");
+    assert_eq!(resident_copies(&s), 1);
+
+    let install = ServiceMsg::InstallState {
+        temp,
+        record: Box::new(record),
+        image: "job".into(),
+        priority: Priority::GUEST,
+        fetch: None,
+        origin: None,
+    };
+    let ok = format!("{:?}", Ok::<_, SendError>(ServiceMsg::Ok));
+    assert_eq!(s.call(pm, install.clone()), ok);
+    assert_eq!(s.call(pm, install), ok, "duplicate install re-acked");
+    assert!(s.rig.kernel(0).is_resident(lh) && !s.rig.kernel(0).is_resident(temp));
+    assert_eq!(resident_copies(&s), 1);
+    assert_eq!(s.pm.programs().len(), 1);
+
+    let unfreeze = ServiceMsg::UnfreezeMigrated { lh };
+    assert_eq!(s.call(pm, unfreeze.clone()), ok);
+    assert_eq!(s.call(pm, unfreeze), ok, "duplicate unfreeze re-acked");
+    assert_eq!(resident_copies(&s), 1);
+    let adopted = s
+        .events
+        .iter()
+        .filter(|e| matches!(e, SvcEvent::LogicalHostAdopted { lh: l } if *l == lh))
+        .count();
+    assert_eq!(adopted, 1, "the copy was unfrozen once");
     assert!(!s
         .rig
         .kernel(0)

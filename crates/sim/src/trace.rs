@@ -47,8 +47,6 @@ pub enum Subsystem {
     Net,
     /// The distributed kernel (IPC, bindings, freezing).
     Kernel,
-    /// Address spaces and dirty-page tracking.
-    Memory,
     /// Servers outside the kernel (program manager, file server, display).
     Services,
     /// Synthetic program/user workload models.
@@ -68,7 +66,6 @@ impl Subsystem {
             Subsystem::Engine => "engine",
             Subsystem::Net => "net",
             Subsystem::Kernel => "kernel",
-            Subsystem::Memory => "memory",
             Subsystem::Services => "services",
             Subsystem::Workload => "workload",
             Subsystem::Exec => "exec",

@@ -140,6 +140,14 @@ fn parse_flags(rest: &[&str]) -> Result<Flags, Usage> {
             _ => f.positional.push(a.to_string()),
         }
     }
+    if f.window == Some(0) {
+        return Err(Usage("--window must be positive".to_string()));
+    }
+    if let (Some(from), Some(to)) = (f.from, f.to) {
+        if to <= from {
+            return Err(Usage(format!("--to ({to}) must be after --from ({from})")));
+        }
+    }
     Ok(f)
 }
 
@@ -234,5 +242,38 @@ fn write_json(doc: &Json, out: Option<&Path>) -> Result<(), CmdError> {
             eprintln!("vtrace: wrote {}", path.display());
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn usage_error(args: &[&str]) -> String {
+        match parse_flags(args) {
+            Err(Usage(e)) => e,
+            Ok(_) => panic!("{args:?} parsed"),
+        }
+    }
+
+    #[test]
+    fn zero_window_is_a_usage_error() {
+        assert!(usage_error(&["a.json", "--window", "0"]).contains("--window"));
+        assert_eq!(
+            parse_flags(&["--window", "1"]).ok().and_then(|f| f.window),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn window_must_end_after_it_starts() {
+        for (from, to) in [("3000", "1000"), ("1000", "1000")] {
+            let e = usage_error(&["a.json", "--from", from, "--to", to]);
+            assert!(e.contains("--to"), "{e}");
+        }
+        let f = parse_flags(&["--from", "1000", "--to", "1001"]).ok();
+        assert_eq!(f.map(|f| (f.from, f.to)), Some((Some(1000), Some(1001))));
+        // One open bound is always a valid window.
+        assert!(parse_flags(&["--to", "0"]).is_ok());
     }
 }

@@ -72,8 +72,6 @@ pub enum Phase {
         /// The subprogram to run.
         profile: Box<ProgramProfile>,
     },
-    /// Sleep without using CPU.
-    Sleep(SimDuration),
 }
 
 /// Static description of a program: image layout, dirty behaviour, phases.
@@ -167,8 +165,6 @@ pub struct ProgStats {
     pub file_bytes_read: u64,
     /// Bytes written to files.
     pub file_bytes_written: u64,
-    /// Characters written to the display.
-    pub display_chars: u64,
     /// Send failures observed.
     pub send_failures: u64,
 }
@@ -348,10 +344,6 @@ impl WorkloadProgram {
                 *sub = PhaseSub::Computing;
                 ProgAction::Compute(d)
             }
-            Phase::Sleep(d) => {
-                *sub = PhaseSub::Computing; // Reuse: next SleepDone finishes.
-                ProgAction::Sleep(d)
-            }
             Phase::FileRead { name, .. } | Phase::FileWrite { name, .. } => {
                 *sub = PhaseSub::Opening;
                 let fs = self
@@ -371,7 +363,6 @@ impl WorkloadProgram {
                     .env
                     .display()
                     .expect("display phase without a display in the name cache");
-                self.stats.display_chars += chars;
                 ProgAction::Send {
                     to: d.into(),
                     body: ServiceMsg::WriteChars { count: chars },
@@ -426,7 +417,6 @@ impl WorkloadProgram {
         let phase = self.current_phase(idx).clone();
         match (phase, sub, ev) {
             (Phase::Compute(_), PhaseSub::Computing, ProgEvent::CpuDone) => PhaseDone,
-            (Phase::Sleep(_), PhaseSub::Computing, ProgEvent::SleepDone) => PhaseDone,
 
             // --- Open-and-hold (§3.3 demonstration). ---
             (
@@ -501,7 +491,6 @@ impl WorkloadProgram {
             ) => {
                 self.set_sub(PhaseSub::Echoing { done, keystroke_at });
                 let d = self.env.display().expect("interactive needs a display");
-                self.stats.display_chars += 1;
                 Action(ProgAction::Send {
                     to: d.into(),
                     body: ServiceMsg::WriteChars { count: 1 },
@@ -538,9 +527,7 @@ impl WorkloadProgram {
                 self.set_sub(PhaseSub::Spawn(SpawnStep::Create { pm }));
                 let spec = vservices::ProgramSpec {
                     image: profile.name.clone(),
-                    args: Vec::new(),
                     priority: vkernel::Priority::GUEST,
-                    env: self.env.clone(),
                 };
                 Action(ProgAction::Send {
                     to: pm.into(),
