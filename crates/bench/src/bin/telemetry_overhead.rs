@@ -3,21 +3,23 @@
 //! churn.
 //!
 //! Four cells share the exact same deterministic churn loop — per-host
-//! periodic timers with jitter, a 10% burst of short-delay messages, a 5%
-//! trickle of later-cancelled timeouts and 1% far-future timers:
+//! periodic timers with jitter, a 10% burst of short-delay messages and 1%
+//! far-future timers:
 //!
 //! * `base` — no trace calls, no sampling: the reference rate.
 //! * `trace_null` — one detail-level trace record offered per dispatch
 //!   into [`TraceSinkSpec::Off`]: proves the null sink is ~free.
 //! * `trace_ring` — the same records into a fixed ring: tracing "on".
 //! * `sampling_1ms` — `base` plus a [`SeriesStore`] updated with the
-//!   engine's queue depth and tombstone count every simulated
-//!   millisecond, through [`SeriesStore::update`] as the cluster does
-//!   (a point is kept only when a value changes).
+//!   engine's queue depth every simulated millisecond, through
+//!   [`SeriesStore::update`] as the cluster does (a point is kept only
+//!   when a value changes).
 //!
-//! Each cell runs [`REPS`] times in one process and keeps its best wall
-//! rate, so the overhead ratios in the `run` section compare like with
-//! like and cancel machine speed. `bench_regress` gates
+//! The cells run in [`REPS`] rounds in one process. Each round runs every
+//! cell once, in the fixed order above, and each cell keeps its best wall
+//! rate. Host drift during the run then lands on every cell alike, so the
+//! overhead ratios in the `run` section compare like with like and cancel
+//! machine speed. `bench_regress` gates
 //! `run.sampling_overhead_ratio` at ≤ 10% — the promise that telemetry
 //! never becomes the bottleneck it is meant to find. The recorded series
 //! of every rep must serialize byte-identically (asserted here): the
@@ -38,7 +40,7 @@ const TICK_US: u64 = 10_000;
 const EVENTS_PER_CELL: u64 = 2_000_000;
 /// Hosts in the churn (the acceptance criterion's 1k-host point).
 const HOSTS: usize = 1_000;
-/// Runs of each cell; the best wall rate is kept.
+/// Rounds over all cells; each cell keeps its best wall rate.
 const REPS: usize = 3;
 
 /// One-shot event marker (messages, timeouts): deliver and die.
@@ -83,18 +85,16 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
     let mut engine: Engine<u64> = Engine::new();
     let mut trace = Trace::with_sink(level, sink);
     let trace_each = matches!(variant, Variant::Trace(_));
-    let mut store: Option<(SeriesStore, SeriesId, SeriesId)> = match variant {
+    let mut store: Option<(SeriesStore, SeriesId)> = match variant {
         Variant::Sampling => {
             let mut s = SeriesStore::new(SamplingSpec { capacity: 1024 });
             let depth = s.manual(Subsystem::Engine, "queue_depth", "events");
-            let tombs = s.manual(Subsystem::Engine, "tombstones", "events");
             engine.schedule_after(SimDuration::from_millis(1), SAMPLE);
-            Some((s, depth, tombs))
+            Some((s, depth))
         }
         _ => None,
     };
     let mut rng = DetRng::seed(seed);
-    let mut cancellable = Vec::new();
     for h in 0..HOSTS as u64 {
         engine.schedule_at(SimTime::from_micros(rng.range_u64(0, TICK_US)), h);
     }
@@ -102,14 +102,8 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
     let wall = Instant::now();
     while let Some((now, ev)) = engine.step_due(limit) {
         if ev == SAMPLE {
-            if let Some((s, depth, tombs)) = &mut store {
-                s.update(
-                    now,
-                    &[
-                        (*depth, engine.pending() as f64),
-                        (*tombs, engine.tombstones() as f64),
-                    ],
-                );
+            if let Some((s, depth)) = &mut store {
+                s.update(now, &[(*depth, engine.pending() as f64)]);
             }
             if engine.pending() > 0 {
                 engine.schedule_after(SimDuration::from_millis(1), SAMPLE);
@@ -136,19 +130,10 @@ fn run_cell(name: &str, variant: &Variant, sim_us: u64, seed: u64) -> CellOut {
                     host | ONE_SHOT,
                 );
             }
-            10..=14 => {
-                let id = engine.schedule_after(SimDuration::from_micros(50_000), host | ONE_SHOT);
-                cancellable.push(id);
-            }
             15 => {
                 engine.schedule_after(SimDuration::from_secs(24 * 3600), host | ONE_SHOT);
             }
             _ => {}
-        }
-        if cancellable.len() >= 32 {
-            for id in cancellable.drain(..) {
-                engine.cancel(id);
-            }
         }
     }
     CellOut {
@@ -180,30 +165,32 @@ fn main() {
         "P2: telemetry overhead — deterministic per-cell event totals",
         &["cell", "hosts", "events", "sim s", "sweeps"],
     );
-    println!("cell            events    best wall s   best ev/wall-s  (of {REPS} reps)");
-    for (name, variant) in &cells {
-        let mut best: Option<CellOut> = None;
-        let mut first_series: Option<String> = None;
-        for _ in 0..REPS {
+    let mut best: Vec<Option<CellOut>> = cells.iter().map(|_| None).collect();
+    let mut first_series: Vec<Option<String>> = vec![None; cells.len()];
+    for _ in 0..REPS {
+        for (k, (name, variant)) in cells.iter().enumerate() {
             let out = run_cell(name, variant, sim_us, seed);
             // Same seed, same cell: the sampled series must serialize
             // byte-identically across reps — wall clock may vary, the
             // telemetry must not.
             if let Some(series) = &out.series {
                 let json = series.to_json().pretty();
-                match &first_series {
-                    None => first_series = Some(json),
+                match &first_series[k] {
+                    None => first_series[k] = Some(json),
                     Some(prev) => assert_eq!(
                         prev, &json,
                         "{name}: same-seed reps produced different series"
                     ),
                 }
             }
-            if best.as_ref().is_none_or(|b| out.wall_secs < b.wall_secs) {
-                best = Some(out);
+            if best[k].as_ref().is_none_or(|b| out.wall_secs < b.wall_secs) {
+                best[k] = Some(out);
             }
         }
-        let out = best.expect("REPS >= 1");
+    }
+    println!("cell            events    best wall s   best ev/wall-s  (of {REPS} rounds)");
+    for ((name, _), out) in cells.iter().zip(best) {
+        let out = out.expect("REPS >= 1");
         let rate = out.events as f64 / out.wall_secs;
         best_rate.insert((*name).to_string(), rate);
         println!(

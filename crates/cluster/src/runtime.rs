@@ -215,6 +215,9 @@ pub struct Workstation {
     /// CPU scheduler: the running program, and the ready queue.
     cpu_current: Option<LogicalHostId>,
     cpu_ready: VecDeque<LogicalHostId>,
+    /// When the running program's quantum ends: a `QuantumEnd` due at any
+    /// other instant is stale (armed before a crash) and is ignored.
+    cpu_due: SimTime,
     /// CPU time delivered to local-priority programs.
     pub cpu_local: SimDuration,
     /// CPU time delivered to guest programs.
@@ -399,7 +402,6 @@ pub struct Cluster {
 /// Handles to the cluster's default time series.
 struct SeriesIds {
     queue_depth: SeriesId,
-    tombstones: SeriesId,
     ready: SeriesId,
     frozen: SeriesId,
     migrations: SeriesId,
@@ -547,6 +549,7 @@ impl Cluster {
                 user,
                 programs: BTreeMap::new(),
                 cpu_current: None,
+                cpu_due: SimTime::ZERO,
                 cpu_ready: VecDeque::new(),
                 cpu_local: SimDuration::ZERO,
                 cpu_guest: SimDuration::ZERO,
@@ -578,7 +581,6 @@ impl Cluster {
         let mut series = SeriesStore::new(cfg.sampling.unwrap_or_default());
         let sids = SeriesIds {
             queue_depth: series.manual(Subsystem::Engine, "queue_depth", "events"),
-            tombstones: series.manual(Subsystem::Engine, "tombstones", "events"),
             ready: series.manual(Subsystem::Cluster, "ready_programs", "programs"),
             frozen: series.manual(Subsystem::Cluster, "frozen_programs", "programs"),
             migrations: series.manual(Subsystem::Migration, "inflight_migrations", "migrations"),
@@ -987,9 +989,9 @@ impl Cluster {
         }
     }
 
-    /// Reads the seven series from counts the components hold — the
-    /// engine's queue depth and tombstones plus the cluster aggregates —
-    /// and hands them to the store, which keeps only the changes.
+    /// Reads the six series from counts the components hold — the
+    /// engine's queue depth plus the cluster aggregates — and hands them
+    /// to the store, which keeps only the changes.
     fn update_series(&mut self) {
         let (mut ready, mut frozen, mut migrations, mut leases, mut retransmit) = (0, 0, 0, 0, 0);
         for w in self.stations.iter().filter(|w| !w.down) {
@@ -1004,7 +1006,6 @@ impl Cluster {
             self.engine.now(),
             &[
                 (ids.queue_depth, self.engine.pending() as f64),
-                (ids.tombstones, self.engine.tombstones() as f64),
                 (ids.ready, ready as f64),
                 (ids.frozen, frozen as f64),
                 (ids.migrations, migrations as f64),
@@ -1853,11 +1854,10 @@ impl Cluster {
         }
         let slice = prt.remaining_cpu.min(CPU_QUANTUM);
         w.cpu_current = Some(lh);
+        w.cpu_due = self.engine.now() + slice + CONTEXT_SWITCH;
         let host = w.host;
-        self.engine.schedule_after(
-            slice + CONTEXT_SWITCH,
-            Event::QuantumEnd { host, lh, slice },
-        );
+        self.engine
+            .schedule_at(w.cpu_due, Event::QuantumEnd { host, lh, slice });
     }
 
     #[allow(clippy::expect_used)]
@@ -1866,8 +1866,10 @@ impl Cluster {
         if self.stations[i].down {
             return;
         }
-        if self.stations[i].cpu_current != Some(lh) {
-            // The program migrated or was destroyed mid-quantum.
+        let w = &self.stations[i];
+        if w.cpu_current != Some(lh) || w.cpu_due != self.engine.now() {
+            // The program migrated or was destroyed mid-quantum, or a
+            // reboot has dispatched a fresh quantum since this one.
             self.cpu_dispatch(i);
             return;
         }
@@ -2048,8 +2050,8 @@ impl Cluster {
                 // A reboot loses volatile state — most importantly any
                 // Demos/MP forwarding addresses (§5).
                 self.stations[ws].kernel.clear_forwarding();
-                // Every timer callback pending at crash time was consumed
-                // while the station was down; re-arm the kernel's
+                // Timers armed before the crash may still be queued; each
+                // owner ignores its own stale ones. Re-arm the kernel's
                 // retransmission/retention timers, fail its in-flight bulk
                 // transfers, and re-arm the program manager's watchdogs.
                 let now = self.engine.now();
@@ -2057,8 +2059,8 @@ impl Cluster {
                 self.apply_kernel_outputs(ws, kouts);
                 let souts = self.stations[ws].pm.reboot_recover();
                 self.apply_svc_outputs(ws, SvcKind::Pm, souts);
-                // The CPU scheduler's quantum events died with the power:
-                // rebuild the ready queue from programs that still owe CPU.
+                // The CPU scheduler's state died with the power: rebuild the
+                // ready queue from programs that still owe CPU.
                 self.stations[ws].cpu_current = None;
                 self.stations[ws].cpu_ready.clear();
                 let mut runnable: Vec<LogicalHostId> = Vec::new();

@@ -222,8 +222,8 @@ fn metrics_report_lists_every_scope_and_name_in_order() {
     );
     let expected: [(&[&str], &[&str], &[&str]); 3] = [
         (
-            &["events_scheduled", "events_delivered", "events_cancelled"],
-            &["queue_depth", "tombstones"],
+            &["events_scheduled", "events_delivered"],
+            &["queue_depth"],
             &[],
         ),
         (
@@ -564,6 +564,61 @@ fn scheduled_crash_and_reboot_take_a_station_down_and_back() {
     assert!(c.stations[2].down);
     c.run_until(t(2_000));
     assert!(!c.stations[2].down);
+}
+
+/// A reboot shorter than one CPU quantum: the quantum armed before the
+/// crash still fires after the reboot has dispatched a fresh one. The
+/// scheduler ignores it, so the station delivers no more CPU than time
+/// passed.
+#[test]
+fn reboot_within_a_quantum_does_not_double_book_the_cpu() {
+    let mut c = Cluster::new(quiet_config(2));
+    c.exec(
+        1,
+        small_compute_profile("job", 60),
+        ExecTarget::Local,
+        Priority::LOCAL,
+    );
+    let crash = SimTime::ZERO + SimDuration::from_millis(2_003);
+    c.at(crash, Command::Crash { ws: 1 });
+    c.at(
+        crash + SimDuration::from_millis(1),
+        Command::Reboot { ws: 1 },
+    );
+    let end = crash + SimDuration::from_secs(10);
+    c.run_until(end);
+    let elapsed = end.saturating_since(SimTime::ZERO);
+    let w = &c.stations[1];
+    let cpu = w.cpu_local + w.cpu_guest;
+    assert!(cpu <= elapsed, "{cpu} of CPU in {elapsed}");
+    // Non-vacuity: the job kept running after the reboot.
+    assert!(cpu >= SimDuration::from_secs(10), "only {cpu} of CPU");
+}
+
+/// The kernel re-arms retransmission on reboot. After a reboot shorter
+/// than the retransmission interval, the timer armed before the crash is
+/// still queued; the kernel ignores it, so a blocked send retransmits on
+/// the same schedule whatever the downtime.
+#[test]
+fn reboot_within_a_retransmit_interval_keeps_one_retransmit_schedule() {
+    let retransmits_after_reboot = |down: SimDuration| {
+        let mut c = Cluster::new(quiet_config(2));
+        let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        // With the file server down, ws1's image load blocks in
+        // retransmission.
+        c.at(t(0), Command::Crash { ws: 0 });
+        let job = small_compute_profile("job", 1);
+        c.exec(1, job, ExecTarget::Local, Priority::LOCAL);
+        c.at(t(2_000), Command::Crash { ws: 1 });
+        c.at(t(2_000) + down, Command::Reboot { ws: 1 });
+        c.run_until(t(2_000) + down);
+        let before = c.stations[1].kernel.stats().retransmissions;
+        c.run_for(SimDuration::from_secs(3));
+        c.stations[1].kernel.stats().retransmissions - before
+    };
+    let long = retransmits_after_reboot(SimDuration::from_secs(3));
+    assert!(long > 0, "the load did not block in retransmission");
+    assert_eq!(retransmits_after_reboot(SimDuration::from_millis(1)), long);
 }
 
 /// Periodic audits re-arm only while other work is pending, and telemetry

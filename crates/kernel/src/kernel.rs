@@ -244,6 +244,9 @@ struct Outstanding<X> {
     rebound: bool,
     pending_seen: bool,
     is_group: bool,
+    /// When the armed retransmission timer is due: a `Retransmit` firing at
+    /// any other instant was armed earlier (before a reboot) and is stale.
+    retransmit_due: SimTime,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -984,6 +987,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     rebound: false,
                     pending_seen: o.pending_seen,
                     is_group: o.is_group,
+                    retransmit_due: now + calib::RETRANSMIT_INTERVAL,
                 },
             );
             // The client span re-homes here: this kernel closes it when
@@ -1151,6 +1155,9 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
 
         let mut sends: Vec<(ProcessId, SendSeq)> = self.outstanding.keys().copied().collect();
         sends.sort_by_key(|(p, s)| (p.lh.0, p.index, s.0));
+        for o in self.outstanding.values_mut() {
+            o.retransmit_due = now + calib::RETRANSMIT_INTERVAL;
+        }
         for (pid, seq) in sends {
             out.push(KernelOutput::SetTimer {
                 key: TimerKey::Retransmit(pid, seq),
@@ -1544,6 +1551,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                         rebound: false,
                         pending_seen: false,
                         is_group: false,
+                        retransmit_due: self.now + calib::RETRANSMIT_INTERVAL,
                     },
                 );
                 let pkt = Packet::Request {
@@ -1576,6 +1584,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                         rebound: false,
                         pending_seen: false,
                         is_group: true,
+                        retransmit_due: self.now + calib::RETRANSMIT_INTERVAL,
                     },
                 );
                 // Local members hear it too.
@@ -1995,6 +2004,9 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         let Some(o) = self.outstanding.get_mut(&(pid, seq)) else {
             return; // Completed; stale timer.
         };
+        if o.retransmit_due != self.now {
+            return; // Re-armed since (by a reboot); stale timer.
+        }
         o.total_retransmits += 1;
         o.since_rebind += 1;
         let tries = o.total_retransmits;
@@ -2069,9 +2081,13 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             let lh = to.routing_lh().expect("non-group send routes by lh");
             self.transmit_routed(lh, pkt, out);
         }
+        let after = self.retransmit_delay(pid, seq, tries);
+        if let Some(o) = self.outstanding.get_mut(&(pid, seq)) {
+            o.retransmit_due = self.now + after;
+        }
         out.push(KernelOutput::SetTimer {
             key: TimerKey::Retransmit(pid, seq),
-            after: self.retransmit_delay(pid, seq, tries),
+            after,
         });
     }
 

@@ -70,6 +70,8 @@ pub struct Rig<X> {
     trace: Trace,
     /// Observed application events, with their times.
     pub log: Vec<(SimTime, AppEvent<X>)>,
+    /// Kernel timers fired so far, in order, by station index.
+    pub fired: Vec<(usize, TimerKey)>,
     responders: BTreeMap<ProcessId, Responder<X>>,
 }
 
@@ -95,6 +97,7 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
             kernels,
             trace,
             log: Vec::new(),
+            fired: Vec::new(),
             responders: BTreeMap::new(),
         }
     }
@@ -208,6 +211,7 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
                 }
                 RigEvent::Timer { host, key } => {
                     let i = self.host_index(host);
+                    self.fired.push((i, key));
                     self.drive(i, |k, t| k.handle_timer(t, key));
                 }
             }

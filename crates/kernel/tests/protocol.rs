@@ -1099,3 +1099,51 @@ fn orphaned_transactions_resolve_on_renewed_contact() {
     // The cumulative charge counter keeps its history.
     assert_eq!(rig.kernel(0).stats().orphaned_transactions, 1);
 }
+
+/// Events are never cancelled, so the kernel must ignore a timer whose
+/// work is done. After a remote Send, a push, a local copy and a pull have
+/// run to quiescence, firing every timer they armed once more changes
+/// nothing: no output, no application event, no counter.
+#[test]
+fn stale_timers_fire_as_no_ops() {
+    let mut rig: Rig<Body> = Rig::new(2);
+    let a = spawn(&mut rig, 0, 1);
+    let b = spawn(&mut rig, 1, 2);
+    rig.kernel_mut(0)
+        .learn_binding(LogicalHostId(2), HostAddr(1));
+    rig.respond(b, |m| Some(m.body));
+    // `spawn` gave each logical host a tiny space 0.
+    let (lh1, lh2, team) = (LogicalHostId(1), LogicalHostId(2), vmem::SpaceId(0));
+    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t| k.copy_pages(t, a, lh2, team, vec![0, 1]).1);
+    rig.drive(0, |k, t| k.copy_pages(t, a, lh1, team, vec![0, 1]).1);
+    rig.drive(0, |k, t| {
+        k.pull_pages(t, a, lh2, team, lh1, team, vec![2, 3]).1
+    });
+    run_all(&mut rig);
+    let kinds: std::collections::BTreeSet<String> = rig
+        .fired
+        .iter()
+        .map(|(_, key)| {
+            format!("{key:?}")
+                .split('(')
+                .next()
+                .unwrap_or("")
+                .to_string()
+        })
+        .collect();
+    assert_eq!(kinds.len(), 6, "every timer kind fired: {kinds:?}");
+
+    let stats = |rig: &Rig<Body>| format!("{:?}{:?}", rig.kernel(0).stats(), rig.kernel(1).stats());
+    let (logged, before) = (rig.log.len(), stats(&rig));
+    for (i, key) in rig.fired.clone() {
+        rig.drive(i, |k, t| {
+            let outs = k.handle_timer(t, key);
+            assert!(outs.is_empty(), "{key:?} fired again produced {outs:?}");
+            outs
+        });
+    }
+    assert_eq!(rig.log.len(), logged);
+    assert_eq!(rig.engine.pending(), 0);
+    assert_eq!(stats(&rig), before);
+}

@@ -23,6 +23,8 @@ struct Stand {
     display: DisplayServer,
     client: ProcessId,
     timers: Vec<(Who, SvcToken, SimTime)>,
+    /// Service timers already fired, in order.
+    fired: Vec<(Who, SvcToken)>,
     events: Vec<SvcEvent>,
     /// Send completions observed for non-service processes, with the
     /// reply body each one received.
@@ -75,6 +77,7 @@ impl Stand {
             display: DisplayServer::new(disp_pid),
             client,
             timers: Vec::new(),
+            fired: Vec::new(),
             events: Vec::new(),
             completions: Vec::new(),
         }
@@ -153,6 +156,7 @@ impl Stand {
                 .map(|(i, _)| i)
             {
                 let (who, token, at) = self.timers.remove(idx);
+                self.fired.push((who, token));
                 let now = self.rig.engine.now().max(at);
                 self.rig.engine.advance_to(now);
                 let outs = {
@@ -239,6 +243,38 @@ fn create_unknown_image_fails_cleanly() {
     assert_eq!(s.pm.programs().len(), 0);
     assert_eq!(s.pm.stats().programs_created, 0);
     assert_eq!(s.fs.stats().errors, 1, "stat failed at the file server");
+}
+
+/// Events are never cancelled, so a service must ignore a timer whose
+/// work is done: firing a consumed program-manager token again changes
+/// nothing.
+#[test]
+fn consumed_pm_tokens_fire_as_no_ops() {
+    let mut s = Stand::new();
+    let spec = ProgramSpec {
+        image: "job".into(),
+        priority: Priority::GUEST,
+    };
+    s.send(s.pm.pid(), ServiceMsg::CreateProgram(Box::new(spec)));
+    assert!(s.fired.iter().any(|(who, _)| *who == Who::Pm));
+    let stats = |s: &Stand| format!("{:?}{:?}", s.pm.stats(), s.rig.kernel(0).stats());
+    let before = stats(&s);
+    for (_, token) in s
+        .fired
+        .clone()
+        .into_iter()
+        .filter(|(who, _)| *who == Who::Pm)
+    {
+        let now = s.rig.engine.now();
+        let outs = s.pm.handle_timer(now, token, s.rig.kernel_mut(0));
+        assert!(
+            outs.kernel.is_empty() && outs.timers.is_empty() && outs.events.is_empty(),
+            "{token:?} fired again produced {outs:?}"
+        );
+    }
+    assert!(s.rig.log.is_empty());
+    assert_eq!(s.rig.engine.pending(), 0);
+    assert_eq!(stats(&s), before);
 }
 
 #[test]

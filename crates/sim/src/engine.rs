@@ -9,20 +9,20 @@
 //! order they were scheduled (FIFO tie-break on a monotone sequence number),
 //! so a run is a pure function of the initial state and the RNG seed.
 //! Pending events live in one binary heap ordered by `(at, seq)`.
+//!
+//! Every scheduled event is delivered: there is no cancellation. A
+//! component whose timer has outlived its purpose recognises the stale
+//! event when it fires and ignores it.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::metrics::ScopeMetrics;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Subsystem;
 
-/// Handle to a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
 /// One pending event: its firing time, its schedule sequence number (the
-/// FIFO tie-break, and the [`EventId`]), and the payload.
+/// FIFO tie-break), and the payload.
 struct Entry<E> {
     at: SimTime,
     seq: u64,
@@ -90,16 +90,12 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct Engine<E> {
     queue: BinaryHeap<Entry<E>>,
-    /// Ids of cancelled events still in the queue (lazy cancellation).
-    tombstones: BTreeSet<EventId>,
     now: SimTime,
     /// Sequence number of the next scheduled event, which is also the
     /// number of events scheduled so far.
     next_seq: u64,
-    /// Events delivered so far (popped, not cancelled).
+    /// Events delivered so far.
     popped: u64,
-    /// Events cancelled so far (first cancel of a known id).
-    cancelled: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -113,11 +109,9 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
             queue: BinaryHeap::new(),
-            tombstones: BTreeSet::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
-            cancelled: 0,
         }
     }
 
@@ -126,34 +120,23 @@ impl<E> Engine<E> {
         self.now
     }
 
-    /// The engine's counters and queue gauges under the scope label
-    /// `scope`. The gauges are read from the queue itself.
+    /// The engine's counters and queue-depth gauge under the scope label
+    /// `scope`. The gauge is read from the queue itself.
     pub fn metrics(&self, scope: &str) -> ScopeMetrics {
         ScopeMetrics::new(scope)
             .with_counter(Subsystem::Engine, "events_scheduled", self.next_seq)
             .with_counter(Subsystem::Engine, "events_delivered", self.popped)
-            .with_counter(Subsystem::Engine, "events_cancelled", self.cancelled)
             .with_gauge(Subsystem::Engine, "queue_depth", self.pending() as f64)
-            .with_gauge(Subsystem::Engine, "tombstones", self.tombstones() as f64)
     }
 
-    /// Number of events delivered so far (popped, not cancelled).
+    /// Number of events delivered so far.
     pub fn events_delivered(&self) -> u64 {
         self.popped
     }
 
     /// Number of events still pending.
-    ///
-    /// Cancellation is lazy, so this subtracts the tombstone count from
-    /// the stored count; a cancel that raced an already-fired event can
-    /// make the estimate low by one until the next compaction.
     pub fn pending(&self) -> usize {
-        self.queue.len().saturating_sub(self.tombstones.len())
-    }
-
-    /// Cancelled events still sitting in the queue (lazy cancellation).
-    pub fn tombstones(&self) -> usize {
-        self.tombstones.len()
+        self.queue.len()
     }
 
     /// Schedules `event` to fire at the absolute instant `at`.
@@ -163,7 +146,7 @@ impl<E> Engine<E> {
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current time.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "scheduled event in the past: {at} < now {}",
@@ -172,41 +155,17 @@ impl<E> Engine<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(Entry { at, seq, event });
-        EventId(seq)
     }
 
     /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event)
     }
 
     /// Schedules `event` at the current instant, after all events already
     /// scheduled for this instant.
-    pub fn schedule_now(&mut self, event: E) -> EventId {
+    pub fn schedule_now(&mut self, event: E) {
         self.schedule_at(self.now, event)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Cancellation is lazy: the entry stays in the queue and is skipped
-    /// when popped (its tombstone is dropped at that point). Cancelling an
-    /// already-fired or unknown id is a no-op (the usual race between a
-    /// timer firing and being cancelled); tombstones left behind by such
-    /// races are compacted away whenever they outnumber the live queue,
-    /// so the set can never grow without bound.
-    pub fn cancel(&mut self, id: EventId) {
-        if id.0 < self.next_seq && self.tombstones.insert(id) {
-            self.cancelled += 1;
-        }
-        if self.tombstones.len() > self.queue.len() {
-            self.compact_tombstones();
-        }
-    }
-
-    /// Drops every tombstone whose event is no longer in the queue.
-    fn compact_tombstones(&mut self) {
-        let live: BTreeSet<u64> = self.queue.iter().map(|e| e.seq).collect();
-        self.tombstones.retain(|id| live.contains(&id.0));
     }
 
     /// Delivers the next event, advancing the clock to its firing time.
@@ -222,25 +181,14 @@ impl<E> Engine<E> {
     /// advanced to `limit` on failure; call [`Engine::advance_to`] if a
     /// scenario needs the clock moved past the last event.
     pub fn step_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            if self.queue.peek()?.at > limit {
-                return None;
-            }
-            let Entry { at, seq, event } = self.queue.pop()?;
-            if self.tombstones.remove(&EventId(seq)) {
-                // The clock still advances over a cancelled event's
-                // instant. The heap does not need it, but a caller that
-                // reads `now()` after `step_due` returns `None` sees it,
-                // and every pinned artifact was produced under this rule.
-                debug_assert!(at >= self.now, "event queue went backwards");
-                self.now = at;
-                continue;
-            }
-            debug_assert!(at >= self.now, "event queue went backwards");
-            self.now = at;
-            self.popped += 1;
-            return Some((at, event));
+        if self.queue.peek()?.at > limit {
+            return None;
         }
+        let Entry { at, event, .. } = self.queue.pop()?;
+        debug_assert!(at >= self.now, "event queue went backwards");
+        self.now = at;
+        self.popped += 1;
+        Some((at, event))
     }
 
     /// Moves the clock forward to `t` without delivering events.
@@ -251,19 +199,12 @@ impl<E> Engine<E> {
     /// the past — both indicate scenario logic errors.
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_to moving backwards");
-        // Cancelled entries before `t` are dropped here, as `step_due`
-        // would drop them; the first live one must not precede `t`.
-        while let Some(e) = self.queue.peek() {
-            if e.at >= t {
-                break;
-            }
-            let cancelled = self.tombstones.remove(&EventId(e.seq));
+        if let Some(e) = self.queue.peek() {
             assert!(
-                cancelled,
+                e.at >= t,
                 "advance_to({t}) would skip a pending event at {}",
                 e.at
             );
-            self.queue.pop();
         }
         self.now = t;
     }
@@ -293,52 +234,6 @@ mod tests {
         }
         let order: Vec<u32> = std::iter::from_fn(|| e.step().map(|(_, v)| v)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancellation_skips_events() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_after(SimDuration::from_micros(1), 1);
-        e.schedule_after(SimDuration::from_micros(2), 2);
-        e.cancel(a);
-        assert_eq!(e.pending(), 1);
-        assert_eq!(e.step().map(|(_, v)| v), Some(2));
-        assert_eq!(e.step(), None);
-        assert_eq!(e.events_delivered(), 1);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_now(1);
-        assert_eq!(e.step().map(|(_, v)| v), Some(1));
-        e.cancel(a);
-        e.schedule_now(2);
-        assert_eq!(e.step().map(|(_, v)| v), Some(2));
-    }
-
-    #[test]
-    fn stale_tombstones_do_not_accumulate_or_underflow() {
-        // Regression: cancelling ids after they fired used to leave
-        // permanent tombstones, eventually making `pending()` underflow
-        // (queue.len() - cancelled.len() in unsigned arithmetic).
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_now(1);
-        let b = e.schedule_now(2);
-        assert!(e.step().is_some());
-        assert!(e.step().is_some());
-        // Both events have fired; cancelling them now is the race.
-        e.cancel(a);
-        e.cancel(b);
-        // Old code: pending() panicked on 0usize - 2. New code: the
-        // stale tombstones are compacted away against the empty queue.
-        assert_eq!(e.pending(), 0);
-        let c = e.schedule_after(SimDuration::from_micros(5), 3);
-        assert_eq!(e.pending(), 1);
-        // And a live cancel still works exactly.
-        e.cancel(c);
-        assert_eq!(e.pending(), 0);
-        assert_eq!(e.step(), None);
     }
 
     #[test]
@@ -379,12 +274,9 @@ mod tests {
         let mut e: Engine<u32> = Engine::new();
         e.advance_to(SimTime::from_micros(100));
         assert_eq!(e.now(), SimTime::from_micros(100));
-        // A cancelled event before the target is dropped, not skipped.
-        let a = e.schedule_after(SimDuration::from_micros(5), 1);
+        // An event at or after the target stays pending.
         e.schedule_after(SimDuration::from_micros(20), 2);
-        e.cancel(a);
         e.advance_to(SimTime::from_micros(110));
-        assert_eq!(e.tombstones(), 0);
         assert_eq!(e.step(), Some((SimTime::from_micros(120), 2)));
     }
 
@@ -397,32 +289,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "would skip")]
-    fn advance_to_sees_past_a_cancelled_head() {
-        // A cancelled entry at the head of the queue must not hide the
-        // live event behind it, or the clock later runs backwards.
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_after(SimDuration::from_micros(5), 1);
-        e.schedule_after(SimDuration::from_micros(7), 2);
-        e.cancel(a);
-        e.advance_to(SimTime::from_micros(10));
-    }
-
-    #[test]
-    fn queue_gauges_track_depth_and_tombstones() {
+    fn queue_gauge_tracks_depth() {
         let mut e: Engine<u32> = Engine::new();
         let depth = |e: &Engine<u32>| e.metrics("engine").gauge(Subsystem::Engine, "queue_depth");
-        let tombs = |e: &Engine<u32>| e.metrics("engine").gauge(Subsystem::Engine, "tombstones");
-        let a = e.schedule_after(SimDuration::from_micros(1), 1);
+        assert_eq!(depth(&e), Some(0.0));
+        e.schedule_after(SimDuration::from_micros(1), 1);
         e.schedule_after(SimDuration::from_micros(2), 2);
         assert_eq!(depth(&e), Some(2.0));
-        assert_eq!(tombs(&e), Some(0.0));
-        e.cancel(a);
+        assert_eq!(e.step().map(|(_, v)| v), Some(1));
         assert_eq!(depth(&e), Some(1.0));
-        assert_eq!(tombs(&e), Some(1.0));
-        // Delivering event 2 walks over the tombstone for event 1.
         assert_eq!(e.step().map(|(_, v)| v), Some(2));
         assert_eq!(depth(&e), Some(0.0));
-        assert_eq!(tombs(&e), Some(0.0));
     }
 }

@@ -34,7 +34,7 @@ mod time;
 pub mod timeseries;
 mod trace;
 
-pub use engine::{Engine, EventId};
+pub use engine::Engine;
 pub use faults::{
     fault_points, FaultEvent, FaultKind, FaultPlan, FaultPoint, FaultTrigger, Party, ProtocolStep,
     PARTY,

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use vkernel::{LogicalHostId, Priority, ProcessId};
     pub use vnet::{HostAddr, LossModel};
     pub use vsim::{
-        fault_points, DetRng, Engine, EventId, FaultKind, FaultPlan, FaultPoint, FaultTrigger,
+        fault_points, DetRng, Engine, FaultKind, FaultPlan, FaultPoint, FaultTrigger,
         MetricsReport, Party, ProtocolStep, SamplingSpec, SimDuration, SimTime, SpanContext,
         SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation, Subsystem, Trace, TraceEvent,
         TraceLevel, TraceSinkSpec, PARTY,

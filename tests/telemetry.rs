@@ -44,25 +44,24 @@ fn faulted_cluster(sampling: Option<SamplingSpec>) -> Cluster {
     c
 }
 
-/// The seven gauges recomputed from public cluster state, through the
+/// The six gauges recomputed from public cluster state, through the
 /// allocating accessors the auditor uses, in the series' registration
-/// order (queue depth, tombstones, ready, frozen, migrations, leases,
-/// retransmit backlog).
-fn gauges(c: &Cluster) -> [f64; 7] {
-    let mut g = [0usize; 7];
+/// order (queue depth, ready, frozen, migrations, leases, retransmit
+/// backlog).
+fn gauges(c: &Cluster) -> [f64; 6] {
+    let mut g = [0usize; 6];
     g[0] = c.pending();
-    g[1] = c.engine.tombstones();
     for w in c.stations.iter().filter(|w| !w.down) {
-        g[2] += w.programs.values().filter(|p| p.scheduled).count();
-        g[3] += w
+        g[1] += w.programs.values().filter(|p| p.scheduled).count();
+        g[2] += w
             .kernel
             .resident_lhs()
             .into_iter()
             .filter(|&lh| w.kernel.logical_host(lh).is_some_and(|l| l.is_frozen()))
             .count();
-        g[4] += w.migrator.active_jobs().len();
-        g[5] += w.pm.granted_leases().len();
-        g[6] += w.kernel.outstanding_sends().len();
+        g[3] += w.migrator.active_jobs().len();
+        g[4] += w.pm.granted_leases().len();
+        g[5] += w.kernel.outstanding_sends().len();
     }
     g.map(|n| n as f64)
 }
@@ -83,7 +82,7 @@ fn step_to_quiescence(c: &mut Cluster, mut each: impl FnMut(&Cluster)) {
 #[test]
 fn series_step_functions_match_the_cluster_state() {
     let mut c = faulted_cluster(Some(NO_DECIMATION));
-    let mut expected: Vec<(u64, [f64; 7])> = Vec::new();
+    let mut expected: Vec<(u64, [f64; 6])> = Vec::new();
     step_to_quiescence(&mut c, |c| {
         expected.push((c.now().as_micros(), gauges(c)));
     });
@@ -94,7 +93,7 @@ fn series_step_functions_match_the_cluster_state() {
     );
 
     let report = c.series_report();
-    assert_eq!(report.series.len(), 7);
+    assert_eq!(report.series.len(), 6);
     for (k, s) in report.series.iter().enumerate() {
         let name = s.name;
         assert_eq!(s.stride, 1, "{name} was decimated");
@@ -104,11 +103,8 @@ fn series_step_functions_match_the_cluster_state() {
                 .all(|w| w[0].0 < w[1].0 && w[0].1 != w[1].1),
             "{name}: points must be strictly later and each a change"
         );
-        // Non-vacuity: the gauge moved during the run. The runtime never
-        // cancels an event, so only the tombstone count stays at zero.
-        if name != "tombstones" {
-            assert!(s.points.len() >= 3, "{name} barely moved: {:?}", s.points);
-        }
+        // Non-vacuity: the gauge moved during the run.
+        assert!(s.points.len() >= 3, "{name} barely moved: {:?}", s.points);
         for &(t, want) in &expected {
             let i = s.points.partition_point(|p| p.0 <= t);
             assert!(i > 0, "{name}: no value in force at {t} µs");
@@ -138,5 +134,5 @@ fn sampling_on_and_off_run_identically() {
         report.series.iter().map(|s| s.points.len()).collect()
     };
     assert!(points(&on).iter().all(|&n| n > 0));
-    assert_eq!(points(&off), vec![0; 7]);
+    assert_eq!(points(&off), vec![0; 6]);
 }
