@@ -9,7 +9,7 @@
 //! every seed with zero violations; the cost of survival shows up as
 //! retransmissions, migration retries, and dropped frames.
 
-use vbench::{emit_full, SpanSummary, Table};
+use vbench::{emit_full, SpanSummary};
 use vcluster::{Cluster, ClusterConfig, Command};
 use vcore::{ExecTarget, MigrationConfig};
 use vkernel::Priority;
@@ -50,19 +50,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut metrics = vsim::MetricsReport::new();
     let mut summary = SpanSummary::new();
-    let mut t = Table::new(
-        "A5: chaos soak — seeded fault plans vs cluster invariants",
-        &[
-            "seed",
-            "faults",
-            "violations",
-            "rexmit",
-            "mig retries",
-            "corrupt drops",
-            "orphaned txns",
-            "quiesced s",
-        ],
-    );
     let mut clean = 0u64;
     for seed in 0..FAULT_PLANS {
         let mut rng = DetRng::seed(seed_base ^ seed);
@@ -125,16 +112,6 @@ fn main() {
         if seed + 1 == FAULT_PLANS {
             vbench::export_trace("abl_chaos", &tree);
         }
-        t.row(&[
-            seed.to_string(),
-            format!("{}/{}", c.stats.faults_injected, fault_events),
-            report.violations.len().to_string(),
-            retransmissions.to_string(),
-            mig_retries.to_string(),
-            c.stats.corrupt_frames_dropped.to_string(),
-            orphaned.to_string(),
-            format!("{quiesced:.0}"),
-        ]);
         rows.push(Row {
             seed,
             fault_events,
@@ -147,7 +124,6 @@ fn main() {
             quiesced_at_secs: quiesced,
         });
     }
-    t.print();
     println!(
         "\nShape check: {clean}/{FAULT_PLANS} seeds finish with a clean audit —\n\
          crashes reboot into broadcast re-query (no forwarding state),\n\
@@ -155,9 +131,6 @@ fn main() {
          partitions heal into plain retransmission catch-up. The damage is\n\
          visible only in the recovery counters."
     );
-    summary
-        .table("Span durations across all chaos seeds")
-        .print();
     emit_full(
         "abl_chaos",
         &rows,

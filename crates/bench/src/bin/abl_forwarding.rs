@@ -10,7 +10,7 @@
 //! Scenario: a client talks to a server program; the program migrates;
 //! the old host reboots; the client (with a stale cache) tries again.
 
-use vbench::{emit, Table};
+use vbench::emit;
 use vkernel::testkit::Rig;
 use vkernel::{KernelConfig, LogicalHostId, Priority, ProcessId};
 use vmem::SpaceLayout;
@@ -122,26 +122,6 @@ fn main() {
     let (demos, demos_metrics) = scenario(true);
     let mut metrics = v_metrics.prefixed("v");
     metrics.absorb(demos_metrics.prefixed("demos"));
-    let mut t = Table::new(
-        "A2: rebinding vs forwarding addresses after migration (§5)",
-        &[
-            "mode",
-            "works after migration",
-            "forwarded reqs",
-            "residual entries",
-            "works after old-host reboot",
-        ],
-    );
-    for r in [&v, &demos] {
-        t.row(&[
-            r.mode.to_string(),
-            r.works_after_migration.to_string(),
-            r.forwarded_requests.to_string(),
-            r.residual_entries_on_old_host.to_string(),
-            r.works_after_old_host_reboot.to_string(),
-        ]);
-    }
-    t.print();
     println!(
         "\nShape check: both work right after migration, but only V's\n\
          broadcast rebinding survives a reboot of the old host — the\n\

@@ -5,7 +5,7 @@
 //! things down but never corrupts. Sweeps the Bernoulli loss rate and
 //! reports migration success, freeze time, and retransmission counts.
 
-use vbench::{emit, launch, Table};
+use vbench::{emit, launch};
 use vcluster::{Cluster, ClusterConfig};
 use vcore::ExecTarget;
 use vkernel::Priority;
@@ -33,17 +33,6 @@ vsim::impl_to_json!(Row {
 fn main() {
     let mut rows = Vec::new();
     let mut metrics = vsim::MetricsReport::new();
-    let mut t = Table::new(
-        "A3: migration under packet loss (parser, pre-copy)",
-        &[
-            "loss rate",
-            "success",
-            "freeze ms",
-            "total s",
-            "bulk rexmit",
-            "req rexmit",
-        ],
-    );
     for &loss in &[0.0, 1e-4, 1e-3, 1e-2, 5e-2] {
         let cfg = ClusterConfig {
             workstations: 3,
@@ -90,14 +79,6 @@ fn main() {
             .map(|w| w.kernel.stats().retransmissions)
             .sum();
         metrics.absorb(c.metrics_report().prefixed(&format!("loss{loss:.0e}")));
-        t.row(&[
-            format!("{loss:.0e}"),
-            r.success.to_string(),
-            format!("{:.0}", r.freeze_time.as_secs_f64() * 1e3),
-            format!("{:.2}", r.total_time.as_secs_f64()),
-            bulk.to_string(),
-            req.to_string(),
-        ]);
         rows.push(Row {
             loss,
             success: r.success,
@@ -107,7 +88,6 @@ fn main() {
             request_retransmissions: req,
         });
     }
-    t.print();
     println!(
         "\nShape check: migrations keep succeeding as loss rises; the cost\n\
          shows up as retransmissions and longer copies (each lost 32 KB\n\

@@ -17,7 +17,6 @@
 //! `plan` axis is also sweepable from `sweeps/recovery.toml`; run without
 //! a `--config` plan, the binary covers every named plan itself.
 
-use vbench::{f1, Table};
 use vcluster::{Cluster, ClusterConfig};
 use vcore::{ExecTarget, MigrationConfig};
 use vkernel::Priority;
@@ -137,10 +136,6 @@ fn main() {
     };
     let mut rows = Vec::new();
     let mut metrics = vsim::MetricsReport::new();
-    let mut t = Table::new(
-        "A6: recovery latency — crash of the lease holder, by background fault plan",
-        &["case", "events", "p50 ms", "p99 ms", "clean audits"],
-    );
     for plan in &plans {
         let mut samples = [Samples::new(), Samples::new(), Samples::new()];
         let mut clean = 0u64;
@@ -161,13 +156,6 @@ fn main() {
         for (i, metric) in ["detect", "reexec", "exterminate"].into_iter().enumerate() {
             let p50 = samples[i].percentile(50.0).unwrap_or(0.0);
             let p99 = samples[i].percentile(99.0).unwrap_or(0.0);
-            t.row(&[
-                format!("{plan}/{metric}"),
-                samples[i].count().to_string(),
-                f1(p50),
-                f1(p99),
-                format!("{clean}/{seeds}"),
-            ]);
             rows.push(Row {
                 case: format!("{plan}/{metric}"),
                 plan: plan.clone(),
@@ -180,7 +168,6 @@ fn main() {
             });
         }
     }
-    t.print();
     println!(
         "\nShape check: detection waits out the lease duration plus its\n\
          grace window from the holder's last heartbeat, re-execution\n\

@@ -11,7 +11,7 @@
 //! least-loaded willing host, and what is the mean excess load when it
 //! does not?
 
-use vbench::{emit, Table};
+use vbench::emit;
 use vcluster::{Cluster, ClusterConfig};
 use vcore::ExecTarget;
 use vkernel::Priority;
@@ -109,27 +109,6 @@ fn main() {
     let mean_excess = excess.iter().sum::<f64>() / excess.len().max(1) as f64;
     let mean_sel = selection_ms.iter().sum::<f64>() / selection_ms.len().max(1) as f64;
 
-    let mut t = Table::new(
-        "A4: first-responder selection quality (8 workstations, rolling load)",
-        &["quantity", "value"],
-    );
-    t.row(&["@* requests sampled".to_string(), requests.to_string()]);
-    t.row(&[
-        "picked a least-loaded host".to_string(),
-        format!(
-            "{picked_best} ({:.0}%)",
-            picked_best as f64 / requests.max(1) as f64 * 100.0
-        ),
-    ]);
-    t.row(&[
-        "mean excess load when not (programs)".to_string(),
-        format!("{mean_excess:.2}"),
-    ]);
-    t.row(&[
-        "mean selection latency (ms)".to_string(),
-        format!("{mean_sel:.1}"),
-    ]);
-    t.print();
     println!(
         "\nShape check (§2): a busy workstation's manager contends with its\n\
          running programs for the CPU, so idle hosts answer the multicast\n\

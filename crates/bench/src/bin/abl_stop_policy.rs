@@ -7,7 +7,7 @@
 //! round moves the code, later rounds chase the hot set without shrinking
 //! it, so extra rounds cost copy time while barely reducing freeze time.
 
-use vbench::{emit, launch, Table};
+use vbench::{emit, launch};
 use vcluster::{Cluster, ClusterConfig};
 use vcore::{ExecTarget, MigrationConfig, MigrationReport, StopPolicy, Strategy};
 use vkernel::Priority;
@@ -73,17 +73,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut metrics = vsim::MetricsReport::new();
     for name in ["parser", "tex"] {
-        let mut t = Table::new(
-            format!("A1: stop-policy ablation — {name}"),
-            &[
-                "policy",
-                "iters",
-                "copied KB",
-                "residual KB",
-                "freeze ms",
-                "total s",
-            ],
-        );
         let mut policies: Vec<(String, StopPolicy)> = (1..=6u32)
             .map(|n| (format!("fixed-{n}"), StopPolicy::fixed(n)))
             .collect();
@@ -91,14 +80,6 @@ fn main() {
         for (label, p) in policies {
             let (r, m) = migrate(p, name, seed + label.len() as u64);
             metrics.absorb(m.prefixed(&format!("{name}/{label}")));
-            t.row(&[
-                label.clone(),
-                r.iterations.len().to_string(),
-                (r.precopied_bytes() / 1024).to_string(),
-                (r.residual_bytes / 1024).to_string(),
-                format!("{:.0}", r.freeze_time.as_secs_f64() * 1e3),
-                format!("{:.2}", r.total_time.as_secs_f64()),
-            ]);
             rows.push(Row {
                 policy: format!("{name}/{label}"),
                 iterations: r.iterations.len(),
@@ -108,7 +89,6 @@ fn main() {
                 total_secs: r.total_time.as_secs_f64(),
             });
         }
-        t.print();
     }
     println!(
         "\nShape check: the freeze time collapses after the first round or\n\

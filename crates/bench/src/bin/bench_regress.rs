@@ -4,11 +4,11 @@
 //! argument), re-reads each tracked experiment's emitted artifact from
 //! the artifact directory, and exits non-zero when any tracked metric
 //! drifted past the tolerance. Run the experiment binaries first so the
-//! artifacts are fresh.
+//! artifacts are fresh. The checks print as a markdown table, so CI can
+//! append them to its job summary.
 
 use vbench::regress::run_gate;
-use vbench::Table;
-use vsim::Json;
+use vsim::{Json, ToJson};
 
 fn main() {
     let baseline_path = std::env::args()
@@ -41,36 +41,28 @@ fn main() {
         std::process::exit(2);
     });
 
-    let mut t = Table::new(
-        format!("Bench regression gate vs {baseline_path}"),
-        &[
-            "experiment",
-            "metric",
-            "baseline",
-            "measured",
-            "drift",
-            "ok",
-        ],
+    let rows = checks.iter().map(|c| {
+        Json::obj([
+            ("experiment", c.experiment.to_json()),
+            ("metric", c.key().to_json()),
+            ("baseline", c.baseline.to_json()),
+            (
+                "measured",
+                c.measured.map_or("missing".to_json(), |m| m.to_json()),
+            ),
+            (
+                "drift_pct",
+                c.drift().map_or(Json::Null, |d| (d * 100.0).to_json()),
+            ),
+            ("ok", c.pass.to_json()),
+        ])
+    });
+    vbench::print_table(
+        &format!("Bench regression gate vs {baseline_path}"),
+        &Json::arr(rows),
+        3,
     );
-    let mut failed = 0usize;
-    for c in &checks {
-        if !c.pass {
-            failed += 1;
-        }
-        t.row(&[
-            c.experiment.clone(),
-            c.key(),
-            format!("{:.3}", c.baseline),
-            c.measured
-                .map(|m| format!("{m:.3}"))
-                .unwrap_or_else(|| "missing".into()),
-            c.drift()
-                .map(|d| format!("{:+.1}%", d * 100.0))
-                .unwrap_or_else(|| "-".into()),
-            if c.pass { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    t.print();
+    let failed = checks.iter().filter(|c| !c.pass).count();
     if failed > 0 {
         eprintln!(
             "\nbench_regress: {failed}/{} tracked metrics drifted",

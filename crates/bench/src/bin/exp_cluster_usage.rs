@@ -16,7 +16,7 @@
 //! top`. The `QuantumEnd` dispatch count is seed-deterministic and goes
 //! into the table as `quantum_end_dispatches`.
 
-use vbench::{emit_full, Extras, Table, WallClock};
+use vbench::{emit_full, Extras, WallClock};
 use vcluster::{Cluster, ClusterConfig, Command};
 use vcore::ExecTarget;
 use vkernel::Priority;
@@ -36,6 +36,8 @@ struct Results {
     exec_requests: u64,
     exec_honored: u64,
     honor_rate: f64,
+    guest_cpu_machine_min: f64,
+    mean_cpu_utilization: f64,
     quantum_end_dispatches: u64,
 }
 vsim::impl_to_json!(Results {
@@ -46,6 +48,8 @@ vsim::impl_to_json!(Results {
     exec_requests,
     exec_honored,
     honor_rate,
+    guest_cpu_machine_min,
+    mean_cpu_utilization,
     quantum_end_dispatches
 });
 
@@ -102,30 +106,6 @@ fn main() {
     idle_fracs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     let mean_idle = idle_fracs.iter().sum::<f64>() / idle_fracs.len() as f64;
 
-    let mut table = Table::new(
-        "E9: cluster usage over 3 simulated peak hours (25 machines)",
-        &["quantity", "paper", "measured"],
-    );
-    table.row(&[
-        "mean owner idle fraction".to_string(),
-        "> 0.80".to_string(),
-        format!("{mean_idle:.2}"),
-    ]);
-    table.row(&[
-        "min owner idle fraction".to_string(),
-        "> 1/3 of WS idle at any time".to_string(),
-        format!("{:.2}", idle_fracs[0]),
-    ]);
-    table.row(&[
-        "@* requests issued".to_string(),
-        "-".to_string(),
-        issued.to_string(),
-    ]);
-    table.row(&[
-        "@* requests honored".to_string(),
-        "almost all".to_string(),
-        format!("{honored} ({:.1}%)", honored as f64 / issued as f64 * 100.0),
-    ]);
     let elapsed = c.now().since(vsim::SimTime::ZERO);
     let guest_cpu: f64 = c
         .stations
@@ -133,11 +113,6 @@ fn main() {
         .skip(1)
         .map(|w| w.cpu_guest.as_secs_f64())
         .sum();
-    table.row(&[
-        "guest CPU harvested (machine-min)".to_string(),
-        "-".to_string(),
-        format!("{:.1}", guest_cpu / 60.0),
-    ]);
     let mean_util: f64 = c
         .stations
         .iter()
@@ -145,12 +120,6 @@ fn main() {
         .map(|w| w.cpu_utilization(elapsed))
         .sum::<f64>()
         / workstations as f64;
-    table.row(&[
-        "mean workstation CPU utilization".to_string(),
-        "mostly idle".to_string(),
-        format!("{:.1}%", mean_util * 100.0),
-    ]);
-    table.print();
 
     let profile = c.profile_report();
     let series = c.series_report();
@@ -164,6 +133,8 @@ fn main() {
             exec_requests: issued,
             exec_honored: honored,
             honor_rate: honored as f64 / issued as f64,
+            guest_cpu_machine_min: guest_cpu / 60.0,
+            mean_cpu_utilization: mean_util,
             quantum_end_dispatches: profile.slot("QuantumEnd").map_or(0, |s| s.dispatches),
         },
         &c.metrics_report(),

@@ -8,7 +8,7 @@
 //! count (processes + spaces), and the host-to-host bulk copy rate over a
 //! size sweep.
 
-use vbench::{emit, pct, Table};
+use vbench::emit;
 use vkernel::testkit::{AppEvent, Rig};
 use vkernel::{LogicalHostId, Priority};
 use vmem::SpaceLayout;
@@ -35,10 +35,6 @@ fn main() {
                     // The migration record's copy cost is charged by the target program
                     // manager; here we construct logical hosts of increasing complexity
                     // and report the record's cost (14 + 9 * objects ms).
-    let mut t = Table::new(
-        "E3a: kernel/PM state copy cost (14 ms + 9 ms per process & space)",
-        &["processes", "spaces", "objects", "paper ms", "model ms"],
-    );
     let mut state_points = Vec::new();
     for &(procs, spaces) in &[(1u32, 1u32), (2, 1), (4, 1), (4, 2), (8, 4)] {
         let mut rig: Rig<u32> = Rig::new(1);
@@ -52,24 +48,11 @@ fn main() {
         }
         let record = rig.kernel(0).extract_migration_record(LogicalHostId(10));
         let objects = (procs + spaces) as u64;
-        let paper_ms = 14.0 + 9.0 * objects as f64;
         let model_ms = record.copy_cost().as_secs_f64() * 1e3;
-        t.row(&[
-            procs.to_string(),
-            spaces.to_string(),
-            objects.to_string(),
-            format!("{paper_ms:.0}"),
-            format!("{model_ms:.0}"),
-        ]);
         state_points.push((objects, model_ms));
     }
-    t.print();
 
     // --- Bulk copy rate: measured end-to-end over the protocol. ---
-    let mut t2 = Table::new(
-        "E3b: host-to-host address-space copy (paper: 3 s per MB)",
-        &["size KB", "measured s", "s/MB", "err vs 3.0"],
-    );
     let mut rate_points = Vec::new();
     let mut last_rate = 0.0;
     let mut metrics = vsim::MetricsReport::new();
@@ -102,22 +85,13 @@ fn main() {
             })
             .expect("copy completed");
         let secs = done.as_secs_f64();
-        let per_mb = secs * 1024.0 / kb as f64;
-        last_rate = per_mb;
-        t2.row(&[
-            kb.to_string(),
-            format!("{secs:.3}"),
-            format!("{per_mb:.3}"),
-            pct(per_mb, 3.0),
-        ]);
+        last_rate = secs * 1024.0 / kb as f64;
         rate_points.push((kb * 1024, secs));
         let mut m = vsim::MetricsReport::new();
         m.push(rig.kernel(0).metrics("src"));
         m.push(rig.kernel(1).metrics("dst"));
         metrics.absorb(m.prefixed(&format!("{kb}kb")));
     }
-    t2.print();
-
     emit(
         "exp_copy_costs",
         &Results {

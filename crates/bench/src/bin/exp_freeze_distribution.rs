@@ -5,7 +5,7 @@
 //! parser migrated at 40 random points in its execution, under mild
 //! packet loss, reporting mean / p95 / max and a histogram.
 
-use vbench::{emit, launch, Table};
+use vbench::{emit, launch};
 use vcluster::{Cluster, ClusterConfig};
 use vcore::ExecTarget;
 use vkernel::Priority;
@@ -79,30 +79,6 @@ fn main() {
     }
 
     let ms = |v: f64| v * 1e3;
-    let mut t = Table::new(
-        "E4b: freeze-time distribution (parser, 40 migration points, 0.1% loss)",
-        &["statistic", "ms"],
-    );
-    t.row(&["mean".to_string(), format!("{:.0}", ms(samples.mean()))]);
-    t.row(&[
-        "p50".to_string(),
-        format!("{:.0}", ms(samples.median().expect("non-empty"))),
-    ]);
-    t.row(&[
-        "p95".to_string(),
-        format!("{:.0}", ms(samples.percentile(95.0).expect("non-empty"))),
-    ]);
-    t.row(&[
-        "max".to_string(),
-        format!("{:.0}", ms(samples.max().expect("non-empty"))),
-    ]);
-    t.print();
-
-    let mut h = Table::new("freeze-time histogram", &["bucket", "runs"]);
-    for (label, count) in hist.rows() {
-        h.row(&[label, count.to_string()]);
-    }
-    h.print();
     println!(
         "\nEvery one of {RUNS} randomly-timed migrations froze the parser\n\
          for well under a second (the naive copy would freeze it ~2 s)."

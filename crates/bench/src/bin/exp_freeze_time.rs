@@ -11,9 +11,7 @@
 //! initialization, pre-copy rounds, freeze, residual copy, commit,
 //! rebind); the first run is also exported as a Perfetto `trace.json`.
 
-use vbench::{
-    emit_full, export_trace, launch, migration_phases, MigrationPhases, SpanSummary, Table,
-};
+use vbench::{emit_full, export_trace, launch, migration_phases, MigrationPhases, SpanSummary};
 use vcluster::ClusterConfig;
 use vcore::{ExecTarget, MigrationConfig, MigrationReport, StopPolicy, Strategy};
 use vkernel::Priority;
@@ -108,26 +106,6 @@ fn main() {
     // per-transaction ipc/serve spans underneath them.
     let base = vbench::config_u64("seed", 2000);
     let level = TraceLevel::Info;
-    let mut t = Table::new(
-        "E4: migration freeze time per program (pre-copy vs freeze-and-copy)",
-        &[
-            "program",
-            "iters",
-            "pre-copied KB",
-            "residual KB",
-            "freeze ms",
-            "kstate ms",
-            "naive freeze ms",
-            "speedup",
-        ],
-    );
-    let mut phases_table = Table::new(
-        "E4b: migration phase breakdown from spans (pre-copy runs, ms)",
-        &[
-            "program", "select", "init", "pre-copy", "freeze", "residual", "commit", "rebind",
-            "total",
-        ],
-    );
     let mut rows = Vec::new();
     let mut metrics = vsim::MetricsReport::new();
     let mut summary = SpanSummary::new();
@@ -165,27 +143,6 @@ fn main() {
         }
         let freeze_ms = pre.freeze_time.as_secs_f64() * 1e3;
         let naive_ms = naive.freeze_time.as_secs_f64() * 1e3;
-        t.row(&[
-            row.name.to_string(),
-            pre.iterations.len().to_string(),
-            (pre.precopied_bytes() / 1024).to_string(),
-            format!("{:.1}", pre.residual_bytes as f64 / 1024.0),
-            format!("{freeze_ms:.0}"),
-            format!("{:.0}", pre.kernel_state_cost.as_secs_f64() * 1e3),
-            format!("{naive_ms:.0}"),
-            format!("{:.0}x", naive_ms / freeze_ms),
-        ]);
-        phases_table.row(&[
-            row.name.to_string(),
-            format!("{:.1}", ms(ph.selection)),
-            format!("{:.1}", ms(ph.initialization)),
-            format!("{:.1} ({}r)", ms(ph.precopy), ph.precopy_rounds),
-            format!("{:.1}", ms(ph.freeze)),
-            format!("{:.1}", ms(ph.residual_copy)),
-            format!("{:.1}", ms(ph.commit)),
-            format!("{:.1}", ms(ph.rebind)),
-            format!("{:.1}", ms(ph.total)),
-        ]);
         rows.push(Row {
             program: row.name.to_string(),
             iterations: pre.iterations.len(),
@@ -203,9 +160,6 @@ fn main() {
             naive_freeze_ms: naive_ms,
         });
     }
-    t.print();
-    phases_table.print();
-    summary.table("E4c: span durations across all runs").print();
     println!(
         "\nPaper: usually 2 pre-copy iterations useful; residual 0.5-70 KB;\n\
          suspension 5-210 ms plus the kernel-state copy. Freeze-and-copy\n\

@@ -5,7 +5,7 @@
 //! Measures the editor's keystroke→echo response time on a workstation
 //! with 0, 1, and 2 guest compute jobs.
 
-use vbench::{emit, quiet_cluster, Table};
+use vbench::{emit, quiet_cluster};
 use vcore::ExecTarget;
 use vkernel::Priority;
 use vsim::SimDuration;
@@ -67,25 +67,14 @@ fn run_with_guests(guests: usize, seed: u64) -> (Row, vsim::MetricsReport) {
 }
 
 fn main() {
-    let mut t = Table::new(
-        "E10: editor keystroke->echo response vs background guest jobs",
-        &["guest jobs", "mean ms", "p95 ms", "keystrokes"],
-    );
     let seed = vbench::config_u64("seed", 50);
     let mut rows = Vec::new();
     let mut metrics = vsim::MetricsReport::new();
     for guests in 0..=2 {
         let (r, m) = run_with_guests(guests, seed + guests as u64);
         metrics.absorb(m.prefixed(&format!("guests{guests}")));
-        t.row(&[
-            r.guest_jobs.to_string(),
-            format!("{:.1}", r.mean_response_ms),
-            format!("{:.1}", r.p95_response_ms),
-            r.keystrokes.to_string(),
-        ]);
         rows.push(r);
     }
-    t.print();
     println!(
         "\nShape check (§2): response times barely move as guest jobs are\n\
          added — local programs outrank guests, so the editor's burst\n\

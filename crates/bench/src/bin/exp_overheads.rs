@@ -7,7 +7,7 @@
 //! count the operations that incur each overhead, and report the modeled
 //! totals alongside the rates.
 
-use vbench::{emit, launch, quiet_cluster, Table};
+use vbench::{emit, launch, quiet_cluster};
 use vcore::ExecTarget;
 use vkernel::Priority;
 use vsim::SimDuration;
@@ -16,6 +16,7 @@ use vworkload::profiles;
 struct Results {
     freeze_checks: u64,
     group_lookups: u64,
+    ipc_operations: u64,
     overhead_ms_total: f64,
     sim_seconds: f64,
     overhead_fraction: f64,
@@ -23,6 +24,7 @@ struct Results {
 vsim::impl_to_json!(Results {
     freeze_checks,
     group_lookups,
+    ipc_operations,
     overhead_ms_total,
     sim_seconds,
     overhead_fraction
@@ -57,29 +59,6 @@ fn main() {
         + vsim::calib::GROUP_ID_LOOKUP_OVERHEAD * group_lookups;
     let sim_secs = c.now().as_secs_f64();
 
-    let mut t = Table::new(
-        "E6: kernel-operation overheads (modeled per §4.1)",
-        &["quantity", "value"],
-    );
-    t.row(&[
-        "freeze checks (13 us each)".to_string(),
-        freeze_checks.to_string(),
-    ]);
-    t.row(&[
-        "local-group lookups (100 us each)".to_string(),
-        group_lookups.to_string(),
-    ]);
-    t.row(&["IPC operations total".to_string(), ops.to_string()]);
-    t.row(&[
-        "total overhead (ms)".to_string(),
-        format!("{:.2}", overhead.as_secs_f64() * 1e3),
-    ]);
-    t.row(&["simulated time (s)".to_string(), format!("{sim_secs:.1}")]);
-    t.row(&[
-        "overhead fraction of runtime".to_string(),
-        format!("{:.6}%", overhead.as_secs_f64() / sim_secs * 100.0),
-    ]);
-    t.print();
     println!(
         "\nPaper's point (§4.1): \"The execution time overhead of remote\n\
          execution and migration facilities on the rest of the system is\n\
@@ -92,6 +71,7 @@ fn main() {
         &Results {
             freeze_checks,
             group_lookups,
+            ipc_operations: ops,
             overhead_ms_total: overhead.as_secs_f64() * 1e3,
             sim_seconds: sim_secs,
             overhead_fraction: overhead.as_secs_f64() / sim_secs,

@@ -13,7 +13,7 @@
 //! tuned so ~0.1 MB is modified per 6 s (≈17 KB/s), and run the pre-copy
 //! engine against it.
 
-use vbench::{emit_full, export_trace, launch, quiet_cluster, SpanSummary, Table};
+use vbench::{emit_full, export_trace, launch, quiet_cluster, SpanSummary};
 use vcore::{ExecTarget, MigrationConfig, StopPolicy, Strategy};
 use vkernel::Priority;
 use vmem::{SpaceLayout, WwsParams};
@@ -74,30 +74,11 @@ fn main() {
     assert!(r.success, "{r:?}");
 
     let paper = [6.0, 0.3, 0.03];
-    let mut t = Table::new(
-        "E5: §3.1.2 worked example (2 MB host, ~17 KB/s dirty rate)",
-        &["round", "copied KB", "took s", "paper s"],
-    );
-    let mut rounds = Vec::new();
-    for (i, it) in r.iterations.iter().enumerate() {
-        t.row(&[
-            format!("{}", i + 1),
-            (it.bytes / 1024).to_string(),
-            format!("{:.3}", it.duration.as_secs_f64()),
-            paper
-                .get(i)
-                .map(|p| format!("{p:.2}"))
-                .unwrap_or_else(|| "-".into()),
-        ]);
-        rounds.push((it.bytes, it.duration.as_secs_f64()));
-    }
-    t.row(&[
-        "final (frozen)".to_string(),
-        (r.residual_bytes / 1024).to_string(),
-        format!("{:.3}", r.freeze_time.as_secs_f64()),
-        "~0.03".to_string(),
-    ]);
-    t.print();
+    let rounds: Vec<(u64, f64)> = r
+        .iterations
+        .iter()
+        .map(|it| (it.bytes, it.duration.as_secs_f64()))
+        .collect();
     println!(
         "\nFreeze time {:.0} ms (+{:.0} ms kernel-state copy) instead of ~6 s.",
         r.freeze_time.as_secs_f64() * 1e3 - r.kernel_state_cost.as_secs_f64() * 1e3,
@@ -107,7 +88,6 @@ fn main() {
     let tree = c.span_tree();
     let mut summary = SpanSummary::new();
     summary.absorb_tree(&tree);
-    summary.table("Phase spans of the worked example").print();
     export_trace("exp_precopy_example", &tree);
 
     emit_full(

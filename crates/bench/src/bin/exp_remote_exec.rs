@@ -8,7 +8,7 @@
 //! This binary measures all three on the simulated cluster and sweeps the
 //! image size to show the 330 ms / 100 KB slope.
 
-use vbench::{emit, ms, pct, quiet_cluster, Table};
+use vbench::{emit, quiet_cluster};
 use vcore::ExecTarget;
 use vkernel::Priority;
 use vmem::{SpaceLayout, WwsParams};
@@ -120,38 +120,6 @@ fn main() {
     let destroy_ms = vsim::calib::PM_DESTROY_ENVIRONMENT.as_secs_f64() * 1e3;
     let setup_destroy = intercept + destroy_ms;
 
-    let mut t = Table::new(
-        "E2: remote execution costs (paper §4.1 vs measured)",
-        &["quantity", "paper", "measured", "err"],
-    );
-    t.row(&[
-        "host selection (ms)".to_string(),
-        "23.0".into(),
-        format!("{:.1}", selection.mean()),
-        pct(selection.mean(), 23.0),
-    ]);
-    t.row(&[
-        "env setup + destroy (ms)".to_string(),
-        "40.0".into(),
-        format!("{setup_destroy:.1}"),
-        pct(setup_destroy, 40.0),
-    ]);
-    t.row(&[
-        "program load (ms / 100 KB)".to_string(),
-        "330.0".into(),
-        format!("{load_per_100kb:.1}"),
-        pct(load_per_100kb, 330.0),
-    ]);
-    t.print();
-
-    let mut t2 = Table::new(
-        "E2a: creation time vs image size (load slope)",
-        &["image KB", "creation ms"],
-    );
-    for (kb, cms) in &load_points {
-        t2.row(&[kb.to_string(), format!("{cms:.1}")]);
-    }
-    t2.print();
     println!("\n(creation = env setup intercept {intercept:.1} ms + load slope {slope:.3} ms/KB)");
 
     emit(
@@ -167,5 +135,4 @@ fn main() {
         },
         &metrics,
     );
-    let _ = ms(SimDuration::ZERO);
 }

@@ -6,7 +6,7 @@
 //! accounting for this reproduction: source lines of the migration-only
 //! modules versus the rest.
 
-use vbench::{emit, Table};
+use vbench::emit;
 
 struct Results {
     migration_loc: usize,
@@ -21,17 +21,19 @@ vsim::impl_to_json!(Results {
     migration_fraction
 });
 
+/// Non-blank, non-comment lines of `path`; exits with code 1, naming
+/// the file, when it cannot be read — a missing file is not 0 lines.
 fn count_loc(path: &str) -> usize {
-    std::fs::read_to_string(path)
-        .map(|s| {
-            s.lines()
-                .filter(|l| {
-                    let t = l.trim();
-                    !t.is_empty() && !t.starts_with("//")
-                })
-                .count()
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("exp_space_cost: cannot read {path}: {e}");
+        std::process::exit(1)
+    });
+    text.lines()
+        .filter(|l| {
+            let t = l.trim();
+            !t.is_empty() && !t.starts_with("//")
         })
-        .unwrap_or(0)
+        .count()
 }
 
 fn main() {
@@ -75,21 +77,6 @@ fn main() {
         .map(|f| count_loc(&format!("{root}/{f}")))
         .sum();
 
-    let mut t = Table::new(
-        "E11: space cost of migration (paper: +8 KB kernel, +4 KB PM)",
-        &["component", "LoC"],
-    );
-    t.row(&["migration-only modules".to_string(), mig.to_string()]);
-    t.row(&[
-        "kernel (IPC, binding, freeze)".to_string(),
-        kern.to_string(),
-    ]);
-    t.row(&["services (PM, FS, display)".to_string(), svc.to_string()]);
-    t.row(&[
-        "migration fraction".to_string(),
-        format!("{:.1}%", mig as f64 / (mig + kern + svc) as f64 * 100.0),
-    ]);
-    t.print();
     println!(
         "\nThe paper's 8 KB + 4 KB against a kernel of tens of KB is the\n\
          same shape: migration is a modest add-on to a kernel whose IPC\n\

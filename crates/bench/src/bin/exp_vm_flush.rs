@@ -11,7 +11,7 @@
 //! on the source path, total network bytes (including the later demand
 //! fetch), and time to evacuate the source.
 
-use vbench::{emit, launch, Table};
+use vbench::{emit, launch};
 use vcluster::{Cluster, ClusterConfig};
 use vcore::{ExecTarget, MigrationConfig, MigrationReport, StopPolicy, Strategy};
 use vkernel::Priority;
@@ -91,39 +91,18 @@ fn main() {
         }
     };
 
-    let mut t = Table::new(
-        "E8: direct pre-copy vs VM-flush (§3.2) — ~1 MB simulation job",
-        &[
-            "strategy",
-            "source-path KB",
-            "network total KB",
-            "fetched-back KB",
-            "evacuation s",
-            "freeze ms",
-        ],
-    );
     let mut rows = Vec::new();
     for r in [&pre, &vm] {
         let source_kb = (r.precopied_bytes() + r.residual_bytes) / 1024;
-        let evac = r.total_time.as_secs_f64();
-        t.row(&[
-            r.strategy.to_string(),
-            source_kb.to_string(),
-            (r.network_bytes / 1024).to_string(),
-            (fetched_of(r.strategy) / 1024).to_string(),
-            format!("{evac:.2}"),
-            format!("{:.0}", r.freeze_time.as_secs_f64() * 1e3),
-        ]);
         rows.push(Row {
             strategy: r.strategy,
             source_path_kb: source_kb,
             total_network_kb: r.network_bytes / 1024,
             double_copied_kb: fetched_of(r.strategy) / 1024,
-            evacuation_secs: evac,
+            evacuation_secs: r.total_time.as_secs_f64(),
             freeze_ms: r.freeze_time.as_secs_f64() * 1e3,
         });
     }
-    t.print();
     println!(
         "\nShape check (§3.2): VM-flush moves far less on the source path\n\
          (only written pages; code and initialized data reload from the\n\

@@ -3,9 +3,9 @@
 //! For each of the paper's eight programs, runs the fitted workload on a
 //! workstation and measures the unique KB dirtied in windows of 0.2 s, 1 s
 //! and 3 s by clearing and re-reading the MMU dirty bits — the same
-//! measurement the paper made. Prints paper-vs-measured per cell.
+//! measurement the paper made. Reports paper-vs-measured per cell.
 
-use vbench::{emit, f1, launch, measure_dirty_windows, pct, quiet_cluster, Table};
+use vbench::{emit, launch, measure_dirty_windows, quiet_cluster};
 use vcore::ExecTarget;
 use vkernel::Priority;
 use vsim::{Json, SimDuration, ToJson};
@@ -18,21 +18,6 @@ fn main() {
     // Enough windows that sub-page programs (make) average sensibly.
     let reps = [60usize, 30, 15];
 
-    let mut table = Table::new(
-        "Table 4-1: dirty page generation (KB) — paper vs measured",
-        &[
-            "program",
-            "0.2s paper",
-            "0.2s meas",
-            "err",
-            "1s paper",
-            "1s meas",
-            "err",
-            "3s paper",
-            "3s meas",
-            "err",
-        ],
-    );
     let mut rows = Vec::new();
     let mut metrics = vsim::MetricsReport::new();
 
@@ -55,18 +40,6 @@ fn main() {
             measured[wi] = s.mean();
             metrics.absorb(c.metrics_report().prefixed(&format!("{}/{w}s", r.name)));
         }
-        table.row(&[
-            r.name.to_string(),
-            f1(paper[0]),
-            f1(measured[0]),
-            pct(measured[0], paper[0]),
-            f1(paper[1]),
-            f1(measured[1]),
-            pct(measured[1], paper[1]),
-            f1(paper[2]),
-            f1(measured[2]),
-            pct(measured[2], paper[2]),
-        ]);
         // Flat row — one column pair per window — so the doc generator
         // renders the artifact table directly.
         rows.push(Json::obj(vec![
@@ -79,7 +52,6 @@ fn main() {
             ("meas 3s", measured[2].to_json()),
         ]));
     }
-    table.print();
     println!(
         "\nNote: the 'linking loader' row is non-monotone in the paper\n\
          (39.2 KB @1s vs 37.8 KB @3s — measurement noise); the fitted\n\

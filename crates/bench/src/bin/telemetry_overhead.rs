@@ -28,9 +28,9 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use vbench::{emit_full, Extras, Table};
+use vbench::{emit_full, Extras};
 use vsim::{
-    DetRng, Engine, SamplingSpec, SeriesId, SeriesReport, SeriesStore, SimDuration, SimTime,
+    DetRng, Engine, Json, SamplingSpec, SeriesId, SeriesReport, SeriesStore, SimDuration, SimTime,
     Subsystem, ToJson, Trace, TraceEvent, TraceLevel, TraceSinkSpec,
 };
 
@@ -161,10 +161,6 @@ fn main() {
     let mut metrics = vsim::MetricsReport::new();
     let mut best_rate: BTreeMap<String, f64> = BTreeMap::new();
     let mut sample_series: Option<SeriesReport> = None;
-    let mut t = Table::new(
-        "P2: telemetry overhead — deterministic per-cell event totals",
-        &["cell", "hosts", "events", "sim s", "sweeps"],
-    );
     let mut best: Vec<Option<CellOut>> = cells.iter().map(|_| None).collect();
     let mut first_series: Vec<Option<String>> = vec![None; cells.len()];
     for _ in 0..REPS {
@@ -188,24 +184,18 @@ fn main() {
             }
         }
     }
-    println!("cell            events    best wall s   best ev/wall-s  (of {REPS} rounds)");
+    let mut wall_rows = Vec::new();
     for ((name, _), out) in cells.iter().zip(best) {
         let out = out.expect("REPS >= 1");
         let rate = out.events as f64 / out.wall_secs;
         best_rate.insert((*name).to_string(), rate);
-        println!(
-            "{name:<14} {events:>9}  {wall:>11.3}  {rate:>14.0}",
-            events = out.events,
-            wall = out.wall_secs,
-        );
+        wall_rows.push(Json::obj([
+            ("cell", name.to_json()),
+            ("events", out.events.to_json()),
+            ("best_wall_s", out.wall_secs.to_json()),
+            ("best_events_per_wall_s", rate.to_json()),
+        ]));
         let sim_secs = sim_us as f64 / 1e6;
-        t.row(&[
-            (*name).to_string(),
-            HOSTS.to_string(),
-            out.events.to_string(),
-            format!("{sim_secs:.1}"),
-            out.sweeps.to_string(),
-        ]);
         rows.push(Row {
             cell: (*name).to_string(),
             hosts: HOSTS,
@@ -218,7 +208,11 @@ fn main() {
             sample_series = Some(series);
         }
     }
-    t.print();
+    vbench::print_table(
+        &format!("wall time, best of {REPS} rounds"),
+        &Json::Arr(wall_rows),
+        3,
+    );
 
     let base = best_rate["base"];
     let ratio = |cell: &str| (base - best_rate[cell]) / base;

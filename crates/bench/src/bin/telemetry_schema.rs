@@ -10,7 +10,7 @@
 //! as the documented schema, so `vrun docs --check` fails when a name is
 //! added, renamed or dropped without the documentation following.
 
-use vbench::{emit, Table};
+use vbench::emit;
 use vcluster::{Cluster, ClusterConfig};
 use vsim::Subsystem;
 
@@ -58,23 +58,15 @@ fn main() {
     }
     unique.sort_by_key(|&(subsystem, ..)| subsystem); // stable
 
-    let mut t = Table::new(
-        "Telemetry schema (one-workstation cluster, not run)",
-        &["subsystem", "kind", "name", "unit"],
-    );
     let rows: Vec<Row> = unique
         .into_iter()
-        .map(|(subsystem, kind, name, unit)| {
-            t.row(&[subsystem.label(), kind, name, unit]);
-            Row {
-                subsystem: subsystem.label(),
-                kind,
-                name,
-                unit,
-            }
+        .map(|(subsystem, kind, name, unit)| Row {
+            subsystem: subsystem.label(),
+            kind,
+            name,
+            unit,
         })
         .collect();
-    t.print();
     // Nothing runs, so the metrics report is empty.
     emit("telemetry_schema", &rows, &vsim::MetricsReport::new());
 }

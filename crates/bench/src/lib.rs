@@ -1,16 +1,16 @@
 //! `vbench` — the experiment harness.
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index); this library holds what they share: table rendering, standard
-//! cluster setups, dirty-window measurement, and JSON result emission so
-//! EXPERIMENTS.md can be regenerated and diffed.
+//! index); this library holds what they share: standard cluster setups,
+//! dirty-window measurement, and JSON result emission — each binary
+//! prints the `table` it writes, so EXPERIMENTS.md can be regenerated
+//! and diffed.
 
 pub mod hostclock;
 pub mod regress;
 pub mod spans;
 
-use std::fmt::Display;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -27,90 +27,6 @@ use vworkload::ProgramProfile;
 
 pub use hostclock::WallClock;
 pub use spans::{export_trace, migration_phases, perfetto_json, MigrationPhases, SpanSummary};
-
-/// A plain-text table, printed in the style of the paper's tables.
-pub struct Table {
-    title: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
-        Table {
-            title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (stringifying each cell).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` does not have one entry per header column.
-    pub fn row<D: Display>(&mut self, cells: &[D]) {
-        assert_eq!(cells.len(), self.header.len(), "column count mismatch");
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
-    /// Renders the table.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for r in &self.rows {
-            for (i, c) in r.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&format!("\n== {} ==\n", self.title));
-        let fmt_row = |cells: &[String]| -> String {
-            let mut line = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                if i == 0 {
-                    line.push_str(&format!("{:<w$}", c, w = widths[i]));
-                } else {
-                    line.push_str(&format!("  {:>w$}", c, w = widths[i]));
-                }
-            }
-            line.push('\n');
-            line
-        };
-        out.push_str(&fmt_row(&self.header));
-        let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-        out.push_str(&format!("{}\n", "-".repeat(total)));
-        for r in &self.rows {
-            out.push_str(&fmt_row(r));
-        }
-        out
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// Formats a fractional value with one decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-/// Formats a duration in milliseconds with one decimal.
-pub fn ms(d: SimDuration) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e3)
-}
-
-/// Formats a relative error as a percentage.
-pub fn pct(measured: f64, reference: f64) -> String {
-    if reference == 0.0 {
-        "-".to_string()
-    } else {
-        format!("{:+.1}%", (measured - reference) / reference * 100.0)
-    }
-}
 
 /// The uniform command-line contract every bench binary supports —
 /// `--config <path.json>` (cell parameters, e.g. a seed override) and
@@ -327,9 +243,9 @@ pub fn artifact_dir() -> std::path::PathBuf {
         .into()
 }
 
-/// Writes one experiment's machine-readable artifact beside its printed
-/// table: `<dir>/<name>.json` holding the table rows and a
-/// [`MetricsReport`] snapshot of every instrumented component.
+/// Writes one experiment's machine-readable artifact,
+/// `<dir>/<name>.json`, holding the table rows and a [`MetricsReport`]
+/// snapshot of every instrumented component, and prints its `table`.
 pub fn emit(name: &str, rows: &impl ToJson, metrics: &MetricsReport) {
     emit_full(name, rows, metrics, Extras::default());
 }
@@ -360,7 +276,8 @@ impl<'a> Extras<'a> {
     }
 }
 
-/// Like [`emit`], plus the optional [`Extras`] sections.
+/// Like [`emit`], plus the optional [`Extras`] sections; a `spans`
+/// section is printed after the `table`.
 ///
 /// Besides the deterministic `experiment` / `table` / `metrics` sections
 /// (and the equally deterministic `series` / `profile` extras when the
@@ -386,14 +303,18 @@ pub fn emit_full(name: &str, rows: &impl ToJson, metrics: &MetricsReport, extras
     ];
     run_fields.extend(extras.run_extra);
     let run = Json::obj(run_fields);
+    let table = rows.to_json();
+    print_table(name, &table, PRINT_PREC);
     let mut fields = vec![
         ("experiment", name.to_json()),
-        ("table", rows.to_json()),
+        ("table", table),
         ("metrics", metrics.to_json()),
         ("run", run),
     ];
     if let Some(s) = extras.spans {
-        fields.push(("spans", s.to_json()));
+        let spans = s.to_json();
+        print_table(&format!("{name} spans"), &spans, PRINT_PREC);
+        fields.push(("spans", spans));
     }
     if let Some(s) = extras.series {
         fields.push(("series", s.to_json()));
@@ -406,39 +327,45 @@ pub fn emit_full(name: &str, rows: &impl ToJson, metrics: &MetricsReport, extras
         Some(p) => p.clone(),
         None => artifact_dir().join(format!("{name}.json")),
     };
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
+    write_or_exit(&path, &artifact.pretty());
+    println!("[metrics: {}]", path.display());
+}
+
+/// Decimals of the printed tables: enough that small fractions stay
+/// visible (trailing zeros are trimmed).
+const PRINT_PREC: usize = 6;
+
+/// Prints `table` under a `== title ==` heading through the one table
+/// writer, [`vsim::table::render`], with floats at `prec` decimals. A
+/// table the writer rejects is reported on stderr instead.
+pub fn print_table(title: &str, table: &Json, prec: usize) {
+    match vsim::table::render(table, None, prec) {
+        Ok(text) => print!("\n== {title} ==\n\n{text}"),
+        Err(e) => eprintln!("vbench: cannot print {title}: {e}"),
     }
-    if let Err(e) = std::fs::write(&path, artifact.pretty()) {
-        eprintln!("vbench: could not write {}: {e}", path.display());
-    } else {
-        println!("[metrics: {}]", path.display());
+}
+
+/// Writes `text` to `path`, creating its directory; exits with code 1,
+/// naming the path, when either fails — a bench run whose output is lost
+/// must not pass.
+pub(crate) fn write_or_exit(path: &Path, text: &str) {
+    let fail = |what: &Path, e: std::io::Error| -> ! {
+        eprintln!("vbench: could not write {}: {e}", what.display());
+        std::process::exit(1)
+    };
+    if let Some(parent) = path.parent() {
+        if let Err(e) = std::fs::create_dir_all(parent) {
+            fail(parent, e);
+        }
+    }
+    if let Err(e) = std::fs::write(path, text) {
+        fail(path, e);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new("Demo", &["name", "value"]);
-        t.row(&["alpha", "1"]);
-        t.row(&["b", "22"]);
-        let s = t.render();
-        assert!(s.contains("== Demo =="));
-        assert!(s.contains("alpha"));
-        let lines: Vec<&str> = s.lines().filter(|l| !l.is_empty()).collect();
-        // Title, header, separator, two rows.
-        assert_eq!(lines.len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "column count mismatch")]
-    fn table_rejects_ragged_rows() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(&["only-one"]);
-    }
 
     #[test]
     fn config_values_are_typed() {
@@ -468,14 +395,6 @@ mod tests {
             s("seed"),
             Err("--config key \"seed\" must be a string, got 42".to_string())
         );
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(f1(1.25), "1.2");
-        assert_eq!(ms(SimDuration::from_micros(23_000)), "23.0");
-        assert_eq!(pct(110.0, 100.0), "+10.0%");
-        assert_eq!(pct(1.0, 0.0), "-");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! `exp_freeze_time`.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use vsim::{chrome, Json, Samples, SimDuration, SpanId, SpanTree, ToJson};
 
@@ -69,26 +68,14 @@ pub fn perfetto_json(tree: &SpanTree) -> Json {
 }
 
 /// Writes the Perfetto rendering of `tree` to
-/// `<artifact_dir>/<name>_trace.json` and returns the path (or `None` on
-/// an I/O error, reported on stderr).
-pub fn export_trace(name: &str, tree: &SpanTree) -> Option<PathBuf> {
+/// `<artifact_dir>/<name>_trace.json`, exiting with code 1 when it cannot.
+pub fn export_trace(name: &str, tree: &SpanTree) {
     let path = crate::artifact_dir().join(format!("{name}_trace.json"));
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&path, perfetto_json(tree).pretty()) {
-        Ok(()) => {
-            println!(
-                "[trace: {} — load at https://ui.perfetto.dev]",
-                path.display()
-            );
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("vbench: could not write {}: {e}", path.display());
-            None
-        }
-    }
+    crate::write_or_exit(&path, &perfetto_json(tree).pretty());
+    println!(
+        "[trace: {} — load at https://ui.perfetto.dev]",
+        path.display()
+    );
 }
 
 /// Per-span-name duration statistics accumulated over one or more runs,
@@ -147,21 +134,6 @@ impl SpanSummary {
             ])
         }))
     }
-
-    /// Renders the summary as a printable table.
-    pub fn table(&self, title: &str) -> crate::Table {
-        let mut t = crate::Table::new(title, &["span", "count", "p50 ms", "p95 ms", "p99 ms"]);
-        for (name, count, p50, p95, p99) in self.rows() {
-            t.row(&[
-                name.to_string(),
-                count.to_string(),
-                format!("{p50:.1}"),
-                format!("{p95:.1}"),
-                format!("{p99:.1}"),
-            ]);
-        }
-        t
-    }
 }
 
 /// The phase breakdown of one migration, read off its span tree.
@@ -180,8 +152,6 @@ pub struct MigrationPhases {
     pub initialization: SimDuration,
     /// All unfrozen pre-copy rounds combined.
     pub precopy: SimDuration,
-    /// Number of pre-copy round spans.
-    pub precopy_rounds: usize,
     /// The frozen window (residual copy + commit + rebind).
     pub freeze: SimDuration,
     /// Residual dirty-page copy while frozen.
@@ -225,10 +195,6 @@ pub fn migration_phases(tree: &SpanTree) -> Vec<MigrationPhases> {
                 _ => {}
             }
         }
-        p.precopy_rounds = tree
-            .children(root.id)
-            .filter(|c| c.name == "precopy_round")
-            .count();
         for freeze in tree.children(root.id).filter(|c| c.name == "freeze") {
             for (name, d) in tree.breakdown(freeze.id) {
                 match name {

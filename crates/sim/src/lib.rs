@@ -6,8 +6,8 @@
 //! structured observability layer (typed [`Trace`] events, causal
 //! [`span`]s reconstructed into a [`SpanTree`], and the [`metrics`] report
 //! types), a dependency-free [`json`] serializer/parser for
-//! machine-readable experiment artifacts and the [`chrome`] trace
-//! document builder, and the calibration constants
+//! machine-readable experiment artifacts, the [`chrome`] trace
+//! document builder and the [`table`] writer, and the calibration constants
 //! derived from the paper's §4.1 measurements ([`calib`]).
 //!
 //! Everything above this crate is a sans-IO state machine: components react
@@ -30,6 +30,7 @@ mod profile;
 mod rng;
 pub mod span;
 mod stats;
+pub mod table;
 mod time;
 pub mod timeseries;
 mod trace;

@@ -11,7 +11,7 @@
 //! output: the cluster runtime merges the per-component snapshots
 //! (engine, wire, per-station kernels, migrators) into one report with
 //! scope labels, and every bench binary writes that report beside its
-//! printed table.
+//! `table` in its artifact.
 //!
 //! # Examples
 //!
@@ -190,7 +190,7 @@ impl ScopeMetrics {
 /// A machine-readable snapshot of every component's metrics in a run.
 ///
 /// Serializes to JSON via [`ToJson`]; bench binaries write one of these
-/// next to each printed table.
+/// next to each artifact `table`.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsReport {
     /// One entry per component scope.

@@ -11,11 +11,12 @@
 //! <!-- vrun:end -->
 //! ```
 //!
-//! Everything between the two markers is replaced by a markdown table
-//! rendered from the named artifact's `table` section; all other text is
-//! left byte-for-byte untouched. Marker options: `prec=N` — decimal
-//! places for floats (trailing zeros trimmed; default 3); `cols=a,b,c` —
-//! column subset and order (default: every key, artifact order). The
+//! Everything between the two markers is replaced by the named
+//! artifact's `table` section as rendered by [`vsim::table::render`]; all
+//! other text is left byte-for-byte untouched. Marker options: `prec=N`
+//! — decimal places for floats (trailing zeros trimmed; default 3);
+//! `cols=a,b,c` — column subset and order (default: every key, artifact
+//! order; a column the table lacks is an error). The
 //! `table` section is deterministic (wall-clock data lives in the
 //! separate `run` section), so regeneration is byte-stable: CI can
 //! assert `vrun docs --check` cleanly. A line that starts like a marker
@@ -100,7 +101,7 @@ pub fn regenerate(text: &str, results_dir: &Path) -> Result<(String, Vec<BlockRe
             i + 1,
             artifact_path.display()
         ))?;
-        let new = render_table(table, &marker)
+        let new = vsim::table::render(table, marker.cols.as_deref(), marker.prec)
             .map_err(|e| format!("line {}: {}: {e}", i + 1, artifact_path.display()))?;
         reports.push(BlockReport {
             experiment: marker.experiment.clone(),
@@ -190,90 +191,6 @@ fn parse_marker(line: &str) -> Result<Option<Marker>, String> {
     Ok(Some(marker))
 }
 
-/// Renders an artifact `table` section as a markdown table.
-fn render_table(table: &Json, marker: &Marker) -> Result<String, String> {
-    match table {
-        Json::Arr(rows) => {
-            let first = rows
-                .first()
-                .ok_or("`table` is an empty array".to_string())?;
-            let Json::Obj(pairs) = first else {
-                return Err("`table` rows are not objects".to_string());
-            };
-            let cols: Vec<String> = match &marker.cols {
-                Some(cols) => cols.clone(),
-                None => pairs.iter().map(|(k, _)| k.clone()).collect(),
-            };
-            let mut out = header(&cols);
-            for row in rows {
-                let cells: Vec<String> = cols
-                    .iter()
-                    .map(|c| row.get(c).map_or(String::new(), |v| fmt(v, marker.prec)))
-                    .collect();
-                out.push_str(&format!("| {} |\n", cells.join(" | ")));
-            }
-            Ok(out)
-        }
-        Json::Obj(pairs) => {
-            let cols: Vec<String> = match &marker.cols {
-                Some(cols) => cols.clone(),
-                None => pairs.iter().map(|(k, _)| k.clone()).collect(),
-            };
-            let mut out = header(&["quantity".to_string(), "value".to_string()]);
-            for c in &cols {
-                let v = table.get(c).map_or(String::new(), |v| fmt(v, marker.prec));
-                out.push_str(&format!("| {c} | {v} |\n"));
-            }
-            Ok(out)
-        }
-        _ => Err("`table` is neither an array nor an object".to_string()),
-    }
-}
-
-fn header(cols: &[String]) -> String {
-    let mut out = format!("| {} |\n", cols.join(" | "));
-    out.push_str(&format!("|{}\n", "---|".repeat(cols.len())));
-    out
-}
-
-/// Deterministic cell formatting: floats at `prec` decimals with
-/// trailing zeros trimmed, booleans as yes/no, arrays and objects
-/// inline.
-fn fmt(v: &Json, prec: usize) -> String {
-    match v {
-        Json::Null => String::new(),
-        Json::Bool(true) => "yes".to_string(),
-        Json::Bool(false) => "no".to_string(),
-        Json::Int(i) => i.to_string(),
-        Json::UInt(u) => u.to_string(),
-        Json::Num(x) => {
-            let s = format!("{x:.prec$}");
-            if s.contains('.') {
-                let s = s.trim_end_matches('0').trim_end_matches('.');
-                if s.is_empty() || s == "-" {
-                    "0".to_string()
-                } else {
-                    s.to_string()
-                }
-            } else {
-                s
-            }
-        }
-        Json::Str(s) => s.clone(),
-        Json::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(|i| fmt(i, prec)).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        Json::Obj(pairs) => {
-            let inner: Vec<String> = pairs
-                .iter()
-                .map(|(k, v)| format!("{k}: {}", fmt(v, prec)))
-                .collect();
-            format!("{{{}}}", inner.join(", "))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,6 +269,10 @@ mod tests {
         let err = regenerate(missing, &dir).unwrap_err();
         assert!(err.contains("ghost.json"), "{err}");
         assert!(err.contains("run the sweep first"), "{err}");
+        let typo = "intro\n<!-- vrun:table e cols=ms,nope -->\n<!-- vrun:end -->\n";
+        let err = regenerate(typo, &dir).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        assert!(err.contains("`nope`"), "{err}");
     }
 
     #[test]

@@ -69,66 +69,6 @@ pub fn num_u64(j: &Json) -> Option<u64> {
     }
 }
 
-/// A minimal fixed-width table printer (vtrace cannot depend on
-/// `vbench`'s — layering keeps bench-only code out of the tools).
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// A table with the given column headers.
-    #[must_use]
-    pub fn new(header: &[&str]) -> Table {
-        Table {
-            header: header.iter().map(ToString::to_string).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one row; short rows are padded with empty cells.
-    pub fn row(&mut self, cells: Vec<String>) {
-        self.rows.push(cells);
-    }
-
-    /// Renders the table with right-padded columns.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut width = vec![0usize; cols];
-        let all = std::iter::once(&self.header).chain(self.rows.iter());
-        for r in all {
-            for (i, c) in r.iter().take(cols).enumerate() {
-                width[i] = width[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let line = |out: &mut String, cells: &[String]| {
-            let mut first = true;
-            for (i, c) in cells.iter().take(cols).enumerate() {
-                if !first {
-                    out.push_str("  ");
-                }
-                first = false;
-                out.push_str(c);
-                if i + 1 < cols {
-                    for _ in c.len()..width[i] {
-                        out.push(' ');
-                    }
-                }
-            }
-            out.push('\n');
-        };
-        line(&mut out, &self.header);
-        let rule: Vec<String> = width.iter().map(|w| "-".repeat(*w)).collect();
-        line(&mut out, &rule);
-        for r in &self.rows {
-            line(&mut out, r);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,16 +85,5 @@ mod tests {
         assert!(!w.contains(20));
         assert!(Window::default().is_open());
         assert!(Window::default().contains(u64::MAX));
-    }
-
-    #[test]
-    fn table_pads_columns() {
-        let mut t = Table::new(&["a", "long"]);
-        t.row(vec!["xxx".into(), "1".into()]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines[0], "a    long");
-        assert_eq!(lines[1], "---  ----");
-        assert_eq!(lines[2], "xxx  1");
     }
 }

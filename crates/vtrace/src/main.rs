@@ -8,16 +8,18 @@
 //! vtrace export    <artifact.json> [--spans TRACE.json] [--from US] [--to US] [--out FILE]
 //! ```
 //!
-//! `top` and `aggregate` print tables; `filter` and `export` print JSON
+//! `top` and `aggregate` print markdown tables (through
+//! [`vsim::table`]); `filter` and `export` print JSON
 //! (or write `--out`). All times are simulated microseconds. Exit
-//! codes: 0 success; 1 the document lacks the queried section; 2 usage.
+//! codes: 0 success; 1 the document lacks the queried section, or a
+//! table query matched no rows; 2 usage.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vsim::Json;
+use vsim::{Json, ToJson};
 use vtrace::query::{self, FilterSpec};
-use vtrace::{export, load, Table, Window};
+use vtrace::{export, load, Window};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -168,19 +170,23 @@ fn cmd_top(rest: &[&str]) -> Result<(), CmdError> {
     };
     let doc = read(&f.one_path()?)?;
     let rows = query::top(&doc, by_subsystem, f.limit.unwrap_or(10)).map_err(Data)?;
-    let head = if by_subsystem { "subsystem" } else { "kind" };
-    let mut t = Table::new(&[head, "subsystem", "dispatches", "wall ms", "share %"]);
-    for r in &rows {
-        t.row(vec![
-            r.name.clone(),
-            r.subsystem.clone(),
-            r.dispatches.to_string(),
-            format!("{:.3}", r.wall_ns as f64 / 1e6),
-            format!("{:.1}", r.share_pct),
+    let rows = rows.iter().map(|r| {
+        // Rolled up by subsystem, the name column already is the subsystem.
+        let mut row = vec![(
+            if by_subsystem { "subsystem" } else { "kind" },
+            r.name.to_json(),
+        )];
+        if !by_subsystem {
+            row.push(("subsystem", r.subsystem.to_json()));
+        }
+        row.extend([
+            ("dispatches", r.dispatches.to_json()),
+            ("wall_ms", (r.wall_ns as f64 / 1e6).to_json()),
+            ("share_pct", r.share_pct.to_json()),
         ]);
-    }
-    print!("{}", t.render());
-    Ok(())
+        Json::obj(row)
+    });
+    print_table(rows.collect(), 3)
 }
 
 fn cmd_aggregate(rest: &[&str]) -> Result<(), CmdError> {
@@ -188,21 +194,28 @@ fn cmd_aggregate(rest: &[&str]) -> Result<(), CmdError> {
     let doc = read(&f.one_path()?)?;
     let rows =
         query::aggregate(&doc, f.series.as_deref(), f.window, f.time_window()).map_err(Data)?;
-    let mut t = Table::new(&[
-        "series", "start_us", "points", "rate /s", "p50", "p95", "p99",
-    ]);
-    for r in &rows {
-        t.row(vec![
-            r.series.clone(),
-            r.start_us.to_string(),
-            r.count.to_string(),
-            format!("{:.1}", r.rate_per_sec),
-            format!("{:.1}", r.p50),
-            format!("{:.1}", r.p95),
-            format!("{:.1}", r.p99),
-        ]);
+    let rows = rows.iter().map(|r| {
+        Json::obj([
+            ("series", r.series.to_json()),
+            ("start_us", r.start_us.to_json()),
+            ("points", r.count.to_json()),
+            ("rate_per_s", r.rate_per_sec.to_json()),
+            ("p50", r.p50.to_json()),
+            ("p95", r.p95.to_json()),
+            ("p99", r.p99.to_json()),
+        ])
+    });
+    print_table(rows.collect(), 1)
+}
+
+/// Prints query rows through the workspace's one table writer; no rows
+/// is a data error.
+fn print_table(rows: Vec<Json>, prec: usize) -> Result<(), CmdError> {
+    if rows.is_empty() {
+        return Err(DataE(Data("the query matched no rows".to_string())));
     }
-    print!("{}", t.render());
+    let text = vsim::table::render(&Json::Arr(rows), None, prec).map_err(|e| DataE(Data(e)))?;
+    print!("{text}");
     Ok(())
 }
 
