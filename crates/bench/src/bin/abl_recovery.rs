@@ -14,7 +14,7 @@
 //!   stale copy's first renewal is refused and the orphan destroyed).
 //!
 //! One row per plan × latency, with p50/p99 across the seed sweep. The
-//! `plan` axis is also sweepable from `sweeps/recovery.toml`; run without
+//! `plan` axis is also sweepable from `sweeps/recovery.json`; run without
 //! a `--config` plan, the binary covers every named plan itself.
 
 use vcluster::{Cluster, ClusterConfig};

@@ -1,5 +1,6 @@
 //! The bench binaries' command-line contract: stdout carries the table
-//! the artifact holds, and a run whose output or input is lost exits 1.
+//! the artifact holds, a run whose output or input is lost exits 1, and
+//! a malformed `--config` exits 2.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -8,7 +9,7 @@ use vsim::Json;
 
 /// A fresh scratch directory for one test.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vbench-bins-{tag}"));
+    let dir = std::env::temp_dir().join(format!("vbench-bins-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -72,5 +73,23 @@ fn an_unreadable_source_file_exits_1_naming_it() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("migration.rs"), "{stderr}");
+    assert!(!dir.join("artifact.json").exists());
+}
+
+#[test]
+fn a_config_with_a_repeated_key_exits_2_naming_it() {
+    let dir = scratch("dup-config");
+    let config = dir.join("dup.json");
+    std::fs::write(&config, r#"{"seed": 1, "seed": 2}"#).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_telemetry_schema"))
+        .arg("--config")
+        .arg(&config)
+        .arg("--out")
+        .arg(dir.join("artifact.json"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("duplicate key \"seed\""), "{stderr}");
     assert!(!dir.join("artifact.json").exists());
 }

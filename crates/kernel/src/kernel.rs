@@ -324,8 +324,10 @@ impl<X> MigrationRecord<X> {
     /// The paper's cost for copying this state: 14 ms + 9 ms per process
     /// and address space.
     pub fn copy_cost(&self) -> SimDuration {
-        calib::KERNEL_STATE_COPY_BASE
-            + calib::KERNEL_STATE_COPY_PER_OBJECT * self.desc.object_count()
+        calib::kernel_state_copy_time(
+            self.desc.processes.len() as u64,
+            self.desc.spaces.len() as u64,
+        )
     }
 }
 

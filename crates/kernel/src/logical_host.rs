@@ -64,14 +64,6 @@ pub struct LhDescriptor {
     pub next_send_seq: u64,
 }
 
-impl LhDescriptor {
-    /// Number of kernel objects (processes + address spaces), the paper's
-    /// unit for the 9 ms-per-object state-copy cost.
-    pub fn object_count(&self) -> u64 {
-        (self.processes.len() + self.spaces.len()) as u64
-    }
-}
-
 /// A logical host resident on some workstation's kernel.
 #[derive(Debug)]
 pub struct LogicalHost<X> {
@@ -398,7 +390,7 @@ mod tests {
         let _p2 = src.create_process(team2, Priority::GUEST, false);
 
         let desc = src.descriptor();
-        assert_eq!(desc.object_count(), 4); // 2 processes + 2 spaces.
+        assert_eq!((desc.processes.len(), desc.spaces.len()), (2, 2));
 
         // New copy starts under a *different* id, then takes the original's.
         let mut dst: LogicalHost<u32> = LogicalHost::new(LogicalHostId(99));

@@ -73,10 +73,6 @@ impl WireStats {
 
 struct Station {
     up: bool,
-    frames_tx: u64,
-    frames_rx: u64,
-    bytes_tx: u64,
-    bytes_rx: u64,
 }
 
 /// The shared segment.
@@ -145,13 +141,7 @@ impl<P: Clone> Ethernet<P> {
     pub fn attach(&mut self) -> HostAddr {
         let addr =
             HostAddr(u16::try_from(self.stations.len()).expect("too many stations on one segment"));
-        self.stations.push(Station {
-            up: true,
-            frames_tx: 0,
-            frames_rx: 0,
-            bytes_tx: 0,
-            bytes_rx: 0,
-        });
+        self.stations.push(Station { up: true });
         addr
     }
 
@@ -266,11 +256,6 @@ impl<P: Clone> Ethernet<P> {
         self.stats.frames_sent += 1;
         self.stats.payload_bytes += frame.payload_bytes;
         self.frame_payload_bytes.add(frame.payload_bytes as f64);
-        {
-            let st = self.station_mut(frame.src);
-            st.frames_tx += 1;
-            st.bytes_tx += frame.payload_bytes;
-        }
 
         let start = now.max(self.busy_until);
         let wire = frame_wire_time(frame.payload_bytes);
@@ -359,11 +344,6 @@ impl<P: Clone> Ethernet<P> {
             _ => arrival,
         };
         self.stats.deliveries += 1;
-        {
-            let st = self.station_mut(to);
-            st.frames_rx += 1;
-            st.bytes_rx += frame.payload_bytes;
-        }
         Some(Delivery { to, at, frame })
     }
 
@@ -396,13 +376,6 @@ impl<P: Clone> Ethernet<P> {
                 "bytes",
                 &self.frame_payload_bytes,
             )
-    }
-
-    /// Per-station counters: `(frames sent, frames received, payload
-    /// bytes sent, payload bytes received)`.
-    pub fn station_stats(&self, host: HostAddr) -> (u64, u64, u64, u64) {
-        let st = self.station(host);
-        (st.frames_tx, st.frames_rx, st.bytes_tx, st.bytes_rx)
     }
 
     /// When the channel next becomes idle.
@@ -656,19 +629,6 @@ mod tests {
         let mut n = net();
         let a = n.attach();
         n.transmit(SimTime::ZERO, Frame::unicast(a, HostAddr(9), 32, 0));
-    }
-
-    #[test]
-    fn per_station_counters() {
-        let mut n = net();
-        let a = n.attach();
-        let b = n.attach();
-        let c = n.attach();
-        n.transmit(SimTime::ZERO, Frame::unicast(a, b, 100, 1));
-        n.transmit(SimTime::ZERO, Frame::broadcast(b, 50, 2));
-        assert_eq!(n.station_stats(a), (1, 1, 100, 50));
-        assert_eq!(n.station_stats(b), (1, 1, 50, 100));
-        assert_eq!(n.station_stats(c), (0, 1, 0, 50));
     }
 
     #[test]

@@ -55,7 +55,8 @@ impl Json {
     ///
     /// Integer tokens become [`Json::UInt`] (or [`Json::Int`] when
     /// negative); tokens with a fraction or exponent become [`Json::Num`].
-    /// Trailing content after the top-level value is an error.
+    /// Trailing content after the top-level value, or a key repeated
+    /// within one object, is an error.
     ///
     /// # Errors
     ///
@@ -260,7 +261,12 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
+            if pairs.iter().any(|(k, _)| *k == key) {
+                self.pos = key_at;
+                return Err(self.err(&format!("duplicate key \"{key}\"")));
+            }
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
@@ -650,6 +656,16 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_rejects_a_repeated_key_naming_it() {
+        let err = Json::parse(r#"{"seed": 1, "seed": 2}"#).unwrap_err();
+        assert_eq!(err, "json parse error at byte 12: duplicate key \"seed\"");
+        let nested = Json::parse(r#"[{"a": {"k": 1, "b": 2, "k": 3}}]"#).unwrap_err();
+        assert!(nested.contains("duplicate key \"k\""), "{nested}");
+        // The same key in sibling objects is fine.
+        assert!(Json::parse(r#"[{"k": 1}, {"k": 2}]"#).is_ok());
     }
 
     #[test]

@@ -97,7 +97,8 @@ mod tests {
     use super::*;
 
     fn temp_cache(tag: &str) -> Cache {
-        let dir = std::env::temp_dir().join(format!("vrun-cache-test-{tag}"));
+        let dir =
+            std::env::temp_dir().join(format!("vrun-cache-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let c = Cache::new(&dir);
         c.ensure().unwrap();

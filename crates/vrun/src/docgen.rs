@@ -197,7 +197,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_results(tag: &str, artifacts: &[(&str, &str)]) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("vrun-docgen-test-{tag}"));
+        let dir =
+            std::env::temp_dir().join(format!("vrun-docgen-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         for (name, text) in artifacts {

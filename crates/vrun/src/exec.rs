@@ -155,7 +155,7 @@ mod tests {
     }
 
     fn temp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("vrun-exec-test-{tag}"));
+        let dir = std::env::temp_dir().join(format!("vrun-exec-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("temp dir");
         dir

@@ -1,6 +1,6 @@
 //! `vrun` — the declarative experiment runner.
 //!
-//! Reads a sweep spec (`sweeps/*.toml`) describing experiments × seeds ×
+//! Reads a sweep spec (`sweeps/*.json`) describing experiments × seeds ×
 //! parameter grids, expands the matrix into cells, content-hashes each
 //! cell ({binary bytes, canonical config}), and executes only the cells
 //! whose hash is not already in `results/cache/` — a re-run of an
@@ -12,8 +12,7 @@
 //!
 //! Module map — one stage per module:
 //!
-//! * [`toml`] — the dependency-free TOML-subset reader;
-//! * [`spec`] — parse + validate sweep specs;
+//! * [`spec`] — parse + validate sweep specs, read by [`vsim::Json`];
 //! * [`plan`] — expand the matrix into [`plan::Cell`]s with canonical
 //!   config JSON;
 //! * [`hash`] — FNV-1a cell identity;
@@ -29,7 +28,6 @@ pub mod exec;
 pub mod hash;
 pub mod plan;
 pub mod spec;
-pub mod toml;
 
 use std::path::{Path, PathBuf};
 
@@ -160,7 +158,7 @@ pub fn run_sweep(sweep: &Sweep, opts: &RunOptions) -> Result<Summary, String> {
     }
     let keys: Vec<u64> = cells
         .iter()
-        .map(|c| hash::cell_key(&c.bin, &bin_bytes[&c.bin], &c.config))
+        .map(|c| hash::cell_key(&c.bin, &bin_bytes[&c.bin], &c.config.pretty()))
         .collect();
 
     // Split into hits and due cells.
@@ -184,14 +182,14 @@ pub fn run_sweep(sweep: &Sweep, opts: &RunOptions) -> Result<Summary, String> {
             let cell = &cells[i];
             let key = keys[i];
             let config_path = cache.config_path(&cell.bin, key);
-            std::fs::write(&config_path, &cell.config)
+            std::fs::write(&config_path, cell.config.pretty())
                 .map_err(|e| format!("cannot write {}: {e}", config_path.display()))?;
             Ok(Job {
                 bin_path: bin_path(&opts.bin_dir, &cell.bin),
                 config_path,
                 out_path: cache.artifact_path(&cell.bin, key),
                 log_path: cache.log_path(&cell.bin, key),
-                timeout_secs: cell.timeout_secs,
+                timeout_secs: sweep.timeout_secs,
             })
         })
         .collect::<Result<_, String>>()?;
@@ -212,7 +210,7 @@ pub fn run_sweep(sweep: &Sweep, opts: &RunOptions) -> Result<Summary, String> {
                 JobResult::TimedOut => say(&format!(
                     "{} TIMED OUT after {}s",
                     cell_tag(cell, keys[due[j]]),
-                    cell.timeout_secs
+                    sweep.timeout_secs
                 )),
             }
         }
@@ -293,9 +291,8 @@ fn consolidate(
                 .lookup(&cell.bin, keys[i])
                 .ok_or(format!("cache entry vanished for {}", exp.name))?;
             let artifact = cache::verify(&text, &cell.bin)?;
-            let config = Json::parse(&cell.config).map_err(|e| format!("config json: {e}"))?;
             let mut fields = vec![
-                ("config".to_string(), config),
+                ("config".to_string(), cell.config.clone()),
                 ("hash".to_string(), Json::Str(format!("{:016x}", keys[i]))),
             ];
             for section in ["table", "run"] {

@@ -1,8 +1,8 @@
 //! `vrun` CLI — run cached experiment sweeps and regenerate docs.
 //!
 //! ```text
-//! vrun run  <spec.toml> [--force] [--pool N] [--bin-dir DIR] [--results DIR] [--quiet]
-//! vrun plan <spec.toml> [--bin-dir DIR] [--results DIR]
+//! vrun run  <spec.json> [--force] [--pool N] [--bin-dir DIR] [--results DIR] [--quiet]
+//! vrun plan <spec.json> [--bin-dir DIR] [--results DIR]
 //! vrun docs [--check] [--doc PATH] [--results DIR]
 //! ```
 //!
@@ -25,8 +25,8 @@ fn main() -> ExitCode {
         Some((&"docs", rest)) => cmd_docs(rest),
         _ => {
             eprintln!(
-                "usage: vrun run <spec.toml> [--force] [--pool N] [--bin-dir DIR] [--results DIR] [--quiet]\n\
-                 \x20      vrun plan <spec.toml> [--bin-dir DIR] [--results DIR]\n\
+                "usage: vrun run <spec.json> [--force] [--pool N] [--bin-dir DIR] [--results DIR] [--quiet]\n\
+                 \x20      vrun plan <spec.json> [--bin-dir DIR] [--results DIR]\n\
                  \x20      vrun docs [--check] [--doc PATH] [--results DIR]"
             );
             ExitCode::from(2)
@@ -141,14 +141,14 @@ fn cmd_plan(rest: &[&str]) -> ExitCode {
     let opts = &args.opts;
     let cache = vrun::cache::Cache::new(&opts.results_dir);
     say(&format!(
-        "sweep `{}`: pool {}, default timeout {}s",
+        "sweep `{}`: pool {}, timeout {}s per cell",
         sweep.name, sweep.pool, sweep.timeout_secs
     ));
     for cell in plan::cells(&sweep) {
         // Hash without the binary bytes when the binary is not built yet
         // (plan is a preview; run re-hashes with the real bytes).
         let bytes = std::fs::read(opts.bin_dir.join(&cell.bin)).unwrap_or_default();
-        let key = hash::cell_key(&cell.bin, &bytes, &cell.config);
+        let key = hash::cell_key(&cell.bin, &bytes, &cell.config.pretty());
         let state = if bytes.is_empty() {
             "unbuilt"
         } else if cache.lookup(&cell.bin, key).is_some() {

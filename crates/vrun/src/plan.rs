@@ -3,11 +3,13 @@
 //!
 //! Cell order is deterministic: experiments in spec order, then the seed
 //! axis, then the grid axes with the first axis outermost. The config
-//! text is canonical (seed first, grid keys in spec order, fixed number
-//! formatting), so it can be hashed byte-for-byte — see [`crate::hash`].
+//! is an object with `seed` first and the grid keys in spec order, and
+//! its text is always [`Json::pretty`], so it can be hashed
+//! byte-for-byte — see [`crate::hash`].
+
+use vsim::Json;
 
 use crate::spec::{Experiment, Sweep};
-use crate::toml::TomlValue;
 
 /// One unit of work: a bench binary run under one parameter assignment.
 #[derive(Debug, Clone)]
@@ -20,13 +22,11 @@ pub struct Cell {
     pub index: usize,
     /// Number of cells in the owning experiment.
     pub of: usize,
-    /// Canonical `--config` JSON text ("{}" when the cell has no
-    /// parameters).
-    pub config: String,
-    /// Short human label: `seed=1 hours=3` ("defaults" when empty).
+    /// The `--config` object (empty when the cell has no parameters);
+    /// its text is `config.pretty()`.
+    pub config: Json,
+    /// Short human label: `seed=1 hours=3.0` ("defaults" when empty).
     pub label: String,
-    /// Wall-clock limit for the child process.
-    pub timeout_secs: u64,
 }
 
 /// Expands every experiment of `sweep` into its cells, in plan order.
@@ -41,9 +41,8 @@ pub fn cells(sweep: &Sweep) -> Vec<Cell> {
                 experiment: exp.name.clone(),
                 index,
                 of,
-                config: config_json(&assignment),
                 label: label(&assignment),
-                timeout_secs: exp.timeout_secs,
+                config: Json::Obj(assignment),
             });
         }
     }
@@ -51,7 +50,7 @@ pub fn cells(sweep: &Sweep) -> Vec<Cell> {
 }
 
 /// One parameter assignment: `(key, value)` pairs in canonical order.
-type Assignment = Vec<(String, TomlValue)>;
+type Assignment = Vec<(String, Json)>;
 
 /// Cartesian product over the seed axis and the grid axes. An experiment
 /// with no axes yields exactly one empty assignment (the binary's
@@ -62,7 +61,7 @@ fn expand(exp: &Experiment) -> Vec<Assignment> {
         combos = exp
             .seeds
             .iter()
-            .map(|&s| vec![("seed".to_string(), TomlValue::Int(s as i64))])
+            .map(|&s| vec![("seed".to_string(), Json::UInt(s))])
             .collect();
     }
     for (key, values) in &exp.grid {
@@ -79,70 +78,17 @@ fn expand(exp: &Experiment) -> Vec<Assignment> {
     combos
 }
 
-/// Renders the canonical config JSON for one assignment. Formatting is
-/// fixed (2-space indent, spec key order, minimal float form) so equal
-/// assignments always hash equally.
-fn config_json(assignment: &Assignment) -> String {
-    if assignment.is_empty() {
-        return "{}\n".to_string();
-    }
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in assignment.iter().enumerate() {
-        out.push_str("  \"");
-        out.push_str(key);
-        out.push_str("\": ");
-        out.push_str(&scalar_json(value));
-        out.push_str(if i + 1 == assignment.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// JSON literal for one grid scalar.
-fn scalar_json(value: &TomlValue) -> String {
-    match value {
-        TomlValue::Int(i) => i.to_string(),
-        TomlValue::Float(f) => {
-            // Keep integral floats distinguishable from ints (`3.0`),
-            // everything else in shortest `{}` form.
-            if f.fract() == 0.0 && f.is_finite() {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
-            }
-        }
-        TomlValue::Bool(b) => b.to_string(),
-        TomlValue::Str(s) => {
-            let escaped: String = s
-                .chars()
-                .flat_map(|c| match c {
-                    '"' | '\\' => vec!['\\', c],
-                    _ => vec![c],
-                })
-                .collect();
-            format!("\"{escaped}\"")
-        }
-        TomlValue::List(_) => "null".to_string(), // unreachable: axes are flat
-    }
-}
-
-/// Short display label for progress lines.
+/// Short display label for progress lines: strings bare, other scalars
+/// as their JSON text.
 fn label(assignment: &Assignment) -> String {
     if assignment.is_empty() {
         return "defaults".to_string();
     }
     assignment
         .iter()
-        .map(|(k, v)| {
-            let v = match v {
-                TomlValue::Str(s) => s.clone(),
-                other => scalar_json(other),
-            };
-            format!("{k}={v}")
+        .map(|(k, v)| match v {
+            Json::Str(s) => format!("{k}={s}"),
+            other => format!("{k}={}", other.pretty().trim_end()),
         })
         .collect::<Vec<_>>()
         .join(" ")
@@ -153,29 +99,29 @@ mod tests {
     use super::*;
     use crate::spec::Sweep;
 
-    const SPEC: &str = r#"
-[sweep]
-name = "demo"
+    const SPEC: &str = r#"{
+  "name": "demo",
+  "experiments": [
+    {"bin": "solo"},
+    {"bin": "grid", "seeds": [1, 2], "grid": {"hours": [1.0, 2.5], "fast": [true, false]}}
+  ]
+}"#;
 
-[[experiment]]
-bin = "solo"
-
-[[experiment]]
-bin = "grid"
-seeds = [1, 2]
-[experiment.grid]
-hours = [1.0, 2.5]
-fast = [true, false]
-"#;
+    fn committed(name: &str) -> Vec<Cell> {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../sweeps")
+            .join(format!("{name}.json"));
+        cells(&Sweep::load(&path).unwrap())
+    }
 
     #[test]
     fn expands_the_cartesian_product_in_order() {
-        let sweep = Sweep::parse(SPEC, "t.toml").unwrap();
+        let sweep = Sweep::parse(SPEC, "t.json").unwrap();
         let cells = cells(&sweep);
         assert_eq!(cells.len(), 1 + 2 * 2 * 2);
         assert_eq!(cells[0].bin, "solo");
         assert_eq!(cells[0].of, 1);
-        assert_eq!(cells[0].config, "{}\n");
+        assert_eq!(cells[0].config.pretty(), "{}\n");
         assert_eq!(cells[0].label, "defaults");
         // Seed outermost, then hours, then fast (spec order).
         assert_eq!(cells[1].label, "seed=1 hours=1.0 fast=true");
@@ -187,21 +133,55 @@ fast = [true, false]
     }
 
     #[test]
-    fn config_json_is_canonical() {
-        let sweep = Sweep::parse(SPEC, "t.toml").unwrap();
+    fn config_text_is_canonical() {
+        let sweep = Sweep::parse(SPEC, "t.json").unwrap();
         let cells = cells(&sweep);
         assert_eq!(
-            cells[1].config,
+            cells[1].config.pretty(),
             "{\n  \"seed\": 1,\n  \"hours\": 1.0,\n  \"fast\": true\n}\n"
         );
         // Identical assignments render identically (hash stability).
         let again = super::cells(&sweep);
-        assert_eq!(cells[1].config, again[1].config);
+        assert_eq!(cells[1].config.pretty(), again[1].config.pretty());
+    }
+
+    /// The first and last cells of two committed specs, pinned to the
+    /// text the cache keys of existing results were computed from.
+    #[test]
+    fn committed_config_text_is_pinned() {
+        let usage = committed("usage_scale");
+        assert_eq!(usage.len(), 12);
+        assert_eq!(
+            usage[0].config.pretty(),
+            "{\n  \"seed\": 1985,\n  \"workstations\": 8,\n  \"hours\": 1.0\n}\n"
+        );
+        assert_eq!(
+            usage[11].config.pretty(),
+            "{\n  \"seed\": 2025,\n  \"workstations\": 24,\n  \"hours\": 3.0\n}\n"
+        );
+        assert_eq!(usage[11].label, "seed=2025 workstations=24 hours=3.0");
+        let recovery = committed("recovery");
+        assert_eq!(recovery.len(), 5);
+        assert_eq!(
+            recovery[0].config.pretty(),
+            "{\n  \"seed\": 6533,\n  \"plan\": \"none\"\n}\n"
+        );
+        assert_eq!(
+            recovery[4].config.pretty(),
+            "{\n  \"seed\": 6533,\n  \"plan\": \"lease_chaos\"\n}\n"
+        );
+        assert_eq!(recovery[4].label, "seed=6533 plan=lease_chaos");
     }
 
     #[test]
-    fn string_axes_are_quoted_and_escaped() {
-        let a = vec![("mode".to_string(), TomlValue::Str("a\"b".into()))];
-        assert_eq!(config_json(&a), "{\n  \"mode\": \"a\\\"b\"\n}\n");
+    fn string_axes_round_trip() {
+        let spec =
+            r#"{"name": "s", "experiments": [{"bin": "b", "grid": {"mode": ["a\"b\\c\td"]}}]}"#;
+        let cell = &cells(&Sweep::parse(spec, "s.json").unwrap())[0];
+        assert_eq!(
+            cell.config,
+            Json::obj([("mode", Json::Str("a\"b\\c\td".into()))])
+        );
+        assert_eq!(Json::parse(&cell.config.pretty()).unwrap(), cell.config);
     }
 }

@@ -15,7 +15,7 @@ struct Rig {
 
 impl Rig {
     fn new(tag: &str) -> Rig {
-        let root = std::env::temp_dir().join(format!("vrun-e2e-{tag}"));
+        let root = std::env::temp_dir().join(format!("vrun-e2e-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(root.join("bin")).expect("bin dir");
         std::fs::create_dir_all(root.join("results")).expect("results dir");
@@ -61,8 +61,14 @@ printf '{{"experiment": "{name}", "table": [{{"cfg": %s}}], "run": {{"sim_events
     }
 }
 
+impl Drop for Rig {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
 fn sweep(text: &str) -> Sweep {
-    Sweep::parse(text, "e2e.toml").expect("spec parses")
+    Sweep::parse(text, "e2e.json").expect("spec parses")
 }
 
 fn read_json(path: &Path) -> vsim::Json {
@@ -74,7 +80,7 @@ fn read_json(path: &Path) -> vsim::Json {
 fn second_run_is_all_cache_hits_until_inputs_change() {
     let rig = Rig::new("cache");
     rig.fake_bin("exp_fake");
-    let spec = "[sweep]\nname = \"t\"\n[[experiment]]\nbin = \"exp_fake\"\nseeds = [1, 2]\n";
+    let spec = r#"{"name": "t", "experiments": [{"bin": "exp_fake", "seeds": [1, 2]}]}"#;
 
     let cold = run_sweep(&sweep(spec), &rig.opts()).unwrap();
     assert_eq!(cold.ran(), 2, "{}", cold.line());
@@ -85,7 +91,7 @@ fn second_run_is_all_cache_hits_until_inputs_change() {
     assert_eq!(warm.ran(), 0);
 
     // A new seed re-runs only the new cell.
-    let grown = "[sweep]\nname = \"t\"\n[[experiment]]\nbin = \"exp_fake\"\nseeds = [1, 2, 3]\n";
+    let grown = r#"{"name": "t", "experiments": [{"bin": "exp_fake", "seeds": [1, 2, 3]}]}"#;
     let s = run_sweep(&sweep(grown), &rig.opts()).unwrap();
     assert_eq!(s.hits(), 2);
     assert_eq!(s.ran(), 1);
@@ -116,20 +122,13 @@ fn consolidation_copies_single_cells_and_merges_grids() {
     let rig = Rig::new("consolidate");
     rig.fake_bin("exp_solo");
     rig.fake_bin("exp_grid");
-    let spec = r#"
-[sweep]
-name = "t"
-
-[[experiment]]
-bin = "exp_solo"
-
-[[experiment]]
-bin = "exp_grid"
-name = "grid_scale"
-seeds = [5]
-[experiment.grid]
-hours = [1.0, 2.0]
-"#;
+    let spec = r#"{
+  "name": "t",
+  "experiments": [
+    {"bin": "exp_solo"},
+    {"bin": "exp_grid", "name": "grid_scale", "seeds": [5], "grid": {"hours": [1.0, 2.0]}}
+  ]
+}"#;
     let s = run_sweep(&sweep(spec), &rig.opts()).unwrap();
     assert_eq!(s.failed(), 0, "{}", s.line());
 
@@ -167,7 +166,7 @@ fn failures_are_reported_not_cached() {
         "exp_liar",
         "#!/bin/sh\nexit 0\n", // exits 0 but writes no artifact
     );
-    let spec = "[sweep]\nname = \"t\"\n[[experiment]]\nbin = \"exp_bad\"\n[[experiment]]\nbin = \"exp_liar\"\n";
+    let spec = r#"{"name": "t", "experiments": [{"bin": "exp_bad"}, {"bin": "exp_liar"}]}"#;
     let s = run_sweep(&sweep(spec), &rig.opts()).unwrap();
     assert_eq!(s.failed(), 2, "{}", s.line());
     let bad = &s.cells[0].1;
@@ -187,7 +186,7 @@ fn failures_are_reported_not_cached() {
     assert_eq!(again.hits(), 0);
 
     // A missing binary is an environment error, not a cell failure.
-    let missing = "[sweep]\nname = \"t\"\n[[experiment]]\nbin = \"exp_ghost\"\n";
+    let missing = r#"{"name": "t", "experiments": [{"bin": "exp_ghost"}]}"#;
     let err = run_sweep(&sweep(missing), &rig.opts()).unwrap_err();
     assert!(err.contains("cargo build --release"), "{err}");
 }
@@ -196,7 +195,7 @@ fn failures_are_reported_not_cached() {
 fn timeouts_kill_the_cell() {
     let rig = Rig::new("timeout");
     rig.install("exp_hang", "#!/bin/sh\nsleep 30\n");
-    let spec = "[sweep]\nname = \"t\"\ntimeout_secs = 1\n[[experiment]]\nbin = \"exp_hang\"\n";
+    let spec = r#"{"name": "t", "timeout_secs": 1, "experiments": [{"bin": "exp_hang"}]}"#;
     let s = run_sweep(&sweep(spec), &rig.opts()).unwrap();
     assert_eq!(s.cells[0].1, CellOutcome::TimedOut, "{}", s.line());
 }
@@ -206,10 +205,10 @@ fn subcommands_reject_flags_they_do_not_read() {
     let rig = Rig::new("flags");
     rig.fake_bin("exp_fake");
     let root = rig.root.to_str().expect("utf-8 temp dir");
-    let spec = format!("{root}/s.toml");
+    let spec = format!("{root}/s.json");
     std::fs::write(
         &spec,
-        "[sweep]\nname = \"t\"\n[[experiment]]\nbin = \"exp_fake\"\n",
+        r#"{"name": "t", "experiments": [{"bin": "exp_fake"}]}"#,
     )
     .expect("write spec");
     let doc = format!("{root}/doc.md");

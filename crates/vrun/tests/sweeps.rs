@@ -1,6 +1,6 @@
 //! The committed sweep specs against the code they drive: every spec
 //! under `sweeps/` loads, names only existing bench binaries and fault
-//! plans, and `paper.toml` runs every experiment binary.
+//! plans, and `paper.json` runs every experiment binary.
 //!
 //! That each binary leaves an artifact needs no check here: a cell that
 //! exits 0 without one already fails its sweep (see
@@ -38,18 +38,18 @@ fn experiment_bins() -> BTreeSet<String> {
 }
 
 fn load(name: &str) -> Sweep {
-    let path = workspace_root().join("sweeps").join(format!("{name}.toml"));
+    let path = workspace_root().join("sweeps").join(format!("{name}.json"));
     Sweep::load(&path).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
 fn every_spec_loads_with_known_bins_and_fault_plans() {
-    let specs = stems(&workspace_root().join("sweeps"), "toml");
+    let specs = stems(&workspace_root().join("sweeps"), "json");
     assert!(specs.contains("paper"), "{specs:?}");
     let bins = experiment_bins();
     for spec in &specs {
         for exp in &load(spec).experiments {
-            let at = format!("{spec}.toml:{}", exp.line);
+            let at = format!("{spec}.json: experiment `{}`", exp.name);
             assert!(bins.contains(&exp.bin), "{at}: no bench bin `{}`", exp.bin);
             let plans = exp.grid.iter().filter(|(key, _)| key == "plan");
             for value in plans.flat_map(|(_, values)| values) {
@@ -75,6 +75,6 @@ fn paper_sweep_runs_every_experiment_bin() {
     assert_eq!(
         paper,
         experiment_bins(),
-        "paper.toml vs crates/bench/src/bin"
+        "paper.json vs crates/bench/src/bin"
     );
 }
