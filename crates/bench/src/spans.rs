@@ -67,10 +67,17 @@ pub fn perfetto_json(tree: &SpanTree) -> Json {
     chrome::document(events)
 }
 
-/// Writes the Perfetto rendering of `tree` to
-/// `<artifact_dir>/<name>_trace.json`, exiting with code 1 when it cannot.
+/// Writes the Perfetto rendering of `tree` beside the artifact: to
+/// `<out stem>_trace.json` next to `--out` when given, else to
+/// `<artifact_dir>/<name>_trace.json`. Exits with code 1 when it cannot.
 pub fn export_trace(name: &str, tree: &SpanTree) {
-    let path = crate::artifact_dir().join(format!("{name}_trace.json"));
+    let path = match &crate::args().out {
+        Some(out) => {
+            let stem = out.file_stem().unwrap_or_default().to_string_lossy();
+            out.with_file_name(format!("{stem}_trace.json"))
+        }
+        None => crate::artifact_dir().join(format!("{name}_trace.json")),
+    };
     crate::write_or_exit(&path, &perfetto_json(tree).pretty());
     println!(
         "[trace: {} — load at https://ui.perfetto.dev]",

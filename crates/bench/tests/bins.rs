@@ -48,6 +48,23 @@ fn stdout_is_the_artifacts_table() {
 }
 
 #[test]
+fn the_trace_is_written_beside_out() {
+    let dir = scratch("trace");
+    let cwd = scratch("trace-cwd");
+    let out = Command::new(env!("CARGO_BIN_EXE_exp_precopy_example"))
+        .arg("--out")
+        .arg(dir.join("x.json"))
+        .current_dir(&cwd)
+        .env_remove("VBENCH_JSON")
+        .output()
+        .expect("spawn bench binary");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let trace = std::fs::read_to_string(dir.join("x_trace.json")).expect("trace beside --out");
+    assert!(Json::parse(&trace).is_ok());
+    assert!(!cwd.join("results").exists(), "nothing under ./results/");
+}
+
+#[test]
 fn an_unwritable_artifact_exits_1_naming_it() {
     let dir = scratch("unwritable");
     let file = dir.join("file");

@@ -266,15 +266,7 @@ impl Cluster {
             let live_copies = self
                 .stations
                 .iter()
-                .filter(|w| {
-                    !w.down
-                        && w.kernel.is_resident(lh)
-                        && !w
-                            .kernel
-                            .logical_host(lh)
-                            .map(|l| l.is_frozen())
-                            .unwrap_or(false)
-                })
+                .filter(|w| !w.down && w.kernel.is_resident(lh) && !w.kernel.is_frozen(lh))
                 .count();
             if live_copies > 1 {
                 violations.push(AuditViolation::DuplicateLiveCopy { lh });
@@ -288,11 +280,7 @@ impl Cluster {
                         violations.push(AuditViolation::OrphanTempLh { ws: i, lh });
                         continue;
                     }
-                    let frozen = w
-                        .kernel
-                        .logical_host(lh)
-                        .map(|l| l.is_frozen())
-                        .unwrap_or(false);
+                    let frozen = w.kernel.is_frozen(lh);
                     // Only program logical hosts can be migration zombies:
                     // system hosts are 1 + station index, the paging store
                     // is fixed, and temporaries were handled above.

@@ -485,6 +485,11 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         self.lhs.contains_key(&lh)
     }
 
+    /// True if `lh` is resident here and frozen (false when absent).
+    pub fn is_frozen(&self, lh: LogicalHostId) -> bool {
+        self.lhs.get(&lh).is_some_and(|l| l.is_frozen())
+    }
+
     /// A resident logical host.
     pub fn logical_host(&self, lh: LogicalHostId) -> Option<&LogicalHost<X>> {
         self.lhs.get(&lh)
@@ -1680,8 +1685,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         // target the workstation's kernel server / program manager, which
         // are not frozen — they must still be reachable (that is how a
         // suspended program gets resumed, and how migration is driven).
-        let frozen = matches!(dest, Destination::Process(_))
-            && self.lhs.get(&lh).map(|l| l.is_frozen()).unwrap_or(false);
+        let frozen = matches!(dest, Destination::Process(_)) && self.is_frozen(lh);
         if frozen {
             let l = self.lhs.get_mut(&lh).expect("checked resident");
             let already = l.deferred_iter().any(|d| d.from == from && d.seq == seq);
@@ -1885,7 +1889,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         }
         // Replies to frozen logical hosts are discarded; the sender's
         // retransmissions keep the replier's retention alive (§3.1.3).
-        let frozen = self.lhs.get(&to.lh).map(|l| l.is_frozen()).unwrap_or(false);
+        let frozen = self.is_frozen(to.lh);
         if frozen {
             self.stats.replies_discarded_frozen += 1;
             return;

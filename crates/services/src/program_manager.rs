@@ -740,9 +740,7 @@ impl ProgramManager {
                 out = out.kernel(k.reply(now, self.pid, requester, seq, reply, 0));
             }
             ServiceMsg::ResumeProgram { lh } => {
-                if self.programs.contains_key(&lh)
-                    && k.logical_host(lh).map(|l| l.is_frozen()).unwrap_or(false)
-                {
+                if self.programs.contains_key(&lh) && k.is_frozen(lh) {
                     self.suspended.remove(&lh);
                     out = out.kernel(k.unfreeze_in_place(now, lh));
                     out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
@@ -842,7 +840,7 @@ impl ProgramManager {
                 }
             }
             ServiceMsg::UnfreezeMigrated { lh } => {
-                let frozen = k.logical_host(lh).map(|l| l.is_frozen()).unwrap_or(false);
+                let frozen = k.is_frozen(lh);
                 if k.is_resident(lh) && !frozen && !self.awaiting_unfreeze.contains(&lh) {
                     // Duplicate unfreeze (the Ok reply was lost): the copy
                     // already runs — ack without re-running side effects.
@@ -1253,8 +1251,7 @@ impl ProgramManager {
                 // Reclaim only if the copy is still frozen *and* never
                 // saw its UnfreezeMigrated — a later SuspendProgram also
                 // freezes, but clears `awaiting_unfreeze` first.
-                let zombie = self.awaiting_unfreeze.contains(&lh)
-                    && k.logical_host(lh).map(|l| l.is_frozen()).unwrap_or(false);
+                let zombie = self.awaiting_unfreeze.contains(&lh) && k.is_frozen(lh);
                 if zombie {
                     self.awaiting_unfreeze.remove(&lh);
                     self.stats.migrations_expired += 1;

@@ -240,6 +240,35 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Replaces the [`PARTY`] placeholder in the station fields with the
+    /// concrete station `ws` the matched protocol party runs on. A
+    /// `Partition` with an empty `b` side isolates the party from the
+    /// other `stations`.
+    pub fn resolve_party(mut self, ws: u16, stations: u16) -> FaultKind {
+        let fix = |s: &mut u16| {
+            if *s == PARTY {
+                *s = ws;
+            }
+        };
+        match &mut self {
+            FaultKind::Crash { ws: w, .. } | FaultKind::ServiceRestart { ws: w } => fix(w),
+            FaultKind::LatencySpike { from, to, .. } => {
+                fix(from);
+                fix(to);
+            }
+            FaultKind::Partition { a, b, .. } => {
+                a.iter_mut().for_each(fix);
+                if b.is_empty() {
+                    *b = (0..stations).filter(|s| !a.contains(s)).collect();
+                } else {
+                    b.iter_mut().for_each(fix);
+                }
+            }
+            FaultKind::Corrupt { .. } => {}
+        }
+        self
+    }
+
     /// A short static label for traces and reports.
     pub fn label(&self) -> &'static str {
         match self {

@@ -4,7 +4,9 @@
 //!
 //! * `<stem>.json` — the artifact the binary wrote via `--out`;
 //! * `<stem>.config.json` — the canonical config the cell ran with;
-//! * `<stem>.log` — captured stdout + stderr of the run.
+//! * `<stem>.log` — captured stdout + stderr of the run;
+//! * `<stem>_trace.json` — the Perfetto trace a span-instrumented binary
+//!   writes beside its `--out` artifact (absent for the others).
 //!
 //! A cell is a **hit** when its artifact exists, parses as JSON (via the
 //! same [`vsim::Json`] reader the simulation uses), and names the
@@ -54,6 +56,13 @@ impl Cache {
     pub fn config_path(&self, bin: &str, key: u64) -> PathBuf {
         self.dir
             .join(format!("{}.config.json", Cache::stem(bin, key)))
+    }
+
+    /// Trace path for a cell (written beside the artifact, if at all).
+    #[must_use]
+    pub fn trace_path(&self, bin: &str, key: u64) -> PathBuf {
+        self.dir
+            .join(format!("{}_trace.json", Cache::stem(bin, key)))
     }
 
     /// Log path for a cell (captured stdout/stderr).

@@ -250,8 +250,9 @@ pub fn run_sweep(sweep: &Sweep, opts: &RunOptions) -> Result<Summary, String> {
 /// Writes `results/<experiment>.json` for every fully-successful
 /// experiment: a verbatim copy of the artifact for single-cell
 /// experiments (so downstream consumers — the regression gate, the doc
-/// generator — see the plain bench schema), or a `cells` array of
-/// `{config, table, run}` objects for multi-cell ones.
+/// generator — see the plain bench schema), plus its cached trace as
+/// `results/<experiment>_trace.json` when it wrote one, or a `cells`
+/// array of `{config, table, run}` objects for multi-cell ones.
 fn consolidate(
     sweep: &Sweep,
     summary: &Summary,
@@ -282,6 +283,13 @@ fn consolidate(
                 .ok_or(format!("cache entry vanished for {}", exp.name))?;
             std::fs::write(&out_path, text)
                 .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
+            // The cell's trace, if it wrote one, is restored with it.
+            let trace = cache.trace_path(&summary.cells[i].0.bin, keys[i]);
+            if trace.exists() {
+                let to = results_dir.join(format!("{}_trace.json", exp.name));
+                std::fs::copy(&trace, &to)
+                    .map_err(|e| format!("cannot write {}: {e}", to.display()))?;
+            }
             continue;
         }
         let mut cells_json = Vec::new();

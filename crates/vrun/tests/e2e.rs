@@ -77,6 +77,31 @@ fn read_json(path: &Path) -> vsim::Json {
 }
 
 #[test]
+fn traces_written_beside_out_land_in_results_and_come_back_from_the_cache() {
+    let rig = Rig::new("trace");
+    rig.install(
+        "exp_traced",
+        "#!/bin/sh\nwhile [ \"$#\" -gt 0 ]; do case \"$1\" in --out) out=\"$2\"; shift 2;; *) shift;; esac; done\nprintf '{\"experiment\": \"exp_traced\", \"table\": []}' > \"$out\"\nprintf '{\"traceEvents\": []}' > \"${out%.json}_trace.json\"\n",
+    );
+    let spec = r#"{"name": "t", "experiments": [{"bin": "exp_traced"}]}"#;
+    let trace = rig.results().join("exp_traced_trace.json");
+
+    let cold = run_sweep(&sweep(spec), &rig.opts()).unwrap();
+    assert_eq!(cold.ran(), 1, "{}", cold.line());
+    let written = std::fs::read_to_string(&trace).expect("cold run consolidates the trace");
+    assert_eq!(written, r#"{"traceEvents": []}"#);
+
+    std::fs::remove_file(&trace).unwrap();
+    let warm = run_sweep(&sweep(spec), &rig.opts()).unwrap();
+    assert_eq!(warm.hits(), 1, "{}", warm.line());
+    assert_eq!(
+        std::fs::read_to_string(&trace).unwrap(),
+        written,
+        "a cache hit restores it"
+    );
+}
+
+#[test]
 fn second_run_is_all_cache_hits_until_inputs_change() {
     let rig = Rig::new("cache");
     rig.fake_bin("exp_fake");

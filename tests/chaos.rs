@@ -394,11 +394,7 @@ fn crash_after_commit_rebinds_by_broadcast_not_forwarding() {
     c.suspendprog(3, lh);
     c.run_for(SimDuration::from_secs(30));
     assert!(
-        c.stations[2]
-            .kernel
-            .logical_host(lh)
-            .map(|l| l.is_frozen())
-            .unwrap_or(false),
+        c.stations[2].kernel.is_frozen(lh),
         "suspend must reach the program's new host"
     );
     assert!(
