@@ -233,6 +233,13 @@ pub struct Cluster {
     /// Change-point telemetry (engine queue + cluster aggregates).
     series: SeriesStore,
     sids: SeriesIds,
+    /// Each station's [`Station::gauges`] as of the last series update,
+    /// and their cluster-wide sums (sampling on only).
+    gauges: Vec<[usize; 5]>,
+    gauge_sums: [usize; 5],
+    /// Stations fed or crashed since the last series update, possibly
+    /// more than once (sampling on only).
+    touched: Vec<usize>,
     /// Pre-interned profiler slots, one per [`Event`] kind.
     slots: EventSlots,
     rng: DetRng,
@@ -355,6 +362,9 @@ impl Cluster {
             audit_reports: Vec::new(),
             series,
             sids,
+            gauges: Vec::new(),
+            gauge_sums: [0; 5],
+            touched: Vec::new(),
             slots,
             rng,
             cfg,
@@ -549,9 +559,19 @@ impl Cluster {
     /// bump, so the loop stays deterministic and cheap. Bench bins inject
     /// a real clock via [`Cluster::set_host_clock`] to turn the counts
     /// into wall-clock attribution. With [`ClusterConfig::sampling`] on,
-    /// each dispatch ends by updating the time series.
+    /// each dispatch ends by updating the time series. The call starts
+    /// with one walk over every station, so state a caller changed
+    /// between runs is counted; after that, a dispatch re-reads only the
+    /// stations it touched.
     pub fn run_until(&mut self, limit: SimTime) {
         let sampling = self.cfg.sampling.is_some();
+        if sampling {
+            self.gauges.clear();
+            self.gauges
+                .extend(self.stations.iter().map(Station::gauges));
+            self.gauge_sums = sum_gauges(self.gauges.iter().copied());
+            self.touched.clear();
+        }
         while let Some((_, ev)) = self.engine.step_due(limit) {
             let slot = self.slots.for_event(&ev);
             let t0 = self.profiler.begin();
@@ -670,6 +690,7 @@ impl Cluster {
     /// output that feeds a station again does so at once, so everything
     /// it causes is applied before the next one: the order is depth-first.
     fn feed(&mut self, i: usize, input: Input) {
+        self.touch(i);
         let mut outs = self.buffers.pop().unwrap_or_default();
         let now = self.engine.now();
         self.stations[i].handle(now, input, &mut self.rng, &mut outs);
@@ -766,6 +787,14 @@ impl Cluster {
         }
     }
 
+    /// Marks station `i` for the next series update: a station's gauges
+    /// change only while it handles an input or when it crashes.
+    fn touch(&mut self, i: usize) {
+        if self.cfg.sampling.is_some() && self.touched.last() != Some(&i) {
+            self.touched.push(i);
+        }
+    }
+
     /// Transmits a frame now and queues its arrivals.
     fn put_on_wire(&mut self, frame: Frame<Packet<ServiceMsg>>) {
         let deliveries = self.net.transmit(self.engine.now(), frame);
@@ -781,18 +810,26 @@ impl Cluster {
         }
     }
 
-    /// Reads the six series from counts the components hold — the
-    /// engine's queue depth plus the cluster aggregates — and hands them
-    /// to the store, which keeps only the changes.
+    /// Hands the six series to the store, which keeps only the changes:
+    /// the engine's queue depth and the five cluster sums. The sums are
+    /// kept up to date by re-reading only the stations the dispatch
+    /// touched; debug builds check them against a walk over every
+    /// station.
     fn update_series(&mut self) {
-        let (mut ready, mut frozen, mut migrations, mut leases, mut retransmit) = (0, 0, 0, 0, 0);
-        for w in self.stations.iter().filter(|w| !w.down) {
-            ready += w.ready_programs();
-            frozen += w.kernel.frozen_count();
-            migrations += w.migrator.job_count();
-            leases += w.pm.lease_count();
-            retransmit += w.kernel.outstanding_count();
+        for i in self.touched.drain(..) {
+            let new = self.stations[i].gauges();
+            let old = std::mem::replace(&mut self.gauges[i], new);
+            for ((sum, old), new) in self.gauge_sums.iter_mut().zip(old).zip(new) {
+                *sum = *sum - old + new;
+            }
         }
+        debug_assert_eq!(
+            self.gauge_sums,
+            sum_gauges(self.stations.iter().map(Station::gauges)),
+            "series sums drifted from the stations at {}",
+            self.engine.now()
+        );
+        let [ready, frozen, migrations, leases, retransmit] = self.gauge_sums;
         let ids = &self.sids;
         self.series.update(
             self.engine.now(),
@@ -966,6 +1003,7 @@ impl Cluster {
             Command::Crash { ws } => {
                 self.net.set_up(self.stations[ws].host, false);
                 self.stations[ws].down = true;
+                self.touch(ws);
             }
             Command::Reboot { ws } => {
                 self.net.set_up(self.stations[ws].host, true);
@@ -981,6 +1019,16 @@ impl Cluster {
     pub fn pending_point_faults(&self) -> usize {
         self.point_faults.len()
     }
+}
+
+/// Element-wise sum of per-station gauges.
+fn sum_gauges(gauges: impl Iterator<Item = [usize; 5]>) -> [usize; 5] {
+    gauges.fold([0; 5], |mut sums, g| {
+        for (sum, n) in sums.iter_mut().zip(g) {
+            *sum += n;
+        }
+        sums
+    })
 }
 
 #[cfg(test)]

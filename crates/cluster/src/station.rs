@@ -361,6 +361,22 @@ impl Station {
         self.cpu_ready.len() + usize::from(self.cpu_current.is_some())
     }
 
+    /// The station's share of the five per-station time series: ready
+    /// programs, frozen logical hosts, migrator jobs, granted leases and
+    /// outstanding sends. A station that is down counts for nothing.
+    pub(crate) fn gauges(&self) -> [usize; 5] {
+        if self.down {
+            return [0; 5];
+        }
+        [
+            self.ready_programs(),
+            self.kernel.frozen_count(),
+            self.migrator.job_count(),
+            self.pm.lease_count(),
+            self.kernel.outstanding_count(),
+        ]
+    }
+
     /// The workstation's system logical host.
     pub fn system_lh(&self) -> LogicalHostId {
         LogicalHostId(1 + self.host.0 as u32)
@@ -1141,9 +1157,10 @@ impl Station {
     fn set_owner_active(&mut self, active: bool) {
         self.pm.set_owner_active(active);
         if active && self.evict_on_owner_return {
-            // The owner came back: evict the guests and time the reclaim.
-            self.reclaim_since = Some(self.now);
+            // The owner came back: evict the guests and time the reclaim,
+            // if there is any guest to reclaim the station from.
             let mut guests: Vec<LogicalHostId> = self.guests().collect();
+            self.reclaim_since = (!guests.is_empty()).then_some(self.now);
             guests.reverse();
             self.evict(guests);
         }

@@ -439,6 +439,52 @@ fn owner_return_evicts_guests_within_seconds() {
 }
 
 #[test]
+fn owner_return_to_an_empty_station_times_no_reclaim() {
+    let mut cfg = quiet_config(2);
+    cfg.evict_on_owner_return = true;
+    let mut c = Cluster::new(cfg);
+    let t = c.now() + SimDuration::from_secs(1);
+    c.at(
+        t,
+        Command::SetOwnerActive {
+            ws: 1,
+            active: true,
+        },
+    );
+    c.run_for(SimDuration::from_secs(10));
+    assert!(c.stations[1].pm.owner_active());
+    assert_eq!(c.stats.owner_evictions, 0);
+    assert!(c.reclaim_times.is_empty(), "{:?}", c.reclaim_times);
+}
+
+#[test]
+fn owner_return_leaves_the_owners_local_program_alone() {
+    let mut cfg = quiet_config(2);
+    cfg.evict_on_owner_return = true;
+    let mut c = Cluster::new(cfg);
+    let profile = profiles::simulation_profile(SimDuration::from_secs(60));
+    c.exec(1, profile, ExecTarget::Local, Priority::LOCAL);
+    c.run_for(SimDuration::from_secs(5));
+    let lh = c.exec_reports[0].lh.expect("created");
+    assert_eq!(c.locate(lh), Some(c.stations[1].host));
+    assert_eq!(c.stations[1].guests().count(), 0, "the owner's program");
+
+    let t = c.now() + SimDuration::from_millis(1);
+    c.at(
+        t,
+        Command::SetOwnerActive {
+            ws: 1,
+            active: true,
+        },
+    );
+    c.run_for(SimDuration::from_secs(10));
+    assert_eq!(c.stats.owner_evictions, 0);
+    assert!(c.migration_reports.is_empty());
+    assert!(c.reclaim_times.is_empty());
+    assert_eq!(c.locate(lh), Some(c.stations[1].host));
+}
+
+#[test]
 fn local_editor_unaffected_by_guest_job() {
     // §2: "a text-editing user need not notice the presence of background
     // jobs" thanks to priority scheduling.

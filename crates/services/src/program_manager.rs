@@ -1154,7 +1154,7 @@ impl ProgramManager {
                         root,
                         image: spec.image.clone(),
                         priority: spec.priority,
-                        remote_origin: requester.lh != lh && requester.lh.0 != self.lh_base,
+                        remote_origin: !k.is_resident(requester.lh),
                         origin,
                     },
                 );

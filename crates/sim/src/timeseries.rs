@@ -105,7 +105,15 @@ impl Series {
     }
 
     /// A value as of `at`. A new instant first settles the previous one.
+    /// The pending value unchanged is a no-op: settling it now or at the
+    /// next change offers the same point.
     fn update(&mut self, capacity: usize, at: u64, value: f64) {
+        if self
+            .pending
+            .is_some_and(|(_, v)| v.to_bits() == value.to_bits())
+        {
+            return;
+        }
         if self.pending.is_some_and(|(t, _)| t != at) {
             self.settle(capacity);
         }
@@ -399,6 +407,48 @@ mod tests {
                 s.points.windows(2).all(|w| w[0].0 < w[1].0),
                 "case {case}: time not increasing"
             );
+        }
+    }
+
+    #[test]
+    fn repeating_a_series_last_value_changes_nothing() {
+        // Property (seeded): store `a` gets every update of a random
+        // sequence, store `b` only the values that differ from the same
+        // series' previous update. Only the update count tells them apart.
+        let mut rng = crate::DetRng::seed(0x5EED);
+        for case in 0..200 {
+            let capacity = 2 + rng.index(15);
+            let (mut a, mut b) = (store(capacity), store(capacity));
+            let ids: Vec<SeriesId> = ["x", "y", "z"]
+                .into_iter()
+                .map(|name| {
+                    b.manual(Subsystem::Cluster, name, "u");
+                    a.manual(Subsystem::Cluster, name, "u")
+                })
+                .collect();
+            let mut previous = [None; 3];
+            let mut t = 0;
+            for _ in 0..1 + rng.index(500) {
+                // Frequent same-instant updates; values from a small set,
+                // so most of them repeat.
+                t += rng.range_u64(0, 3);
+                let values: Vec<(SeriesId, f64)> =
+                    ids.iter().map(|&id| (id, rng.index(3) as f64)).collect();
+                let mut changed = Vec::new();
+                for (&(id, v), prev) in values.iter().zip(&mut previous) {
+                    if prev.replace(v) != Some(v) {
+                        changed.push((id, v));
+                    }
+                }
+                a.update(SimTime::from_micros(t), &values);
+                if !changed.is_empty() {
+                    b.update(SimTime::from_micros(t), &changed);
+                }
+            }
+            let (ra, mut rb) = (a.report(), b.report());
+            assert!(ra.sweeps >= rb.sweeps);
+            rb.sweeps = ra.sweeps;
+            assert_eq!(ra, rb, "case {case}");
         }
     }
 

@@ -66,32 +66,63 @@ fn gauges(c: &Cluster) -> [f64; 6] {
     g.map(|n| n as f64)
 }
 
-/// Steps `c` in 1 ms windows until it quiesces, calling `each` after
-/// every window.
-fn step_to_quiescence(c: &mut Cluster, mut each: impl FnMut(&Cluster)) {
-    let limit = SimTime::ZERO + SimDuration::from_secs(600);
+/// Steps `c` in 1 ms windows until it quiesces or `limit` passes,
+/// calling `each` after every window.
+fn step_until(c: &mut Cluster, limit: SimTime, mut each: impl FnMut(&Cluster)) {
     while c.pending() > 0 && c.now() < limit {
         c.run_for(SimDuration::from_millis(1));
         each(c);
     }
+}
+
+/// Steps `c` in 1 ms windows until it quiesces, calling `each` after
+/// every window.
+fn step_to_quiescence(c: &mut Cluster, each: impl FnMut(&Cluster)) {
+    step_until(c, SimTime::ZERO + SimDuration::from_secs(600), each);
     assert_eq!(c.pending(), 0, "the cluster did not quiesce");
 }
 
-/// At the end of every 1 ms window, each series' step-function value (its
-/// last point at or before now) equals the gauge recomputed from state.
-#[test]
-fn series_step_functions_match_the_cluster_state() {
-    let mut c = faulted_cluster(Some(NO_DECIMATION));
+/// Like `clusterbench`'s `chaos_observed_8`: eight workstations under
+/// the `random` fault plan, owners who come and go and evict their
+/// guests, guests started from four workstations, audits every second.
+/// Owners never stop coming and going, so this cluster never quiesces.
+/// Seed 2's plan crashes a station while it holds leases, so a crash
+/// the series missed shows in the `active_leases` check.
+fn churning_cluster(span: SimDuration) -> Cluster {
+    let faults = FaultPlan::by_name("random", 2, 9, span).expect("known plan name");
+    let mut c = Cluster::new(ClusterConfig {
+        workstations: 8,
+        seed: 2,
+        users: Some(UserModelParams {
+            mean_active: SimDuration::from_secs(4),
+            mean_idle: SimDuration::from_secs(6),
+            initially_active: 0.0,
+        }),
+        evict_on_owner_return: true,
+        faults,
+        audit_every: Some(SimDuration::from_secs(1)),
+        sampling: Some(NO_DECIMATION),
+        ..ClusterConfig::default()
+    });
+    for ws in [1, 3, 5, 7] {
+        c.exec(
+            ws,
+            profiles::simulation_profile(span / 2),
+            ExecTarget::AnyIdle,
+            Priority::GUEST,
+        );
+    }
+    c
+}
+
+/// Steps `c` until it quiesces or `limit` passes and checks that at the
+/// end of every 1 ms window, each series' step-function value (its last
+/// point at or before now) equals the gauge recomputed from state.
+fn assert_series_track_the_state(c: &mut Cluster, limit: SimTime) {
     let mut expected: Vec<(u64, [f64; 6])> = Vec::new();
-    step_to_quiescence(&mut c, |c| {
+    step_until(c, limit, |c| {
         expected.push((c.now().as_micros(), gauges(c)));
     });
-    assert!(c.stats.faults_injected > 0, "the plan injected nothing");
-    assert!(
-        c.migration_reports.iter().filter(|m| m.success).count() >= 2,
-        "too few migrations completed"
-    );
-
     let report = c.series_report();
     assert_eq!(report.series.len(), 6);
     for (k, s) in report.series.iter().enumerate() {
@@ -111,6 +142,34 @@ fn series_step_functions_match_the_cluster_state() {
             assert_eq!(s.points[i - 1].1, want[k], "{name} at {t} µs");
         }
     }
+}
+
+/// Four workstations under a crash plan, stepped to quiescence.
+#[test]
+fn series_step_functions_match_the_cluster_state() {
+    let mut c = faulted_cluster(Some(NO_DECIMATION));
+    assert_series_track_the_state(&mut c, SimTime::ZERO + SimDuration::from_secs(600));
+    assert_eq!(c.pending(), 0, "the cluster did not quiesce");
+    assert!(c.stats.faults_injected > 0, "the plan injected nothing");
+    assert!(
+        c.migration_reports.iter().filter(|m| m.success).count() >= 2,
+        "too few migrations completed"
+    );
+}
+
+/// The same check under owner churn, evictions and random faults, where
+/// stations crash, reboot and hand guests to each other mid-run.
+#[test]
+fn series_track_the_state_under_owner_churn_and_random_faults() {
+    let span = SimDuration::from_secs(30);
+    let mut c = churning_cluster(span);
+    assert_series_track_the_state(&mut c, SimTime::ZERO + span + span);
+    assert!(c.stats.faults_injected > 0, "the plan injected nothing");
+    assert!(c.stats.owner_evictions > 0, "no owner evicted a guest");
+    assert!(
+        c.migration_reports.iter().any(|m| m.success),
+        "no migration completed"
+    );
 }
 
 /// Telemetry puts nothing on the queue: the same seed with sampling on and
