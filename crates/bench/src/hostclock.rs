@@ -59,7 +59,7 @@ mod tests {
         let mut p = vsim::Profiler::with_clock(Box::new(WallClock::new()));
         let s = p.slot(vsim::Subsystem::Engine, "Tick");
         let t0 = p.begin();
-        p.end(s, t0);
+        p.end(s, t0, 1);
         let r = p.report();
         assert_eq!(r.clock, "monotonic");
         assert_eq!(r.slot("Tick").unwrap().dispatches, 1);

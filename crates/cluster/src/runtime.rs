@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use vcore::{ExecTarget, MigrationConfig, MigrationReport};
 use vkernel::{LogicalHostId, Packet, Priority, ProcessId};
-use vnet::{Delivery, Ethernet, Frame, HostAddr, LossModel};
+use vnet::{Arrival, Ethernet, Frame, HostAddr, LossModel, Transmission};
 use vservices::{ExecEnv, FileServer, ProgramSpec, ServiceMsg};
 use vsim::calib::SMALL_PACKET_CPU;
 use vsim::{
@@ -80,13 +80,26 @@ pub enum Command {
     },
 }
 
-/// Events on the cluster's queue. Frames, commands and fault kinds are
-/// boxed: the queue moves each entry it sifts, so a small `Event` keeps
-/// every dispatch cheap.
+/// Events on the cluster's queue. Frames, receiver lists, commands and
+/// fault kinds are boxed: the queue moves each entry it sifts, so a small
+/// `Event` keeps every dispatch cheap.
+///
+/// One transmit queues its receivers as few events as it can: each run of
+/// consecutive receivers that hear the one shared frame at the same
+/// instant is one [`Event::Frames`]. A receiver alone at its instant (a
+/// unicast, or one behind a latency spike) and a receiver with its own
+/// corrupted copy are an [`Event::Frame`]. Both feed each receiver
+/// through [`Input::Frame`], so a station that went down since the
+/// transmit, or a failed checksum, drops the frame at that receiver as
+/// before.
 pub enum Event {
     /// A frame reaches the station at this address (receive CPU already
     /// charged).
     Frame(HostAddr, Box<Frame<Packet<ServiceMsg>>>),
+    /// One frame reaches the stations at these addresses, in this order,
+    /// at one instant (receive CPU already charged). Each receiver is fed
+    /// its own copy; the last takes this one.
+    Frames(Box<[HostAddr]>, Box<Frame<Packet<ServiceMsg>>>),
     /// A timer of the station at this address comes due. A program's
     /// `SleepDone` goes to wherever the program runs by then.
     Timer(HostAddr, Timer),
@@ -113,6 +126,9 @@ pub enum Event {
     /// [`ClusterConfig::audit_every`]).
     AuditTick,
 }
+
+// The queue moves every entry it sifts: keep an event within six words.
+const _: () = assert!(std::mem::size_of::<Event>() <= 48);
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -306,9 +322,13 @@ impl EventSlots {
         }
     }
 
-    fn for_event(&self, ev: &Event) -> SlotId {
-        match ev {
+    /// The slot an event is charged to, and how many dispatches it
+    /// counts: one per receiver of a [`Event::Frames`], so the `Frame`
+    /// slot counts frames handled, however they were queued.
+    fn for_event(&self, ev: &Event) -> (SlotId, u64) {
+        let slot = match ev {
             Event::Frame(..) => self.frame,
+            Event::Frames(to, _) => return (self.frame, to.len() as u64),
             Event::Timer(_, timer) => match timer {
                 Timer::Kernel(_) => self.kernel_timer,
                 Timer::Service(..) => self.svc_timer,
@@ -321,7 +341,8 @@ impl EventSlots {
             Event::ApplyFault { .. } => self.apply_fault,
             Event::HealPartition { .. } => self.heal_partition,
             Event::AuditTick => self.audit_tick,
-        }
+        };
+        (slot, 1)
     }
 }
 
@@ -573,13 +594,13 @@ impl Cluster {
             self.touched.clear();
         }
         while let Some((_, ev)) = self.engine.step_due(limit) {
-            let slot = self.slots.for_event(&ev);
+            let (slot, dispatches) = self.slots.for_event(&ev);
             let t0 = self.profiler.begin();
             self.dispatch(ev);
             if sampling {
                 self.update_series();
             }
-            self.profiler.end(slot, t0);
+            self.profiler.end(slot, t0, dispatches);
         }
     }
 
@@ -663,6 +684,12 @@ impl Cluster {
         match ev {
             Event::Transmit { frame } => self.put_on_wire(*frame),
             Event::Frame(host, frame) => self.feed(self.index_of(host), Input::Frame(frame)),
+            Event::Frames(to, frame) => {
+                let copies = std::iter::repeat_n(frame, to.len());
+                for (&host, frame) in to.iter().zip(copies) {
+                    self.feed(self.index_of(host), Input::Frame(frame));
+                }
+            }
             Event::Timer(_, Timer::SleepDone(lh)) => {
                 // Routed by logical host: the program may have migrated.
                 if let Some(i) = self.behavior_station(lh) {
@@ -795,18 +822,48 @@ impl Cluster {
         }
     }
 
-    /// Transmits a frame now and queues its arrivals.
+    /// Transmits a frame now and queues its arrivals in receiver order:
+    /// each run of consecutive receivers that hear the shared frame at one
+    /// instant as one event, and each corrupted copy as its own. The
+    /// shared frame is copied only when a spike or a corrupted copy splits
+    /// the receivers into several runs; the last run takes it.
+    ///
+    /// This is exact. The arrivals of one transmit get consecutive
+    /// sequence numbers, so the receivers of one run would run back to
+    /// back anyway, and whatever one of them schedules for that instant
+    /// runs after the last of them either way.
     fn put_on_wire(&mut self, frame: Frame<Packet<ServiceMsg>>) {
-        let deliveries = self.net.transmit(self.engine.now(), frame);
-        for Delivery { to, at, frame } in deliveries {
-            // Receive-side CPU for small packets.
-            let at = if is_bulk(&frame.payload) {
-                at
-            } else {
-                at + SMALL_PACKET_CPU
-            };
-            self.engine
-                .schedule_at(at, Event::Frame(to, Box::new(frame)));
+        let Transmission {
+            frame,
+            mut arrivals,
+        } = self.net.transmit(self.engine.now(), frame);
+        // Receive-side CPU for small packets.
+        let cpu = if is_bulk(&frame.payload) {
+            SimDuration::ZERO
+        } else {
+            SMALL_PACKET_CPU
+        };
+        let runs = (0..arrivals.len())
+            .filter(|&k| arrivals[k].corrupted.is_none() && ends_run(&arrivals, k))
+            .count();
+        let mut shared = std::iter::repeat_n(frame, runs);
+        let mut start = 0;
+        for k in 0..arrivals.len() {
+            let (to, at) = (arrivals[k].to, arrivals[k].at + cpu);
+            if let Some(copy) = arrivals[k].corrupted.take() {
+                self.engine.schedule_at(at, Event::Frame(to, copy));
+                start = k + 1;
+            } else if ends_run(&arrivals, k) {
+                let Some(frame) = shared.next() else { break };
+                let ev = if start == k {
+                    Event::Frame(to, Box::new(frame))
+                } else {
+                    let run = arrivals[start..=k].iter().map(|a| a.to).collect();
+                    Event::Frames(run, Box::new(frame))
+                };
+                self.engine.schedule_at(at, ev);
+                start = k + 1;
+            }
         }
     }
 
@@ -1019,6 +1076,14 @@ impl Cluster {
     pub fn pending_point_faults(&self) -> usize {
         self.point_faults.len()
     }
+}
+
+/// True when intact arrival `k` is the last of its run: the next arrival,
+/// if any, comes at another instant or with its own corrupted copy.
+fn ends_run<P>(arrivals: &[Arrival<P>], k: usize) -> bool {
+    arrivals
+        .get(k + 1)
+        .is_none_or(|next| next.at != arrivals[k].at || next.corrupted.is_some())
 }
 
 /// Element-wise sum of per-station gauges.

@@ -704,7 +704,9 @@ fn audit_ticks_stop_at_quiescence() {
 
 /// Every delivered event is charged to exactly one profiler slot, under
 /// faults, audits and sampling alike: the dispatch profile is a complete
-/// account of the run (clusterbench's `vsim.queue_s` relies on it).
+/// account of the run (clusterbench's `vsim.queue_s` relies on it). A
+/// frame event counts one dispatch per receiver, so the `Frame` slot
+/// equals the wire's deliveries however the receivers were queued.
 #[test]
 fn dispatch_profile_charges_every_delivered_event() {
     use vsim::{DetRng, FaultKind, FaultPlan, FaultTrigger};
@@ -750,7 +752,13 @@ fn dispatch_profile_charges_every_delivered_event() {
     assert!(c.stats.faults_injected > 0, "the plan injected nothing");
     let profile = c.profile_report();
     let charged: u64 = profile.slots.iter().map(|s| s.dispatches).sum();
-    assert_eq!(charged, c.events_delivered());
+    let frames = profile.slot("Frame").expect("interned slot").dispatches;
+    assert_eq!(frames, c.net.stats().deliveries, "one per receiver");
+    // The other kinds count one per event, and at least one frame event
+    // was queued per fan-out, at most one per receiver.
+    let others = charged - frames;
+    assert!(others < c.events_delivered(), "no frame event delivered");
+    assert!(c.events_delivered() <= charged, "an event went uncharged");
     for kind in [
         "ApplyFault",
         "HealPartition",
@@ -1075,4 +1083,40 @@ fn remote_exec_emits_typed_exec_done() {
             .count_matching(|e| matches!(e, TraceEvent::ProgramStarted { .. })),
         1
     );
+}
+
+/// A broadcast's receivers share one queue entry, but each is still fed
+/// on its own: a station that crashes after the transmit and before the
+/// arrival drops the frame, and every other receiver handles it.
+#[test]
+fn a_receiver_crashing_before_a_broadcast_arrives_drops_it_alone() {
+    use vcluster::Event;
+    use vkernel::{LogicalHostId, Packet};
+    use vnet::Frame;
+    let mut c = Cluster::new(quiet_config(4));
+    let (lh, sender) = (LogicalHostId(777), c.stations[1].host);
+    let pkt = Packet::NewBinding { lh, host: sender };
+    let frame = Frame::broadcast(sender, pkt.wire_bytes(), pkt);
+    let t = SimTime::from_micros(1_000);
+    c.engine.schedule_at(
+        t,
+        Event::Transmit {
+            frame: Box::new(frame),
+        },
+    );
+    // The frame is on the wire for well over a microsecond.
+    c.at(t + SimDuration::from_micros(1), Command::Crash { ws: 3 });
+    let delivered = c.events_delivered();
+    c.run_for(SimDuration::from_secs(1));
+    assert_eq!(c.net.stats().deliveries, 4, "all four were up at transmit");
+    for i in [0, 2, 4] {
+        let cache = c.stations[i].kernel.binding_cache();
+        assert_eq!(cache.peek(lh), Some(sender), "station {i} missed it");
+    }
+    assert_eq!(c.stations[3].kernel.binding_cache().peek(lh), None);
+    // The transmit, the crash and one event for the four receivers, which
+    // the profile still counts one by one.
+    assert_eq!(c.events_delivered() - delivered, 3);
+    let frames = c.profile_report().slot("Frame").map(|s| s.dispatches);
+    assert_eq!(frames, Some(4));
 }

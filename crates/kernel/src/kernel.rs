@@ -336,6 +336,9 @@ pub struct Kernel<X> {
     host: HostAddr,
     cfg: KernelConfig,
     lhs: BTreeMap<LogicalHostId, LogicalHost<X>>,
+    /// How many of `lhs` are frozen. Only the kernel freezes and unfreezes
+    /// a logical host, so it keeps the count as it does.
+    frozen: usize,
     cache: BindingCache,
     well_known: BTreeMap<u32, ProcessId>,
     group_routes: BTreeMap<GroupId, McastGroup>,
@@ -378,6 +381,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             host,
             cfg,
             lhs: BTreeMap::new(),
+            frozen: 0,
             cache: BindingCache::new(),
             well_known: BTreeMap::new(),
             group_routes: BTreeMap::new(),
@@ -505,9 +509,20 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         self.lhs.keys().copied().collect()
     }
 
+    /// Every resident logical host, in id order.
+    pub fn logical_hosts(&self) -> impl Iterator<Item = &LogicalHost<X>> {
+        self.lhs.values()
+    }
+
     /// Number of resident logical hosts that are frozen.
     pub fn frozen_count(&self) -> usize {
-        self.lhs.values().filter(|l| l.is_frozen()).count()
+        debug_assert_eq!(
+            self.frozen,
+            self.lhs.values().filter(|l| l.is_frozen()).count(),
+            "frozen count drifted on {}",
+            self.host
+        );
+        self.frozen
     }
 
     /// Creates an empty logical host here.
@@ -842,10 +857,14 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Panics if `lh` is not resident.
     #[allow(clippy::expect_used)]
     pub fn freeze(&mut self, lh: LogicalHostId) {
-        self.lhs
+        let l = self
+            .lhs
             .get_mut(&lh)
-            .expect("freeze: logical host not resident")
-            .freeze();
+            .expect("freeze: logical host not resident");
+        if !l.is_frozen() {
+            l.freeze();
+            self.frozen += 1;
+        }
     }
 
     /// Unfreezes a logical host in place (migration aborted): deferred
@@ -863,7 +882,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 .lhs
                 .get_mut(&lh)
                 .expect("unfreeze: logical host not resident");
-            l.unfreeze();
+            if l.is_frozen() {
+                l.unfreeze();
+                self.frozen -= 1;
+            }
             l.take_deferred()
         };
         for d in deferred {
@@ -979,7 +1001,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             "install: original id already resident here"
         );
         l.adopt(&record.desc);
-        l.freeze();
+        if !l.is_frozen() {
+            l.freeze();
+            self.frozen += 1;
+        }
         self.lhs.insert(record.desc.id, l);
 
         for o in &record.outstanding {
@@ -1045,6 +1070,9 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         let Some(mut l) = self.lhs.remove(&lh) else {
             return out;
         };
+        if l.is_frozen() {
+            self.frozen -= 1;
+        }
         let deferred = l.take_deferred();
         drop(l);
 
@@ -1853,7 +1881,9 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     .get(&gid)
                     .map(|m| m.iter().copied().collect())
                     .unwrap_or_default();
-                for m in members {
+                // Each member but the last gets a copy; the last takes `body`.
+                let bodies = std::iter::repeat_n(body, members.len());
+                for (m, body) in members.into_iter().zip(bodies) {
                     self.stats.deliveries += 1;
                     let serve = self.open_serve_span(span);
                     self.in_progress
@@ -1868,7 +1898,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                         to: m,
                         from,
                         seq,
-                        body: body.clone(),
+                        body,
                     }));
                 }
             }

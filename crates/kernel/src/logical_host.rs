@@ -124,13 +124,14 @@ impl<X> LogicalHost<X> {
     }
 
     /// Freezes the logical host: execution suspends, external interactions
-    /// defer.
-    pub fn freeze(&mut self) {
+    /// defer. Only the kernel calls this, so it can count frozen hosts
+    /// ([`crate::Kernel::freeze`]).
+    pub(crate) fn freeze(&mut self) {
         self.frozen = true;
     }
 
-    /// Unfreezes it.
-    pub fn unfreeze(&mut self) {
+    /// Unfreezes it ([`crate::Kernel::unfreeze_in_place`]).
+    pub(crate) fn unfreeze(&mut self) {
         self.frozen = false;
     }
 

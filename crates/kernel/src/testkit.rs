@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use vnet::{Delivery, Ethernet, Frame, HostAddr, LossModel};
+use vnet::{Ethernet, Frame, HostAddr, LossModel, Transmission};
 use vsim::{DetRng, Engine, SimDuration, SimTime, Trace, TraceLevel};
 
 use crate::ids::ProcessId;
@@ -155,8 +155,15 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
             match o {
                 KernelOutput::Transmit(frame) => {
                     let now = self.engine.now();
-                    for Delivery { to, at, frame } in self.net.transmit(now, frame) {
-                        self.engine.schedule_at(at, RigEvent::Frame { to, frame });
+                    let Transmission { frame, arrivals } = self.net.transmit(now, frame);
+                    // Each receiver gets its own copy (the rig has no
+                    // checksum check, so a corrupted copy is delivered as
+                    // is); the last one takes the frame as sent.
+                    let shared = std::iter::repeat_n(frame, arrivals.len());
+                    for (a, frame) in arrivals.into_iter().zip(shared) {
+                        let frame = a.corrupted.map_or(frame, |copy| *copy);
+                        let to = a.to;
+                        self.engine.schedule_at(a.at, RigEvent::Frame { to, frame });
                     }
                 }
                 KernelOutput::SetTimer { key, after } => {

@@ -165,10 +165,7 @@ fn lost_reply_served_from_reply_cache() {
     rig.kernel_mut(0).freeze(LogicalHostId(1));
     rig.run_for(SimDuration::from_secs(2));
     assert!(rig.kernel(0).stats().replies_discarded_frozen >= 1);
-    rig.kernel_mut(0)
-        .logical_host_mut(LogicalHostId(1))
-        .expect("lh")
-        .unfreeze();
+    rig.drive(0, |k, t| k.unfreeze_in_place(t, LogicalHostId(1)));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -315,10 +312,7 @@ fn reply_to_frozen_sender_is_discarded_then_recovered() {
     assert!(rig.kernel(0).stats().replies_discarded_frozen >= 1);
     assert!(rig.send_results().is_empty());
     // Unfreeze: the next retransmission is answered from b's reply cache.
-    rig.kernel_mut(0)
-        .logical_host_mut(LogicalHostId(1))
-        .expect("lh")
-        .unfreeze();
+    rig.drive(0, |k, t| k.unfreeze_in_place(t, LogicalHostId(1)));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);

@@ -26,15 +26,29 @@ use crate::addr::{HostAddr, McastGroup, NetDest};
 use crate::frame::Frame;
 use crate::loss::{LossModel, LossState};
 
-/// A frame arriving at a station at a given instant.
-#[derive(Debug, Clone)]
-pub struct Delivery<P> {
+/// What one transmit puts on the wire: the frame as sent, held once, and
+/// each receiver that hears it.
+#[derive(Debug)]
+pub struct Transmission<P> {
+    /// The frame as sent. Every arrival without a copy of its own hears
+    /// this one frame.
+    pub frame: Frame<P>,
+    /// The receivers that hear the frame, in receiver order (address
+    /// order for a broadcast or multicast); empty when nobody does.
+    pub arrivals: Vec<Arrival<P>>,
+}
+
+/// One receiver hearing a transmitted frame.
+#[derive(Debug)]
+pub struct Arrival<P> {
     /// Receiving station.
     pub to: HostAddr,
-    /// Arrival instant (end of serialization plus latency).
+    /// Arrival instant (end of serialization plus latency, plus any
+    /// latency spike on this link).
     pub at: SimTime,
-    /// The frame as sent.
-    pub frame: Frame<P>,
+    /// This receiver's own copy when the wire corrupted it in transit;
+    /// `None` when it hears [`Transmission::frame`] intact.
+    pub corrupted: Option<Box<Frame<P>>>,
 }
 
 /// Wire-level counters.
@@ -87,8 +101,9 @@ struct Station {
 /// let a = net.attach();
 /// let b = net.attach();
 /// let out = net.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, "hello"));
-/// assert_eq!(out.len(), 1);
-/// assert_eq!(out[0].to, b);
+/// assert_eq!(out.frame.payload, "hello");
+/// assert_eq!(out.arrivals.len(), 1);
+/// assert_eq!(out.arrivals[0].to, b);
 /// ```
 pub struct Ethernet<P> {
     stations: Vec<Station>,
@@ -240,18 +255,23 @@ impl<P: Clone> Ethernet<P> {
         self.corrupt_until = until;
     }
 
-    /// Offers a frame to the channel at time `now`, returning the resulting
-    /// deliveries (possibly none).
+    /// Offers a frame to the channel at time `now`, returning it with
+    /// the receivers that hear it (possibly none).
     ///
     /// The channel serializes frames: if it is busy, transmission starts
     /// when it frees. All receivers hear the frame at the same instant
     /// (plus any per-link latency spike); loss, partition blocking, and
-    /// corruption are decided independently per receiver (`Ethernet::deliver`).
+    /// corruption are decided independently per receiver, in receiver
+    /// order (`Ethernet::arrival`). The frame is held once: only a
+    /// receiver whose copy the wire corrupted gets a copy of its own.
     /// The sender never receives its own frame.
-    pub fn transmit(&mut self, now: SimTime, frame: Frame<P>) -> Vec<Delivery<P>> {
+    pub fn transmit(&mut self, now: SimTime, frame: Frame<P>) -> Transmission<P> {
         if !self.station(frame.src).up {
             self.stats.sender_down += 1;
-            return Vec::new();
+            return Transmission {
+                frame,
+                arrivals: Vec::new(),
+            };
         }
         self.stats.frames_sent += 1;
         self.stats.payload_bytes += frame.payload_bytes;
@@ -276,27 +296,28 @@ impl<P: Clone> Ethernet<P> {
                 .collect(),
         };
 
-        let mut out = Vec::with_capacity(receivers.len());
+        let mut arrivals = Vec::with_capacity(receivers.len());
         for to in receivers {
-            if let Some(d) = self.deliver(now, arrival, &frame, to) {
-                out.push(d);
+            if let Some(a) = self.arrival(now, arrival, &frame, to) {
+                arrivals.push(a);
             }
         }
-        out
+        Transmission { frame, arrivals }
     }
 
     /// Decides the fate of one frame at one receiver: down-station and
     /// partition drops, an *independent per-receiver* loss-model draw (per
     /// the `loss` module contract), a corruption draw while a corruption
-    /// window is open, and any per-link latency spike. Returns the delivery,
-    /// or `None` when the receiver never hears the frame.
-    fn deliver(
+    /// window is open (a corrupted receiver gets its own damaged copy),
+    /// and any per-link latency spike. Returns the arrival, or `None` when
+    /// the receiver never hears the frame.
+    fn arrival(
         &mut self,
         now: SimTime,
         arrival: SimTime,
         frame: &Frame<P>,
         to: HostAddr,
-    ) -> Option<Delivery<P>> {
+    ) -> Option<Arrival<P>> {
         if !self.station(to).up {
             self.stats.drops_down += 1;
             return None;
@@ -331,11 +352,13 @@ impl<P: Clone> Ethernet<P> {
             );
             return None;
         }
-        let mut frame = frame.clone();
+        let mut corrupted = None;
         if self.corrupt_prob > 0.0 && now < self.corrupt_until {
             let salt = self.rng.range_u64(1, u64::MAX);
             if self.rng.chance(self.corrupt_prob) {
-                frame.corrupt(salt);
+                let mut copy = Box::new(frame.clone());
+                copy.corrupt(salt);
+                corrupted = Some(copy);
                 self.stats.corrupted += 1;
             }
         }
@@ -344,7 +367,7 @@ impl<P: Clone> Ethernet<P> {
             _ => arrival,
         };
         self.stats.deliveries += 1;
-        Some(Delivery { to, at, frame })
+        Some(Arrival { to, at, corrupted })
     }
 
     /// Wire counters.
@@ -406,6 +429,11 @@ mod tests {
         Ethernet::new(LossModel::None, DetRng::seed(42), Trace::quiet())
     }
 
+    /// The receivers of one transmission, in order.
+    fn receivers(t: &Transmission<u32>) -> Vec<HostAddr> {
+        t.arrivals.iter().map(|a| a.to).collect()
+    }
+
     #[test]
     fn attach_hands_out_dense_addresses() {
         let mut n = net();
@@ -420,10 +448,11 @@ mod tests {
         let a = n.attach();
         let b = n.attach();
         let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 7));
-        assert_eq!(out.len(), 1);
+        assert_eq!(receivers(&out), vec![b]);
         // (1024+38)*8/10 = 849 us wire + 50 us latency.
-        assert_eq!(out[0].at, SimTime::from_micros(899));
-        assert_eq!(out[0].frame.payload, 7);
+        assert_eq!(out.arrivals[0].at, SimTime::from_micros(899));
+        assert!(out.arrivals[0].corrupted.is_none());
+        assert_eq!(out.frame.payload, 7);
     }
 
     #[test]
@@ -433,9 +462,9 @@ mod tests {
         let b = n.attach();
         let first = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 1));
         let second = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 2));
-        assert_eq!(first[0].at, SimTime::from_micros(899));
+        assert_eq!(first.arrivals[0].at, SimTime::from_micros(899));
         // The second frame waits for the first to clear the wire.
-        assert_eq!(second[0].at, SimTime::from_micros(849 + 899));
+        assert_eq!(second.arrivals[0].at, SimTime::from_micros(849 + 899));
         assert!((n.stats().utilization(SimTime::from_micros(1698)) - 1.0).abs() < 1e-9);
     }
 
@@ -457,8 +486,11 @@ mod tests {
         let _b = n.attach();
         let _c = n.attach();
         let out = n.transmit(SimTime::ZERO, Frame::broadcast(a, 32, 9));
-        let to: Vec<HostAddr> = out.iter().map(|d| d.to).collect();
-        assert_eq!(to, vec![HostAddr(1), HostAddr(2)]);
+        assert_eq!(receivers(&out), vec![HostAddr(1), HostAddr(2)]);
+        // One frame, one instant, no copies.
+        assert_eq!(out.arrivals[0].at, out.arrivals[1].at);
+        assert!(out.arrivals.iter().all(|x| x.corrupted.is_none()));
+        assert_eq!(out.frame.payload, 9);
     }
 
     #[test]
@@ -472,11 +504,10 @@ mod tests {
         n.join(g, c);
         n.join(g, c); // Idempotent.
         let out = n.transmit(SimTime::ZERO, Frame::multicast(a, g, 32, 0));
-        assert_eq!(out.len(), 2);
+        assert_eq!(receivers(&out), vec![b, c]);
         n.leave(g, b);
         let out = n.transmit(SimTime::ZERO, Frame::multicast(a, g, 32, 0));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].to, c);
+        assert_eq!(receivers(&out), vec![c]);
     }
 
     #[test]
@@ -488,8 +519,7 @@ mod tests {
         n.join(g, a);
         n.join(g, b);
         let out = n.transmit(SimTime::ZERO, Frame::multicast(a, g, 32, 0));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].to, b);
+        assert_eq!(receivers(&out), vec![b]);
     }
 
     #[test]
@@ -499,11 +529,11 @@ mod tests {
         let b = n.attach();
         n.set_up(b, false);
         let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert!(out.is_empty());
+        assert!(out.arrivals.is_empty());
         assert_eq!(n.stats().drops_down, 1);
         n.set_up(b, true);
         let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert_eq!(out.len(), 1);
+        assert_eq!(receivers(&out), vec![b]);
     }
 
     #[test]
@@ -513,7 +543,7 @@ mod tests {
         let b = n.attach();
         n.set_up(a, false);
         let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert!(out.is_empty());
+        assert!(out.arrivals.is_empty());
         assert_eq!(n.stats().sender_down, 1);
         assert_eq!(n.stats().frames_sent, 0);
     }
@@ -527,7 +557,7 @@ mod tests {
         let _c = n.attach();
         // Broadcast to two receivers: the 2nd receiver check drops.
         let out = n.transmit(SimTime::ZERO, Frame::broadcast(a, 32, 0));
-        assert_eq!(out.len(), 1);
+        assert_eq!(out.arrivals.len(), 1);
         assert_eq!(n.stats().drops_loss, 1);
     }
 
@@ -547,11 +577,17 @@ mod tests {
         // Four receivers per broadcast → draws 1,2,3,4 then 5,6,7,8: the
         // multiples of three land on a different receiver each frame.
         let first = n.transmit(SimTime::ZERO, Frame::broadcast(a, 32, 0));
-        let to: Vec<HostAddr> = first.iter().map(|x| x.to).collect();
-        assert_eq!(to, vec![b, c, e], "3rd per-receiver draw (d) is the drop");
+        assert_eq!(
+            receivers(&first),
+            vec![b, c, e],
+            "3rd per-receiver draw (d) is the drop"
+        );
         let second = n.transmit(SimTime::ZERO, Frame::broadcast(a, 32, 0));
-        let to: Vec<HostAddr> = second.iter().map(|x| x.to).collect();
-        assert_eq!(to, vec![b, d, e], "6th per-receiver draw (c) is the drop");
+        assert_eq!(
+            receivers(&second),
+            vec![b, d, e],
+            "6th per-receiver draw (c) is the drop"
+        );
         assert_eq!(n.stats().drops_loss, 2);
         assert_eq!(n.stats().deliveries, 6);
     }
@@ -565,14 +601,14 @@ mod tests {
         assert!(n.is_blocked(a, b));
         assert!(!n.is_blocked(b, a), "asymmetric partition");
         let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert!(out.is_empty());
+        assert!(out.arrivals.is_empty());
         assert_eq!(n.stats().drops_partition, 1);
         // The reverse direction still works.
         let out = n.transmit(SimTime::ZERO, Frame::unicast(b, a, 32, 0));
-        assert_eq!(out.len(), 1);
+        assert_eq!(receivers(&out), vec![a]);
         n.heal(&[a], &[b]);
         let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert_eq!(out.len(), 1);
+        assert_eq!(receivers(&out), vec![b]);
     }
 
     #[test]
@@ -586,11 +622,10 @@ mod tests {
         // A broadcast from `a` reaches nobody; b → c is unaffected.
         assert!(n
             .transmit(SimTime::ZERO, Frame::broadcast(a, 32, 0))
+            .arrivals
             .is_empty());
-        assert_eq!(
-            n.transmit(SimTime::ZERO, Frame::unicast(b, c, 32, 0)).len(),
-            1
-        );
+        let out = n.transmit(SimTime::ZERO, Frame::unicast(b, c, 32, 0));
+        assert_eq!(receivers(&out), vec![c]);
     }
 
     #[test]
@@ -601,11 +636,11 @@ mod tests {
         let extra = SimDuration::from_millis(30);
         n.set_link_latency(a, b, extra, SimTime::from_micros(1_000));
         let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 0));
-        assert_eq!(out[0].at, SimTime::from_micros(899 + 30_000));
+        assert_eq!(out.arrivals[0].at, SimTime::from_micros(899 + 30_000));
         // After the window closes the link is back to normal.
         let t = SimTime::from_micros(5_000);
         let out = n.transmit(t, Frame::unicast(a, b, 1024, 0));
-        assert_eq!(out[0].at, t + SimDuration::from_micros(899));
+        assert_eq!(out.arrivals[0].at, t + SimDuration::from_micros(899));
     }
 
     #[test]
@@ -615,12 +650,77 @@ mod tests {
         let b = n.attach();
         n.set_corruption(1.0, SimTime::from_micros(100));
         let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert_eq!(out.len(), 1, "corrupt frames are still delivered");
-        assert!(!out[0].frame.checksum_valid());
+        assert_eq!(out.arrivals.len(), 1, "corrupt frames are still delivered");
+        let copy = out.arrivals[0].corrupted.as_ref().expect("a damaged copy");
+        assert!(!copy.checksum_valid());
+        assert!(out.frame.checksum_valid(), "the frame as sent is intact");
         assert_eq!(n.stats().corrupted, 1);
         // Outside the window frames arrive intact.
         let out = n.transmit(SimTime::from_micros(200), Frame::unicast(a, b, 32, 0));
-        assert!(out[0].frame.checksum_valid());
+        assert!(out.arrivals[0].corrupted.is_none());
+    }
+
+    #[test]
+    fn every_nth_loss_hits_the_same_receiver_positions_across_fan_outs() {
+        // Draw k (1-based, across transmits) is lost when k % 4 == 0. Six
+        // receivers per broadcast: draws 1–6, then 7–12, then 13–18. The
+        // arrivals list the survivors, so a lost position is exactly one
+        // missing from the receiver order.
+        let mut n: Ethernet<u32> =
+            Ethernet::new(LossModel::EveryNth(4), DetRng::seed(1), Trace::quiet());
+        let hosts: Vec<HostAddr> = (0..7).map(|_| n.attach()).collect();
+        let lost = |out: &Transmission<u32>| -> Vec<usize> {
+            let got = receivers(out);
+            (1..7).filter(|i| !got.contains(&hosts[*i])).collect()
+        };
+        let first = n.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
+        assert_eq!(lost(&first), vec![4], "draw 4");
+        let second = n.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
+        assert_eq!(lost(&second), vec![2, 6], "draws 8 and 12");
+        let third = n.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
+        assert_eq!(lost(&third), vec![4], "draw 16");
+        assert_eq!(n.stats().drops_loss, 4);
+        assert_eq!(n.stats().deliveries, 14);
+    }
+
+    #[test]
+    fn corruption_copies_only_the_corrupted_receivers_frame() {
+        let mut n = net();
+        let hosts: Vec<HostAddr> = (0..9).map(|_| n.attach()).collect();
+        n.set_corruption(0.5, SimTime::from_micros(100));
+        let out = n.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 32, 5));
+        assert_eq!(out.arrivals.len(), 8, "corruption loses nothing");
+        let copies: Vec<&Frame<u32>> = out
+            .arrivals
+            .iter()
+            .filter_map(|a| a.corrupted.as_deref())
+            .collect();
+        // Seed 42 corrupts some receivers and spares others.
+        assert!(!copies.is_empty() && copies.len() < 8, "{}", copies.len());
+        assert_eq!(copies.len() as u64, n.stats().corrupted);
+        for copy in copies {
+            assert!(!copy.checksum_valid());
+            assert_eq!(copy.payload, 5);
+        }
+        // Everyone else hears the one frame as sent.
+        assert!(out.frame.checksum_valid());
+    }
+
+    #[test]
+    fn latency_spiked_receiver_gets_its_own_instant() {
+        let mut n = net();
+        let a = n.attach();
+        let b = n.attach();
+        let c = n.attach();
+        let d = n.attach();
+        let extra = SimDuration::from_millis(30);
+        n.set_link_latency(a, c, extra, SimTime::from_micros(1_000));
+        let out = n.transmit(SimTime::ZERO, Frame::broadcast(a, 1024, 0));
+        assert_eq!(receivers(&out), vec![b, c, d]);
+        let at: Vec<SimTime> = out.arrivals.iter().map(|x| x.at).collect();
+        let base = SimTime::from_micros(899);
+        assert_eq!(at, vec![base, base + extra, base]);
+        assert!(out.arrivals.iter().all(|x| x.corrupted.is_none()));
     }
 
     #[test]

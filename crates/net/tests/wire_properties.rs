@@ -61,10 +61,13 @@ fn broadcast_reaches_all_live_peers() {
             }
         }
         let out = net.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 64, 0));
-        assert_eq!(out.len(), live_others);
-        // Everyone hears it at the same instant.
-        if let Some(first) = out.first() {
-            assert!(out.iter().all(|d| d.at == first.at));
+        assert_eq!(out.arrivals.len(), live_others);
+        // Everyone hears the one frame at the same instant.
+        if let Some(first) = out.arrivals.first() {
+            assert!(out
+                .arrivals
+                .iter()
+                .all(|d| d.at == first.at && d.corrupted.is_none()));
         }
     }
 }
@@ -86,7 +89,7 @@ fn back_to_back_frames_serialize() {
         for i in 0..n_frames {
             let bytes = rng.range_u64(1, 4000);
             let out = net.transmit(SimTime::ZERO, Frame::unicast(a, b, bytes, i as u32));
-            let at = out[0].at;
+            let at = out.arrivals[0].at;
             if let Some(prev) = last {
                 assert!(at > prev, "arrivals must be ordered");
             }
@@ -122,7 +125,7 @@ fn multicast_membership_is_exact() {
         }
         let sender = hosts[0];
         let out = net.transmit(SimTime::ZERO, Frame::multicast(sender, g, 64, 0));
-        let mut got: Vec<HostAddr> = out.iter().map(|d| d.to).collect();
+        let mut got: Vec<HostAddr> = out.arrivals.iter().map(|d| d.to).collect();
         got.sort();
         let want: Vec<HostAddr> = model.iter().copied().filter(|&h| h != sender).collect();
         assert_eq!(got, want);

@@ -464,12 +464,7 @@ impl ProgramManager {
     }
 
     fn free_bytes(&self, k: &Kernel<ServiceMsg>) -> u64 {
-        let used: u64 = k
-            .resident_lhs()
-            .iter()
-            .filter_map(|&lh| k.logical_host(lh))
-            .map(|l| l.total_bytes())
-            .sum();
+        let used: u64 = k.logical_hosts().map(|l| l.total_bytes()).sum();
         WORKSTATION_MEMORY_BYTES
             .saturating_sub(used)
             .saturating_sub(SYSTEM_RESERVED_BYTES)

@@ -19,7 +19,7 @@
 //! let slot = p.slot(Subsystem::Net, "Frame");
 //! let t0 = p.begin();
 //! // ... dispatch the event ...
-//! p.end(slot, t0);
+//! p.end(slot, t0, 1);
 //! let report = p.report();
 //! assert_eq!(report.slots[0].dispatches, 1);
 //! assert_eq!(report.slots[0].wall_ns, 0); // null clock
@@ -137,15 +137,17 @@ impl Profiler {
         self.clock.now_ns()
     }
 
-    /// Charges one dispatch (and the elapsed wall time since `t0`) to
-    /// `slot`. Under the null clock the elapsed time is always 0.
+    /// Charges `dispatches` dispatches (and the elapsed wall time since
+    /// `t0`) to `slot`: one per event, or one per item of an event that
+    /// carries several (the receivers of one queued frame). Under the
+    /// null clock the elapsed time is always 0.
     #[inline]
     // The sanctioned host-clock read: it feeds wall-time attribution only.
     #[allow(clippy::disallowed_methods)]
-    pub fn end(&mut self, slot: SlotId, t0: u64) {
+    pub fn end(&mut self, slot: SlotId, t0: u64, dispatches: u64) {
         let now = self.clock.now_ns();
         let s = &mut self.slots[slot.0 as usize];
-        s.dispatches += 1;
+        s.dispatches += dispatches;
         s.wall_ns += now.saturating_sub(t0);
     }
 
@@ -264,7 +266,7 @@ mod tests {
         let s = p.slot(Subsystem::Engine, "Tick");
         for _ in 0..5 {
             let t0 = p.begin();
-            p.end(s, t0);
+            p.end(s, t0, 1);
         }
         let r = p.report();
         assert_eq!(r.clock, "null");
@@ -277,13 +279,24 @@ mod tests {
         let mut p = Profiler::with_clock(Box::new(StepClock { t: 0, step: 10 }));
         let s = p.slot(Subsystem::Cluster, "Command");
         let t0 = p.begin(); // reads 0
-        p.end(s, t0); // reads 10 -> charges 10
+        p.end(s, t0, 1); // reads 10 -> charges 10
         let t0 = p.begin(); // reads 20
-        p.end(s, t0); // reads 30 -> charges 10
+        p.end(s, t0, 1); // reads 30 -> charges 10
         let r = p.report();
         assert_eq!(r.clock, "step");
         assert_eq!(r.slot("Command").unwrap().dispatches, 2);
         assert_eq!(r.slot("Command").unwrap().wall_ns, 20);
+    }
+
+    #[test]
+    fn one_event_can_charge_several_dispatches_and_its_time_once() {
+        let mut p = Profiler::with_clock(Box::new(StepClock { t: 0, step: 10 }));
+        let s = p.slot(Subsystem::Net, "Frame");
+        let t0 = p.begin();
+        p.end(s, t0, 16); // one event carrying sixteen receivers
+        let r = p.report();
+        assert_eq!(r.slot("Frame").unwrap().dispatches, 16);
+        assert_eq!(r.slot("Frame").unwrap().wall_ns, 10);
     }
 
     #[test]
@@ -292,10 +305,10 @@ mod tests {
         let cold = p.slot(Subsystem::Net, "Cold");
         let hot = p.slot(Subsystem::Kernel, "Hot");
         let t0 = p.begin();
-        p.end(cold, t0);
+        p.end(cold, t0, 1);
         for _ in 0..10 {
             let t0 = p.begin();
-            p.end(hot, t0);
+            p.end(hot, t0, 1);
         }
         let r = p.report();
         assert_eq!(r.slots[0].kind, "Hot");
@@ -307,10 +320,10 @@ mod tests {
         let mut p = Profiler::null();
         let s = p.slot(Subsystem::Engine, "Tick");
         let t0 = p.begin();
-        p.end(s, t0);
+        p.end(s, t0, 1);
         p.set_clock(Box::new(StepClock { t: 0, step: 7 }));
         let t0 = p.begin();
-        p.end(s, t0);
+        p.end(s, t0, 1);
         let r = p.report();
         assert_eq!(r.clock, "step");
         assert_eq!(r.slot("Tick").unwrap().dispatches, 2);
