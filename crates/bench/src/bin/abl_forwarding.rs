@@ -54,7 +54,7 @@ fn scenario(forwarding: bool) -> (Row, vsim::MetricsReport) {
     rig.respond(victim, |m| Some(m.body + 1));
 
     // Baseline exchange.
-    rig.drive(2, |k, t| k.send(t, client, victim.into(), 1, 0));
+    rig.drive(2, |k, t, out| k.send(t, client, victim.into(), 1, 0, out));
     rig.run_until(SimTime::MAX);
     assert_eq!(rig.send_results().len(), 1);
 
@@ -68,20 +68,26 @@ fn scenario(forwarding: bool) -> (Row, vsim::MetricsReport) {
             l.create_space_with_id(sid, layout);
         }
     }
-    rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
+    rig.drive(1, |k, t, out| {
+        k.install_migration_record(t, temp, &record, out)
+    });
     if forwarding {
-        rig.drive(0, |k, t| {
-            k.delete_logical_host_with_forwarding(t, LogicalHostId(10), HostAddr(1))
+        rig.drive(0, |k, t, out| {
+            k.delete_logical_host_with_forwarding(t, LogicalHostId(10), HostAddr(1), out)
         });
     } else {
-        rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
+        rig.drive(0, |k, t, out| {
+            k.delete_logical_host(t, LogicalHostId(10), out)
+        });
     }
-    rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+    rig.drive(1, |k, t, out| {
+        k.unfreeze_migrated(t, LogicalHostId(10), out)
+    });
     rig.run_until(SimTime::MAX);
 
     // Client sends again with whatever cache state it has.
     rig.respond(victim, |m| Some(m.body + 1));
-    rig.drive(2, |k, t| k.send(t, client, victim.into(), 2, 0));
+    rig.drive(2, |k, t, out| k.send(t, client, victim.into(), 2, 0, out));
     rig.run_until(SimTime::MAX);
     let after_migration = rig.send_results().len() == 2 && rig.send_results()[1].2;
     let forwarded = rig.kernel(0).stats().forwarded_requests;
@@ -93,7 +99,7 @@ fn scenario(forwarding: bool) -> (Row, vsim::MetricsReport) {
     rig.kernel_mut(2)
         .learn_binding(LogicalHostId(10), HostAddr(0));
     rig.respond(victim, |m| Some(m.body + 1));
-    rig.drive(2, |k, t| k.send(t, client, victim.into(), 3, 0));
+    rig.drive(2, |k, t, out| k.send(t, client, victim.into(), 3, 0, out));
     rig.run_until(SimTime::MAX);
     let results = rig.send_results();
     let after_reboot = results.len() == 3 && results[2].2;

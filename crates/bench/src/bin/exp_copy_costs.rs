@@ -74,7 +74,9 @@ fn main() {
         };
         rig.kernel_mut(0).learn_binding(tlh, HostAddr(1));
         let pages: Vec<u32> = (0..(kb * 1024 / PAGE_BYTES) as u32).collect();
-        rig.drive(0, |k, now| k.copy_pages(now, src, tlh, tspace, pages).1);
+        rig.drive(0, |k, now, out| {
+            k.copy_pages(now, src, tlh, tspace, pages, out)
+        });
         rig.run_until(SimTime::MAX);
         let done = rig
             .log

@@ -25,8 +25,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use vcore::{
-    ExecEvent, ExecReport, ExecTarget, MigEvent, MigOutputs, MigrationConfig, MigrationReport,
-    Migrator, ProgramMeta, RemoteExecutor, ReplyTo, PAGING_LH, PAGING_SPACE,
+    ExecEvent, ExecReport, ExecTarget, MigEvent, MigrationConfig, MigrationReport, Migrator,
+    ProgramMeta, RemoteExecutor, ReplyTo, PAGING_LH, PAGING_SPACE,
 };
 use vkernel::{
     Destination, GroupId, Kernel, KernelConfig, KernelOutput, LogicalHostId, MsgIn, Packet,
@@ -445,7 +445,8 @@ impl Station {
                 // Hardware check sequence: a corrupted frame never reaches
                 // the kernel; the sender recovers by retransmission.
                 if frame.checksum_valid() {
-                    let outs = self.kernel.handle_frame(now, *frame);
+                    let mut outs = Vec::new();
+                    self.kernel.handle_frame(now, *frame, &mut outs);
                     self.kernel_outputs(outs);
                 } else {
                     self.count(|s| &mut s.corrupt_frames_dropped);
@@ -462,24 +463,28 @@ impl Station {
             }
             Input::Timer(timer) => self.timer(timer),
             Input::Boot(fs_host) => {
-                let outs = self
-                    .kernel
-                    .join_group(GroupId::PROGRAM_MANAGERS, self.pm.pid());
+                let mut outs = Vec::new();
+                let pm = self.pm.pid();
+                self.kernel
+                    .join_group(GroupId::PROGRAM_MANAGERS, pm, &mut outs);
                 self.kernel_outputs(outs);
                 self.kernel.learn_binding(LogicalHostId(1), fs_host);
                 self.kernel.learn_binding(PAGING_LH, fs_host);
             }
             Input::SetOwnerActive(active) => self.set_owner_active(active),
             Input::Exec(spec, target) => {
-                let outs = self.exec.execute(now, *spec, target, &mut self.kernel);
-                self.component_outputs(outs.events, Kind::Exec, outs.kernel);
+                let mut outs = SvcOutputs::default();
+                self.exec
+                    .execute(now, *spec, target, &mut self.kernel, &mut outs);
+                self.apply(None, outs, Kind::Exec);
             }
             Input::PmRequest(lh, body) => {
                 // Address "the program manager of whatever workstation
                 // hosts lh" through its well-known local group (§2.1):
                 // location-independent even if the program just moved.
                 let dest = Destination::Group(GroupId::program_manager_of(lh));
-                let outs = self.kernel.send(now, self.shell, dest, *body, 0);
+                let mut outs = Vec::new();
+                self.kernel.send(now, self.shell, dest, *body, 0, &mut outs);
                 self.kernel_outputs(outs);
             }
             Input::Reboot => {
@@ -491,7 +496,8 @@ impl Station {
                 // retention timers and fail its in-flight bulk transfers,
                 // then re-arm the program manager's watchdogs.
                 self.kernel.clear_forwarding();
-                let outs = self.kernel.reboot_recover(now);
+                let mut outs = Vec::new();
+                self.kernel.reboot_recover(now, &mut outs);
                 self.kernel_outputs(outs);
                 self.then(Kind::RebootPm);
             }
@@ -502,8 +508,9 @@ impl Station {
                 // watchdogs from what survives in the kernel's tables.
                 let pm_pid = self.pm.pid();
                 self.kernel.abort_server_transactions(now, pm_pid);
-                let outs = self.pm.restart(&self.kernel);
-                self.svc_outputs(SvcKind::Pm, outs);
+                let mut outs = SvcOutputs::default();
+                self.pm.restart(&self.kernel, &mut outs);
+                self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
             }
             Input::Start(root, lh, image, behavior) => {
                 self.start_program(root, lh, image, behavior)
@@ -523,19 +530,19 @@ impl Station {
             // Timers armed before a crash are lost with the power.
             Timer::Kernel(_) | Timer::Service(..) | Timer::QuantumEnd(..) if self.down => {}
             Timer::Kernel(key) => {
-                let outs = self.kernel.handle_timer(now, key);
+                let mut outs = Vec::new();
+                self.kernel.handle_timer(now, key, &mut outs);
                 self.kernel_outputs(outs);
             }
             Timer::Service(which, token) => {
-                let outs = match which {
-                    SvcKind::Pm => self.pm.handle_timer(now, token, &mut self.kernel),
-                    SvcKind::Fs => match &mut self.fs {
-                        Some(fs) => fs.handle_timer(now, token, &mut self.kernel),
-                        None => SvcOutputs::new(),
-                    },
-                    SvcKind::Display => self.display.handle_timer(now, token, &mut self.kernel),
-                };
-                self.svc_outputs(which, outs);
+                let (k, mut outs) = (&mut self.kernel, SvcOutputs::default());
+                match (which, &mut self.fs) {
+                    (SvcKind::Pm, _) => self.pm.handle_timer(now, token, k, &mut outs),
+                    (SvcKind::Fs, Some(fs)) => fs.handle_timer(now, token, k, &mut outs),
+                    (SvcKind::Fs, None) => {}
+                    (SvcKind::Display, _) => self.display.handle_timer(now, token, k, &mut outs),
+                }
+                self.apply(Some(which), outs, Kind::Svc);
             }
             Timer::QuantumEnd(lh, slice) => self.quantum_end(lh, slice),
             Timer::SleepDone(lh) => {
@@ -567,14 +574,16 @@ impl Station {
             Kind::CopyDone(xfer, initiator, result) => {
                 let k = &mut self.kernel;
                 if let Some(fs) = self.fs.as_mut().filter(|f| f.pid() == initiator) {
-                    let outs = fs.handle_copy_done(now, xfer, result, k);
-                    self.svc_outputs(SvcKind::Fs, outs);
+                    let mut outs = SvcOutputs::default();
+                    fs.handle_copy_done(now, xfer, result, k, &mut outs);
+                    self.apply(Some(SvcKind::Fs), outs, Kind::Svc);
                 } else if initiator == self.migrator.pid() {
-                    let outs = self.migrator.handle_copy_done(now, xfer, result, k);
-                    self.mig_outputs(outs);
+                    let mut outs = SvcOutputs::default();
+                    self.migrator
+                        .handle_copy_done(now, xfer, result, k, &mut outs);
+                    self.apply(None, outs, Kind::Mig);
                 } else if initiator == self.pm.pid() {
-                    let outs = self.pm.handle_copy_done(now, xfer, result, k);
-                    self.svc_outputs(SvcKind::Pm, outs);
+                    self.pm.handle_copy_done(xfer, result);
                 }
             }
             Kind::Svc(e) => self.svc_event(e),
@@ -599,8 +608,9 @@ impl Station {
                 if let (true, Some(h), Some(lh)) = (report.success, report.chosen_host, report.lh) {
                     if h != self.host {
                         self.emit(Output::Leased(lh, report.image.clone()));
-                        let outs = self.pm.grant_lease(now, lh, h);
-                        self.svc_outputs(SvcKind::Pm, outs);
+                        let mut outs = SvcOutputs::default();
+                        self.pm.grant_lease(now, lh, h, &mut outs);
+                        self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
                     }
                 }
                 self.emit(Output::ExecDone(report));
@@ -614,8 +624,9 @@ impl Station {
                 // existing lease travels in InstallState.origin; the new
                 // holder heartbeats and the origin rebinds.)
                 self.emit(Output::Leased(lh, image));
-                let outs = self.pm.grant_lease(now, lh, to);
-                self.svc_outputs(SvcKind::Pm, outs);
+                let mut outs = SvcOutputs::default();
+                self.pm.grant_lease(now, lh, to, &mut outs);
+                self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
                 self.then(Kind::Evicted(lh, to, None));
             }
             Kind::Evicted(lh, to, None) => {
@@ -636,8 +647,10 @@ impl Station {
             Kind::Destroyed(lh, Some(origin)) => {
                 // A deliberate destroy releases the lease back to the
                 // origin so it does not later presume the program dead.
-                let outs = self.pm.release_lease_to(now, origin, lh, &mut self.kernel);
-                self.svc_outputs(SvcKind::Pm, outs);
+                let mut outs = SvcOutputs::default();
+                let k = &mut self.kernel;
+                self.pm.release_lease_to(now, origin, lh, k, &mut outs);
+                self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
                 self.then(Kind::Destroyed(lh, None));
             }
             Kind::Destroyed(lh, None) => {
@@ -647,8 +660,9 @@ impl Station {
                 }
             }
             Kind::RebootPm => {
-                let outs = self.pm.reboot_recover();
-                self.svc_outputs(SvcKind::Pm, outs);
+                let mut outs = SvcOutputs::default();
+                self.pm.reboot_recover(&mut outs);
+                self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
                 self.then(Kind::RebootCpu);
             }
             Kind::RebootCpu => {
@@ -732,44 +746,36 @@ impl Station {
         }
     }
 
-    /// A component's events, each followed up in turn, then its kernel
-    /// actions.
-    fn component_outputs<E>(
-        &mut self,
-        events: Vec<E>,
-        step: fn(E) -> Kind,
-        kernel: Vec<KernelOutput<ServiceMsg>>,
-    ) {
-        for e in events {
+    /// Applies what a service, the migration engine or the executor
+    /// appended: its service timers (`which` names the service that armed
+    /// them; the other two arm none), then its events, each followed up in
+    /// turn, then its kernel actions.
+    fn apply<E>(&mut self, which: Option<SvcKind>, outs: SvcOutputs<E>, step: fn(E) -> Kind) {
+        debug_assert!(which.is_some() || outs.timers.is_empty());
+        if let Some(which) = which {
+            for (token, after) in outs.timers {
+                self.schedule(after, Timer::Service(which, token));
+            }
+        }
+        for e in outs.events {
             self.then(step(e));
         }
-        self.kernel_outputs(kernel);
-    }
-
-    fn svc_outputs(&mut self, which: SvcKind, outs: SvcOutputs) {
-        for (token, after) in outs.timers {
-            self.schedule(after, Timer::Service(which, token));
-        }
-        self.component_outputs(outs.events, Kind::Svc, outs.kernel);
-    }
-
-    fn mig_outputs(&mut self, outs: MigOutputs) {
-        self.component_outputs(outs.events, Kind::Mig, outs.kernel);
+        self.kernel_outputs(outs.kernel);
     }
 
     // --- Routing a kernel delivery or completion. ---
 
     fn deliver(&mut self, msg: MsgIn<ServiceMsg>) {
-        let (now, k) = (self.now, &mut self.kernel);
+        let (now, k, mut outs) = (self.now, &mut self.kernel, SvcOutputs::default());
         if msg.to == self.pm.pid() {
-            let outs = self.pm.handle_request(now, msg, k);
-            self.svc_outputs(SvcKind::Pm, outs);
+            self.pm.handle_request(now, msg, k, &mut outs);
+            self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
         } else if let Some(fs) = self.fs.as_mut().filter(|f| f.pid() == msg.to) {
-            let outs = fs.handle_request(now, msg, k);
-            self.svc_outputs(SvcKind::Fs, outs);
+            fs.handle_request(now, msg, k, &mut outs);
+            self.apply(Some(SvcKind::Fs), outs, Kind::Svc);
         } else if msg.to == self.display.pid() {
-            let outs = self.display.handle_request(now, msg, k);
-            self.svc_outputs(SvcKind::Display, outs);
+            self.display.handle_request(now, msg, k, &mut outs);
+            self.apply(Some(SvcKind::Display), outs, Kind::Svc);
         } else {
             self.count(|s| &mut s.unroutable_deliveries);
             let (lh, index) = (msg.to.lh.0, msg.to.index);
@@ -786,14 +792,18 @@ impl Station {
     ) {
         let (now, k) = (self.now, &mut self.kernel);
         if pid == self.pm.pid() {
-            let outs = self.pm.handle_send_done(now, seq, result, k);
-            self.svc_outputs(SvcKind::Pm, outs);
+            let mut outs = SvcOutputs::default();
+            self.pm.handle_send_done(now, seq, result, k, &mut outs);
+            self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
         } else if pid == self.migrator.pid() {
-            let outs = self.migrator.handle_send_done(now, seq, result, k);
-            self.mig_outputs(outs);
+            let mut outs = SvcOutputs::default();
+            self.migrator
+                .handle_send_done(now, seq, result, k, &mut outs);
+            self.apply(None, outs, Kind::Mig);
         } else if pid == self.shell {
-            let outs = self.exec.handle_send_done(now, seq, result, k);
-            self.component_outputs(outs.events, Kind::Exec, outs.kernel);
+            let mut outs = SvcOutputs::default();
+            self.exec.handle_send_done(now, seq, result, k, &mut outs);
+            self.apply(None, outs, Kind::Exec);
         } else if let Some((&lh, prt)) = self
             .programs
             .iter_mut()
@@ -834,7 +844,9 @@ impl Station {
                 let pm_pid = self.pm.pid();
                 if !self.kernel.is_resident(lh) || self.migrator.migrating(lh) {
                     let err = ServiceMsg::Err(vservices::SvcError::BadRequest);
-                    let outs = self.kernel.reply(now, pm_pid, requester, seq, err, 0);
+                    let mut outs = Vec::new();
+                    self.kernel
+                        .reply(now, pm_pid, requester, seq, err, 0, &mut outs);
                     self.kernel_outputs(outs);
                     return;
                 }
@@ -877,8 +889,9 @@ impl Station {
         let now = self.now;
         match e {
             MigEvent::Evicted { lh, to_host } => {
-                let (info, outs) = self.pm.forget_program(now, lh, &mut self.kernel);
-                self.svc_outputs(SvcKind::Pm, outs);
+                let mut outs = SvcOutputs::default();
+                let info = self.pm.forget_program(now, lh, &mut self.kernel, &mut outs);
+                self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
                 let image = info
                     .filter(|p| p.origin == Some(self.host))
                     .map(|p| p.image);
@@ -915,8 +928,9 @@ impl Station {
                 self.emit(Output::FaultPoint(step, round, parties));
             }
             MigEvent::Destroyed { lh } => {
-                let (info, outs) = self.pm.forget_program(now, lh, &mut self.kernel);
-                self.svc_outputs(SvcKind::Pm, outs);
+                let mut outs = SvcOutputs::default();
+                let info = self.pm.forget_program(now, lh, &mut self.kernel, &mut outs);
+                self.apply(Some(SvcKind::Pm), outs, Kind::Svc);
                 self.then(Kind::Destroyed(lh, info.and_then(|p| p.origin)));
             }
         }
@@ -938,12 +952,12 @@ impl Station {
                 priority: Priority::GUEST,
                 origin: None,
             });
-        let cfg = self.migration.clone();
-        let k = &mut self.kernel;
-        let outs = self
-            .migrator
-            .start(self.now, lh, meta, cfg, reply_to, destroy_if_stuck, k);
-        self.mig_outputs(outs);
+        let (cfg, k) = (self.migration.clone(), &mut self.kernel);
+        let mut outs = SvcOutputs::default();
+        let now = self.now;
+        self.migrator
+            .start(now, lh, meta, cfg, reply_to, destroy_if_stuck, k, &mut outs);
+        self.apply(None, outs, Kind::Mig);
     }
 
     // --- Programs. ---
@@ -1008,7 +1022,8 @@ impl Station {
                     let env = prt.behavior.env().clone();
                     self.emit(Output::Child(profile, env));
                 }
-                let (seq, outs) = self.kernel.send_with_seq(now, root, to, body, data_bytes);
+                let mut outs = Vec::new();
+                let seq = self.kernel.send(now, root, to, body, data_bytes, &mut outs);
                 if let Some(prt) = self.programs.get_mut(&lh) {
                     prt.awaiting = Some(seq);
                 }
@@ -1022,7 +1037,8 @@ impl Station {
                 // across migrations.
                 let dest = Destination::Group(GroupId::program_manager_of(lh));
                 let body = ServiceMsg::DestroyProgram { lh };
-                let outs = self.kernel.send(now, self.shell, dest, body, 0);
+                let mut outs = Vec::new();
+                self.kernel.send(now, self.shell, dest, body, 0, &mut outs);
                 self.kernel_outputs(outs);
             }
         }

@@ -40,7 +40,10 @@ fn local_execution_runs_to_completion() {
     assert_eq!(c.exec_reports.len(), 1);
     let r = &c.exec_reports[0];
     assert!(r.success, "{r:?}");
-    assert_eq!(r.chosen_name.as_deref(), Some("local"));
+    // A local execution runs on the origin itself, so no lease goes out.
+    assert_eq!(r.chosen_host, Some(c.stations[1].host));
+    assert_eq!(c.stations[1].pm.stats().leases_granted, 0);
+    assert!(c.stations[1].pm.granted_leases().is_empty());
     assert_eq!(r.selection_time, SimDuration::ZERO);
     assert_eq!(c.stats.programs_finished, 1);
     // The program's logical host is gone after exit.
@@ -80,7 +83,6 @@ fn remote_execution_at_named_host() {
     c.run_for(SimDuration::from_secs(10));
     let r = c.exec_reports[0].clone();
     assert!(r.success, "{r:?}");
-    assert_eq!(r.chosen_name.as_deref(), Some("ws2"));
     assert_eq!(r.chosen_host, Some(c.stations[2].host));
 }
 

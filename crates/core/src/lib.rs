@@ -21,10 +21,10 @@ mod report;
 pub mod residual;
 
 pub use migration::{
-    MigEvent, MigOutputs, MigrationConfig, Migrator, ProgramMeta, ReplyTo, StopPolicy, Strategy,
-    PAGING_LH, PAGING_SPACE,
+    MigEvent, MigrationConfig, Migrator, ProgramMeta, ReplyTo, StopPolicy, Strategy, PAGING_LH,
+    PAGING_SPACE,
 };
-pub use remote_exec::{ExecEvent, ExecOutputs, RemoteExecutor};
+pub use remote_exec::{ExecEvent, RemoteExecutor};
 pub use report::{
     ExecReport, ExecTarget, IterStat, MigFailure, MigrationReport, ResidualDependency,
 };

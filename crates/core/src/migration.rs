@@ -55,12 +55,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use vkernel::{
-    Kernel, KernelOutput, LogicalHostId, Priority, ProcessId, ReplyIn, SendError, SendSeq, XferId,
-};
+use vkernel::{Kernel, LogicalHostId, Priority, ProcessId, ReplyIn, SendError, SendSeq, XferId};
 use vmem::SpaceId;
 use vnet::HostAddr;
-use vservices::{ServiceMsg, SvcError};
+use vservices::{ServiceMsg, SvcError, SvcOutputs};
 use vsim::calib::PAGE_BYTES;
 use vsim::{
     ProtocolStep, Samples, ScopeMetrics, SimDuration, SimTime, SpanId, SpanIdGen, Subsystem, Trace,
@@ -216,22 +214,6 @@ pub enum MigEvent {
     },
 }
 
-/// Outputs of one engine step.
-#[derive(Debug, Default)]
-pub struct MigOutputs {
-    /// Kernel actions to execute.
-    pub kernel: Vec<KernelOutput<ServiceMsg>>,
-    /// Events for the runtime.
-    pub events: Vec<MigEvent>,
-}
-
-impl MigOutputs {
-    fn kernel(mut self, outs: Vec<KernelOutput<ServiceMsg>>) -> Self {
-        self.kernel.extend(outs);
-        self
-    }
-}
-
 /// Program metadata the engine needs for bookkeeping at the target.
 #[derive(Debug, Clone)]
 pub struct ProgramMeta {
@@ -329,7 +311,7 @@ struct MigratorStats {
 ///
 /// Sans-IO like everything else: the runtime routes `SendDone`/`CopyDone`
 /// completions for the engine's process id into the handlers below and
-/// executes the returned kernel outputs.
+/// applies what they append to its [`SvcOutputs`].
 pub struct Migrator {
     pid: ProcessId,
     host: HostAddr,
@@ -415,7 +397,7 @@ impl Migrator {
     /// Records the crossing of a registered fault-point step. Pushed
     /// before the step's own kernel outputs, so an injected crash lands
     /// before the step's messages leave the station.
-    fn point(out: &mut MigOutputs, job: &Job, step: ProtocolStep) {
+    fn point(out: &mut SvcOutputs<MigEvent>, job: &Job, step: ProtocolStep) {
         out.events.push(MigEvent::Point {
             lh: job.lh,
             step,
@@ -500,7 +482,8 @@ impl Migrator {
         reply_to: Option<ReplyTo>,
         destroy_if_stuck: bool,
         k: &mut Kernel<ServiceMsg>,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         assert!(k.is_resident(lh), "migrating a non-resident logical host");
         assert!(!self.jobs.contains_key(&lh), "already migrating {lh}");
         let temp = LogicalHostId(self.temp_base + self.next_temp);
@@ -544,9 +527,11 @@ impl Migrator {
             freeze_child: None,
         };
         self.stats.started += 1;
-        let out = self.select_host(now, &mut job, k);
+        // Only the first selection is a `SelectHost` crossing; a retry's
+        // reselection is not.
+        Self::point(out, &job, ProtocolStep::SelectHost);
+        self.select_host(now, &mut job, k, out);
         self.jobs.insert(lh, job);
-        out
     }
 
     #[allow(clippy::expect_used)]
@@ -555,12 +540,11 @@ impl Migrator {
         now: SimTime,
         job: &mut Job,
         k: &mut Kernel<ServiceMsg>,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         job.state = JobState::Selecting;
         job.attempts += 1;
         self.open_phase(now, job, "selection");
-        let mut out = MigOutputs::default();
-        Self::point(&mut out, job, ProtocolStep::SelectHost);
         let mut exclude_hosts = vec![self.host];
         exclude_hosts.extend(job.excluded.iter().copied());
         let query = ServiceMsg::QueryHost {
@@ -568,15 +552,9 @@ impl Migrator {
             exclude_hosts,
         };
         k.set_span_parent(job.phase_span.expect("just opened").ctx());
-        let (seq, kouts) = k.send_with_seq(
-            now,
-            self.pid,
-            vkernel::GroupId::PROGRAM_MANAGERS.into(),
-            query,
-            0,
-        );
+        let pms = vkernel::GroupId::PROGRAM_MANAGERS.into();
+        let seq = k.send(now, self.pid, pms, query, 0, &mut out.kernel);
         self.by_seq.insert(seq, job.lh);
-        out.kernel(kouts)
     }
 
     /// Routes a completion of one of the engine's Sends.
@@ -593,14 +571,14 @@ impl Migrator {
         seq: SendSeq,
         result: Result<ReplyIn<ServiceMsg>, SendError>,
         k: &mut Kernel<ServiceMsg>,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         let Some(lh) = self.by_seq.remove(&seq) else {
-            return MigOutputs::default();
+            return;
         };
         let Some(mut job) = self.jobs.remove(&lh) else {
-            return MigOutputs::default();
+            return;
         };
-        let mut out = MigOutputs::default();
         if k.logical_host(job.lh).is_none() {
             // The program exited (and its logical host was destroyed)
             // while a protocol step was in flight.
@@ -616,7 +594,7 @@ impl Migrator {
                     job.state = JobState::Initializing;
                     self.close_phase(now, &mut job);
                     self.open_phase(now, &mut job, "initialization");
-                    Self::point(&mut out, &job, ProtocolStep::InitTarget);
+                    Self::point(out, &job, ProtocolStep::InitTarget);
                     let spaces: Vec<(SpaceId, _)> = k
                         .logical_host(lh)
                         .expect("job lh resident")
@@ -627,13 +605,12 @@ impl Migrator {
                         spaces,
                     };
                     k.set_span_parent(job.phase_span.expect("just opened").ctx());
-                    let (s, kouts) = k.send_with_seq(now, self.pid, pm.into(), init, 0);
+                    let s = k.send(now, self.pid, pm.into(), init, 0, &mut out.kernel);
                     self.by_seq.insert(s, lh);
-                    out = out.kernel(kouts);
                     self.jobs.insert(lh, job);
                 }
                 _ => {
-                    out = self.no_host(now, job, k, out);
+                    self.no_host(now, job, k, out);
                 }
             },
             JobState::Initializing => match result {
@@ -643,10 +620,10 @@ impl Migrator {
                 }) => {
                     k.learn_binding(job.temp, host);
                     self.close_phase(now, &mut job);
-                    out = self.begin_copying(now, job, k, out);
+                    self.begin_copying(now, job, k, out);
                 }
                 _ => {
-                    out = self.retry_or_fail(now, job, k, out, MigFailure::TargetRefused);
+                    self.retry_or_fail(now, job, k, out, MigFailure::TargetRefused);
                 }
             },
             JobState::InstallingState => match result {
@@ -657,25 +634,24 @@ impl Migrator {
                     // The point event precedes the UnfreezeMigrated
                     // transmit in the output stream, so a fault here can
                     // kill the source before step 5 leaves it.
-                    Self::point(&mut out, &job, ProtocolStep::Unfreeze);
+                    Self::point(out, &job, ProtocolStep::Unfreeze);
                     let (pm, _) = job.target.expect("target chosen");
                     let unfreeze = ServiceMsg::UnfreezeMigrated { lh: job.lh };
                     k.set_span_parent(job.freeze_child.expect("just opened").ctx());
-                    let (s, kouts) = k.send_with_seq(now, self.pid, pm.into(), unfreeze, 0);
+                    let s = k.send(now, self.pid, pm.into(), unfreeze, 0, &mut out.kernel);
                     self.by_seq.insert(s, lh);
-                    out = out.kernel(kouts);
                     self.jobs.insert(lh, job);
                 }
                 _ => {
-                    out = self.abort_frozen(now, job, k, out, MigFailure::InstallFailed);
+                    self.abort_frozen(now, job, k, out, MigFailure::InstallFailed);
                 }
             },
             JobState::Unfreezing => match result {
                 Ok(ReplyIn { body, .. }) if body.is_ok() => {
-                    out = self.finish_success(now, job, k, out);
+                    self.finish_success(now, job, k, out);
                 }
                 _ => {
-                    out = self.abort_frozen(now, job, k, out, MigFailure::InstallFailed);
+                    self.abort_frozen(now, job, k, out, MigFailure::InstallFailed);
                 }
             },
             s => {
@@ -685,7 +661,6 @@ impl Migrator {
                 self.jobs.insert(lh, job);
             }
         }
-        out
     }
 
     /// Routes a completion of one of the engine's bulk copies.
@@ -702,14 +677,14 @@ impl Migrator {
         xfer: XferId,
         result: Result<u64, SendError>,
         k: &mut Kernel<ServiceMsg>,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         let Some(lh) = self.by_xfer.remove(&xfer) else {
-            return MigOutputs::default();
+            return;
         };
         let Some(mut job) = self.jobs.remove(&lh) else {
-            return MigOutputs::default();
+            return;
         };
-        let mut out = MigOutputs::default();
         if k.logical_host(job.lh).is_none() {
             // The program exited (and its logical host was destroyed)
             // while the copy was in flight.
@@ -722,7 +697,7 @@ impl Migrator {
                 job.pending_xfers.remove(&xfer);
                 if !job.pending_xfers.is_empty() {
                     self.jobs.insert(lh, job);
-                    return out;
+                    return;
                 }
                 // Round complete.
                 match job.state {
@@ -748,12 +723,12 @@ impl Migrator {
                                 dirty_kb: job.iter_bytes / 1024,
                             },
                         );
-                        out = self.end_of_round(now, job, k, out);
+                        self.end_of_round(now, job, k, out);
                     }
                     JobState::FrozenFinalCopy => {
                         job.residual_copy_time =
                             now.since(job.freeze_started.expect("frozen before final copy"));
-                        out = self.install_state(now, job, k, out);
+                        self.install_state(now, job, k, out);
                     }
                     s => {
                         // Stale completion for an abandoned round.
@@ -766,14 +741,13 @@ impl Migrator {
                 // The target (or paging server) died mid-copy. If frozen,
                 // unfreeze in place to avoid timeouts (§3.1.3); an
                 // unfrozen copy failure can retry against another host.
-                out = if job.freeze_started.is_some() {
-                    self.abort_frozen(now, job, k, out, MigFailure::CopyFailed)
+                if job.freeze_started.is_some() {
+                    self.abort_frozen(now, job, k, out, MigFailure::CopyFailed);
                 } else {
-                    self.retry_or_fail(now, job, k, out, MigFailure::CopyFailed)
-                };
+                    self.retry_or_fail(now, job, k, out, MigFailure::CopyFailed);
+                }
             }
         }
-        out
     }
 
     // --- Copy phases. ---
@@ -784,8 +758,8 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        out: MigOutputs,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         if k.logical_host(job.lh).is_none() {
             return self.abandon_destroyed(now, job, k, out);
         }
@@ -799,8 +773,7 @@ impl Migrator {
             }
             Strategy::FreezeAndCopy => {
                 job.iteration = 1;
-                let mut out = out;
-                self.enter_freeze(now, &mut job, k, &mut out);
+                self.enter_freeze(now, &mut job, k, out);
                 let mut total = 0;
                 let spaces: Vec<SpaceId> = k
                     .logical_host(job.lh)
@@ -816,17 +789,15 @@ impl Migrator {
                     space.clear_dirty();
                     let pages: Vec<u32> = (0..space.total_pages()).collect();
                     total += pages.len() as u64 * PAGE_BYTES;
-                    let (xfer, kouts) = k.copy_pages(now, self.pid, job.temp, sid, pages);
+                    let xfer = k.copy_pages(now, self.pid, job.temp, sid, pages, &mut out.kernel);
                     job.pending_xfers.insert(xfer);
                     self.by_xfer.insert(xfer, job.lh);
-                    out = out.kernel(kouts);
                 }
                 job.residual_bytes = total;
                 job.iter_started = now;
                 job.iter_bytes = 0;
-                Self::point(&mut out, &job, ProtocolStep::ResidualCopy);
+                Self::point(out, &job, ProtocolStep::ResidualCopy);
                 self.jobs.insert(job.lh, job);
-                out
             }
             Strategy::VmFlush { .. } => {
                 // Round 1: flush every page written since the program
@@ -845,8 +816,8 @@ impl Migrator {
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
         kind: RoundKind,
-        mut out: MigOutputs,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         if k.logical_host(job.lh).is_none() {
             return self.abandon_destroyed(now, job, k, out);
         }
@@ -884,11 +855,16 @@ impl Migrator {
                 continue;
             }
             any = true;
-            let (xfer, kouts) =
-                k.copy_pages(now, self.pid, dest_lh, dest_space.unwrap_or(sid), pages);
+            let xfer = k.copy_pages(
+                now,
+                self.pid,
+                dest_lh,
+                dest_space.unwrap_or(sid),
+                pages,
+                &mut out.kernel,
+            );
             job.pending_xfers.insert(xfer);
             self.by_xfer.insert(xfer, job.lh);
-            out = out.kernel(kouts);
         }
         if !any {
             // Nothing to copy this round (e.g. a program that never wrote
@@ -898,7 +874,6 @@ impl Migrator {
             return self.freeze_and_final(now, job, k, out);
         }
         self.jobs.insert(job.lh, job);
-        out
     }
 
     #[allow(clippy::expect_used)]
@@ -907,13 +882,13 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        mut out: MigOutputs,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         if k.logical_host(job.lh).is_none() {
             return self.abandon_destroyed(now, job, k, out);
         }
         self.close_phase(now, &mut job);
-        Self::point(&mut out, &job, ProtocolStep::PrecopyRound);
+        Self::point(out, &job, ProtocolStep::PrecopyRound);
         let stop = match &job.cfg.strategy {
             Strategy::PreCopy(p) => p.clone(),
             Strategy::VmFlush { stop, .. } => stop.clone(),
@@ -940,7 +915,7 @@ impl Migrator {
         now: SimTime,
         job: &mut Job,
         k: &mut Kernel<ServiceMsg>,
-        out: &mut MigOutputs,
+        out: &mut SvcOutputs<MigEvent>,
     ) {
         k.freeze(job.lh);
         job.freeze_started = Some(now);
@@ -962,12 +937,12 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        mut out: MigOutputs,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         if k.logical_host(job.lh).is_none() {
             return self.abandon_destroyed(now, job, k, out);
         }
-        self.enter_freeze(now, &mut job, k, &mut out);
+        self.enter_freeze(now, &mut job, k, out);
         job.iter_started = now;
         job.iter_bytes = 0;
 
@@ -992,11 +967,16 @@ impl Migrator {
                 continue;
             }
             residual += pages.len() as u64 * PAGE_BYTES;
-            let (xfer, kouts) =
-                k.copy_pages(now, self.pid, dest_lh, dest_space.unwrap_or(sid), pages);
+            let xfer = k.copy_pages(
+                now,
+                self.pid,
+                dest_lh,
+                dest_space.unwrap_or(sid),
+                pages,
+                &mut out.kernel,
+            );
             job.pending_xfers.insert(xfer);
             self.by_xfer.insert(xfer, job.lh);
-            out = out.kernel(kouts);
         }
         job.residual_bytes = residual;
         self.stats.residual_kb.add(residual as f64 / 1024.0);
@@ -1009,13 +989,12 @@ impl Migrator {
                 kb: residual / 1024,
             },
         );
-        Self::point(&mut out, &job, ProtocolStep::ResidualCopy);
+        Self::point(out, &job, ProtocolStep::ResidualCopy);
         if job.pending_xfers.is_empty() {
             // Nothing was dirty: go straight to the kernel-state copy.
             return self.install_state(now, job, k, out);
         }
         self.jobs.insert(job.lh, job);
-        out
     }
 
     #[allow(clippy::expect_used)]
@@ -1024,8 +1003,8 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        mut out: MigOutputs,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         if k.logical_host(job.lh).is_none() {
             return self.abandon_destroyed(now, job, k, out);
         }
@@ -1062,13 +1041,11 @@ impl Migrator {
             fetch,
             origin: job.meta.origin,
         };
-        Self::point(&mut out, &job, ProtocolStep::Commit);
+        Self::point(out, &job, ProtocolStep::Commit);
         k.set_span_parent(job.freeze_child.expect("commit open").ctx());
-        let (s, kouts) = k.send_with_seq(now, self.pid, pm.into(), install, 0);
+        let s = k.send(now, self.pid, pm.into(), install, 0, &mut out.kernel);
         self.by_seq.insert(s, job.lh);
-        out = out.kernel(kouts);
         self.jobs.insert(job.lh, job);
-        out
     }
 
     // --- Completion paths. ---
@@ -1079,8 +1056,8 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        mut out: MigOutputs,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         self.close_root(now, &mut job);
         let freeze_time = now.since(job.freeze_started.expect("was frozen"));
         let (_, to_host) = job.target.expect("target chosen");
@@ -1096,11 +1073,11 @@ impl Migrator {
 
         // Step 5: delete the old copy; references rebind via the binding
         // cache.
-        Self::point(&mut out, &job, ProtocolStep::ReleaseSource);
-        out = out.kernel(k.delete_logical_host(now, job.lh));
+        Self::point(out, &job, ProtocolStep::ReleaseSource);
+        k.delete_logical_host(now, job.lh, &mut out.kernel);
 
         if let Some(r) = job.reply_to {
-            out = out.kernel(k.reply(now, r.from, r.to, r.seq, ServiceMsg::Ok, 0));
+            k.reply(now, r.from, r.to, r.seq, ServiceMsg::Ok, 0, &mut out.kernel);
         }
 
         // The unique flushed pages cross the network a second time when
@@ -1129,7 +1106,6 @@ impl Migrator {
             to_host,
         });
         out.events.push(MigEvent::Done(Box::new(report)));
-        out
     }
 
     fn no_host(
@@ -1137,21 +1113,20 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        mut out: MigOutputs,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         if job.destroy_if_stuck {
             self.close_root(now, &mut job);
             // `migrateprog -n`: destroy rather than keep occupying the
             // workstation.
-            out = out.kernel(k.delete_logical_host(now, job.lh));
+            k.delete_logical_host(now, job.lh, &mut out.kernel);
             if let Some(r) = job.reply_to {
-                out = out.kernel(k.reply(now, r.from, r.to, r.seq, ServiceMsg::Ok, 0));
+                k.reply(now, r.from, r.to, r.seq, ServiceMsg::Ok, 0, &mut out.kernel);
             }
             out.events.push(MigEvent::Destroyed { lh: job.lh });
             self.stats.failed += 1;
             let report = self.report_failure(&job, now, MigFailure::Destroyed);
             out.events.push(MigEvent::Done(Box::new(report)));
-            out
         } else {
             self.fail(now, job, k, out, MigFailure::NoHostFound)
         }
@@ -1165,8 +1140,8 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        out: MigOutputs,
-    ) -> MigOutputs {
+        out: &mut SvcOutputs<MigEvent>,
+    ) {
         for x in std::mem::take(&mut job.pending_xfers) {
             self.by_xfer.remove(&x);
         }
@@ -1178,9 +1153,9 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        out: MigOutputs,
+        out: &mut SvcOutputs<MigEvent>,
         failure: MigFailure,
-    ) -> MigOutputs {
+    ) {
         if job.attempts <= job.cfg.retry_limit {
             // The failed target is excluded from reselection, and the
             // attempt starts over against a fresh temporary id — the old
@@ -1213,11 +1188,8 @@ impl Migrator {
                     attempt: job.attempts + 1,
                 },
             );
-            let o = self.select_host(now, &mut job, k);
+            self.select_host(now, &mut job, k, out);
             self.jobs.insert(job.lh, job);
-            let mut out = out;
-            out.kernel.extend(o.kernel);
-            out
         } else {
             self.fail(now, job, k, out, failure)
         }
@@ -1228,11 +1200,11 @@ impl Migrator {
         now: SimTime,
         job: Job,
         k: &mut Kernel<ServiceMsg>,
-        mut out: MigOutputs,
+        out: &mut SvcOutputs<MigEvent>,
         failure: MigFailure,
-    ) -> MigOutputs {
+    ) {
         // "The logical host is unfrozen to avoid timeouts" (§3.1.3).
-        out = out.kernel(k.unfreeze_in_place(now, job.lh));
+        k.unfreeze_in_place(now, job.lh, &mut out.kernel);
         out.events.push(MigEvent::UnfrozeInPlace { lh: job.lh });
         self.trace.emit(
             TraceLevel::Detail,
@@ -1248,24 +1220,24 @@ impl Migrator {
         now: SimTime,
         mut job: Job,
         k: &mut Kernel<ServiceMsg>,
-        mut out: MigOutputs,
+        out: &mut SvcOutputs<MigEvent>,
         failure: MigFailure,
-    ) -> MigOutputs {
+    ) {
         self.close_root(now, &mut job);
         if let Some(r) = job.reply_to {
-            out = out.kernel(k.reply(
+            k.reply(
                 now,
                 r.from,
                 r.to,
                 r.seq,
                 ServiceMsg::Err(SvcError::UpstreamFailed),
                 0,
-            ));
+                &mut out.kernel,
+            );
         }
         self.stats.failed += 1;
         let report = self.report_failure(&job, now, failure);
         out.events.push(MigEvent::Done(Box::new(report)));
-        out
     }
 
     fn report_failure(&self, job: &Job, now: SimTime, failure: MigFailure) -> MigrationReport {

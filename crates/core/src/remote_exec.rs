@@ -11,8 +11,8 @@
 
 use std::collections::BTreeMap;
 
-use vkernel::{GroupId, Kernel, KernelOutput, ProcessId, ReplyIn, SendError, SendSeq};
-use vservices::{ProgramSpec, ServiceMsg};
+use vkernel::{GroupId, Kernel, ProcessId, ReplyIn, SendError, SendSeq};
+use vservices::{ProgramSpec, ServiceMsg, SvcOutputs};
 use vsim::{SimDuration, SimTime};
 
 use crate::report::{ExecReport, ExecTarget};
@@ -22,22 +22,6 @@ use crate::report::{ExecReport, ExecTarget};
 pub enum ExecEvent {
     /// Execution set up (or failed); metrics attached.
     Done(Box<ExecReport>),
-}
-
-/// Outputs of one executor step.
-#[derive(Debug, Default)]
-pub struct ExecOutputs {
-    /// Kernel actions to execute.
-    pub kernel: Vec<KernelOutput<ServiceMsg>>,
-    /// Events for the runtime.
-    pub events: Vec<ExecEvent>,
-}
-
-impl ExecOutputs {
-    fn kernel(mut self, outs: Vec<KernelOutput<ServiceMsg>>) -> Self {
-        self.kernel.extend(outs);
-        self
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +37,7 @@ struct Job {
     started_at: SimTime,
     selected_at: Option<SimTime>,
     created_at: Option<SimTime>,
-    chosen: Option<(ProcessId, vnet::HostAddr, String)>,
+    chosen: Option<(ProcessId, vnet::HostAddr)>,
     root: Option<ProcessId>,
     lh: Option<vkernel::LogicalHostId>,
 }
@@ -88,11 +72,6 @@ impl RemoteExecutor {
         self.pid
     }
 
-    /// Number of executions still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Begins executing `spec` at `target`.
     pub fn execute(
         &mut self,
@@ -100,7 +79,8 @@ impl RemoteExecutor {
         spec: ProgramSpec,
         target: ExecTarget,
         k: &mut Kernel<ServiceMsg>,
-    ) -> ExecOutputs {
+        out: &mut SvcOutputs<ExecEvent>,
+    ) {
         let id = self.next_job;
         self.next_job += 1;
         let mut job = Job {
@@ -113,27 +93,22 @@ impl RemoteExecutor {
             root: None,
             lh: None,
         };
-        let out = ExecOutputs::default();
-        let out = match target {
+        let (to, body) = match target {
             ExecTarget::Local => {
-                // No selection phase: straight to the local manager.
+                // No selection phase: straight to the local manager, on
+                // this workstation.
                 job.selected_at = Some(now);
                 job.state = JobState::Creating;
-                job.chosen = Some((self.local_pm, vnet::HostAddr(0), "local".into()));
+                job.chosen = Some((self.local_pm, self.host));
                 let create = ServiceMsg::CreateProgram(Box::new(job.spec.clone()));
-                let (seq, kouts) = k.send_with_seq(now, self.pid, self.local_pm.into(), create, 0);
-                self.by_seq.insert(seq, id);
-                out.kernel(kouts)
+                (self.local_pm.into(), create)
             }
             ExecTarget::Named(name) => {
                 let q = ServiceMsg::QueryHost {
                     host_name: Some(name),
                     exclude_hosts: Vec::new(),
                 };
-                let (seq, kouts) =
-                    k.send_with_seq(now, self.pid, GroupId::PROGRAM_MANAGERS.into(), q, 0);
-                self.by_seq.insert(seq, id);
-                out.kernel(kouts)
+                (GroupId::PROGRAM_MANAGERS.into(), q)
             }
             ExecTarget::AnyIdle => {
                 // §4.3: "@*" means "some *other* lightly loaded machine";
@@ -142,14 +117,12 @@ impl RemoteExecutor {
                     host_name: None,
                     exclude_hosts: vec![self.host],
                 };
-                let (seq, kouts) =
-                    k.send_with_seq(now, self.pid, GroupId::PROGRAM_MANAGERS.into(), q, 0);
-                self.by_seq.insert(seq, id);
-                out.kernel(kouts)
+                (GroupId::PROGRAM_MANAGERS.into(), q)
             }
         };
+        let seq = k.send(now, self.pid, to, body, 0, &mut out.kernel);
+        self.by_seq.insert(seq, id);
         self.jobs.insert(id, job);
-        out
     }
 
     /// Routes a completion of one of the executor's Sends.
@@ -166,35 +139,28 @@ impl RemoteExecutor {
         seq: SendSeq,
         result: Result<ReplyIn<ServiceMsg>, SendError>,
         k: &mut Kernel<ServiceMsg>,
-    ) -> ExecOutputs {
+        out: &mut SvcOutputs<ExecEvent>,
+    ) {
         let Some(id) = self.by_seq.remove(&seq) else {
-            return ExecOutputs::default();
+            return;
         };
         let Some(mut job) = self.jobs.remove(&id) else {
-            return ExecOutputs::default();
+            return;
         };
-        let mut out = ExecOutputs::default();
         match (job.state, result) {
             (
                 JobState::Selecting,
                 Ok(ReplyIn {
-                    body:
-                        ServiceMsg::HostCandidate {
-                            pm,
-                            host,
-                            host_name,
-                            ..
-                        },
+                    body: ServiceMsg::HostCandidate { pm, host, .. },
                     ..
                 }),
             ) => {
                 job.selected_at = Some(now);
-                job.chosen = Some((pm, host, host_name));
+                job.chosen = Some((pm, host));
                 job.state = JobState::Creating;
                 let create = ServiceMsg::CreateProgram(Box::new(job.spec.clone()));
-                let (s, kouts) = k.send_with_seq(now, self.pid, pm.into(), create, 0);
+                let s = k.send(now, self.pid, pm.into(), create, 0, &mut out.kernel);
                 self.by_seq.insert(s, id);
-                out = out.kernel(kouts);
                 self.jobs.insert(id, job);
             }
             (
@@ -213,12 +179,11 @@ impl RemoteExecutor {
                 // variables ... Finally, it starts the program in
                 // execution by replying to its initial process" (§2.1).
                 // The environment travels with the start request.
-                let (pm, _, _) = *job.chosen.as_ref().expect("chosen in Creating");
+                let (pm, _) = job.chosen.expect("chosen in Creating");
                 let start = ServiceMsg::StartProgram { root };
                 let env_bytes = 512; // Arguments + environment block.
-                let (s, kouts) = k.send_with_seq(now, self.pid, pm.into(), start, env_bytes);
+                let s = k.send(now, self.pid, pm.into(), start, env_bytes, &mut out.kernel);
                 self.by_seq.insert(s, id);
-                out = out.kernel(kouts);
                 self.jobs.insert(id, job);
             }
             (JobState::Starting, Ok(ReplyIn { body, .. })) if body.is_ok() => {
@@ -230,7 +195,6 @@ impl RemoteExecutor {
                     .push(ExecEvent::Done(Box::new(self.report(&job, now, false))));
             }
         }
-        out
     }
 
     fn report(&self, job: &Job, now: SimTime, success: bool) -> ExecReport {
@@ -248,8 +212,7 @@ impl RemoteExecutor {
             .unwrap_or(SimDuration::ZERO);
         ExecReport {
             image: job.spec.image.clone(),
-            chosen_host: job.chosen.as_ref().map(|(_, h, _)| *h),
-            chosen_name: job.chosen.as_ref().map(|(_, _, n)| n.clone()),
+            chosen_host: job.chosen.map(|(_, h)| h),
             root: job.root,
             lh: job.lh,
             selection_time,
@@ -267,11 +230,10 @@ mod tests {
     use vkernel::LogicalHostId;
 
     #[test]
-    fn executor_tracks_in_flight_jobs() {
+    fn executor_reports_its_pid() {
         let pid = ProcessId::new(LogicalHostId(1), 16);
         let pm = ProcessId::new(LogicalHostId(1), 2);
         let ex = RemoteExecutor::new(pid, vnet::HostAddr(0), pm);
-        assert_eq!(ex.in_flight(), 0);
         assert_eq!(ex.pid(), pid);
     }
 }

@@ -24,8 +24,6 @@ pub struct ExecReport {
     pub image: String,
     /// Chosen physical host, if any.
     pub chosen_host: Option<HostAddr>,
-    /// Chosen host's name.
-    pub chosen_name: Option<String>,
     /// Root process of the created program.
     pub root: Option<ProcessId>,
     /// Its logical host.

@@ -114,7 +114,8 @@ mod tests {
                 create: false,
             },
         };
-        let _ = fs.handle_request(SimTime::ZERO, msg, &mut k);
+        let out = &mut vservices::SvcOutputs::default();
+        fs.handle_request(SimTime::ZERO, msg, &mut k, out);
         assert_eq!(fs.open_files().count(), 1);
 
         // While the client runs on host0: no residual dependency.

@@ -6,7 +6,11 @@
 //!
 //! The kernel here is a sans-IO state machine: IPC primitives and incoming
 //! frames/timers produce [`KernelOutput`] actions that the cluster runtime
-//! (or a test rig) executes. It implements:
+//! (or a test rig) executes. Every method that causes actions appends them
+//! to an `out: &mut Vec<KernelOutput<X>>` its caller owns, in the order
+//! they must be executed; [`Kernel::send`] returns the transaction number
+//! and [`Kernel::copy_pages`]/[`Kernel::pull_pages`] the transfer id the
+//! eventual completion cites. It implements:
 //!
 //! * synchronous Send/Reply with retransmission, duplicate suppression and
 //!   reply retention;
@@ -558,36 +562,38 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     }
 
     /// Adds a local process to a global group.
-    pub fn join_group(&mut self, gid: GroupId, pid: ProcessId) -> Vec<KernelOutput<X>> {
+    pub fn join_group(&mut self, gid: GroupId, pid: ProcessId, out: &mut Vec<KernelOutput<X>>) {
         let members = self.group_members.entry(gid).or_default();
         let first = members.is_empty();
         members.insert(pid);
-        match (first, self.group_routes.get(&gid)) {
-            (true, Some(&m)) => vec![KernelOutput::JoinMcast(m)],
-            _ => Vec::new(),
+        if let (true, Some(&m)) = (first, self.group_routes.get(&gid)) {
+            out.push(KernelOutput::JoinMcast(m));
         }
     }
 
     /// Removes a local process from a global group.
-    pub fn leave_group(&mut self, gid: GroupId, pid: ProcessId) -> Vec<KernelOutput<X>> {
+    pub fn leave_group(&mut self, gid: GroupId, pid: ProcessId, out: &mut Vec<KernelOutput<X>>) {
         if let Some(members) = self.group_members.get_mut(&gid) {
             members.remove(&pid);
             if members.is_empty() {
                 if let Some(&m) = self.group_routes.get(&gid) {
-                    return vec![KernelOutput::LeaveMcast(m)];
+                    out.push(KernelOutput::LeaveMcast(m));
                 }
             }
         }
-        Vec::new()
     }
 
     // --- IPC primitives. ---
 
     /// Send: blocks `from` awaiting a reply and routes the message.
+    /// Returns the allocated transaction number, which the eventual
+    /// [`KernelOutput::SendDone`] cites.
     ///
     /// # Panics
     ///
-    /// Panics if `from` is not a live resident process.
+    /// Panics if `from`'s logical host is not resident or does not hold
+    /// the live process `from`.
+    #[allow(clippy::expect_used)]
     pub fn send(
         &mut self,
         now: SimTime,
@@ -595,26 +601,8 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         to: Destination,
         body: X,
         data_bytes: u64,
-    ) -> Vec<KernelOutput<X>> {
-        self.send_with_seq(now, from, to, body, data_bytes).1
-    }
-
-    /// Like [`Kernel::send`], also returning the allocated transaction
-    /// number so callers can correlate the eventual completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from`'s logical host is not resident or does not hold
-    /// the process `from`.
-    #[allow(clippy::expect_used)]
-    pub fn send_with_seq(
-        &mut self,
-        now: SimTime,
-        from: ProcessId,
-        to: Destination,
-        body: X,
-        data_bytes: u64,
-    ) -> (SendSeq, Vec<KernelOutput<X>>) {
+        out: &mut Vec<KernelOutput<X>>,
+    ) -> SendSeq {
         self.now = now;
         self.stats.sends += 1;
         self.stats.freeze_checks += 1;
@@ -643,15 +631,15 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             self.host.0,
         );
         self.open_sends.insert((from, seq), sid);
-        let mut out = Vec::new();
-        self.route_send(seq, from, to, body, data_bytes, false, sid.ctx(), &mut out);
-        (seq, out)
+        self.route_send(seq, from, to, body, data_bytes, false, sid.ctx(), out);
+        seq
     }
 
     /// Reply: completes a previously delivered request.
     ///
     /// If the request is unknown (e.g. the requester gave up) this is a
     /// no-op.
+    #[allow(clippy::too_many_arguments)]
     pub fn reply(
         &mut self,
         now: SimTime,
@@ -660,19 +648,19 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         seq: SendSeq,
         body: X,
         data_bytes: u64,
-    ) -> Vec<KernelOutput<X>> {
+        out: &mut Vec<KernelOutput<X>>,
+    ) {
         self.now = now;
         self.stats.replies += 1;
         self.stats.freeze_checks += 1;
-        let mut out = Vec::new();
         let key = (requester, seq);
         let Some(entries) = self.in_progress.get_mut(&key) else {
             self.stats.late_replies += 1;
-            return out;
+            return;
         };
         let Some(pos) = entries.iter().position(|e| e.target == from) else {
             self.stats.late_replies += 1;
-            return out;
+            return;
         };
         let entry = entries.remove(pos);
         if entries.is_empty() {
@@ -701,7 +689,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             // A group send may also have gone out by multicast; the first
             // reply (this one) wins and later remote replies are late.
             self.outstanding.remove(&(requester, seq));
-            self.complete_local_send(requester, seq, body, &mut out);
+            self.complete_local_send(requester, seq, body, out);
         } else {
             let pkt = Packet::Reply {
                 seq,
@@ -710,9 +698,8 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 body,
                 data_bytes,
             };
-            self.transmit_routed(requester.lh, pkt, &mut out);
+            self.transmit_routed(requester.lh, pkt, out);
         }
-        out
     }
 
     /// CopyTo: copies `pages` worth of address-space content into
@@ -720,6 +707,8 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     ///
     /// For a remote destination the binding must already be cached (the
     /// migration protocol learns it from the target-selection reply).
+    /// Returns the transfer's id, which its [`KernelOutput::CopyDone`]
+    /// cites.
     pub fn copy_pages(
         &mut self,
         now: SimTime,
@@ -727,12 +716,12 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         to_lh: LogicalHostId,
         to_space: SpaceId,
         pages: Vec<u32>,
-    ) -> (XferId, Vec<KernelOutput<X>>) {
+        out: &mut Vec<KernelOutput<X>>,
+    ) -> XferId {
         self.now = now;
         self.stats.freeze_checks += 1;
         let xfer = XferId(self.next_xfer);
         self.next_xfer += 1;
-        let mut out = Vec::new();
         let bytes = pages.len() as u64 * PAGE_BYTES;
 
         if pages.is_empty() {
@@ -741,7 +730,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 initiator,
                 result: Ok(0),
             });
-            return (xfer, out);
+            return xfer;
         }
 
         if self.lhs.contains_key(&to_lh) {
@@ -752,7 +741,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 key: TimerKey::LocalCopyDone(xfer),
                 after: LOCAL_MEMCPY_PER_KB * kb,
             });
-            return (xfer, out);
+            return xfer;
         }
 
         let Some(dst_host) = self.cache.lookup(to_lh) else {
@@ -761,14 +750,14 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 initiator,
                 result: Err(SendError::NoBinding),
             });
-            return (xfer, out);
+            return xfer;
         };
 
         let units = split_units(&pages, XFER_UNIT_BYTES);
         let x = OutXfer::new(initiator, to_lh, to_space, dst_host, units);
         self.xfers.insert(xfer, x);
-        self.send_current_unit(xfer, &mut out);
-        (xfer, out)
+        self.send_current_unit(xfer, out);
+        xfer
     }
 
     /// CopyFrom: asks the kernel hosting `from_lh` to blast `pages` of
@@ -790,19 +779,19 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         to_lh: LogicalHostId,
         to_space: SpaceId,
         pages: Vec<u32>,
-    ) -> (XferId, Vec<KernelOutput<X>>) {
+        out: &mut Vec<KernelOutput<X>>,
+    ) -> XferId {
         self.now = now;
         self.stats.freeze_checks += 1;
         let pull = XferId(self.next_xfer);
         self.next_xfer += 1;
-        let mut out = Vec::new();
         if pages.is_empty() {
             out.push(KernelOutput::CopyDone {
                 xfer: pull,
                 initiator,
                 result: Ok(0),
             });
-            return (pull, out);
+            return pull;
         }
         assert!(self.lhs.contains_key(&to_lh), "pull into non-resident lh");
         let Some(src_host) = self.cache.lookup(from_lh) else {
@@ -811,7 +800,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 initiator,
                 result: Err(SendError::NoBinding),
             });
-            return (pull, out);
+            return pull;
         };
         self.pulls.insert(
             pull,
@@ -844,7 +833,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
             key: TimerKey::PullStart(pull),
             after: calib::RETRANSMIT_INTERVAL,
         });
-        (pull, out)
+        pull
     }
 
     // --- Migration support. ---
@@ -874,9 +863,13 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     ///
     /// Panics if `lh` is not resident.
     #[allow(clippy::expect_used)]
-    pub fn unfreeze_in_place(&mut self, now: SimTime, lh: LogicalHostId) -> Vec<KernelOutput<X>> {
+    pub fn unfreeze_in_place(
+        &mut self,
+        now: SimTime,
+        lh: LogicalHostId,
+        out: &mut Vec<KernelOutput<X>>,
+    ) {
         self.now = now;
-        let mut out = Vec::new();
         let deferred = {
             let l = self
                 .lhs
@@ -897,18 +890,21 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 d.data_bytes,
                 false,
                 d.span,
-                &mut out,
+                out,
             );
         }
-        out
     }
 
     /// Unfreezes a freshly migrated logical host on its **new** host:
     /// optionally broadcasts the new binding (§3.1.4 optimization) and
     /// delivers any requests deferred while the final copy completed.
-    pub fn unfreeze_migrated(&mut self, now: SimTime, lh: LogicalHostId) -> Vec<KernelOutput<X>> {
+    pub fn unfreeze_migrated(
+        &mut self,
+        now: SimTime,
+        lh: LogicalHostId,
+        out: &mut Vec<KernelOutput<X>>,
+    ) {
         self.now = now;
-        let mut out = Vec::new();
         if self.cfg.broadcast_new_binding {
             let pkt = Packet::NewBinding {
                 lh,
@@ -919,8 +915,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 self.host, bytes, pkt,
             )));
         }
-        out.extend(self.unfreeze_in_place(now, lh));
-        out
+        self.unfreeze_in_place(now, lh, out);
     }
 
     /// Snapshot of a logical host's kernel state for migration, including
@@ -992,9 +987,9 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         now: SimTime,
         temp: LogicalHostId,
         record: &MigrationRecord<X>,
-    ) -> Vec<KernelOutput<X>> {
+        out: &mut Vec<KernelOutput<X>>,
+    ) {
         self.now = now;
-        let mut out = Vec::new();
         let mut l = self.lhs.remove(&temp).expect("install: temp not resident");
         assert!(
             !self.lhs.contains_key(&record.desc.id),
@@ -1057,18 +1052,21 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 after: calib::REPLY_RETENTION,
             });
         }
-        out
     }
 
     /// Deletes a logical host (after successful migration, or to destroy a
     /// program). Queued/deferred messages are discarded; local senders'
     /// Sends are restarted (and now route remotely); remote senders
     /// recover by retransmission (§3.1.3).
-    pub fn delete_logical_host(&mut self, now: SimTime, lh: LogicalHostId) -> Vec<KernelOutput<X>> {
+    pub fn delete_logical_host(
+        &mut self,
+        now: SimTime,
+        lh: LogicalHostId,
+        out: &mut Vec<KernelOutput<X>>,
+    ) {
         self.now = now;
-        let mut out = Vec::new();
         let Some(mut l) = self.lhs.remove(&lh) else {
-            return out;
+            return;
         };
         if l.is_frozen() {
             self.frozen -= 1;
@@ -1100,11 +1098,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     d.data_bytes,
                     false,
                     d.span,
-                    &mut out,
+                    out,
                 );
             }
         }
-        out
     }
 
     /// Demos/MP-mode deletion (ablation A2): like
@@ -1117,10 +1114,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
         now: SimTime,
         lh: LogicalHostId,
         new_host: HostAddr,
-    ) -> Vec<KernelOutput<X>> {
-        let out = self.delete_logical_host(now, lh);
+        out: &mut Vec<KernelOutput<X>>,
+    ) {
+        self.delete_logical_host(now, lh, out);
         self.forwarding.insert(lh, new_host);
-        out
     }
 
     /// Drops all forwarding addresses — what a reboot of the old host does
@@ -1184,9 +1181,8 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Panics if a transfer listed from the kernel's own tables vanishes
     /// before it is failed (an invariant guard).
     #[allow(clippy::expect_used)]
-    pub fn reboot_recover(&mut self, now: SimTime) -> Vec<KernelOutput<X>> {
+    pub fn reboot_recover(&mut self, now: SimTime, out: &mut Vec<KernelOutput<X>>) {
         self.now = now;
-        let mut out = Vec::new();
 
         let mut sends: Vec<(ProcessId, SendSeq)> = self.outstanding.keys().copied().collect();
         sends.sort_by_key(|(p, s)| (p.lh.0, p.index, s.0));
@@ -1243,7 +1239,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 result: Err(SendError::Timeout),
             });
         }
-        out
     }
 
     /// Drops in-progress request state targeting `server` (a service
@@ -1286,9 +1281,13 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Panics if a pull found in the pull table vanishes before it is
     /// completed (an invariant guard).
     #[allow(clippy::expect_used)]
-    pub fn handle_frame(&mut self, now: SimTime, frame: Frame<Packet<X>>) -> Vec<KernelOutput<X>> {
+    pub fn handle_frame(
+        &mut self,
+        now: SimTime,
+        frame: Frame<Packet<X>>,
+        out: &mut Vec<KernelOutput<X>>,
+    ) {
         self.now = now;
-        let mut out = Vec::new();
         let src = frame.src;
         // "The cache is also updated based on incoming requests" (§3.1.4):
         // any packet naming a source logical host refreshes its binding —
@@ -1319,7 +1318,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 data_bytes,
                 retransmission,
                 span,
-                &mut out,
+                out,
             ),
             Packet::Reply {
                 seq,
@@ -1327,7 +1326,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 to,
                 body,
                 ..
-            } => self.on_reply(seq, from, to, body, &mut out),
+            } => self.on_reply(seq, from, to, body, out),
             Packet::ReplyPending { seq, to, .. } => {
                 if let Some(o) = self.outstanding.get_mut(&(to, seq)) {
                     o.pending_seen = true;
@@ -1386,7 +1385,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 xfer,
                 unit,
                 refused,
-            } => self.on_bulk_ack(xfer, unit, refused, &mut out),
+            } => self.on_bulk_ack(xfer, unit, refused, out),
             Packet::BulkPull {
                 pull,
                 from_lh,
@@ -1421,7 +1420,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     let mut x = OutXfer::new(server, to_lh, to_space, src, units);
                     x.pull_tag = Some(pull);
                     self.xfers.insert(xfer, x);
-                    self.send_current_unit(xfer, &mut out);
+                    self.send_current_unit(xfer, out);
                 }
             }
             Packet::BulkPullNak { pull } => {
@@ -1439,7 +1438,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 }
             }
         }
-        out
     }
 
     /// Processes a timer callback.
@@ -1449,11 +1447,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
     /// Panics if a pull found in the pull table vanishes before it is
     /// paced or completed (an invariant guard).
     #[allow(clippy::expect_used)]
-    pub fn handle_timer(&mut self, now: SimTime, key: TimerKey) -> Vec<KernelOutput<X>> {
+    pub fn handle_timer(&mut self, now: SimTime, key: TimerKey, out: &mut Vec<KernelOutput<X>>) {
         self.now = now;
-        let mut out = Vec::new();
         match key {
-            TimerKey::Retransmit(pid, seq) => self.on_retransmit_timer(pid, seq, &mut out),
+            TimerKey::Retransmit(pid, seq) => self.on_retransmit_timer(pid, seq, out),
             TimerKey::ReplyRetention(pid, seq) => {
                 let expired = self
                     .reply_cache
@@ -1478,10 +1475,10 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                     .map(|x| x.paced(unit))
                     .unwrap_or(false);
                 if advance {
-                    self.advance_xfer(xfer, &mut out);
+                    self.advance_xfer(xfer, out);
                 }
             }
-            TimerKey::XferAckTimeout(xfer, unit) => self.on_xfer_ack_timeout(xfer, unit, &mut out),
+            TimerKey::XferAckTimeout(xfer, unit) => self.on_xfer_ack_timeout(xfer, unit, out),
             TimerKey::LocalCopyDone(xfer) => {
                 if let Some((initiator, bytes)) = self.local_xfers.remove(&xfer) {
                     out.push(KernelOutput::CopyDone {
@@ -1495,7 +1492,7 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 // No data yet: re-send the BulkPull, bounded.
                 let retry = {
                     let Some(p) = self.pulls.get_mut(&pull) else {
-                        return out;
+                        return;
                     };
                     if p.highest_unit.is_some() {
                         None // Data is flowing; the sender's acks drive it.
@@ -1539,7 +1536,6 @@ impl<X: Clone + std::fmt::Debug> Kernel<X> {
                 }
             }
         }
-        out
     }
 
     // --- Internals. ---

@@ -194,11 +194,6 @@ impl<X> LogicalHost<X> {
         self.processes.values().filter(|p| p.is_alive())
     }
 
-    /// Number of live processes.
-    pub fn process_count(&self) -> usize {
-        self.processes().count()
-    }
-
     /// Looks up an address space.
     pub fn space(&self, id: SpaceId) -> Option<&AddressSpace> {
         self.spaces.get(&id)
@@ -212,11 +207,6 @@ impl<X> LogicalHost<X> {
     /// All address spaces.
     pub fn spaces(&self) -> impl Iterator<Item = &AddressSpace> {
         self.spaces.values()
-    }
-
-    /// Number of address spaces.
-    pub fn space_count(&self) -> usize {
-        self.spaces.len()
     }
 
     /// Total memory of all spaces, in bytes.
@@ -347,8 +337,6 @@ mod tests {
         assert_eq!(p1.lh, LogicalHostId(5));
         assert_eq!(p1.index, FIRST_USER_INDEX);
         assert_eq!(p2.index, FIRST_USER_INDEX + 1);
-        assert_eq!(h.process_count(), 2);
-        assert_eq!(h.space_count(), 1);
         assert_eq!(h.total_bytes(), 7 * PAGE_BYTES);
     }
 
@@ -397,8 +385,6 @@ mod tests {
         let mut dst: LogicalHost<u32> = LogicalHost::new(LogicalHostId(99));
         dst.install_descriptor(&desc);
         assert_eq!(dst.id(), LogicalHostId(5));
-        assert_eq!(dst.process_count(), 2);
-        assert_eq!(dst.space_count(), 2);
         // Pids are preserved exactly.
         assert!(dst.process(p1.index).is_some());
         assert_eq!(dst.process(p1.index).map(|p| p.pid), Some(p1));

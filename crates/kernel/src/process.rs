@@ -89,11 +89,6 @@ impl Process {
     pub fn is_alive(&self) -> bool {
         !matches!(self.state, ProcessState::Dead)
     }
-
-    /// True if blocked in Send.
-    pub fn is_awaiting_reply(&self) -> bool {
-        matches!(self.state, ProcessState::AwaitingReply { .. })
-    }
 }
 
 #[cfg(test)]
@@ -113,9 +108,6 @@ mod tests {
         let pid = ProcessId::new(LogicalHostId(1), 16);
         let mut p = Process::new(pid, SpaceId(0), Priority::LOCAL);
         assert!(p.is_alive());
-        assert!(!p.is_awaiting_reply());
-        p.state = ProcessState::AwaitingReply { seq: SendSeq(5) };
-        assert!(p.is_awaiting_reply());
         p.state = ProcessState::Dead;
         assert!(!p.is_alive());
     }

@@ -134,15 +134,18 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
         self.responders.insert(pid, Box::new(f));
     }
 
-    /// Invokes `f` on kernel `i` and feeds its outputs into the rig.
-    pub fn drive(
+    /// Invokes `f` on kernel `i`, feeds the outputs it appends into the
+    /// rig and returns what `f` returns.
+    pub fn drive<R>(
         &mut self,
         i: usize,
-        f: impl FnOnce(&mut Kernel<X>, SimTime) -> Vec<KernelOutput<X>>,
-    ) {
+        f: impl FnOnce(&mut Kernel<X>, SimTime, &mut Vec<KernelOutput<X>>) -> R,
+    ) -> R {
         let now = self.engine.now();
-        let outs = f(&mut self.kernels[i], now);
+        let mut outs = Vec::new();
+        let r = f(&mut self.kernels[i], now, &mut outs);
         self.apply(i, outs);
+        r
     }
 
     fn host_index(&self, host: HostAddr) -> usize {
@@ -179,7 +182,9 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
                         .map(|body| (msg.to, msg.from, msg.seq, body));
                     self.log.push((now, AppEvent::Delivered(msg)));
                     if let Some((from, requester, seq, body)) = reply {
-                        self.drive(i, |k, t| k.reply(t, from, requester, seq, body, 0));
+                        self.drive(i, |k, t, out| {
+                            k.reply(t, from, requester, seq, body, 0, out)
+                        });
                     }
                 }
                 KernelOutput::SendDone { pid, seq, result } => {
@@ -214,12 +219,12 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
             match ev {
                 RigEvent::Frame { to, frame } => {
                     let i = self.host_index(to);
-                    self.drive(i, |k, t| k.handle_frame(t, frame));
+                    self.drive(i, |k, t, out| k.handle_frame(t, frame, out));
                 }
                 RigEvent::Timer { host, key } => {
                     let i = self.host_index(host);
                     self.fired.push((i, key));
-                    self.drive(i, |k, t| k.handle_timer(t, key));
+                    self.drive(i, |k, t, out| k.handle_timer(t, key, out));
                 }
             }
         }

@@ -59,13 +59,10 @@ fn every_send_completes_exactly_once_under_loss() {
             let from = clients[from_i];
             let to = servers[to_i];
             let body = k as u32;
-            let mut seq = None;
-            rig.drive(from_i, |kk, t| {
-                let (s, outs) = kk.send_with_seq(t, from, to.into(), body, 0);
-                seq = Some(s);
-                outs
+            let seq = rig.drive(from_i, |kk, t, out| {
+                kk.send(t, from, to.into(), body, 0, out)
             });
-            issued.push((from, seq.expect("send issued"), body));
+            issued.push((from, seq, body));
             // Interleave some progress so traffic overlaps.
             if k % 3 == 0 {
                 rig.run_for(SimDuration::from_millis(5));
@@ -125,13 +122,10 @@ fn migration_amid_random_traffic_preserves_invariants() {
         for k in 0..n_sends {
             let i = (seed as usize + k) % 3;
             let from = clients[i];
-            let mut seq = None;
-            rig.drive(i, |kk, t| {
-                let (s, outs) = kk.send_with_seq(t, from, victim.into(), k as u32, 0);
-                seq = Some(s);
-                outs
+            let seq = rig.drive(i, |kk, t, out| {
+                kk.send(t, from, victim.into(), k as u32, 0, out)
             });
-            issued.push((from, seq.expect("issued")));
+            issued.push((from, seq));
             rig.run_for(SimDuration::from_millis(2));
         }
 
@@ -146,9 +140,15 @@ fn migration_amid_random_traffic_preserves_invariants() {
                 l.create_space_with_id(sid, layout);
             }
         }
-        rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
-        rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
-        rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+        rig.drive(1, |k, t, out| {
+            k.install_migration_record(t, temp, &record, out)
+        });
+        rig.drive(0, |k, t, out| {
+            k.delete_logical_host(t, LogicalHostId(10), out)
+        });
+        rig.drive(1, |k, t, out| {
+            k.unfreeze_migrated(t, LogicalHostId(10), out)
+        });
         // Keep the responder alive on the new host (the rig routes by
         // pid, which did not change).
         rig.respond(victim, |m| Some(m.body * 2));
@@ -167,7 +167,7 @@ fn migration_amid_random_traffic_preserves_invariants() {
         assert_eq!(rig.kernel(0).forwarding_entries(), 0);
         // And a fresh send still works.
         let from = clients[2];
-        rig.drive(2, |kk, t| kk.send(t, from, victim.into(), 99, 0));
+        rig.drive(2, |kk, t, out| kk.send(t, from, victim.into(), 99, 0, out));
         rig.run_until(SimTime::MAX);
         let last = rig.send_results();
         assert!(last.last().expect("one more result").2);

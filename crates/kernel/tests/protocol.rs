@@ -35,7 +35,7 @@ fn local_send_reply_round_trip() {
         l.create_process(team, Priority::LOCAL, false)
     };
     rig.respond(b, |m| Some(m.body + 1));
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 41, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 41, 0, out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -53,7 +53,7 @@ fn remote_send_with_cached_binding() {
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(2), HostAddr(1));
     rig.respond(b, |m| Some(m.body * 2));
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 21, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 21, 0, out));
     run_all(&mut rig);
     assert_eq!(rig.send_results(), vec![(a, vkernel::SendSeq(0), true)]);
     // One request frame, one reply frame.
@@ -73,7 +73,7 @@ fn remote_send_without_binding_broadcasts_and_learns() {
     let a = spawn(&mut rig, 0, 1);
     let b = spawn(&mut rig, 2, 2);
     rig.respond(b, |m| Some(m.body));
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 7, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 7, 0, out));
     run_all(&mut rig);
     assert_eq!(rig.send_results().len(), 1);
     assert!(rig.send_results()[0].2);
@@ -97,7 +97,7 @@ fn lost_request_recovered_by_retransmission() {
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(2), HostAddr(1));
     rig.respond(b, |m| Some(m.body));
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
     run_all(&mut rig);
     assert_eq!(rig.send_results(), vec![(a, vkernel::SendSeq(0), true)]);
     // The retransmission is visible as a typed trace event, not a log line.
@@ -133,7 +133,7 @@ fn lost_reply_served_from_reply_cache() {
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(2), HostAddr(1));
     rig.respond(b, |m| Some(m.body));
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
     // With a strict alternating drop pattern, each retransmission round is
     // request(pass) + reply(drop) + reply-pending? No: the reply comes from
     // the cache as a single frame, so rounds are 2 deliveries and the
@@ -161,11 +161,11 @@ fn lost_reply_served_from_reply_cache() {
     // behaviour is needed. EveryNth(0) never drops, so emulate by dropping
     // the reply at the receiver: freeze the *sender* instead (§3.1.3
     // discard path), then unfreeze.
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 2, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 2, 0, out));
     rig.kernel_mut(0).freeze(LogicalHostId(1));
     rig.run_for(SimDuration::from_secs(2));
     assert!(rig.kernel(0).stats().replies_discarded_frozen >= 1);
-    rig.drive(0, |k, t| k.unfreeze_in_place(t, LogicalHostId(1)));
+    rig.drive(0, |k, t, out| k.unfreeze_in_place(t, LogicalHostId(1), out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -184,7 +184,7 @@ fn unresponsive_target_times_out() {
     // process that does not exist at all.
     let ghost = ProcessId::new(LogicalHostId(9), 16);
     let _ = b;
-    rig.drive(0, |k, t| k.send(t, a, ghost.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, ghost.into(), 1, 0, out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -203,7 +203,7 @@ fn busy_server_reply_pending_prevents_abort() {
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(2), HostAddr(1));
     // b never replies: the request stays in progress forever.
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
     let horizon = SimTime::ZERO + SimDuration::from_secs(30);
     rig.run_until(horizon);
     // Well past MAX_RETRANSMITS * interval (10 * 0.5 s = 5 s), yet no
@@ -227,7 +227,7 @@ fn retransmission_of_a_request_in_service_draws_an_unexported_reply_pending() {
         .learn_binding(LogicalHostId(2), HostAddr(1));
     // b never replies, so every retransmission finds the request already
     // delivered and being served.
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
     rig.run_for(SimDuration::from_secs(3));
     assert!(rig.kernel(0).stats().retransmissions > 0);
     let server = rig.kernel(1);
@@ -250,7 +250,7 @@ fn aborted_serve_span_closes_at_abort_time() {
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(2), HostAddr(1));
     // b never replies, so its serve span stays open until aborted.
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
     rig.run_for(SimDuration::from_millis(100));
     // Abort before the first retransmission reaches kernel 1 again.
     let aborted = rig.engine.now() + SimDuration::from_millis(100);
@@ -273,7 +273,7 @@ fn freeze_defers_and_unfreeze_in_place_delivers() {
     rig.respond(b, |m| Some(m.body + 100));
     rig.kernel_mut(1).freeze(LogicalHostId(2));
 
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 5, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 5, 0, out));
     rig.run_for(SimDuration::from_secs(2));
     assert!(rig.send_results().is_empty(), "deferred while frozen");
     // The deferral shows up as a structured event on the frozen host.
@@ -287,7 +287,7 @@ fn freeze_defers_and_unfreeze_in_place_delivers() {
     assert_eq!(rig.kernel(1).stats().reply_pendings_in_service, 0);
     assert_eq!(rig.kernel(1).stats().deliveries, 0);
 
-    rig.drive(1, |k, t| k.unfreeze_in_place(t, LogicalHostId(2)));
+    rig.drive(1, |k, t, out| k.unfreeze_in_place(t, LogicalHostId(2), out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -304,7 +304,7 @@ fn reply_to_frozen_sender_is_discarded_then_recovered() {
         .learn_binding(LogicalHostId(2), HostAddr(1));
     rig.respond(b, |m| Some(m.body + 1));
     // Freeze the *sender's* logical host right after issuing the send.
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
     rig.kernel_mut(0).freeze(LogicalHostId(1));
     rig.run_for(SimDuration::from_secs(3));
     // The reply arrived and was discarded; the kernel kept retransmitting
@@ -312,7 +312,7 @@ fn reply_to_frozen_sender_is_discarded_then_recovered() {
     assert!(rig.kernel(0).stats().replies_discarded_frozen >= 1);
     assert!(rig.send_results().is_empty());
     // Unfreeze: the next retransmission is answered from b's reply cache.
-    rig.drive(0, |k, t| k.unfreeze_in_place(t, LogicalHostId(1)));
+    rig.drive(0, |k, t, out| k.unfreeze_in_place(t, LogicalHostId(1), out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -332,12 +332,12 @@ fn global_group_send_first_reply_wins() {
     let client = spawn(&mut rig, 0, 1);
     let pm1 = spawn(&mut rig, 1, 2);
     let pm2 = spawn(&mut rig, 2, 3);
-    rig.drive(1, |k, _| k.join_group(gid, pm1));
-    rig.drive(2, |k, _| k.join_group(gid, pm2));
+    rig.drive(1, |k, _, out| k.join_group(gid, pm1, out));
+    rig.drive(2, |k, _, out| k.join_group(gid, pm2, out));
     rig.respond(pm1, |_| Some(111));
     rig.respond(pm2, |_| Some(222));
 
-    rig.drive(0, |k, t| k.send(t, client, gid.into(), 0, 0));
+    rig.drive(0, |k, t, out| k.send(t, client, gid.into(), 0, 0, out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1, "exactly one completion");
@@ -361,11 +361,11 @@ fn group_member_on_same_host_also_hears_query() {
     let client = spawn(&mut rig, 0, 1);
     let local_pm = spawn(&mut rig, 0, 2);
     let remote_pm = spawn(&mut rig, 1, 3);
-    rig.drive(0, |k, _| k.join_group(gid, local_pm));
-    rig.drive(1, |k, _| k.join_group(gid, remote_pm));
+    rig.drive(0, |k, _, out| k.join_group(gid, local_pm, out));
+    rig.drive(1, |k, _, out| k.join_group(gid, remote_pm, out));
     rig.respond(local_pm, |_| Some(1));
     rig.respond(remote_pm, |_| Some(2));
-    rig.drive(0, |k, t| k.send(t, client, gid.into(), 0, 0));
+    rig.drive(0, |k, t, out| k.send(t, client, gid.into(), 0, 0, out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -390,7 +390,7 @@ fn well_known_local_group_reaches_program_manager() {
 
     // Address "the program manager of whatever host runs lh3".
     let dest = Destination::Group(GroupId::program_manager_of(LogicalHostId(3)));
-    rig.drive(0, |k, t| k.send(t, client, dest, 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, client, dest, 1, 0, out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -417,7 +417,7 @@ fn bulk_copy_remote_takes_three_seconds_per_megabyte() {
     };
     rig.kernel_mut(0).learn_binding(tlh, HostAddr(1));
     let pages: Vec<u32> = (0..512).collect(); // 512 * 2 KB = 1 MB.
-    rig.drive(0, |k, t| k.copy_pages(t, a, tlh, tspace, pages).1);
+    rig.drive(0, |k, t, out| k.copy_pages(t, a, tlh, tspace, pages, out));
     run_all(&mut rig);
     let done: Vec<_> = rig
         .log
@@ -451,7 +451,7 @@ fn bulk_copy_survives_packet_loss() {
     };
     rig.kernel_mut(0).learn_binding(tlh, HostAddr(1));
     let pages: Vec<u32> = (0..128).collect(); // 256 KB.
-    rig.drive(0, |k, t| k.copy_pages(t, a, tlh, tspace, pages).1);
+    rig.drive(0, |k, t, out| k.copy_pages(t, a, tlh, tspace, pages, out));
     run_all(&mut rig);
     let ok = rig
         .log
@@ -468,9 +468,8 @@ fn bulk_copy_to_missing_space_is_refused() {
     rig.kernel_mut(1).create_logical_host(LogicalHostId(50));
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(50), HostAddr(1));
-    rig.drive(0, |k, t| {
-        k.copy_pages(t, a, LogicalHostId(50), vmem::SpaceId(9), vec![0, 1])
-            .1
+    rig.drive(0, |k, t, out| {
+        k.copy_pages(t, a, LogicalHostId(50), vmem::SpaceId(9), vec![0, 1], out)
     });
     run_all(&mut rig);
     let refused = rig.log.iter().any(|(_, e)| {
@@ -489,9 +488,8 @@ fn bulk_copy_to_missing_space_is_refused() {
 fn bulk_copy_without_binding_fails_fast() {
     let mut rig: Rig<Body> = Rig::new(2);
     let a = spawn(&mut rig, 0, 1);
-    rig.drive(0, |k, t| {
-        k.copy_pages(t, a, LogicalHostId(77), vmem::SpaceId(0), vec![0])
-            .1
+    rig.drive(0, |k, t, out| {
+        k.copy_pages(t, a, LogicalHostId(77), vmem::SpaceId(0), vec![0], out)
     });
     let failed = rig.log.iter().any(|(_, e)| {
         matches!(
@@ -521,7 +519,7 @@ fn local_copy_charges_memcpy_cost() {
         (LogicalHostId(50), s)
     };
     let pages: Vec<u32> = (0..32).collect(); // 64 KB.
-    rig.drive(0, |k, t| k.copy_pages(t, a, tlh, tspace, pages).1);
+    rig.drive(0, |k, t, out| k.copy_pages(t, a, tlh, tspace, pages, out));
     run_all(&mut rig);
     let done: Vec<_> = rig
         .log
@@ -541,9 +539,8 @@ fn local_copy_charges_memcpy_cost() {
 fn empty_copy_completes_immediately() {
     let mut rig: Rig<Body> = Rig::new(1);
     let a = spawn(&mut rig, 0, 1);
-    rig.drive(0, |k, t| {
-        k.copy_pages(t, a, LogicalHostId(50), vmem::SpaceId(0), vec![])
-            .1
+    rig.drive(0, |k, t, out| {
+        k.copy_pages(t, a, LogicalHostId(50), vmem::SpaceId(0), vec![], out)
     });
     assert!(rig
         .log
@@ -563,7 +560,7 @@ fn manual_migration_rebinds_references() {
     rig.respond(victim, |m| Some(m.body + 7));
 
     // Client talks to the victim once (works via kernel 0).
-    rig.drive(2, |k, t| k.send(t, client, victim.into(), 1, 0));
+    rig.drive(2, |k, t, out| k.send(t, client, victim.into(), 1, 0, out));
     run_all(&mut rig);
     assert_eq!(rig.send_results().len(), 1);
 
@@ -579,9 +576,15 @@ fn manual_migration_rebinds_references() {
         // (Bulk page copy elided here; it is exercised above.)
         rig.kernel_mut(0).freeze(LogicalHostId(10));
         let record = rig.kernel(0).extract_migration_record(LogicalHostId(10));
-        rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
-        rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
-        rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+        rig.drive(1, |k, t, out| {
+            k.install_migration_record(t, temp, &record, out)
+        });
+        rig.drive(0, |k, t, out| {
+            k.delete_logical_host(t, LogicalHostId(10), out)
+        });
+        rig.drive(1, |k, t, out| {
+            k.unfreeze_migrated(t, LogicalHostId(10), out)
+        });
     }
     run_all(&mut rig);
 
@@ -592,7 +595,7 @@ fn manual_migration_rebinds_references() {
         Some(HostAddr(1))
     );
     rig.respond(victim, |m| Some(m.body + 7));
-    rig.drive(2, |k, t| k.send(t, client, victim.into(), 2, 0));
+    rig.drive(2, |k, t, out| k.send(t, client, victim.into(), 2, 0, out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 2);
@@ -627,15 +630,21 @@ fn stale_binding_recovers_by_broadcast() {
             l.create_space_with_id(sid, layout);
         }
     }
-    rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
-    rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
-    rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+    rig.drive(1, |k, t, out| {
+        k.install_migration_record(t, temp, &record, out)
+    });
+    rig.drive(0, |k, t, out| {
+        k.delete_logical_host(t, LogicalHostId(10), out)
+    });
+    rig.drive(1, |k, t, out| {
+        k.unfreeze_migrated(t, LogicalHostId(10), out)
+    });
     run_all(&mut rig);
 
     // Client sends with a stale cache: first transmissions go to kernel 0
     // and are dropped; after `retransmits_before_rebind` the entry is
     // invalidated and the request is broadcast; kernel 1 answers.
-    rig.drive(2, |k, t| k.send(t, client, victim.into(), 5, 0));
+    rig.drive(2, |k, t, out| k.send(t, client, victim.into(), 5, 0, out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 1);
@@ -670,22 +679,28 @@ fn forwarding_entry_is_left_by_the_call_not_the_config() {
                 l.create_space_with_id(sid, layout);
             }
         }
-        rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
+        rig.drive(1, |k, t, out| {
+            k.install_migration_record(t, temp, &record, out)
+        });
         if forwarding {
-            rig.drive(0, |k, t| {
-                k.delete_logical_host_with_forwarding(t, LogicalHostId(10), HostAddr(1))
+            rig.drive(0, |k, t, out| {
+                k.delete_logical_host_with_forwarding(t, LogicalHostId(10), HostAddr(1), out)
             });
         } else {
-            rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
+            rig.drive(0, |k, t, out| {
+                k.delete_logical_host(t, LogicalHostId(10), out)
+            });
         }
-        rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+        rig.drive(1, |k, t, out| {
+            k.unfreeze_migrated(t, LogicalHostId(10), out)
+        });
         run_all(&mut rig);
         assert_eq!(rig.kernel(0).forwarding_entries(), usize::from(forwarding));
 
         // An old reference: the client's cache points at the old host.
         rig.kernel_mut(2)
             .learn_binding(LogicalHostId(10), HostAddr(0));
-        rig.drive(2, |k, t| k.send(t, client, victim.into(), 5, 0));
+        rig.drive(2, |k, t, out| k.send(t, client, victim.into(), 5, 0, out));
         run_all(&mut rig);
         let results = rig.send_results();
         assert_eq!(results.len(), 1);
@@ -709,7 +724,7 @@ fn outstanding_send_migrates_with_logical_host() {
 
     // The server receives the request but is slow: no reply before the
     // sender migrates.
-    rig.drive(0, |k, t| k.send(t, sender, server.into(), 9, 0));
+    rig.drive(0, |k, t, out| k.send(t, sender, server.into(), 9, 0, out));
     rig.run_for(SimDuration::from_millis(100));
     let (req_from, req_seq, req_body) = {
         let delivered: Vec<_> = rig
@@ -735,14 +750,20 @@ fn outstanding_send_migrates_with_logical_host() {
             l.create_space_with_id(sid, layout);
         }
     }
-    rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
-    rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
-    rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+    rig.drive(1, |k, t, out| {
+        k.install_migration_record(t, temp, &record, out)
+    });
+    rig.drive(0, |k, t, out| {
+        k.delete_logical_host(t, LogicalHostId(10), out)
+    });
+    rig.drive(1, |k, t, out| {
+        k.unfreeze_migrated(t, LogicalHostId(10), out)
+    });
     rig.run_for(SimDuration::from_millis(50));
 
     // The server finally replies to the transaction it received.
-    rig.drive(2, |k, t| {
-        k.reply(t, server, req_from, req_seq, req_body * 10, 0)
+    rig.drive(2, |k, t, out| {
+        k.reply(t, server, req_from, req_seq, req_body * 10, 0, out)
     });
     run_all(&mut rig);
     let results = rig.send_results();
@@ -761,7 +782,9 @@ fn delete_restarts_local_senders_remotely() {
 
     // Freeze the victim, then have the local client send to it: deferred.
     rig.kernel_mut(0).freeze(LogicalHostId(10));
-    rig.drive(0, |k, t| k.send(t, local_client, victim.into(), 3, 0));
+    rig.drive(0, |k, t, out| {
+        k.send(t, local_client, victim.into(), 3, 0, out)
+    });
     assert_eq!(
         rig.kernel(0)
             .logical_host(LogicalHostId(10))
@@ -780,10 +803,16 @@ fn delete_restarts_local_senders_remotely() {
             l.create_space_with_id(sid, layout);
         }
     }
-    rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
-    rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+    rig.drive(1, |k, t, out| {
+        k.install_migration_record(t, temp, &record, out)
+    });
+    rig.drive(1, |k, t, out| {
+        k.unfreeze_migrated(t, LogicalHostId(10), out)
+    });
     rig.run_for(SimDuration::from_millis(10)); // NewBinding reaches kernel 0.
-    rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
+    rig.drive(0, |k, t, out| {
+        k.delete_logical_host(t, LogicalHostId(10), out)
+    });
     run_all(&mut rig);
 
     let results = rig.send_results();
@@ -803,7 +832,7 @@ fn migration_preserves_seq_uniqueness() {
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(2), HostAddr(2));
     rig.respond(server, |m| Some(m.body));
-    rig.drive(0, |k, t| k.send(t, p, server.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, p, server.into(), 1, 0, out));
     run_all(&mut rig);
 
     let temp = LogicalHostId(900);
@@ -815,12 +844,18 @@ fn migration_preserves_seq_uniqueness() {
             l.create_space_with_id(sid, layout);
         }
     }
-    rig.drive(1, |k, t| k.install_migration_record(t, temp, &record));
-    rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(10)));
-    rig.drive(1, |k, t| k.unfreeze_migrated(t, LogicalHostId(10)));
+    rig.drive(1, |k, t, out| {
+        k.install_migration_record(t, temp, &record, out)
+    });
+    rig.drive(0, |k, t, out| {
+        k.delete_logical_host(t, LogicalHostId(10), out)
+    });
+    rig.drive(1, |k, t, out| {
+        k.unfreeze_migrated(t, LogicalHostId(10), out)
+    });
     run_all(&mut rig);
 
-    rig.drive(1, |k, t| k.send(t, p, server.into(), 2, 0));
+    rig.drive(1, |k, t, out| k.send(t, p, server.into(), 2, 0, out));
     run_all(&mut rig);
     let results = rig.send_results();
     assert_eq!(results.len(), 2);
@@ -839,7 +874,7 @@ fn retained_replies_expire() {
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(2), HostAddr(1));
     rig.respond(b, |m| Some(m.body));
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
     run_all(&mut rig);
     assert_eq!(rig.kernel(1).stats().deliveries, 1);
 
@@ -856,7 +891,7 @@ fn retained_replies_expire() {
         span: vsim::SpanContext::NONE,
     };
     let frame = vnet::Frame::unicast(HostAddr(0), HostAddr(1), 64, forged);
-    rig.drive(1, |k, t| k.handle_frame(t, frame));
+    rig.drive(1, |k, t, out| k.handle_frame(t, frame, out));
     run_all(&mut rig);
     assert_eq!(
         rig.kernel(1).stats().deliveries,
@@ -874,16 +909,16 @@ fn group_leave_stops_delivery() {
     rig.kernel_mut(1).set_group_route(gid, mcast);
     let client = spawn(&mut rig, 0, 1);
     let member = spawn(&mut rig, 1, 2);
-    rig.drive(1, |k, _| k.join_group(gid, member));
+    rig.drive(1, |k, _, out| k.join_group(gid, member, out));
     rig.respond(member, |_| Some(1));
 
-    rig.drive(0, |k, t| k.send(t, client, gid.into(), 0, 0));
+    rig.drive(0, |k, t, out| k.send(t, client, gid.into(), 0, 0, out));
     run_all(&mut rig);
     assert_eq!(rig.kernel(1).stats().deliveries, 1);
 
     // Leave; the next group query gets no members and times out.
-    rig.drive(1, |k, _| k.leave_group(gid, member));
-    rig.drive(0, |k, t| k.send(t, client, gid.into(), 0, 0));
+    rig.drive(1, |k, _, out| k.leave_group(gid, member, out));
+    rig.drive(0, |k, t, out| k.send(t, client, gid.into(), 0, 0, out));
     run_all(&mut rig);
     assert_eq!(rig.kernel(1).stats().deliveries, 1, "no further delivery");
     let results = rig.send_results();
@@ -901,16 +936,18 @@ fn destroyed_logical_host_drops_inflight_replies() {
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(2), HostAddr(1));
     // Delay the reply: no responder yet.
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 5, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 5, 0, out));
     rig.run_for(SimDuration::from_millis(10));
     let delivered = rig.deliveries();
     assert_eq!(delivered.len(), 1);
 
     // The sender's logical host is destroyed while the request is open.
-    rig.drive(0, |k, t| k.delete_logical_host(t, LogicalHostId(1)));
+    rig.drive(0, |k, t, out| {
+        k.delete_logical_host(t, LogicalHostId(1), out)
+    });
     // Now the server answers; the reply finds no outstanding transaction.
     let (from, seq) = (delivered[0].1, vkernel::SendSeq(0));
-    rig.drive(1, |k, t| k.reply(t, b, from, seq, 99, 0));
+    rig.drive(1, |k, t, out| k.reply(t, b, from, seq, 99, 0, out));
     run_all(&mut rig);
     assert!(
         rig.send_results().is_empty(),
@@ -951,7 +988,7 @@ fn copy_from_pulls_pages_at_the_same_rate() {
     };
     rig.kernel_mut(0).learn_binding(src_lh, HostAddr(1));
     let pages: Vec<u32> = (0..128).collect();
-    rig.drive(0, |k, t| {
+    rig.drive(0, |k, t, out| {
         k.pull_pages(
             t,
             puller,
@@ -960,8 +997,8 @@ fn copy_from_pulls_pages_at_the_same_rate() {
             LogicalHostId(1),
             dst_space,
             pages,
+            out,
         )
-        .1
     });
     run_all(&mut rig);
     // Two CopyDone events exist: the serving kernel's outbound transfer
@@ -991,7 +1028,7 @@ fn copy_from_unknown_space_is_refused() {
     rig.kernel_mut(1).create_logical_host(LogicalHostId(50));
     rig.kernel_mut(0)
         .learn_binding(LogicalHostId(50), HostAddr(1));
-    rig.drive(0, |k, t| {
+    rig.drive(0, |k, t, out| {
         k.pull_pages(
             t,
             puller,
@@ -1000,8 +1037,8 @@ fn copy_from_unknown_space_is_refused() {
             LogicalHostId(1),
             vmem::SpaceId(0),
             vec![0, 1],
+            out,
         )
-        .1
     });
     run_all(&mut rig);
     assert!(rig.log.iter().any(|(_, e)| matches!(
@@ -1043,7 +1080,7 @@ fn copy_from_survives_lost_pull_request() {
     };
     rig.kernel_mut(0).learn_binding(src_lh, HostAddr(1));
     let pages: Vec<u32> = (0..32).collect();
-    rig.drive(0, |k, t| {
+    rig.drive(0, |k, t, out| {
         k.pull_pages(
             t,
             puller,
@@ -1052,8 +1089,8 @@ fn copy_from_survives_lost_pull_request() {
             LogicalHostId(1),
             dst_space,
             pages,
+            out,
         )
-        .1
     });
     run_all(&mut rig);
     assert!(rig
@@ -1072,7 +1109,7 @@ fn orphaned_transactions_resolve_on_renewed_contact() {
     // b accepts the request but never replies: reply-pending packets keep
     // the send alive until the hard cap, where the transaction is charged
     // as orphaned against serving logical host 2.
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
     run_all(&mut rig);
     assert_eq!(rig.kernel(0).stats().orphaned_transactions, 1);
     assert_eq!(rig.kernel(0).unresolved_orphans(), 1);
@@ -1082,7 +1119,7 @@ fn orphaned_transactions_resolve_on_renewed_contact() {
     // host is answered, proving the orphan was transient (a recovered
     // server, not a leak) — the charge resolves instead of warning forever.
     rig.respond(b, |m| Some(m.body + 1));
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 2, 0));
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 2, 0, out));
     run_all(&mut rig);
     assert!(
         rig.send_results().last().expect("send completed").2,
@@ -1108,11 +1145,15 @@ fn stale_timers_fire_as_no_ops() {
     rig.respond(b, |m| Some(m.body));
     // `spawn` gave each logical host a tiny space 0.
     let (lh1, lh2, team) = (LogicalHostId(1), LogicalHostId(2), vmem::SpaceId(0));
-    rig.drive(0, |k, t| k.send(t, a, b.into(), 1, 0));
-    rig.drive(0, |k, t| k.copy_pages(t, a, lh2, team, vec![0, 1]).1);
-    rig.drive(0, |k, t| k.copy_pages(t, a, lh1, team, vec![0, 1]).1);
-    rig.drive(0, |k, t| {
-        k.pull_pages(t, a, lh2, team, lh1, team, vec![2, 3]).1
+    rig.drive(0, |k, t, out| k.send(t, a, b.into(), 1, 0, out));
+    rig.drive(0, |k, t, out| {
+        k.copy_pages(t, a, lh2, team, vec![0, 1], out)
+    });
+    rig.drive(0, |k, t, out| {
+        k.copy_pages(t, a, lh1, team, vec![0, 1], out)
+    });
+    rig.drive(0, |k, t, out| {
+        k.pull_pages(t, a, lh2, team, lh1, team, vec![2, 3], out)
     });
     run_all(&mut rig);
     let kinds: std::collections::BTreeSet<String> = rig
@@ -1131,10 +1172,9 @@ fn stale_timers_fire_as_no_ops() {
     let stats = |rig: &Rig<Body>| format!("{:?}{:?}", rig.kernel(0).stats(), rig.kernel(1).stats());
     let (logged, before) = (rig.log.len(), stats(&rig));
     for (i, key) in rig.fired.clone() {
-        rig.drive(i, |k, t| {
-            let outs = k.handle_timer(t, key);
-            assert!(outs.is_empty(), "{key:?} fired again produced {outs:?}");
-            outs
+        rig.drive(i, |k, t, out| {
+            k.handle_timer(t, key, out);
+            assert!(out.is_empty(), "{key:?} fired again produced {out:?}");
         });
     }
     assert_eq!(rig.log.len(), logged);

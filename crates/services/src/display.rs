@@ -76,8 +76,8 @@ impl DisplayServer {
         now: SimTime,
         msg: vkernel::MsgIn<ServiceMsg>,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         match msg.body {
             ServiceMsg::WriteChars { count } => {
                 self.stats.writes += 1;
@@ -92,20 +92,21 @@ impl DisplayServer {
                         seq: msg.seq,
                     },
                 );
-                out = out.timer(SvcToken(t), DISPLAY_PER_CHAR * count.max(1));
+                out.timers
+                    .push((SvcToken(t), DISPLAY_PER_CHAR * count.max(1)));
             }
             _ => {
-                out = out.kernel(k.reply(
+                k.reply(
                     now,
                     self.pid,
                     msg.from,
                     msg.seq,
                     ServiceMsg::Err(SvcError::BadRequest),
                     0,
-                ));
+                    &mut out.kernel,
+                );
             }
         }
-        out
     }
 
     /// Handles a render-delay timer.
@@ -114,11 +115,18 @@ impl DisplayServer {
         now: SimTime,
         token: SvcToken,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         if let Some(p) = self.pending.remove(&token.0) {
-            out = out.kernel(k.reply(now, self.pid, p.requester, p.seq, ServiceMsg::Ok, 0));
+            k.reply(
+                now,
+                self.pid,
+                p.requester,
+                p.seq,
+                ServiceMsg::Ok,
+                0,
+                &mut out.kernel,
+            );
         }
-        out
     }
 }

@@ -156,8 +156,8 @@ impl FileServer {
         now: SimTime,
         msg: vkernel::MsgIn<ServiceMsg>,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         let (requester, seq) = (msg.from, msg.seq);
         match msg.body {
             ServiceMsg::Stat { name } => {
@@ -168,7 +168,7 @@ impl FileServer {
                         ServiceMsg::Err(SvcError::NotFound)
                     }
                 };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, reply, 0));
+                k.reply(now, self.pid, requester, seq, reply, 0, &mut out.kernel);
             }
             ServiceMsg::LoadImage {
                 name,
@@ -195,33 +195,35 @@ impl FileServer {
                         pages,
                         bytes,
                     });
-                    out = out.timer(t, Self::storage_delay(bytes));
+                    out.timers.push((t, Self::storage_delay(bytes)));
                 }
                 None => {
                     self.stats.errors += 1;
-                    out = out.kernel(k.reply(
+                    k.reply(
                         now,
                         self.pid,
                         requester,
                         seq,
                         ServiceMsg::Err(SvcError::NotFound),
                         0,
-                    ));
+                        &mut out.kernel,
+                    );
                 }
             },
             ServiceMsg::Open { name, create } => {
                 let exists = self.files.contains_key(&name);
                 if !exists && !create {
                     self.stats.errors += 1;
-                    out = out.kernel(k.reply(
+                    k.reply(
                         now,
                         self.pid,
                         requester,
                         seq,
                         ServiceMsg::Err(SvcError::NotFound),
                         0,
-                    ));
-                    return out;
+                        &mut out.kernel,
+                    );
+                    return;
                 }
                 self.stats.opens += 1;
                 let size = *self.files.entry(name.clone()).or_insert(0);
@@ -236,7 +238,7 @@ impl FileServer {
                     },
                 );
                 let reply = ServiceMsg::Opened { handle, size };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, reply, 0));
+                k.reply(now, self.pid, requester, seq, reply, 0, &mut out.kernel);
             }
             ServiceMsg::Read { handle, bytes } => match self.open.get_mut(&handle) {
                 Some(f) if f.owner == requester => {
@@ -249,18 +251,19 @@ impl FileServer {
                         seq,
                         bytes: n,
                     });
-                    out = out.timer(t, Self::storage_delay(n.max(1)));
+                    out.timers.push((t, Self::storage_delay(n.max(1))));
                 }
                 _ => {
                     self.stats.errors += 1;
-                    out = out.kernel(k.reply(
+                    k.reply(
                         now,
                         self.pid,
                         requester,
                         seq,
                         ServiceMsg::Err(SvcError::BadRequest),
                         0,
-                    ));
+                        &mut out.kernel,
+                    );
                 }
             },
             ServiceMsg::Write { handle, bytes } => match self.open.get_mut(&handle) {
@@ -270,18 +273,19 @@ impl FileServer {
                     *size = (*size).max(f.pos);
                     self.stats.bytes_written += bytes;
                     let t = self.token(Pending::Write { requester, seq });
-                    out = out.timer(t, Self::storage_delay(bytes.max(1)));
+                    out.timers.push((t, Self::storage_delay(bytes.max(1))));
                 }
                 _ => {
                     self.stats.errors += 1;
-                    out = out.kernel(k.reply(
+                    k.reply(
                         now,
                         self.pid,
                         requester,
                         seq,
                         ServiceMsg::Err(SvcError::BadRequest),
                         0,
-                    ));
+                        &mut out.kernel,
+                    );
                 }
             },
             ServiceMsg::Close { handle } => {
@@ -291,21 +295,21 @@ impl FileServer {
                     self.stats.errors += 1;
                     ServiceMsg::Err(SvcError::BadRequest)
                 };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, reply, 0));
+                k.reply(now, self.pid, requester, seq, reply, 0, &mut out.kernel);
             }
             _ => {
                 self.stats.errors += 1;
-                out = out.kernel(k.reply(
+                k.reply(
                     now,
                     self.pid,
                     requester,
                     seq,
                     ServiceMsg::Err(SvcError::BadRequest),
                     0,
-                ));
+                    &mut out.kernel,
+                );
             }
         }
-        out
     }
 
     /// Handles a storage-delay timer.
@@ -314,10 +318,10 @@ impl FileServer {
         now: SimTime,
         token: SvcToken,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         let Some(p) = self.pending.remove(&token.0) else {
-            return out;
+            return;
         };
         match p {
             Pending::LoadRead {
@@ -338,9 +342,8 @@ impl FileServer {
                         bytes,
                     },
                 );
-                let (xfer, kouts) = k.copy_pages(now, self.pid, to_lh, to_space, pages);
+                let xfer = k.copy_pages(now, self.pid, to_lh, to_space, pages, &mut out.kernel);
                 self.by_xfer.insert(xfer, t);
-                out = out.kernel(kouts);
             }
             Pending::Read {
                 requester,
@@ -348,14 +351,21 @@ impl FileServer {
                 bytes,
             } => {
                 let reply = ServiceMsg::ReadDone { bytes };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, reply, bytes));
+                k.reply(now, self.pid, requester, seq, reply, bytes, &mut out.kernel);
             }
             Pending::Write { requester, seq } => {
-                out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::WriteDone, 0));
+                k.reply(
+                    now,
+                    self.pid,
+                    requester,
+                    seq,
+                    ServiceMsg::WriteDone,
+                    0,
+                    &mut out.kernel,
+                );
             }
             Pending::LoadXfer { .. } => unreachable!("LoadXfer completes via CopyDone"),
         }
-        out
     }
 
     /// Handles completion of an image-load bulk copy.
@@ -365,10 +375,10 @@ impl FileServer {
         xfer: XferId,
         result: Result<u64, SendError>,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         let Some(token) = self.by_xfer.remove(&xfer) else {
-            return out;
+            return;
         };
         let Some(Pending::LoadXfer {
             requester,
@@ -376,7 +386,7 @@ impl FileServer {
             bytes,
         }) = self.pending.remove(&token)
         else {
-            return out;
+            return;
         };
         let reply = match result {
             Ok(_) => {
@@ -389,7 +399,6 @@ impl FileServer {
                 ServiceMsg::Err(SvcError::UpstreamFailed)
             }
         };
-        out = out.kernel(k.reply(now, self.pid, requester, seq, reply, 0));
-        out
+        k.reply(now, self.pid, requester, seq, reply, 0, &mut out.kernel);
     }
 }

@@ -85,8 +85,6 @@ pub enum ServiceMsg {
         pm: ProcessId,
         /// Its physical host (so the client can address bulk transfers).
         host: HostAddr,
-        /// Human-readable host name.
-        host_name: String,
         /// Number of programs currently executing there.
         load: u32,
     },
@@ -300,14 +298,6 @@ impl ServiceMsg {
     pub fn is_ok(&self) -> bool {
         matches!(self, ServiceMsg::Ok)
     }
-
-    /// Extracts the error if this is a failure reply.
-    pub fn as_err(&self) -> Option<SvcError> {
-        match self {
-            ServiceMsg::Err(e) => Some(*e),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -315,14 +305,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ok_and_err_helpers() {
+    fn is_ok_matches_only_the_ok_reply() {
         assert!(ServiceMsg::Ok.is_ok());
         assert!(!ServiceMsg::WriteDone.is_ok());
-        assert_eq!(
-            ServiceMsg::Err(SvcError::NotFound).as_err(),
-            Some(SvcError::NotFound)
-        );
-        assert_eq!(ServiceMsg::Ok.as_err(), None);
     }
 
     #[test]

@@ -297,11 +297,6 @@ impl ProgramManager {
         self.pid
     }
 
-    /// The workstation's host name.
-    pub fn host_name(&self) -> &str {
-        &self.host_name
-    }
-
     /// Statistics.
     pub fn stats(&self) -> &PmStats {
         &self.stats
@@ -385,15 +380,14 @@ impl ProgramManager {
     /// id allocator and the statistics survive — they model state the
     /// manager can rebuild from the kernel's tables.
     ///
-    /// Returns timer requests re-arming a reclaim watchdog for any
+    /// Appends timer requests re-arming a reclaim watchdog for any
     /// temporary logical hosts a half-done migration left behind.
-    pub fn restart(&mut self, k: &Kernel<ServiceMsg>) -> SvcOutputs {
+    pub fn restart(&mut self, k: &Kernel<ServiceMsg>, out: &mut SvcOutputs) {
         self.pending.clear();
         self.by_seq.clear();
         self.waiters.clear();
         self.pending_fetch.clear();
         self.fetches_in_flight.clear();
-        let mut out = SvcOutputs::new();
         // The lease ledgers survive (rebuildable state), but the armed
         // ticks and in-flight renewals/probes died with the process.
         self.lease_tick_armed = false;
@@ -404,32 +398,30 @@ impl ProgramManager {
         for g in self.grants.values_mut() {
             g.probing = false;
         }
-        out.merge(self.arm_lease_tick());
-        out.merge(self.arm_grant_tick());
+        self.arm_lease_tick(out);
+        self.arm_grant_tick(out);
         if !self.migration_watchdog {
-            return out;
+            return;
         }
         for lh in k.resident_lhs() {
             if self.awaiting_unfreeze.contains(&lh) {
                 let t = self.token(Pending::UnfreezeExpire { lh });
-                out = out.timer(t, MIGRATION_INIT_TIMEOUT);
+                out.timers.push((t, MIGRATION_INIT_TIMEOUT));
             } else if lh.0 >= TEMP_LH_FLOOR && !self.programs.contains_key(&lh) {
                 // A temp id from the migration engines' range with no
                 // program behind it: the in-flight migration whose
                 // watchdog we just dropped.
                 let t = self.token(Pending::MigExpire { temp: lh });
-                out = out.timer(t, MIGRATION_INIT_TIMEOUT);
+                out.timers.push((t, MIGRATION_INIT_TIMEOUT));
             }
         }
-        out
     }
 
     /// Re-arms the manager's timers after the whole workstation reboots
     /// (a crash loses pending timer callbacks, not the state awaiting
     /// them). Send-driven conversations need nothing: the kernel re-arms
     /// the underlying retransmissions.
-    pub fn reboot_recover(&mut self) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+    pub fn reboot_recover(&mut self, out: &mut SvcOutputs) {
         let mut tokens: Vec<u64> = self.pending.keys().copied().collect();
         tokens.sort_unstable();
         for t in tokens {
@@ -444,9 +436,8 @@ impl ProgramManager {
                 | Pending::AwaitProbe { .. } => continue,
                 _ => PM_QUERY_PROCESSING,
             };
-            out = out.timer(SvcToken(t), after);
+            out.timers.push((SvcToken(t), after));
         }
-        out
     }
 
     /// Allocates a fresh logical-host id from this manager's range.
@@ -494,33 +485,35 @@ impl ProgramManager {
 
     /// Arms the holder-side heartbeat tick if leases are held and no tick
     /// is armed yet.
-    fn arm_lease_tick(&mut self) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+    fn arm_lease_tick(&mut self, out: &mut SvcOutputs) {
         if !self.lease_tick_armed && !self.leases.is_empty() {
             self.lease_tick_armed = true;
             let t = self.token(Pending::LeaseTick);
-            out = out.timer(t, LEASE_HEARTBEAT);
+            out.timers.push((t, LEASE_HEARTBEAT));
         }
-        out
     }
 
     /// Arms the origin-side grant check tick if grants exist and no tick
     /// is armed yet.
-    fn arm_grant_tick(&mut self) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+    fn arm_grant_tick(&mut self, out: &mut SvcOutputs) {
         if !self.grant_tick_armed && !self.grants.is_empty() {
             self.grant_tick_armed = true;
             let t = self.token(Pending::GrantTick);
-            out = out.timer(t, LEASE_HEARTBEAT);
+            out.timers.push((t, LEASE_HEARTBEAT));
         }
-        out
     }
 
     /// Holder side: starts holding a lease for a remote-origin program
     /// (no-op when the program is home).
-    fn hold_lease(&mut self, now: SimTime, lh: LogicalHostId, origin: HostAddr) -> SvcOutputs {
+    fn hold_lease(
+        &mut self,
+        now: SimTime,
+        lh: LogicalHostId,
+        origin: HostAddr,
+        out: &mut SvcOutputs,
+    ) {
         if origin == self.host {
-            return SvcOutputs::new();
+            return;
         }
         self.leases.insert(
             lh,
@@ -531,16 +524,22 @@ impl ProgramManager {
                 renewing: false,
             },
         );
-        self.arm_lease_tick()
+        self.arm_lease_tick(out);
     }
 
     /// Origin side: records that `lh` now executes remotely at `remote`
     /// under a lease this manager must keep renewed. Called by the
     /// cluster runtime when a remote execution completes or a home
     /// program is migrated away.
-    pub fn grant_lease(&mut self, now: SimTime, lh: LogicalHostId, remote: HostAddr) -> SvcOutputs {
+    pub fn grant_lease(
+        &mut self,
+        now: SimTime,
+        lh: LogicalHostId,
+        remote: HostAddr,
+        out: &mut SvcOutputs,
+    ) {
         if remote == self.host {
-            return SvcOutputs::new();
+            return;
         }
         self.stats.leases_granted += 1;
         self.grants.insert(
@@ -551,7 +550,7 @@ impl ProgramManager {
                 probing: false,
             },
         );
-        self.arm_grant_tick()
+        self.arm_grant_tick(out);
     }
 
     /// Origin side: notifies `origin` that `lh` was deliberately
@@ -565,21 +564,14 @@ impl ProgramManager {
         origin: HostAddr,
         lh: LogicalHostId,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         if origin == self.host {
             self.grants.remove(&lh);
-            return out;
+            return;
         }
-        let (_, kouts) = k.send_with_seq(
-            now,
-            self.pid,
-            Self::pm_of_host(origin),
-            ServiceMsg::ReleaseLease { lh },
-            0,
-        );
-        out.kernel.extend(kouts);
-        out
+        let (to, release) = (Self::pm_of_host(origin), ServiceMsg::ReleaseLease { lh });
+        k.send(now, self.pid, to, release, 0, &mut out.kernel);
     }
 
     /// Holder side: destroys an orphan whose lease expired or was
@@ -591,29 +583,47 @@ impl ProgramManager {
         now: SimTime,
         lh: LogicalHostId,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         self.leases.remove(&lh);
         self.awaiting_unfreeze.remove(&lh);
         self.suspended.remove(&lh);
         self.pending_fetch.remove(&lh);
         if self.programs.remove(&lh).is_some() {
             self.stats.programs_destroyed += 1;
-            out = out.kernel(k.delete_logical_host(now, lh));
-            out = out.event(SvcEvent::OrphanExterminated { lh });
-            out = out.event(SvcEvent::ProgramDestroyed { lh });
+            k.delete_logical_host(now, lh, &mut out.kernel);
+            out.events.push(SvcEvent::OrphanExterminated { lh });
+            out.events.push(SvcEvent::ProgramDestroyed { lh });
         }
         for (w, wseq) in self.waiters.remove(&lh).unwrap_or_default() {
-            out = out.kernel(k.reply(
-                now,
-                self.pid,
-                w,
-                wseq,
-                ServiceMsg::Err(SvcError::UpstreamFailed),
-                0,
-            ));
+            self.refuse(now, k, w, wseq, SvcError::UpstreamFailed, out);
         }
-        out
+    }
+
+    /// Answers `requester`'s transaction `seq` with `body` (no bulk data).
+    fn reply(
+        &self,
+        now: SimTime,
+        k: &mut Kernel<ServiceMsg>,
+        requester: ProcessId,
+        seq: SendSeq,
+        body: ServiceMsg,
+        out: &mut SvcOutputs,
+    ) {
+        k.reply(now, self.pid, requester, seq, body, 0, &mut out.kernel);
+    }
+
+    /// Answers `requester`'s transaction `seq` with the error `e`.
+    fn refuse(
+        &self,
+        now: SimTime,
+        k: &mut Kernel<ServiceMsg>,
+        requester: ProcessId,
+        seq: SendSeq,
+        e: SvcError,
+        out: &mut SvcOutputs,
+    ) {
+        self.reply(now, k, requester, seq, ServiceMsg::Err(e), out);
     }
 
     /// Remembers a completed install rename for idempotent duplicate
@@ -634,8 +644,8 @@ impl ProgramManager {
         now: SimTime,
         msg: vkernel::MsgIn<ServiceMsg>,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         let (requester, seq) = (msg.from, msg.seq);
         match msg.body {
             ServiceMsg::QueryHost {
@@ -659,7 +669,8 @@ impl ProgramManager {
                     // generally the least loaded host" (§2).
                     let contention = 1.0 + 0.25 * self.programs.len() as f64;
                     let t = self.token(Pending::Query { requester, seq });
-                    out = out.timer(t, PM_QUERY_PROCESSING.mul_f64(contention));
+                    out.timers
+                        .push((t, PM_QUERY_PROCESSING.mul_f64(contention)));
                 } else {
                     self.stats.queries_declined += 1;
                 }
@@ -673,10 +684,9 @@ impl ProgramManager {
                 let stat = ServiceMsg::Stat {
                     name: spec.image.clone(),
                 };
-                let (sseq, kouts) =
-                    k.send_with_seq(now, self.pid, self.file_server.into(), stat, 0);
+                let fs = self.file_server.into();
+                let sseq = k.send(now, self.pid, fs, stat, 0, &mut out.kernel);
                 self.by_seq.insert(sseq, t.0);
-                out = out.kernel(kouts);
             }
             ServiceMsg::StartProgram { root } => {
                 let started = k
@@ -692,36 +702,22 @@ impl ProgramManager {
                     .unwrap_or(false);
                 if started {
                     let info = self.programs.get(&root.lh);
-                    out = out.event(SvcEvent::ProgramStarted {
+                    out.events.push(SvcEvent::ProgramStarted {
                         root,
                         lh: root.lh,
                         image: info.map(|i| i.image.clone()).unwrap_or_default(),
                     });
-                    out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
+                    self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
                 } else {
-                    out = out.kernel(k.reply(
-                        now,
-                        self.pid,
-                        requester,
-                        seq,
-                        ServiceMsg::Err(SvcError::BadRequest),
-                        0,
-                    ));
+                    self.refuse(now, k, requester, seq, SvcError::BadRequest, out);
                 }
             }
             ServiceMsg::DestroyProgram { lh } => {
                 if self.programs.contains_key(&lh) {
                     let t = self.token(Pending::Destroy { requester, seq, lh });
-                    out = out.timer(t, PM_DESTROY_ENVIRONMENT);
+                    out.timers.push((t, PM_DESTROY_ENVIRONMENT));
                 } else {
-                    out = out.kernel(k.reply(
-                        now,
-                        self.pid,
-                        requester,
-                        seq,
-                        ServiceMsg::Err(SvcError::BadRequest),
-                        0,
-                    ));
+                    self.refuse(now, k, requester, seq, SvcError::BadRequest, out);
                 }
             }
             ServiceMsg::SuspendProgram { lh } => {
@@ -732,23 +728,16 @@ impl ProgramManager {
                 } else {
                     ServiceMsg::Err(SvcError::BadRequest)
                 };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, reply, 0));
+                self.reply(now, k, requester, seq, reply, out);
             }
             ServiceMsg::ResumeProgram { lh } => {
                 if self.programs.contains_key(&lh) && k.is_frozen(lh) {
                     self.suspended.remove(&lh);
-                    out = out.kernel(k.unfreeze_in_place(now, lh));
-                    out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
-                    out = out.event(SvcEvent::ProgramResumed { lh });
+                    k.unfreeze_in_place(now, lh, &mut out.kernel);
+                    self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
+                    out.events.push(SvcEvent::ProgramResumed { lh });
                 } else {
-                    out = out.kernel(k.reply(
-                        now,
-                        self.pid,
-                        requester,
-                        seq,
-                        ServiceMsg::Err(SvcError::BadRequest),
-                        0,
-                    ));
+                    self.refuse(now, k, requester, seq, SvcError::BadRequest, out);
                 }
             }
             ServiceMsg::WaitProgram { lh } => {
@@ -759,7 +748,7 @@ impl ProgramManager {
                     self.waiters.entry(lh).or_default().push((requester, seq));
                 } else {
                     // Already gone (or never existed): complete at once.
-                    out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
+                    self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
                 }
             }
             ServiceMsg::InitMigration { temp, spaces } => {
@@ -769,16 +758,9 @@ impl ProgramManager {
                     // declining would make the source abort a healthy
                     // transfer and could strand two half-built copies.
                     let accepted = ServiceMsg::MigrationAccepted { host: self.host };
-                    out = out.kernel(k.reply(now, self.pid, requester, seq, accepted, 0));
+                    self.reply(now, k, requester, seq, accepted, out);
                 } else if !self.would_accept(k) {
-                    out = out.kernel(k.reply(
-                        now,
-                        self.pid,
-                        requester,
-                        seq,
-                        ServiceMsg::Err(SvcError::Declined),
-                        0,
-                    ));
+                    self.refuse(now, k, requester, seq, SvcError::Declined, out);
                 } else {
                     let l = k.create_logical_host(temp);
                     for (sid, layout) in spaces {
@@ -786,10 +768,10 @@ impl ProgramManager {
                     }
                     if self.migration_watchdog {
                         let t = self.token(Pending::MigExpire { temp });
-                        out = out.timer(t, MIGRATION_INIT_TIMEOUT);
+                        out.timers.push((t, MIGRATION_INIT_TIMEOUT));
                     }
                     let accepted = ServiceMsg::MigrationAccepted { host: self.host };
-                    out = out.kernel(k.reply(now, self.pid, requester, seq, accepted, 0));
+                    self.reply(now, k, requester, seq, accepted, out);
                 }
             }
             ServiceMsg::InstallState {
@@ -809,16 +791,9 @@ impl ProgramManager {
                     // Duplicate commit (the Ok reply was lost): the rename
                     // already happened; re-running it would fail and make
                     // the source retry into a second live copy.
-                    out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
+                    self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
                 } else if !k.is_resident(temp) {
-                    out = out.kernel(k.reply(
-                        now,
-                        self.pid,
-                        requester,
-                        seq,
-                        ServiceMsg::Err(SvcError::BadRequest),
-                        0,
-                    ));
+                    self.refuse(now, k, requester, seq, SvcError::BadRequest, out);
                 } else {
                     let cost = record.copy_cost();
                     let t = self.token(Pending::Install {
@@ -831,7 +806,7 @@ impl ProgramManager {
                         fetch,
                         origin,
                     });
-                    out = out.timer(t, cost);
+                    out.timers.push((t, cost));
                 }
             }
             ServiceMsg::UnfreezeMigrated { lh } => {
@@ -839,10 +814,10 @@ impl ProgramManager {
                 if k.is_resident(lh) && !frozen && !self.awaiting_unfreeze.contains(&lh) {
                     // Duplicate unfreeze (the Ok reply was lost): the copy
                     // already runs — ack without re-running side effects.
-                    out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
+                    self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
                 } else if k.is_resident(lh) {
                     self.awaiting_unfreeze.remove(&lh);
-                    out = out.kernel(k.unfreeze_migrated(now, lh));
+                    k.unfreeze_migrated(now, lh, &mut out.kernel);
                     // Demand-fetch the flushed pages back from the paging
                     // store (§3.2), in the background while the program
                     // already runs.
@@ -851,7 +826,7 @@ impl ProgramManager {
                             if pages.is_empty() {
                                 continue;
                             }
-                            let (xfer, kouts) = k.pull_pages(
+                            let xfer = k.pull_pages(
                                 now,
                                 self.pid,
                                 plan.from_lh,
@@ -859,22 +834,15 @@ impl ProgramManager {
                                 lh,
                                 space,
                                 pages,
+                                &mut out.kernel,
                             );
                             self.fetches_in_flight.insert(xfer, lh);
-                            out = out.kernel(kouts);
                         }
                     }
-                    out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
-                    out = out.event(SvcEvent::LogicalHostAdopted { lh });
+                    self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
+                    out.events.push(SvcEvent::LogicalHostAdopted { lh });
                 } else {
-                    out = out.kernel(k.reply(
-                        now,
-                        self.pid,
-                        requester,
-                        seq,
-                        ServiceMsg::Err(SvcError::BadRequest),
-                        0,
-                    ));
+                    self.refuse(now, k, requester, seq, SvcError::BadRequest, out);
                 }
             }
             ServiceMsg::MigrateProgram {
@@ -883,7 +851,7 @@ impl ProgramManager {
             } => {
                 // The migration engine (vcore) orchestrates; it replies to
                 // the requester when the eviction completes.
-                out = out.event(SvcEvent::MigrateRequested {
+                out.events.push(SvcEvent::MigrateRequested {
                     lh,
                     destroy_if_stuck,
                     requester,
@@ -903,38 +871,31 @@ impl ProgramManager {
                             g.probing = false;
                         }
                         let until = now + LEASE_DURATION;
-                        out = out.event(SvcEvent::LeasePoint {
+                        out.events.push(SvcEvent::LeasePoint {
                             lh,
                             step: ProtocolStep::LeaseRenew,
                             party: Party::Origin,
                         });
-                        out = out.kernel(k.reply(
+                        self.reply(
                             now,
-                            self.pid,
+                            k,
                             requester,
                             seq,
                             ServiceMsg::LeaseGranted { until },
-                            0,
-                        ));
+                            out,
+                        );
                     }
                     _ => {
                         // No grant here: revoked (re-executed elsewhere)
                         // or never registered. The holder must treat this
                         // as a revocation and exterminate its copy.
-                        out = out.kernel(k.reply(
-                            now,
-                            self.pid,
-                            requester,
-                            seq,
-                            ServiceMsg::Err(SvcError::NotFound),
-                            0,
-                        ));
+                        self.refuse(now, k, requester, seq, SvcError::NotFound, out);
                     }
                 }
             }
             ServiceMsg::ReleaseLease { lh } => {
                 self.grants.remove(&lh);
-                out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
+                self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
             }
             ServiceMsg::QueryProgram { lh } => {
                 let reply = if self.programs.contains_key(&lh) && k.is_resident(lh) {
@@ -942,22 +903,14 @@ impl ProgramManager {
                 } else {
                     ServiceMsg::Err(SvcError::NotFound)
                 };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, reply, 0));
+                self.reply(now, k, requester, seq, reply, out);
             }
             other => {
                 // Not a program-manager operation.
                 let _ = other;
-                out = out.kernel(k.reply(
-                    now,
-                    self.pid,
-                    requester,
-                    seq,
-                    ServiceMsg::Err(SvcError::BadRequest),
-                    0,
-                ));
+                self.refuse(now, k, requester, seq, SvcError::BadRequest, out);
             }
         }
-        out
     }
 
     /// Handles completion of one of the manager's own Sends (to the file
@@ -968,13 +921,13 @@ impl ProgramManager {
         seq: SendSeq,
         result: Result<ReplyIn<ServiceMsg>, SendError>,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         let Some(token) = self.by_seq.remove(&seq) else {
-            return out;
+            return;
         };
         let Some(p) = self.pending.remove(&token) else {
-            return out;
+            return;
         };
         match p {
             Pending::AwaitStat {
@@ -1002,20 +955,12 @@ impl ProgramManager {
                         to_lh: lh,
                         to_space: space,
                     };
-                    let (sseq, kouts) =
-                        k.send_with_seq(now, self.pid, self.file_server.into(), load, 0);
+                    let fs = self.file_server.into();
+                    let sseq = k.send(now, self.pid, fs, load, 0, &mut out.kernel);
                     self.by_seq.insert(sseq, t.0);
-                    out = out.kernel(kouts);
                 }
                 _ => {
-                    out = out.kernel(k.reply(
-                        now,
-                        self.pid,
-                        requester,
-                        rseq,
-                        ServiceMsg::Err(SvcError::NotFound),
-                        0,
-                    ));
+                    self.refuse(now, k, requester, rseq, SvcError::NotFound, out);
                 }
             },
             Pending::AwaitLoad {
@@ -1036,18 +981,11 @@ impl ProgramManager {
                         lh,
                         root,
                     });
-                    out = out.timer(t, PM_SETUP_ENVIRONMENT);
+                    out.timers.push((t, PM_SETUP_ENVIRONMENT));
                 }
                 _ => {
-                    out = out.kernel(k.delete_logical_host(now, lh));
-                    out = out.kernel(k.reply(
-                        now,
-                        self.pid,
-                        requester,
-                        rseq,
-                        ServiceMsg::Err(SvcError::UpstreamFailed),
-                        0,
-                    ));
+                    k.delete_logical_host(now, lh, &mut out.kernel);
+                    self.refuse(now, k, requester, rseq, SvcError::UpstreamFailed, out);
                 }
             },
             Pending::AwaitRenewal { lh } => {
@@ -1071,7 +1009,7 @@ impl ProgramManager {
                         // lease was revoked (e.g. the program was
                         // re-executed elsewhere while this host was cut
                         // off). Exterminate the stale copy immediately.
-                        out.merge(self.exterminate(now, lh, k));
+                        self.exterminate(now, lh, k, out);
                     }
                     _ => {
                         // Origin unreachable (or the grant is simply not
@@ -1093,13 +1031,13 @@ impl ProgramManager {
                         g.renewed_at = now;
                         g.probing = false;
                     }
-                    out = out.event(SvcEvent::LeaseRebound { lh, to: host });
+                    out.events.push(SvcEvent::LeaseRebound { lh, to: host });
                 }
                 _ => {
                     // Nobody answered for the program: presumed dead.
                     // Drop the grant and ask the runtime to re-execute.
                     self.grants.remove(&lh);
-                    out = out.event(SvcEvent::ReExecNeeded { lh });
+                    out.events.push(SvcEvent::ReExecNeeded { lh });
                 }
             },
             other => {
@@ -1109,7 +1047,6 @@ impl ProgramManager {
                 self.pending.insert(token, other);
             }
         }
-        out
     }
 
     /// Handles a service timer.
@@ -1118,10 +1055,10 @@ impl ProgramManager {
         now: SimTime,
         token: SvcToken,
         k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) {
         let Some(p) = self.pending.remove(&token.0) else {
-            return out;
+            return;
         };
         match p {
             Pending::Query { requester, seq } => {
@@ -1129,10 +1066,9 @@ impl ProgramManager {
                 let candidate = ServiceMsg::HostCandidate {
                     pm: self.pid,
                     host: self.host,
-                    host_name: self.host_name.clone(),
                     load: self.programs.len() as u32,
                 };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, candidate, 0));
+                self.reply(now, k, requester, seq, candidate, out);
             }
             Pending::Setup {
                 requester,
@@ -1156,14 +1092,14 @@ impl ProgramManager {
                 // A program created for a remote requester lives on a
                 // lease from its origin from the moment it exists.
                 if let Some(o) = origin {
-                    out.merge(self.hold_lease(now, lh, o));
+                    self.hold_lease(now, lh, o, out);
                 }
                 let created = ServiceMsg::ProgramCreated {
                     root,
                     lh,
                     host: self.host,
                 };
-                out = out.kernel(k.reply(now, self.pid, requester, seq, created, 0));
+                self.reply(now, k, requester, seq, created, out);
             }
             Pending::Install {
                 requester,
@@ -1182,7 +1118,7 @@ impl ProgramManager {
                     .first()
                     .map(|pd| ProcessId::new(lh, pd.index))
                     .unwrap_or(ProcessId::new(lh, 0));
-                out = out.kernel(k.install_migration_record(now, temp, &record));
+                k.install_migration_record(now, temp, &record, &mut out.kernel);
                 self.remember_install(temp, lh);
                 self.programs.insert(
                     lh,
@@ -1198,7 +1134,7 @@ impl ProgramManager {
                 // against the same origin (whose grant rebinds on the
                 // first heartbeat from here).
                 if let Some(o) = origin {
-                    out.merge(self.hold_lease(now, lh, o));
+                    self.hold_lease(now, lh, o, out);
                 }
                 if let Some(plan) = fetch {
                     self.pending_fetch.insert(lh, plan);
@@ -1209,9 +1145,9 @@ impl ProgramManager {
                 self.awaiting_unfreeze.insert(lh);
                 if self.migration_watchdog {
                     let t = self.token(Pending::UnfreezeExpire { lh });
-                    out = out.timer(t, MIGRATION_INIT_TIMEOUT);
+                    out.timers.push((t, MIGRATION_INIT_TIMEOUT));
                 }
-                out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
+                self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
             }
             Pending::Destroy { requester, seq, lh } => {
                 self.stats.programs_destroyed += 1;
@@ -1220,18 +1156,18 @@ impl ProgramManager {
                 let origin = self.programs.get(&lh).and_then(|i| i.origin);
                 if self.leases.remove(&lh).is_some() {
                     if let Some(o) = origin {
-                        out.merge(self.release_lease_to(now, o, lh, k));
+                        self.release_lease_to(now, o, lh, k, out);
                     }
                 }
                 self.grants.remove(&lh);
                 self.programs.remove(&lh);
                 self.suspended.remove(&lh);
-                out = out.kernel(k.delete_logical_host(now, lh));
-                out = out.event(SvcEvent::ProgramDestroyed { lh });
-                out = out.kernel(k.reply(now, self.pid, requester, seq, ServiceMsg::Ok, 0));
+                k.delete_logical_host(now, lh, &mut out.kernel);
+                out.events.push(SvcEvent::ProgramDestroyed { lh });
+                self.reply(now, k, requester, seq, ServiceMsg::Ok, out);
                 // Wake anyone blocked in WaitProgram.
                 for (w, wseq) in self.waiters.remove(&lh).unwrap_or_default() {
-                    out = out.kernel(k.reply(now, self.pid, w, wseq, ServiceMsg::Ok, 0));
+                    self.reply(now, k, w, wseq, ServiceMsg::Ok, out);
                 }
             }
             Pending::MigExpire { temp } => {
@@ -1239,7 +1175,7 @@ impl ProgramManager {
                 // still-resident temp means the source never finished.
                 if k.is_resident(temp) {
                     self.stats.migrations_expired += 1;
-                    out = out.kernel(k.delete_logical_host(now, temp));
+                    k.delete_logical_host(now, temp, &mut out.kernel);
                 }
             }
             Pending::UnfreezeExpire { lh } => {
@@ -1254,17 +1190,17 @@ impl ProgramManager {
                     // Keep the lease unreleased: the origin's probe will
                     // find nothing and re-execute the lost program.
                     self.leases.remove(&lh);
-                    out = out.kernel(k.delete_logical_host(now, lh));
-                    out = out.event(SvcEvent::ProgramDestroyed { lh });
+                    k.delete_logical_host(now, lh, &mut out.kernel);
+                    out.events.push(SvcEvent::ProgramDestroyed { lh });
                 }
             }
             Pending::LeaseTick => {
                 self.lease_tick_armed = false;
-                out.merge(self.lease_tick(now, k));
+                self.lease_tick(now, k, out);
             }
             Pending::GrantTick => {
                 self.grant_tick_armed = false;
-                out.merge(self.grant_tick(now, k));
+                self.grant_tick(now, k, out);
             }
             other => {
                 // A timer for send-driven state: impossible in normal
@@ -1273,13 +1209,11 @@ impl ProgramManager {
                 self.pending.insert(token.0, other);
             }
         }
-        out
     }
 
     /// One holder-side heartbeat round: exterminate leases that ran out
     /// past grace, renew the rest, re-arm while any lease remains.
-    fn lease_tick(&mut self, now: SimTime, k: &mut Kernel<ServiceMsg>) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+    fn lease_tick(&mut self, now: SimTime, k: &mut Kernel<ServiceMsg>, out: &mut SvcOutputs) {
         let lhs: Vec<LogicalHostId> = self.leases.keys().copied().collect();
         for lh in lhs {
             if !self.programs.contains_key(&lh) {
@@ -1293,45 +1227,38 @@ impl ProgramManager {
             };
             let (origin, renewing) = (lease.origin, lease.renewing);
             if now >= lease.expires_at + LEASE_GRACE {
-                out = out.event(SvcEvent::LeasePoint {
+                out.events.push(SvcEvent::LeasePoint {
                     lh,
                     step: ProtocolStep::LeaseExpiry,
                     party: Party::Target,
                 });
                 if self.lease_enforcement {
-                    out.merge(self.exterminate(now, lh, k));
+                    self.exterminate(now, lh, k, out);
                 }
                 continue;
             }
             if !renewing {
                 let t = self.token(Pending::AwaitRenewal { lh });
-                let (sseq, kouts) = k.send_with_seq(
-                    now,
-                    self.pid,
-                    Self::pm_of_host(origin),
-                    ServiceMsg::RenewLease { lh },
-                    0,
-                );
+                let renew = ServiceMsg::RenewLease { lh };
+                let to = Self::pm_of_host(origin);
+                let sseq = k.send(now, self.pid, to, renew, 0, &mut out.kernel);
                 self.by_seq.insert(sseq, t.0);
                 if let Some(l) = self.leases.get_mut(&lh) {
                     l.renewing = true;
                 }
-                out = out.event(SvcEvent::LeasePoint {
+                out.events.push(SvcEvent::LeasePoint {
                     lh,
                     step: ProtocolStep::LeaseRenew,
                     party: Party::Target,
                 });
-                out.kernel.extend(kouts);
             }
         }
-        out.merge(self.arm_lease_tick());
-        out
+        self.arm_lease_tick(out);
     }
 
     /// One origin-side grant round: probe every remote host whose
     /// heartbeats stopped past grace, re-arm while any grant remains.
-    fn grant_tick(&mut self, now: SimTime, k: &mut Kernel<ServiceMsg>) -> SvcOutputs {
-        let mut out = SvcOutputs::new();
+    fn grant_tick(&mut self, now: SimTime, k: &mut Kernel<ServiceMsg>, out: &mut SvcOutputs) {
         let lhs: Vec<LogicalHostId> = self.grants.keys().copied().collect();
         for lh in lhs {
             if self.programs.contains_key(&lh) && k.is_resident(lh) {
@@ -1345,7 +1272,7 @@ impl ProgramManager {
             };
             let silence = now.since(g.renewed_at);
             if !g.probing && silence > LEASE_DURATION + LEASE_GRACE {
-                out = out.event(SvcEvent::LeasePoint {
+                out.events.push(SvcEvent::LeasePoint {
                     lh,
                     step: ProtocolStep::LeaseExpiry,
                     party: Party::Origin,
@@ -1354,33 +1281,21 @@ impl ProgramManager {
                     g.probing = true;
                 }
                 let t = self.token(Pending::AwaitProbe { lh });
-                let (sseq, kouts) = k.send_with_seq(
-                    now,
-                    self.pid,
-                    Destination::Group(GroupId::program_manager_of(lh)),
-                    ServiceMsg::QueryProgram { lh },
-                    0,
-                );
+                let query = ServiceMsg::QueryProgram { lh };
+                let to = Destination::Group(GroupId::program_manager_of(lh));
+                let sseq = k.send(now, self.pid, to, query, 0, &mut out.kernel);
                 self.by_seq.insert(sseq, t.0);
-                out.kernel.extend(kouts);
             }
         }
-        out.merge(self.arm_grant_tick());
-        out
+        self.arm_grant_tick(out);
     }
 
-    /// Handles completion of a background demand-fetch (VM-flush).
-    pub fn handle_copy_done(
-        &mut self,
-        _now: SimTime,
-        xfer: vkernel::XferId,
-        result: Result<u64, vkernel::SendError>,
-        _k: &mut Kernel<ServiceMsg>,
-    ) -> SvcOutputs {
+    /// Handles completion of a background demand-fetch (VM-flush); it
+    /// causes nothing further.
+    pub fn handle_copy_done(&mut self, xfer: vkernel::XferId, result: Result<u64, SendError>) {
         if let (Some(_), Ok(bytes)) = (self.fetches_in_flight.remove(&xfer), result) {
             self.stats.fetched_bytes += bytes;
         }
-        SvcOutputs::new()
     }
 
     /// Removes a migrated-away program from the books (called by the
@@ -1392,23 +1307,16 @@ impl ProgramManager {
         now: SimTime,
         lh: LogicalHostId,
         k: &mut Kernel<ServiceMsg>,
-    ) -> (Option<ProgramInfo>, SvcOutputs) {
-        let mut out = SvcOutputs::new();
+        out: &mut SvcOutputs,
+    ) -> Option<ProgramInfo> {
         for (w, wseq) in self.waiters.remove(&lh).unwrap_or_default() {
-            out = out.kernel(k.reply(
-                now,
-                self.pid,
-                w,
-                wseq,
-                ServiceMsg::Err(SvcError::UpstreamFailed),
-                0,
-            ));
+            self.refuse(now, k, w, wseq, SvcError::UpstreamFailed, out);
         }
         self.suspended.remove(&lh);
         // The program lives on at its new host, which holds the lease
         // now; only this host's holder-side state is dropped (the origin
         // grant rebinds on the new host's first heartbeat).
         self.leases.remove(&lh);
-        (self.programs.remove(&lh), out)
+        self.programs.remove(&lh)
     }
 }

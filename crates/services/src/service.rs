@@ -3,9 +3,16 @@
 //! Services, like the kernel, are sans-IO state machines. Their handlers
 //! receive a mutable reference to the co-resident kernel (they run on the
 //! same workstation and use its primitives directly, as the paper's
-//! program manager "uses the kernel server to set up the address space"),
-//! and return [`SvcOutputs`]: kernel outputs to execute, service-level
-//! timers to arm, and high-level events the cluster runtime reacts to.
+//! program manager "uses the kernel server to set up the address space").
+//!
+//! Every layer below the station hands back what a call caused the same
+//! way: the call appends to a list its caller owns. A kernel primitive
+//! appends [`KernelOutput`]s to a `&mut Vec`; a service handler, the
+//! migration engine and the remote executor append to one
+//! [`SvcOutputs`]: kernel actions to execute, service timers to arm and
+//! events the station reacts to. The station applies a component's
+//! timers first, then its events (each followed up in turn), then its
+//! kernel actions.
 
 use vkernel::{KernelOutput, LogicalHostId, ProcessId, SendSeq};
 use vsim::SimDuration;
@@ -16,47 +23,28 @@ use crate::msg::ServiceMsg;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SvcToken(pub u64);
 
-/// What a service handler wants done.
-#[derive(Debug, Default)]
-pub struct SvcOutputs {
+/// What a component below the station asked for, appended in call order.
+/// `E` is the component's event type: [`SvcEvent`] for the services, the
+/// migration engine's and the executor's own for theirs.
+#[derive(Debug)]
+pub struct SvcOutputs<E = SvcEvent> {
     /// Kernel actions (transmissions, timers, deliveries...).
     pub kernel: Vec<KernelOutput<ServiceMsg>>,
-    /// Service timers to arm: the runtime calls the service's
-    /// `handle_timer` with the token after the delay.
+    /// Service timers to arm: the station calls the service's
+    /// `handle_timer` with the token after the delay. The migration
+    /// engine and the executor arm none.
     pub timers: Vec<(SvcToken, SimDuration)>,
-    /// High-level events for the cluster runtime.
-    pub events: Vec<SvcEvent>,
+    /// Events for the station.
+    pub events: Vec<E>,
 }
 
-impl SvcOutputs {
-    /// An empty output set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs kernel outputs.
-    pub fn kernel(mut self, outs: Vec<KernelOutput<ServiceMsg>>) -> Self {
-        self.kernel.extend(outs);
-        self
-    }
-
-    /// Arms a timer.
-    pub fn timer(mut self, token: SvcToken, after: SimDuration) -> Self {
-        self.timers.push((token, after));
-        self
-    }
-
-    /// Emits an event.
-    pub fn event(mut self, e: SvcEvent) -> Self {
-        self.events.push(e);
-        self
-    }
-
-    /// Merges another output set into this one.
-    pub fn merge(&mut self, other: SvcOutputs) {
-        self.kernel.extend(other.kernel);
-        self.timers.extend(other.timers);
-        self.events.extend(other.events);
+impl<E> Default for SvcOutputs<E> {
+    fn default() -> Self {
+        SvcOutputs {
+            kernel: Vec::new(),
+            timers: Vec::new(),
+            events: Vec::new(),
+        }
     }
 }
 
@@ -136,29 +124,4 @@ pub enum SvcEvent {
         /// Which party crossed it.
         party: vsim::Party,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_accumulates() {
-        let out = SvcOutputs::new()
-            .timer(SvcToken(1), SimDuration::from_millis(21))
-            .event(SvcEvent::ProgramDestroyed {
-                lh: LogicalHostId(5),
-            });
-        assert_eq!(out.kernel.len(), 0);
-        assert_eq!(out.timers.len(), 1);
-        assert_eq!(out.events.len(), 1);
-    }
-
-    #[test]
-    fn merge_concatenates() {
-        let mut a = SvcOutputs::new().timer(SvcToken(1), SimDuration::from_millis(1));
-        let b = SvcOutputs::new().timer(SvcToken(2), SimDuration::from_millis(2));
-        a.merge(b);
-        assert_eq!(a.timers.len(), 2);
-    }
 }

@@ -86,8 +86,9 @@ impl Stand {
     /// Sends `body` from the test client to `to` and pumps to quiescence.
     fn send(&mut self, to: ProcessId, body: ServiceMsg) {
         let client = self.client;
-        self.rig
-            .drive(0, move |k, t| k.send(t, client, to.into(), body, 0));
+        self.rig.drive(0, move |k, t, out| {
+            k.send(t, client, to.into(), body, 0, out)
+        });
         self.pump();
     }
 
@@ -107,20 +108,18 @@ impl Stand {
                     } else if let AppEvent::SendDone { pid, seq, result } = e {
                         if pid == self.pm.pid() {
                             let now = self.rig.engine.now();
-                            let outs = {
-                                let k = self.rig.kernel_mut(0);
-                                self.pm.handle_send_done(now, seq, result, k)
-                            };
+                            let mut outs = SvcOutputs::default();
+                            let k = self.rig.kernel_mut(0);
+                            self.pm.handle_send_done(now, seq, result, k, &mut outs);
                             self.absorb(Who::Pm, outs);
                         } else {
                             self.completions.push((pid, result.map(|r| r.body)));
                         }
                     } else if let AppEvent::CopyDone { xfer, result, .. } = e {
                         let now = self.rig.engine.now();
-                        let outs = {
-                            let k = self.rig.kernel_mut(0);
-                            self.fs.handle_copy_done(now, xfer, result, k)
-                        };
+                        let mut outs = SvcOutputs::default();
+                        let k = self.rig.kernel_mut(0);
+                        self.fs.handle_copy_done(now, xfer, result, k, &mut outs);
                         self.absorb(Who::Fs, outs);
                     }
                 }
@@ -137,14 +136,13 @@ impl Stand {
                 } else {
                     continue; // Client deliveries have no handler here.
                 };
-                let outs = {
-                    let k = self.rig.kernel_mut(0);
-                    match who {
-                        Who::Pm => self.pm.handle_request(now, m, k),
-                        Who::Fs => self.fs.handle_request(now, m, k),
-                        Who::Display => self.display.handle_request(now, m, k),
-                    }
-                };
+                let mut outs = SvcOutputs::default();
+                let (k, o) = (self.rig.kernel_mut(0), &mut outs);
+                match who {
+                    Who::Pm => self.pm.handle_request(now, m, k, o),
+                    Who::Fs => self.fs.handle_request(now, m, k, o),
+                    Who::Display => self.display.handle_request(now, m, k, o),
+                }
                 self.absorb(who, outs);
             }
             // Fire the earliest due service timer, if any.
@@ -159,14 +157,13 @@ impl Stand {
                 self.fired.push((who, token));
                 let now = self.rig.engine.now().max(at);
                 self.rig.engine.advance_to(now);
-                let outs = {
-                    let k = self.rig.kernel_mut(0);
-                    match who {
-                        Who::Pm => self.pm.handle_timer(now, token, k),
-                        Who::Fs => self.fs.handle_timer(now, token, k),
-                        Who::Display => self.display.handle_timer(now, token, k),
-                    }
-                };
+                let mut outs = SvcOutputs::default();
+                let (k, o) = (self.rig.kernel_mut(0), &mut outs);
+                match who {
+                    Who::Pm => self.pm.handle_timer(now, token, k, o),
+                    Who::Fs => self.fs.handle_timer(now, token, k, o),
+                    Who::Display => self.display.handle_timer(now, token, k, o),
+                }
                 self.absorb(who, outs);
                 progressed = true;
             }
@@ -183,7 +180,7 @@ impl Stand {
         }
         self.events.extend(outs.events);
         // Feed kernel outputs back through the rig.
-        self.rig.drive(0, move |_k, _t| outs.kernel);
+        self.rig.drive(0, move |_k, _t, out| *out = outs.kernel);
     }
 
     /// Sends `body` from the test client to `to`, pumps to quiescence and
@@ -266,7 +263,8 @@ fn consumed_pm_tokens_fire_as_no_ops() {
         .filter(|(who, _)| *who == Who::Pm)
     {
         let now = s.rig.engine.now();
-        let outs = s.pm.handle_timer(now, token, s.rig.kernel_mut(0));
+        let mut outs = SvcOutputs::default();
+        s.pm.handle_timer(now, token, s.rig.kernel_mut(0), &mut outs);
         assert!(
             outs.kernel.is_empty() && outs.timers.is_empty() && outs.events.is_empty(),
             "{token:?} fired again produced {outs:?}"
@@ -403,11 +401,8 @@ fn file_server_rejects_foreign_handles() {
         seq: SendSeq(999),
         body: ServiceMsg::Read { handle, bytes: 10 },
     };
-    let outs = {
-        let k = s.rig.kernel_mut(0);
-        s.fs.handle_request(now, msg, k)
-    };
-    drop(outs);
+    let k = s.rig.kernel_mut(0);
+    s.fs.handle_request(now, msg, k, &mut SvcOutputs::default());
     assert_eq!(s.fs.stats().errors, 1, "foreign handle rejected");
     assert_eq!(s.fs.stats().bytes_read, 0);
 }
@@ -463,8 +458,15 @@ fn wait_program_blocks_until_destroy() {
             .expect("system lh");
         l.create_process(vmem::SpaceId(0), Priority::LOCAL, false)
     };
-    s.rig.drive(0, move |k, t| {
-        k.send(t, waiter, s_pm_dest(), ServiceMsg::WaitProgram { lh }, 0)
+    s.rig.drive(0, move |k, t, out| {
+        k.send(
+            t,
+            waiter,
+            s_pm_dest(),
+            ServiceMsg::WaitProgram { lh },
+            0,
+            out,
+        )
     });
     s.pump();
     // No completion yet: the wait is parked.
@@ -496,8 +498,8 @@ fn suspended_programs_defer_process_messages_but_pm_stays_reachable() {
 
     // A message to the suspended *process* defers...
     let client = s.client;
-    s.rig.drive(0, move |k, t| {
-        k.send(t, client, root.into(), ServiceMsg::WriteDone, 0)
+    s.rig.drive(0, move |k, t, out| {
+        k.send(t, client, root.into(), ServiceMsg::WriteDone, 0, out)
     });
     s.pump();
     assert_eq!(
@@ -541,7 +543,8 @@ fn duplicate_migration_steps_ack_idempotently() {
         l.create_process(space, Priority::GUEST, false);
         (space, k.extract_migration_record(lh))
     };
-    s.rig.drive(0, move |k, t| k.delete_logical_host(t, lh));
+    s.rig
+        .drive(0, move |k, t, out| k.delete_logical_host(t, lh, out));
     s.pump();
 
     let temp = LogicalHostId(TEMP_LH_FLOOR);

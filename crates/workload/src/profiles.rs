@@ -156,11 +156,6 @@ pub fn steady_profile(row: &Table41Row) -> ProgramProfile {
     ProgramProfile::steady(row.name, layout_for(row.name), row.fit(), cpu_for(row.name))
 }
 
-/// All eight steady profiles.
-pub fn table_4_1_profiles() -> Vec<ProgramProfile> {
-    TABLE_4_1.iter().map(steady_profile).collect()
-}
-
 /// A realistic compiler-pass profile: read source, compute, write output.
 pub fn realistic_profile(row: &Table41Row) -> ProgramProfile {
     let name = row.name;
@@ -362,7 +357,7 @@ mod tests {
 
     #[test]
     fn steady_profiles_are_single_phase() {
-        for p in table_4_1_profiles() {
+        for p in TABLE_4_1.iter().map(steady_profile) {
             assert_eq!(p.phases.len(), 1);
             assert!(matches!(p.phases[0], Phase::Compute(_)));
         }

@@ -38,13 +38,6 @@ impl UserModelParams {
             initially_active: 0.2,
         }
     }
-
-    /// Long-run fraction of time idle.
-    pub fn idle_fraction(&self) -> f64 {
-        let a = self.mean_active.as_secs_f64();
-        let i = self.mean_idle.as_secs_f64();
-        i / (a + i)
-    }
 }
 
 /// One workstation owner.
@@ -128,11 +121,6 @@ impl UserModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peak_hours_is_80_percent_idle() {
-        assert!((UserModelParams::peak_hours().idle_fraction() - 0.8).abs() < 1e-9);
-    }
 
     #[test]
     fn simulated_idle_fraction_matches_parameters() {

@@ -53,9 +53,10 @@ fn main() {
 
     let r = &cluster.exec_reports[0];
     assert!(r.success);
+    let host = r.chosen_host.expect("a host ran it");
     println!(
         "program ran on : {} ",
-        r.chosen_name.as_deref().unwrap_or("?")
+        cluster.stations[cluster.index_of(host)].name
     );
 
     println!("\ncommunication paths exercised (Figure 2-1):");

@@ -32,9 +32,12 @@ fn main() {
     cluster.run_for(SimDuration::from_secs(60));
 
     let r = cluster.exec_reports[0].clone();
+    let name = r.chosen_host.map_or_else(
+        || "?".to_string(),
+        |h| cluster.stations[cluster.index_of(h)].name.clone(),
+    );
     println!(
-        "\nexecuted on {} ({})",
-        r.chosen_name.as_deref().unwrap_or("?"),
+        "\nexecuted on {name} ({})",
         r.chosen_host.map(|h| h.to_string()).unwrap_or_default()
     );
     println!("  host selection : {}", r.selection_time);
@@ -46,9 +49,8 @@ fn main() {
     // Let it run to completion.
     cluster.run_for(SimDuration::from_secs(30));
     println!(
-        "\nprograms finished: {} (CPU went to {})",
+        "\nprograms finished: {} (CPU went to {name})",
         cluster.stats.programs_finished,
-        r.chosen_name.as_deref().unwrap_or("?")
     );
 
     println!("\n--- metrics ---");
