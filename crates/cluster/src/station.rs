@@ -1078,71 +1078,71 @@ impl Station {
         }
         // Pick the highest-priority ready program (lowest Priority value),
         // FIFO within a level — "priority scheduling for locally invoked
-        // programs" (§2).
-        let programs = &self.programs;
-        let priority = |lh| programs.get(lh).map_or(Priority::GUEST, |p| p.priority);
-        let best = (self.cpu_ready.iter().enumerate())
-            .min_by_key(|&(pos, lh)| (priority(lh), pos))
-            .map(|(pos, _)| pos);
-        let Some(lh) = best.and_then(|pos| self.cpu_ready.remove(pos)) else {
+        // programs" (§2). A lone ready program needs no pick.
+        let mut pos = 0;
+        if self.cpu_ready.len() > 1 {
+            let programs = &self.programs;
+            let priority = |lh| programs.get(lh).map_or(Priority::GUEST, |p| p.priority);
+            pos = (self.cpu_ready.iter().enumerate())
+                .min_by_key(|&(pos, lh)| (priority(lh), pos))
+                .map_or(0, |(pos, _)| pos);
+        }
+        let Some(lh) = self.cpu_ready.remove(pos) else {
             return;
         };
         let Some(prt) = self.programs.get_mut(&lh) else {
             return;
         };
         // Frozen (or absent) programs do not execute.
-        if !self.kernel.is_resident(lh) || self.kernel.is_frozen(lh) {
+        if self.kernel.logical_host(lh).is_none_or(|l| l.is_frozen()) {
             prt.scheduled = false;
             return;
         }
-        let slice = prt.remaining_cpu.min(CPU_QUANTUM);
+        let owed = prt.remaining_cpu;
+        self.run_slice(lh, owed);
+    }
+
+    /// Gives program `lh`, which owes `owed` CPU, its next slice.
+    fn run_slice(&mut self, lh: LogicalHostId, owed: SimDuration) {
+        let slice = owed.min(CPU_QUANTUM);
         self.cpu_current = Some(lh);
         self.cpu_due = self.now + slice + CONTEXT_SWITCH;
         self.schedule(slice + CONTEXT_SWITCH, Timer::QuantumEnd(lh, slice));
     }
 
+    /// Ends the running program's quantum and charges it in place, unless
+    /// the program was frozen or moved away meanwhile.
     fn quantum_end(&mut self, lh: LogicalHostId, slice: SimDuration) {
         let now = self.now;
         if self.cpu_current != Some(lh) || self.cpu_due != now {
             // The program migrated or was destroyed mid-quantum, or a
             // reboot has dispatched a fresh quantum since this one.
-            self.cpu_dispatch();
-            return;
+            return self.cpu_dispatch();
         }
         self.cpu_current = None;
-        let frozen = !self.kernel.is_resident(lh) || self.kernel.is_frozen(lh);
-        if let Some(prt) = self.programs.get_mut(&lh) {
-            prt.scheduled = false;
-            if !frozen {
-                // The slice began a slice ago: record it whole as one
-                // "quantum" span stamped now, so the trace stays in time
-                // order, then charge it.
-                let start = SimTime::from_micros(now.as_micros().saturating_sub(slice.as_micros()));
-                let id = self.quantum_spans.borrow_mut().next();
-                let (trace, host) = (&mut self.trace, self.host.0);
-                id.done(
-                    trace,
-                    TraceLevel::Detail,
-                    start,
-                    now,
-                    Subsystem::Cluster,
-                    SpanContext::NONE,
-                    "quantum",
-                    host,
-                );
-                self.charge(lh, slice);
-                return;
-            }
-        }
-        self.cpu_dispatch();
-    }
-
-    /// Charges a finished quantum: the behaviour dirties pages, and a
-    /// program whose CPU is all delivered takes its next step.
-    fn charge(&mut self, lh: LogicalHostId, slice: SimDuration) {
         let Some(prt) = self.programs.get_mut(&lh) else {
-            return;
+            return self.cpu_dispatch();
         };
+        prt.scheduled = false;
+        let Some(l) = self.kernel.logical_host_mut(lh).filter(|l| !l.is_frozen()) else {
+            return self.cpu_dispatch();
+        };
+        if self.trace.enabled(TraceLevel::Detail) {
+            // The slice began a slice ago: record it whole as one
+            // "quantum" span stamped now, so the trace stays in time
+            // order.
+            let start = SimTime::from_micros(now.as_micros().saturating_sub(slice.as_micros()));
+            self.quantum_spans.borrow_mut().next().done(
+                &mut self.trace,
+                TraceLevel::Detail,
+                start,
+                now,
+                Subsystem::Cluster,
+                SpanContext::NONE,
+                "quantum",
+                self.host.0,
+            );
+        }
         if prt.priority <= Priority::LOCAL {
             self.cpu_local += slice;
             self.out.push(Output::Count(|s| &mut s.quanta_local));
@@ -1150,19 +1150,19 @@ impl Station {
             self.cpu_guest += slice;
             self.out.push(Output::Count(|s| &mut s.quanta_guest));
         }
-        if let Some(space) = self
-            .kernel
-            .logical_host_mut(lh)
-            .and_then(|l| l.space_mut(prt.team))
-        {
+        if let Some(space) = l.space_mut(prt.team) {
             prt.behavior.on_cpu(slice, space, &mut self.rng);
         }
         prt.remaining_cpu = prt.remaining_cpu.saturating_sub(slice);
-        if prt.remaining_cpu.is_zero() {
+        let owed = prt.remaining_cpu;
+        prt.scheduled = !owed.is_zero();
+        if owed.is_zero() {
             self.step_program(lh, ProgEvent::CpuDone);
             self.then(Kind::CpuDispatch);
+        } else if self.cpu_ready.is_empty() {
+            // Uncontested: its next slice starts at once, as a lone dispatch's would.
+            self.run_slice(lh, owed);
         } else {
-            prt.scheduled = true;
             self.cpu_ready.push_back(lh);
             self.cpu_dispatch();
         }
@@ -1224,13 +1224,48 @@ mod tests {
         seq: u64,
         now: SimTime,
         rng: DetRng,
-        behavior: Option<WorkloadProgram>,
+        behaviors: VecDeque<WorkloadProgram>,
         stats: ClusterStats,
         /// CPU time of every quantum that was counted.
         charged: SimDuration,
     }
 
     impl Pair {
+        /// Boots the pair and has the file-server machine's shell run one
+        /// guest `@ ws1` for each CPU demand in `cpu`.
+        fn new(cfg: &ClusterConfig, cpu: &[u64]) -> Pair {
+            let (trace, mut rng) = (Trace::new(TraceLevel::Warn), DetRng::seed(1985));
+            let spans = Rc::new(RefCell::new(SpanIdGen::new(1)));
+            let mut st =
+                [0, 1].map(|i| Station::new(i, HostAddr(i as u16), cfg, &trace, &spans, &mut rng));
+            let fs = st[0].fs.as_mut().expect("station 0 serves files");
+            let env = ExecEnv::standard(st[1].display.pid(), fs.pid());
+            let profile = |&s| simulation_profile(SimDuration::from_secs(s));
+            let image = profile(&0);
+            fs.add_image(image.name.clone(), image.layout);
+            let mut pair = Pair {
+                st,
+                queue: BTreeMap::new(),
+                seq: 0,
+                now: SimTime::ZERO,
+                rng,
+                behaviors: (cpu.iter().map(profile))
+                    .map(|p| WorkloadProgram::new(p, env.clone()))
+                    .collect(),
+                stats: ClusterStats::default(),
+                charged: SimDuration::ZERO,
+            };
+            for i in 0..2 {
+                pair.feed(i, Input::Boot(HostAddr(0)));
+            }
+            for _ in cpu {
+                let (image, priority) = (image.name.clone(), Priority::GUEST);
+                let spec = Box::new(ProgramSpec { image, priority });
+                pair.feed(0, Input::Exec(spec, ExecTarget::Named("ws1".into())));
+            }
+            pair
+        }
+
         fn at(&mut self, after: SimDuration, i: usize, input: Input) {
             self.seq += 1;
             self.queue.insert((self.now + after, self.seq), (i, input));
@@ -1248,7 +1283,7 @@ mod tests {
                     }
                     Output::Schedule(after, timer) => self.at(after, i, Input::Timer(timer)),
                     Output::Started(root, lh, image) => {
-                        let behavior = Box::new(self.behavior.take().expect("one program"));
+                        let behavior = Box::new(self.behaviors.pop_front().expect("one per exec"));
                         self.feed(i, Input::Start(root, lh, image, behavior));
                     }
                     Output::Count(counter) => *counter(&mut self.stats) += 1,
@@ -1285,40 +1320,8 @@ mod tests {
             evict_on_owner_return: true,
             ..ClusterConfig::default()
         };
-        let (trace, mut rng) = (Trace::new(TraceLevel::Warn), DetRng::seed(1985));
-        let spans = Rc::new(RefCell::new(SpanIdGen::new(1)));
-        let st =
-            [0, 1].map(|i| Station::new(i, HostAddr(i as u16), &cfg, &trace, &spans, &mut rng));
-        let profile = simulation_profile(SimDuration::from_secs(30));
-        let fs = st[0].fs.as_ref().expect("station 0 serves files").pid();
-        let env = ExecEnv::standard(st[1].display.pid(), fs);
-        let mut pair = Pair {
-            st,
-            queue: BTreeMap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            rng,
-            behavior: Some(WorkloadProgram::new(profile.clone(), env)),
-            stats: ClusterStats::default(),
-            charged: SimDuration::ZERO,
-        };
-        pair.st[0]
-            .fs
-            .as_mut()
-            .expect("fs")
-            .add_image(profile.name.clone(), profile.layout);
-        for i in 0..2 {
-            pair.feed(i, Input::Boot(HostAddr(0)));
-        }
         // The file-server machine's shell runs the program `@ ws1`.
-        let spec = ProgramSpec {
-            image: profile.name,
-            priority: Priority::GUEST,
-        };
-        pair.feed(
-            0,
-            Input::Exec(Box::new(spec), ExecTarget::Named("ws1".into())),
-        );
+        let mut pair = Pair::new(&cfg, &[30]);
         pair.run_for(SimDuration::from_secs(3));
         let guest = pair.st[1].guests().next().expect("ws1 hosts a guest");
         assert!(pair.st[1].programs.contains_key(&guest));
@@ -1338,5 +1341,37 @@ mod tests {
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Transmit(f) if f.dest == NetDest::Multicast(PM_MCAST))));
+    }
+
+    /// Two guests share `ws1`. The one holding the CPU is frozen: its
+    /// quantum is not charged, and the CPU passes to the other, which then
+    /// runs alone and is re-armed at once at the end of its quantum.
+    #[test]
+    fn a_frozen_quantum_is_not_charged_and_an_uncontested_one_re_arms() {
+        let mut pair = Pair::new(&ClusterConfig::default(), &[30, 30]);
+        pair.run_for(SimDuration::from_secs(3));
+        let ws = &pair.st[1];
+        let frozen = ws.cpu_current.expect("a guest holds the CPU");
+        assert_eq!(ws.cpu_ready.len(), 1, "the other guest waits");
+        let (next, cpu_guest) = (ws.cpu_ready[0], ws.cpu_guest);
+        let (owed, quanta) = (ws.programs[&frozen].remaining_cpu, pair.stats.quanta_guest);
+        pair.st[1].kernel.freeze(frozen);
+        let mut due = pair.st[1].cpu_due;
+        for charged in [0, 1] {
+            pair.run_for(due.since(pair.now));
+            let ws = &pair.st[1];
+            assert_eq!(ws.cpu_guest, cpu_guest + CPU_QUANTUM * charged);
+            assert_eq!(pair.stats.quanta_guest, quanta + charged);
+            assert_eq!(ws.programs[&frozen].remaining_cpu, owed);
+            assert!(!ws.programs[&frozen].scheduled);
+            assert!(ws.programs[&next].scheduled && ws.cpu_ready.is_empty());
+            assert_eq!(ws.cpu_current, Some(next));
+            due = due + CPU_QUANTUM + CONTEXT_SWITCH;
+            assert_eq!(ws.cpu_due, due);
+            let armed = Timer::QuantumEnd(next, CPU_QUANTUM);
+            assert!((pair.queue.iter()).any(|(&(at, _), (i, input))| at == due
+                && *i == 1
+                && matches!(input, Input::Timer(t) if *t == armed)));
+        }
     }
 }

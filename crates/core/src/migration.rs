@@ -527,9 +527,6 @@ impl Migrator {
             freeze_child: None,
         };
         self.stats.started += 1;
-        // Only the first selection is a `SelectHost` crossing; a retry's
-        // reselection is not.
-        Self::point(out, &job, ProtocolStep::SelectHost);
         self.select_host(now, &mut job, k, out);
         self.jobs.insert(lh, job);
     }
@@ -542,6 +539,7 @@ impl Migrator {
         k: &mut Kernel<ServiceMsg>,
         out: &mut SvcOutputs<MigEvent>,
     ) {
+        Self::point(out, job, ProtocolStep::SelectHost);
         job.state = JobState::Selecting;
         job.attempts += 1;
         self.open_phase(now, job, "selection");
@@ -1339,5 +1337,63 @@ mod tests {
         let c = MigrationConfig::default();
         assert_eq!(c.retry_limit, 0, "paper gives up after the first attempt");
         assert!(matches!(c.strategy, Strategy::PreCopy(_)));
+    }
+
+    /// A migrator on a kernel holding a system logical host (its own
+    /// process) and a one-space program logical host to move.
+    fn rig() -> (Migrator, Kernel<ServiceMsg>, LogicalHostId) {
+        let (host, trace) = (HostAddr(1), Trace::new(TraceLevel::Warn));
+        let mut k = Kernel::new(host, vkernel::KernelConfig::default(), trace.clone());
+        k.set_group_route(vkernel::GroupId::PROGRAM_MANAGERS, vnet::McastGroup(1));
+        let layout = vmem::SpaceLayout {
+            code_bytes: 8 * 1024,
+            init_data_bytes: 8 * 1024,
+            heap_bytes: 8 * 1024,
+            stack_bytes: 8 * 1024,
+        };
+        let system = k.create_logical_host(LogicalHostId(2));
+        let team = system.create_space(layout);
+        let pid = system.create_process(team, Priority::SYSTEM, false);
+        let lh = LogicalHostId(20_000);
+        let prog = k.create_logical_host(lh);
+        let team = prog.create_space(layout);
+        prog.create_process(team, Priority::GUEST, false);
+        (Migrator::new(pid, host, 1_000_000, trace), k, lh)
+    }
+
+    #[test]
+    fn a_retry_crosses_select_host_again() {
+        let (mut m, mut k, lh) = rig();
+        let (now, mut out) = (SimTime::ZERO, SvcOutputs::default());
+        let meta = ProgramMeta {
+            image: "guest".into(),
+            priority: Priority::GUEST,
+            origin: None,
+        };
+        let cfg = MigrationConfig {
+            retry_limit: 1,
+            ..MigrationConfig::default()
+        };
+        m.start(now, lh, meta, cfg, None, false, &mut k, &mut out);
+        let pending = |m: &Migrator| *m.by_seq.keys().next().expect("a send in flight");
+        // A program manager answers the query, then refuses the
+        // initialization: the migrator retries against another host.
+        let candidate = ServiceMsg::HostCandidate {
+            pm: ProcessId::new(LogicalHostId(3), vkernel::FIRST_USER_INDEX),
+            host: HostAddr(2),
+            load: 0,
+        };
+        let seq = pending(&m);
+        m.handle_send_done(now, seq, Ok(ReplyIn { body: candidate }), &mut k, &mut out);
+        let seq = pending(&m);
+        m.handle_send_done(now, seq, Err(SendError::Refused), &mut k, &mut out);
+        assert_eq!(m.stats.retried, 1);
+        let crossings = |step| {
+            (out.events.iter())
+                .filter(|e| matches!(e, MigEvent::Point { step: s, .. } if *s == step))
+                .count()
+        };
+        assert_eq!(crossings(ProtocolStep::InitTarget), 1);
+        assert_eq!(crossings(ProtocolStep::SelectHost), 2);
     }
 }
