@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use vcore::{ExecTarget, MigrationConfig, MigrationReport};
 use vkernel::{LogicalHostId, Packet, Priority, ProcessId};
-use vnet::{Arrival, Ethernet, Frame, HostAddr, LossModel, Transmission};
+use vnet::{Arrival, Ethernet, Frame, HostAddr, LossModel};
 use vservices::{ExecEnv, FileServer, ProgramSpec, ServiceMsg};
 use vsim::calib::SMALL_PACKET_CPU;
 use vsim::{
@@ -277,6 +277,9 @@ pub struct Cluster {
     /// Output buffers, one per nesting level of [`Cluster::feed`],
     /// reused by every dispatch.
     buffers: Vec<Vec<Output>>,
+    /// The arrivals of the frame being put on the wire, reused by every
+    /// transmit the way `buffers` are by every feed.
+    arrivals: Vec<Arrival<Packet<ServiceMsg>>>,
 }
 
 /// Handles to the cluster's default time series.
@@ -395,6 +398,7 @@ impl Cluster {
             pending_behaviors: BTreeMap::new(),
             reclaim_times: Vec::new(),
             buffers: Vec::new(),
+            arrivals: Vec::new(),
         };
         // Group membership and binding seeds, once every station exists.
         for i in 0..cluster.stations.len() {
@@ -682,7 +686,7 @@ impl Cluster {
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
-            Event::Transmit { frame } => self.put_on_wire(*frame),
+            Event::Transmit { frame } => self.put_on_wire(frame),
             Event::Frame(host, frame) => self.feed(self.index_of(host), Input::Frame(frame)),
             Event::Frames(to, frame) => {
                 let copies = std::iter::repeat_n(frame, to.len());
@@ -738,7 +742,7 @@ impl Cluster {
                 self.engine
                     .schedule_after(SMALL_PACKET_CPU, Event::Transmit { frame });
             }
-            Output::Transmit(frame) => self.put_on_wire(*frame),
+            Output::Transmit(frame) => self.put_on_wire(frame),
             Output::Schedule(after, timer) => {
                 self.engine.schedule_after(after, Event::Timer(host, timer))
             }
@@ -824,19 +828,18 @@ impl Cluster {
 
     /// Transmits a frame now and queues its arrivals in receiver order:
     /// each run of consecutive receivers that hear the shared frame at one
-    /// instant as one event, and each corrupted copy as its own. The
-    /// shared frame is copied only when a spike or a corrupted copy splits
-    /// the receivers into several runs; the last run takes it.
+    /// instant as one event, and each corrupted copy as its own. The frame
+    /// keeps the box its station made, so a unicast allocates nothing
+    /// here; it is copied only when a spike or a corrupted copy splits the
+    /// receivers into several runs, and the last run takes it.
     ///
     /// This is exact. The arrivals of one transmit get consecutive
     /// sequence numbers, so the receivers of one run would run back to
     /// back anyway, and whatever one of them schedules for that instant
     /// runs after the last of them either way.
-    fn put_on_wire(&mut self, frame: Frame<Packet<ServiceMsg>>) {
-        let Transmission {
-            frame,
-            mut arrivals,
-        } = self.net.transmit(self.engine.now(), frame);
+    fn put_on_wire(&mut self, frame: Box<Frame<Packet<ServiceMsg>>>) {
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        self.net.transmit(self.engine.now(), &frame, &mut arrivals);
         // Receive-side CPU for small packets.
         let cpu = if is_bulk(&frame.payload) {
             SimDuration::ZERO
@@ -856,15 +859,17 @@ impl Cluster {
             } else if ends_run(&arrivals, k) {
                 let Some(frame) = shared.next() else { break };
                 let ev = if start == k {
-                    Event::Frame(to, Box::new(frame))
+                    Event::Frame(to, frame)
                 } else {
                     let run = arrivals[start..=k].iter().map(|a| a.to).collect();
-                    Event::Frames(run, Box::new(frame))
+                    Event::Frames(run, frame)
                 };
                 self.engine.schedule_at(at, ev);
                 start = k + 1;
             }
         }
+        arrivals.clear();
+        self.arrivals = arrivals;
     }
 
     /// Hands the six series to the store, which keeps only the changes:

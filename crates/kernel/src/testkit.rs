@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use vnet::{Ethernet, Frame, HostAddr, LossModel, Transmission};
+use vnet::{Ethernet, Frame, HostAddr, LossModel};
 use vsim::{DetRng, Engine, SimDuration, SimTime, Trace, TraceLevel};
 
 use crate::ids::ProcessId;
@@ -158,7 +158,8 @@ impl<X: Clone + std::fmt::Debug> Rig<X> {
             match o {
                 KernelOutput::Transmit(frame) => {
                     let now = self.engine.now();
-                    let Transmission { frame, arrivals } = self.net.transmit(now, frame);
+                    let mut arrivals = Vec::new();
+                    self.net.transmit(now, &frame, &mut arrivals);
                     // Each receiver gets its own copy (the rig has no
                     // checksum check, so a corrupted copy is delivered as
                     // is); the last one takes the frame as sent.

@@ -19,24 +19,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use vsim::calib::{frame_wire_time, WIRE_LATENCY};
 use vsim::{
-    DetRng, Samples, ScopeMetrics, SimDuration, SimTime, Subsystem, Trace, TraceEvent, TraceLevel,
+    DetRng, ScopeMetrics, SimDuration, SimTime, Subsystem, Tally, Trace, TraceEvent, TraceLevel,
 };
 
 use crate::addr::{HostAddr, McastGroup, NetDest};
 use crate::frame::Frame;
 use crate::loss::{LossModel, LossState};
-
-/// What one transmit puts on the wire: the frame as sent, held once, and
-/// each receiver that hears it.
-#[derive(Debug)]
-pub struct Transmission<P> {
-    /// The frame as sent. Every arrival without a copy of its own hears
-    /// this one frame.
-    pub frame: Frame<P>,
-    /// The receivers that hear the frame, in receiver order (address
-    /// order for a broadcast or multicast); empty when nobody does.
-    pub arrivals: Vec<Arrival<P>>,
-}
 
 /// One receiver hearing a transmitted frame.
 #[derive(Debug)]
@@ -47,7 +35,7 @@ pub struct Arrival<P> {
     /// latency spike on this link).
     pub at: SimTime,
     /// This receiver's own copy when the wire corrupted it in transit;
-    /// `None` when it hears [`Transmission::frame`] intact.
+    /// `None` when it hears the transmitted frame intact.
     pub corrupted: Option<Box<Frame<P>>>,
 }
 
@@ -100,10 +88,10 @@ struct Station {
 /// let mut net: Ethernet<&str> = Ethernet::new(LossModel::None, DetRng::seed(1), Trace::quiet());
 /// let a = net.attach();
 /// let b = net.attach();
-/// let out = net.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, "hello"));
-/// assert_eq!(out.frame.payload, "hello");
-/// assert_eq!(out.arrivals.len(), 1);
-/// assert_eq!(out.arrivals[0].to, b);
+/// let mut arrivals = Vec::new();
+/// net.transmit(SimTime::ZERO, &Frame::unicast(a, b, 32, "hello"), &mut arrivals);
+/// assert_eq!(arrivals.len(), 1);
+/// assert_eq!(arrivals[0].to, b);
 /// ```
 pub struct Ethernet<P> {
     stations: Vec<Station>,
@@ -119,8 +107,9 @@ pub struct Ethernet<P> {
     corrupt_prob: f64,
     corrupt_until: SimTime,
     stats: WireStats,
-    /// Payload size of every frame offered by a live sender.
-    frame_payload_bytes: Samples,
+    /// Payload size of every frame offered by a live sender, counted by
+    /// size: the wire keeps nothing per frame.
+    frame_payload_bytes: Tally,
     trace: Trace,
     _payload: std::marker::PhantomData<P>,
 }
@@ -140,7 +129,7 @@ impl<P: Clone> Ethernet<P> {
             corrupt_prob: 0.0,
             corrupt_until: SimTime::ZERO,
             stats: WireStats::default(),
-            frame_payload_bytes: Samples::new(),
+            frame_payload_bytes: Tally::new(),
             trace,
             _payload: std::marker::PhantomData,
         }
@@ -255,27 +244,25 @@ impl<P: Clone> Ethernet<P> {
         self.corrupt_until = until;
     }
 
-    /// Offers a frame to the channel at time `now`, returning it with
-    /// the receivers that hear it (possibly none).
+    /// Offers a frame to the channel at time `now` and appends the
+    /// receivers that hear it (possibly none) to `arrivals`, in receiver
+    /// order (address order for a broadcast or multicast).
     ///
     /// The channel serializes frames: if it is busy, transmission starts
     /// when it frees. All receivers hear the frame at the same instant
     /// (plus any per-link latency spike); loss, partition blocking, and
     /// corruption are decided independently per receiver, in receiver
-    /// order (`Ethernet::arrival`). The frame is held once: only a
-    /// receiver whose copy the wire corrupted gets a copy of its own.
+    /// order (`Ethernet::arrival`). The frame stays with the caller: only
+    /// a receiver whose copy the wire corrupted gets a copy of its own.
     /// The sender never receives its own frame.
-    pub fn transmit(&mut self, now: SimTime, frame: Frame<P>) -> Transmission<P> {
+    pub fn transmit(&mut self, now: SimTime, frame: &Frame<P>, arrivals: &mut Vec<Arrival<P>>) {
         if !self.station(frame.src).up {
             self.stats.sender_down += 1;
-            return Transmission {
-                frame,
-                arrivals: Vec::new(),
-            };
+            return;
         }
         self.stats.frames_sent += 1;
         self.stats.payload_bytes += frame.payload_bytes;
-        self.frame_payload_bytes.add(frame.payload_bytes as f64);
+        self.frame_payload_bytes.add(frame.payload_bytes);
 
         let start = now.max(self.busy_until);
         let wire = frame_wire_time(frame.payload_bytes);
@@ -283,26 +270,28 @@ impl<P: Clone> Ethernet<P> {
         self.stats.busy += wire;
         let arrival = start + wire + WIRE_LATENCY;
 
-        let receivers: Vec<HostAddr> = match frame.dest {
-            NetDest::Unicast(h) => {
-                let _ = self.station(h); // Validate.
-                vec![h]
+        match frame.dest {
+            NetDest::Unicast(to) => arrivals.extend(self.arrival(now, arrival, frame, to)),
+            NetDest::Broadcast => {
+                // `attach` hands out dense addresses below 65 536.
+                for to in (0..=u16::MAX).take(self.stations.len()).map(HostAddr) {
+                    if to != frame.src {
+                        arrivals.extend(self.arrival(now, arrival, frame, to));
+                    }
+                }
             }
-            NetDest::Broadcast => self.stations().filter(|&h| h != frame.src).collect(),
-            NetDest::Multicast(g) => self
-                .members(g)
-                .into_iter()
-                .filter(|&h| h != frame.src)
-                .collect(),
-        };
-
-        let mut arrivals = Vec::with_capacity(receivers.len());
-        for to in receivers {
-            if let Some(a) = self.arrival(now, arrival, &frame, to) {
-                arrivals.push(a);
+            NetDest::Multicast(g) => {
+                // `arrival` never changes membership, so the groups are
+                // lent out while it decides each member's fate.
+                let groups = std::mem::take(&mut self.groups);
+                for &to in groups.get(&g).into_iter().flatten() {
+                    if to != frame.src {
+                        arrivals.extend(self.arrival(now, arrival, frame, to));
+                    }
+                }
+                self.groups = groups;
             }
         }
-        Transmission { frame, arrivals }
     }
 
     /// Decides the fate of one frame at one receiver: down-station and
@@ -429,9 +418,16 @@ mod tests {
         Ethernet::new(LossModel::None, DetRng::seed(42), Trace::quiet())
     }
 
+    /// Transmits `frame` and returns its arrivals.
+    fn send(n: &mut Ethernet<u32>, now: SimTime, frame: Frame<u32>) -> Vec<Arrival<u32>> {
+        let mut arrivals = Vec::new();
+        n.transmit(now, &frame, &mut arrivals);
+        arrivals
+    }
+
     /// The receivers of one transmission, in order.
-    fn receivers(t: &Transmission<u32>) -> Vec<HostAddr> {
-        t.arrivals.iter().map(|a| a.to).collect()
+    fn receivers(arrivals: &[Arrival<u32>]) -> Vec<HostAddr> {
+        arrivals.iter().map(|a| a.to).collect()
     }
 
     #[test]
@@ -447,12 +443,11 @@ mod tests {
         let mut n = net();
         let a = n.attach();
         let b = n.attach();
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 7));
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 1024, 7));
         assert_eq!(receivers(&out), vec![b]);
         // (1024+38)*8/10 = 849 us wire + 50 us latency.
-        assert_eq!(out.arrivals[0].at, SimTime::from_micros(899));
-        assert!(out.arrivals[0].corrupted.is_none());
-        assert_eq!(out.frame.payload, 7);
+        assert_eq!(out[0].at, SimTime::from_micros(899));
+        assert!(out[0].corrupted.is_none());
     }
 
     #[test]
@@ -460,11 +455,11 @@ mod tests {
         let mut n = net();
         let a = n.attach();
         let b = n.attach();
-        let first = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 1));
-        let second = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 2));
-        assert_eq!(first.arrivals[0].at, SimTime::from_micros(899));
+        let first = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 1024, 1));
+        let second = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 1024, 2));
+        assert_eq!(first[0].at, SimTime::from_micros(899));
         // The second frame waits for the first to clear the wire.
-        assert_eq!(second.arrivals[0].at, SimTime::from_micros(849 + 899));
+        assert_eq!(second[0].at, SimTime::from_micros(849 + 899));
         assert!((n.stats().utilization(SimTime::from_micros(1698)) - 1.0).abs() < 1e-9);
     }
 
@@ -473,8 +468,12 @@ mod tests {
         let mut n = net();
         let a = n.attach();
         let b = n.attach();
-        n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 1));
-        n.transmit(SimTime::from_micros(10_000), Frame::unicast(a, b, 1024, 2));
+        send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 1024, 1));
+        send(
+            &mut n,
+            SimTime::from_micros(10_000),
+            Frame::unicast(a, b, 1024, 2),
+        );
         let util = n.stats().utilization(SimTime::from_micros(20_000));
         assert!((util - 2.0 * 849.0 / 20_000.0).abs() < 1e-6, "util {util}");
     }
@@ -485,12 +484,11 @@ mod tests {
         let a = n.attach();
         let _b = n.attach();
         let _c = n.attach();
-        let out = n.transmit(SimTime::ZERO, Frame::broadcast(a, 32, 9));
+        let out = send(&mut n, SimTime::ZERO, Frame::broadcast(a, 32, 9));
         assert_eq!(receivers(&out), vec![HostAddr(1), HostAddr(2)]);
         // One frame, one instant, no copies.
-        assert_eq!(out.arrivals[0].at, out.arrivals[1].at);
-        assert!(out.arrivals.iter().all(|x| x.corrupted.is_none()));
-        assert_eq!(out.frame.payload, 9);
+        assert_eq!(out[0].at, out[1].at);
+        assert!(out.iter().all(|x| x.corrupted.is_none()));
     }
 
     #[test]
@@ -503,10 +501,10 @@ mod tests {
         n.join(g, b);
         n.join(g, c);
         n.join(g, c); // Idempotent.
-        let out = n.transmit(SimTime::ZERO, Frame::multicast(a, g, 32, 0));
+        let out = send(&mut n, SimTime::ZERO, Frame::multicast(a, g, 32, 0));
         assert_eq!(receivers(&out), vec![b, c]);
         n.leave(g, b);
-        let out = n.transmit(SimTime::ZERO, Frame::multicast(a, g, 32, 0));
+        let out = send(&mut n, SimTime::ZERO, Frame::multicast(a, g, 32, 0));
         assert_eq!(receivers(&out), vec![c]);
     }
 
@@ -518,7 +516,7 @@ mod tests {
         let g = McastGroup(2);
         n.join(g, a);
         n.join(g, b);
-        let out = n.transmit(SimTime::ZERO, Frame::multicast(a, g, 32, 0));
+        let out = send(&mut n, SimTime::ZERO, Frame::multicast(a, g, 32, 0));
         assert_eq!(receivers(&out), vec![b]);
     }
 
@@ -528,11 +526,11 @@ mod tests {
         let a = n.attach();
         let b = n.attach();
         n.set_up(b, false);
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert!(out.arrivals.is_empty());
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 32, 0));
+        assert!(out.is_empty());
         assert_eq!(n.stats().drops_down, 1);
         n.set_up(b, true);
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 32, 0));
         assert_eq!(receivers(&out), vec![b]);
     }
 
@@ -542,8 +540,8 @@ mod tests {
         let a = n.attach();
         let b = n.attach();
         n.set_up(a, false);
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert!(out.arrivals.is_empty());
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 32, 0));
+        assert!(out.is_empty());
         assert_eq!(n.stats().sender_down, 1);
         assert_eq!(n.stats().frames_sent, 0);
     }
@@ -556,8 +554,8 @@ mod tests {
         let _b = n.attach();
         let _c = n.attach();
         // Broadcast to two receivers: the 2nd receiver check drops.
-        let out = n.transmit(SimTime::ZERO, Frame::broadcast(a, 32, 0));
-        assert_eq!(out.arrivals.len(), 1);
+        let out = send(&mut n, SimTime::ZERO, Frame::broadcast(a, 32, 0));
+        assert_eq!(out.len(), 1);
         assert_eq!(n.stats().drops_loss, 1);
     }
 
@@ -576,13 +574,13 @@ mod tests {
         let e = n.attach();
         // Four receivers per broadcast → draws 1,2,3,4 then 5,6,7,8: the
         // multiples of three land on a different receiver each frame.
-        let first = n.transmit(SimTime::ZERO, Frame::broadcast(a, 32, 0));
+        let first = send(&mut n, SimTime::ZERO, Frame::broadcast(a, 32, 0));
         assert_eq!(
             receivers(&first),
             vec![b, c, e],
             "3rd per-receiver draw (d) is the drop"
         );
-        let second = n.transmit(SimTime::ZERO, Frame::broadcast(a, 32, 0));
+        let second = send(&mut n, SimTime::ZERO, Frame::broadcast(a, 32, 0));
         assert_eq!(
             receivers(&second),
             vec![b, d, e],
@@ -600,14 +598,14 @@ mod tests {
         n.partition(&[a], &[b], false);
         assert!(n.is_blocked(a, b));
         assert!(!n.is_blocked(b, a), "asymmetric partition");
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert!(out.arrivals.is_empty());
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 32, 0));
+        assert!(out.is_empty());
         assert_eq!(n.stats().drops_partition, 1);
         // The reverse direction still works.
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(b, a, 32, 0));
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(b, a, 32, 0));
         assert_eq!(receivers(&out), vec![a]);
         n.heal(&[a], &[b]);
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 32, 0));
         assert_eq!(receivers(&out), vec![b]);
     }
 
@@ -620,11 +618,8 @@ mod tests {
         n.partition(&[a], &[b, c], true);
         assert!(n.is_blocked(a, c) && n.is_blocked(c, a));
         // A broadcast from `a` reaches nobody; b → c is unaffected.
-        assert!(n
-            .transmit(SimTime::ZERO, Frame::broadcast(a, 32, 0))
-            .arrivals
-            .is_empty());
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(b, c, 32, 0));
+        assert!(send(&mut n, SimTime::ZERO, Frame::broadcast(a, 32, 0)).is_empty());
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(b, c, 32, 0));
         assert_eq!(receivers(&out), vec![c]);
     }
 
@@ -635,12 +630,12 @@ mod tests {
         let b = n.attach();
         let extra = SimDuration::from_millis(30);
         n.set_link_latency(a, b, extra, SimTime::from_micros(1_000));
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 1024, 0));
-        assert_eq!(out.arrivals[0].at, SimTime::from_micros(899 + 30_000));
+        let out = send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 1024, 0));
+        assert_eq!(out[0].at, SimTime::from_micros(899 + 30_000));
         // After the window closes the link is back to normal.
         let t = SimTime::from_micros(5_000);
-        let out = n.transmit(t, Frame::unicast(a, b, 1024, 0));
-        assert_eq!(out.arrivals[0].at, t + SimDuration::from_micros(899));
+        let out = send(&mut n, t, Frame::unicast(a, b, 1024, 0));
+        assert_eq!(out[0].at, t + SimDuration::from_micros(899));
     }
 
     #[test]
@@ -649,15 +644,21 @@ mod tests {
         let a = n.attach();
         let b = n.attach();
         n.set_corruption(1.0, SimTime::from_micros(100));
-        let out = n.transmit(SimTime::ZERO, Frame::unicast(a, b, 32, 0));
-        assert_eq!(out.arrivals.len(), 1, "corrupt frames are still delivered");
-        let copy = out.arrivals[0].corrupted.as_ref().expect("a damaged copy");
+        let frame = Frame::unicast(a, b, 32, 0);
+        let mut out = Vec::new();
+        n.transmit(SimTime::ZERO, &frame, &mut out);
+        assert_eq!(out.len(), 1, "corrupt frames are still delivered");
+        let copy = out[0].corrupted.as_ref().expect("a damaged copy");
         assert!(!copy.checksum_valid());
-        assert!(out.frame.checksum_valid(), "the frame as sent is intact");
+        assert!(frame.checksum_valid(), "the frame as sent is intact");
         assert_eq!(n.stats().corrupted, 1);
         // Outside the window frames arrive intact.
-        let out = n.transmit(SimTime::from_micros(200), Frame::unicast(a, b, 32, 0));
-        assert!(out.arrivals[0].corrupted.is_none());
+        let out = send(
+            &mut n,
+            SimTime::from_micros(200),
+            Frame::unicast(a, b, 32, 0),
+        );
+        assert!(out[0].corrupted.is_none());
     }
 
     #[test]
@@ -669,15 +670,15 @@ mod tests {
         let mut n: Ethernet<u32> =
             Ethernet::new(LossModel::EveryNth(4), DetRng::seed(1), Trace::quiet());
         let hosts: Vec<HostAddr> = (0..7).map(|_| n.attach()).collect();
-        let lost = |out: &Transmission<u32>| -> Vec<usize> {
+        let lost = |out: &[Arrival<u32>]| -> Vec<usize> {
             let got = receivers(out);
             (1..7).filter(|i| !got.contains(&hosts[*i])).collect()
         };
-        let first = n.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
+        let first = send(&mut n, SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
         assert_eq!(lost(&first), vec![4], "draw 4");
-        let second = n.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
+        let second = send(&mut n, SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
         assert_eq!(lost(&second), vec![2, 6], "draws 8 and 12");
-        let third = n.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
+        let third = send(&mut n, SimTime::ZERO, Frame::broadcast(hosts[0], 32, 0));
         assert_eq!(lost(&third), vec![4], "draw 16");
         assert_eq!(n.stats().drops_loss, 4);
         assert_eq!(n.stats().deliveries, 14);
@@ -688,13 +689,11 @@ mod tests {
         let mut n = net();
         let hosts: Vec<HostAddr> = (0..9).map(|_| n.attach()).collect();
         n.set_corruption(0.5, SimTime::from_micros(100));
-        let out = n.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 32, 5));
-        assert_eq!(out.arrivals.len(), 8, "corruption loses nothing");
-        let copies: Vec<&Frame<u32>> = out
-            .arrivals
-            .iter()
-            .filter_map(|a| a.corrupted.as_deref())
-            .collect();
+        let frame = Frame::broadcast(hosts[0], 32, 5);
+        let mut out = Vec::new();
+        n.transmit(SimTime::ZERO, &frame, &mut out);
+        assert_eq!(out.len(), 8, "corruption loses nothing");
+        let copies: Vec<&Frame<u32>> = out.iter().filter_map(|a| a.corrupted.as_deref()).collect();
         // Seed 42 corrupts some receivers and spares others.
         assert!(!copies.is_empty() && copies.len() < 8, "{}", copies.len());
         assert_eq!(copies.len() as u64, n.stats().corrupted);
@@ -703,7 +702,7 @@ mod tests {
             assert_eq!(copy.payload, 5);
         }
         // Everyone else hears the one frame as sent.
-        assert!(out.frame.checksum_valid());
+        assert!(frame.checksum_valid());
     }
 
     #[test]
@@ -715,12 +714,12 @@ mod tests {
         let d = n.attach();
         let extra = SimDuration::from_millis(30);
         n.set_link_latency(a, c, extra, SimTime::from_micros(1_000));
-        let out = n.transmit(SimTime::ZERO, Frame::broadcast(a, 1024, 0));
+        let out = send(&mut n, SimTime::ZERO, Frame::broadcast(a, 1024, 0));
         assert_eq!(receivers(&out), vec![b, c, d]);
-        let at: Vec<SimTime> = out.arrivals.iter().map(|x| x.at).collect();
+        let at: Vec<SimTime> = out.iter().map(|x| x.at).collect();
         let base = SimTime::from_micros(899);
         assert_eq!(at, vec![base, base + extra, base]);
-        assert!(out.arrivals.iter().all(|x| x.corrupted.is_none()));
+        assert!(out.iter().all(|x| x.corrupted.is_none()));
     }
 
     #[test]
@@ -728,7 +727,54 @@ mod tests {
     fn unknown_destination_panics() {
         let mut n = net();
         let a = n.attach();
-        n.transmit(SimTime::ZERO, Frame::unicast(a, HostAddr(9), 32, 0));
+        send(&mut n, SimTime::ZERO, Frame::unicast(a, HostAddr(9), 32, 0));
+    }
+
+    #[test]
+    fn transmit_appends_to_the_callers_list() {
+        let mut n = net();
+        let hosts: Vec<HostAddr> = (0..4).map(|_| n.attach()).collect();
+        let g = McastGroup(3);
+        n.join(g, hosts[1]);
+        n.join(g, hosts[3]);
+        let mut arrivals = Vec::new();
+        n.transmit(
+            SimTime::ZERO,
+            &Frame::unicast(hosts[0], hosts[2], 32, 1),
+            &mut arrivals,
+        );
+        n.transmit(
+            SimTime::ZERO,
+            &Frame::multicast(hosts[2], g, 32, 2),
+            &mut arrivals,
+        );
+        n.transmit(
+            SimTime::ZERO,
+            &Frame::broadcast(hosts[3], 32, 3),
+            &mut arrivals,
+        );
+        let to: Vec<u16> = arrivals.iter().map(|a| a.to.0).collect();
+        assert_eq!(to, [2, 1, 3, 0, 1, 2]);
+    }
+
+    #[test]
+    fn frame_sizes_are_summarised_exactly() {
+        let mut n = net();
+        let a = n.attach();
+        let b = n.attach();
+        let mut sizes = vsim::Samples::new();
+        for i in 0..300 {
+            let bytes = [32, 1024, 32, 96, 1500][i % 5] + (i as u64 % 7);
+            send(&mut n, SimTime::ZERO, Frame::unicast(a, b, bytes, 0));
+            sizes.add(bytes as f64);
+        }
+        let m = n.metrics("net");
+        let h = m.histogram(Subsystem::Net, "frame_payload_bytes").unwrap();
+        let want = sizes.summary();
+        assert_eq!(
+            (h.count, h.mean, h.p50, h.p95, h.p99, h.min, h.max),
+            (want.count, want.mean, want.p50, want.p95, want.p99, want.min, want.max)
+        );
     }
 
     #[test]
@@ -737,7 +783,7 @@ mod tests {
         let a = n.attach();
         let b = n.attach();
         for i in 0..5 {
-            n.transmit(SimTime::ZERO, Frame::unicast(a, b, 100, i));
+            send(&mut n, SimTime::ZERO, Frame::unicast(a, b, 100, i));
         }
         assert_eq!(n.stats().frames_sent, 5);
         assert_eq!(n.stats().deliveries, 5);

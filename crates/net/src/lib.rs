@@ -15,6 +15,6 @@ mod frame;
 mod loss;
 
 pub use addr::{HostAddr, McastGroup, NetDest};
-pub use ethernet::{Arrival, Ethernet, Transmission, WireStats};
+pub use ethernet::{Arrival, Ethernet, WireStats};
 pub use frame::Frame;
 pub use loss::{LossModel, LossState};

@@ -31,7 +31,7 @@ fn delivery_accounting_balances() {
                 continue;
             }
             let f = Frame::unicast(src, dst, bytes, i as u32);
-            net.transmit(SimTime::ZERO, f);
+            net.transmit(SimTime::ZERO, &f, &mut Vec::new());
             expected_receivers += 1;
         }
         let s = net.stats();
@@ -60,12 +60,12 @@ fn broadcast_reaches_all_live_peers() {
                 live_others += 1;
             }
         }
-        let out = net.transmit(SimTime::ZERO, Frame::broadcast(hosts[0], 64, 0));
-        assert_eq!(out.arrivals.len(), live_others);
+        let mut out = Vec::new();
+        net.transmit(SimTime::ZERO, &Frame::broadcast(hosts[0], 64, 0), &mut out);
+        assert_eq!(out.len(), live_others);
         // Everyone hears the one frame at the same instant.
-        if let Some(first) = out.arrivals.first() {
+        if let Some(first) = out.first() {
             assert!(out
-                .arrivals
                 .iter()
                 .all(|d| d.at == first.at && d.corrupted.is_none()));
         }
@@ -86,10 +86,16 @@ fn back_to_back_frames_serialize() {
         let b = net.attach();
         let mut last = None;
         let mut wire_sum = 0u64;
+        let mut out = Vec::new();
         for i in 0..n_frames {
             let bytes = rng.range_u64(1, 4000);
-            let out = net.transmit(SimTime::ZERO, Frame::unicast(a, b, bytes, i as u32));
-            let at = out.arrivals[0].at;
+            out.clear();
+            net.transmit(
+                SimTime::ZERO,
+                &Frame::unicast(a, b, bytes, i as u32),
+                &mut out,
+            );
+            let at = out[0].at;
             if let Some(prev) = last {
                 assert!(at > prev, "arrivals must be ordered");
             }
@@ -124,8 +130,9 @@ fn multicast_membership_is_exact() {
             }
         }
         let sender = hosts[0];
-        let out = net.transmit(SimTime::ZERO, Frame::multicast(sender, g, 64, 0));
-        let mut got: Vec<HostAddr> = out.arrivals.iter().map(|d| d.to).collect();
+        let mut out = Vec::new();
+        net.transmit(SimTime::ZERO, &Frame::multicast(sender, g, 64, 0), &mut out);
+        let mut got: Vec<HostAddr> = out.iter().map(|d| d.to).collect();
         got.sort();
         let want: Vec<HostAddr> = model.iter().copied().filter(|&h| h != sender).collect();
         assert_eq!(got, want);

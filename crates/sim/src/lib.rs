@@ -2,7 +2,8 @@
 //!
 //! Foundation of the V-system reproduction: a microsecond-resolution
 //! simulated clock and event queue ([`Engine`]), seeded randomness
-//! ([`DetRng`]), measurement collection ([`Samples`], [`Histogram`]), a
+//! ([`DetRng`]), measurement collection ([`Samples`], [`Tally`],
+//! [`Histogram`]), the one content hash ([`Fnv`]), a
 //! structured observability layer (typed [`Trace`] events, causal
 //! [`span`]s reconstructed into a [`SpanTree`], and the [`metrics`] report
 //! types), a dependency-free [`json`] serializer/parser for
@@ -24,6 +25,7 @@ pub mod calib;
 pub mod chrome;
 mod engine;
 mod faults;
+mod fnv;
 pub mod json;
 pub mod metrics;
 mod profile;
@@ -40,12 +42,13 @@ pub use faults::{
     fault_points, FaultEvent, FaultKind, FaultPlan, FaultPoint, FaultTrigger, Party, ProtocolStep,
     PARTY,
 };
+pub use fnv::{fnv1a, Fnv};
 pub use json::{Json, ToJson};
 pub use metrics::{MetricsReport, ScopeMetrics};
 pub use profile::{HostClock, NullClock, ProfileReport, Profiler, SlotId, SlotReport};
 pub use rng::DetRng;
 pub use span::{SpanContext, SpanId, SpanIdGen, SpanNode, SpanTree, SpanViolation};
-pub use stats::{Histogram, Samples};
+pub use stats::{Histogram, Samples, Summary, Tally};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{SamplingSpec, SeriesId, SeriesReport, SeriesSnapshot, SeriesStore};
 pub use trace::{Subsystem, Trace, TraceEvent, TraceLevel, TraceRecord, TraceSinkSpec};

@@ -3,9 +3,12 @@
 //! Counters, gauges and sample histograms live where they change: plain
 //! fields on the component that records them ([`crate::Engine`]'s event
 //! counts, the wire's and kernel's `*Stats` structs, the migrator's
-//! [`Samples`]). Each component exports them through one snapshot
-//! function that lists the exported names, in a fixed order, as a
-//! [`ScopeMetrics`]; nothing is stored twice.
+//! [`Samples`], the wire's frame-size [`Tally`]). Each component exports
+//! them through one snapshot function that lists the exported names, in
+//! a fixed order, as a [`ScopeMetrics`]; nothing is stored twice.
+//!
+//! [`Samples`]: crate::Samples
+//! [`Tally`]: crate::Tally
 //!
 //! A [`MetricsReport`] is an immutable set of scopes suitable for JSON
 //! output: the cluster runtime merges the per-component snapshots
@@ -29,7 +32,7 @@
 //! ```
 
 use crate::json::{Json, ToJson};
-use crate::stats::Samples;
+use crate::stats::Summary;
 use crate::trace::Subsystem;
 
 /// A frozen counter value.
@@ -80,18 +83,18 @@ pub struct HistogramSummary {
 }
 
 impl HistogramSummary {
-    fn of(subsystem: Subsystem, name: &'static str, unit: &'static str, s: &Samples) -> Self {
+    fn of(subsystem: Subsystem, name: &'static str, unit: &'static str, s: Summary) -> Self {
         HistogramSummary {
             subsystem,
             name,
             unit,
-            count: s.count(),
-            mean: s.mean(),
-            p50: s.percentile(50.0),
-            p95: s.percentile(95.0),
-            p99: s.percentile(99.0),
-            min: s.min(),
-            max: s.max(),
+            count: s.count,
+            mean: s.mean,
+            p50: s.p50,
+            p95: s.p95,
+            p99: s.p99,
+            min: s.min,
+            max: s.max,
         }
     }
 }
@@ -140,17 +143,22 @@ impl ScopeMetrics {
         self
     }
 
-    /// Appends the summary of a sample histogram; `unit` labels the
-    /// samples in reports (`"ms"`, `"KB"`, `"bytes"`, …).
+    /// Appends the summary of a sample histogram (a `&`[`Samples`] or a
+    /// `&`[`Tally`]); `unit` labels the samples in reports (`"ms"`,
+    /// `"KB"`, `"bytes"`, …).
+    ///
+    /// [`Samples`]: crate::Samples
+    /// [`Tally`]: crate::Tally
     pub fn with_histogram(
         mut self,
         subsystem: Subsystem,
         name: &'static str,
         unit: &'static str,
-        samples: &Samples,
+        samples: impl Into<Summary>,
     ) -> Self {
+        let summary = samples.into();
         self.histograms
-            .push(HistogramSummary::of(subsystem, name, unit, samples));
+            .push(HistogramSummary::of(subsystem, name, unit, summary));
         self
     }
 
@@ -293,6 +301,7 @@ impl ToJson for MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Samples;
 
     #[test]
     fn scope_keeps_export_order_and_answers_queries() {

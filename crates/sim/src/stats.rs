@@ -3,9 +3,52 @@
 //! The experiment harness reports means, extremes and percentiles of
 //! simulated measurements (freeze times, dirty-page counts, response
 //! times). [`Samples`] stores them for means and percentiles;
-//! [`Histogram`] buckets durations for distribution tables.
+//! [`Tally`] counts integer samples by value, so its memory grows with
+//! the distinct values rather than the samples; [`Histogram`] buckets
+//! durations for distribution tables. Both sample stores summarise into
+//! one [`Summary`].
+
+use std::collections::BTreeMap;
 
 use crate::time::SimDuration;
+
+/// Count, mean, nearest-rank p50/p95/p99 and extremes of a sample set.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// Number of samples.
+    pub count: usize,
+    /// Sample mean (0 when empty).
+    pub mean: f64,
+    /// 50th percentile (nearest-rank), `None` when empty.
+    pub p50: Option<f64>,
+    /// 95th percentile.
+    pub p95: Option<f64>,
+    /// 99th percentile.
+    pub p99: Option<f64>,
+    /// Minimum sample.
+    pub min: Option<f64>,
+    /// Maximum sample.
+    pub max: Option<f64>,
+}
+
+/// The 1-indexed nearest rank of the `p`-th percentile among `n > 0`
+/// sorted samples: `ceil(p·n/100)`, clamped to `1..=n`.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]` or not finite.
+// `rank` is at most `n` because `p <= 100`.
+#[allow(clippy::cast_possible_truncation)]
+fn nearest_rank(p: f64, n: usize) -> usize {
+    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+    // Multiply before dividing: `p / 100.0` rounds upward for many p
+    // (7.0, 14.0, 55.0, …), and that overshoot survived the multiply
+    // and pushed `ceil` one rank high — `p·n/100` with integer p and
+    // small n divides exactly, so rank boundaries land where
+    // nearest-rank says they must.
+    let rank = ((p * n as f64) / 100.0).ceil() as usize;
+    rank.clamp(1, n)
+}
 
 /// Stored samples supporting percentiles.
 #[derive(Debug, Clone, Default)]
@@ -54,29 +97,36 @@ impl Samples {
     /// samples, the `ceil(p·n/100)`-th smallest (1-indexed). At tiny
     /// counts the high percentiles legitimately coincide with the max
     /// (p95 of three samples *is* the third), but every rank boundary is
-    /// honoured precisely — see the note on evaluation order below.
+    /// honoured precisely.
     ///
     /// Returns `None` if empty.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]` or not finite.
-    // `rank` is at most `len` because `p <= 100`.
-    #[allow(clippy::cast_possible_truncation)]
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.values.is_empty() {
-            return None;
+        let sorted = self.sorted();
+        at_rank(&sorted, p)
+    }
+
+    /// Count, mean, p50/p95/p99 and extremes, from one sorted copy.
+    pub fn summary(&self) -> Summary {
+        let sorted = self.sorted();
+        Summary {
+            count: sorted.len(),
+            mean: self.mean(),
+            p50: at_rank(&sorted, 50.0),
+            p95: at_rank(&sorted, 95.0),
+            p99: at_rank(&sorted, 99.0),
+            min: sorted.first().copied(),
+            max: sorted.last().copied(),
         }
+    }
+
+    fn sorted(&self) -> Vec<f64> {
         let mut sorted = self.values.clone();
         sorted.sort_by(f64::total_cmp);
-        // Multiply before dividing: `p / 100.0` rounds upward for many p
-        // (7.0, 14.0, 55.0, …), and that overshoot survived the multiply
-        // and pushed `ceil` one rank high — `p·n/100` with integer p and
-        // small n divides exactly, so rank boundaries land where
-        // nearest-rank says they must.
-        let rank = ((p * sorted.len() as f64) / 100.0).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+        sorted
     }
 
     /// Median (50th percentile).
@@ -97,6 +147,106 @@ impl Samples {
     /// Read-only view of the raw samples, in insertion order.
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+}
+
+/// The nearest-rank `p`-th percentile of ascending `sorted`, `None` if
+/// empty.
+fn at_rank(sorted: &[f64], p: f64) -> Option<f64> {
+    sorted
+        .get(nearest_rank(p, sorted.len().max(1)) - 1)
+        .copied()
+}
+
+/// Integer samples kept as an exact value → count multiset: memory grows
+/// with the distinct values, not with the samples, and the summary is
+/// the one [`Samples`] would give for the same values.
+///
+/// `count`, `min`, `max` and the nearest-rank percentiles are exact. So
+/// is the mean while the sum of all samples stays below 2^53: every
+/// partial sum of such integers is exact in `f64`, so the order in which
+/// [`Samples`] adds them does not matter.
+///
+/// # Examples
+///
+/// ```
+/// use vsim::{Samples, Tally};
+///
+/// let (mut t, mut s) = (Tally::new(), Samples::new());
+/// for x in [64, 1024, 64, 64, 32] {
+///     t.add(x);
+///     s.add(x as f64);
+/// }
+/// assert_eq!(t.summary(), s.summary());
+/// assert_eq!(t.percentile(50.0), Some(64.0));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    counts: BTreeMap<u64, usize>,
+    n: usize,
+    sum: u128,
+}
+
+impl Tally {
+    /// Creates an empty tally.
+    pub fn new() -> Self {
+        Tally::default()
+    }
+
+    /// Adds one sample.
+    pub fn add(&mut self, x: u64) {
+        *self.counts.entry(x).or_insert(0) += 1;
+        self.n += 1;
+        self.sum += u128::from(x);
+    }
+
+    /// Number of samples.
+    pub fn count(&self) -> usize {
+        self.n
+    }
+
+    /// The `p`-th percentile (nearest-rank), `p` in `[0, 100]`, read from
+    /// the cumulative counts; `None` if empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 100]` or not finite.
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        let rank = nearest_rank(p, self.n.max(1));
+        let mut seen = 0;
+        self.counts.iter().find_map(|(&x, &k)| {
+            seen += k;
+            (seen >= rank).then_some(x as f64)
+        })
+    }
+
+    /// Count, mean, p50/p95/p99 and extremes.
+    pub fn summary(&self) -> Summary {
+        Summary {
+            count: self.n,
+            mean: if self.n == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.n as f64
+            },
+            p50: self.percentile(50.0),
+            p95: self.percentile(95.0),
+            p99: self.percentile(99.0),
+            min: self.counts.keys().next().map(|&x| x as f64),
+            max: self.counts.keys().next_back().map(|&x| x as f64),
+        }
+    }
+}
+
+impl From<&Samples> for Summary {
+    fn from(s: &Samples) -> Summary {
+        s.summary()
+    }
+}
+
+impl From<&Tally> for Summary {
+    fn from(t: &Tally) -> Summary {
+        t.summary()
     }
 }
 
@@ -222,6 +372,58 @@ mod tests {
         for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
             assert_eq!(one.percentile(p), Some(42.0));
         }
+    }
+
+    #[test]
+    fn summary_reads_one_sorted_copy_like_the_single_queries() {
+        let mut rng = crate::DetRng::seed(0x50f7);
+        let mut s = Samples::new();
+        for _ in 0..257 {
+            s.add(rng.range_f64(-1e3, 1e3));
+        }
+        let sum = s.summary();
+        assert_eq!(sum.count, 257);
+        assert_eq!(sum.mean, s.mean());
+        assert_eq!(
+            [sum.p50, sum.p95, sum.p99],
+            [50.0, 95.0, 99.0].map(|p| s.percentile(p))
+        );
+        assert_eq!((sum.min, sum.max), (s.min(), s.max()));
+    }
+
+    #[test]
+    fn tally_summary_equals_samples_summary_on_random_multisets() {
+        let mut rng = crate::DetRng::seed(0x7a11);
+        // Every rank boundary the `Samples` tests above pin.
+        let mut ps: Vec<f64> = (0..=100).map(f64::from).collect();
+        ps.extend([33.0, 51.0, 66.0, 67.0, 2.5, 99.9]);
+        for case in 0..200 {
+            let n = [1, 2, 3, 20, 100][case % 5];
+            // Few distinct values for heavy repeats, many for none.
+            let distinct = [1, 2, 3, 7, 1_000_000][(case / 5) % 5];
+            let (mut t, mut s) = (Tally::new(), Samples::new());
+            for _ in 0..n {
+                let x = 32 + rng.range_u64(0, distinct) * 17;
+                t.add(x);
+                s.add(x as f64);
+            }
+            assert_eq!(t.summary(), s.summary(), "case {case}: n {n}");
+            for &p in &ps {
+                assert_eq!(t.percentile(p), s.percentile(p), "case {case}: p{p}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_tally_summarises_like_empty_samples() {
+        assert_eq!(Tally::new().summary(), Samples::new().summary());
+        assert_eq!(Tally::new().percentile(99.0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn tally_rejects_percentile_out_of_range() {
+        Tally::new().percentile(101.0);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! assert!(cluster.exec_reports[0].success);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use vcluster;

@@ -13,22 +13,12 @@
 //! receiver.
 
 use v_system::prelude::*;
-use v_system::vsim::TraceRecord;
+use v_system::vsim::{fnv1a, Fnv, TraceRecord};
 
 /// FNV-1a over the `Debug` form of every trace record, in order.
 const TRACE_DIGEST: &str = "d140717907d4fe02";
 /// FNV-1a over the `Debug` form of the final `ClusterStats`.
 const STATS_DIGEST: &str = "f330df2ad10490dd";
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>, mut h: u64) -> u64 {
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 struct Outcome {
     records: Vec<TraceRecord>,
@@ -124,11 +114,11 @@ fn fan_out_heavy_run_reproduces_its_pinned_trace_and_stats() {
     assert_eq!(o.faults_injected, 4);
     assert!(o.corrupted > 0, "the corruption window damaged nothing");
     assert!(o.execs_ok >= 20, "only {} execs succeeded", o.execs_ok);
-    let trace = o
-        .records
-        .iter()
-        .fold(FNV_OFFSET, |h, r| fnv1a(format!("{r:?}").into_bytes(), h));
-    let stats = fnv1a(o.stats.bytes(), FNV_OFFSET);
+    let mut trace = Fnv::new();
+    for r in &o.records {
+        trace.write_debug(r);
+    }
+    let (trace, stats) = (trace.finish(), fnv1a(o.stats.as_bytes()));
     assert_eq!(
         (format!("{trace:016x}"), format!("{stats:016x}")),
         (TRACE_DIGEST.to_string(), STATS_DIGEST.to_string()),

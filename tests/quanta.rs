@@ -19,7 +19,7 @@
 
 use v_system::prelude::*;
 use v_system::vcluster::station::Station;
-use v_system::vsim::TraceRecord;
+use v_system::vsim::{fnv1a, Fnv, TraceRecord};
 
 /// FNV-1a over the `Debug` form of every trace record, in order.
 const TRACE_DIGEST: &str = "dff329df721196d3";
@@ -28,16 +28,6 @@ const STATS_DIGEST: &str = "cd109f298399759c";
 /// FNV-1a over each station's delivered CPU and each of its programs'
 /// dirty-page counts.
 const CPU_DIGEST: &str = "6bb635c1b45c92c6";
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>, mut h: u64) -> u64 {
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn ms(m: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(m)
@@ -196,12 +186,12 @@ fn scheduler_run_reproduces_its_pinned_quanta() {
     assert!(s.crashed_busy, "ws1 was idle when it crashed");
     assert!(s.rebooted, "ws1 never came back up");
     assert!(o.quanta > 2_000, "{} quanta", o.quanta);
-    let trace = o
-        .records
-        .iter()
-        .fold(FNV_OFFSET, |h, r| fnv1a(format!("{r:?}").into_bytes(), h));
-    let stats = fnv1a(o.stats.bytes(), FNV_OFFSET);
-    let cpu = fnv1a(o.cpu.bytes(), FNV_OFFSET);
+    let mut trace = Fnv::new();
+    for r in &o.records {
+        trace.write_debug(r);
+    }
+    let (trace, stats) = (trace.finish(), fnv1a(o.stats.as_bytes()));
+    let cpu = fnv1a(o.cpu.as_bytes());
     assert_eq!(
         [trace, stats, cpu].map(|h| format!("{h:016x}")),
         [TRACE_DIGEST, STATS_DIGEST, CPU_DIGEST],
